@@ -10,11 +10,12 @@ A certificate is a JSON object
 where each node is `{"rule": ..., "conclusion": ..., "witness": {...}?,
 "premises": [...]}`.  Conclusions and endsequents use the sequent text syntax
 for the nested ("dn") and shallow ("sn") calculi and the structure syntax for
-the display calculus ("dc").  The optional witness pins every choice a rule
-application makes so checking never has to search: `context` locates the
-rewritten node (`_` marks the hole), `principal` names the formula acted on,
-`child_origin` picks a child by label, and `ctx1`/`ctx2` give the context
-halves used by a branching rule.
+the display calculus ("dc").  The optional witness narrows the choices a rule
+application makes: `context` locates the rewritten node (`_` marks the hole),
+`principal` names the formula acted on, `child_origin` picks a child by
+label, and `ctx1`/`ctx2` give the context halves used by a branching rule.
+It does not pin everything: the dn checker still searches for the split of
+the rewritten node's own material between a branching rule's premises.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class Witness:
     child_origin: Optional[int] = None
     ctx1: Optional[Context] = None
     ctx2: Optional[Context] = None
-    side: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,6 @@ def _witness_dict(w: Witness) -> dict:
         out["ctx1"] = context_text(w.ctx1)
     if w.ctx2 is not None:
         out["ctx2"] = context_text(w.ctx2)
-    if w.side is not None:
-        out["side"] = w.side
     return out
 
 
@@ -216,21 +214,30 @@ def certificate_text(calculus: str, logic: str, root: ProofNode) -> str:
         return json.dumps(certificate_dict(calculus, logic, root), indent=2) + "\n"
 
 
+def _check_types(what: str, data: dict, types: dict) -> None:
+    """Reject a present field whose JSON type is not the one named for it."""
+    for key, kind in types.items():
+        if key in data and type(data[key]) is not kind:
+            raise CheckError(f"{what} field {key!r} must be {kind.__name__}, not {type(data[key]).__name__}")
+
+
+_WITNESS_TYPES = {"context": str, "principal": str, "child_origin": int, "ctx1": str, "ctx2": str}
+
+
 def _read_witness(data: dict) -> Witness:
     if not isinstance(data, dict):
         raise CheckError("witness must be an object")
-    known = {"context", "principal", "child_origin", "ctx1", "ctx2", "side"}
-    unknown = set(data) - known
+    unknown = set(data) - set(_WITNESS_TYPES)
     if unknown:
         raise CheckError(f"unknown witness fields: {sorted(unknown)}")
+    _check_types("witness", data, _WITNESS_TYPES)
     try:
         return Witness(
             context=parse_context(data["context"]) if "context" in data else None,
             principal=parse_formula(data["principal"]) if "principal" in data else None,
-            child_origin=int(data["child_origin"]) if "child_origin" in data else None,
+            child_origin=data.get("child_origin"),
             ctx1=parse_context(data["ctx1"]) if "ctx1" in data else None,
             ctx2=parse_context(data["ctx2"]) if "ctx2" in data else None,
-            side=data.get("side"),
         )
     except ParseError as e:
         raise CheckError(f"bad witness: {e}") from e
@@ -239,6 +246,7 @@ def _read_witness(data: dict) -> Witness:
 def _read_node(calculus: str, data: dict) -> ProofNode:
     if not isinstance(data, dict) or "rule" not in data or "conclusion" not in data:
         raise CheckError("proof node needs 'rule' and 'conclusion'")
+    _check_types("proof node", data, {"rule": str, "conclusion": str, "premises": list})
     try:
         if calculus in ("dn", "sn"):
             conclusion = parse_sequent(data["conclusion"])
@@ -250,7 +258,7 @@ def _read_node(calculus: str, data: dict) -> ProofNode:
         raise CheckError(f"bad conclusion {data['conclusion']!r}: {e}") from e
     witness = _read_witness(data["witness"]) if "witness" in data else None
     premises = tuple(_read_node(calculus, p) for p in data.get("premises", ()))
-    return ProofNode(str(data["rule"]), conclusion, premises, witness)
+    return ProofNode(data["rule"], conclusion, premises, witness)
 
 
 def read_certificate(data) -> Certificate:
@@ -282,6 +290,7 @@ def read_certificate(data) -> Certificate:
         root = _read_node(calculus, data["proof"])
     endsequent = data.get("endsequent")
     if endsequent is not None:
+        _check_types("certificate", data, {"endsequent": str})
         if conclusion_text(calculus, root.conclusion) != _normalize(calculus, endsequent):
             raise CheckError("endsequent does not match the proof root")
     return Certificate(calculus, logic, conclusion_text(calculus, root.conclusion), root)

@@ -5,10 +5,15 @@ Axioms close a branch only when the rest of the whole tree is hollow.  Unary
 rules unfold a connective in place; the two implication-like connectives
 spawn a child sequent tagged with the label of the occurrence that was
 unfolded.  Branching rules split the surrounding context and the remaining
-material of the rewritten node between two premises; the split is part of
-the rule application and is recorded in the witness, so checking replays it
-instead of searching.  Propagation rules move one formula occurrence across
-one parent/child boundary, bumping its hop counter.
+material of the rewritten node between two premises.  The witness records
+only the two context halves; the checker recovers the split of the node's
+own material by search, lifting the label-free premises it is given.
+Propagation rules move one formula occurrence across one parent/child
+boundary, bumping its hop counter.
+
+The shape of each logical rule is encoded once, in the rule-shape helpers
+below; search, the checker, the shallow checker and the translators all
+build premises and conclusions with them.
 
 The FILL restriction drops exclusion and the two propagation moves that need
 left-nested children, and insists every sequent stays right-nested.
@@ -47,7 +52,6 @@ from .sequent import (
     formula_occurrence_count,
     hole_contexts,
     is_fill_sequent,
-    is_hollow,
     label_sequent,
     occs,
     plug,
@@ -95,8 +99,141 @@ def endsequent_for(formula: Formula) -> Sequent:
     return label_sequent(Sequent((), (Occ(strip_labels(formula)),)))
 
 
-def _swap(items: tuple, old, new) -> tuple:
-    return side_remove(items, [old]) + (new,)
+def _edit(s: Sequent, side: str, gone: tuple = (), added: tuple = ()) -> Sequent:
+    """`s` with the items `gone` taken off one side and `added` put on it."""
+    items = side_remove(getattr(s, side), gone) + added
+    if side == "left":
+        return Sequent(items, s.right, s.origin)
+    return Sequent(s.left, items, s.origin)
+
+
+# ------------------------------------------------------------- rule shapes
+#
+# An sn logical rule is the dn rule fired at the root node, so the shallow
+# checker and the translators build with these helpers too.
+
+# rule: (side of the principal occurrence, its connective)
+_LOGICAL = {
+    "i_l": ("left", UnitI),
+    "bot_r": ("right", UnitBot),
+    "tensor_l": ("left", Tensor),
+    "par_r": ("right", Par),
+    "lolli_r": ("right", Lolli),
+    "excl_l": ("left", Excl),
+    "tensor_r": ("right", Tensor),
+    "par_l": ("left", Par),
+    "lolli_l": ("left", Lolli),
+    "excl_r": ("right", Excl),
+}
+_RULE_AT = {shape: rule for rule, shape in _LOGICAL.items()}
+
+# branch rule: (where A goes in premise 1, where B goes in premise 2)
+_SPLIT = {
+    "tensor_r": ("right", "right"),
+    "par_l": ("left", "left"),
+    "lolli_l": ("right", "left"),
+    "excl_r": ("right", "left"),
+}
+
+# propagation rule, in search order: (side the moving occurrence sits on,
+# side of the node the child sits on, whether the occurrence enters the child)
+_PROP_SHAPE = {
+    "prop_left_in": ("left", "right", True),
+    "prop_right_out": ("right", "right", False),
+    "prop_right_in": ("right", "left", True),
+    "prop_left_out": ("left", "left", False),
+}
+
+
+def _rules_at(node: Sequent, fill: bool) -> Iterator[tuple[str, str, Occ]]:
+    """(rule, side, occurrence) for every logical rule that can act on an
+    occurrence of the node, antecedent first."""
+    for side in ("left", "right"):
+        for occ in occs(getattr(node, side)):
+            rule = _RULE_AT.get((side, type(occ.formula)))
+            if rule is not None and not (fill and rule in FILL_EXCLUDED):
+                yield rule, side, occ
+
+
+def _principals(rule: str, node: Sequent) -> Iterator[Occ]:
+    """The occurrences of the node that `rule` can act on."""
+    return (occ for r, _, occ in _rules_at(node, False) if r == rule)
+
+
+def _unfolding(f: Formula) -> tuple:
+    """What an unfolding rule leaves in place of its principal formula: a
+    unit vanishes, * on the left and | on the right leave both halves, and
+    -o on the right or -< on the left leave a child tagged with the arrow's
+    label."""
+    if isinstance(f, (UnitI, UnitBot)):
+        return ()
+    if isinstance(f, (Tensor, Par)):
+        return (Occ(f.left), Occ(f.right))
+    return (Sequent((Occ(f.left),), (Occ(f.right),), f.label),)
+
+
+def _unfold(rule: str, node: Sequent, occ: Occ) -> Sequent:
+    """The node after the unfolding rule acts on `occ`."""
+    return _edit(node, _LOGICAL[rule][0], (occ,), _unfolding(occ.formula))
+
+
+def _split_premises(
+    rule: str, f: Formula, c1: Context, r1: Sequent, c2: Context, r2: Sequent
+) -> tuple[Sequent, Sequent]:
+    """Premises of a branch rule on `f` whose context splits into c1 and c2
+    and whose rewritten node, less `f`, splits into r1 and r2."""
+    a_side, b_side = _SPLIT[rule]
+    return (
+        plug(c1, _edit(r1, a_side, (), (Occ(f.left),))),
+        plug(c2, _edit(r2, b_side, (), (Occ(f.right),))),
+    )
+
+
+def _branch_conclusion(
+    rule: str, p1: Sequent, a: Occ, p2: Sequent, b: Occ, principal: Optional[Occ] = None
+) -> Sequent:
+    """Root-level conclusion of a branch rule whose premises have active
+    occurrences `a` and `b`: both premises' other material plus the principal
+    occurrence, by default the rule's connective over the two."""
+    side, connective = _LOGICAL[rule]
+    a_side, b_side = _SPLIT[rule]
+    if principal is None:
+        principal = Occ(connective(a.formula, b.formula))
+    items = {"left": p1.left + p2.left, "right": p1.right + p2.right}
+    items[a_side] = side_remove(items[a_side], (a,))
+    items[b_side] = side_remove(items[b_side], (b,))
+    items[side] += (principal,)
+    return Sequent(items["left"], items["right"])
+
+
+def _prop_sites(rule: str, node: Sequent) -> Iterator[tuple[Sequent, Occ]]:
+    """(child, occurrence) pairs the propagation rule can move at the node."""
+    occ_side, kid_side, inward = _PROP_SHAPE[rule]
+    kids = child_seqs(getattr(node, kid_side))
+    if inward:
+        for occ in occs(getattr(node, occ_side)):
+            for kid in kids:
+                yield kid, occ
+    else:
+        for kid in kids:
+            for occ in occs(getattr(kid, occ_side)):
+                yield kid, occ
+
+
+def _propagate(rule: str, node: Sequent, kid: Sequent, occ: Occ) -> tuple[Sequent, Sequent]:
+    """The node after `occ` crosses the boundary of its child `kid`, one hop
+    further along, and that child as it then stands."""
+    occ_side, kid_side, inward = _PROP_SHAPE[rule]
+    moved = Occ(occ.formula, occ.hops + 1)
+    items = {"left": node.left, "right": node.right}
+    if inward:
+        kid2 = _edit(kid, occ_side, (), (moved,))
+        items[occ_side] = side_remove(items[occ_side], (occ,))
+    else:
+        kid2 = _edit(kid, occ_side, (occ,))
+        items[occ_side] += (moved,)
+    items[kid_side] = side_remove(items[kid_side], (kid,)) + (kid2,)
+    return Sequent(items["left"], items["right"], node.origin), kid2
 
 
 # ------------------------------------------------------------------ moves
@@ -122,34 +259,6 @@ def _axiom_move(s: Sequent) -> Optional[Move]:
     return None
 
 
-_BRANCH_SPECS = {
-    # rule: (principal side, where A goes in premise 1, where B goes in premise 2)
-    "tensor_r": ("right", "right", "right"),
-    "par_l": ("left", "left", "left"),
-    "lolli_l": ("left", "right", "left"),
-    "excl_r": ("right", "right", "left"),
-}
-
-
-def _with_occ(s: Sequent, side: str, occ: Occ) -> Sequent:
-    if side == "left":
-        return Sequent(s.left + (occ,), s.right, s.origin)
-    return Sequent(s.left, s.right + (occ,), s.origin)
-
-
-def _branch_rule_for(f: Formula, side: str) -> Optional[str]:
-    match f, side:
-        case Tensor(), "right":
-            return "tensor_r"
-        case Par(), "left":
-            return "par_l"
-        case Lolli(), "left":
-            return "lolli_l"
-        case Excl(), "right":
-            return "excl_r"
-    return None
-
-
 def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) -> Iterator[Move]:
     """Candidate rule applications with `s` as conclusion, most constrained
     first: axioms, then in-place unfolding, then branching, then propagation.
@@ -161,134 +270,46 @@ def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) 
         yield ax
         return
 
-    spots = list(hole_contexts(s))
+    spots = [(ctx, node, list(_rules_at(node, fill))) for ctx, node in hole_contexts(s)]
 
-    for ctx, node in spots:
-        for occ in occs(node.left):
+    for ctx, node, acts in spots:
+        for rule, _, occ in acts:
+            if rule in UNARY_LOGICAL_RULES:
+                premise = plug(ctx, _unfold(rule, node, occ))
+                yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula))
+
+    for ctx, node, acts in spots:
+        for rule, side, occ in acts:
+            if rule not in BRANCH_RULES:
+                continue
             f = occ.formula
-            match f:
-                case UnitI():
-                    premise = plug(ctx, Sequent(side_remove(node.left, [occ]), node.right, node.origin))
-                    yield Move("i_l", (premise,), Witness(context=ctx, principal=f))
-                case Tensor(left=a, right=b):
-                    left = side_remove(node.left, [occ]) + (Occ(a), Occ(b))
-                    yield Move(
-                        "tensor_l",
-                        (plug(ctx, Sequent(left, node.right, node.origin)),),
-                        Witness(context=ctx, principal=f),
-                    )
-                case Excl(left=a, right=b, label=g) if not fill:
-                    child = Sequent((Occ(a),), (Occ(b),), g)
-                    left = side_remove(node.left, [occ]) + (child,)
-                    yield Move(
-                        "excl_l",
-                        (plug(ctx, Sequent(left, node.right, node.origin)),),
-                        Witness(context=ctx, principal=f),
-                    )
-        for occ in occs(node.right):
-            f = occ.formula
-            match f:
-                case UnitBot():
-                    premise = plug(ctx, Sequent(node.left, side_remove(node.right, [occ]), node.origin))
-                    yield Move("bot_r", (premise,), Witness(context=ctx, principal=f))
-                case Par(left=a, right=b):
-                    right = side_remove(node.right, [occ]) + (Occ(a), Occ(b))
-                    yield Move(
-                        "par_r",
-                        (plug(ctx, Sequent(node.left, right, node.origin)),),
-                        Witness(context=ctx, principal=f),
-                    )
-                case Lolli(left=a, right=b, label=g):
-                    child = Sequent((Occ(a),), (Occ(b),), g)
-                    right = side_remove(node.right, [occ]) + (child,)
-                    yield Move(
-                        "lolli_r",
-                        (plug(ctx, Sequent(node.left, right, node.origin)),),
-                        Witness(context=ctx, principal=f),
-                    )
+            rest = _edit(node, side, (occ,))
+            seen: set = set()
+            for c1, c2 in enumerate_context_partitions(ctx):
+                for r1, r2 in enumerate_partitions(rest):
+                    pair = _split_premises(rule, f, c1, r1, c2, r2)
+                    if pair in seen:
+                        continue
+                    seen.add(pair)
+                    yield Move(rule, pair, Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
 
-    for ctx, node in spots:
-        for side_name in ("left", "right"):
-            for occ in occs(getattr(node, side_name)):
-                rule = _branch_rule_for(occ.formula, side_name)
-                if rule is None or (fill and rule in FILL_EXCLUDED):
-                    continue
-                f = occ.formula
-                if side_name == "left":
-                    rest = Sequent(side_remove(node.left, [occ]), node.right, node.origin)
-                else:
-                    rest = Sequent(node.left, side_remove(node.right, [occ]), node.origin)
-                _, a_side, b_side = _BRANCH_SPECS[rule]
-                seen: set = set()
-                for c1, c2 in enumerate_context_partitions(ctx):
-                    for r1, r2 in enumerate_partitions(rest):
-                        p1 = plug(c1, _with_occ(r1, a_side, Occ(f.left)))
-                        p2 = plug(c2, _with_occ(r2, b_side, Occ(f.right)))
-                        if (p1, p2) in seen:
-                            continue
-                        seen.add((p1, p2))
-                        yield Move(rule, (p1, p2), Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
-
-    for ctx, node in spots:
+    for ctx, node, _ in spots:
         yield from _prop_moves(ctx, node, fill, hop_cap)
 
 
 def _prop_moves(ctx: Context, node: Sequent, fill: bool, hop_cap: Optional[int]) -> Iterator[Move]:
-    def capped(occ: Occ) -> bool:
-        return hop_cap is not None and occ.hops >= hop_cap
-
     seen: set = set()
-
-    def emit(rule: str, premise: Sequent, moved: Formula, origin: int) -> Iterator[Move]:
-        key = (rule, premise)
-        if key not in seen:
-            seen.add(key)
-            yield Move(rule, (premise,), Witness(context=ctx, principal=moved, child_origin=origin))
-
-    # a left formula enters a right-nested child
-    for occ in occs(node.left):
-        if capped(occ):
+    for rule in _PROP_SHAPE:
+        if fill and rule in FILL_EXCLUDED:
             continue
-        for child in child_seqs(node.right):
-            child2 = Sequent(child.left + (Occ(occ.formula, occ.hops + 1),), child.right, child.origin)
-            premise = plug(ctx, Sequent(side_remove(node.left, [occ]), _swap(node.right, child, child2), node.origin))
-            yield from emit("prop_left_in", premise, occ.formula, child.origin)
-
-    # a right formula exits a right-nested child
-    for child in child_seqs(node.right):
-        for occ in occs(child.right):
-            if capped(occ):
+        for kid, occ in _prop_sites(rule, node):
+            if hop_cap is not None and occ.hops >= hop_cap:
                 continue
-            child2 = Sequent(child.left, side_remove(child.right, [occ]), child.origin)
-            premise = plug(
-                ctx,
-                Sequent(node.left, _swap(node.right, child, child2) + (Occ(occ.formula, occ.hops + 1),), node.origin),
-            )
-            yield from emit("prop_right_out", premise, occ.formula, child.origin)
-
-    if fill:
-        return
-
-    # a right formula enters a left-nested child
-    for occ in occs(node.right):
-        if capped(occ):
-            continue
-        for child in child_seqs(node.left):
-            child2 = Sequent(child.left, child.right + (Occ(occ.formula, occ.hops + 1),), child.origin)
-            premise = plug(ctx, Sequent(_swap(node.left, child, child2), side_remove(node.right, [occ]), node.origin))
-            yield from emit("prop_right_in", premise, occ.formula, child.origin)
-
-    # a left formula exits a left-nested child
-    for child in child_seqs(node.left):
-        for occ in occs(child.left):
-            if capped(occ):
+            premise = plug(ctx, _propagate(rule, node, kid, occ)[0])
+            if (rule, premise) in seen:
                 continue
-            child2 = Sequent(side_remove(child.left, [occ]), child.right, child.origin)
-            premise = plug(
-                ctx,
-                Sequent(_swap(node.left, child, child2) + (Occ(occ.formula, occ.hops + 1),), node.right, node.origin),
-            )
-            yield from emit("prop_left_out", premise, occ.formula, child.origin)
+            seen.add((rule, premise))
+            yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin))
 
 
 # ---------------------------------------------------------------- checking
@@ -394,147 +415,61 @@ def _lift_context(lab: Context, c1: Context, c2: Context) -> Iterator[tuple[Cont
     yield from _lift_seq(lab, c1, c2)
 
 
-def _axiom_checks(rule: str, ctx: Context, redex: Sequent, w: Witness) -> Iterator[tuple]:
-    if rule == "id":
-        for lo in occs(redex.left):
-            if not isinstance(lo.formula, Atom) or not _strip_eq(lo.formula, w.principal):
+def _instances(
+    rule: str, ctx: Context, redex: Sequent, w: Witness, claims: tuple[Sequent, ...]
+) -> Iterator[tuple]:
+    """Applications of `rule` at `redex` that the witness allows, each as
+    (premises, witness pinned to what was used)."""
+    if rule in LEAF_RULES:
+        # at most one axiom applies anywhere: the rest of the tree is hollow
+        ax = _axiom_move(plug(ctx, redex))
+        if ax is not None and ax.rule == rule and ax.witness.context == ctx:
+            if _strip_eq(ax.witness.principal, w.principal):
+                yield (), ax.witness
+    elif rule in BRANCH_RULES:
+        yield from _branch_instances(rule, ctx, redex, w, claims)
+    elif rule in UNARY_LOGICAL_RULES:
+        for occ in _principals(rule, redex):
+            f = occ.formula
+            co = f.label if rule in ("lolli_r", "excl_l") else None
+            if not _strip_eq(f, w.principal) or (co is not None and w.child_origin not in (None, co)):
                 continue
-            for ro in occs(redex.right):
-                if ro.formula != lo.formula:
-                    continue
-                rest = Sequent(side_remove(redex.left, [lo]), side_remove(redex.right, [ro]), redex.origin)
-                if is_hollow(plug(ctx, rest)):
-                    yield (), Witness(context=ctx, principal=lo.formula)
-                    return
-    elif rule == "bot_l":
-        for occ in occs(redex.left):
-            if isinstance(occ.formula, UnitBot):
-                rest = Sequent(side_remove(redex.left, [occ]), redex.right, redex.origin)
-                if is_hollow(plug(ctx, rest)):
-                    yield (), Witness(context=ctx, principal=occ.formula)
-                    return
-    elif rule == "i_r":
-        for occ in occs(redex.right):
-            if isinstance(occ.formula, UnitI):
-                rest = Sequent(redex.left, side_remove(redex.right, [occ]), redex.origin)
-                if is_hollow(plug(ctx, rest)):
-                    yield (), Witness(context=ctx, principal=occ.formula)
-                    return
-
-
-def _unary_premises(rule: str, ctx: Context, redex: Sequent, w: Witness) -> Iterator[tuple]:
-    if rule in ("i_l", "tensor_l", "excl_l"):
-        side_name, kind = "left", {"i_l": UnitI, "tensor_l": Tensor, "excl_l": Excl}[rule]
+            yield (plug(ctx, _unfold(rule, redex, occ)),), Witness(context=ctx, principal=f, child_origin=co)
     else:
-        side_name, kind = "right", {"bot_r": UnitBot, "par_r": Par, "lolli_r": Lolli}[rule]
-    for occ in occs(getattr(redex, side_name)):
-        f = occ.formula
-        if not isinstance(f, kind) or not _strip_eq(f, w.principal):
-            continue
-        rest = side_remove(getattr(redex, side_name), [occ])
-        xw = Witness(context=ctx, principal=f)
-        if rule == "i_l":
-            yield (plug(ctx, Sequent(rest, redex.right, redex.origin)),), xw
-        elif rule == "bot_r":
-            yield (plug(ctx, Sequent(redex.left, rest, redex.origin)),), xw
-        elif rule == "tensor_l":
-            yield (plug(ctx, Sequent(rest + (Occ(f.left), Occ(f.right)), redex.right, redex.origin)),), xw
-        elif rule == "par_r":
-            yield (plug(ctx, Sequent(redex.left, rest + (Occ(f.left), Occ(f.right)), redex.origin)),), xw
-        elif rule == "lolli_r":
-            if w.child_origin is not None and w.child_origin != f.label:
+        for kid, occ in _prop_sites(rule, redex):
+            if not _strip_eq(occ.formula, w.principal) or w.child_origin not in (None, kid.origin):
                 continue
-            child = Sequent((Occ(f.left),), (Occ(f.right),), f.label)
-            xw = Witness(context=ctx, principal=f, child_origin=f.label)
-            yield (plug(ctx, Sequent(redex.left, rest + (child,), redex.origin)),), xw
-        elif rule == "excl_l":
-            if w.child_origin is not None and w.child_origin != f.label:
-                continue
-            child = Sequent((Occ(f.left),), (Occ(f.right),), f.label)
-            xw = Witness(context=ctx, principal=f, child_origin=f.label)
-            yield (plug(ctx, Sequent(rest + (child,), redex.right, redex.origin)),), xw
+            premise = plug(ctx, _propagate(rule, redex, kid, occ)[0])
+            yield (premise,), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin)
 
 
-def _branch_premises(
-    rule: str, ctx: Context, redex: Sequent, w: Witness, claims: tuple[Sequent, Sequent]
+def _branch_instances(
+    rule: str, ctx: Context, redex: Sequent, w: Witness, claims: tuple[Sequent, ...]
 ) -> Iterator[tuple]:
     if w.ctx1 is None or w.ctx2 is None:
         raise CheckError(f"{rule} needs ctx1 and ctx2 in its witness")
-    p_side, a_side, b_side = _BRANCH_SPECS[rule]
+    a_side, b_side = _SPLIT[rule]
     sp1, sp2 = (strip_sequent(c) for c in claims)
     sredex1 = context_decompose(w.ctx1, sp1)
     sredex2 = context_decompose(w.ctx2, sp2)
     if sredex1 is None or sredex2 is None:
         return
-    for occ in occs(getattr(redex, p_side)):
+    for occ in _principals(rule, redex):
         f = occ.formula
-        if _branch_rule_for(f, p_side) != rule or not _strip_eq(f, w.principal):
+        if not _strip_eq(f, w.principal):
             continue
-        if p_side == "left":
-            rest = Sequent(side_remove(redex.left, [occ]), redex.right, redex.origin)
-        else:
-            rest = Sequent(redex.left, side_remove(redex.right, [occ]), redex.origin)
+        rest = _edit(redex, _LOGICAL[rule][0], (occ,))
         try:
-            crest1 = _drop_occ(sredex1, a_side, strip_labels(f.left))
-            crest2 = _drop_occ(sredex2, b_side, strip_labels(f.right))
+            crest1 = _edit(sredex1, a_side, (Occ(strip_labels(f.left)),))
+            crest2 = _edit(sredex2, b_side, (Occ(strip_labels(f.right)),))
         except ValueError:
             continue
+        # the witness pins only the context halves; the rewritten node's own
+        # material is split by lifting the claimed premises' label-free halves
         for l1, l2 in _lift_context(ctx, w.ctx1, w.ctx2):
             for r1, r2 in _lift_seq(rest, crest1, crest2):
-                p1 = plug(l1, _with_occ(r1, a_side, Occ(f.left)))
-                p2 = plug(l2, _with_occ(r2, b_side, Occ(f.right)))
-                yield (p1, p2), Witness(context=ctx, principal=f, ctx1=l1, ctx2=l2)
-
-
-def _drop_occ(s: Sequent, side_name: str, f: Formula) -> Sequent:
-    items = getattr(s, side_name)
-    trimmed = side_remove(items, [Occ(f)])
-    if side_name == "left":
-        return Sequent(trimmed, s.right, s.origin)
-    return Sequent(s.left, trimmed, s.origin)
-
-
-def _prop_premises(rule: str, ctx: Context, redex: Sequent, w: Witness) -> Iterator[tuple]:
-    if rule == "prop_left_in":
-        for occ in occs(redex.left):
-            if not _strip_eq(occ.formula, w.principal):
-                continue
-            for child in child_seqs(redex.right):
-                if w.child_origin is not None and child.origin != w.child_origin:
-                    continue
-                child2 = Sequent(child.left + (Occ(occ.formula, occ.hops + 1),), child.right, child.origin)
-                premise = plug(ctx, Sequent(side_remove(redex.left, [occ]), _swap(redex.right, child, child2), redex.origin))
-                yield (premise,), Witness(context=ctx, principal=occ.formula, child_origin=child.origin)
-    elif rule == "prop_right_in":
-        for occ in occs(redex.right):
-            if not _strip_eq(occ.formula, w.principal):
-                continue
-            for child in child_seqs(redex.left):
-                if w.child_origin is not None and child.origin != w.child_origin:
-                    continue
-                child2 = Sequent(child.left, child.right + (Occ(occ.formula, occ.hops + 1),), child.origin)
-                premise = plug(ctx, Sequent(_swap(redex.left, child, child2), side_remove(redex.right, [occ]), redex.origin))
-                yield (premise,), Witness(context=ctx, principal=occ.formula, child_origin=child.origin)
-    elif rule == "prop_left_out":
-        for child in child_seqs(redex.left):
-            if w.child_origin is not None and child.origin != w.child_origin:
-                continue
-            for occ in occs(child.left):
-                if not _strip_eq(occ.formula, w.principal):
-                    continue
-                child2 = Sequent(side_remove(child.left, [occ]), child.right, child.origin)
-                premise = plug(ctx, Sequent(_swap(redex.left, child, child2) + (Occ(occ.formula, occ.hops + 1),), redex.right, redex.origin))
-                yield (premise,), Witness(context=ctx, principal=occ.formula, child_origin=child.origin)
-    elif rule == "prop_right_out":
-        for child in child_seqs(redex.right):
-            if w.child_origin is not None and child.origin != w.child_origin:
-                continue
-            for occ in occs(child.right):
-                if not _strip_eq(occ.formula, w.principal):
-                    continue
-                child2 = Sequent(child.left, side_remove(child.right, [occ]), child.origin)
-                premise = plug(ctx, Sequent(redex.left, _swap(redex.right, child, child2) + (Occ(occ.formula, occ.hops + 1),), redex.origin))
-                yield (premise,), Witness(context=ctx, principal=occ.formula, child_origin=child.origin)
+                pair = _split_premises(rule, f, l1, r1, l2, r2)
+                yield pair, Witness(context=ctx, principal=f, ctx1=l1, ctx2=l2)
 
 
 def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
@@ -561,7 +496,6 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
         child_origin=w.child_origin,
         ctx1=strip_context(w.ctx1) if w.ctx1 is not None else None,
         ctx2=strip_context(w.ctx2) if w.ctx2 is not None else None,
-        side=w.side,
     )
 
     claims = tuple(strip_sequent(p.conclusion) for p in node.premises)
@@ -569,17 +503,9 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
     for ctx, redex in hole_contexts(current):
         if strip_context(ctx) != w.context:
             continue
-        if rule in LEAF_RULES:
-            gen = _axiom_checks(rule, ctx, redex, w)
-        elif rule in UNARY_LOGICAL_RULES:
-            gen = _unary_premises(rule, ctx, redex, w)
-        elif rule in BRANCH_RULES:
-            if len(node.premises) != 2:
-                raise CheckError(f"{rule} needs two premises")
-            gen = _branch_premises(rule, ctx, redex, w, claims)
-        else:
-            gen = _prop_premises(rule, ctx, redex, w)
-        for premises, exact_w in gen:
+        if rule in BRANCH_RULES and len(node.premises) != 2:
+            raise CheckError(f"{rule} needs two premises")
+        for premises, exact_w in _instances(rule, ctx, redex, w, claims):
             if len(premises) != len(node.premises):
                 continue
             if tuple(strip_sequent(p) for p in premises) != claims:
@@ -597,28 +523,25 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
 
 
 def check_dn_proof(root: ProofNode, logic: str = "biill", expect: Optional[Sequent] = None) -> None:
-    """Validate a proof tree in the deep calculus.  Labels are reassigned
-    canonically from the root conclusion, so certificates must mint child
-    origins the same way (prefix order, antecedent first).  Raises CheckError
-    with a reason on any defect."""
-    if logic not in ("fill", "biill"):
-        raise ValueError(f"unknown logic {logic!r}")
-    internal = label_sequent(strip_sequent(root.conclusion))
+    """Validate a proof tree in the deep calculus: replay_dn_proof, after
+    comparing the root conclusion with `expect` when one is given.  Raises
+    CheckError with a reason on any defect."""
     if expect is not None and strip_sequent(expect) != strip_sequent(root.conclusion):
         raise CheckError(
             f"proof concludes {sequent_text(strip_sequent(root.conclusion))}, "
             f"expected {sequent_text(strip_sequent(expect))}"
         )
-    with stack_room(60 * proof_size(root) + 2000):
-        _verify(root, internal, logic)
+    replay_dn_proof(root, logic)
 
 
 def replay_dn_proof(root: ProofNode, logic: str = "biill") -> ProofNode:
     """Check the proof and return it rebuilt over canonically labelled
     sequents, with every witness pinned down exactly: the context carries
     live labels, branch witnesses hold the labelled context halves, and
-    spawning rules record the child origin actually used.  Raises CheckError
-    on any defect, like check_dn_proof."""
+    spawning rules record the child origin actually used.  Labels are
+    reassigned canonically from the root conclusion, so certificates must
+    mint child origins the same way (prefix order, antecedent first).
+    Raises CheckError with a reason on any defect."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
     internal = label_sequent(strip_sequent(root.conclusion))

@@ -9,9 +9,9 @@ Six structural rules move material between the root and a root-level child:
 `wrap_left` packs the whole antecedent-but-one piece of the root into a new
 left child, `wrap_right` mirrors it, `dissolve_left`/`dissolve_right` undo
 the packing, and `pull_left`/`push_right` shift root items into an existing
-child.  The logical rules mirror the deep ones, except that the two rules
-which create a child (`lolli_r`, `excl_l`) expect it at the root, and `cut`
-is available.
+child.  The ten logical rules are the deep ones fired at the root node, and
+are checked with the rule-shape builders the deep calculus shares between
+search and checking.  `cut` is available as well.
 
 The second half of this module builds derivation fragments from those
 rules: a chain that brings an arbitrary node of a tree to the root
@@ -29,7 +29,8 @@ from collections import Counter
 from itertools import chain
 
 from .certs import CheckError, LOGICS, ProofNode, proof_size, stack_room
-from .formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI
+from .deep import _LOGICAL, _SPLIT, _branch_conclusion, _principals, _unfold
+from .formula import Atom, UnitBot, UnitI
 from .sequent import (
     HOLE,
     Context,
@@ -120,6 +121,17 @@ def sn_rule_applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
     order.  Origins, hop counts, and arrow labels are ignored."""
     c = _norm(c)
     ps = tuple(_norm(p) for p in ps)
+    if rule in _SPLIT:
+        p1, p2 = ps
+        a_side, b_side = _SPLIT[rule]
+        return any(
+            c == _branch_conclusion(rule, p1, a, p2, b)
+            for a in occs(getattr(p1, a_side))
+            for b in occs(getattr(p2, b_side))
+        )
+    if rule in _LOGICAL:
+        (p,) = ps
+        return any(p == _unfold(rule, c, o) for o in _principals(rule, c))
     match rule:
         case "id":
             return (
@@ -133,120 +145,6 @@ def sn_rule_applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
             return c == Sequent((Occ(UnitBot()),), ())
         case "i_r":
             return c == Sequent((), (Occ(UnitI()),))
-        case "i_l":
-            (p,) = ps
-            return any(
-                isinstance(o.formula, UnitI)
-                and p == Sequent(side_remove(c.left, [o]), c.right)
-                for o in occs(c.left)
-            )
-        case "bot_r":
-            (p,) = ps
-            return any(
-                isinstance(o.formula, UnitBot)
-                and p == Sequent(c.left, side_remove(c.right, [o]))
-                for o in occs(c.right)
-            )
-        case "tensor_l":
-            (p,) = ps
-            return any(
-                isinstance(o.formula, Tensor)
-                and p
-                == Sequent(
-                    side_remove(c.left, [o])
-                    + (Occ(o.formula.left), Occ(o.formula.right)),
-                    c.right,
-                )
-                for o in occs(c.left)
-            )
-        case "par_r":
-            (p,) = ps
-            return any(
-                isinstance(o.formula, Par)
-                and p
-                == Sequent(
-                    c.left,
-                    side_remove(c.right, [o])
-                    + (Occ(o.formula.left), Occ(o.formula.right)),
-                )
-                for o in occs(c.right)
-            )
-        case "lolli_r":
-            (p,) = ps
-            return any(
-                isinstance(o.formula, Lolli)
-                and p
-                == Sequent(
-                    c.left,
-                    side_remove(c.right, [o])
-                    + (Sequent((Occ(o.formula.left),), (Occ(o.formula.right),)),),
-                )
-                for o in occs(c.right)
-            )
-        case "excl_l":
-            (p,) = ps
-            return any(
-                isinstance(o.formula, Excl)
-                and p
-                == Sequent(
-                    side_remove(c.left, [o])
-                    + (Sequent((Occ(o.formula.left),), (Occ(o.formula.right),)),),
-                    c.right,
-                )
-                for o in occs(c.left)
-            )
-        case "tensor_r":
-            p1, p2 = ps
-            return any(
-                c
-                == Sequent(
-                    p1.left + p2.left,
-                    side_remove(p1.right, [a])
-                    + side_remove(p2.right, [b])
-                    + (Occ(Tensor(a.formula, b.formula)),),
-                )
-                for a in occs(p1.right)
-                for b in occs(p2.right)
-            )
-        case "par_l":
-            p1, p2 = ps
-            return any(
-                c
-                == Sequent(
-                    side_remove(p1.left, [a])
-                    + side_remove(p2.left, [b])
-                    + (Occ(Par(a.formula, b.formula)),),
-                    p1.right + p2.right,
-                )
-                for a in occs(p1.left)
-                for b in occs(p2.left)
-            )
-        case "lolli_l":
-            p1, p2 = ps
-            return any(
-                c
-                == Sequent(
-                    p1.left
-                    + side_remove(p2.left, [b])
-                    + (Occ(Lolli(a.formula, b.formula)),),
-                    side_remove(p1.right, [a]) + p2.right,
-                )
-                for a in occs(p1.right)
-                for b in occs(p2.left)
-            )
-        case "excl_r":
-            p1, p2 = ps
-            return any(
-                c
-                == Sequent(
-                    p1.left + side_remove(p2.left, [b]),
-                    side_remove(p1.right, [a])
-                    + p2.right
-                    + (Occ(Excl(a.formula, b.formula)),),
-                )
-                for a in occs(p1.right)
-                for b in occs(p2.left)
-            )
         case "cut":
             p1, p2 = ps
             return any(

@@ -38,7 +38,19 @@ from itertools import chain, count
 from typing import NamedTuple
 
 from .certs import ProofNode, Witness, postorder, proof_size, stack_room
-from .deep import _BRANCH_SPECS, replay_dn_proof
+from .deep import (
+    _LOGICAL,
+    _SPLIT,
+    _branch_conclusion,
+    _edit,
+    _principals,
+    _prop_sites,
+    _propagate,
+    _split_premises,
+    _unfold,
+    _unfolding,
+    replay_dn_proof,
+)
 from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES, PROP_RULES
 from .display import (
     DisplaySequent,
@@ -141,14 +153,15 @@ def _dts(node: ProofNode) -> ProofNode:
 def _dts_branch(node: ProofNode, redex_c: Sequent) -> ProofNode:
     w = node.witness
     f = w.principal
-    p_side, a_side, b_side = _BRANCH_SPECS[node.rule]
+    p_side = _LOGICAL[node.rule][0]
+    a_side, b_side = _SPLIT[node.rule]
     p1, p2 = (p.conclusion for p in node.premises)
     redex1 = p1 if isinstance(w.ctx1, Hole) else context_decompose(w.ctx1, p1)
     redex2 = p2 if isinstance(w.ctx2, Hole) else context_decompose(w.ctx2, p2)
     a_occ = Occ(f.left)
     b_occ = Occ(f.right)
-    r1 = _without(redex1, a_side, a_occ)
-    r2 = _without(redex2, b_side, b_occ)
+    r1 = _edit(redex1, a_side, (a_occ,))
+    r2 = _edit(redex2, b_side, (b_occ,))
 
     # which occurrence of the principal the deep step consumed: removing it
     # must leave a merge of the material the two premise halves carve up
@@ -156,7 +169,7 @@ def _dts_branch(node: ProofNode, redex_c: Sequent) -> ProofNode:
         occ
         for occ in occs(getattr(redex_c, p_side))
         if occ.formula == f
-        and _merge_plan(r1, r2, _without(redex_c, p_side, occ)) is not None
+        and _merge_plan(r1, r2, _edit(redex_c, p_side, (occ,))) is not None
     )
 
     sub1 = _dts(node.premises[0])
@@ -168,26 +181,7 @@ def _dts_branch(node: ProofNode, redex_c: Sequent) -> ProofNode:
     cur1 = stack_chain(sub1, steps1)
     cur2 = stack_chain(sub2, steps2)
 
-    if node.rule == "tensor_r":
-        mid = Sequent(
-            d1.left + d2.left,
-            side_remove(d1.right, [a_occ]) + side_remove(d2.right, [b_occ]) + (principal,),
-        )
-    elif node.rule == "par_l":
-        mid = Sequent(
-            side_remove(d1.left, [a_occ]) + side_remove(d2.left, [b_occ]) + (principal,),
-            d1.right + d2.right,
-        )
-    elif node.rule == "lolli_l":
-        mid = Sequent(
-            d1.left + side_remove(d2.left, [b_occ]) + (principal,),
-            side_remove(d1.right, [a_occ]) + d2.right,
-        )
-    else:  # excl_r
-        mid = Sequent(
-            d1.left + side_remove(d2.left, [b_occ]),
-            side_remove(d1.right, [a_occ]) + d2.right + (principal,),
-        )
+    mid = _branch_conclusion(node.rule, d1, a_occ, d2, b_occ, principal)
     assert sn_rule_applies(node.rule, mid, (d1, d2)), node.rule
     cur = ProofNode(node.rule, mid, (cur1, cur2))
 
@@ -195,12 +189,6 @@ def _dts_branch(node: ProofNode, redex_c: Sequent) -> ProofNode:
     d_c = _displayed(steps_c, redex_c)
     cur = _fuse_children(cur, d_c)
     return stack_chain(cur, invert_display_chain(steps_c, node.conclusion))
-
-
-def _without(s: Sequent, side: str, item) -> Sequent:
-    if side == "left":
-        return Sequent(side_remove(s.left, [item]), s.right, s.origin)
-    return Sequent(s.left, side_remove(s.right, [item]), s.origin)
 
 
 def _fuse_children(cur: ProofNode, target: Sequent) -> ProofNode:
@@ -246,40 +234,17 @@ def _dts_prop(node: ProofNode, redex_c: Sequent) -> ProofNode:
 
     # pin down which occurrence moved and across which child: replaying the
     # move from the conclusion side must reproduce the premise exactly
-    found = None
-    occ_side, child_side = {
-        "prop_left_in": ("left", "right"),
-        "prop_right_out": ("right", "right"),
-        "prop_right_in": ("right", "left"),
-        "prop_left_out": ("left", "left"),
-    }[node.rule]
-    inward = node.rule.endswith("_in")
-    for child in child_seqs(getattr(redex_c, child_side)):
-        if child.origin != w.child_origin:
-            continue
-        pool = occs(getattr(redex_c, occ_side)) if inward else occs(getattr(child, occ_side))
-        for occ in pool:
-            if occ.formula != w.principal:
-                continue
-            moved = Occ(occ.formula, occ.hops + 1)
-            if inward:
-                child2 = _grow(child, occ_side, moved)
-                cand = _without(redex_c, occ_side, occ)
-                cand = _swap_child(cand, child_side, child, child2)
-            else:
-                child2 = _without(child, occ_side, occ)
-                cand = _swap_child(redex_c, child_side, child, child2)
-                cand = _grow(cand, occ_side, moved)
-            if plug(ctx, cand) == premise:
-                found = (occ, child, child2, moved)
-                break
-        if found:
-            break
-    assert found is not None, node.rule
-    occ, child, child2, moved = found
+    k_c, a_c = next(
+        (kid, occ)
+        for kid, occ in _prop_sites(node.rule, redex_c)
+        if kid.origin == w.child_origin
+        and occ.formula == w.principal
+        and plug(ctx, _propagate(node.rule, redex_c, kid, occ)[0]) == premise
+    )
     # from the premise's point of view: its version of the child, and the
     # occurrence as it sits there (one hop further along)
-    k_p, k_c, a_p, a_c = child2, child, moved, occ
+    k_p = _propagate(node.rule, redex_c, k_c, a_c)[1]
+    a_p = Occ(a_c.formula, a_c.hops + 1)
 
     sub = _dts(node.premises[0])
     redex_p = premise if isinstance(ctx, Hole) else context_decompose(ctx, premise)
@@ -294,19 +259,6 @@ def _dts_prop(node: ProofNode, redex_c: Sequent) -> ProofNode:
     d_c = _displayed(steps_c, redex_c)
     assert cur.conclusion == d_c, node.rule
     return stack_chain(cur, invert_display_chain(steps_c, node.conclusion))
-
-
-def _grow(s: Sequent, side: str, item) -> Sequent:
-    if side == "left":
-        return Sequent(s.left + (item,), s.right, s.origin)
-    return Sequent(s.left, s.right + (item,), s.origin)
-
-
-def _swap_child(s: Sequent, side: str, old: Sequent, new: Sequent) -> Sequent:
-    items = side_remove(getattr(s, side), [old]) + (new,)
-    if side == "left":
-        return Sequent(items, s.right, s.origin)
-    return Sequent(s.left, items, s.origin)
 
 
 def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a_p: Occ, a_c: Occ):
@@ -1055,30 +1007,6 @@ def _hollow_copy(s: Sequent) -> Sequent:
     return Sequent(go(s.left), go(s.right), s.origin)
 
 
-def _unary_rewrite(rule: str, s: Sequent, occ: Occ) -> Sequent:
-    """Root-level premise of an in-place unfolding step, built the same way
-    the deep checker derives it."""
-    f = occ.formula
-    match rule:
-        case "i_l":
-            return Sequent(side_remove(s.left, [occ]), s.right, s.origin)
-        case "bot_r":
-            return Sequent(s.left, side_remove(s.right, [occ]), s.origin)
-        case "tensor_l":
-            new = side_remove(s.left, [occ]) + (Occ(f.left), Occ(f.right))
-            return Sequent(new, s.right, s.origin)
-        case "par_r":
-            new = side_remove(s.right, [occ]) + (Occ(f.left), Occ(f.right))
-            return Sequent(s.left, new, s.origin)
-        case "lolli_r":
-            kid = Sequent((Occ(f.left),), (Occ(f.right),), f.label)
-            return Sequent(s.left, side_remove(s.right, [occ]) + (kid,), s.origin)
-        case "excl_l":
-            kid = Sequent((Occ(f.left),), (Occ(f.right),), f.label)
-            return Sequent(side_remove(s.left, [occ]) + (kid,), s.right, s.origin)
-    raise AssertionError(rule)
-
-
 def _match_by_norm(items, wanted):
     """Pick live items realising the normalised multiset `wanted`; returns
     (picked, rest).  Occurrences match by stripped formula, children by
@@ -1125,7 +1053,6 @@ def _add_root_items(node: ProofNode, extra_left: tuple, extra_right: tuple) -> P
         child_origin=w.child_origin,
         ctx1=pad(w.ctx1),
         ctx2=pad(w.ctx2),
-        side=w.side,
     )
     subs = tuple(_add_root_items(p, extra_left, extra_right) for p in node.premises)
     return ProofNode(node.rule, conc, subs, ww)
@@ -1210,29 +1137,21 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
         return ProofNode(rule, tc, (), Witness(context=kctx, principal=w.principal))
 
     if rule in UNARY_LOGICAL_RULES:
-        side_name = "left" if rule in ("i_l", "tensor_l", "excl_l") else "right"
+        side_name = _LOGICAL[rule][0]
         occ = next(o for o in occs(getattr(c, side_name)) if o.formula == w.principal)
         f = occ.formula
-        prem = _unary_rewrite(rule, c, occ)
-        assert prem == node.premises[0].conclusion, f"{rule}: premise shape drifted"
+        assert _unfold(rule, c, occ) == node.premises[0].conclusion, f"{rule}: premise shape drifted"
         inner = (spec.lc if side_name == "left" else spec.rc).get(occ, 0) > 0
         if not inner:
             assert side_name != wside, f"{rule}: principal stranded beside the nest"
         lc, lo, rc, ro = spec
         if inner:
+            added = _unfolding(f)
+            kids = frozenset(k.origin for k in child_seqs(added))
             if side_name == "left":
-                lc = _cnt_sub(lc, occ)
+                lc, lo = _cnt_add(_cnt_sub(lc, occ), *occs(added)), lo | kids
             else:
-                rc = _cnt_sub(rc, occ)
-            match rule:
-                case "tensor_l":
-                    lc = _cnt_add(lc, Occ(f.left), Occ(f.right))
-                case "par_r":
-                    rc = _cnt_add(rc, Occ(f.left), Occ(f.right))
-                case "lolli_r":
-                    ro = ro | {f.label}
-                case "excl_l":
-                    lo = lo | {f.label}
+                rc, ro = _cnt_add(_cnt_sub(rc, occ), *occs(added)), ro | kids
         spec2 = _Enclosed(lc, lo, rc, ro)
         sub = _admit_wrap(node.premises[0], spec2, g, wside)
         co = f.label if rule in ("lolli_r", "excl_l") else None
@@ -1240,7 +1159,8 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
         return ProofNode(rule, tc, (sub,), Witness(context=kctx, principal=f, child_origin=co))
 
     if rule in BRANCH_RULES:
-        p_side, a_side, b_side = _BRANCH_SPECS[rule]
+        p_side = _LOGICAL[rule][0]
+        a_side, b_side = _SPLIT[rule]
         occ = next(o for o in occs(getattr(c, p_side)) if o.formula == w.principal)
         f = occ.formula
         minted1, minted2 = Occ(f.left), Occ(f.right)
@@ -1452,15 +1372,10 @@ def _admit_dissolve(node: ProofNode, dside: str, g: int) -> ProofNode:
 
 def _snd_branch(node: ProofNode, target: Sequent, fresh) -> ProofNode:
     rule = node.rule
-    p_side, a_side, b_side = _BRANCH_SPECS[rule]
-    kind = {"tensor_r": Tensor, "par_l": Par, "lolli_l": Lolli, "excl_r": Excl}[rule]
     p1n = _norm(node.premises[0].conclusion)
     p2n = _norm(node.premises[1].conclusion)
-    for occ in occs(getattr(target, p_side)):
-        f = occ.formula
-        if not isinstance(strip_labels(f), kind):
-            continue
-        plan = _branch_plan(target, occ, f, p_side, a_side, b_side, p1n, p2n)
+    for occ in _principals(rule, target):
+        plan = _branch_plan(rule, target, occ, p1n, p2n)
         if plan is None:
             continue
         subs = []
@@ -1468,37 +1383,34 @@ def _snd_branch(node: ProofNode, target: Sequent, fresh) -> ProofNode:
             sub = _add_root_items(_snd(sn_prem, pruned, fresh), hollow_l, hollow_r)
             assert sub.conclusion == full
             subs.append(sub)
-        ww = Witness(context=HOLE, principal=f, ctx1=HOLE, ctx2=HOLE)
+        ww = Witness(context=HOLE, principal=occ.formula, ctx1=HOLE, ctx2=HOLE)
         return ProofNode(rule, target, tuple(subs), ww)
     raise AssertionError(f"{rule}: no principal matches the premises")
 
 
-def _branch_plan(target, occ, f, p_side, a_side, b_side, p1n, p2n):
+def _branch_plan(rule, target, occ, p1n, p2n):
     """Colour the root material around the principal occurrence so each half
     realises one premise; the other half's children stay as hollow skeleton.
     Returns per-premise (full claim, skeleton-free claim, hollow extras)."""
-    if p_side == "left":
-        rest_l, rest_r = side_remove(target.left, [occ]), target.right
-    else:
-        rest_l, rest_r = target.left, side_remove(target.right, [occ])
-    minted = (Occ(strip_labels(f.left)), Occ(strip_labels(f.right)))
+    f = occ.formula
+    rest = _edit(target, _LOGICAL[rule][0], (occ,))
     wants = []
-    for pn, m, m_side in ((p1n, minted[0], a_side), (p2n, minted[1], b_side)):
-        wl = Counter(o.formula for o in occs(pn.left))
-        wr = Counter(o.formula for o in occs(pn.right))
-        kl, kr = Counter(child_seqs(pn.left)), Counter(child_seqs(pn.right))
-        if m_side == "left":
-            if not wl.get(m.formula):
-                return None
-            wl[m.formula] -= 1
-        else:
-            if not wr.get(m.formula):
-                return None
-            wr[m.formula] -= 1
-        wants.append((wl, wr, kl, kr))
+    for pn, half, side in zip((p1n, p2n), (f.left, f.right), _SPLIT[rule]):
+        try:
+            pn = _edit(pn, side, (Occ(strip_labels(half)),))
+        except ValueError:
+            return None
+        wants.append(
+            (
+                Counter(o.formula for o in occs(pn.left)),
+                Counter(o.formula for o in occs(pn.right)),
+                Counter(child_seqs(pn.left)),
+                Counter(child_seqs(pn.right)),
+            )
+        )
 
     halves = [([], []), ([], [])]
-    for side_idx, items in ((0, rest_l), (1, rest_r)):
+    for side_idx, items in ((0, rest.left), (1, rest.right)):
         for it in items:
             if isinstance(it, Occ):
                 key = strip_labels(it.formula)
@@ -1523,18 +1435,13 @@ def _branch_plan(target, occ, f, p_side, a_side, b_side, p1n, p2n):
     if any(+c for want in wants for c in want):
         return None
 
-    live_minted = (Occ(f.left), Occ(f.right))
+    own = [Sequent(tuple(l), tuple(r), target.origin) for l, r in halves]
+    pruned = _split_premises(rule, f, HOLE, own[0], HOLE, own[1])
     plan = []
-    for which, m, m_side in ((0, live_minted[0], a_side), (1, live_minted[1], b_side)):
-        other = 1 - which
-        own_l, own_r = halves[which]
-        sk_l = tuple(_hollow_copy(k) for k in halves[other][0] if isinstance(k, Sequent))
-        sk_r = tuple(_hollow_copy(k) for k in halves[other][1] if isinstance(k, Sequent))
-        ml = (m,) if m_side == "left" else ()
-        mr = (m,) if m_side == "right" else ()
-        full = Sequent(tuple(own_l) + sk_l + ml, tuple(own_r) + sk_r + mr, target.origin)
-        pruned = Sequent(tuple(own_l) + ml, tuple(own_r) + mr, target.origin)
-        plan.append((full, pruned, sk_l, sk_r))
+    for which in (0, 1):
+        sk_l, sk_r = (tuple(_hollow_copy(k) for k in child_seqs(items)) for items in halves[1 - which])
+        full = Sequent(pruned[which].left + sk_l, pruned[which].right + sk_r, target.origin)
+        plan.append((full, pruned[which], sk_l, sk_r))
     return plan
 
 
@@ -1548,20 +1455,9 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
         return ProofNode(rule, target, (), Witness(context=HOLE, principal=f))
 
     if rule in UNARY_LOGICAL_RULES:
-        side_name = "left" if rule in ("i_l", "tensor_l", "excl_l") else "right"
-        kind = {
-            "i_l": UnitI,
-            "bot_r": UnitBot,
-            "tensor_l": Tensor,
-            "par_r": Par,
-            "lolli_r": Lolli,
-            "excl_l": Excl,
-        }[rule]
         want = _norm(node.premises[0].conclusion)
-        for occ in occs(getattr(target, side_name)):
-            if not isinstance(strip_labels(occ.formula), kind):
-                continue
-            cand = _unary_rewrite(rule, target, occ)
+        for occ in _principals(rule, target):
+            cand = _unfold(rule, target, occ)
             if _norm(cand) != want:
                 continue
             sub = _snd(node.premises[0], cand, fresh)

@@ -84,6 +84,31 @@ def test_check_malformed_is_exit_2(tmp_path):
     assert run("check", str(tmp_path / "missing.json")) == 2
 
 
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        ("witness", "child_origin", "x"),
+        ("witness", "context", 5),
+        ("witness", "principal", ["a"]),
+        ("witness", "ctx1", None),
+        ("witness", "side", "left"),
+        ("node", "conclusion", 7),
+        ("node", "premises", 5),
+        ("node", "rule", 1),
+        ("cert", "endsequent", 7),
+    ],
+)
+def test_check_wrongly_typed_field_is_malformed(tmp_path, capsys, where, key, value):
+    path = tmp_path / "cert.json"
+    assert run("prove", "a -o a", "--out", str(path)) == 0
+    cert = json.loads(path.read_text())
+    {"cert": cert, "node": cert["proof"], "witness": cert["proof"]["witness"]}[where][key] = value
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run("check", str(path)) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
 def test_check_logic_override(tmp_path):
     out = tmp_path / "cert.json"
     run("prove", "--logic", "biill", "p -o q|(p -< q)", "--out", str(out))

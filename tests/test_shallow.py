@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillprover.certs import CheckError, ProofNode, certificate_text, read_certificate
+from fillprover.deep import BRANCH_RULES, UNARY_LOGICAL_RULES, deep_moves
 from fillprover.formula import parse_formula
 from fillprover.sequent import (
     HOLE,
@@ -13,10 +14,12 @@ from fillprover.sequent import (
     formula_occurrence_count,
     hole_contexts,
     is_hollow,
+    label_sequent,
     merge_sequents,
     parse_sequent,
     plug,
     sequent_text,
+    strip_sequent,
 )
 from fillprover.shallow import (
     SN_FILL_EXCLUDED,
@@ -114,6 +117,35 @@ _SCHEMA_CASES = [
 @pytest.mark.parametrize("rule,conc,prems,ok", _SCHEMA_CASES)
 def test_rule_schema(rule, conc, prems, ok):
     assert sn_rule_applies(rule, S(conc), tuple(S(p) for p in prems)) is ok
+
+
+# one sequent per logical rule, carrying that rule's connective where it acts
+_LOGICAL_CASES = {
+    "i_l": "1, a => a",
+    "bot_r": "a => a, bot",
+    "tensor_l": "a*b => c",
+    "par_r": "=> a|b",
+    "lolli_r": "=> a -o b",
+    "excl_l": "a -< b =>",
+    "tensor_r": "a, b => a*b",
+    "par_l": "a|b => a, b",
+    "lolli_l": "a -o b, a => b",
+    "excl_r": "a => a -< b, b",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_LOGICAL_CASES))
+def test_sn_agrees_with_dn_at_the_root(rule):
+    """A dn logical move fired at the root is the sn rule of the same name,
+    and no other rule with as many premises."""
+    family = UNARY_LOGICAL_RULES if rule in UNARY_LOGICAL_RULES else BRANCH_RULES
+    other = family[(family.index(rule) + 1) % len(family)]
+    s = label_sequent(S(_LOGICAL_CASES[rule]))
+    move = next(m for m in deep_moves(s) if m.rule == rule and m.witness.context == HOLE)
+    c = zero_origins(strip_sequent(s))
+    ps = tuple(zero_origins(strip_sequent(p)) for p in move.premises)
+    assert sn_rule_applies(rule, c, ps)
+    assert not sn_rule_applies(other, c, ps)
 
 
 def test_unknown_rule_raises():
