@@ -16,6 +16,9 @@ application makes: `context` locates the rewritten node (`_` marks the hole),
 label, and `ctx1`/`ctx2` give the context halves used by a branching rule.
 It does not pin everything: the dn checker still searches for the split of
 the rewritten node's own material between a branching rule's premises.
+
+Certificates are written as compact JSON, on one line without indentation;
+the reader accepts any layout of the same JSON.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .sequent import (
     HOLE,
     Context,
     Hole,
-    Sequent,
     hole_count,
     parse_sequent,
     sequent_text,
@@ -151,9 +153,7 @@ def context_text(ctx: Context) -> str:
 
 
 def parse_context(text: str) -> Context:
-    if text.strip() == "_":
-        return HOLE
-    ctx = parse_sequent(text)
+    ctx = HOLE if text.strip() == "_" else parse_sequent(text)
     if hole_count(ctx) != 1:
         raise ParseError(f"context needs exactly one hole: {text!r}")
     return ctx
@@ -211,7 +211,7 @@ def certificate_dict(calculus: str, logic: str, root: ProofNode) -> dict:
 
 def certificate_text(calculus: str, logic: str, root: ProofNode) -> str:
     with stack_room(10 * proof_size(root) + 2000):
-        return json.dumps(certificate_dict(calculus, logic, root), indent=2) + "\n"
+        return json.dumps(certificate_dict(calculus, logic, root)) + "\n"
 
 
 def _check_types(what: str, data: dict, types: dict) -> None:
@@ -261,12 +261,20 @@ def _read_node(calculus: str, data: dict) -> ProofNode:
     return ProofNode(data["rule"], conclusion, premises, witness)
 
 
+# The JSON decoder recurses on the C stack, which overflows well before an
+# allowance proportional to the input would trip on a few megabytes of
+# nested brackets; past this many levels the text is rejected instead.
+_JSON_FRAMES = 40_000
+
+
 def read_certificate(data) -> Certificate:
     if isinstance(data, str):
         try:
-            with stack_room(len(data) // 10 + 2000):
+            with stack_room(min(len(data) // 10, _JSON_FRAMES) + 2000):
                 data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except RecursionError:
+            raise CheckError("JSON nests too deep") from None
+        except ValueError as e:  # a JSONDecodeError, or an integer past the digit limit
             raise CheckError(f"not JSON: {e}") from e
     if not isinstance(data, dict):
         raise CheckError("certificate must be a JSON object")

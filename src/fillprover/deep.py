@@ -500,6 +500,7 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
 
     claims = tuple(strip_sequent(p.conclusion) for p in node.premises)
     last: Optional[CheckError] = None
+    derived: Optional[tuple] = None  # the first instance whose premises differ from the claims
     for ctx, redex in hole_contexts(current):
         if strip_context(ctx) != w.context:
             continue
@@ -508,7 +509,9 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
         for premises, exact_w in _instances(rule, ctx, redex, w, claims):
             if len(premises) != len(node.premises):
                 continue
-            if tuple(strip_sequent(p) for p in premises) != claims:
+            stripped = tuple(strip_sequent(p) for p in premises)
+            if stripped != claims:
+                derived = derived or stripped
                 continue
             try:
                 kids = tuple(_verify(child, p, logic) for p, child in zip(premises, node.premises))
@@ -517,6 +520,11 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
                 last = e
     if last is not None:
         raise last
+    if derived is not None:
+        raise CheckError(
+            f"premise mismatch at {rule}: stated {'; '.join(map(sequent_text, claims))}, "
+            f"derived {'; '.join(map(sequent_text, derived))}"
+        )
     raise CheckError(
         f"rule {rule} does not apply to {sequent_text(strip_sequent(current))} with the given witness"
     )

@@ -10,7 +10,8 @@ pairing, and the structural rules below shuffle it explicitly.
 Text syntax: `X |- Y`.  Comma is left-associative and loosest; `>` and `<`
 bind tighter and do not associate, so nesting them needs parentheses;
 formulas appear directly as leaves in their usual syntax.  `Phi` is the
-empty structure.  Rendering is minimal-parenthesis and round-trips.
+empty structure.  Rendering is minimal-parenthesis and round-trips.  The
+text is read by the parser core in `formula.py`.
 
 Each rule is checked schematically against its conclusion and premises,
 with structures compared by plain equality.  Rules whose name ends in
@@ -35,7 +36,8 @@ from .formula import (
     Tensor,
     UnitBot,
     UnitI,
-    _Parser,
+    _Cursor,
+    _formula,
     formula_text,
     is_fill_formula,
     strip_labels,
@@ -171,116 +173,56 @@ def display_text(ds: DisplaySequent) -> str:
 
 # ---------------------------------------------------------------- parsing
 
-def _tokenize(text: str) -> list[str]:
-    toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "|":
-            # turnstile before par
-            if text[i + 1 : i + 2] == "-":
-                toks.append("|-")
-                i += 2
-            else:
-                toks.append("|")
-                i += 1
-        elif c == "-":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt in ("o", "<"):
-                toks.append("-" + nxt)
-                i += 2
-            else:
-                raise ParseError(f"stray '-' at position {i}")
-        elif c in "(),<>*1":
-            toks.append(c)
-            i += 1
-        elif text.startswith("Phi", i):
-            j = i + 3
-            if j < n and ("a" <= text[j] <= "z" or text[j].isdigit() or text[j] == "_"):
-                raise ParseError(f"unexpected identifier at position {i}")
-            toks.append("Phi")
-            i = j
-        elif "a" <= c <= "z":
-            j = i + 1
-            while j < n and ("a" <= text[j] <= "z" or text[j].isdigit() or text[j] == "_"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} at position {i}")
-    return toks
+def _structure(cur: _Cursor) -> Structure:
+    x = _resid(cur)
+    while cur.peek() == ",":
+        cur.take()
+        x = SComma(x, _resid(cur))
+    return x
 
 
-class _DParser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.i = 0
+def _resid(cur: _Cursor) -> Structure:
+    x = _item(cur)
+    if cur.peek() in (">", "<"):
+        op = cur.take()
+        y = _item(cur)
+        return SGt(x, y) if op == ">" else SLt(x, y)
+    return x
 
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def take(self) -> str | None:
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def structure(self) -> Structure:
-        x = self.resid()
-        while self.peek() == ",":
-            self.take()
-            x = SComma(x, self.resid())
+def _item(cur: _Cursor) -> Structure:
+    tok = cur.peek()
+    if tok == "Phi":
+        cur.take()
+        return SPhi()
+    # A leading '(' is ambiguous between a parenthesised formula and a
+    # parenthesised structure; try the formula reading first.
+    start = cur.i
+    try:
+        return SLeaf(_formula(cur))
+    except ParseError:
+        cur.i = start
+    if tok == "(":
+        cur.take()
+        x = _structure(cur)
+        cur.expect(")", "unbalanced '(' in structure")
         return x
-
-    def resid(self) -> Structure:
-        x = self.item()
-        if self.peek() in (">", "<"):
-            op = self.take()
-            y = self.item()
-            return SGt(x, y) if op == ">" else SLt(x, y)
-        return x
-
-    def item(self) -> Structure:
-        tok = self.peek()
-        if tok == "Phi":
-            self.take()
-            return SPhi()
-        # A leading '(' is ambiguous between a parenthesised formula and a
-        # parenthesised structure; try the formula reading first.
-        fp = _Parser(self.toks[self.i :])
-        try:
-            f = fp.impl()
-        except ParseError:
-            f = None
-        if f is not None:
-            self.i += fp.i
-            return SLeaf(f)
-        if tok == "(":
-            self.take()
-            x = self.structure()
-            if self.take() != ")":
-                raise ParseError("unbalanced '(' in structure")
-            return x
-        raise ParseError(f"expected a structure item, found {tok!r}")
+    raise ParseError(f"expected a structure item, found {tok!r}")
 
 
 def parse_structure(text: str) -> Structure:
-    p = _DParser(_tokenize(text))
-    x = p.structure()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input at token {p.peek()!r}")
+    cur = _Cursor(text)
+    x = _structure(cur)
+    cur.end()
     return x
 
 
 def parse_display(text: str) -> DisplaySequent:
-    p = _DParser(_tokenize(text))
-    ant = p.structure()
-    if p.take() != "|-":
-        raise ParseError("expected '|-'")
-    suc = p.structure()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input at token {p.peek()!r}")
+    cur = _Cursor(text)
+    ant = _structure(cur)
+    cur.expect("|-", "expected '|-'")
+    suc = _structure(cur)
+    cur.end()
     return DisplaySequent(ant, suc)
 
 

@@ -16,6 +16,7 @@ surface syntax: `parse_formula` yields label 0 everywhere, and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -224,40 +225,48 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 # ---------------------------------------------------------------- parsing
 
+_TOKEN = re.compile(r"\s*(?:(Phi(?![a-z0-9_])|[a-z][a-z0-9_]*|@[0-9]+|-[o<]|=>|\|-|[()*|1\[\],_<>])|(\S))")
+_MAX_NESTING = 100
+_NEST = {"(": 1, "[": 1, ")": -1, "]": -1}
+
+
 def _tokenize(text: str) -> list[str]:
     toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()*|":
-            toks.append(c)
-            i += 1
-        elif c == "1":
-            toks.append("1")
-            i += 1
-        elif c == "-":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt in ("o", "<"):
-                toks.append("-" + nxt)
-                i += 2
-            else:
-                raise ParseError(f"stray '-' at position {i}")
-        elif "a" <= c <= "z":
-            j = i + 1
-            while j < n and ("a" <= text[j] <= "z" or text[j].isdigit() or text[j] == "_"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} at position {i}")
+    depth = 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group(1)
+        if tok is None:
+            raise ParseError(f"unexpected character {m.group(2)!r} at position {m.start(2)}")
+        depth += _NEST.get(tok, 0)
+        if depth > _MAX_NESTING:
+            raise ParseError(f"brackets nest deeper than {_MAX_NESTING} at position {m.start(1)}")
+        toks.append(tok)
     return toks
 
 
-class _Parser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
+class _Cursor:
+    """The parser core: a position in the tokens of one text.  Every text
+    syntax of the package reads through it: formulas here, nested sequents
+    in `sequent.py`, display structures in `display.py`.  Its tokens are the
+    union of what the three grammars use:
+
+    - formulas: identifiers `[a-z][a-z0-9_]*`, `1`, `(`, `)`, `*`, `|`,
+      `-o`, `-<`;
+    - nested sequents: `=>`, `[`, `]`, `,`, `_` and child labels `@<digits>`;
+    - display structures: `|-`, `>`, `<`, `,`, and `Phi` when no identifier
+      character follows it.
+
+    Whitespace separates tokens and is otherwise ignored; any other
+    character is a ParseError.  Tokens are read longest first (`|-` before
+    `|`, `-<` before `<`), which changes no valid input, and each grammar
+    rejects the tokens it does not use.  Brackets nest at most
+    `_MAX_NESTING` deep, so no parse runs out of interpreter stack.
+
+    A grammar that must retry from an earlier position saves `i` and
+    assigns it back."""
+
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
         self.i = 0
 
     def peek(self) -> str | None:
@@ -268,51 +277,67 @@ class _Parser:
         self.i += 1
         return tok
 
-    def impl(self) -> Formula:
-        left = self.excl()
-        if self.peek() == "-o":
-            self.take()
-            return Lolli(left, self.impl())
-        return left
+    def expect(self, tok: str, message: str) -> None:
+        if self.take() != tok:
+            raise ParseError(message)
 
-    def excl(self) -> Formula:
-        f = self.mult()
-        while self.peek() == "-<":
-            self.take()
-            f = Excl(f, self.mult())
+    def end(self) -> None:
+        if self.peek() is not None:
+            raise ParseError(f"trailing input at token {self.peek()!r}")
+
+
+def _formula(cur: _Cursor) -> Formula:
+    """A formula starting at the cursor, read as far as it extends."""
+    # `-o` chains are collected and folded rightwards, so only brackets
+    # make the parser recurse
+    parts = [_excl(cur)]
+    while cur.peek() == "-o":
+        cur.take()
+        parts.append(_excl(cur))
+    f = parts.pop()
+    while parts:
+        f = Lolli(parts.pop(), f)
+    return f
+
+
+def _excl(cur: _Cursor) -> Formula:
+    f = _mult(cur)
+    while cur.peek() == "-<":
+        cur.take()
+        f = Excl(f, _mult(cur))
+    return f
+
+
+def _mult(cur: _Cursor) -> Formula:
+    f = _unary(cur)
+    while cur.peek() in ("*", "|"):
+        op = cur.take()
+        g = _unary(cur)
+        f = Tensor(f, g) if op == "*" else Par(f, g)
+    return f
+
+
+def _unary(cur: _Cursor) -> Formula:
+    tok = cur.take()
+    if tok is None:
+        raise ParseError("unexpected end of formula")
+    if tok == "(":
+        f = _formula(cur)
+        cur.expect(")", "unbalanced '('")
         return f
-
-    def mult(self) -> Formula:
-        f = self.unary()
-        while self.peek() in ("*", "|"):
-            op = self.take()
-            g = self.unary()
-            f = Tensor(f, g) if op == "*" else Par(f, g)
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.take()
-        if tok is None:
-            raise ParseError("unexpected end of formula")
-        if tok == "(":
-            f = self.impl()
-            if self.take() != ")":
-                raise ParseError("unbalanced '('")
-            return f
-        if tok == "1":
-            return UnitI()
-        if tok == "bot":
-            return UnitBot()
-        if "a" <= tok[0] <= "z":
-            return Atom(tok)
-        raise ParseError(f"unexpected token {tok!r}")
+    if tok == "1":
+        return UnitI()
+    if tok == "bot":
+        return UnitBot()
+    if "a" <= tok[0] <= "z":
+        return Atom(tok)
+    raise ParseError(f"unexpected token {tok!r}")
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(_tokenize(text))
-    f = p.impl()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input at token {p.peek()!r}")
+    cur = _Cursor(text)
+    f = _formula(cur)
+    cur.end()
     return f
 
 

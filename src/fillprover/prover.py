@@ -20,7 +20,7 @@ from typing import Optional
 
 from .certs import ProofNode
 from .deep import deep_moves, endsequent_for
-from .formula import Formula, arrow_count, formula_size, is_fill_formula, strip_labels
+from .formula import Formula, arrow_count, formula_size, is_fill_formula
 from .sequent import Sequent, is_fill_sequent, label_sequent, strip_sequent, tau_s
 
 __all__ = ["SearchBudget", "Decision", "decide_formula", "decide_sequent"]

@@ -9,7 +9,7 @@ keys directly.
 Text syntax: `Gamma => Delta` with comma-separated items; a child sequent is
 written in brackets with its origin as a suffix, `[a => b]@2` (`@0` is
 omitted); `_` marks the hole of a context.  Formula occurrences parse with
-hop count 0.
+hop count 0.  The text is read by the parser core in `formula.py`.
 
 A context is a nested sequent with exactly one hole standing for a whole
 node; `plug` substitutes a sequent for the hole.  `HOLE` itself is the empty
@@ -35,7 +35,8 @@ from .formula import (
     Tensor,
     UnitBot,
     UnitI,
-    _Parser,
+    _Cursor,
+    _formula,
     formula_key,
     formula_text,
     is_fill_formula,
@@ -52,7 +53,6 @@ __all__ = [
     "item_key",
     "parse_sequent",
     "sequent_text",
-    "side_add",
     "side_remove",
     "occs",
     "child_seqs",
@@ -189,10 +189,6 @@ def is_fill_sequent(s: Sequent) -> bool:
     return True
 
 
-def side_add(items, extra) -> tuple:
-    return tuple(items) + tuple(extra)
-
-
 def side_remove(items, gone) -> tuple:
     """Multiset difference; raises ValueError when an item is absent."""
     out = list(items)
@@ -203,120 +199,53 @@ def side_remove(items, gone) -> tuple:
 
 # ----------------------------------------------------------------- parsing
 
-def _tokenize(text: str) -> list[str]:
-    toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "=" and text[i + 1 : i + 2] == ">":
-            toks.append("=>")
-            i += 2
-        elif c in "[],_":
-            toks.append(c)
-            i += 1
-        elif c == "@":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError(f"'@' needs a label number at position {i}")
-            toks.append(text[i:j])
-            i = j
-        elif c in "()*|1":
-            toks.append(c)
-            i += 1
-        elif c == "-":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt in ("o", "<"):
-                toks.append("-" + nxt)
-                i += 2
-            else:
-                raise ParseError(f"stray '-' at position {i}")
-        elif "a" <= c <= "z":
-            j = i + 1
-            while j < n and ("a" <= text[j] <= "z" or text[j].isdigit() or text[j] == "_"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} at position {i}")
-    return toks
+def _item(cur: _Cursor) -> Item:
+    tok = cur.peek()
+    if tok == "_":
+        cur.take()
+        return HOLE
+    if tok == "[":
+        cur.take()
+        s = _sequent(cur)
+        cur.expect("]", "unbalanced '['")
+        return Sequent(s.left, s.right, _origin(cur))
+    return Occ(_formula(cur))
 
 
-_STOPPERS = {None, ",", "=>", "[", "]", "_"}
+def _side(cur: _Cursor) -> tuple[Item, ...]:
+    nxt = cur.peek()
+    if nxt in (None, "=>", "]") or nxt.startswith("@"):
+        return ()
+    items = [_item(cur)]
+    while cur.peek() == ",":
+        cur.take()
+        items.append(_item(cur))
+    return tuple(items)
 
 
-class _SeqParser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.i = 0
+def _sequent(cur: _Cursor) -> Sequent:
+    left = _side(cur)
+    cur.expect("=>", "expected '=>'")
+    return Sequent(left, _side(cur))
 
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def take(self) -> str | None:
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def item(self) -> Item:
-        tok = self.peek()
-        if tok == "_":
-            self.take()
-            return HOLE
-        if tok == "[":
-            self.take()
-            s = self.sequent()
-            if self.take() != "]":
-                raise ParseError("unbalanced '['")
-            origin = 0
-            nxt = self.peek()
-            if nxt is not None and nxt.startswith("@"):
-                origin = int(self.take()[1:])
-            return Sequent(s.left, s.right, origin)
-        span = []
-        while True:
-            tok = self.peek()
-            if tok in _STOPPERS or (tok is not None and tok.startswith("@")):
-                break
-            span.append(self.take())
-        if not span:
-            raise ParseError(f"expected an item, found {tok!r}")
-        fp = _Parser(span)
-        f = fp.impl()
-        if fp.peek() is not None:
-            raise ParseError(f"trailing input in formula at token {fp.peek()!r}")
-        return Occ(f)
-
-    def side(self) -> tuple[Item, ...]:
-        nxt = self.peek()
-        if nxt in (None, "=>", "]") or (nxt is not None and nxt.startswith("@")):
-            return ()
-        items = [self.item()]
-        while self.peek() == ",":
-            self.take()
-            items.append(self.item())
-        return tuple(items)
-
-    def sequent(self) -> Sequent:
-        left = self.side()
-        if self.take() != "=>":
-            raise ParseError("expected '=>'")
-        right = self.side()
-        return Sequent(left, right)
+def _origin(cur: _Cursor) -> int:
+    """The optional `@n` label after a sequent; 0 when absent."""
+    tok = cur.peek()
+    if tok is None or not tok.startswith("@"):
+        return 0
+    cur.take()
+    try:
+        return int(tok[1:])
+    except ValueError:  # past the interpreter's limit on digits
+        raise ParseError(f"label number of {len(tok) - 1} digits is too long") from None
 
 
 def parse_sequent(text: str) -> Sequent:
-    p = _SeqParser(_tokenize(text))
-    s = p.sequent()
-    origin = 0
-    nxt = p.peek()
-    if nxt is not None and nxt.startswith("@"):
-        origin = int(p.take()[1:])
-    if p.peek() is not None:
-        raise ParseError(f"trailing input at token {p.peek()!r}")
+    cur = _Cursor(text)
+    s = _sequent(cur)
+    origin = _origin(cur)
+    cur.end()
     return Sequent(s.left, s.right, origin)
 
 

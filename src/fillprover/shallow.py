@@ -32,7 +32,6 @@ from .certs import CheckError, LOGICS, ProofNode, proof_size, stack_room
 from .deep import _LOGICAL, _SPLIT, _branch_conclusion, _principals, _unfold
 from .formula import Atom, UnitBot, UnitI
 from .sequent import (
-    HOLE,
     Context,
     Hole,
     Occ,

@@ -34,7 +34,7 @@ and one wrap.  Logical rules map one for one.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, count
+from itertools import count
 from typing import NamedTuple
 
 from .certs import ProofNode, Witness, postorder, proof_size, stack_room
@@ -84,6 +84,7 @@ from .sequent import (
 )
 from .shallow import (
     _merge_plan,
+    _norm,
     check_sn_proof,
     display_in_sn,
     expand_deep_leaf,
@@ -311,10 +312,6 @@ def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a_p: Occ, 
 def embed_sequent(s: Sequent) -> DisplaySequent:
     """Binary-structure reading of a nested sequent, labels erased."""
     return sequent_to_display(zero_origins(strip_sequent(s)))
-
-
-def _norm(s: Sequent) -> Sequent:
-    return zero_origins(strip_sequent(s))
 
 
 def _pool(tree: Structure) -> list[Structure]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fillprover
 from fillprover.certs import ProofNode, certificate_text, read_certificate
 from fillprover.cli import CORPUS_CAP, corpus_formulas, main
 from fillprover.deep import check_dn_proof, check_separation
@@ -107,6 +112,46 @@ def test_check_wrongly_typed_field_is_malformed(tmp_path, capsys, where, key, va
     capsys.readouterr()
     assert run("check", str(path)) == 2
     assert "malformed certificate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, raw, prefix",
+    [
+        (None, "(" * 40_000 + "a" + ")" * 40_000, "parse error: "),
+        ("conclusion", json.dumps("=> " + "(" * 50_000 + "a" + ")" * 50_000), "malformed certificate: "),
+        ("proof", "[" * 60_000 + "]" * 60_000, "malformed certificate: "),
+        ("conclusion", json.dumps("=> [a => a]@" + "1" * 5_000), "malformed certificate: "),
+        ("child_origin", "7" * 5_000, "malformed certificate: "),
+    ],
+    ids=["formula-parens", "conclusion-parens", "proof-arrays", "label-digits", "child_origin-digits"],
+)
+def test_untrusted_text_is_a_one_line_exit_2(tmp_path, capsys, key, raw, prefix):
+    """`raw` is the formula to prove, or the JSON text put in place of `key`
+    in the certificate of `a -o a`."""
+    argv = ["prove", raw]
+    if key is not None:
+        path = tmp_path / "cert.json"
+        assert run("prove", "a -o a", "--out", str(path)) == 0
+        cert = json.loads(path.read_text())
+        {"proof": cert, "conclusion": cert["proof"], "child_origin": cert["proof"]["witness"]}[key][key] = "RAW"
+        path.write_text(json.dumps(cert).replace('"RAW"', raw))
+        argv = ["check", str(path)]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_check_json_nested_past_the_c_stack_is_exit_2(tmp_path):
+    # in a child process: a C stack overflow would kill the interpreter
+    path = tmp_path / "cert.json"
+    path.write_text('{"calculus": "dn", "proof": ' + "[" * 1_000_000 + "]" * 1_000_000 + "}")
+    env = {**os.environ, "PYTHONPATH": str(Path(fillprover.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "fillprover.cli", "check", str(path)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("malformed certificate: ")
 
 
 def test_check_logic_override(tmp_path):

@@ -212,7 +212,8 @@ def test_wrong_child_origin_rejected():
         {"context": "_", "principal": "a -o b"},
         N("id", "=> [a => b]@2", {"context": "=> _", "principal": "a"}),
     )
-    with pytest.raises(CheckError):
+    # the rule applies; what is wrong is the stated premise
+    with pytest.raises(CheckError, match=r"premise mismatch at lolli_r: stated => \[a => b\]@2, derived => \[a => b\]@1"):
         check_dn_proof(bad)
 
 

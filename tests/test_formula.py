@@ -1,9 +1,11 @@
 """Formula parsing, printing, and occurrence labelling."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fillprover.certs import context_text, parse_context
+from fillprover.display import display_text, parse_display, parse_structure, structure_text
 from fillprover.formula import (
     Atom,
     Excl,
@@ -23,6 +25,7 @@ from fillprover.formula import (
     parse_formula,
     strip_labels,
 )
+from fillprover.sequent import parse_sequent, sequent_text
 
 a, b, c, p, q, r = (Atom(x) for x in "abcpqr")
 
@@ -71,7 +74,7 @@ def test_rendering_minimal_parens():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "a -o", "* a", "(a", "a)", "a b", "A", "a -", "a ->", "2", "a & b", "()"],
+    ["", "a -o", "* a", "(a", "a)", "a b", "A", "a -", "a ->", "2", "a & b", "()", "a²"],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -145,3 +148,29 @@ def test_labelling_is_invertible(f):
     g, nxt = label_occurrences(f)
     assert nxt == 1 + arrow_count(f)
     assert strip_labels(g) == f
+
+
+# Every token of the shared tokenizer, some whole items, stray characters and
+# spaces; pieces glued without a space can also fuse into longer tokens.
+TOKEN_PIECES = [
+    "a", "b", "bot", "1", "(", ")", "*", "|", "-o", "-<", "=>", "[", "]", ",", "_", "@0", "@2",
+    "|-", ">", "<", "Phi", " ", "-", "@", "=", "[a => b]@1", "a -o b", "a, b |- c",
+]
+ENTRY_POINTS = [
+    (parse_formula, formula_text),
+    (parse_sequent, sequent_text),
+    (parse_structure, structure_text),
+    (parse_display, display_text),
+    (parse_context, context_text),
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=20).map("".join))
+def test_every_grammar_rejects_or_round_trips(text):
+    for parse, render in ENTRY_POINTS:
+        try:
+            value = parse(text)
+        except ParseError:
+            continue
+        assert parse(render(value)) == value

@@ -119,7 +119,7 @@ def test_hops_are_invisible_but_distinct():
     assert Sequent((Occ(f, 1),), ()) != Sequent((Occ(f),), ())
 
 
-@pytest.mark.parametrize("bad", ["a", "a => => b", "[a => b", "a => ]", "=> @", "a,, b =>"])
+@pytest.mark.parametrize("bad", ["a", "a => => b", "[a => b", "a => ]", "=> @", "a,, b =>", "=> [a => a]@²"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_sequent(bad)

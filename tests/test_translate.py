@@ -1,9 +1,11 @@
 """Proof translations between the three calculi: closure, round trips, rejections."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillprover.certs import CheckError, ProofNode, postorder, proof_size
+from fillprover.certs import CheckError, ProofNode, certificate_text, postorder, proof_size, read_certificate
 from fillprover.deep import check_dn_proof, endsequent_for
 from fillprover.display import check_dc_proof, parse_display
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, parse_formula
@@ -93,6 +95,22 @@ def test_frozen_translation_sizes():
     sn = deep_to_shallow(proved("a*b -o a*b", "fill"), "fill")
     assert proof_size(sn) == 26
     assert proof_size(shallow_to_deep(sn)) == 5
+
+
+def swap_dc_certificate():
+    dc = shallow_to_display(deep_to_shallow(proved("a*b -o b*a", "fill"), "fill"))
+    return dc, certificate_text("dc", "fill", dc)
+
+
+def test_certificates_are_written_compact():
+    dc, text = swap_dc_certificate()
+    assert proof_size(dc) > 100 and len(text.encode()) < 64 * 1024
+
+
+def test_indented_certificates_still_read():
+    _, text = swap_dc_certificate()
+    indented = json.dumps(json.loads(text), indent=2)
+    assert read_certificate(indented).root == read_certificate(text).root
 
 
 def test_one_node_proofs_stay_one_node():
