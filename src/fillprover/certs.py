@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .formula import Formula, ParseError, formula_text, parse_formula, strip_labels
+from .formula import Formula, ParseError, _clip, formula_text, parse_formula, strip_labels
 from .sequent import (
     HOLE,
     Context,
@@ -155,7 +155,7 @@ def context_text(ctx: Context) -> str:
 def parse_context(text: str) -> Context:
     ctx = HOLE if text.strip() == "_" else parse_sequent(text)
     if hole_count(ctx) != 1:
-        raise ParseError(f"context needs exactly one hole: {text!r}")
+        raise ParseError(f"context needs exactly one hole: {_clip(text)}")
     return ctx
 
 
@@ -255,10 +255,14 @@ def _read_node(calculus: str, data: dict) -> ProofNode:
 
             conclusion = parse_display(data["conclusion"])
     except ParseError as e:
-        raise CheckError(f"bad conclusion {data['conclusion']!r}: {e}") from e
+        raise CheckError(f"bad conclusion {_clip(data['conclusion'])}: {e}") from e
     witness = _read_witness(data["witness"]) if "witness" in data else None
-    premises = tuple(_read_node(calculus, p) for p in data.get("premises", ()))
-    return ProofNode(data["rule"], conclusion, premises, witness)
+    # a plain loop: a generator here would re-enter C at every level, and
+    # a deep enough proof would overflow the C stack
+    premises = []
+    for p in data.get("premises", ()):
+        premises.append(_read_node(calculus, p))
+    return ProofNode(data["rule"], conclusion, tuple(premises), witness)
 
 
 # The JSON decoder recurses on the C stack, which overflows well before an
@@ -312,4 +316,4 @@ def _normalize(calculus: str, text: str) -> str:
 
         return display_text(parse_display(text))
     except ParseError as e:
-        raise CheckError(f"bad endsequent {text!r}: {e}") from e
+        raise CheckError(f"bad endsequent {_clip(text)}: {e}") from e

@@ -7,7 +7,8 @@ formulas up to a connective bound and decides each in both logics, and
 `stats` reports size metrics for a certificate.
 
 Exit statuses: 0 when the request succeeds, 1 when it fails on the merits
-(unprovable formula, rejected proof, cut-bearing input declined), 2 for
+(unprovable formula, rejected proof, cut-bearing input declined, a
+translation its target checker rejects, which writes no output), 2 for
 usage errors, unparseable input, malformed certificates, and fragment
 violations.  Diagnostics go to standard error; certificates and records go
 to standard output or the --out path.
@@ -51,6 +52,7 @@ from .prover import SearchBudget, decide_formula
 from .sequent import parse_sequent, tau_s
 from .shallow import check_sn_proof
 from .translate import (
+    TranslationError,
     deep_to_shallow,
     display_to_shallow,
     read_display_sequent,
@@ -155,6 +157,9 @@ def cmd_translate(args) -> int:
     logic = args.logic or cert.logic
     try:
         out_root = _translated(cert.root, cert.calculus, args.calculus, logic)
+    except TranslationError as e:
+        print(f"translation failed: {e}", file=sys.stderr)
+        return 1
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -37,6 +37,7 @@ from .formula import (
     UnitBot,
     UnitI,
     _Cursor,
+    _clip,
     _formula,
     formula_text,
     is_fill_formula,
@@ -207,7 +208,7 @@ def _item(cur: _Cursor) -> Structure:
         x = _structure(cur)
         cur.expect(")", "unbalanced '(' in structure")
         return x
-    raise ParseError(f"expected a structure item, found {tok!r}")
+    raise ParseError(f"expected a structure item, found {_clip(tok) if tok else 'the end'}")
 
 
 def parse_structure(text: str) -> Structure:
@@ -512,7 +513,9 @@ def dc_rule_applies(rule: str, c: DisplaySequent, ps: tuple[DisplaySequent, ...]
     raise CheckError(f"unknown rule {rule!r}")
 
 
-def _verify_dc(node: ProofNode, logic: str) -> None:
+def _verify_dc(node: ProofNode, logic: str, c: DisplaySequent) -> None:
+    # `c` is the node's conclusion through strip_display, so each
+    # conclusion is stripped once: here as a premise of its parent
     rule = node.rule
     if rule not in DC_RULES:
         raise CheckError(f"unknown rule {rule!r}")
@@ -520,7 +523,6 @@ def _verify_dc(node: ProofNode, logic: str) -> None:
         raise CheckError(
             f"rule {rule} expects {DC_RULES[rule]} premises, got {len(node.premises)}"
         )
-    c = strip_display(node.conclusion)
     if logic == "fill":
         if rule in DC_FILL_EXCLUDED:
             raise CheckError(f"rule {rule} is not available in FILL")
@@ -529,8 +531,8 @@ def _verify_dc(node: ProofNode, logic: str) -> None:
     ps = tuple(strip_display(p.conclusion) for p in node.premises)
     if not dc_rule_applies(rule, c, ps):
         raise CheckError(f"rule {rule} does not derive {display_text(c)} from its premises")
-    for p in node.premises:
-        _verify_dc(p, logic)
+    for p, pc in zip(node.premises, ps):
+        _verify_dc(p, logic, pc)
 
 
 def check_dc_proof(root: ProofNode, logic: str = "biill", expect: DisplaySequent | None = None) -> None:
@@ -538,10 +540,11 @@ def check_dc_proof(root: ProofNode, logic: str = "biill", expect: DisplaySequent
     first offending node; returns None when the tree is a proof."""
     if logic not in LOGICS:
         raise CheckError(f"unknown logic {logic!r}")
-    if expect is not None and strip_display(expect) != strip_display(root.conclusion):
+    c = strip_display(root.conclusion)
+    if expect is not None and strip_display(expect) != c:
         raise CheckError("root conclusion does not match the expected sequent")
     with stack_room(20 * proof_size(root) + 2000):
-        _verify_dc(root, logic)
+        _verify_dc(root, logic, c)
 
 
 def display_substructure(

@@ -230,6 +230,12 @@ _MAX_NESTING = 100
 _NEST = {"(": 1, "[": 1, ")": -1, "]": -1}
 
 
+def _clip(text: str, limit: int = 60) -> str:
+    """`text` quoted for an error message, cut to its first `limit`
+    characters so that one line stays short whatever the input."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+
+
 def _tokenize(text: str) -> list[str]:
     toks: list[str] = []
     depth = 0
@@ -260,7 +266,8 @@ class _Cursor:
     character is a ParseError.  Tokens are read longest first (`|-` before
     `|`, `-<` before `<`), which changes no valid input, and each grammar
     rejects the tokens it does not use.  Brackets nest at most
-    `_MAX_NESTING` deep, so no parse runs out of interpreter stack.
+    `_MAX_NESTING` deep, and so does each parsed formula tree, so neither a
+    parse nor a later walk of its result runs out of interpreter stack.
 
     A grammar that must retry from an earlier position saves `i` and
     assigns it back."""
@@ -283,11 +290,26 @@ class _Cursor:
 
     def end(self) -> None:
         if self.peek() is not None:
-            raise ParseError(f"trailing input at token {self.peek()!r}")
+            raise ParseError(f"trailing input at token {_clip(self.peek())}")
 
 
 def _formula(cur: _Cursor) -> Formula:
     """A formula starting at the cursor, read as far as it extends."""
+    return _arrows(cur)[0]
+
+
+# Each rule below returns the formula it read with the depth of its tree,
+# and `_join` builds every connective node, so no tree grows past
+# `_MAX_NESTING` levels.
+
+def _join(cls, left: tuple[Formula, int], right: tuple[Formula, int]) -> tuple[Formula, int]:
+    depth = 1 + max(left[1], right[1])
+    if depth > _MAX_NESTING:
+        raise ParseError(f"formula nests deeper than {_MAX_NESTING}")
+    return cls(left[0], right[0]), depth
+
+
+def _arrows(cur: _Cursor) -> tuple[Formula, int]:
     # `-o` chains are collected and folded rightwards, so only brackets
     # make the parser recurse
     parts = [_excl(cur)]
@@ -296,42 +318,41 @@ def _formula(cur: _Cursor) -> Formula:
         parts.append(_excl(cur))
     f = parts.pop()
     while parts:
-        f = Lolli(parts.pop(), f)
+        f = _join(Lolli, parts.pop(), f)
     return f
 
 
-def _excl(cur: _Cursor) -> Formula:
+def _excl(cur: _Cursor) -> tuple[Formula, int]:
     f = _mult(cur)
     while cur.peek() == "-<":
         cur.take()
-        f = Excl(f, _mult(cur))
+        f = _join(Excl, f, _mult(cur))
     return f
 
 
-def _mult(cur: _Cursor) -> Formula:
+def _mult(cur: _Cursor) -> tuple[Formula, int]:
     f = _unary(cur)
     while cur.peek() in ("*", "|"):
         op = cur.take()
-        g = _unary(cur)
-        f = Tensor(f, g) if op == "*" else Par(f, g)
+        f = _join(Tensor if op == "*" else Par, f, _unary(cur))
     return f
 
 
-def _unary(cur: _Cursor) -> Formula:
+def _unary(cur: _Cursor) -> tuple[Formula, int]:
     tok = cur.take()
     if tok is None:
         raise ParseError("unexpected end of formula")
     if tok == "(":
-        f = _formula(cur)
+        f = _arrows(cur)
         cur.expect(")", "unbalanced '('")
         return f
     if tok == "1":
-        return UnitI()
+        return UnitI(), 0
     if tok == "bot":
-        return UnitBot()
+        return UnitBot(), 0
     if "a" <= tok[0] <= "z":
-        return Atom(tok)
-    raise ParseError(f"unexpected token {tok!r}")
+        return Atom(tok), 0
+    raise ParseError(f"unexpected token {_clip(tok)}")
 
 
 def parse_formula(text: str) -> Formula:

@@ -118,8 +118,11 @@ def _single_child(items) -> Sequent | None:
 def sn_rule_applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
     """Schema check for one rule instance; conclusion `c`, premises `ps` in
     order.  Origins, hop counts, and arrow labels are ignored."""
-    c = _norm(c)
-    ps = tuple(_norm(p) for p in ps)
+    return _applies(rule, _norm(c), tuple(_norm(p) for p in ps))
+
+
+def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
+    # sn_rule_applies on sequents already passed through _norm
     if rule in _SPLIT:
         p1, p2 = ps
         a_side, b_side = _SPLIT[rule]
@@ -193,7 +196,9 @@ def sn_rule_applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
     raise CheckError(f"unknown rule {rule!r}")
 
 
-def _verify_sn(node: ProofNode, logic: str) -> None:
+def _verify_sn(node: ProofNode, logic: str, c: Sequent) -> None:
+    # `c` is the node's conclusion through _norm, so each conclusion is
+    # normalised once: here as a premise of its parent
     rule = node.rule
     if rule not in SN_RULES:
         raise CheckError(f"unknown rule {rule!r}")
@@ -204,15 +209,16 @@ def _verify_sn(node: ProofNode, logic: str) -> None:
     if logic == "fill":
         if rule in SN_FILL_EXCLUDED:
             raise CheckError(f"rule {rule} is not available in FILL")
-        if not is_fill_sequent(strip_sequent(node.conclusion)):
+        if not is_fill_sequent(c):
             raise CheckError(f"sequent leaves FILL: {sequent_text(node.conclusion)}")
-    if not sn_rule_applies(rule, node.conclusion, tuple(p.conclusion for p in node.premises)):
+    ps = tuple(_norm(p.conclusion) for p in node.premises)
+    if not _applies(rule, c, ps):
         raise CheckError(
             f"rule {rule} does not derive {sequent_text(strip_sequent(node.conclusion))}"
             " from its premises"
         )
-    for p in node.premises:
-        _verify_sn(p, logic)
+    for p, pc in zip(node.premises, ps):
+        _verify_sn(p, logic, pc)
 
 
 def check_sn_proof(root: ProofNode, logic: str = "biill", expect: Sequent | None = None) -> None:
@@ -220,10 +226,11 @@ def check_sn_proof(root: ProofNode, logic: str = "biill", expect: Sequent | None
     offending node; returns None when the tree is a proof."""
     if logic not in LOGICS:
         raise CheckError(f"unknown logic {logic!r}")
-    if expect is not None and _norm(expect) != _norm(root.conclusion):
+    c = _norm(root.conclusion)
+    if expect is not None and _norm(expect) != c:
         raise CheckError("root conclusion does not match the expected sequent")
     with stack_room(20 * proof_size(root) + 2000):
-        _verify_sn(root, logic)
+        _verify_sn(root, logic, c)
 
 
 def sn_proof_stays_in_fill(root: ProofNode) -> bool:

@@ -29,6 +29,13 @@ child boundary, and absorbing closures at the axioms; a dissolve step is
 the mirror walk that flattens the child everywhere, dropping the boundary
 propagations it meets; pull and push steps factor through one dissolve
 and one wrap.  Logical rules map one for one.
+
+Each translation ends by running the checker of its target calculus on its
+result, against the input's endsequent.  The check runs under BiILL, since
+a translation may use left-nested structure even for a FILL endsequent.  A
+result the checker rejects, or a step that no case of a translator fits,
+raises TranslationError; that check, not per-step assertions, is what
+guards the output.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from collections import Counter
 from itertools import count
 from typing import NamedTuple
 
-from .certs import ProofNode, Witness, postorder, proof_size, stack_room
+from .certs import CheckError, ProofNode, Witness, postorder, proof_size, stack_room
 from .deep import (
     _LOGICAL,
     _SPLIT,
@@ -49,9 +56,10 @@ from .deep import (
     _split_premises,
     _unfold,
     _unfolding,
+    check_dn_proof,
     replay_dn_proof,
 )
-from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES, PROP_RULES
+from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES
 from .display import (
     DisplaySequent,
     SComma,
@@ -62,8 +70,6 @@ from .display import (
     Structure,
     check_dc_proof,
     comma_join,
-    dc_rule_applies,
-    display_text,
     sequent_to_display,
     structure_text,
 )
@@ -101,20 +107,34 @@ __all__ = [
     "display_to_shallow",
     "shallow_to_deep",
     "embed_sequent",
+    "TranslationError",
 ]
+
+
+class TranslationError(Exception):
+    """Raised when a translator builds no proof of its input's endsequent."""
+
+
+def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
+    """`out`, once the target calculus's checker accepts it as a BiILL
+    proof of `expect`."""
+    try:
+        check(out, "biill", expect)
+    except CheckError as e:
+        raise TranslationError(f"{stage}: output rejected: {e}") from None
+    return out
 
 
 # ------------------------------------------------- deep to shallow
 
 def deep_to_shallow(root: ProofNode, logic: str = "biill") -> ProofNode:
     """Rebuild a deep proof as a shallow (root-rule-only) proof of the same
-    endsequent.  The input is checked first; the output is cut-free by
-    construction and meant for the shallow checker."""
+    endsequent.  The input is checked first and the output last; the
+    output is cut-free by construction."""
     exact = replay_dn_proof(root, logic)
     with stack_room(200 * proof_size(exact) + 4000):
         out = _dts(exact)
-    assert out.conclusion == exact.conclusion
-    return out
+    return _checked("dn -> sn", check_sn_proof, out, exact.conclusion)
 
 
 def _displayed(steps, fallback):
@@ -139,15 +159,12 @@ def _dts(node: ProofNode) -> ProofNode:
         cur = stack_chain(sub, steps_p)
         steps_c = display_in_sn(ctx, redex_c)
         d_c = _displayed(steps_c, redex_c)
-        d_p = _displayed(steps_p, redex_p)
-        assert sn_rule_applies(rule, d_c, (d_p,)), rule
         cur = ProofNode(rule, d_c, (cur,))
         return stack_chain(cur, invert_display_chain(steps_c, conclusion))
 
     if rule in BRANCH_RULES:
         return _dts_branch(node, redex_c)
 
-    assert rule in PROP_RULES, rule
     return _dts_prop(node, redex_c)
 
 
@@ -183,7 +200,6 @@ def _dts_branch(node: ProofNode, redex_c: Sequent) -> ProofNode:
     cur2 = stack_chain(sub2, steps2)
 
     mid = _branch_conclusion(node.rule, d1, a_occ, d2, b_occ, principal)
-    assert sn_rule_applies(node.rule, mid, (d1, d2)), node.rule
     cur = ProofNode(node.rule, mid, (cur1, cur2))
 
     steps_c = display_in_sn(w.context, redex_c, always_wrap=True)
@@ -206,7 +222,6 @@ def _fuse_children(cur: ProofNode, target: Sequent) -> ProofNode:
             )
         for x, y, z in plan:
             cur = expand_merge(x, y, z, cur, side)
-    assert cur.conclusion == target
     return cur
 
 
@@ -257,8 +272,6 @@ def _dts_prop(node: ProofNode, redex_c: Sequent) -> ProofNode:
     cur = stack_chain(cur, recipe)
 
     steps_c = display_in_sn(ctx, redex_c)
-    d_c = _displayed(steps_c, redex_c)
-    assert cur.conclusion == d_c, node.rule
     return stack_chain(cur, invert_display_chain(steps_c, node.conclusion))
 
 
@@ -297,7 +310,6 @@ def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a_p: Occ, 
             ("push_right", Sequent((w0,), (k_c,))),
             ("dissolve_left", Sequent(d_p.left, rest + (k_c,))),
         ]
-    assert rule == "prop_left_out", rule
     rest = side_remove(d_p.left, [a_p, k_p])
     w0 = Sequent(rest, d_p.right)
     return [
@@ -349,7 +361,7 @@ _INVERSE = {
 
 
 class _DChain:
-    """Top-down accumulator of display steps, schema checked as it grows.
+    """Top-down accumulator of display steps.
 
     The comma shuffling all happens here.  Root-level swap and reassoc
     alone cannot transpose two operands (they preserve the cyclic order),
@@ -364,8 +376,6 @@ class _DChain:
         self.steps: list[tuple[str, DisplaySequent]] = []
 
     def emit(self, rule: str, below: DisplaySequent) -> None:
-        assert dc_rule_applies(rule, below, (self.cur,)), (
-            f"{rule}: {display_text(self.cur)}  ->  {display_text(below)}")
         self.steps.append((rule, below))
         self.cur = below
 
@@ -478,7 +488,6 @@ class _DChain:
             work.pop()
         for _ in range(len(order) - 1):
             self.unstash_append(side)
-        assert _pool(self.side(side)) == order
         return order
 
     def sort_side(self, side: str, target: Structure) -> None:
@@ -513,7 +522,6 @@ class _DChain:
             self.to_comb(side)
         tw = _DChain(self._with(side, target))
         tw.to_comb(side)
-        assert tw.cur == self.cur, (display_text(tw.cur), display_text(self.cur))
         states = [self._with(side, target)] + [s for _, s in tw.steps]
         for j in range(len(tw.steps), 0, -1):
             self.emit(_INVERSE[tw.steps[j - 1][0]], states[j - 1])
@@ -541,7 +549,6 @@ class _DChain:
         one block; returns whether anything was stashed."""
         pool = Counter(_pool(self.side(side)))
         pool.subtract(Counter(_pool(keep)))
-        assert all(v >= 0 for v in pool.values()), structure_text(keep)
         rest = sorted(pool.elements(), key=structure_text)
         if not rest:
             self.sort_side(side, keep)
@@ -573,25 +580,13 @@ class _DChain:
         self.emit("drp_up", DisplaySequent(SComma(s, x), SComma(v, w)))
 
 
-def _unary_principal(cn: Sequent, pn: Sequent, side: str):
-    items = cn.left if side == "left" else cn.right
-    pitems = pn.left if side == "left" else pn.right
-    have = Counter(o.formula for o in items if isinstance(o, Occ))
-    have.subtract(Counter(o.formula for o in pitems if isinstance(o, Occ)))
-    gained = [f for f, v in have.items() if v > 0]
-    assert len(gained) == 1, gained
-    return gained[0]
-
-
-def _branch_principal(cn: Sequent, p1n: Sequent, p2n: Sequent, side: str, cls):
-    items = cn.left if side == "left" else cn.right
-    have = Counter(o.formula for o in items if isinstance(o, Occ))
-    for pn in (p1n, p2n):
-        pitems = pn.left if side == "left" else pn.right
-        have.subtract(Counter(o.formula for o in pitems if isinstance(o, Occ)))
-    gained = [f for f, v in have.items() if v > 0 and isinstance(f, cls)]
-    assert len(gained) == 1, gained
-    return gained[0]
+def _gained(cn: Sequent, pns, side: str, cls=object):
+    """The formula of class `cls` that `cn` has on `side` beyond what the
+    premises `pns` have there."""
+    have = Counter(o.formula for o in occs(getattr(cn, side)))
+    for pn in pns:
+        have.subtract(o.formula for o in occs(getattr(pn, side)))
+    return next(f for f, v in have.items() if v > 0 and isinstance(f, cls))
 
 
 def shallow_to_display(root: ProofNode, logic: str = "biill") -> ProofNode:
@@ -608,15 +603,13 @@ def shallow_to_display(root: ProofNode, logic: str = "biill") -> ProofNode:
             raise ValueError("cannot translate a proof that uses cut")
     with stack_room(100 * proof_size(root) + 4000):
         out = _std(root)
-    assert out.conclusion == embed_sequent(root.conclusion)
-    return out
+    return _checked("sn -> dc", check_dc_proof, out, embed_sequent(root.conclusion))
 
 
 def _std(node: ProofNode) -> ProofNode:
     rule = node.rule
     target = embed_sequent(node.conclusion)
     if rule in ("id", "bot_l", "i_r"):
-        assert dc_rule_applies(rule, target, ())
         return ProofNode(rule, target)
     cn = _norm(node.conclusion)
     pns = [_norm(p.conclusion) for p in node.premises]
@@ -633,60 +626,58 @@ def _std(node: ProofNode) -> ProofNode:
             ch.emit("bot_r", DisplaySequent(ch.cur.ant, SLeaf(UnitBot())))
             ch.refill("suc", n)
         elif rule == "tensor_l":
-            f = _unary_principal(cn, pns[0], "left")
+            f = _gained(cn, pns, "left")
             st = ch.isolate("ant", SComma(SLeaf(f.left), SLeaf(f.right)))
             ch.emit("tensor_l", DisplaySequent(SLeaf(f), ch.cur.suc))
             if st:
                 ch.unstash_append("ant")
         elif rule == "par_r":
-            f = _unary_principal(cn, pns[0], "right")
+            f = _gained(cn, pns, "right")
             st = ch.isolate("suc", SComma(SLeaf(f.left), SLeaf(f.right)))
             ch.emit("par_r", DisplaySequent(ch.cur.ant, SLeaf(f)))
             if st:
                 ch.unstash_append("suc")
         elif rule == "lolli_r":
-            f = _unary_principal(cn, pns[0], "right")
+            f = _gained(cn, pns, "right")
             st = ch.isolate("suc", SGt(SLeaf(f.left), SLeaf(f.right)))
             ch.emit("lolli_r", DisplaySequent(ch.cur.ant, SLeaf(f)))
             if st:
                 ch.unstash_append("suc")
         else:
-            f = _unary_principal(cn, pns[0], "left")
+            f = _gained(cn, pns, "left")
             st = ch.isolate("ant", SLt(SLeaf(f.left), SLeaf(f.right)))
             ch.emit("excl_l", DisplaySequent(SLeaf(f), ch.cur.suc))
             if st:
                 ch.unstash_append("ant")
         ch.sort_side("ant", target.ant)
         ch.sort_side("suc", target.suc)
-        assert ch.cur == target
         return stack_chain(subs[0], ch.steps)
 
     if rule in ("tensor_r", "par_l", "lolli_l", "excl_r"):
         ch1 = _DChain(subs[0].conclusion)
         ch2 = _DChain(subs[1].conclusion)
         if rule == "tensor_r":
-            f = _branch_principal(cn, pns[0], pns[1], "right", Tensor)
+            f = _gained(cn, pns, "right", Tensor)
             st1 = ch1.isolate("suc", SLeaf(f.left))
             st2 = ch2.isolate("suc", SLeaf(f.right))
             mid = DisplaySequent(SComma(ch1.cur.ant, ch2.cur.ant), SLeaf(f))
         elif rule == "par_l":
-            f = _branch_principal(cn, pns[0], pns[1], "left", Par)
+            f = _gained(cn, pns, "left", Par)
             st1 = ch1.isolate("ant", SLeaf(f.left))
             st2 = ch2.isolate("ant", SLeaf(f.right))
             mid = DisplaySequent(SLeaf(f), SComma(ch1.cur.suc, ch2.cur.suc))
         elif rule == "lolli_l":
-            f = _branch_principal(cn, pns[0], pns[1], "left", Lolli)
+            f = _gained(cn, pns, "left", Lolli)
             st1 = ch1.isolate("suc", SLeaf(f.left))
             st2 = ch2.isolate("ant", SLeaf(f.right))
             mid = DisplaySequent(SLeaf(f), SGt(ch1.cur.ant, ch2.cur.suc))
         else:
-            f = _branch_principal(cn, pns[0], pns[1], "right", Excl)
+            f = _gained(cn, pns, "right", Excl)
             st1 = ch1.isolate("suc", SLeaf(f.left))
             st2 = ch2.isolate("ant", SLeaf(f.right))
             mid = DisplaySequent(SLt(ch1.cur.ant, ch2.cur.suc), SLeaf(f))
         x1 = ch1.cur.ant
         y2 = ch2.cur.suc
-        assert dc_rule_applies(rule, mid, (ch1.cur, ch2.cur))
         out = ProofNode(rule, mid,
                         (stack_chain(subs[0], ch1.steps), stack_chain(subs[1], ch2.steps)))
         ch = _DChain(mid)
@@ -724,7 +715,6 @@ def _std(node: ProofNode) -> ProofNode:
                 ch.pop_suc_chain()
         ch.sort_side("ant", target.ant)
         ch.sort_side("suc", target.suc)
-        assert ch.cur == target
         return stack_chain(out, ch.steps)
 
     ch = _DChain(subs[0].conclusion)
@@ -752,7 +742,6 @@ def _std(node: ProofNode) -> ProofNode:
                 if Sequent(it.left + others, it.right, 0) == k1:
                     k0, t_items = it, others
                     break
-        assert k0 is not None
         e0a = _ecomb(k0.left, "left")
         e0s = _ecomb(k0.right, "right")
         bt = _ecomb(t_items, "left") if t_items else SPhi()
@@ -772,7 +761,6 @@ def _std(node: ProofNode) -> ProofNode:
                 if Sequent(it.left, it.right + others, 0) == k1:
                     k0, t_items = it, others
                     break
-        assert k0 is not None
         e0a = _ecomb(k0.left, "left")
         e0s = _ecomb(k0.right, "right")
         bt = _ecomb(t_items, "right") if t_items else SPhi()
@@ -785,7 +773,6 @@ def _std(node: ProofNode) -> ProofNode:
         ch.stash("ant")
     else:
         raise ValueError(f"no display translation for rule {rule!r}")
-    assert ch.cur == target, (rule, display_text(ch.cur), display_text(target))
     return stack_chain(subs[0], ch.steps)
 
 
@@ -836,7 +823,8 @@ def display_to_shallow(root: ProofNode, logic: str = "biill") -> ProofNode:
         if node.rule == "cut":
             raise ValueError("cannot translate a proof that uses cut")
     with stack_room(40 * proof_size(root) + 4000):
-        return _dfs_down(root)
+        out = _dfs_down(root)
+    return _checked("dc -> sn", check_sn_proof, out, read_display_sequent(root.conclusion))
 
 
 def _dfs_down(node: ProofNode) -> ProofNode:
@@ -844,26 +832,19 @@ def _dfs_down(node: ProofNode) -> ProofNode:
     cn = read_display_sequent(node.conclusion)
     subs = [_dfs_down(p) for p in node.premises]
     if rule in _DC_SKIP:
-        assert subs[0].conclusion == cn
         return subs[0]
     if rule in ("id", "bot_l", "i_r"):
-        assert sn_rule_applies(rule, cn, ())
         return ProofNode(rule, cn)
     prems = tuple(s.conclusion for s in subs)
     if rule in _DC_SAME:
-        assert sn_rule_applies(rule, cn, prems), rule
         return ProofNode(rule, cn, tuple(subs))
     if rule == "lolli_l":
         k = cn.right[0]
         mid = Sequent(k.left + cn.left, k.right, 0)
-        assert sn_rule_applies("lolli_l", mid, prems)
-        assert sn_rule_applies("wrap_right", cn, (mid,))
         return ProofNode("wrap_right", cn, (ProofNode("lolli_l", mid, tuple(subs)),))
     if rule == "excl_r":
         k = cn.left[0]
         mid = Sequent(k.left, k.right + cn.right, 0)
-        assert sn_rule_applies("excl_r", mid, prems)
-        assert sn_rule_applies("wrap_left", cn, (mid,))
         return ProofNode("wrap_left", cn, (ProofNode("excl_r", mid, tuple(subs)),))
     if rule in ("rp_up", "rp_down", "drp_up", "drp_down", "mixed_assoc_l", "mixed_assoc_r"):
         if rule.startswith("rp"):
@@ -875,7 +856,7 @@ def _dfs_down(node: ProofNode) -> ProofNode:
         for cand in cands:
             if sn_rule_applies(cand, cn, prems):
                 return ProofNode(cand, cn, tuple(subs))
-        raise AssertionError(f"{rule}: no structural reading fits")
+        raise TranslationError(f"{rule}: no structural reading fits")
     raise ValueError(f"no shallow translation for rule {rule!r}")
 
 
@@ -915,7 +896,6 @@ def _cnt_sub(cnt: Counter, *vals) -> Counter:
     out = Counter(cnt)
     for v in vals:
         out[v] -= 1
-        assert out[v] >= 0, f"enclosed occurrence lost track of {v}"
         if not out[v]:
             del out[v]
     return out
@@ -928,7 +908,6 @@ def _greedy_split(want: Counter, avail1: Counter, avail2: Counter):
     c2: Counter = Counter()
     for v, n in want.items():
         a = min(n, avail1.get(v, 0))
-        assert n - a <= avail2.get(v, 0), "occurrence colouring infeasible"
         if a:
             c1[v] = a
         if n - a:
@@ -961,7 +940,6 @@ def _take_items(items, cnt: Counter, origin_set, hole_origin):
             (taken if it.origin in origin_set else rest).append(it)
         else:
             (taken if hole_origin is not None and hole_origin in origin_set else rest).append(it)
-    assert not +need, "enclosed occurrences missing from the node"
     return tuple(taken), tuple(rest)
 
 
@@ -1026,7 +1004,6 @@ def _match_by_norm(items, wanted):
                 picked.append(it)
             else:
                 rest.append(it)
-    assert not +want_occ and not +want_kids, "no item split matches the premise"
     return tuple(picked), tuple(rest)
 
 
@@ -1103,15 +1080,12 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
         if rule == "id":
             lo_occ = occs(c.left)[0]
             ro_occ = occs(c.right)[0]
-            straddler, inner_both = None, True
+            straddler = None
             if spec.lc.get(lo_occ, 0) == 0:
-                straddler, inner_both = lo_occ, False
-                assert wside == "right", "closing pair stuck outside a left nest"
-                assert spec.rc.get(ro_occ, 0) > 0
+                straddler = lo_occ
             elif spec.rc.get(ro_occ, 0) == 0:
-                straddler, inner_both = ro_occ, False
-                assert wside == "left", "closing pair stuck outside a right nest"
-            if inner_both:
+                straddler = ro_occ
+            if straddler is None:
                 return ProofNode(rule, tc, (), Witness(context=at_kid(tc), principal=w.principal))
             side = "left" if straddler is lo_occ else "right"
             mid_spec = _Enclosed(
@@ -1137,10 +1111,7 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
         side_name = _LOGICAL[rule][0]
         occ = next(o for o in occs(getattr(c, side_name)) if o.formula == w.principal)
         f = occ.formula
-        assert _unfold(rule, c, occ) == node.premises[0].conclusion, f"{rule}: premise shape drifted"
         inner = (spec.lc if side_name == "left" else spec.rc).get(occ, 0) > 0
-        if not inner:
-            assert side_name != wside, f"{rule}: principal stranded beside the nest"
         lc, lo, rc, ro = spec
         if inner:
             added = _unfolding(f)
@@ -1175,8 +1146,6 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
             (wside == "right" and rule == "lolli_l")
             or (wside == "left" and rule == "excl_r")
         )
-        if not inner and not restructure:
-            assert p_side != wside, f"{rule}: principal stranded beside the nest"
         base_spec = spec
         if inner:
             base_spec = _Enclosed(
@@ -1240,7 +1209,6 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
     if wside == "right":
         match rule:
             case "prop_left_in":
-                assert g0 in ro, "target child strayed outside a right nest"
                 occ = next(o for o in occs(c.left) if o.formula == w.principal)
                 if lc.get(occ, 0) > 0:
                     return one_step(_Enclosed(_cnt_sub(lc, occ), lo, rc, ro))
@@ -1252,11 +1220,9 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
                 outer_w = Witness(context=HOLE, principal=w.principal, child_origin=g)
                 return ProofNode(into_k, tc, (inner_node,), outer_w)
             case "prop_right_out":
-                assert g0 in ro
                 return one_step(_Enclosed(lc, lo, _cnt_add(rc, Occ(w.principal)), ro))
             case "prop_right_in":
                 occ = next(o for o in occs(c.right) if o.formula == w.principal)
-                assert rc.get(occ, 0) > 0
                 spec2 = _Enclosed(lc, lo, _cnt_sub(rc, occ), ro)
                 if g0 in lo:
                     return one_step(spec2)
@@ -1277,7 +1243,6 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
     else:
         match rule:
             case "prop_right_in":
-                assert g0 in lo, "target child strayed outside a left nest"
                 occ = next(o for o in occs(c.right) if o.formula == w.principal)
                 if rc.get(occ, 0) > 0:
                     return one_step(_Enclosed(lc, lo, _cnt_sub(rc, occ), ro))
@@ -1289,11 +1254,9 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
                 outer_w = Witness(context=HOLE, principal=w.principal, child_origin=g)
                 return ProofNode(into_k, tc, (inner_node,), outer_w)
             case "prop_left_out":
-                assert g0 in lo
                 return one_step(_Enclosed(_cnt_add(lc, Occ(w.principal)), lo, rc, ro))
             case "prop_left_in":
                 occ = next(o for o in occs(c.left) if o.formula == w.principal)
-                assert lc.get(occ, 0) > 0
                 spec2 = _Enclosed(_cnt_sub(lc, occ), lo, rc, ro)
                 if g0 in ro:
                     return one_step(spec2)
@@ -1311,7 +1274,7 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
                 return ProofNode(
                     rule, tc, (sub,), Witness(context=HOLE, principal=w.principal, child_origin=g0)
                 )
-    raise AssertionError(f"unhandled rule {rule!r} in wrap admissibility")
+    raise TranslationError(f"unhandled rule {rule!r} in wrap admissibility")
 
 
 def _admit_dissolve(node: ProofNode, dside: str, g: int) -> ProofNode:
@@ -1330,7 +1293,6 @@ def _admit_dissolve(node: ProofNode, dside: str, g: int) -> ProofNode:
         )
         if rule in crossing and w.child_origin == g:
             sub = _admit_dissolve(node.premises[0], dside, g)
-            assert sub.conclusion == tc, "boundary propagation did not cancel"
             return sub
         subs = tuple(_admit_dissolve(p, dside, g) for p in node.premises)
         if rule in BRANCH_RULES:
@@ -1344,8 +1306,6 @@ def _admit_dissolve(node: ProofNode, dside: str, g: int) -> ProofNode:
     )
     if not kid_in_ctx:
         # the redex is the dissolving child itself: refire at the root
-        redex = context_decompose(ctx, c)
-        assert redex.origin == g, "context lost the dissolving child"
         subs = tuple(_admit_dissolve(p, dside, g) for p in node.premises)
         if rule in BRANCH_RULES:
             ww = Witness(context=HOLE, principal=w.principal, ctx1=HOLE, ctx2=HOLE)
@@ -1376,19 +1336,17 @@ def _snd_branch(node: ProofNode, target: Sequent, fresh) -> ProofNode:
         if plan is None:
             continue
         subs = []
-        for sn_prem, (full, pruned, hollow_l, hollow_r) in zip(node.premises, plan):
-            sub = _add_root_items(_snd(sn_prem, pruned, fresh), hollow_l, hollow_r)
-            assert sub.conclusion == full
-            subs.append(sub)
+        for sn_prem, (pruned, hollow_l, hollow_r) in zip(node.premises, plan):
+            subs.append(_add_root_items(_snd(sn_prem, pruned, fresh), hollow_l, hollow_r))
         ww = Witness(context=HOLE, principal=occ.formula, ctx1=HOLE, ctx2=HOLE)
         return ProofNode(rule, target, tuple(subs), ww)
-    raise AssertionError(f"{rule}: no principal matches the premises")
+    raise TranslationError(f"{rule}: no principal matches the premises")
 
 
 def _branch_plan(rule, target, occ, p1n, p2n):
     """Colour the root material around the principal occurrence so each half
     realises one premise; the other half's children stay as hollow skeleton.
-    Returns per-premise (full claim, skeleton-free claim, hollow extras)."""
+    Returns per-premise (skeleton-free claim, hollow extras)."""
     f = occ.formula
     rest = _edit(target, _LOGICAL[rule][0], (occ,))
     wants = []
@@ -1437,8 +1395,7 @@ def _branch_plan(rule, target, occ, p1n, p2n):
     plan = []
     for which in (0, 1):
         sk_l, sk_r = (tuple(_hollow_copy(k) for k in child_seqs(items)) for items in halves[1 - which])
-        full = Sequent(pruned[which].left + sk_l, pruned[which].right + sk_r, target.origin)
-        plan.append((full, pruned[which], sk_l, sk_r))
+        plan.append((pruned[which], sk_l, sk_r))
     return plan
 
 
@@ -1461,7 +1418,7 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
             co = occ.formula.label if rule in ("lolli_r", "excl_l") else None
             ww = Witness(context=HOLE, principal=occ.formula, child_origin=co)
             return ProofNode(rule, target, (sub,), ww)
-        raise AssertionError(f"{rule}: no principal matches the premise")
+        raise TranslationError(f"{rule}: no principal matches the premise")
 
     if rule in BRANCH_RULES:
         return _snd_branch(node, target, fresh)
@@ -1470,20 +1427,16 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
 
     if rule == "wrap_right":
         (kid,) = child_seqs(target.right)
-        assert len(target.right) == 1
         flat = Sequent(target.left + kid.left, kid.right, target.origin)
         sub = _snd(prem, flat, fresh)
         out = _admit_wrap(sub, _enclose_all(kid), kid.origin, "right")
-        assert out.conclusion == target
         return out
 
     if rule == "wrap_left":
         (kid,) = child_seqs(target.left)
-        assert len(target.left) == 1
         flat = Sequent(kid.left, kid.right + target.right, target.origin)
         sub = _snd(prem, flat, fresh)
         out = _admit_wrap(sub, _enclose_all(kid), kid.origin, "left")
-        assert out.conclusion == target
         return out
 
     if rule == "dissolve_right":
@@ -1493,7 +1446,6 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
         kid = Sequent(picked, target.right, next(fresh))
         wrapped = Sequent(rest, (kid,), target.origin)
         out = _admit_dissolve(_snd(prem, wrapped, fresh), "right", kid.origin)
-        assert out.conclusion == target
         return out
 
     if rule == "dissolve_left":
@@ -1503,12 +1455,10 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
         kid = Sequent(target.left, picked, next(fresh))
         wrapped = Sequent((kid,), rest, target.origin)
         out = _admit_dissolve(_snd(prem, wrapped, fresh), "left", kid.origin)
-        assert out.conclusion == target
         return out
 
     if rule == "pull_left":
         (k1,) = child_seqs(target.left)
-        assert len(target.left) == 1
         pn = _norm(prem.conclusion)
         for k0n in child_seqs(pn.left):
             movedn = side_remove(pn.left, [k0n])
@@ -1519,13 +1469,11 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
             tp = Sequent((k0,) + moved, target.right, target.origin)
             mid = _admit_dissolve(_snd(prem, tp, fresh), "left", k0.origin)
             out = _admit_wrap(mid, _enclose_all(k1), k1.origin, "left")
-            assert out.conclusion == target
             return out
-        raise AssertionError("pull step does not match its premise")
+        raise TranslationError("pull step does not match its premise")
 
     if rule == "push_right":
         (k1,) = child_seqs(target.right)
-        assert len(target.right) == 1
         pn = _norm(prem.conclusion)
         for k0n in child_seqs(pn.right):
             movedn = side_remove(pn.right, [k0n])
@@ -1536,9 +1484,8 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
             tp = Sequent(target.left, (k0,) + moved, target.origin)
             mid = _admit_dissolve(_snd(prem, tp, fresh), "right", k0.origin)
             out = _admit_wrap(mid, _enclose_all(k1), k1.origin, "right")
-            assert out.conclusion == target
             return out
-        raise AssertionError("push step does not match its premise")
+        raise TranslationError("push step does not match its premise")
 
     raise ValueError(f"no deep translation for rule {rule!r}")
 
@@ -1558,5 +1505,4 @@ def shallow_to_deep(root: ProofNode, logic: str = "biill") -> ProofNode:
     end = label_sequent(strip_sequent(root.conclusion))
     with stack_room(120 * proof_size(root) + 4000):
         out = _snd(root, end, count(-1, -1))
-    assert out.conclusion == end
-    return out
+    return _checked("sn -> dn", check_dn_proof, out, end)

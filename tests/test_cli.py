@@ -122,8 +122,18 @@ def test_check_wrongly_typed_field_is_malformed(tmp_path, capsys, where, key, va
         ("proof", "[" * 60_000 + "]" * 60_000, "malformed certificate: "),
         ("conclusion", json.dumps("=> [a => a]@" + "1" * 5_000), "malformed certificate: "),
         ("child_origin", "7" * 5_000, "malformed certificate: "),
+        (None, "*".join(["a"] * 40_000), "parse error: "),
+        (None, " -o ".join(["a"] * 40_000), "parse error: "),
     ],
-    ids=["formula-parens", "conclusion-parens", "proof-arrays", "label-digits", "child_origin-digits"],
+    ids=[
+        "formula-parens",
+        "conclusion-parens",
+        "proof-arrays",
+        "label-digits",
+        "child_origin-digits",
+        "formula-tensors",
+        "formula-arrows",
+    ],
 )
 def test_untrusted_text_is_a_one_line_exit_2(tmp_path, capsys, key, raw, prefix):
     """`raw` is the formula to prove, or the JSON text put in place of `key`
@@ -140,6 +150,7 @@ def test_untrusted_text_is_a_one_line_exit_2(tmp_path, capsys, key, raw, prefix)
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+    assert len(err.encode()) < 1_000
 
 
 def test_check_json_nested_past_the_c_stack_is_exit_2(tmp_path):
@@ -152,6 +163,21 @@ def test_check_json_nested_past_the_c_stack_is_exit_2(tmp_path):
     )
     assert done.returncode == 2
     assert done.stderr.startswith("malformed certificate: ")
+
+
+def test_check_deep_proof_is_rejected_not_a_crash(tmp_path):
+    # in a child process: a C stack overflow would kill the interpreter;
+    # the proof is a chain of 20,000 i_l nodes whose premises do not match
+    node = '{"rule": "i_l", "conclusion": "1, a => a", "premises": ['
+    leaf = '{"rule": "id", "conclusion": "a => a"}'
+    path = tmp_path / "cert.json"
+    path.write_text('{"calculus": "dn", "proof": ' + node * 20_000 + leaf + "]}" * 20_000 + "}")
+    env = {**os.environ, "PYTHONPATH": str(Path(fillprover.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "fillprover.cli", "check", str(path)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("check failed: ")
 
 
 def test_check_logic_override(tmp_path):

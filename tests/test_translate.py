@@ -1,18 +1,24 @@
 """Proof translations between the three calculi: closure, round trips, rejections."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fillprover
+from fillprover import translate
 from fillprover.certs import CheckError, ProofNode, certificate_text, postorder, proof_size, read_certificate
 from fillprover.deep import check_dn_proof, endsequent_for
 from fillprover.display import check_dc_proof, parse_display
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, parse_formula
 from fillprover.prover import decide_formula
 from fillprover.sequent import parse_sequent, strip_sequent
+from fillprover.cli import main
 from fillprover.shallow import check_sn_proof, zero_origins
 from fillprover.translate import (
+    TranslationError,
     deep_to_shallow,
     display_to_shallow,
     embed_sequent,
@@ -151,6 +157,33 @@ def test_invalid_inputs_rejected():
         shallow_to_display(bogus)
     with pytest.raises(CheckError):
         display_to_shallow(ProofNode("id", parse_display("a |- b")))
+
+
+def test_a_broken_translator_is_caught_by_its_target_checker(tmp_path, monkeypatch, capsys):
+    # a one-node "proof" of the right endsequent passes any endsequent test
+    monkeypatch.setattr(translate, "_std", lambda node: ProofNode("id", embed_sequent(node.conclusion)))
+    sn = deep_to_shallow(proved("a*b -o b*a", "fill"), "fill")
+    with pytest.raises(TranslationError, match="sn -> dc"):
+        shallow_to_display(sn)
+    src = tmp_path / "sn.json"
+    out = tmp_path / "dc.json"
+    src.write_text(certificate_text("sn", "biill", sn))
+    capsys.readouterr()
+    assert main(["translate", str(src), "--calculus", "dc", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("translation failed: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_the_package_holds_no_assertions():
+    # python -O strips assertions, so no invariant may rest on one
+    for path in sorted(Path(fillprover.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not isinstance(node, ast.Assert), where
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), where
 
 
 def test_cut_bearing_proofs_rejected():
