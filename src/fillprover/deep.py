@@ -35,6 +35,7 @@ from .formula import (
     Tensor,
     UnitBot,
     UnitI,
+    _clip,
     formula_text,
     strip_labels,
 )
@@ -263,20 +264,34 @@ def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) 
     """Candidate rule applications with `s` as conclusion, most constrained
     first: axioms, then in-place unfolding, then branching, then propagation.
     `hop_cap` suppresses propagation of occurrences that already moved that
-    many times."""
+    many times.
+
+    Two kinds of move are committed to, so nothing else is generated after
+    them: an axiom, and the first unfolding by a unary logical rule (`i_l`,
+    `bot_r`, `tensor_l`, `par_r`, `lolli_r`, `excl_l`) in node order, root
+    first, antecedent first.  The unary rules are invertible: `tau_s` reads
+    the premise as a formula equivalent in BiILL to the reading of the
+    conclusion, so by soundness and completeness the premise is provable
+    exactly when the conclusion is, and when the premise fails no other move
+    can succeed.  The `prover` module docstring gives the argument and says
+    which part of it, the search budget, rests on evidence instead.  Branch
+    and propagation moves are built only for states no unary rule applies
+    to."""
     fill = logic == "fill"
     ax = _axiom_move(s)
     if ax is not None:
         yield ax
         return
 
-    spots = [(ctx, node, list(_rules_at(node, fill))) for ctx, node in hole_contexts(s)]
-
-    for ctx, node, acts in spots:
+    spots = []
+    for ctx, node in hole_contexts(s):
+        acts = list(_rules_at(node, fill))
         for rule, _, occ in acts:
             if rule in UNARY_LOGICAL_RULES:
                 premise = plug(ctx, _unfold(rule, node, occ))
                 yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula))
+                return
+        spots.append((ctx, node, acts))
 
     for ctx, node, acts in spots:
         for rule, side, occ in acts:
@@ -313,6 +328,12 @@ def _prop_moves(ctx: Context, node: Sequent, fill: bool, hop_cap: Optional[int])
 
 
 # ---------------------------------------------------------------- checking
+
+def _quoted(s: Sequent) -> str:
+    """The label-free text of `s` for a checker message, clipped so that a
+    huge certificate still gets a short message."""
+    return _clip(sequent_text(strip_sequent(s)))
+
 
 def _strip_eq(f: Formula, claim: Optional[Formula]) -> bool:
     return claim is None or strip_labels(f) == strip_labels(claim)
@@ -475,16 +496,15 @@ def _branch_instances(
 def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
     rule = node.rule
     if rule not in DN_RULES:
-        raise CheckError(f"unknown rule {rule!r}")
+        raise CheckError(f"unknown rule {_clip(rule)}")
     if logic == "fill":
         if rule in FILL_EXCLUDED:
             raise CheckError(f"rule {rule} is not available in FILL")
         if not is_fill_sequent(current):
-            raise CheckError(f"sequent leaves the FILL fragment: {sequent_text(strip_sequent(current))}")
+            raise CheckError(f"sequent leaves the FILL fragment: {_quoted(current)}")
     if strip_sequent(node.conclusion) != strip_sequent(current):
         raise CheckError(
-            f"conclusion mismatch at {rule}: stated {sequent_text(strip_sequent(node.conclusion))}, "
-            f"derived {sequent_text(strip_sequent(current))}"
+            f"conclusion mismatch at {rule}: stated {_quoted(node.conclusion)}, derived {_quoted(current)}"
         )
     w = node.witness
     if w is None or w.context is None:
@@ -522,12 +542,10 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
         raise last
     if derived is not None:
         raise CheckError(
-            f"premise mismatch at {rule}: stated {'; '.join(map(sequent_text, claims))}, "
-            f"derived {'; '.join(map(sequent_text, derived))}"
+            f"premise mismatch at {rule}: stated {'; '.join(map(_quoted, claims))}, "
+            f"derived {'; '.join(map(_quoted, derived))}"
         )
-    raise CheckError(
-        f"rule {rule} does not apply to {sequent_text(strip_sequent(current))} with the given witness"
-    )
+    raise CheckError(f"rule {rule} does not apply to {_quoted(current)} with the given witness")
 
 
 def check_dn_proof(root: ProofNode, logic: str = "biill", expect: Optional[Sequent] = None) -> None:
@@ -536,8 +554,7 @@ def check_dn_proof(root: ProofNode, logic: str = "biill", expect: Optional[Seque
     CheckError with a reason on any defect."""
     if expect is not None and strip_sequent(expect) != strip_sequent(root.conclusion):
         raise CheckError(
-            f"proof concludes {sequent_text(strip_sequent(root.conclusion))}, "
-            f"expected {sequent_text(strip_sequent(expect))}"
+            f"proof concludes {_quoted(root.conclusion)}, expected {_quoted(expect)}"
         )
     replay_dn_proof(root, logic)
 
@@ -568,9 +585,7 @@ def check_separation(root: ProofNode) -> None:
         if node.rule in FILL_EXCLUDED:
             raise CheckError(f"rule {node.rule} lies outside FILL")
         if not is_fill_sequent(strip_sequent(node.conclusion)):
-            raise CheckError(
-                f"sequent leaves FILL: {sequent_text(strip_sequent(node.conclusion))}"
-            )
+            raise CheckError(f"sequent leaves FILL: {_quoted(node.conclusion)}")
 
 
 def proof_stays_in_fill(root: ProofNode) -> bool:

@@ -39,6 +39,7 @@ from .formula import (
     _Cursor,
     _clip,
     _formula,
+    _join,
     formula_text,
     is_fill_formula,
     strip_labels,
@@ -174,33 +175,36 @@ def display_text(ds: DisplaySequent) -> str:
 
 # ---------------------------------------------------------------- parsing
 
-def _structure(cur: _Cursor) -> Structure:
+# Like the formula grammar, each rule returns the structure it read with
+# the depth of its tree above the leaf formulas, and `_join` bounds it, so
+# a comma chain of any length cannot outgrow the interpreter stack.
+
+def _structure(cur: _Cursor) -> tuple[Structure, int]:
     x = _resid(cur)
     while cur.peek() == ",":
         cur.take()
-        x = SComma(x, _resid(cur))
+        x = _join(SComma, x, _resid(cur), "structure")
     return x
 
 
-def _resid(cur: _Cursor) -> Structure:
+def _resid(cur: _Cursor) -> tuple[Structure, int]:
     x = _item(cur)
     if cur.peek() in (">", "<"):
         op = cur.take()
-        y = _item(cur)
-        return SGt(x, y) if op == ">" else SLt(x, y)
+        return _join(SGt if op == ">" else SLt, x, _item(cur), "structure")
     return x
 
 
-def _item(cur: _Cursor) -> Structure:
+def _item(cur: _Cursor) -> tuple[Structure, int]:
     tok = cur.peek()
     if tok == "Phi":
         cur.take()
-        return SPhi()
+        return SPhi(), 0
     # A leading '(' is ambiguous between a parenthesised formula and a
     # parenthesised structure; try the formula reading first.
     start = cur.i
     try:
-        return SLeaf(_formula(cur))
+        return SLeaf(_formula(cur)), 0
     except ParseError:
         cur.i = start
     if tok == "(":
@@ -213,16 +217,16 @@ def _item(cur: _Cursor) -> Structure:
 
 def parse_structure(text: str) -> Structure:
     cur = _Cursor(text)
-    x = _structure(cur)
+    x = _structure(cur)[0]
     cur.end()
     return x
 
 
 def parse_display(text: str) -> DisplaySequent:
     cur = _Cursor(text)
-    ant = _structure(cur)
+    ant = _structure(cur)[0]
     cur.expect("|-", "expected '|-'")
-    suc = _structure(cur)
+    suc = _structure(cur)[0]
     cur.end()
     return DisplaySequent(ant, suc)
 
@@ -510,7 +514,7 @@ def dc_rule_applies(rule: str, c: DisplaySequent, ps: tuple[DisplaySequent, ...]
                 case SComma(left=SGt(left=x, right=y), right=z):
                     return c == DisplaySequent(p.ant, SGt(x, SComma(y, z)))
             return False
-    raise CheckError(f"unknown rule {rule!r}")
+    raise CheckError(f"unknown rule {_clip(rule)}")
 
 
 def _verify_dc(node: ProofNode, logic: str, c: DisplaySequent) -> None:
@@ -518,7 +522,7 @@ def _verify_dc(node: ProofNode, logic: str, c: DisplaySequent) -> None:
     # conclusion is stripped once: here as a premise of its parent
     rule = node.rule
     if rule not in DC_RULES:
-        raise CheckError(f"unknown rule {rule!r}")
+        raise CheckError(f"unknown rule {_clip(rule)}")
     if len(node.premises) != DC_RULES[rule]:
         raise CheckError(
             f"rule {rule} expects {DC_RULES[rule]} premises, got {len(node.premises)}"
@@ -527,10 +531,10 @@ def _verify_dc(node: ProofNode, logic: str, c: DisplaySequent) -> None:
         if rule in DC_FILL_EXCLUDED:
             raise CheckError(f"rule {rule} is not available in FILL")
         if not is_fill_display(c):
-            raise CheckError(f"sequent leaves FILL: {display_text(c)}")
+            raise CheckError(f"sequent leaves FILL: {_clip(display_text(c))}")
     ps = tuple(strip_display(p.conclusion) for p in node.premises)
     if not dc_rule_applies(rule, c, ps):
-        raise CheckError(f"rule {rule} does not derive {display_text(c)} from its premises")
+        raise CheckError(f"rule {rule} does not derive {_clip(display_text(c))} from its premises")
     for p, pc in zip(node.premises, ps):
         _verify_dc(p, logic, pc)
 

@@ -266,8 +266,9 @@ class _Cursor:
     character is a ParseError.  Tokens are read longest first (`|-` before
     `|`, `-<` before `<`), which changes no valid input, and each grammar
     rejects the tokens it does not use.  Brackets nest at most
-    `_MAX_NESTING` deep, and so does each parsed formula tree, so neither a
-    parse nor a later walk of its result runs out of interpreter stack.
+    `_MAX_NESTING` deep, and so does each parsed formula tree and each
+    display structure tree (above its leaf formulas), so neither a parse nor
+    a later walk of its result runs out of interpreter stack.
 
     A grammar that must retry from an earlier position saves `i` and
     assigns it back."""
@@ -300,12 +301,13 @@ def _formula(cur: _Cursor) -> Formula:
 
 # Each rule below returns the formula it read with the depth of its tree,
 # and `_join` builds every connective node, so no tree grows past
-# `_MAX_NESTING` levels.
+# `_MAX_NESTING` levels.  The display grammar builds its structure nodes
+# with `_join` too.
 
-def _join(cls, left: tuple[Formula, int], right: tuple[Formula, int]) -> tuple[Formula, int]:
+def _join(cls, left: tuple, right: tuple, what: str = "formula") -> tuple:
     depth = 1 + max(left[1], right[1])
     if depth > _MAX_NESTING:
-        raise ParseError(f"formula nests deeper than {_MAX_NESTING}")
+        raise ParseError(f"{what} nests deeper than {_MAX_NESTING}")
     return cls(left[0], right[0]), depth
 
 

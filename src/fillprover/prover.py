@@ -10,6 +10,49 @@ completeness bound: every provable goal has a proof inside it, so exhausting
 it refutes.  Only when a caller supplies a smaller budget does a failure
 that hit the cutoff come back as `budget_limited` instead of `refuted`,
 and such failures never enter the failure cache.
+
+Invertible rules first.  Where a unary logical rule (`i_l`, `bot_r`,
+`tensor_l`, `par_r`, `lolli_r`, `excl_l`) applies anywhere in a state,
+`deep_moves` offers only the first such unfolding, so the search commits to
+it: when its premise fails, the state fails, with no backtracking into
+branch splits or propagations.  That first unfolding was already tried
+before anything else, so the commitment only prunes the alternatives tried
+after it has failed; when none of them could have succeeded either, the
+search finds the same proofs as before.  Why none could, and where the
+argument stops:
+
+- The two sequents read as equivalent formulas.  `tau_s` reads a node
+  `Gamma => Delta` as the tensor of `Gamma` (`1` when empty) implying the par
+  of `Delta` (`bot` when empty), a right child as `-o` and a left child as
+  `-<`.  `i_l` and `bot_r` drop a unit from that tensor or par (the unit
+  laws); `tensor_l` and `par_r` put `A, B` in place of `A*B` or `A|B`
+  (associativity, and commutativity because sides are sorted multisets);
+  `lolli_r` and `excl_l` put the child `[A => B]` in place of `A -o B` or
+  `A -< B`, which `tau_s` reads back as that very formula.  So the node's
+  reading in the premise and in the conclusion are provably equivalent in
+  BiILL, and since every connective of the surrounding context is monotone
+  or antitone in each argument, so are the readings of the whole trees.
+- By the paper's soundness and completeness of the deep calculus for BiILL
+  (a sequent is dn-provable exactly when its `tau_s` reading is a BiILL
+  theorem), the premise is provable exactly when the conclusion is.  The
+  FILL search agrees because the FILL fragment is conservative: a FILL
+  sequent that BiILL proves has a dn proof inside FILL.
+- The budgets are not covered by that argument.  For the hop cap the
+  unfolding does no harm: the premise keeps every other occurrence with its
+  counter and its new occurrences start at 0.  But a proof of the
+  conclusion within the branch-length budget may propagate the principal
+  formula before unfolding it, and a `-o` or `-<` unfolded first leaves a
+  child that no rule moves, so that proof need not permute into a proof of
+  the premise one step shorter.  That the derived budget still suffices
+  after the commitment is therefore not proved here; it rests on evidence:
+  the 39,420 formulas of the size-3 corpus over `p, q` get the same BiILL
+  verdicts (and the 12,460 without exclusion the same FILL verdicts), and
+  their BiILL proofs the same size and branch length, as with full
+  backtracking, and Bierman's formula gets the same FILL proof.
+  Under a caller's smaller budget the commitment can only turn more
+  searches into `budget_limited`, never a provable goal into `refuted`
+  by a cutoff, because a failure that hit the cutoff still taints every
+  state on its path back to the root.
 """
 
 from __future__ import annotations

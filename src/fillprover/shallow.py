@@ -29,8 +29,8 @@ from collections import Counter
 from itertools import chain
 
 from .certs import CheckError, LOGICS, ProofNode, proof_size, stack_room
-from .deep import _LOGICAL, _SPLIT, _branch_conclusion, _principals, _unfold
-from .formula import Atom, UnitBot, UnitI
+from .deep import _LOGICAL, _SPLIT, _branch_conclusion, _principals, _quoted, _unfold
+from .formula import Atom, UnitBot, UnitI, _clip
 from .sequent import (
     Context,
     Hole,
@@ -193,7 +193,7 @@ def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
                 k1 == Sequent(k0.left, k0.right + side_remove(p.right, [k0]))
                 for k0 in child_seqs(p.right)
             )
-    raise CheckError(f"unknown rule {rule!r}")
+    raise CheckError(f"unknown rule {_clip(rule)}")
 
 
 def _verify_sn(node: ProofNode, logic: str, c: Sequent) -> None:
@@ -201,7 +201,7 @@ def _verify_sn(node: ProofNode, logic: str, c: Sequent) -> None:
     # normalised once: here as a premise of its parent
     rule = node.rule
     if rule not in SN_RULES:
-        raise CheckError(f"unknown rule {rule!r}")
+        raise CheckError(f"unknown rule {_clip(rule)}")
     if len(node.premises) != SN_RULES[rule]:
         raise CheckError(
             f"rule {rule} expects {SN_RULES[rule]} premises, got {len(node.premises)}"
@@ -210,13 +210,10 @@ def _verify_sn(node: ProofNode, logic: str, c: Sequent) -> None:
         if rule in SN_FILL_EXCLUDED:
             raise CheckError(f"rule {rule} is not available in FILL")
         if not is_fill_sequent(c):
-            raise CheckError(f"sequent leaves FILL: {sequent_text(node.conclusion)}")
+            raise CheckError(f"sequent leaves FILL: {_quoted(node.conclusion)}")
     ps = tuple(_norm(p.conclusion) for p in node.premises)
     if not _applies(rule, c, ps):
-        raise CheckError(
-            f"rule {rule} does not derive {sequent_text(strip_sequent(node.conclusion))}"
-            " from its premises"
-        )
+        raise CheckError(f"rule {rule} does not derive {_quoted(node.conclusion)} from its premises")
     for p, pc in zip(node.premises, ps):
         _verify_sn(p, logic, pc)
 

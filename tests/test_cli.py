@@ -153,6 +153,30 @@ def test_untrusted_text_is_a_one_line_exit_2(tmp_path, capsys, key, raw, prefix)
     assert len(err.encode()) < 1_000
 
 
+@pytest.mark.parametrize(
+    "calculus, rule, conclusion, code, prefix",
+    [
+        ("dc", "id", ", ".join(["a"] * 40_000) + " |- a", 2, "malformed certificate: "),
+        ("sn", "id", ", ".join(["a"] * 40_000) + " => a", 1, "check failed: "),
+        ("dn", "x" * 100_000, "a => a", 1, "check failed: "),
+        ("sn", "x" * 100_000, "a => a", 1, "check failed: "),
+        ("dc", "x" * 100_000, "a |- a", 1, "check failed: "),
+    ],
+    ids=["dc-commas", "sn-atoms", "dn-rule", "sn-rule", "dc-rule"],
+)
+def test_huge_one_node_certificate_gets_one_short_line(tmp_path, capsys, calculus, rule, conclusion, code, prefix):
+    # a whole certificate, where the test above edits a dn one: a 40,000-long
+    # comma chain in a display structure, or a sequent or rule name that no
+    # message may quote in full
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"calculus": calculus, "proof": {"rule": rule, "conclusion": conclusion}}))
+    capsys.readouterr()
+    assert run("check", str(path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert len(err.encode()) < 1_000
+
+
 def test_check_json_nested_past_the_c_stack_is_exit_2(tmp_path):
     # in a child process: a C stack overflow would kill the interpreter
     path = tmp_path / "cert.json"

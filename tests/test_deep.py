@@ -55,6 +55,13 @@ def test_lolli_r_creates_labelled_child():
     assert sequent_text(strip_sequent(lolli[0].premises[0])) == "=> [a => b]@1"
 
 
+def test_unary_move_is_the_only_move():
+    # tensor_r would apply too, but tensor_l is invertible
+    ms = moves_of("a*b => c*d")
+    assert [m.rule for m in ms] == ["tensor_l"]
+    assert sequent_text(strip_sequent(ms[0].premises[0])) == "a, b => c*d"
+
+
 def test_branch_moves_split_material():
     ms = moves_of("c => a*b, d")
     tensor = [m for m in ms if m.rule == "tensor_r"]
@@ -213,7 +220,7 @@ def test_wrong_child_origin_rejected():
         N("id", "=> [a => b]@2", {"context": "=> _", "principal": "a"}),
     )
     # the rule applies; what is wrong is the stated premise
-    with pytest.raises(CheckError, match=r"premise mismatch at lolli_r: stated => \[a => b\]@2, derived => \[a => b\]@1"):
+    with pytest.raises(CheckError, match=r"premise mismatch at lolli_r: stated '=> \[a => b\]@2', derived '=> \[a => b\]@1'"):
         check_dn_proof(bad)
 
 

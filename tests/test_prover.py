@@ -86,6 +86,8 @@ def test_nested_example_proves():
     assert d.status == "proved"
     check_dn_proof(d.proof, "fill")
     assert proof_size(d.proof) <= 4 * formula_size(f) ** 4
+    # the unary rules are committed to, so their alternatives are never tried
+    assert d.visited == 7_668
 
 
 def test_budget_arithmetic():
