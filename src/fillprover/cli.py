@@ -30,7 +30,7 @@ from .certs import (
     proof_size,
     read_certificate,
 )
-from .deep import check_dn_proof
+from .deep import check_dn_proof, endsequent_for
 from .display import check_dc_proof, parse_display
 from .formula import (
     Atom,
@@ -49,7 +49,7 @@ from .formula import (
     parse_formula,
 )
 from .prover import SearchBudget, decide_formula
-from .sequent import parse_sequent, tau_s
+from .sequent import parse_sequent, signed_atom_count, tau_s
 from .shallow import check_sn_proof
 from .translate import (
     TranslationError,
@@ -90,6 +90,20 @@ def _read_cert_file(path: str):
         return None
 
 
+def _times(n: int) -> str:
+    return f"{n} time" if n == 1 else f"{n} times"
+
+
+def _imbalance(f: Formula) -> str:
+    """Why the formula cannot be provable, when its atoms alone say so: the
+    first atom, in name order, that occurs more often with one polarity
+    than with the other.  Empty for a balanced formula."""
+    for name, (neg, pos) in sorted(signed_atom_count(endsequent_for(f)).items()):
+        if neg != pos:
+            return f": atom {name} occurs {_times(neg)} negatively, {_times(pos)} positively"
+    return ""
+
+
 def cmd_prove(args) -> int:
     try:
         f = parse_formula(args.formula)
@@ -109,7 +123,7 @@ def cmd_prove(args) -> int:
         print(f"Proved ({decision.visited} states visited)", file=sys.stderr)
         return 0
     if decision.status == "refuted":
-        print("Unprovable", file=sys.stderr)
+        print(f"Unprovable{_imbalance(f)}", file=sys.stderr)
     else:
         print("Budget exhausted before a decision", file=sys.stderr)
     return 1

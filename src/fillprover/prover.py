@@ -9,7 +9,9 @@ that is linear-times-arrow-count in the goal size.  The derived budget is a
 completeness bound: every provable goal has a proof inside it, so exhausting
 it refutes.  Only when a caller supplies a smaller budget does a failure
 that hit the cutoff come back as `budget_limited` instead of `refuted`,
-and such failures never enter the failure cache.
+and such failures never enter the failure cache.  Two further cuts need no
+budget at all: unary rules are committed to, and states whose atoms do not
+balance are never searched (both argued below).
 
 Invertible rules first.  Where a unary logical rule (`i_l`, `bot_r`,
 `tensor_l`, `par_r`, `lolli_r`, `excl_l`) applies anywhere in a state,
@@ -48,11 +50,75 @@ argument stops:
   the 39,420 formulas of the size-3 corpus over `p, q` get the same BiILL
   verdicts (and the 12,460 without exclusion the same FILL verdicts), and
   their BiILL proofs the same size and branch length, as with full
-  backtracking, and Bierman's formula gets the same FILL proof.
+  backtracking, and Bierman's formula gets the same FILL proof (in 7,668
+  states, 12,887 before the commitment, and 16 once the balance prune
+  below is added).
   Under a caller's smaller budget the commitment can only turn more
   searches into `budget_limited`, never a provable goal into `refuted`
   by a cutoff, because a failure that hit the cutoff still taints every
   state on its path back to the root.
+
+Atom balance.  `signed_atom_count` gives each atom of a sequent its
+negative and positive occurrences, counted over the whole tree:
+
+    position of the occurrence          polarity
+    item on a node's left side          negative, at every depth
+    item on a node's right side         positive, at every depth
+    either argument of `*` or `|`       that of the connective
+    antecedent of `-o`                  flipped
+    consequent of `-o`                  that of the connective
+    left argument of `-<`               that of the connective
+    right argument of `-<`              flipped
+
+A sequent is balanced when every atom occurs as often negatively as
+positively.  Lemma: every provable sequent is balanced.  Proof, by
+induction on the dn proof, reading each rule bottom-up:
+
+- Unary logical rules keep the count.  `i_l` and `bot_r` drop a unit,
+  which holds no atom.  `tensor_l` and `par_r` put `A, B` on the side that
+  held `A*B` or `A|B`, where both keep the polarity.  `lolli_r` puts
+  `A -o B` (positive) as a right child `[A => B]`: `A` was flipped to
+  negative and now sits on a left side, `B` stays positive on a right
+  side.  `excl_l` puts `A -< B` (negative) as a left child `[A => B]`: `A`
+  stays negative on a left side, `B` was flipped to positive and now sits
+  on a right side.
+- Propagation rules keep the count: the occurrence crosses one boundary
+  but stays on a left side or a right side, and nothing else moves.
+- Branch rules split it: each item of the context and of the rewritten
+  node goes to exactly one premise, `A` and `B` go to the sides `_SPLIT`
+  names, and those sides carry the polarity the principal formula gave
+  them (for `lolli_l` on the left, `A` flipped to positive on a right side
+  and `B` negative on a left side; for `excl_r` on the right, `A` positive
+  on a right side and `B` flipped to negative on a left side).  So the two
+  premises' counts add up to the conclusion's.
+- Axioms: `bot_l` and `i_r` close a tree whose only occurrence is a unit,
+  so it holds no atom; `id` closes a tree whose only occurrences are one
+  atom on a left side and the same atom on the right side of that node,
+  one negative and one positive.  Every leaf is balanced.
+
+So whenever all premises of a rule are balanced, its conclusion is too,
+and balance climbs from the leaves of any proof to its root.
+
+`_search` applies the lemma twice.  An unbalanced goal is refuted before
+any state is visited.  In `dfs`, a branch move whose first premise is
+unbalanced is skipped before either premise is searched.  Every state
+`dfs` visits is balanced (the goal is, unary and propagation premises keep
+the count, and a branch move is taken only with a balanced first premise),
+so the second premise is balanced exactly when the first is, and checking
+the first suffices.  Only unprovable premises are skipped, and the moves
+of a state are still tried in the same order, so the first move whose
+premises all succeed, and with it every proof, verdict and certificate,
+stays the same.  The memo tables may now meet a state first by another
+path, which changes nothing either: a state's proof is its first move
+whose premises all succeed, whichever path reaches it, unless the depth
+cutoff fires inside its search (at the derived budget it fires, across the
+size-3 corpus and Bierman, only at the empty sequent, which has no move).
+A skipped move is never searched, so it never taints its
+state.  Under a caller's smaller budget (`--budget-override`) a goal can
+therefore come back `refuted` where it used to come back `budget_limited`:
+an unbalanced goal always, and a balanced one whose searches hit the
+cutoff only inside unbalanced branch premises.  That answer is right,
+since the skipped premises are unprovable at any budget.
 """
 
 from __future__ import annotations
@@ -62,9 +128,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certs import ProofNode
-from .deep import deep_moves, endsequent_for
+from .deep import BRANCH_RULES, deep_moves, endsequent_for
 from .formula import Formula, arrow_count, formula_size, is_fill_formula
-from .sequent import Sequent, is_fill_sequent, label_sequent, strip_sequent, tau_s
+from .sequent import (
+    Sequent,
+    is_fill_sequent,
+    label_sequent,
+    signed_atom_count,
+    strip_sequent,
+    tau_s,
+)
 
 __all__ = ["SearchBudget", "Decision", "decide_formula", "decide_sequent"]
 
@@ -128,7 +201,13 @@ def _covers(budget: SearchBudget, derived: SearchBudget) -> bool:
     )
 
 
+def _balanced(s: Sequent) -> bool:
+    return all(neg == pos for neg, pos in signed_atom_count(s).values())
+
+
 def _search(s0: Sequent, logic: str, budget: SearchBudget, complete: bool) -> Decision:
+    if not _balanced(s0):
+        return Decision("refuted", None, budget, 0)
     success: dict[Sequent, ProofNode] = {}
     failed: set[Sequent] = set()
     visited = 0
@@ -145,6 +224,9 @@ def _search(s0: Sequent, logic: str, budget: SearchBudget, complete: bool) -> De
         visited += 1
         tainted_any = False
         for move in deep_moves(s, logic, budget.hop_cap):
+            # s is balanced, so the second premise is when the first is
+            if move.rule in BRANCH_RULES and not _balanced(move.premises[0]):
+                continue
             subproofs = []
             ok = True
             tainted_move = False

@@ -27,6 +27,7 @@ from itertools import chain, permutations, product
 from typing import Iterator, Union
 
 from .formula import (
+    Atom,
     Formula,
     Lolli,
     Excl,
@@ -71,6 +72,7 @@ __all__ = [
     "context_decompose",
     "tau_s",
     "tau_a",
+    "signed_atom_count",
     "merge_sequents",
     "merge_contexts",
     "enumerate_partitions",
@@ -495,6 +497,36 @@ def tau_s(s: Sequent) -> Formula:
 def tau_a(s: Sequent) -> Formula:
     """Read a sequent as an exclusion, same treatment of the sides."""
     return strip_labels(_tau(s, Excl))
+
+
+def signed_atom_count(s: Sequent) -> dict[str, tuple[int, int]]:
+    """Atom name -> (negative, positive) occurrences in the whole tree.  An
+    item on a node's left side is negative and one on its right side is
+    positive, at every depth; the antecedent of `-o` and the right argument
+    of `-<` flip the polarity, every other argument keeps it.  So a
+    left-nested child reads as `-<` and a right-nested one as `-o`, as under
+    `tau_s`.  Every provable sequent is balanced: each atom occurs as often
+    negatively as positively (see the `prover` module docstring)."""
+    counts: dict[str, list[int]] = {}
+    # (item, polarity): 0 negative, 1 positive, the index into the counts
+    todo: list = [(it, 0) for it in s.left] + [(it, 1) for it in s.right]
+    while todo:
+        x, pol = todo.pop()
+        match x:
+            case Occ(formula=f):
+                todo.append((f, pol))
+            case Sequent(left=l, right=r):
+                todo.extend((it, 0) for it in l)
+                todo.extend((it, 1) for it in r)
+            case Atom(name=n):
+                counts.setdefault(n, [0, 0])[pol] += 1
+            case Tensor(left=a, right=b) | Par(left=a, right=b):
+                todo += ((a, pol), (b, pol))
+            case Lolli(left=a, right=b):
+                todo += ((a, 1 - pol), (b, pol))
+            case Excl(left=a, right=b):
+                todo += ((a, pol), (b, 1 - pol))
+    return {n: (c[0], c[1]) for n, c in counts.items()}
 
 
 # ------------------------------------------------------ merging and splits

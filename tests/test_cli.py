@@ -16,6 +16,7 @@ from fillprover.sequent import parse_sequent
 from fillprover.shallow import check_sn_proof
 
 BIERMAN = "(a|b)|c -o a | ((b|c -o d)|e -o d|e)"
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv):
@@ -47,6 +48,26 @@ def test_prove_unprovable_is_exit_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Unprovable" in captured.err
+
+
+def test_prove_reproduces_the_golden_bierman_certificate(tmp_path):
+    out = tmp_path / "cert.json"
+    assert run("prove", "--logic", "fill", BIERMAN, "--out", str(out)) == 0
+    assert out.read_bytes() == (DATA / "bierman.fill.dn.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "formula, line",
+    [
+        ("a -o a*a", "Unprovable: atom a occurs 1 time negatively, 2 times positively"),
+        ("b*a*a -o a*c", "Unprovable: atom a occurs 2 times negatively, 1 time positively"),
+        ("(p -< q) -o p", "Unprovable: atom q occurs 0 times negatively, 1 time positively"),
+        ("a*b -o a|b", "Unprovable"),
+    ],
+)
+def test_prove_names_the_first_unbalanced_atom(capsys, formula, line):
+    assert run("prove", formula) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_prove_non_fill_formula_is_exit_2():

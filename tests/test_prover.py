@@ -1,12 +1,20 @@
-"""The decision procedure: known theorems, known non-theorems, budgets."""
+"""The decision procedure: known theorems, known non-theorems, budgets,
+and the atom balance that every provable sequent has."""
+
+import gzip
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fillprover.deep import check_dn_proof, proof_stays_in_fill
+from fillprover.deep import LEAF_RULES, DN_RULES, check_dn_proof, deep_moves, endsequent_for, proof_stays_in_fill
 from fillprover.certs import proof_size
-from fillprover.formula import formula_size, parse_formula
+from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, formula_size, parse_formula
 from fillprover.prover import SearchBudget, decide_formula, decide_sequent
-from fillprover.sequent import parse_sequent
+from fillprover.sequent import Occ, Sequent, label_sequent, parse_sequent, signed_atom_count, strip_sequent
+
+VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus_p_q_3.tsv.gz"
 
 # theorems of FILL (so of BiILL too)
 FILL_THEOREMS = [
@@ -86,8 +94,9 @@ def test_nested_example_proves():
     assert d.status == "proved"
     check_dn_proof(d.proof, "fill")
     assert proof_size(d.proof) <= 4 * formula_size(f) ** 4
-    # the unary rules are committed to, so their alternatives are never tried
-    assert d.visited == 7_668
+    # the unary rules are committed to, so their alternatives are never
+    # tried, and branch splits whose atoms do not balance are skipped
+    assert d.visited == 16
 
 
 def test_budget_arithmetic():
@@ -106,6 +115,12 @@ def test_tiny_budget_reports_budget_limited():
     assert d.proof is None
 
 
+def test_unbalanced_goal_is_refuted_under_any_budget():
+    # the prune needs no budget, so a starved search still refutes it
+    d = decide_formula(parse_formula("a*b -o a"), "fill", SearchBudget(1, 0))
+    assert d.status == "refuted" and d.visited == 0
+
+
 def test_decide_sequent():
     assert decide_sequent(parse_sequent("a, b => a*b")).proved
     assert decide_sequent(parse_sequent("a => a, [=>]@1")).proved
@@ -119,3 +134,125 @@ def test_proof_sizes_within_quartic_bound():
         f = parse_formula(text)
         d = decide_formula(f, "biill")
         assert proof_size(d.proof) <= 4 * formula_size(f) ** 4
+
+
+# ------------------------------------------------------------ atom balance
+
+def net_count(s):
+    """Atom -> positive minus negative occurrences, zeros left out."""
+    return {a: pos - neg for a, (neg, pos) in signed_atom_count(s).items() if pos != neg}
+
+
+def added(counts):
+    total = {}
+    for c in counts:
+        for a, n in c.items():
+            total[a] = total.get(a, 0) + n
+    return {a: n for a, n in total.items() if n}
+
+
+def test_signed_atom_count_polarities():
+    s = parse_sequent("a -o b, c -< d, [e => f -o g]@1 => h -< i, [j => k]@2")
+    assert signed_atom_count(s) == {
+        "a": (0, 1), "b": (1, 0), "c": (1, 0), "d": (0, 1),
+        "e": (1, 0), "f": (1, 0), "g": (0, 1),
+        "h": (0, 1), "i": (1, 0), "j": (1, 0), "k": (0, 1),
+    }
+    assert signed_atom_count(parse_sequent("a*b, a|1 => a, bot")) == {"a": (2, 1), "b": (1, 0)}
+
+
+def walk_moves(s0, limit):
+    """Check every move `deep_moves` yields from `s0` and from the states its
+    premises reach, breadth first, up to `limit` states; return the rules
+    seen."""
+    seen_rules, seen, todo = set(), {s0}, [s0]
+    while todo and len(seen) <= limit:
+        s = todo.pop(0)
+        for move in deep_moves(s, "biill", 1):
+            seen_rules.add(move.rule)
+            assert added(net_count(p) for p in move.premises) == net_count(s), move.rule
+            if move.rule in LEAF_RULES:
+                assert net_count(s) == {}
+            for p in move.premises:
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+    return seen_rules
+
+
+_leaf_formulas = st.one_of(st.sampled_from("a b".split()).map(Atom), st.just(UnitI()), st.just(UnitBot()))
+_small_formulas = st.recursive(
+    _leaf_formulas,
+    lambda ch: st.one_of(
+        st.builds(Tensor, ch, ch),
+        st.builds(Par, ch, ch),
+        st.builds(Lolli, ch, ch),
+        st.builds(Excl, ch, ch),
+    ),
+    max_leaves=3,
+)
+_sides = st.lists(_small_formulas.map(Occ), max_size=2)
+def _node(kids):
+    child = st.builds(lambda k, g: Sequent(k.left, k.right, g), kids, st.integers(1, 2))
+    return st.builds(
+        lambda l, r, lk, rk: Sequent(tuple(l + lk), tuple(r + rk)),
+        _sides,
+        _sides,
+        st.lists(child, max_size=1),
+        st.lists(child, max_size=1),
+    )
+
+
+_trees = st.recursive(st.builds(lambda l, r: Sequent(tuple(l), tuple(r)), _sides, _sides), _node, max_leaves=2)
+
+
+def material(s):
+    """Total formula size in the tree.  Unfolding never adds to it, so it
+    bounds how many occurrences a branch rule can split."""
+    return sum(
+        formula_size(it.formula) if isinstance(it, Occ) else material(it) for it in s.left + s.right
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees.filter(lambda s: material(s) <= 12))
+def test_every_move_keeps_the_signed_atom_count(tree):
+    walk_moves(label_sequent(tree), 40)
+
+
+FIXED_STARTS = [
+    "(a -o b) -o a -o b",
+    "bot -o bot",
+    "bot|1",
+    "a*b -o b*a",
+    "(a -< b) -< c -o a -< (b|c)",
+    "1 -o a|(bot*b) -o (a -o c) -< b",
+    "[a => b]@9, c -< a => [b*c => a]@8, a -o 1, bot|b",
+]
+
+
+def test_fixed_walks_keep_the_signed_atom_count_under_every_rule():
+    rules = set()
+    for text in FIXED_STARTS:
+        s = parse_sequent(text) if "=>" in text else endsequent_for(parse_formula(text))
+        rules |= walk_moves(label_sequent(strip_sequent(s)), 60)
+    assert rules == set(DN_RULES)
+
+
+def test_unbalanced_corpus_formulas_are_refuted_at_once():
+    """The committed size-3 table was decided by the search without the
+    balance prune; every formula it holds whose atoms do not balance is
+    unprovable there in both logics, and the search refutes it now without
+    visiting a state."""
+    rows = gzip.decompress(VERDICTS.read_bytes()).decode("utf-8").splitlines()
+    unbalanced = 0
+    for row in rows:
+        text, fill, biill = row.split("\t")[:3]
+        f = parse_formula(text)
+        if not net_count(Sequent((), (Occ(f),))):  # labels do not change it
+            continue
+        unbalanced += 1
+        assert biill == "unprovable" and fill in ("unprovable", "-"), text
+        d = decide_formula(f, "biill")
+        assert d.status == "refuted" and d.visited == 0, text
+    assert unbalanced > len(rows) // 2
