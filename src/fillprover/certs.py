@@ -49,6 +49,7 @@ __all__ = [
     "proof_size",
     "branch_length",
     "postorder",
+    "cut_loops",
     "stack_room",
     "context_text",
     "parse_context",
@@ -146,6 +147,66 @@ def postorder(node: ProofNode) -> Iterator[ProofNode]:
         else:
             stack.append((cur, True))
             stack.extend((p, False) for p in reversed(cur.premises))
+
+
+def _kept(node: ProofNode) -> list:
+    """The nodes that survive of the one-premise chain starting at `node`,
+    from the bottom up to its base, the first node without exactly one
+    premise: each node gives way to the highest node of the chain with
+    the same conclusion."""
+    chain = [node]
+    while len(node.premises) == 1:
+        node = node.premises[0]
+        chain.append(node)
+    highest = {n.conclusion: i for i, n in enumerate(chain)}
+    kept = []
+    i = 0
+    while i < len(chain):
+        i = highest[chain[i].conclusion]
+        kept.append(chain[i])
+        i += 1
+    return kept
+
+
+def cut_loops(root: ProofNode) -> ProofNode:
+    """The proof with every detour inside a one-premise chain cut out.
+
+    When a node's conclusion equals (strictly, labels, origins and hops
+    included) the conclusion of a node higher up the same chain of
+    one-premise nodes, or of the chain's base, the proof above the higher
+    node takes the lower node's place, and the nodes in between go.  Rules
+    and witnesses of the surviving nodes are kept, and the root's
+    conclusion does not change.  Afterwards no chain repeats a conclusion.
+
+    Cutting keeps a proof a proof.  The sn and dc checkers judge a node by
+    its own conclusion and the conclusions of its premises, and a surviving
+    node's premise now concludes exactly what its old premise did, so each
+    remaining node is checked against the same data as before.  The dn
+    checker also matches witnesses against the labels it carries down from
+    the root; conclusions are compared with their labels, so a surviving
+    premise carries the same labelled sequent as the one it replaces.
+
+    The walk uses explicit stacks and one dict per chain, so it takes time
+    linear in the proof and no recursion."""
+    frames = []  # the surviving nodes of each chain, in preorder of chains
+    todo = [root]
+    while todo:
+        kept = _kept(todo.pop())
+        frames.append(kept)
+        todo.extend(reversed(kept[-1].premises))
+    done: list[ProofNode] = []  # rebuilt chains; a base's first premise on top
+    for kept in reversed(frames):
+        base = kept[-1]
+        kids = tuple(done.pop() for _ in base.premises)
+        node = base
+        if any(new is not old for new, old in zip(kids, base.premises)):
+            node = ProofNode(base.rule, base.conclusion, kids, base.witness)
+        for below in reversed(kept[:-1]):
+            if below.premises[0] is not node:
+                below = ProofNode(below.rule, below.conclusion, (node,), below.witness)
+            node = below
+        done.append(node)
+    return done[0]
 
 
 def context_text(ctx: Context) -> str:

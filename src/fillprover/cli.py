@@ -9,9 +9,10 @@ formulas up to a connective bound and decides each in both logics, and
 Exit statuses: 0 when the request succeeds, 1 when it fails on the merits
 (unprovable formula, rejected proof, cut-bearing input declined, a
 translation its target checker rejects, which writes no output), 2 for
-usage errors, unparseable input, malformed certificates, and fragment
-violations.  Diagnostics go to standard error; certificates and records go
-to standard output or the --out path.
+usage errors, unparseable input, malformed certificates, fragment
+violations, and an --out path that cannot be written.  Diagnostics go to
+standard error; certificates and records go to standard output or the --out
+path.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from collections import Counter
 from contextlib import nullcontext
 
@@ -68,12 +70,23 @@ CORPUS_CAP = 8
 _CHECKERS = {"dn": check_dn_proof, "sn": check_sn_proof, "dc": check_dc_proof}
 
 
-def _emit(text: str, out: str | None) -> None:
+def _cannot_write(path: str, e: OSError) -> int:
+    print(f"cannot write {path}: {e}", file=sys.stderr)
+    return 2
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Write `text` to standard output or the --out path: 0, or 2 after one
+    line saying why the path cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        return _cannot_write(out, e)
+    return 0
 
 
 def _read_cert_file(path: str):
@@ -119,7 +132,8 @@ def cmd_prove(args) -> int:
         print(str(e), file=sys.stderr)
         return 2
     if decision.proved:
-        _emit(certificate_text("dn", args.logic, decision.proof), args.out)
+        if _emit(certificate_text("dn", args.logic, decision.proof), args.out):
+            return 2
         print(f"Proved ({decision.visited} states visited)", file=sys.stderr)
         return 0
     if decision.status == "refuted":
@@ -169,6 +183,7 @@ def cmd_translate(args) -> int:
         print(f"certificate is already in {args.calculus}", file=sys.stderr)
         return 2
     logic = args.logic or cert.logic
+    start = time.perf_counter()
     try:
         out_root = _translated(cert.root, cert.calculus, args.calculus, logic)
     except TranslationError as e:
@@ -180,10 +195,12 @@ def cmd_translate(args) -> int:
     except CheckError as e:
         print(f"input certificate rejected: {e}", file=sys.stderr)
         return 1
-    _emit(certificate_text(args.calculus, "biill", out_root), args.out)
+    seconds = time.perf_counter() - start
+    if _emit(certificate_text(args.calculus, "biill", out_root), args.out):
+        return 2
     print(
         f"{cert.calculus} -> {args.calculus}: {proof_size(cert.root)} nodes "
-        f"in, {proof_size(out_root)} out",
+        f"in, {proof_size(out_root)} out, {seconds:.2f} s",
         file=sys.stderr,
     )
     return 0
@@ -250,7 +267,10 @@ def cmd_corpus(args) -> int:
     if not variables or any(not v.isalpha() or not v.islower() for v in variables):
         print("--vars needs a comma-separated list of lowercase names", file=sys.stderr)
         return 2
-    out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    try:
+        out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    except OSError as e:
+        return _cannot_write(args.out, e)
     n = 0
     with out as sink:
         for f in corpus_formulas(variables, args.max_size, args.logic):
@@ -284,8 +304,7 @@ def cmd_stats(args) -> int:
         "rules": dict(sorted(rules.items())),
         "budget": {"max_branch_length": budget.max_branch_length, "hop_cap": budget.hop_cap},
     }
-    _emit(json.dumps(record, indent=2) + "\n", args.out)
-    return 0
+    return _emit(json.dumps(record, indent=2) + "\n", args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

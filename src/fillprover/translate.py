@@ -44,7 +44,7 @@ from collections import Counter
 from itertools import count
 from typing import NamedTuple
 
-from .certs import CheckError, ProofNode, Witness, postorder, proof_size, stack_room
+from .certs import CheckError, ProofNode, Witness, cut_loops, postorder, proof_size, stack_room
 from .deep import (
     _LOGICAL,
     _SPLIT,
@@ -116,8 +116,17 @@ class TranslationError(Exception):
 
 
 def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
-    """`out`, once the target calculus's checker accepts it as a BiILL
-    proof of `expect`."""
+    """`out` with its loops cut, once the target calculus's checker
+    accepts it as a BiILL proof of `expect`.
+
+    Every translator leaves through here, so none can skip the cut, and
+    the checker judges the cut proof, not the one the translator built.
+    The cut (`cut_loops`) drops the nodes between two equal conclusions of
+    a one-premise chain.  A proof stays a proof: each checker judges a
+    node by its own conclusion and its premises' conclusions (the dn
+    checker by their labels too, which the equality includes), and a
+    surviving node's new premise concludes exactly what its old one did."""
+    out = cut_loops(out)
     try:
         check(out, "biill", expect)
     except CheckError as e:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fillprover
-from fillprover.certs import ProofNode, certificate_text, read_certificate
+from fillprover.certs import ProofNode, certificate_text, proof_size, read_certificate
 from fillprover.cli import CORPUS_CAP, corpus_formulas, main
 from fillprover.deep import check_dn_proof, check_separation
 from fillprover.display import check_dc_proof
@@ -251,6 +252,36 @@ def test_translate_chain_re_checks(tmp_path, capsys):
     back = read_certificate(capsys.readouterr().out)
     assert back.endsequent == "=> a*(b|c) -o (a*b)|c"
     check_dn_proof(back.root, back.logic)
+
+
+def test_translate_reports_sizes_and_time(tmp_path, capsys):
+    dn = tmp_path / "dn.json"
+    run("prove", "a*b -o b*a", "--out", str(dn))
+    capsys.readouterr()
+    assert run("translate", str(dn), "--calculus", "sn", "--out", str(tmp_path / "sn.json")) == 0
+    err = capsys.readouterr().err
+    m = re.fullmatch(r"dn -> sn: (\d+) nodes in, (\d+) out, \d+\.\d\d s\n", err)
+    assert m is not None, err
+    out = read_certificate((tmp_path / "sn.json").read_text()).root
+    assert (int(m[1]), int(m[2])) == (5, proof_size(out))
+
+
+@pytest.mark.parametrize("command", ["prove", "translate", "corpus"])
+def test_out_path_that_cannot_be_written_is_a_one_line_exit_2(tmp_path, capsys, command):
+    dn = tmp_path / "dn.json"
+    run("prove", "a -o a", "--out", str(dn))
+    bad = tmp_path / "no" / "such" / "x.json"
+    argv = {
+        "prove": ["prove", "a -o a"],
+        "translate": ["translate", str(dn), "--calculus", "sn"],
+        "corpus": ["corpus", "--max-size", "0"],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {bad}: ") and captured.err.count("\n") == 1
+    assert not bad.exists()
 
 
 def test_translate_same_calculus_is_exit_2(tmp_path):

@@ -79,6 +79,24 @@ def test_four_way_closure(text, logic):
     check_dn_proof(dn2, "biill", expect=endsequent_for(f))
     for p in (sn, dc, sn2, dn2):
         assert "cut" not in rules_of(p)
+    for p in (sn, dc, sn2):
+        assert not repeated_conclusions(p)
+    assert proof_size(dc) <= 4 * proof_size(sn)
+
+
+def repeated_conclusions(root):
+    """Conclusions that occur twice in one chain of one-premise nodes, the
+    node the chain ends on included."""
+    repeats = []
+    starts = [root] + [p for n in postorder(root) if len(n.premises) != 1 for p in n.premises]
+    for node in starts:
+        seen = {node.conclusion}
+        while len(node.premises) == 1:
+            node = node.premises[0]
+            if node.conclusion in seen:
+                repeats.append(node.conclusion)
+            seen.add(node.conclusion)
+    return repeats
 
 
 def test_nested_example_full_round_trip():
@@ -95,26 +113,29 @@ def test_frozen_translation_sizes():
     dn = proved("a -o a", "fill")
     sn = deep_to_shallow(dn, "fill")
     dc = shallow_to_display(sn)
-    assert (proof_size(dn), proof_size(sn), proof_size(dc)) == (2, 3, 10)
-    assert proof_size(display_to_shallow(dc)) == 9
+    assert (proof_size(dn), proof_size(sn), proof_size(dc)) == (2, 3, 6)
+    assert proof_size(display_to_shallow(dc)) == 3
     assert proof_size(shallow_to_deep(sn)) == 2
     sn = deep_to_shallow(proved("a*b -o a*b", "fill"), "fill")
-    assert proof_size(sn) == 26
+    assert proof_size(sn) == 22
     assert proof_size(shallow_to_deep(sn)) == 5
-
-
-def swap_dc_certificate():
     dc = shallow_to_display(deep_to_shallow(proved("a*b -o b*a", "fill"), "fill"))
+    assert proof_size(dc) == 67
+    assert proof_size(display_to_shallow(dc)) == 20
+
+
+def assoc_dc_certificate():
+    dc = shallow_to_display(deep_to_shallow(proved("a*(b*c) -o (a*b)*c", "fill"), "fill"))
     return dc, certificate_text("dc", "fill", dc)
 
 
 def test_certificates_are_written_compact():
-    dc, text = swap_dc_certificate()
+    dc, text = assoc_dc_certificate()
     assert proof_size(dc) > 100 and len(text.encode()) < 64 * 1024
 
 
 def test_indented_certificates_still_read():
-    _, text = swap_dc_certificate()
+    _, text = assoc_dc_certificate()
     indented = json.dumps(json.loads(text), indent=2)
     assert read_certificate(indented).root == read_certificate(text).root
 
