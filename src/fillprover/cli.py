@@ -13,6 +13,11 @@ usage errors, unparseable input, malformed certificates, fragment
 violations, and an --out path that cannot be written.  Diagnostics go to
 standard error; certificates and records go to standard output or the --out
 path.
+
+`main` can be called any number of times in one process, as the tests and
+the benchmark do.  It builds the argument parser once, on its first call,
+and no call leaves state behind for the next: each parse returns a fresh
+namespace.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
+from functools import cache
 
 from .certs import (
     CheckError,
@@ -32,7 +38,7 @@ from .certs import (
     proof_size,
     read_certificate,
 )
-from .deep import check_dn_proof, endsequent_for
+from .deep import check_dn_proof
 from .display import check_dc_proof, parse_display
 from .formula import (
     Atom,
@@ -111,7 +117,7 @@ def _imbalance(f: Formula) -> str:
     """Why the formula cannot be provable, when its atoms alone say so: the
     first atom, in name order, that occurs more often with one polarity
     than with the other.  Empty for a balanced formula."""
-    for name, (neg, pos) in sorted(signed_atom_count(endsequent_for(f)).items()):
+    for name, (neg, pos) in sorted(signed_atom_count(f).items()):
         if neg != pos:
             return f": atom {name} occurs {_times(neg)} negatively, {_times(pos)} positively"
     return ""
@@ -307,6 +313,7 @@ def cmd_stats(args) -> int:
     return _emit(json.dumps(record, indent=2) + "\n", args.out)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fillprover",
@@ -324,20 +331,17 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="replace the derived branch-length bound (testing only)",
     )
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("check", help="validate a certificate with its calculus checker")
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--calculus", choices=("dn", "sn", "dc"), help="require this calculus")
     p.add_argument("--logic", choices=("fill", "biill"), help="override the recorded logic")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("translate", help="rebuild a certificate in another calculus")
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--calculus", choices=("dn", "sn", "dc"), required=True, help="target calculus")
     p.add_argument("--logic", choices=("fill", "biill"), help="validate the input under this logic")
     p.add_argument("--out", metavar="PATH", help="certificate file (default stdout)")
-    p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("corpus", help="enumerate and decide formulas, one JSON record per line")
     p.add_argument("--max-size", type=int, default=2, metavar="N", help="connective bound")
@@ -349,14 +353,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="biill enumerates exclusion formulas too; decisions are always recorded for both",
     )
     p.add_argument("--out", metavar="PATH", help="records file (default stdout)")
-    p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("stats", help="size metrics and search budget for a certificate")
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--out", metavar="PATH", help="metrics file (default stdout)")
-    p.set_defaults(func=cmd_stats)
 
     return parser
+
+
+# looked up at every call rather than bound into the cached parser, so a
+# wrapper put in this table later (as perfbench's tracer does) is the one run
+_COMMANDS = {
+    "prove": cmd_prove,
+    "check": cmd_check,
+    "translate": cmd_translate,
+    "corpus": cmd_corpus,
+    "stats": cmd_stats,
+}
 
 
 def main(argv=None) -> int:
@@ -365,7 +378,7 @@ def main(argv=None) -> int:
     # deep user input a comfortable floor up front
     if sys.getrecursionlimit() < 30000:
         sys.setrecursionlimit(30000)
-    return args.func(args)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

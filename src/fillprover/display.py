@@ -234,22 +234,23 @@ def parse_display(text: str) -> DisplaySequent:
 # ------------------------------------------------------------- inspection
 
 def strip_structure(x: Structure) -> Structure:
+    """`x` with every arrow label 0.  Returns `x` itself when it has no
+    label to drop, and reuses every substructure that has none."""
     match x:
         case SLeaf(formula=f):
-            return SLeaf(strip_labels(f))
+            g = strip_labels(f)
+            return x if g is f else SLeaf(g)
         case SPhi():
             return x
-        case SComma(left=l, right=r):
-            return SComma(strip_structure(l), strip_structure(r))
-        case SGt(left=l, right=r):
-            return SGt(strip_structure(l), strip_structure(r))
-        case SLt(left=l, right=r):
-            return SLt(strip_structure(l), strip_structure(r))
+        case SComma(left=l, right=r) | SGt(left=l, right=r) | SLt(left=l, right=r):
+            sl, sr = strip_structure(l), strip_structure(r)
+            return x if sl is l and sr is r else type(x)(sl, sr)
     raise TypeError(f"not a structure: {x!r}")
 
 
 def strip_display(ds: DisplaySequent) -> DisplaySequent:
-    return DisplaySequent(strip_structure(ds.ant), strip_structure(ds.suc))
+    ant, suc = strip_structure(ds.ant), strip_structure(ds.suc)
+    return ds if ant is ds.ant and suc is ds.suc else DisplaySequent(ant, suc)
 
 
 def structure_formulas(x: Structure):

@@ -162,17 +162,17 @@ def arrow_count(f: Formula) -> int:
 
 
 def strip_labels(f: Formula) -> Formula:
+    """`f` with every arrow label 0.  Returns `f` itself when it has no
+    label to drop, and reuses every subformula that has none."""
     match f:
         case Atom() | UnitI() | UnitBot():
             return f
-        case Tensor(left=l, right=r):
-            return Tensor(strip_labels(l), strip_labels(r))
-        case Par(left=l, right=r):
-            return Par(strip_labels(l), strip_labels(r))
-        case Lolli(left=l, right=r):
-            return Lolli(strip_labels(l), strip_labels(r))
-        case Excl(left=l, right=r):
-            return Excl(strip_labels(l), strip_labels(r))
+        case Tensor(left=l, right=r) | Par(left=l, right=r):
+            sl, sr = strip_labels(l), strip_labels(r)
+            return f if sl is l and sr is r else type(f)(sl, sr)
+        case Lolli(left=l, right=r, label=k) | Excl(left=l, right=r, label=k):
+            sl, sr = strip_labels(l), strip_labels(r)
+            return f if k == 0 and sl is l and sr is r else type(f)(sl, sr)
     raise TypeError(f"not a formula: {f!r}")
 
 

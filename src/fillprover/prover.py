@@ -99,26 +99,27 @@ induction on the dn proof, reading each rule bottom-up:
 So whenever all premises of a rule are balanced, its conclusion is too,
 and balance climbs from the leaves of any proof to its root.
 
-`_search` applies the lemma twice.  An unbalanced goal is refuted before
-any state is visited.  In `dfs`, a branch move whose first premise is
-unbalanced is skipped before either premise is searched.  Every state
-`dfs` visits is balanced (the goal is, unary and propagation premises keep
-the count, and a branch move is taken only with a balanced first premise),
-so the second premise is balanced exactly when the first is, and checking
-the first suffices.  Only unprovable premises are skipped, and the moves
-of a state are still tried in the same order, so the first move whose
-premises all succeed, and with it every proof, verdict and certificate,
-stays the same.  The memo tables may now meet a state first by another
-path, which changes nothing either: a state's proof is its first move
-whose premises all succeed, whichever path reaches it, unless the depth
-cutoff fires inside its search (at the derived budget it fires, across the
-size-3 corpus and Bierman, only at the empty sequent, which has no move).
-A skipped move is never searched, so it never taints its
-state.  Under a caller's smaller budget (`--budget-override`) a goal can
-therefore come back `refuted` where it used to come back `budget_limited`:
-an unbalanced goal always, and a balanced one whose searches hit the
-cutoff only inside unbalanced branch premises.  That answer is right,
-since the skipped premises are unprovable at any budget.
+The search applies the lemma twice.  An unbalanced goal is refuted before
+any state is visited; `decide_formula` counts the atoms of the formula as
+given, so such a goal is never labelled.  In `dfs`, a branch move whose
+first premise is unbalanced is skipped before either premise is searched.
+Every state `dfs` visits is balanced (the goal is, unary and propagation
+premises keep the count, and a branch move is taken only with a balanced
+first premise), so the second premise is balanced exactly when the first
+is, and checking the first suffices.  Only unprovable premises are
+skipped, and the moves of a state are still tried in the same order, so
+the first move whose premises all succeed, and with it every proof,
+verdict and certificate, stays the same.  The memo tables may now meet a
+state first by another path, which changes nothing either: a state's proof
+is its first move whose premises all succeed, whichever path reaches it,
+unless the depth cutoff fires inside its search (at the derived budget it
+fires, across the size-3 corpus and Bierman, only at the empty sequent,
+which has no move).  A skipped move is never searched, so it never taints
+its state.  Under a caller's smaller budget (`--budget-override`) a goal
+can therefore come back `refuted` where it used to come back
+`budget_limited`: an unbalanced goal always, and a balanced one whose
+searches hit the cutoff only inside unbalanced branch premises.  That
+answer is right, since the skipped premises are unprovable at any budget.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def decide_formula(f: Formula, logic: str = "biill", budget: Optional[SearchBudg
     derived = SearchBudget.for_formula(f)
     if budget is None:
         budget = derived
+    if not _balanced(f):
+        return Decision("refuted", None, budget, 0)
     return _search(endsequent_for(f), logic, budget, _covers(budget, derived))
 
 
@@ -189,6 +192,8 @@ def decide_sequent(s: Sequent, logic: str = "biill", budget: Optional[SearchBudg
     derived = SearchBudget.for_formula(tau_s(s))
     if budget is None:
         budget = derived
+    if not _balanced(s):
+        return Decision("refuted", None, budget, 0)
     return _search(label_sequent(strip_sequent(s)), logic, budget, _covers(budget, derived))
 
 
@@ -201,13 +206,12 @@ def _covers(budget: SearchBudget, derived: SearchBudget) -> bool:
     )
 
 
-def _balanced(s: Sequent) -> bool:
+def _balanced(s: Sequent | Formula) -> bool:
     return all(neg == pos for neg, pos in signed_atom_count(s).values())
 
 
 def _search(s0: Sequent, logic: str, budget: SearchBudget, complete: bool) -> Decision:
-    if not _balanced(s0):
-        return Decision("refuted", None, budget, 0)
+    # s0 is balanced: both callers refute an unbalanced goal themselves
     success: dict[Sequent, ProofNode] = {}
     failed: set[Sequent] = set()
     visited = 0

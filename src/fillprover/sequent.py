@@ -401,21 +401,27 @@ def context_decompose(ctx: Context, tree: Sequent) -> Sequent | None:
 
 # --------------------------------------------------------------- labelling
 
+def _reuse(items: tuple, mapped: list) -> tuple:
+    """`items` itself when each mapped item is the item it came from, else
+    the mapped items: lets a normalising walk hand back unchanged input."""
+    return items if all(a is b for a, b in zip(items, mapped)) else tuple(mapped)
+
+
+def _strip_item(it: Item) -> Item:
+    if isinstance(it, Occ):
+        f = strip_labels(it.formula)
+        return it if f is it.formula and it.hops == 0 else Occ(f)
+    return strip_sequent(it) if isinstance(it, Sequent) else it
+
+
 def strip_sequent(s: Sequent) -> Sequent:
-    """Forget arrow labels and hop counts; origins stay."""
-
-    def go(items):
-        out = []
-        for it in items:
-            if isinstance(it, Occ):
-                out.append(Occ(strip_labels(it.formula)))
-            elif isinstance(it, Sequent):
-                out.append(strip_sequent(it))
-            else:
-                out.append(it)
-        return tuple(out)
-
-    return Sequent(go(s.left), go(s.right), s.origin)
+    """Forget arrow labels and hop counts; origins stay.  Returns `s` itself
+    when it has nothing to forget, and reuses every unchanged item."""
+    left = _reuse(s.left, [_strip_item(it) for it in s.left])
+    right = _reuse(s.right, [_strip_item(it) for it in s.right])
+    if left is s.left and right is s.right:
+        return s
+    return Sequent(left, right, s.origin)
 
 
 def strip_context(ctx: Context) -> Context:
@@ -499,17 +505,19 @@ def tau_a(s: Sequent) -> Formula:
     return strip_labels(_tau(s, Excl))
 
 
-def signed_atom_count(s: Sequent) -> dict[str, tuple[int, int]]:
+def signed_atom_count(s: Sequent | Formula) -> dict[str, tuple[int, int]]:
     """Atom name -> (negative, positive) occurrences in the whole tree.  An
     item on a node's left side is negative and one on its right side is
     positive, at every depth; the antecedent of `-o` and the right argument
     of `-<` flip the polarity, every other argument keeps it.  So a
     left-nested child reads as `-<` and a right-nested one as `-o`, as under
-    `tau_s`.  Every provable sequent is balanced: each atom occurs as often
-    negatively as positively (see the `prover` module docstring)."""
+    `tau_s`.  A bare formula counts as the sole succedent of an otherwise
+    empty sequent.  Arrow labels and hop counts play no part.  Every
+    provable sequent is balanced: each atom occurs as often negatively as
+    positively (see the `prover` module docstring)."""
     counts: dict[str, list[int]] = {}
     # (item, polarity): 0 negative, 1 positive, the index into the counts
-    todo: list = [(it, 0) for it in s.left] + [(it, 1) for it in s.right]
+    todo: list = [(s, 1)]
     while todo:
         x, pol = todo.pop()
         match x:

@@ -36,6 +36,7 @@ from .sequent import (
     Hole,
     Occ,
     Sequent,
+    _reuse,
     child_seqs,
     children_by_origin,
     hole_count,
@@ -97,12 +98,18 @@ SN_FILL_EXCLUDED = frozenset(
 
 
 def zero_origins(s: Sequent) -> Sequent:
+    """`s` with every origin 0.  Returns `s` itself when all already are,
+    and reuses every unchanged item."""
+
     def go(items):
-        return tuple(
-            zero_origins(it) if isinstance(it, Sequent) else it for it in items
+        return _reuse(
+            items, [zero_origins(it) if isinstance(it, Sequent) else it for it in items]
         )
 
-    return Sequent(go(s.left), go(s.right), 0)
+    left, right = go(s.left), go(s.right)
+    if left is s.left and right is s.right and s.origin == 0:
+        return s
+    return Sequent(left, right, 0)
 
 
 def _norm(s: Sequent) -> Sequent:

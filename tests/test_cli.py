@@ -397,3 +397,30 @@ def test_no_command_is_exit_2():
 
 def test_unknown_command_is_exit_2():
     assert run("frobnicate") == 2
+
+
+# main builds its parser once per process; no call may leave state behind
+
+
+def test_prove_logic_does_not_carry_over(capsys):
+    assert run("prove", "--logic", "fill", "p -o p") == 0
+    assert read_certificate(capsys.readouterr().out).logic == "fill"
+    assert run("prove", "p -o p") == 0
+    assert read_certificate(capsys.readouterr().out).logic == "biill"
+    assert fillprover.cli._build_parser.cache_info().misses == 1
+
+
+def test_usage_error_leaves_main_working(capsys):
+    assert run("prove", "--logic", "linear", "p -o p") == 2
+    assert run("prove", "p -o p") == 0
+    cert = read_certificate(capsys.readouterr().out)
+    assert cert.logic == "biill" and cert.endsequent == "=> p -o p"
+
+
+def test_check_calculus_does_not_carry_over(tmp_path):
+    dn = tmp_path / "dn.json"
+    sn = tmp_path / "sn.json"
+    assert run("prove", "a*b -o b*a", "--out", str(dn)) == 0
+    assert run("translate", str(dn), "--calculus", "sn", "--out", str(sn)) == 0
+    assert run("check", str(dn), "--calculus", "dn") == 0
+    assert run("check", str(sn)) == 0
