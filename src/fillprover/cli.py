@@ -4,7 +4,8 @@ Five subcommands: `prove` decides a formula and writes a deep-calculus
 certificate, `check` validates a certificate with the matching checker,
 `translate` rebuilds a certificate in another calculus, `corpus` enumerates
 formulas up to a connective bound and decides each in both logics, and
-`stats` reports size metrics for a certificate.
+`stats` reports size metrics for a certificate, with the branch bound and
+hop cap that dn search would have for its endsequent.
 
 Exit statuses: 0 when the request succeeds, 1 when it fails on the merits
 (unprovable formula, rejected proof, cut-bearing input declined, a
@@ -50,13 +51,12 @@ from .formula import (
     Tensor,
     UnitBot,
     UnitI,
-    arrow_count,
     formula_key,
     formula_text,
     is_fill_formula,
     parse_formula,
 )
-from .prover import SearchBudget, decide_formula
+from .prover import decide_formula, search_bounds
 from .sequent import parse_sequent, signed_atom_count, tau_s
 from .shallow import check_sn_proof
 from .translate import (
@@ -129,11 +129,8 @@ def cmd_prove(args) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    budget = None
-    if args.budget_override is not None:
-        budget = SearchBudget(args.budget_override, arrow_count(f))
     try:
-        decision = decide_formula(f, args.logic, budget)
+        decision = decide_formula(f, args.logic)
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
@@ -142,10 +139,7 @@ def cmd_prove(args) -> int:
             return 2
         print(f"Proved ({decision.visited} states visited)", file=sys.stderr)
         return 0
-    if decision.status == "refuted":
-        print(f"Unprovable{_imbalance(f)}", file=sys.stderr)
-    else:
-        print("Budget exhausted before a decision", file=sys.stderr)
+    print(f"Unprovable{_imbalance(f)}", file=sys.stderr)
     return 1
 
 
@@ -299,7 +293,7 @@ def cmd_stats(args) -> int:
         endsequent = read_display_sequent(parse_display(cert.endsequent))
     else:
         endsequent = parse_sequent(cert.endsequent)
-    budget = SearchBudget.for_formula(tau_s(endsequent))
+    hop_cap, branch_bound = search_bounds(tau_s(endsequent))
     rules = Counter(node.rule for node in postorder(cert.root))
     record = {
         "calculus": cert.calculus,
@@ -308,7 +302,8 @@ def cmd_stats(args) -> int:
         "nodes": proof_size(cert.root),
         "max_branch": branch_length(cert.root),
         "rules": dict(sorted(rules.items())),
-        "budget": {"max_branch_length": budget.max_branch_length, "hop_cap": budget.hop_cap},
+        "branch_bound": branch_bound,
+        "hop_cap": hop_cap,
     }
     return _emit(json.dumps(record, indent=2) + "\n", args.out)
 
@@ -325,12 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", help="formula text, e.g. 'a * (b | c) -o (a * b) | c'")
     p.add_argument("--logic", choices=("fill", "biill"), default="biill")
     p.add_argument("--out", metavar="PATH", help="certificate file (default stdout)")
-    p.add_argument(
-        "--budget-override",
-        type=int,
-        metavar="N",
-        help="replace the derived branch-length bound (testing only)",
-    )
 
     p = sub.add_parser("check", help="validate a certificate with its calculus checker")
     p.add_argument("certificate", help="certificate file")
@@ -354,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", metavar="PATH", help="records file (default stdout)")
 
-    p = sub.add_parser("stats", help="size metrics and search budget for a certificate")
+    p = sub.add_parser("stats", help="size metrics and dn search bounds for a certificate")
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--out", metavar="PATH", help="metrics file (default stdout)")
 

@@ -274,9 +274,10 @@ def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) 
     conclusion, so by soundness and completeness the premise is provable
     exactly when the conclusion is, and when the premise fails no other move
     can succeed.  The `prover` module docstring gives the argument and says
-    which part of it, the search budget, rests on evidence instead.  Branch
-    and propagation moves are built only for states no unary rule applies
-    to."""
+    which part of it rests on evidence instead: that the hop cap leaves room
+    for the premise when a proof of the conclusion propagates the principal
+    formula before unfolding it.  Branch and propagation moves are built
+    only for states no unary rule applies to."""
     fill = logic == "fill"
     ax = _axiom_move(s)
     if ax is not None:

@@ -3,15 +3,49 @@
 Backward search from the goal sequent, trying axioms first, then in-place
 unfolding, then branching splits, then propagation.  Search states are whole
 labelled sequents (hop counters included), so success and failure both
-memoize soundly.  Two budgets shape the search: a per-occurrence propagation
-cap equal to the number of arrows in the goal, and a branch-length bound
-that is linear-times-arrow-count in the goal size.  The derived budget is a
-completeness bound: every provable goal has a proof inside it, so exhausting
-it refutes.  Only when a caller supplies a smaller budget does a failure
-that hit the cutoff come back as `budget_limited` instead of `refuted`,
-and such failures never enter the failure cache.  Two further cuts need no
-budget at all: unary rules are committed to, and states whose atoms do not
-balance are never searched (both argued below).
+memoize soundly.  One bound shapes the search: a per-occurrence propagation
+cap `k`, the number of arrows in the goal's formula reading.  No branch is
+cut short by its length: every rule lowers a measure, so the search ends,
+and a state whose moves all fail is refuted and enters the failure memo.
+Two further cuts are argued below: unary rules are committed to, and states
+whose atoms do not balance are never searched.
+
+The measure.  Give an occurrence of a formula `A` with `h` hops the weight
+`(k+1)*|A| - h`, where `|A|` is `formula_size`, and a sequent the sum of
+the weights of the occurrences in its whole tree.  The goal's occurrences
+start at 0 hops, and `deep_moves` propagates only an occurrence below the
+cap, so no occurrence of a searched state has more than `k` hops and each
+weighs at least `(k+1) - k = 1`.  Lemma: every premise of every rule
+weighs at least 1 less than the conclusion.  Proof, rule by rule:
+
+- A propagation moves one occurrence one hop further, so its weight falls
+  by exactly 1; nothing else changes.
+- A unary logical rule acts on one occurrence of `A*B`, `A|B`, `A -o B`
+  or `A -< B` with `h <= k` hops, weighing `(k+1)*(|A|+|B|+1) - h`, which is
+  at least `(k+1)*(|A|+|B|) + 1`.  The premise holds `A` and `B` in its
+  place, side by side or as the child `[A => B]`, both at 0 hops, weighing
+  `(k+1)*(|A|+|B|)`; `i_l` and `bot_r` just drop a unit, which weighs at
+  least 1.  Every other occurrence keeps its hops.
+- A branch rule sends each other occurrence, with its hops, to one of the
+  two premises, and puts `A` in the first and `B` in the second, each at 0
+  hops.  The first premise weighs at most the conclusion less the
+  principal formula's weight, plus `(k+1)*|A|`, so at least
+  `(k+1)*|B| + 1` less than the conclusion; the second likewise.
+- An axiom has no premise, and its conclusion holds an occurrence, so it
+  weighs at least 1.
+
+So along any branch of the search, from the goal through premise after
+premise, the weight falls by at least 1 per rule.  A state with a move
+holds an occurrence (every rule acts on one), so it weighs at least 1, and
+a branch passes through at most `W` states that have a move, where `W` is
+the goal's weight, plus at most one formula-free state at its end, which
+has none.  For `decide_formula` the goal `=> F` weighs `(k+1)*|F|`; for
+`decide_sequent` it weighs at most `(k+1)*|tau_s(s)|`, since the reading
+adds connectives and units to the occurrences it joins.  Every node of a
+proof has a move, so no proof branch holds more than `(k+1)*|F|` sequents,
+`F` the goal's reading; `search_bounds` gives this branch bound with the
+hop cap, and `dfs` recurses at most one frame per state on a branch.  The
+bound is tight on the size-3 corpus: some of its BiILL proofs meet it.
 
 Invertible rules first.  Where a unary logical rule (`i_l`, `bot_r`,
 `tensor_l`, `par_r`, `lolli_r`, `excl_l`) applies anywhere in a state,
@@ -39,24 +73,24 @@ argument stops:
   theorem), the premise is provable exactly when the conclusion is.  The
   FILL search agrees because the FILL fragment is conservative: a FILL
   sequent that BiILL proves has a dn proof inside FILL.
-- The budgets are not covered by that argument.  For the hop cap the
-  unfolding does no harm: the premise keeps every other occurrence with its
-  counter and its new occurrences start at 0.  But a proof of the
-  conclusion within the branch-length budget may propagate the principal
-  formula before unfolding it, and a `-o` or `-<` unfolded first leaves a
-  child that no rule moves, so that proof need not permute into a proof of
-  the premise one step shorter.  That the derived budget still suffices
-  after the commitment is therefore not proved here; it rests on evidence:
-  the 39,420 formulas of the size-3 corpus over `p, q` get the same BiILL
-  verdicts (and the 12,460 without exclusion the same FILL verdicts), and
-  their BiILL proofs the same size and branch length, as with full
-  backtracking, and Bierman's formula gets the same FILL proof (in 7,668
-  states, 12,887 before the commitment, and 16 once the balance prune
-  below is added).
-  Under a caller's smaller budget the commitment can only turn more
-  searches into `budget_limited`, never a provable goal into `refuted`
-  by a cutoff, because a failure that hit the cutoff still taints every
-  state on its path back to the root.
+- The hop cap is the one bound that argument does not cover.  The
+  unfolding changes no counter the cap reads: the premise keeps every
+  other occurrence with its hops, and the occurrences it adds start at 0,
+  as the parts of an unfolded occurrence always do (the measure lemma
+  covers the premise for the same reason).  So a proof of the conclusion
+  within the cap that unfolds the principal formula where it stands
+  permutes into a proof of the premise within the cap, every occurrence
+  making the same moves with the same counters.  A proof that first
+  propagates the principal formula and unfolds it elsewhere does not
+  permute so: its parts would have to make those hops themselves, and a
+  `-o` or `-<` unfolded in place leaves a child that no rule moves.  That
+  the cap still leaves room for a proof of the premise then is not proved
+  here; it rests on evidence: the 39,420 formulas of the size-3 corpus
+  over `p, q` get the same BiILL verdicts (and the 12,460 without
+  exclusion the same FILL verdicts), and their BiILL proofs the same size
+  and branch length, as with full backtracking, and Bierman's formula gets
+  the same FILL proof (in 7,668 states, 12,887 before the commitment, and
+  16 once the balance prune below is added).
 
 Atom balance.  `signed_atom_count` gives each atom of a sequent its
 negative and positive occurrences, counted over the whole tree:
@@ -101,34 +135,26 @@ and balance climbs from the leaves of any proof to its root.
 
 The search applies the lemma twice.  An unbalanced goal is refuted before
 any state is visited; `decide_formula` counts the atoms of the formula as
-given, so such a goal is never labelled.  In `dfs`, a branch move whose
-first premise is unbalanced is skipped before either premise is searched.
-Every state `dfs` visits is balanced (the goal is, unary and propagation
-premises keep the count, and a branch move is taken only with a balanced
-first premise), so the second premise is balanced exactly when the first
-is, and checking the first suffices.  Only unprovable premises are
-skipped, and the moves of a state are still tried in the same order, so
-the first move whose premises all succeed, and with it every proof,
-verdict and certificate, stays the same.  The memo tables may now meet a
-state first by another path, which changes nothing either: a state's proof
-is its first move whose premises all succeed, whichever path reaches it,
-unless the depth cutoff fires inside its search (at the derived budget it
-fires, across the size-3 corpus and Bierman, only at the empty sequent,
-which has no move).  A skipped move is never searched, so it never taints
-its state.  Under a caller's smaller budget (`--budget-override`) a goal
-can therefore come back `refuted` where it used to come back
-`budget_limited`: an unbalanced goal always, and a balanced one whose
-searches hit the cutoff only inside unbalanced branch premises.  That
-answer is right, since the skipped premises are unprovable at any budget.
+given, so such a goal is never labelled, and its bounds are never derived.
+In `dfs`, a branch move whose first premise is unbalanced is skipped before
+either premise is searched.  Every state `dfs` visits is balanced (the goal
+is, unary and propagation premises keep the count, and a branch move is
+taken only with a balanced first premise), so the second premise is
+balanced exactly when the first is, and checking the first suffices.  Only
+unprovable premises are skipped, and the moves of a state are still tried
+in the same order, so the first move whose premises all succeed, and with
+it every proof, verdict and certificate, stays the same.  The memo tables
+may now meet a state first by another path, which changes nothing either:
+a state's proof is its first move whose premises all succeed, whichever
+path reaches it.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .certs import ProofNode
+from .certs import ProofNode, stack_room
 from .deep import BRANCH_RULES, deep_moves, endsequent_for
 from .formula import Formula, arrow_count, formula_size, is_fill_formula
 from .sequent import (
@@ -140,26 +166,13 @@ from .sequent import (
     tau_s,
 )
 
-__all__ = ["SearchBudget", "Decision", "decide_formula", "decide_sequent"]
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_branch_length: int
-    hop_cap: int
-
-    @classmethod
-    def for_formula(cls, f: Formula) -> "SearchBudget":
-        size = formula_size(f)
-        k = arrow_count(f)
-        return cls(size + (size // 2) * k * size, k)
+__all__ = ["Decision", "search_bounds", "decide_formula", "decide_sequent"]
 
 
 @dataclass(frozen=True)
 class Decision:
-    status: str  # "proved" | "refuted" | "budget_limited"
+    status: str  # "proved" | "refuted"
     proof: Optional[ProofNode]
-    budget: SearchBudget
     visited: int
 
     @property
@@ -167,102 +180,74 @@ class Decision:
         return self.status == "proved"
 
 
-def decide_formula(f: Formula, logic: str = "biill", budget: Optional[SearchBudget] = None) -> Decision:
+def search_bounds(f: Formula) -> tuple[int, int]:
+    """(hop cap, branch bound) of a search whose goal reads as `f`: the cap
+    is the arrow count `k`, and no proof branch holds more than
+    `(k+1) * formula_size(f)` sequents (the measure lemma above)."""
+    k = arrow_count(f)
+    return k, (k + 1) * formula_size(f)
+
+
+def decide_formula(f: Formula, logic: str = "biill") -> Decision:
     """Decide provability of a single formula (as the sole succedent of an
     otherwise empty sequent)."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
     if logic == "fill" and not is_fill_formula(f):
         raise ValueError("formula uses exclusion, which FILL does not have")
-    derived = SearchBudget.for_formula(f)
-    if budget is None:
-        budget = derived
     if not _balanced(f):
-        return Decision("refuted", None, budget, 0)
-    return _search(endsequent_for(f), logic, budget, _covers(budget, derived))
+        return Decision("refuted", None, 0)
+    return _search(endsequent_for(f), logic, f)
 
 
-def decide_sequent(s: Sequent, logic: str = "biill", budget: Optional[SearchBudget] = None) -> Decision:
-    """Decide provability of a nested sequent.  The default budget is taken
-    from the sequent's formula reading."""
+def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
+    """Decide provability of a nested sequent.  The hop cap and the branch
+    bound are those of its formula reading, `tau_s(s)`."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
     if logic == "fill" and not is_fill_sequent(strip_sequent(s)):
         raise ValueError("sequent lies outside the FILL fragment")
-    derived = SearchBudget.for_formula(tau_s(s))
-    if budget is None:
-        budget = derived
     if not _balanced(s):
-        return Decision("refuted", None, budget, 0)
-    return _search(label_sequent(strip_sequent(s)), logic, budget, _covers(budget, derived))
-
-
-def _covers(budget: SearchBudget, derived: SearchBudget) -> bool:
-    # at or above the derived bound the search is complete and exhaustion
-    # refutes; below it, exhaustion proves nothing
-    return (
-        budget.max_branch_length >= derived.max_branch_length
-        and budget.hop_cap >= derived.hop_cap
-    )
+        return Decision("refuted", None, 0)
+    return _search(label_sequent(strip_sequent(s)), logic, tau_s(s))
 
 
 def _balanced(s: Sequent | Formula) -> bool:
     return all(neg == pos for neg, pos in signed_atom_count(s).values())
 
 
-def _search(s0: Sequent, logic: str, budget: SearchBudget, complete: bool) -> Decision:
+def _search(s0: Sequent, logic: str, reading: Formula) -> Decision:
     # s0 is balanced: both callers refute an unbalanced goal themselves
+    hop_cap, bound = search_bounds(reading)
     success: dict[Sequent, ProofNode] = {}
     failed: set[Sequent] = set()
     visited = 0
 
-    def dfs(s: Sequent, depth: int) -> tuple[Optional[ProofNode], bool]:
+    def dfs(s: Sequent) -> Optional[ProofNode]:
         nonlocal visited
         hit = success.get(s)
-        if hit is not None:
-            return hit, False
-        if s in failed:
-            return None, False
-        if depth <= 0:
-            return None, True
+        if hit is not None or s in failed:
+            return hit
         visited += 1
-        tainted_any = False
-        for move in deep_moves(s, logic, budget.hop_cap):
+        for move in deep_moves(s, logic, hop_cap):
             # s is balanced, so the second premise is when the first is
             if move.rule in BRANCH_RULES and not _balanced(move.premises[0]):
                 continue
             subproofs = []
-            ok = True
-            tainted_move = False
             for p in move.premises:
-                pr, t = dfs(p, depth - 1)
-                tainted_move = tainted_move or t
+                pr = dfs(p)
                 if pr is None:
-                    ok = False
                     break
                 subproofs.append(pr)
-            if ok:
+            else:
                 node = ProofNode(move.rule, s, tuple(subproofs), move.witness)
                 success[s] = node
-                return node, False
-            tainted_any = tainted_any or tainted_move
-        if not tainted_any:
-            failed.add(s)
-        return None, tainted_any
+                return node
+        failed.add(s)
+        return None
 
-    floor = 40 * budget.max_branch_length + 1000
-    limit = sys.getrecursionlimit()
-    if limit < floor:
-        sys.setrecursionlimit(floor)
-    try:
-        proof, tainted = dfs(s0, budget.max_branch_length)
-    finally:
-        if limit < floor:
-            sys.setrecursionlimit(limit)
-    if proof is not None:
-        status = "proved"
-    elif tainted and not complete:
-        status = "budget_limited"
-    else:
-        status = "refuted"
-    return Decision(status, proof, budget, visited)
+    # one dfs frame per state on a branch, and room below the deepest for
+    # the walks its moves make
+    with stack_room(bound + 2000):
+        proof = dfs(s0)
+    return Decision("proved" if proof is not None else "refuted", proof, visited)

@@ -1,5 +1,7 @@
 import sys
 
-# the prover raises the interpreter recursion limit on demand when a budget
-# calls for deep branches; pin it once so no test trips the limit mid-run
+# the recursive checkers, translators and certificate walks size their own
+# headroom with `certs.stack_room`, and `cli.main` pins the limit at 30,000;
+# pin it here too, so tests that call the library directly run under the
+# same limit as the command line
 sys.setrecursionlimit(30000)

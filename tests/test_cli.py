@@ -13,6 +13,7 @@ from fillprover.cli import CORPUS_CAP, corpus_formulas, main
 from fillprover.deep import check_dn_proof, check_separation
 from fillprover.display import check_dc_proof
 from fillprover.formula import connective_count, formula_text, parse_formula
+from fillprover.prover import search_bounds
 from fillprover.sequent import parse_sequent
 from fillprover.shallow import check_sn_proof
 
@@ -77,11 +78,6 @@ def test_prove_non_fill_formula_is_exit_2():
 
 def test_prove_parse_error_is_exit_2():
     assert run("prove", "p -o") == 2
-
-
-def test_prove_budget_override_can_starve_the_search(capsys):
-    assert run("prove", "--budget-override", "1", "a * (b|c) -o (a*b) | c") == 1
-    assert "Budget exhausted" in capsys.readouterr().err
 
 
 # -------------------------------------------------- check
@@ -370,7 +366,8 @@ def test_stats_id_only_certificate(tmp_path, capsys):
     assert record["nodes"] == 1
     assert record["max_branch"] == 1
     assert record["rules"] == {"id": 1}
-    assert record["budget"]["max_branch_length"] >= 1
+    # a => a reads as a -o a: one arrow, size 3
+    assert record["hop_cap"] == 1 and record["branch_bound"] == 6
 
 
 def test_stats_branch_within_budget(tmp_path, capsys):
@@ -378,7 +375,11 @@ def test_stats_branch_within_budget(tmp_path, capsys):
     run("prove", "--logic", "fill", BIERMAN, "--out", str(out))
     assert run("stats", str(out)) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["max_branch"] <= record["budget"]["max_branch_length"]
+    # the endsequent => F reads as 1 -o F: 4 arrows, size 21
+    assert record["hop_cap"] == 4 and record["branch_bound"] == 5 * 21
+    # prove searched for F itself: 3 arrows, size 19
+    assert search_bounds(parse_formula(BIERMAN)) == (3, 76)
+    assert record["max_branch"] <= 76
     assert record["calculus"] == "dn"
 
 

@@ -1,7 +1,9 @@
-"""The decision procedure: known theorems, known non-theorems, budgets,
-and the atom balance that every provable sequent has."""
+"""The decision procedure: known theorems, known non-theorems, the measure
+that bounds every branch, and the atom balance that every provable sequent
+has."""
 
 import gzip
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,19 @@ from hypothesis import strategies as st
 
 from fillprover.deep import LEAF_RULES, DN_RULES, check_dn_proof, deep_moves, endsequent_for, proof_stays_in_fill
 from fillprover.certs import proof_size
-from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, formula_size, parse_formula
-from fillprover.prover import SearchBudget, decide_formula, decide_sequent
+from fillprover.formula import (
+    Atom,
+    Excl,
+    Lolli,
+    Par,
+    Tensor,
+    UnitBot,
+    UnitI,
+    arrow_count,
+    formula_size,
+    parse_formula,
+)
+from fillprover.prover import decide_formula, decide_sequent
 from fillprover.sequent import Occ, Sequent, label_sequent, parse_sequent, signed_atom_count, strip_sequent
 
 VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus_p_q_3.tsv.gz"
@@ -99,28 +112,6 @@ def test_nested_example_proves():
     assert d.visited == 16
 
 
-def test_budget_arithmetic():
-    b = SearchBudget.for_formula(parse_formula("a -o b"))
-    assert b.max_branch_length == 6 and b.hop_cap == 1
-    b = SearchBudget.for_formula(parse_formula("(p*(q|r)) -o (p*q)|r"))
-    assert b.max_branch_length == 11 + 5 * 1 * 11 and b.hop_cap == 1
-    b = SearchBudget.for_formula(parse_formula("a*b"))
-    assert b.max_branch_length == 3 and b.hop_cap == 0
-
-
-def test_tiny_budget_reports_budget_limited():
-    f = parse_formula("(p*(q|r)) -o (p*q)|r")
-    d = decide_formula(f, "fill", SearchBudget(2, 1))
-    assert d.status == "budget_limited"
-    assert d.proof is None
-
-
-def test_unbalanced_goal_is_refuted_under_any_budget():
-    # the prune needs no budget, so a starved search still refutes it
-    d = decide_formula(parse_formula("a*b -o a"), "fill", SearchBudget(1, 0))
-    assert d.status == "refuted" and d.visited == 0
-
-
 def test_decide_sequent():
     assert decide_sequent(parse_sequent("a, b => a*b")).proved
     assert decide_sequent(parse_sequent("a => a, [=>]@1")).proved
@@ -134,6 +125,50 @@ def test_proof_sizes_within_quartic_bound():
         f = parse_formula(text)
         d = decide_formula(f, "biill")
         assert proof_size(d.proof) <= 4 * formula_size(f) ** 4
+
+
+# ---------------------------------------------------------------- measure
+
+def read_verdicts():
+    return gzip.decompress(VERDICTS.read_bytes()).decode("utf-8").splitlines()
+
+
+def test_proof_branches_within_the_measure_bound():
+    """The measure lemma in the `prover` docstring: no branch of a proof of
+    `F` holds more than `(k+1) * |F|` sequents, `k` the arrows of `F`.  The
+    committed table records each BiILL proof's longest branch."""
+    proofs = tight = 0
+    for row in read_verdicts():
+        text, _, biill, _, max_branch = row.split("\t")
+        if biill != "proved":
+            continue
+        f = parse_formula(text)
+        bound = (arrow_count(f) + 1) * formula_size(f)
+        proofs += 1
+        tight += int(max_branch) == bound
+        assert int(max_branch) <= bound, text
+    assert proofs == 1258 and tight > 0
+
+
+def balanced_tree(connective, leaves):
+    if len(leaves) == 1:
+        return leaves[0]
+    mid = len(leaves) // 2
+    return connective(balanced_tree(connective, leaves[:mid]), balanced_tree(connective, leaves[mid:]))
+
+
+def test_a_long_invertible_chain_needs_no_raised_recursion_limit():
+    # T => P unfolds by tensor_l and par_r alone: one dfs frame per state,
+    # 599 states deep, more than the limit the caller left
+    atoms = [Atom(f"a{i}") for i in range(300)]
+    s = Sequent((Occ(balanced_tree(Tensor, atoms)),), (Occ(balanced_tree(Par, atoms)),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(500)
+    try:
+        d = decide_sequent(s)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d.status == "refuted" and d.visited == 599
 
 
 # ------------------------------------------------------------ atom balance
@@ -244,7 +279,7 @@ def test_unbalanced_corpus_formulas_are_refuted_at_once():
     balance prune; every formula it holds whose atoms do not balance is
     unprovable there in both logics, and the search refutes it now without
     visiting a state."""
-    rows = gzip.decompress(VERDICTS.read_bytes()).decode("utf-8").splitlines()
+    rows = read_verdicts()
     unbalanced = 0
     for row in rows:
         text, fill, biill = row.split("\t")[:3]

@@ -207,6 +207,27 @@ def test_the_package_holds_no_assertions():
                 assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), where
 
 
+def test_only_stack_room_and_main_set_the_recursion_limit():
+    # `certs.stack_room` sizes the limit for a block and puts it back, and
+    # `cli.main` pins a floor for the command line; any other site is a
+    # limit raised by hand
+    sites = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            name = getattr(child, "attr", None) or getattr(child, "id", None) or getattr(child, "name", None)
+            if name == "setrecursionlimit":
+                sites.add(where)
+            visit(child, where)
+
+    for path in sorted(Path(fillprover.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sites == {"certs.stack_room", "cli.main"}
+
+
 def test_cut_bearing_proofs_rejected():
     ida = ProofNode("id", parse_sequent("a => a"))
     snc = ProofNode("cut", parse_sequent("a => a"), (ida, ida))
