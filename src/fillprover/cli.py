@@ -56,8 +56,8 @@ from .formula import (
     is_fill_formula,
     parse_formula,
 )
-from .prover import decide_formula, search_bounds
-from .sequent import parse_sequent, signed_atom_count, tau_s
+from .prover import decide_formula, goal_reading, search_bounds
+from .sequent import parse_sequent, signed_atom_count
 from .shallow import check_sn_proof
 from .translate import (
     TranslationError,
@@ -293,7 +293,7 @@ def cmd_stats(args) -> int:
         endsequent = read_display_sequent(parse_display(cert.endsequent))
     else:
         endsequent = parse_sequent(cert.endsequent)
-    hop_cap, branch_bound = search_bounds(tau_s(endsequent))
+    hop_cap, branch_bound = search_bounds(goal_reading(endsequent))
     rules = Counter(node.rule for node in postorder(cert.root))
     record = {
         "calculus": cert.calculus,

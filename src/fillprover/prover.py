@@ -39,8 +39,9 @@ premise, the weight falls by at least 1 per rule.  A state with a move
 holds an occurrence (every rule acts on one), so it weighs at least 1, and
 a branch passes through at most `W` states that have a move, where `W` is
 the goal's weight, plus at most one formula-free state at its end, which
-has none.  For `decide_formula` the goal `=> F` weighs `(k+1)*|F|`; for
-`decide_sequent` it weighs at most `(k+1)*|tau_s(s)|`, since the reading
+has none.  For `decide_formula` the goal `=> F` weighs `(k+1)*|F|`, and
+so does a root `=> F` for `decide_sequent`, whose `goal_reading` is `F`;
+any other goal `s` weighs at most `(k+1)*|tau_s(s)|`, since that reading
 adds connectives and units to the occurrences it joins.  Every node of a
 proof has a move, so no proof branch holds more than `(k+1)*|F|` sequents,
 `F` the goal's reading; `search_bounds` gives this branch bound with the
@@ -156,8 +157,9 @@ from typing import Optional
 
 from .certs import ProofNode, stack_room
 from .deep import BRANCH_RULES, deep_moves, endsequent_for
-from .formula import Formula, arrow_count, formula_size, is_fill_formula
+from .formula import Formula, arrow_count, formula_size, is_fill_formula, strip_labels
 from .sequent import (
+    Occ,
     Sequent,
     is_fill_sequent,
     label_sequent,
@@ -166,7 +168,7 @@ from .sequent import (
     tau_s,
 )
 
-__all__ = ["Decision", "search_bounds", "decide_formula", "decide_sequent"]
+__all__ = ["Decision", "goal_reading", "search_bounds", "decide_formula", "decide_sequent"]
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,14 @@ class Decision:
     @property
     def proved(self) -> bool:
         return self.status == "proved"
+
+
+def goal_reading(s: Sequent) -> Formula:
+    """The formula whose bounds a search for the sequent uses: `F` for a
+    root `=> F`, as `decide_formula` searches it, else `tau_s(s)`."""
+    if not s.left and len(s.right) == 1 and isinstance(s.right[0], Occ):
+        return strip_labels(s.right[0].formula)
+    return tau_s(s)
 
 
 def search_bounds(f: Formula) -> tuple[int, int]:
@@ -202,14 +212,14 @@ def decide_formula(f: Formula, logic: str = "biill") -> Decision:
 
 def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
     """Decide provability of a nested sequent.  The hop cap and the branch
-    bound are those of its formula reading, `tau_s(s)`."""
+    bound are those of its formula reading, `goal_reading(s)`."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
     if logic == "fill" and not is_fill_sequent(strip_sequent(s)):
         raise ValueError("sequent lies outside the FILL fragment")
     if not _balanced(s):
         return Decision("refuted", None, 0)
-    return _search(label_sequent(strip_sequent(s)), logic, tau_s(s))
+    return _search(label_sequent(strip_sequent(s)), logic, goal_reading(s))
 
 
 def _balanced(s: Sequent | Formula) -> bool:

@@ -9,10 +9,15 @@ for; propagation steps become a short pull or push sandwich around the
 child boundary they cross.  The output never uses cut.
 
 shallow_to_display makes the bookkeeping the shallow checker does with
-multisets explicit: every sequent is read as a binary structure (items in
-canonical order, comma-joined), and each shallow step becomes a block of
-display steps that shuffles the commas, isolates the working material,
-fires the matching display rule, and restores canonical order.
+multisets explicit.  Each shallow step becomes a short block of display
+steps that works on whatever binary structure the steps above it left: it
+brings the operands the rule works on to the end of their side, parks the
+rest on the other side with a residuation move, fires the matching display
+rule, and brings the parked material back.  A conclusion only has to read,
+as a nested sequent, as the shallow one, so no comma order is restored
+after a step; one arrangement at the end makes the endsequent exactly the
+canonical structure of the input's (items in canonical order,
+comma-joined).
 
 display_to_shallow goes the other way by reading each structure as a
 nested sequent again: associativity, commutativity and empty-structure
@@ -69,11 +74,10 @@ from .display import (
     SPhi,
     Structure,
     check_dc_proof,
-    comma_join,
     sequent_to_display,
     structure_text,
 )
-from .formula import Excl, Lolli, Par, Tensor, UnitBot, UnitI, strip_labels
+from .formula import strip_labels
 from .sequent import (
     HOLE,
     Hole,
@@ -342,42 +346,45 @@ def _pool(tree: Structure) -> list[Structure]:
     return [tree]
 
 
-def _comb(items) -> Structure:
-    return comma_join(items)
+_SN_SIDE = {"ant": "left", "suc": "right"}
+_DC_SIDE = {"left": "ant", "right": "suc"}
+_OTHER = {"ant": "suc", "suc": "ant"}
 
 
-def _ecomb(items, side: str) -> Structure:
-    """Comma tree for one side of an already normalized sequent."""
-    parts = []
-    for it in items:
-        if isinstance(it, Occ):
-            parts.append(SLeaf(it.formula))
-        elif side == "left":
-            parts.append(SLt(_ecomb(it.left, "left"), _ecomb(it.right, "right")))
-        else:
-            parts.append(SGt(_ecomb(it.left, "left"), _ecomb(it.right, "right")))
-    return comma_join(parts)
+def _reads_as(item, side: str):
+    """Test for an operand of `side` whose nested reading is the item."""
+    if isinstance(item, Occ):
+        leaf = SLeaf(item.formula)
+        return lambda op: op == leaf
+    return lambda op: isinstance(op, (SLt, SGt)) and _read_side(op, _SN_SIDE[side]) == [item]
 
 
-_INVERSE = {
-    "com_l": "com_l", "com_r": "com_r",
-    "assoc_l": "assoc_l", "assoc_r": "assoc_r",
-    "rp_up": "rp_down", "rp_down": "rp_up",
-    "drp_up": "drp_down", "drp_down": "drp_up",
-    "phi_l_up": "phi_l_down", "phi_l_down": "phi_l_up",
-    "phi_r_up": "phi_r_down", "phi_r_down": "phi_r_up",
-}
+def _path(tree: Structure, fits) -> list[int]:
+    # comma path (0 left, 1 right) to the shallowest operand that fits,
+    # right operands first since they need no swap
+    level = [(tree, [])]
+    while level:
+        deeper = []
+        for t, path in level:
+            if isinstance(t, SComma):
+                deeper += [(t.right, path + [1]), (t.left, path + [0])]
+            elif fits(t):
+                return path
+        level = deeper
+    raise ValueError(f"no operand to display in {structure_text(tree)}")
 
 
 class _DChain:
     """Top-down accumulator of display steps.
 
-    The comma shuffling all happens here.  Root-level swap and reassoc
-    alone cannot transpose two operands (they preserve the cyclic order),
-    so reordering goes through the residual stacks: `stash` parks the
-    rightmost operand of a side above or below the turnstile, the unstash
-    moves bring the top of that stack back at either end, and the sort
-    below is a selection sort built from those four moves.
+    Every move acts at the root of one side.  `to_end` brings an operand to
+    the right end of a side with swap and reassoc; a residuation move then
+    parks the rightmost operand (`stash`) or the leftmost one
+    (`stash_first`) on the other side, and its inverse brings it back
+    (`unstash`, `unstash_first`).  Displaying an operand this way costs
+    about as many steps as it is deep, and no order of the operands is ever
+    restored.  Each conclusion is kept tidy: `Phi` is never a comma operand,
+    so a side that reads as one item is exactly that item's structure.
     """
 
     def __init__(self, start: DisplaySequent):
@@ -404,8 +411,16 @@ class _DChain:
     def reassoc(self, side: str, tree: Structure) -> None:
         self.emit("assoc_l" if side == "ant" else "assoc_r", self._with(side, tree))
 
+    def mixed_assoc(self, side: str) -> None:
+        # W, (X < Y) becomes (W, X) < Y;  (X > Y), Z becomes X > (Y, Z)
+        t = self.side(side)
+        if side == "ant":
+            self.emit("mixed_assoc_l", self._with("ant", SLt(SComma(t.left, t.right.left), t.right.right)))
+        else:
+            self.emit("mixed_assoc_r", self._with("suc", SGt(t.left.left, SComma(t.left.right, t.right))))
+
     def stash(self, side: str) -> None:
-        # park the rightmost comma operand on the side's residual stack
+        # park the rightmost comma operand on the other side
         if side == "ant":
             t = self.cur.ant
             self.emit("rp_up", DisplaySequent(t.left, SGt(t.right, self.cur.suc)))
@@ -421,7 +436,8 @@ class _DChain:
             t = self.cur.suc
             self.emit("drp_up", DisplaySequent(SLt(self.cur.ant, t.left), t.right))
 
-    def unstash_append(self, side: str) -> None:
+    def unstash(self, side: str) -> None:
+        # the parked operand comes back at the right end
         if side == "ant":
             s = self.cur.suc
             self.emit("rp_down", DisplaySequent(SComma(self.cur.ant, s.left), s.right))
@@ -429,7 +445,7 @@ class _DChain:
             a = self.cur.ant
             self.emit("drp_up", DisplaySequent(a.left, SComma(self.cur.suc, a.right)))
 
-    def unstash_prepend(self, side: str) -> None:
+    def unstash_first(self, side: str) -> None:
         if side == "ant":
             s = self.cur.suc
             self.emit("rp_up", DisplaySequent(SComma(s.left, self.cur.ant), s.right))
@@ -437,156 +453,114 @@ class _DChain:
             a = self.cur.ant
             self.emit("drp_down", DisplaySequent(a.left, SComma(a.right, self.cur.suc)))
 
-    def phi_pad(self, side: str) -> None:
+    def pad(self, side: str) -> None:
+        # an empty operand at the right of an antecedent, the left of a succedent
         if side == "ant":
             self.emit("phi_l_up", self._with("ant", SComma(self.cur.ant, SPhi())))
         else:
             self.emit("phi_r_up", self._with("suc", SComma(SPhi(), self.cur.suc)))
 
-    def phi_drop(self, side: str) -> None:
-        t = self.side(side)
-        if side == "ant":
-            self.emit("phi_l_down", self._with("ant", t.left))
-        else:
-            self.emit("phi_r_down", self._with("suc", t.right))
-
-    def flatten_right(self, side: str) -> None:
-        # make the rightmost comma operand a single non-comma subtree
-        while isinstance(self.side(side), SComma) and isinstance(self.side(side).right, SComma):
-            t = self.side(side)
-            self.reassoc(side, SComma(SComma(t.left, t.right.left), t.right.right))
-
-    def absorb_head(self, side: str) -> None:
-        # (x, C) with C a left comb: fold x in, keeping a left comb
-        k = 0
-        while isinstance(self.side(side).right, SComma):
-            t = self.side(side)
-            self.reassoc(side, SComma(SComma(t.left, t.right.left), t.right.right))
-            self.stash(side)
-            k += 1
-        for _ in range(k):
-            self.unstash_append(side)
-
-    def rotate_once(self, side: str) -> None:
-        # left comb: move the last operand to the front
-        self.stash(side)
-        self.unstash_prepend(side)
-        self.absorb_head(side)
-
-    def to_comb(self, side: str) -> list[Structure]:
-        """Normalize the side to the left comb of its operands in text order."""
-        tree = self.side(side)
-        pool = _pool(tree)
-        order = sorted(pool, key=structure_text)
-        if pool == order and tree == _comb(order):
-            return order
-        n = 0
-        while isinstance(self.side(side), SComma):
-            self.flatten_right(side)
-            self.stash(side)
-            n += 1
-        for _ in range(n):
-            self.unstash_append(side)
-        work = _pool(self.side(side))
-        for slot in range(len(order) - 1, 0, -1):
-            p = next(i for i, x in enumerate(work) if x == order[slot])
-            for _ in range((len(work) - 1 - p) % len(work)):
-                self.rotate_once(side)
-                work.insert(0, work.pop())
-            self.stash(side)
-            work.pop()
-        for _ in range(len(order) - 1):
-            self.unstash_append(side)
-        return order
-
-    def sort_side(self, side: str, target: Structure) -> None:
-        """Rebuild the side as exactly `target` (same operands up to padding)."""
-        if self.side(side) == target:
-            return
-        want = _pool(target)
-        self.to_comb(side)
-        have = _pool(self.side(side))
-        pads = sum(isinstance(x, SPhi) for x in want) - sum(isinstance(x, SPhi) for x in have)
-        if pads:
-            for _ in range(max(0, pads)):
-                self.phi_pad(side)
-                if side == "suc":
-                    self.absorb_head(side)
-            for _ in range(max(0, -pads)):
-                work = self.to_comb(side)
-                p = next(i for i, x in enumerate(work) if isinstance(x, SPhi))
-                if side == "ant":
-                    # drop slot is the rightmost operand
-                    for _ in range((len(work) - 1 - p) % len(work)):
-                        self.rotate_once(side)
-                else:
-                    # drop slot is the root-left operand: bring the empty
-                    # item to the front, then lean the comb to the right
-                    for _ in range((len(work) - p) % len(work)):
-                        self.rotate_once(side)
-                    while isinstance(self.side(side).left, SComma):
-                        t = self.side(side)
-                        self.reassoc(side, SComma(t.left.left, SComma(t.left.right, t.right)))
-                self.phi_drop(side)
-            self.to_comb(side)
-        tw = _DChain(self._with(side, target))
-        tw.to_comb(side)
-        states = [self._with(side, target)] + [s for _, s in tw.steps]
-        for j in range(len(tw.steps), 0, -1):
-            self.emit(_INVERSE[tw.steps[j - 1][0]], states[j - 1])
-
-    def clear_side(self, side: str) -> int:
-        """Stash every operand, leaving the side empty; returns the count."""
-        n = 0
-        while self.side(side) != SPhi():
-            if isinstance(self.side(side), SComma):
-                self.flatten_right(side)
+    def tidy(self, side: str) -> None:
+        """Drop every empty operand of the side."""
+        while isinstance(self.side(side), SComma) and SPhi() in _pool(self.side(side)):
+            self.to_end(side, lambda op: op == SPhi())
+            if side == "ant":
+                self.emit("phi_l_down", self._with("ant", self.cur.ant.left))
             else:
-                self.phi_pad(side)
-                if side == "ant":
-                    self.com(side)
+                self.com("suc")
+                self.emit("phi_r_down", self._with("suc", self.cur.suc.right))
+
+    def to_end(self, side: str, fits) -> None:
+        """Make an operand that `fits` the right operand of the side's root
+        comma, or leave it be when it is the whole side."""
+        path = _path(self.side(side), fits)
+        while path and path != [1]:
+            if path[0] == 0:
+                self.com(side)
+                path[0] = 1
+            else:
+                # W, (X, Y) becomes (W, X), Y
+                t = self.side(side)
+                self.reassoc(side, SComma(SComma(t.left, t.right.left), t.right.right))
+                path = ([0, 1] if path[1] == 0 else [1]) + path[2:]
+
+    def gather(self, side: str, items) -> bool:
+        """Bring operands reading as `items` to the right end of the side as
+        one block, in order; returns whether other operands stay on its left."""
+        for it in reversed(items[1:]):
+            self.to_end(side, _reads_as(it, side))
             self.stash(side)
-            n += 1
-        return n
+        self.to_end(side, _reads_as(items[0], side))
+        rest = isinstance(self.side(side), SComma)
+        for _ in items[1:]:
+            self.unstash(side)
+        if rest:
+            for _ in items[1:]:
+                t = self.side(side)
+                self.reassoc(side, SComma(t.left.left, SComma(t.left.right, t.right)))
+        return rest
 
-    def refill(self, side: str, n: int) -> None:
-        for _ in range(n):
-            self.unstash_append(side)
-
-    def isolate(self, side: str, keep: Structure) -> bool:
-        """Make the side exactly `keep`, stashing the remaining operands as
-        one block; returns whether anything was stashed."""
-        pool = Counter(_pool(self.side(side)))
-        pool.subtract(Counter(_pool(keep)))
-        rest = sorted(pool.elements(), key=structure_text)
-        if not rest:
-            self.sort_side(side, keep)
+    def isolate(self, side: str, items) -> bool:
+        """Make the side exactly the block `items` (`Phi` when there are
+        none), parking the rest of it on the other side as one operand that
+        `unstash_first` brings back; returns whether anything was parked."""
+        if items:
+            if not self.gather(side, items):
+                return False
+            self.stash_first(side)
+        elif self.side(side) == SPhi():
             return False
-        self.sort_side(side, SComma(keep, _comb(rest)))
-        self.stash(side)
+        else:
+            self.pad(side)
+            (self.stash_first if side == "ant" else self.stash)(side)
         return True
 
-    def pop_ant_chain(self) -> None:
-        # ant = ((V < t), W): release t into the succedent, keeping W aside
-        a = self.cur.ant
-        x, w = a.left, a.right
-        v, t = x.left, x.right
-        g = self.cur.suc
-        self.emit("rp_up", DisplaySequent(x, SGt(w, g)))
-        self.emit("drp_up", DisplaySequent(v, SComma(SGt(w, g), t)))
-        self.emit("mixed_assoc_r", DisplaySequent(v, SGt(w, SComma(g, t))))
-        self.emit("rp_down", DisplaySequent(SComma(v, w), SComma(g, t)))
+    def release(self, side: str, parked: Structure) -> None:
+        """`parked` is an operand of the side that holds, as its minor part,
+        material `isolate` parked from the other side: send it back."""
+        other = _OTHER[side]
+        self.to_end(side, lambda op: op == parked)
+        whole = self.side(side) == parked
+        if not whole:
+            self.stash_first(side)
+        if side == "ant":
+            self.unstash(other)
+        else:
+            self.unstash_first(other)
+        if not whole:
+            self.mixed_assoc(other)
+            self.unstash(side)
 
-    def pop_suc_chain(self) -> None:
-        # suc = ((s > V), W): release s into the antecedent, keeping W aside
-        su = self.cur.suc
-        y, w = su.left, su.right
-        s, v = y.left, y.right
-        x = self.cur.ant
-        self.emit("drp_down", DisplaySequent(SLt(x, w), y))
-        self.emit("rp_up", DisplaySequent(SComma(s, SLt(x, w)), v))
-        self.emit("mixed_assoc_l", DisplaySequent(SLt(SComma(s, x), w), v))
-        self.emit("drp_up", DisplaySequent(SComma(s, x), SComma(v, w)))
+    def arrange(self, side: str, target: Structure) -> None:
+        """Rebuild the side as exactly `target`, a tidy structure with the
+        same reading: park the target's operands from the last to the
+        second, settle the first, and bring the others back in order."""
+        if self.side(side) == target:
+            return
+        parts = _pool(target)
+        for part in reversed(parts[1:]):
+            self.to_end(side, _reads_as(_read_side(part, _SN_SIDE[side])[0], side))
+            if self.side(side).right != part:
+                self.stash_first(side)
+                self.settle(side, part)
+                self.unstash_first(side)
+            self.stash(side)
+        self.settle(side, parts[0])
+        for _ in parts[1:]:
+            self.unstash(side)
+
+    def settle(self, side: str, part: Structure) -> None:
+        # the side is one operand reading as `part`: a nested child whose two
+        # sides are displayed and arranged in turn, major one first
+        if self.side(side) == part:
+            return
+        other = _OTHER[side]
+        self.unstash(other)
+        self.arrange(side, part.left if side == "ant" else part.right)
+        self.stash_first(other)
+        self.arrange(other, part.right if side == "ant" else part.left)
+        self.unstash_first(other)
+        self.stash(other)
 
 
 def _gained(cn: Sequent, pns, side: str, cls=object):
@@ -601,185 +575,113 @@ def _gained(cn: Sequent, pns, side: str, cls=object):
 def shallow_to_display(root: ProofNode, logic: str = "biill") -> ProofNode:
     """Rebuild a root-rule-only proof in the display calculus.
 
-    Each conclusion of the result is the structural reading of the matching
-    multiset sequent, so the whole translation is one display proof of
-    ``embed_sequent`` of the input's endsequent.  Cut-bearing proofs are
-    rejected: cut is not part of the display vocabulary here.
+    Each shallow step becomes a few display steps that work on whatever
+    structure the step above left: they display the material the rule
+    needs, fire the matching display rule, and send the parked material
+    back.  So each conclusion reads, as a nested sequent, as the matching
+    shallow conclusion, in no fixed comma order.  One arrangement at the end
+    makes the result a display proof of exactly ``embed_sequent`` of the
+    input's endsequent.  Cut-bearing proofs are rejected: cut is not part
+    of the display vocabulary here.
     """
     check_sn_proof(root, logic)
     for node in postorder(root):
         if node.rule == "cut":
             raise ValueError("cannot translate a proof that uses cut")
+    target = embed_sequent(root.conclusion)
     with stack_room(100 * proof_size(root) + 4000):
         out = _std(root)
-    return _checked("sn -> dc", check_dc_proof, out, embed_sequent(root.conclusion))
+        ch = _DChain(out.conclusion)
+        ch.arrange("ant", target.ant)
+        ch.arrange("suc", target.suc)
+    return _checked("sn -> dc", check_dc_proof, stack_chain(out, ch.steps), target)
 
 
 def _std(node: ProofNode) -> ProofNode:
+    """A display proof of a tidy structure that reads as the node's
+    conclusion."""
     rule = node.rule
-    target = embed_sequent(node.conclusion)
-    if rule in ("id", "bot_l", "i_r"):
-        return ProofNode(rule, target)
+    if rule in LEAF_RULES:
+        return ProofNode(rule, embed_sequent(node.conclusion))
     cn = _norm(node.conclusion)
     pns = [_norm(p.conclusion) for p in node.premises]
     subs = [_std(p) for p in node.premises]
 
-    if rule in ("i_l", "bot_r", "tensor_l", "par_r", "lolli_r", "excl_l"):
+    if rule in UNARY_LOGICAL_RULES:
         ch = _DChain(subs[0].conclusion)
-        if rule == "i_l":
-            n = ch.clear_side("ant")
-            ch.emit("i_l", DisplaySequent(SLeaf(UnitI()), ch.cur.suc))
-            ch.refill("ant", n)
-        elif rule == "bot_r":
-            n = ch.clear_side("suc")
-            ch.emit("bot_r", DisplaySequent(ch.cur.ant, SLeaf(UnitBot())))
-            ch.refill("suc", n)
-        elif rule == "tensor_l":
-            f = _gained(cn, pns, "left")
-            st = ch.isolate("ant", SComma(SLeaf(f.left), SLeaf(f.right)))
-            ch.emit("tensor_l", DisplaySequent(SLeaf(f), ch.cur.suc))
-            if st:
-                ch.unstash_append("ant")
-        elif rule == "par_r":
-            f = _gained(cn, pns, "right")
-            st = ch.isolate("suc", SComma(SLeaf(f.left), SLeaf(f.right)))
-            ch.emit("par_r", DisplaySequent(ch.cur.ant, SLeaf(f)))
-            if st:
-                ch.unstash_append("suc")
-        elif rule == "lolli_r":
-            f = _gained(cn, pns, "right")
-            st = ch.isolate("suc", SGt(SLeaf(f.left), SLeaf(f.right)))
-            ch.emit("lolli_r", DisplaySequent(ch.cur.ant, SLeaf(f)))
-            if st:
-                ch.unstash_append("suc")
-        else:
-            f = _gained(cn, pns, "left")
-            st = ch.isolate("ant", SLt(SLeaf(f.left), SLeaf(f.right)))
-            ch.emit("excl_l", DisplaySequent(SLeaf(f), ch.cur.suc))
-            if st:
-                ch.unstash_append("ant")
-        ch.sort_side("ant", target.ant)
-        ch.sort_side("suc", target.suc)
+        side = _DC_SIDE[_LOGICAL[rule][0]]
+        f = _gained(cn, pns, _LOGICAL[rule][0])
+        parked = ch.isolate(side, _unfolding(f))
+        ch.emit(rule, ch._with(side, SLeaf(f)))
+        if parked:
+            ch.unstash_first(side)
         return stack_chain(subs[0], ch.steps)
 
-    if rule in ("tensor_r", "par_l", "lolli_l", "excl_r"):
-        ch1 = _DChain(subs[0].conclusion)
-        ch2 = _DChain(subs[1].conclusion)
-        if rule == "tensor_r":
-            f = _gained(cn, pns, "right", Tensor)
-            st1 = ch1.isolate("suc", SLeaf(f.left))
-            st2 = ch2.isolate("suc", SLeaf(f.right))
-            mid = DisplaySequent(SComma(ch1.cur.ant, ch2.cur.ant), SLeaf(f))
-        elif rule == "par_l":
-            f = _gained(cn, pns, "left", Par)
-            st1 = ch1.isolate("ant", SLeaf(f.left))
-            st2 = ch2.isolate("ant", SLeaf(f.right))
-            mid = DisplaySequent(SLeaf(f), SComma(ch1.cur.suc, ch2.cur.suc))
-        elif rule == "lolli_l":
-            f = _gained(cn, pns, "left", Lolli)
-            st1 = ch1.isolate("suc", SLeaf(f.left))
-            st2 = ch2.isolate("ant", SLeaf(f.right))
-            mid = DisplaySequent(SLeaf(f), SGt(ch1.cur.ant, ch2.cur.suc))
-        else:
-            f = _gained(cn, pns, "right", Excl)
-            st1 = ch1.isolate("suc", SLeaf(f.left))
-            st2 = ch2.isolate("ant", SLeaf(f.right))
-            mid = DisplaySequent(SLt(ch1.cur.ant, ch2.cur.suc), SLeaf(f))
-        x1 = ch1.cur.ant
-        y2 = ch2.cur.suc
-        out = ProofNode(rule, mid,
-                        (stack_chain(subs[0], ch1.steps), stack_chain(subs[1], ch2.steps)))
+    if rule in BRANCH_RULES:
+        p_side, cls = _LOGICAL[rule]
+        f = _gained(cn, pns, p_side, cls)
+        sides = [_DC_SIDE[s] for s in _SPLIT[rule]]
+        chs = [_DChain(s.conclusion) for s in subs]
+        parked = [c.isolate(s, (Occ(a),)) for c, s, a in zip(chs, sides, (f.left, f.right))]
+        r1, r2 = rests = [c.side(_OTHER[s]) for c, s in zip(chs, sides)]
+        mid = {
+            "tensor_r": DisplaySequent(SComma(r1, r2), SLeaf(f)),
+            "par_l": DisplaySequent(SLeaf(f), SComma(r1, r2)),
+            "lolli_l": DisplaySequent(SLeaf(f), SGt(r1, r2)),
+            "excl_r": DisplaySequent(SLt(r1, r2), SLeaf(f)),
+        }[rule]
+        out = ProofNode(rule, mid, tuple(stack_chain(s, c.steps) for s, c in zip(subs, chs)))
         ch = _DChain(mid)
-        if rule == "tensor_r":
-            if st1:
-                ch.pop_ant_chain()
-            if st2:
-                ch.com("ant")
-                ch.pop_ant_chain()
-        elif rule == "par_l":
-            if st1:
-                ch.pop_suc_chain()
-            if st2:
-                ch.com("suc")
-                ch.pop_suc_chain()
-        elif rule == "lolli_l":
-            ch.unstash_append("ant")
-            if st2:
-                ch.unstash_prepend("ant")
-            if st1:
-                pool = Counter(_pool(ch.cur.ant))
-                pool[x1] -= 1
-                rest = sorted(pool.elements(), key=structure_text)
-                ch.sort_side("ant", SComma(x1, _comb(rest)))
-                ch.pop_ant_chain()
-        else:
-            ch.unstash_append("suc")
-            if st1:
-                ch.unstash_append("suc")
-            if st2:
-                pool = Counter(_pool(ch.cur.suc))
-                pool[y2] -= 1
-                rest = sorted(pool.elements(), key=structure_text)
-                ch.sort_side("suc", SComma(y2, _comb(rest)))
-                ch.pop_suc_chain()
-        ch.sort_side("ant", target.ant)
-        ch.sort_side("suc", target.suc)
+        if rule == "lolli_l":
+            ch.unstash("ant")
+        elif rule == "excl_r":
+            ch.unstash("suc")
+        for rest, s, p in zip(rests, sides, parked):
+            if p:
+                ch.release(_OTHER[s], rest)
+        ch.tidy("ant")
+        ch.tidy("suc")
         return stack_chain(out, ch.steps)
 
-    ch = _DChain(subs[0].conclusion)
     pn = pns[0]
-    if rule == "wrap_left":
-        tk = target.ant
-        ch.sort_side("suc", SComma(tk.right, target.suc))
-        ch.stash_first("suc")
-    elif rule == "wrap_right":
-        tk = target.suc
-        ch.sort_side("ant", SComma(target.ant, tk.left))
-        ch.stash("ant")
-    elif rule == "dissolve_left":
-        ch.unstash_append("suc")
-        ch.sort_side("suc", target.suc)
-    elif rule == "dissolve_right":
-        ch.unstash_append("ant")
-        ch.sort_side("ant", target.ant)
-    elif rule == "pull_left":
-        k1 = cn.left[0]
-        k0 = t_items = None
-        for i, it in enumerate(pn.left):
-            if isinstance(it, Sequent):
-                others = pn.left[:i] + pn.left[i + 1:]
-                if Sequent(it.left + others, it.right, 0) == k1:
-                    k0, t_items = it, others
-                    break
-        e0a = _ecomb(k0.left, "left")
-        e0s = _ecomb(k0.right, "right")
-        bt = _ecomb(t_items, "left") if t_items else SPhi()
-        tk1 = target.ant
-        ch.sort_side("ant", SComma(bt, SLt(e0a, e0s)))
-        ch.emit("mixed_assoc_l", DisplaySequent(SLt(SComma(bt, e0a), e0s), ch.cur.suc))
-        ch.unstash_append("suc")
-        ch.sort_side("ant", tk1.left)
-        ch.sort_side("suc", SComma(tk1.right, target.suc))
-        ch.stash_first("suc")
-    elif rule == "push_right":
-        k1 = cn.right[0]
-        k0 = t_items = None
-        for i, it in enumerate(pn.right):
-            if isinstance(it, Sequent):
-                others = pn.right[:i] + pn.right[i + 1:]
-                if Sequent(it.left, it.right + others, 0) == k1:
-                    k0, t_items = it, others
-                    break
-        e0a = _ecomb(k0.left, "left")
-        e0s = _ecomb(k0.right, "right")
-        bt = _ecomb(t_items, "right") if t_items else SPhi()
-        tk1 = target.suc
-        ch.sort_side("suc", SComma(SGt(e0a, e0s), bt))
-        ch.emit("mixed_assoc_r", DisplaySequent(ch.cur.ant, SGt(e0a, SComma(e0s, bt))))
-        ch.unstash_append("ant")
-        ch.sort_side("suc", tk1.right)
-        ch.sort_side("ant", SComma(target.ant, tk1.left))
-        ch.stash("ant")
+    if cn == pn:
+        return subs[0]
+    ch = _DChain(subs[0].conclusion)
+    if rule in ("wrap_left", "wrap_right"):
+        # the new child takes `block` from this side; `rest` stays at the root
+        side = "suc" if rule == "wrap_left" else "ant"
+        sn_side = _SN_SIDE[side]
+        block = getattr(getattr(cn, _SN_SIDE[_OTHER[side]])[0], sn_side)
+        if block and getattr(cn, sn_side):
+            ch.gather(side, block)
+            ch.stash(side)
+        else:
+            # the pad stands in for the empty part
+            ch.pad(side)
+            (ch.stash if (side == "ant") == (not block) else ch.stash_first)(side)
+    elif rule in ("dissolve_left", "dissolve_right"):
+        side = "ant" if rule == "dissolve_right" else "suc"
+        ch.unstash(side)
+        ch.tidy(side)
+    elif rule in ("pull_left", "push_right"):
+        # bring the child the other root items join to the end, and merge
+        side = "ant" if rule == "pull_left" else "suc"
+        sn_side = _SN_SIDE[side]
+        items = getattr(pn, sn_side)
+        k0 = next(
+            k for k in child_seqs(items)
+            if _edit(k, sn_side, (), side_remove(items, [k])) == getattr(cn, sn_side)[0]
+        )
+        ch.to_end(side, _reads_as(k0, side))
+        if side == "suc":
+            ch.com(side)
+        ch.mixed_assoc(side)
+        if not getattr(k0, sn_side):
+            # the child's empty side became a Phi operand: display it and drop it
+            other = _OTHER[side]
+            ch.unstash(other)
+            ch.tidy(side)
+            ch.stash(other)
     else:
         raise ValueError(f"no display translation for rule {rule!r}")
     return stack_chain(subs[0], ch.steps)

@@ -375,9 +375,8 @@ def test_stats_branch_within_budget(tmp_path, capsys):
     run("prove", "--logic", "fill", BIERMAN, "--out", str(out))
     assert run("stats", str(out)) == 0
     record = json.loads(capsys.readouterr().out)
-    # the endsequent => F reads as 1 -o F: 4 arrows, size 21
-    assert record["hop_cap"] == 4 and record["branch_bound"] == 5 * 21
-    # prove searched for F itself: 3 arrows, size 19
+    # the endsequent => F reads as F, which prove searched: 3 arrows, size 19
+    assert record["hop_cap"] == 3 and record["branch_bound"] == 4 * 19
     assert search_bounds(parse_formula(BIERMAN)) == (3, 76)
     assert record["max_branch"] <= 76
     assert record["calculus"] == "dn"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillprover.deep import LEAF_RULES, DN_RULES, check_dn_proof, deep_moves, endsequent_for, proof_stays_in_fill
-from fillprover.certs import proof_size
+from fillprover.certs import certificate_text, proof_size
 from fillprover.formula import (
     Atom,
     Excl,
@@ -24,7 +24,7 @@ from fillprover.formula import (
     formula_size,
     parse_formula,
 )
-from fillprover.prover import decide_formula, decide_sequent
+from fillprover.prover import decide_formula, decide_sequent, goal_reading, search_bounds
 from fillprover.sequent import Occ, Sequent, label_sequent, parse_sequent, signed_atom_count, strip_sequent
 
 VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus_p_q_3.tsv.gz"
@@ -118,6 +118,25 @@ def test_decide_sequent():
     assert decide_sequent(parse_sequent("a => b")).status == "refuted"
     with pytest.raises(ValueError):
         decide_sequent(parse_sequent("[a => b] => c"), "fill")
+
+
+@pytest.mark.parametrize(
+    "text, logic, states",
+    [
+        ("(a|b)|c -o a|((b|c -o d)|e -o d|e)", "fill", 16),
+        ("(a -o b) -o (b -o c) -o a -o c", "fill", 28),
+        ("(a -< b) -< c -o a -< (b|c)", "biill", 37),
+    ],
+)
+def test_a_root_formula_sequent_is_searched_as_its_formula(text, logic, states):
+    # `=> F` reads as `F`, not as `1 -o F`, so both searches get F's bounds
+    f = parse_formula(text)
+    s = parse_sequent(f"=> {text}")
+    assert search_bounds(goal_reading(s)) == search_bounds(f)
+    by_formula = decide_formula(f, logic)
+    by_sequent = decide_sequent(s, logic)
+    assert by_sequent.visited == by_formula.visited == states
+    assert certificate_text("dn", logic, by_sequent.proof) == certificate_text("dn", logic, by_formula.proof)
 
 
 def test_proof_sizes_within_quartic_bound():

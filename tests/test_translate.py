@@ -13,7 +13,7 @@ from fillprover.certs import CheckError, ProofNode, certificate_text, postorder,
 from fillprover.deep import check_dn_proof, endsequent_for
 from fillprover.display import check_dc_proof, parse_display
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, parse_formula
-from fillprover.prover import decide_formula
+from fillprover.prover import decide_formula, decide_sequent
 from fillprover.sequent import parse_sequent, strip_sequent
 from fillprover.cli import main
 from fillprover.shallow import check_sn_proof, zero_origins
@@ -77,11 +77,15 @@ def test_four_way_closure(text, logic):
     check_sn_proof(sn2, "biill", expect=sn.conclusion)
     dn2 = shallow_to_deep(sn)
     check_dn_proof(dn2, "biill", expect=endsequent_for(f))
+    # the dc leg leaves no trace in the dn proof it ends in
+    dn3 = shallow_to_deep(sn2)
+    assert certificate_text("dn", "biill", dn3) == certificate_text("dn", "biill", dn2)
     for p in (sn, dc, sn2, dn2):
         assert "cut" not in rules_of(p)
     for p in (sn, dc, sn2):
         assert not repeated_conclusions(p)
-    assert proof_size(dc) <= 4 * proof_size(sn)
+    # the sn -> dc translator as built, before `cut_loops` sees it
+    assert proof_size(translate._std(sn)) <= 4 * proof_size(sn)
 
 
 def repeated_conclusions(root):
@@ -113,19 +117,19 @@ def test_frozen_translation_sizes():
     dn = proved("a -o a", "fill")
     sn = deep_to_shallow(dn, "fill")
     dc = shallow_to_display(sn)
-    assert (proof_size(dn), proof_size(sn), proof_size(dc)) == (2, 3, 6)
+    assert (proof_size(dn), proof_size(sn), proof_size(dc)) == (2, 3, 4)
     assert proof_size(display_to_shallow(dc)) == 3
     assert proof_size(shallow_to_deep(sn)) == 2
     sn = deep_to_shallow(proved("a*b -o a*b", "fill"), "fill")
     assert proof_size(sn) == 22
     assert proof_size(shallow_to_deep(sn)) == 5
     dc = shallow_to_display(deep_to_shallow(proved("a*b -o b*a", "fill"), "fill"))
-    assert proof_size(dc) == 67
+    assert proof_size(dc) == 42
     assert proof_size(display_to_shallow(dc)) == 20
 
 
 def assoc_dc_certificate():
-    dc = shallow_to_display(deep_to_shallow(proved("a*(b*c) -o (a*b)*c", "fill"), "fill"))
+    dc = shallow_to_display(deep_to_shallow(proved("a*(b*(c*d)) -o ((a*b)*c)*d", "fill"), "fill"))
     return dc, certificate_text("dc", "fill", dc)
 
 
@@ -196,6 +200,21 @@ def test_a_broken_translator_is_caught_by_its_target_checker(tmp_path, monkeypat
     assert not out.exists()
 
 
+def test_every_import_is_used_or_exported():
+    # a deletion must not leave the names it used imported for nothing
+    for path in sorted(Path(fillprover.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in used, f"{path.name}:{node.lineno} imports {name} unused"
+
+
 def test_the_package_holds_no_assertions():
     # python -O strips assertions, so no invariant may rest on one
     for path in sorted(Path(fillprover.__file__).parent.glob("*.py")):
@@ -258,6 +277,32 @@ def test_translations_preserve_endsequent_exactly():
     assert norm(dn2.conclusion) == norm(endsequent_for(f))
     dc = shallow_to_display(sn)
     assert dc.conclusion == embed_sequent(sn.conclusion)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "b, c => c*b",
+        "d, c, b, a => (a*b)*(c*d)",
+        "a|b|c => c, b, a",
+        "a => a, [=>]@1",
+        "b, a => [=> a*b]@1",
+        "[b, a => a*b]@1 =>",
+        "q, [p, [=>]@2 =>]@1 => p*q",
+    ],
+)
+def test_display_proofs_end_in_the_embedded_endsequent(text):
+    # several operands a side, and children: the final arrangement has work,
+    # inside the children too for the last two
+    d = decide_sequent(parse_sequent(text))
+    assert d.proved
+    sn = deep_to_shallow(d.proof)
+    dc = shallow_to_display(sn)
+    assert dc.conclusion == embed_sequent(sn.conclusion)
+    dn = shallow_to_deep(display_to_shallow(dc))
+    check_dn_proof(dn, "biill")
+    # display structures carry no child origins, so compare without them
+    assert norm(dn.conclusion) == norm(sn.conclusion)
 
 
 # -------------------------------------------------------------- randomized
