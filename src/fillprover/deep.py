@@ -145,6 +145,35 @@ _PROP_SHAPE = {
     "prop_left_out": ("left", "left", False),
 }
 
+# BiILL is symmetric: each rule below acts as its partner would with the two
+# sides of every node exchanged.  A mirror pair is written once, for the
+# first rule of the pair, and `_on` names the rule for the other side.
+_MIRROR = {
+    rule: partner
+    for pair in (
+        ("wrap_left", "wrap_right"),
+        ("dissolve_left", "dissolve_right"),
+        ("pull_left", "push_right"),
+        ("prop_left_in", "prop_right_in"),
+        ("prop_right_out", "prop_left_out"),
+        ("lolli_l", "excl_r"),
+    )
+    for rule, partner in (pair, pair[::-1])
+}
+_FLIP = {"left": "right", "right": "left"}
+
+
+def _on(side: str, rule: str) -> str:
+    """`rule` as it is, on the left side; its mirror image on the right."""
+    return rule if side == "left" else _MIRROR[rule]
+
+
+def _sided(side: str, near: tuple, far: tuple, origin: int = 0) -> Sequent:
+    """The sequent with `near` on `side` and `far` on the other side."""
+    if side == "left":
+        return Sequent(near, far, origin)
+    return Sequent(far, near, origin)
+
 
 def _rules_at(node: Sequent, fill: bool) -> Iterator[tuple[str, str, Occ]]:
     """(rule, side, occurrence) for every logical rule that can act on an

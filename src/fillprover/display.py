@@ -59,7 +59,6 @@ __all__ = [
     "display_text",
     "strip_structure",
     "strip_display",
-    "structure_formulas",
     "is_fill_structure",
     "is_fill_display",
     "comma_join",
@@ -251,15 +250,6 @@ def strip_structure(x: Structure) -> Structure:
 def strip_display(ds: DisplaySequent) -> DisplaySequent:
     ant, suc = strip_structure(ds.ant), strip_structure(ds.suc)
     return ds if ant is ds.ant and suc is ds.suc else DisplaySequent(ant, suc)
-
-
-def structure_formulas(x: Structure):
-    match x:
-        case SLeaf(formula=f):
-            yield f
-        case SComma(left=l, right=r) | SGt(left=l, right=r) | SLt(left=l, right=r):
-            yield from structure_formulas(l)
-            yield from structure_formulas(r)
 
 
 def is_fill_structure(x: Structure) -> bool:

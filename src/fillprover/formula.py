@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 __all__ = [
     "ParseError",
@@ -39,7 +39,6 @@ __all__ = [
     "strip_labels",
     "label_occurrences",
     "is_fill_formula",
-    "subformulas",
 ]
 
 
@@ -212,15 +211,6 @@ def is_fill_formula(f: Formula) -> bool:
         case Tensor(left=l, right=r) | Par(left=l, right=r) | Lolli(left=l, right=r):
             return is_fill_formula(l) and is_fill_formula(r)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformula occurrences in prefix order, the formula itself first."""
-    yield f
-    match f:
-        case Tensor(left=l, right=r) | Par(left=l, right=r) | Lolli(left=l, right=r) | Excl(left=l, right=r):
-            yield from subformulas(l)
-            yield from subformulas(r)
 
 
 # ---------------------------------------------------------------- parsing

@@ -13,17 +13,15 @@ hop count 0.  The text is read by the parser core in `formula.py`.
 
 A context is a nested sequent with exactly one hole standing for a whole
 node; `plug` substitutes a sequent for the hole.  `HOLE` itself is the empty
-context.  Merging and partitioning implement the resource-splitting algebra
-used by the branching rules: a partition two-colours every formula occurrence
-and recursively partitions every child, so both halves keep the tree shape
-and origin labels; merging is its inverse and enumerates every way to pair up
-children that share an origin.
+context.  Partitioning implements the resource splitting of the branching
+rules: a partition two-colours every formula occurrence and recursively
+partitions every child, so both halves keep the tree shape and origin labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, product
 from typing import Iterator, Union
 
 from .formula import (
@@ -68,13 +66,10 @@ __all__ = [
     "hole_count",
     "plug",
     "hole_contexts",
-    "context_polarity",
     "context_decompose",
     "tau_s",
     "tau_a",
     "signed_atom_count",
-    "merge_sequents",
-    "merge_contexts",
     "enumerate_partitions",
     "enumerate_context_partitions",
 ]
@@ -337,29 +332,6 @@ def hole_contexts(s: Sequent) -> Iterator[tuple[Context, Sequent]]:
                 yield ctx, node
 
 
-def context_polarity(ctx: Context) -> str:
-    """`"root"` for the empty context, `"pos"` when the hole sits in a right
-    multiset, `"neg"` when it sits in a left multiset."""
-    if isinstance(ctx, Hole):
-        return "root"
-
-    def walk(node: Sequent) -> str | None:
-        for tag, items in (("neg", node.left), ("pos", node.right)):
-            for it in items:
-                if isinstance(it, Hole):
-                    return tag
-                if isinstance(it, Sequent):
-                    r = walk(it)
-                    if r:
-                        return r
-        return None
-
-    r = walk(ctx)
-    if r is None:
-        raise ValueError("context has no hole")
-    return r
-
-
 def _subtract(items: tuple, gone: list) -> list | None:
     out = list(items)
     for g in gone:
@@ -537,60 +509,7 @@ def signed_atom_count(s: Sequent | Formula) -> dict[str, tuple[int, int]]:
     return {n: (c[0], c[1]) for n, c in counts.items()}
 
 
-# ------------------------------------------------------ merging and splits
-
-def merge_sequents(a: Sequent, b: Sequent) -> list[Sequent]:
-    """All merges of two sequents.  Formula occurrences union; children are
-    paired bijectively within each origin group and merged recursively; holes
-    must align.  Distinct pairings can collapse to equal results, so the list
-    is deduplicated.  Empty when origins or shapes cannot match."""
-    if a.origin != b.origin:
-        return []
-    out: list[Sequent] = []
-    for L, R in product(_merge_items(a.left, b.left), _merge_items(a.right, b.right)):
-        s = Sequent(L, R, a.origin)
-        if s not in out:
-            out.append(s)
-    return out
-
-
-def merge_contexts(a: Context, b: Context) -> list[Context]:
-    if isinstance(a, Hole) and isinstance(b, Hole):
-        return [HOLE]
-    if isinstance(a, Hole) or isinstance(b, Hole):
-        return []
-    return merge_sequents(a, b)
-
-
-def _merge_items(x_items: tuple, y_items: tuple) -> list[tuple]:
-    x_holes = [it for it in x_items if isinstance(it, Hole)]
-    y_holes = [it for it in y_items if isinstance(it, Hole)]
-    if len(x_holes) != len(y_holes):
-        return []
-    fixed = list(occs(x_items)) + list(occs(y_items)) + x_holes
-    xg = children_by_origin(x_items)
-    yg = children_by_origin(y_items)
-    if sorted(xg) != sorted(yg) or any(len(xg[g]) != len(yg[g]) for g in xg):
-        return []
-    per_group: list[list[tuple[Sequent, ...]]] = []
-    for g in sorted(xg):
-        results: list[tuple[Sequent, ...]] = []
-        for perm in permutations(yg[g]):
-            merged_lists = [merge_sequents(x, y) for x, y in zip(xg[g], perm)]
-            if any(not m for m in merged_lists):
-                continue
-            for combo in product(*merged_lists):
-                if combo not in results:
-                    results.append(combo)
-        if not results:
-            return []
-        per_group.append(results)
-    sides = []
-    for combo in product(*per_group):
-        side = tuple(fixed) + tuple(chain.from_iterable(combo))
-        sides.append(side)
-    return sides
-
+# ----------------------------------------------------------------- splits
 
 def enumerate_partitions(s: Sequent) -> list[tuple[Sequent, Sequent]]:
     """Every two-colouring of the formula occurrences; both halves keep the

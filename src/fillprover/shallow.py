@@ -6,12 +6,18 @@ tags, hop counts, arrow labels) is invisible to this calculus: conclusions
 are compared with all of it erased.
 
 Six structural rules move material between the root and a root-level child:
-`wrap_left` packs the whole antecedent-but-one piece of the root into a new
-left child, `wrap_right` mirrors it, `dissolve_left`/`dissolve_right` undo
-the packing, and `pull_left`/`push_right` shift root items into an existing
-child.  The ten logical rules are the deep ones fired at the root node, and
-are checked with the rule-shape builders the deep calculus shares between
-search and checking.  `cut` is available as well.
+`wrap_left` packs the whole antecedent of the root and part of its
+succedent into a new left child, `dissolve_left` undoes the packing, and
+`pull_left` shifts root antecedent items into an existing left child.  Their mirror
+images `wrap_right`, `dissolve_right` and `push_right` do the same with the
+two sides of every node exchanged.  The ten logical rules are the deep ones
+fired at the root node, and are checked with the rule-shape builders the
+deep calculus shares between search and checking.  `cut` is available as
+well.
+
+Each mirror pair, here and in the translators, is written once, for the
+rule on the left, with the sequents built by side (`deep._sided`); the
+rule for the other side is named by the one mirror table, `deep._MIRROR`.
 
 The second half of this module builds derivation fragments from those
 rules: a chain that brings an arbitrary node of a tree to the root
@@ -29,7 +35,17 @@ from collections import Counter
 from itertools import chain
 
 from .certs import CheckError, LOGICS, ProofNode, proof_size, stack_room
-from .deep import _LOGICAL, _SPLIT, _branch_conclusion, _principals, _quoted, _unfold
+from .deep import (
+    _FLIP,
+    _LOGICAL,
+    _SPLIT,
+    _branch_conclusion,
+    _on,
+    _principals,
+    _quoted,
+    _sided,
+    _unfold,
+)
 from .formula import Atom, UnitBot, UnitI, _clip
 from .sequent import (
     Context,
@@ -57,7 +73,6 @@ __all__ = [
     "check_sn_proof",
     "sn_proof_stays_in_fill",
     "display_in_sn",
-    "displayed_sequent",
     "invert_display_chain",
     "stack_chain",
     "expand_dist",
@@ -166,39 +181,28 @@ def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
                 for a in occs(p1.right)
                 for b in occs(p2.left)
             )
-        case "wrap_left":
+        case "wrap_left" | "wrap_right" | "dissolve_left" | "dissolve_right":
+            # the lone child on the named side spills into the root: going
+            # up for a wrap, going down for a dissolve
             (p,) = ps
-            k = _single_child(c.left)
-            return k is not None and p == Sequent(k.left, k.right + c.right)
-        case "wrap_right":
-            (p,) = ps
-            k = _single_child(c.right)
-            return k is not None and p == Sequent(c.left + k.left, k.right)
-        case "dissolve_left":
-            (p,) = ps
-            k = _single_child(p.left)
-            return k is not None and c == Sequent(k.left, k.right + p.right)
-        case "dissolve_right":
-            (p,) = ps
-            k = _single_child(p.right)
-            return k is not None and c == Sequent(p.left + k.left, k.right)
-        case "pull_left":
-            (p,) = ps
-            k1 = _single_child(c.left)
-            if k1 is None or c.right != p.right:
-                return False
-            return any(
-                k1 == Sequent(k0.left + side_remove(p.left, [k0]), k0.right)
-                for k0 in child_seqs(p.left)
+            kind, _, side = rule.partition("_")
+            other = _FLIP[side]
+            nested, flat = (c, p) if kind == "wrap" else (p, c)
+            k = _single_child(getattr(nested, side))
+            return k is not None and flat == _sided(
+                side, getattr(k, side), getattr(k, other) + getattr(nested, other)
             )
-        case "push_right":
+        case "pull_left" | "push_right":
             (p,) = ps
-            k1 = _single_child(c.right)
-            if k1 is None or c.left != p.left:
+            side = rule.partition("_")[2]
+            other = _FLIP[side]
+            k1 = _single_child(getattr(c, side))
+            if k1 is None or getattr(c, other) != getattr(p, other):
                 return False
+            items = getattr(p, side)
             return any(
-                k1 == Sequent(k0.left, k0.right + side_remove(p.right, [k0]))
-                for k0 in child_seqs(p.right)
+                k1 == _sided(side, getattr(k0, side) + side_remove(items, [k0]), getattr(k0, other))
+                for k0 in child_seqs(items)
             )
     raise CheckError(f"unknown rule {_clip(rule)}")
 
@@ -267,35 +271,19 @@ def display_in_sn(ctx: Context, node: Sequent, always_wrap: bool = False) -> lis
     steps: list[tuple[str, Sequent]] = []
     while not isinstance(ctx, Hole):
         side, special = _holder(ctx)
+        other = _FLIP[side]
         k_tree = plug(special, node) if isinstance(special, Sequent) else node
         rest = side_remove(getattr(ctx, side), [special])
-        other = ctx.right if side == "left" else ctx.left
-        if side == "right":
-            extra: tuple = ()
-            if rest or other or always_wrap:
-                wrapper = Sequent(other, rest, 0)
-                extra = (wrapper,)
-                steps.append(("wrap_left", Sequent(extra, (k_tree,), 0)))
-            steps.append(("dissolve_right", Sequent(extra + k_tree.left, k_tree.right, 0)))
-            if isinstance(special, Hole):
-                break
-            ctx = Sequent(extra + special.left, special.right, 0)
-        else:
-            extra = ()
-            if rest or other or always_wrap:
-                wrapper = Sequent(rest, other, 0)
-                extra = (wrapper,)
-                steps.append(("wrap_right", Sequent((k_tree,), extra, 0)))
-            steps.append(("dissolve_left", Sequent(k_tree.left, k_tree.right + extra, 0)))
-            if isinstance(special, Hole):
-                break
-            ctx = Sequent(special.left, special.right + extra, 0)
+        extra: tuple = ()
+        if rest or getattr(ctx, other) or always_wrap:
+            extra = (_sided(side, rest, getattr(ctx, other)),)
+            steps.append((_on(side, "wrap_right"), _sided(side, (k_tree,), extra)))
+        near, far = getattr(k_tree, side), getattr(k_tree, other)
+        steps.append((_on(side, "dissolve_left"), _sided(side, near, far + extra)))
+        if isinstance(special, Hole):
+            break
+        ctx = _sided(side, getattr(special, side), getattr(special, other) + extra)
     return steps
-
-
-def displayed_sequent(ctx: Context, node: Sequent, always_wrap: bool = False) -> Sequent:
-    steps = display_in_sn(ctx, node, always_wrap)
-    return steps[-1][1] if steps else node
 
 
 _UNWRAP = {
@@ -329,46 +317,32 @@ def expand_dist(x: Sequent, y: Sequent, top: ProofNode, side: str = "left", orig
     """Fuse root children `x` and `y` of `top`'s conclusion into the single
     child `(x.left, y.left => x.right, y.right)`, tagged `origin`.  Their
     grandchildren pile up unpaired inside the fused child.  Nine structural
-    steps."""
+    steps; on the right they mirror the left-hand ones with `x` and `y`
+    exchanged."""
     base = top.conclusion
     combined = Sequent(x.left + y.left, x.right + y.right, origin)
-    if side == "left":
-        u = side_remove(base.left, [x, y])
-        v = base.right
-        uw = Sequent(u, v, 0)
-        v1 = Sequent((y,), (uw,), 0)
-        v1b = Sequent((y,), (uw,) + x.right, 0)
-        k1 = Sequent(y.left + x.left, y.right, 0)
-        steps = [
-            ("wrap_right", Sequent((x, y), (uw,), 0)),
-            ("wrap_right", Sequent((x,), (v1,), 0)),
-            ("dissolve_left", Sequent(x.left, x.right + (v1,), 0)),
-            ("push_right", Sequent(x.left, (v1b,), 0)),
-            ("dissolve_right", Sequent(x.left + (y,), (uw,) + x.right, 0)),
-            ("pull_left", Sequent((k1,), (uw,) + x.right, 0)),
-            ("dissolve_left", Sequent(y.left + x.left, y.right + (uw,) + x.right, 0)),
-            ("wrap_left", Sequent((combined,), (uw,), 0)),
-            ("dissolve_right", Sequent((combined,) + u, v, 0)),
-        ]
-    else:
-        u = base.left
-        v = side_remove(base.right, [x, y])
-        uw = Sequent(u, v, 0)
-        v1 = Sequent((uw,), (x,), 0)
-        v1b = Sequent((uw,) + y.left, (x,), 0)
-        k1 = Sequent(x.left, x.right + y.right, 0)
-        steps = [
-            ("wrap_left", Sequent((uw,), (x, y), 0)),
-            ("wrap_left", Sequent((v1,), (y,), 0)),
-            ("dissolve_right", Sequent((v1,) + y.left, y.right, 0)),
-            ("pull_left", Sequent((v1b,), y.right, 0)),
-            ("dissolve_left", Sequent((uw,) + y.left, (x,) + y.right, 0)),
-            ("push_right", Sequent((uw,) + y.left, (k1,), 0)),
-            ("dissolve_right", Sequent((uw,) + y.left + x.left, x.right + y.right, 0)),
-            ("wrap_right", Sequent((uw,), (combined,), 0)),
-            ("dissolve_left", Sequent(u, v + (combined,), 0)),
-        ]
-    return stack_chain(top, steps)
+    if side == "right":
+        x, y = y, x
+    other = _FLIP[side]
+    xs, xo, ys, yo = getattr(x, side), getattr(x, other), getattr(y, side), getattr(y, other)
+    u = side_remove(getattr(base, side), [x, y])
+    v = getattr(base, other)
+    uw = _sided(side, u, v)
+    v1 = _sided(side, (y,), (uw,))
+    v1b = _sided(side, (y,), (uw,) + xo)
+    k1 = _sided(side, ys + xs, yo)
+    steps = [
+        ("wrap_right", _sided(side, (x, y), (uw,))),
+        ("wrap_right", _sided(side, (x,), (v1,))),
+        ("dissolve_left", _sided(side, xs, xo + (v1,))),
+        ("push_right", _sided(side, xs, (v1b,))),
+        ("dissolve_right", _sided(side, xs + (y,), (uw,) + xo)),
+        ("pull_left", _sided(side, (k1,), (uw,) + xo)),
+        ("dissolve_left", _sided(side, ys + xs, yo + (uw,) + xo)),
+        ("wrap_left", _sided(side, (combined,), (uw,))),
+        ("dissolve_right", _sided(side, (combined,) + u, v)),
+    ]
+    return stack_chain(top, [(_on(side, rule), s) for rule, s in steps])
 
 
 def _merge_plan(x: Sequent, y: Sequent, z: Sequent):
@@ -422,36 +396,20 @@ def expand_merge(x: Sequent, y: Sequent, z: Sequent, top: ProofNode, side: str =
             f"{sequent_text(z)} is not a merge of {sequent_text(x)} and {sequent_text(y)}"
         )
     base = top.conclusion
-    combined = Sequent(x.left + y.left, x.right + y.right, z.origin)
-    if side == "left":
-        u = side_remove(base.left, [x, y])
-        v = base.right
-        uw = Sequent(u, v, 0)
-        node = ProofNode("wrap_right", Sequent((x, y), (uw,), 0), (top,))
-        node = expand_dist(x, y, node, "left", origin=z.origin)
-        if plan:
-            node = ProofNode(
-                "dissolve_left", Sequent(combined.left, combined.right + (uw,), 0), (node,)
-            )
-            for kside, xc, yc, zc in plan:
-                node = expand_merge(xc, yc, zc, node, kside)
-            node = ProofNode("wrap_left", Sequent((z,), (uw,), 0), (node,))
-        node = ProofNode("dissolve_right", Sequent((z,) + u, v, 0), (node,))
-    else:
-        u = base.left
-        v = side_remove(base.right, [x, y])
-        uw = Sequent(u, v, 0)
-        node = ProofNode("wrap_left", Sequent((uw,), (x, y), 0), (top,))
-        node = expand_dist(x, y, node, "right", origin=z.origin)
-        if plan:
-            node = ProofNode(
-                "dissolve_right", Sequent((uw,) + combined.left, combined.right, 0), (node,)
-            )
-            for kside, xc, yc, zc in plan:
-                node = expand_merge(xc, yc, zc, node, kside)
-            node = ProofNode("wrap_right", Sequent((uw,), (z,), 0), (node,))
-        node = ProofNode("dissolve_left", Sequent(u, v + (z,), 0), (node,))
-    return node
+    other = _FLIP[side]
+    u = side_remove(getattr(base, side), [x, y])
+    v = getattr(base, other)
+    uw = _sided(side, u, v)
+    node = ProofNode(_on(side, "wrap_right"), _sided(side, (x, y), (uw,)), (top,))
+    node = expand_dist(x, y, node, side, origin=z.origin)
+    if plan:
+        fused = Sequent(x.left + y.left, x.right + y.right)
+        opened = _sided(side, getattr(fused, side), getattr(fused, other) + (uw,))
+        node = ProofNode(_on(side, "dissolve_left"), opened, (node,))
+        for kside, xc, yc, zc in plan:
+            node = expand_merge(xc, yc, zc, node, kside)
+        node = ProofNode(_on(side, "wrap_left"), _sided(side, (z,), (uw,)), (node,))
+    return ProofNode(_on(side, "dissolve_right"), _sided(side, (z,) + u, v), (node,))
 
 
 def expand_weaken_hollow(x: Sequent, side: str, top: ProofNode) -> ProofNode:
@@ -461,23 +419,13 @@ def expand_weaken_hollow(x: Sequent, side: str, top: ProofNode) -> ProofNode:
         raise ValueError(f"cannot weaken by non-hollow {sequent_text(x)}")
     base = top.conclusion
     uw = Sequent(base.left, base.right, 0)
-    if side == "left":
-        node = ProofNode("wrap_right", Sequent((), (uw,), 0), (top,))
-        for h in child_seqs(x.left):
-            node = expand_weaken_hollow(h, "left", node)
-        for k in child_seqs(x.right):
-            node = expand_weaken_hollow(k, "right", node)
-        node = ProofNode("wrap_left", Sequent((x,), (uw,), 0), (node,))
-        node = ProofNode("dissolve_right", Sequent((x,) + base.left, base.right, 0), (node,))
-    else:
-        node = ProofNode("wrap_left", Sequent((uw,), (), 0), (top,))
-        for h in child_seqs(x.left):
-            node = expand_weaken_hollow(h, "left", node)
-        for k in child_seqs(x.right):
-            node = expand_weaken_hollow(k, "right", node)
-        node = ProofNode("wrap_right", Sequent((uw,), (x,), 0), (node,))
-        node = ProofNode("dissolve_left", Sequent(base.left, base.right + (x,), 0), (node,))
-    return node
+    node = ProofNode(_on(side, "wrap_right"), _sided(side, (), (uw,)), (top,))
+    for kside in ("left", "right"):
+        for k in child_seqs(getattr(x, kside)):
+            node = expand_weaken_hollow(k, kside, node)
+    node = ProofNode(_on(side, "wrap_left"), _sided(side, (x,), (uw,)), (node,))
+    near, far = getattr(base, side), getattr(base, _FLIP[side])
+    return ProofNode(_on(side, "dissolve_right"), _sided(side, (x,) + near, far), (node,))
 
 
 def expand_deep_leaf(rule: str, ctx: Context, node: Sequent) -> ProofNode:

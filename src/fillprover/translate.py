@@ -31,9 +31,14 @@ through the subproof above it until it disappears: a wrap step turns into
 a walk that refires every rule of the subproof at the right depth inside
 the new child, inserting propagation steps whenever material crosses the
 child boundary, and absorbing closures at the axioms; a dissolve step is
-the mirror walk that flattens the child everywhere, dropping the boundary
+the inverse walk that flattens the child everywhere, dropping the boundary
 propagations it meets; pull and push steps factor through one dissolve
 and one wrap.  Logical rules map one for one.
+
+Every rule that has a mirror image in `deep._MIRROR` (the wraps, dissolves,
+pull and push, the propagations, and `lolli_l` with `excl_r`) is
+translated by one body, parametrised by side: it is written for one rule of
+the pair and names the other with `deep._on`.
 
 Each translation ends by running the checker of its target calculus on its
 result, against the input's endsequent.  The check runs under BiILL, since
@@ -51,13 +56,17 @@ from typing import NamedTuple
 
 from .certs import CheckError, ProofNode, Witness, cut_loops, postorder, proof_size, stack_room
 from .deep import (
+    _FLIP,
     _LOGICAL,
+    _PROP_SHAPE,
     _SPLIT,
     _branch_conclusion,
     _edit,
+    _on,
     _principals,
     _prop_sites,
     _propagate,
+    _sided,
     _split_premises,
     _unfold,
     _unfolding,
@@ -292,44 +301,32 @@ def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a_p: Occ, 
     """The structural steps lowering the displayed premise of a propagation
     move to its displayed conclusion.  Crossing into a child needs a five
     step sandwich (display the child, pull or push the occurrence across,
-    reassemble); crossing out needs three."""
-    if rule == "prop_left_in":
-        rest = side_remove(d_p.right, [k_p])
-        w0 = Sequent(d_p.left, rest)
-        w1 = Sequent(d_p.left + (a_c,), rest)
-        return [
-            ("wrap_left", Sequent((w0,), (k_p,))),
-            ("dissolve_right", Sequent((w0,) + k_p.left, k_p.right)),
-            ("wrap_right", Sequent((w0, a_p), (k_c,))),
-            ("pull_left", Sequent((w1,), (k_c,))),
-            ("dissolve_left", Sequent(d_p.left + (a_c,), rest + (k_c,))),
+    reassemble); crossing out needs three.  The steps are those of
+    `prop_left_in` and `prop_right_out`, whose child sits on the right,
+    mirrored for the other two."""
+    _, kid_side, inward = _PROP_SHAPE[rule]
+    side = _FLIP[kid_side]
+    near = getattr(d_p, side)
+    if inward:
+        rest = side_remove(getattr(d_p, kid_side), [k_p])
+        w0 = _sided(side, near, rest)
+        w1 = _sided(side, near + (a_c,), rest)
+        steps = [
+            ("wrap_left", _sided(side, (w0,), (k_p,))),
+            ("dissolve_right", _sided(side, (w0,) + getattr(k_p, side), getattr(k_p, kid_side))),
+            ("wrap_right", _sided(side, (w0, a_p), (k_c,))),
+            ("pull_left", _sided(side, (w1,), (k_c,))),
+            ("dissolve_left", _sided(side, near + (a_c,), rest + (k_c,))),
         ]
-    if rule == "prop_right_in":
-        rest = side_remove(d_p.left, [k_p])
-        w0 = Sequent(rest, d_p.right)
-        w1 = Sequent(rest, d_p.right + (a_c,))
-        return [
-            ("wrap_right", Sequent((k_p,), (w0,))),
-            ("dissolve_left", Sequent(k_p.left, k_p.right + (w0,))),
-            ("wrap_left", Sequent((k_c,), (a_p, w0))),
-            ("push_right", Sequent((k_c,), (w1,))),
-            ("dissolve_right", Sequent((k_c,) + rest, d_p.right + (a_c,))),
+    else:
+        rest = side_remove(getattr(d_p, kid_side), [a_p, k_p])
+        w0 = _sided(side, near, rest)
+        steps = [
+            ("wrap_left", _sided(side, (w0,), (a_p, k_p))),
+            ("push_right", _sided(side, (w0,), (k_c,))),
+            ("dissolve_left", _sided(side, near, rest + (k_c,))),
         ]
-    if rule == "prop_right_out":
-        rest = side_remove(d_p.right, [a_p, k_p])
-        w0 = Sequent(d_p.left, rest)
-        return [
-            ("wrap_left", Sequent((w0,), (a_p, k_p))),
-            ("push_right", Sequent((w0,), (k_c,))),
-            ("dissolve_left", Sequent(d_p.left, rest + (k_c,))),
-        ]
-    rest = side_remove(d_p.left, [a_p, k_p])
-    w0 = Sequent(rest, d_p.right)
-    return [
-        ("wrap_right", Sequent((a_p, k_p), (w0,))),
-        ("pull_left", Sequent((k_c,), (w0,))),
-        ("dissolve_right", Sequent((k_c,) + rest, d_p.right)),
-    ]
+    return [(_on(side, r), s) for r, s in steps]
 
 
 # --------------------------------------------------- shallow -> display
@@ -749,14 +746,13 @@ def _dfs_down(node: ProofNode) -> ProofNode:
     prems = tuple(s.conclusion for s in subs)
     if rule in _DC_SAME:
         return ProofNode(rule, cn, tuple(subs))
-    if rule == "lolli_l":
-        k = cn.right[0]
-        mid = Sequent(k.left + cn.left, k.right, 0)
-        return ProofNode("wrap_right", cn, (ProofNode("lolli_l", mid, tuple(subs)),))
-    if rule == "excl_r":
-        k = cn.left[0]
-        mid = Sequent(k.left, k.right + cn.right, 0)
-        return ProofNode("wrap_left", cn, (ProofNode("excl_r", mid, tuple(subs)),))
+    if rule in ("lolli_l", "excl_r"):
+        # the display rule leaves a residual the sn rule keeps at the root
+        side = "left" if rule == "excl_r" else "right"
+        other = _FLIP[side]
+        k = getattr(cn, side)[0]
+        mid = _sided(side, getattr(k, side), getattr(k, other) + getattr(cn, other))
+        return ProofNode(_on(side, "wrap_left"), cn, (ProofNode(rule, mid, tuple(subs)),))
     if rule in ("rp_up", "rp_down", "drp_up", "drp_down", "mixed_assoc_l", "mixed_assoc_r"):
         if rule.startswith("rp"):
             cands = ("wrap_right", "dissolve_right")
@@ -773,43 +769,47 @@ def _dfs_down(node: ProofNode) -> ProofNode:
 
 # --------------------------------------------------- shallow -> deep
 
+_SIDES = ("left", "right")
+
+
+def _shifted(counts: dict, side: str, gone=(), added=()) -> dict:
+    """Occurrence counts by side, with `gone` taken off `side` and `added`
+    put on it."""
+    out = Counter(counts[side])
+    for v in gone:
+        out[v] -= 1
+        if not out[v]:
+            del out[v]
+    for v in added:
+        out[v] += 1
+    return {**counts, side: out}
+
+
+def _occ_counts(s: Sequent) -> dict:
+    return {side: Counter(occs(getattr(s, side))) for side in _SIDES}
+
+
 class _Enclosed(NamedTuple):
     """Which root items of a flat sequent belong inside the child a wrap step
-    creates: occurrence values by count, nested children by origin."""
+    creates, side by side: occurrence values by count, nested children by
+    origin."""
 
-    lc: Counter
-    lo: frozenset
-    rc: Counter
-    ro: frozenset
+    occ: dict
+    kids: dict
 
-
-def _occ_counter(items) -> Counter:
-    return Counter(occs(items))
+    def moved(self, side: str, gone=(), added=(), kids=frozenset()) -> "_Enclosed":
+        """The spec with the occurrences `gone` taken off `side`, and the
+        occurrences `added` and the children of origin `kids` put on it."""
+        return _Enclosed(
+            _shifted(self.occ, side, gone, added), {**self.kids, side: self.kids[side] | kids}
+        )
 
 
 def _enclose_all(kid: Sequent) -> _Enclosed:
     return _Enclosed(
-        _occ_counter(kid.left),
-        frozenset(k.origin for k in child_seqs(kid.left)),
-        _occ_counter(kid.right),
-        frozenset(k.origin for k in child_seqs(kid.right)),
+        _occ_counts(kid),
+        {side: frozenset(k.origin for k in child_seqs(getattr(kid, side))) for side in _SIDES},
     )
-
-
-def _cnt_add(cnt: Counter, *vals) -> Counter:
-    out = Counter(cnt)
-    for v in vals:
-        out[v] += 1
-    return out
-
-
-def _cnt_sub(cnt: Counter, *vals) -> Counter:
-    out = Counter(cnt)
-    for v in vals:
-        out[v] -= 1
-        if not out[v]:
-            del out[v]
-    return out
 
 
 def _greedy_split(want: Counter, avail1: Counter, avail2: Counter):
@@ -826,15 +826,12 @@ def _greedy_split(want: Counter, avail1: Counter, avail2: Counter):
     return c1, c2
 
 
-def _color_spec(spec: _Enclosed, a1l, a1r, a2l, a2r):
-    """Split an enclosure spec across the two premises of a branch step.
-    Children keep full skeleton in both halves, so origin sets carry over."""
-    l1, l2 = _greedy_split(spec.lc, a1l, a2l)
-    r1, r2 = _greedy_split(spec.rc, a1r, a2r)
-    return (
-        _Enclosed(l1, spec.lo, r1, spec.ro),
-        _Enclosed(l2, spec.lo, r2, spec.ro),
-    )
+def _color_spec(spec: _Enclosed, avail1: dict, avail2: dict):
+    """Split an enclosure spec across the two premises of a branch step,
+    bounded by the occurrences each premise has on each side.  Children
+    keep full skeleton in both halves, so origin sets carry over."""
+    halves = {side: _greedy_split(spec.occ[side], avail1[side], avail2[side]) for side in _SIDES}
+    return tuple(_Enclosed({side: h[i] for side, h in halves.items()}, spec.kids) for i in (0, 1))
 
 
 def _take_items(items, cnt: Counter, origin_set, hole_origin):
@@ -857,33 +854,33 @@ def _take_items(items, cnt: Counter, origin_set, hole_origin):
 def _wrap_image(s: Sequent, spec: _Enclosed, g: int, wside: str, hole_origin=None) -> Sequent:
     """The sequent with the enclosed items moved into a child node with
     origin `g` on side `wside` of the root."""
-    in_l, out_l = _take_items(s.left, spec.lc, spec.lo, hole_origin)
-    in_r, out_r = _take_items(s.right, spec.rc, spec.ro, hole_origin)
-    kid = Sequent(in_l, in_r, g)
-    if wside == "left":
-        return Sequent(out_l + (kid,), out_r, s.origin)
-    return Sequent(out_l, out_r + (kid,), s.origin)
+    parts = {
+        side: _take_items(getattr(s, side), spec.occ[side], spec.kids[side], hole_origin)
+        for side in _SIDES
+    }
+    kid = Sequent(parts["left"][0], parts["right"][0], g)
+    return _sided(wside, parts[wside][1] + (kid,), parts[_FLIP[wside]][1], s.origin)
+
+
+def _kid_at(s: Sequent, side: str, g: int):
+    """The root child of origin `g` on `side`, and the other items there."""
+    items = getattr(s, side)
+    kid = next(it for it in child_seqs(items) if it.origin == g)
+    return kid, side_remove(items, [kid])
 
 
 def _flat_image(s: Sequent, dside: str, g: int) -> Sequent:
     """The sequent with the root child of origin `g` on side `dside`
     dissolved into the root."""
-    items = getattr(s, dside)
-    kid = next(it for it in child_seqs(items) if it.origin == g)
-    rest = side_remove(items, [kid])
-    if dside == "left":
-        return Sequent(rest + kid.left, s.right + kid.right, s.origin)
-    return Sequent(s.left + kid.left, rest + kid.right, s.origin)
+    kid, rest = _kid_at(s, dside, g)
+    other = _FLIP[dside]
+    far = getattr(s, other) + getattr(kid, other)
+    return _sided(dside, rest + getattr(kid, dside), far, s.origin)
 
 
 def _holed_at(s: Sequent, g: int, side: str) -> Sequent:
     """Context selecting the root child of origin `g` as the redex."""
-    items = getattr(s, side)
-    kid = next(it for it in child_seqs(items) if it.origin == g)
-    rest = side_remove(items, [kid])
-    if side == "left":
-        return Sequent(rest + (HOLE,), s.right, s.origin)
-    return Sequent(s.left, rest + (HOLE,), s.origin)
+    return _sided(side, _kid_at(s, side, g)[1] + (HOLE,), getattr(s, _FLIP[side]), s.origin)
 
 
 def _hollow_copy(s: Sequent) -> Sequent:
@@ -954,20 +951,17 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
     rule = node.rule
     ctx = w.context
     tc = _wrap_image(c, spec, g, wside)
-    into_k = "prop_left_in" if wside == "right" else "prop_right_in"
+    # the cases below are written for a new child on the right, where the
+    # other side `away` is "left" and `_on(away, rule)` is `rule` itself
+    away = _FLIP[wside]
+    into_k = _on(away, "prop_left_in")
 
     if not isinstance(ctx, Hole):
         # redex strictly below the root: the rule transposes unchanged
         redex = context_decompose(ctx, c)
         wctx = _wrap_image(ctx, spec, g, wside, hole_origin=redex.origin)
         if rule in BRANCH_RULES:
-            s1, s2 = _color_spec(
-                spec,
-                _occ_counter(w.ctx1.left),
-                _occ_counter(w.ctx1.right),
-                _occ_counter(w.ctx2.left),
-                _occ_counter(w.ctx2.right),
-            )
+            s1, s2 = _color_spec(spec, _occ_counts(w.ctx1), _occ_counts(w.ctx2))
             r1 = context_decompose(w.ctx1, node.premises[0].conclusion)
             r2 = context_decompose(w.ctx2, node.premises[1].conclusion)
             subs = (
@@ -987,51 +981,35 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
 
     at_kid = lambda s: _holed_at(s, g, wside)
 
+    if rule == "id":
+        # an occurrence the child leaves out is propagated into it first
+        side = next((s for s in _SIDES if spec.occ[s].get(occs(getattr(c, s))[0], 0) == 0), None)
+        if side is None:
+            return ProofNode(rule, tc, (), Witness(context=at_kid(tc), principal=w.principal))
+        straddler = occs(getattr(c, side))[0]
+        tmid = _wrap_image(c, spec.moved(side, added=(straddler,)), g, wside)
+        leaf = ProofNode(rule, tmid, (), Witness(context=at_kid(tmid), principal=w.principal))
+        ww = Witness(context=HOLE, principal=straddler.formula, child_origin=g)
+        return ProofNode(into_k, tc, (leaf,), ww)
+
     if rule in LEAF_RULES:
-        if rule == "id":
-            lo_occ = occs(c.left)[0]
-            ro_occ = occs(c.right)[0]
-            straddler = None
-            if spec.lc.get(lo_occ, 0) == 0:
-                straddler = lo_occ
-            elif spec.rc.get(ro_occ, 0) == 0:
-                straddler = ro_occ
-            if straddler is None:
-                return ProofNode(rule, tc, (), Witness(context=at_kid(tc), principal=w.principal))
-            side = "left" if straddler is lo_occ else "right"
-            mid_spec = _Enclosed(
-                _cnt_add(spec.lc, straddler) if side == "left" else spec.lc,
-                spec.lo,
-                _cnt_add(spec.rc, straddler) if side == "right" else spec.rc,
-                spec.ro,
-            )
-            tmid = _wrap_image(c, mid_spec, g, wside)
-            leaf = ProofNode(rule, tmid, (), Witness(context=at_kid(tmid), principal=w.principal))
-            ww = Witness(context=HOLE, principal=straddler.formula, child_origin=g)
-            return ProofNode(into_k, tc, (leaf,), ww)
         # bot_l / i_r close on one occurrence; outside the child it fires at
         # the root since the rest of the tree is hollow either way
-        occ = occs(c.left)[0] if rule == "bot_l" else occs(c.right)[0]
-        inner = (
-            spec.lc.get(occ, 0) > 0 if rule == "bot_l" else spec.rc.get(occ, 0) > 0
-        )
+        side = "left" if rule == "bot_l" else "right"
+        inner = spec.occ[side].get(occs(getattr(c, side))[0], 0) > 0
         kctx = at_kid(tc) if inner else HOLE
         return ProofNode(rule, tc, (), Witness(context=kctx, principal=w.principal))
 
     if rule in UNARY_LOGICAL_RULES:
-        side_name = _LOGICAL[rule][0]
-        occ = next(o for o in occs(getattr(c, side_name)) if o.formula == w.principal)
+        side = _LOGICAL[rule][0]
+        occ = next(o for o in occs(getattr(c, side)) if o.formula == w.principal)
         f = occ.formula
-        inner = (spec.lc if side_name == "left" else spec.rc).get(occ, 0) > 0
-        lc, lo, rc, ro = spec
+        inner = spec.occ[side].get(occ, 0) > 0
+        spec2 = spec
         if inner:
             added = _unfolding(f)
             kids = frozenset(k.origin for k in child_seqs(added))
-            if side_name == "left":
-                lc, lo = _cnt_add(_cnt_sub(lc, occ), *occs(added)), lo | kids
-            else:
-                rc, ro = _cnt_add(_cnt_sub(rc, occ), *occs(added)), ro | kids
-        spec2 = _Enclosed(lc, lo, rc, ro)
+            spec2 = spec.moved(side, (occ,), occs(added), kids)
         sub = _admit_wrap(node.premises[0], spec2, g, wside)
         co = f.label if rule in ("lolli_r", "excl_l") else None
         kctx = at_kid(tc) if inner else HOLE
@@ -1043,56 +1021,21 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
         occ = next(o for o in occs(getattr(c, p_side)) if o.formula == w.principal)
         f = occ.formula
         minted1, minted2 = Occ(f.left), Occ(f.right)
-        p1c, p2c = node.premises[0].conclusion, node.premises[1].conclusion
-        avail = []
-        for pc, minted, m_side in ((p1c, minted1, a_side), (p2c, minted2, b_side)):
-            al, ar = _occ_counter(pc.left), _occ_counter(pc.right)
-            if m_side == "left":
-                al = _cnt_sub(al, minted)
-            else:
-                ar = _cnt_sub(ar, minted)
-            avail += [al, ar]
-        inner = (spec.lc if p_side == "left" else spec.rc).get(occ, 0) > 0
-        restructure = not inner and (
-            (wside == "right" and rule == "lolli_l")
-            or (wside == "left" and rule == "excl_r")
-        )
-        base_spec = spec
-        if inner:
-            base_spec = _Enclosed(
-                _cnt_sub(spec.lc, occ) if p_side == "left" else spec.lc,
-                spec.lo,
-                _cnt_sub(spec.rc, occ) if p_side == "right" else spec.rc,
-                spec.ro,
-            )
-        s1, s2 = _color_spec(base_spec, *avail)
+        avail = [
+            _shifted(_occ_counts(p.conclusion), m_side, (minted,))
+            for p, minted, m_side in zip(node.premises, (minted1, minted2), (a_side, b_side))
+        ]
+        inner = spec.occ[p_side].get(occ, 0) > 0
+        restructure = not inner and rule == _on(wside, "excl_r")
+        s1, s2 = _color_spec(spec.moved(p_side, (occ,)) if inner else spec, *avail)
         if inner or restructure:
             # the branch fires at the child; minted halves stay inside it
-            s1 = _Enclosed(
-                _cnt_add(s1.lc, minted1) if a_side == "left" else s1.lc,
-                s1.lo,
-                _cnt_add(s1.rc, minted1) if a_side == "right" else s1.rc,
-                s1.ro,
-            )
-            s2 = _Enclosed(
-                _cnt_add(s2.lc, minted2) if b_side == "left" else s2.lc,
-                s2.lo,
-                _cnt_add(s2.rc, minted2) if b_side == "right" else s2.rc,
-                s2.ro,
-            )
+            s1 = s1.moved(a_side, added=(minted1,))
+            s2 = s2.moved(b_side, added=(minted2,))
         sub1 = _admit_wrap(node.premises[0], s1, g, wside)
         sub2 = _admit_wrap(node.premises[1], s2, g, wside)
         if inner or restructure:
-            if restructure:
-                mid_spec = _Enclosed(
-                    _cnt_add(spec.lc, occ) if p_side == "left" else spec.lc,
-                    spec.lo,
-                    _cnt_add(spec.rc, occ) if p_side == "right" else spec.rc,
-                    spec.ro,
-                )
-                base = _wrap_image(c, mid_spec, g, wside)
-            else:
-                base = tc
+            base = _wrap_image(c, spec.moved(p_side, added=(occ,)), g, wside) if restructure else tc
             ww = Witness(
                 context=at_kid(base),
                 principal=f,
@@ -1109,82 +1052,44 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
 
     # propagation at the root: relocate relative to the new child
     g0 = w.child_origin
+    f = w.principal
     sub_node = node.premises[0]
-    lc, lo, rc, ro = spec
 
     def one_step(spec2):
         sub = _admit_wrap(sub_node, spec2, g, wside)
-        ww = Witness(context=at_kid(tc), principal=w.principal, child_origin=g0)
+        ww = Witness(context=at_kid(tc), principal=f, child_origin=g0)
         return ProofNode(rule, tc, (sub,), ww)
 
-    if wside == "right":
-        match rule:
-            case "prop_left_in":
-                occ = next(o for o in occs(c.left) if o.formula == w.principal)
-                if lc.get(occ, 0) > 0:
-                    return one_step(_Enclosed(_cnt_sub(lc, occ), lo, rc, ro))
-                mid_spec = _Enclosed(_cnt_add(lc, occ), lo, rc, ro)
-                tmid = _wrap_image(c, mid_spec, g, wside)
-                sub = _admit_wrap(sub_node, spec, g, wside)
-                inner_w = Witness(context=at_kid(tmid), principal=w.principal, child_origin=g0)
-                inner_node = ProofNode(rule, tmid, (sub,), inner_w)
-                outer_w = Witness(context=HOLE, principal=w.principal, child_origin=g)
-                return ProofNode(into_k, tc, (inner_node,), outer_w)
-            case "prop_right_out":
-                return one_step(_Enclosed(lc, lo, _cnt_add(rc, Occ(w.principal)), ro))
-            case "prop_right_in":
-                occ = next(o for o in occs(c.right) if o.formula == w.principal)
-                spec2 = _Enclosed(lc, lo, _cnt_sub(rc, occ), ro)
-                if g0 in lo:
-                    return one_step(spec2)
-                tmid = _wrap_image(c, spec2, g, wside)
-                sub = _admit_wrap(sub_node, spec2, g, wside)
-                step2 = ProofNode(
-                    rule, tmid, (sub,), Witness(context=HOLE, principal=w.principal, child_origin=g0)
-                )
-                out_w = Witness(context=HOLE, principal=w.principal, child_origin=g)
-                return ProofNode("prop_right_out", tc, (step2,), out_w)
-            case "prop_left_out":
-                if g0 in lo:
-                    return one_step(_Enclosed(_cnt_add(lc, Occ(w.principal)), lo, rc, ro))
-                sub = _admit_wrap(sub_node, spec, g, wside)
-                return ProofNode(
-                    rule, tc, (sub,), Witness(context=HOLE, principal=w.principal, child_origin=g0)
-                )
-    else:
-        match rule:
-            case "prop_right_in":
-                occ = next(o for o in occs(c.right) if o.formula == w.principal)
-                if rc.get(occ, 0) > 0:
-                    return one_step(_Enclosed(lc, lo, _cnt_sub(rc, occ), ro))
-                mid_spec = _Enclosed(lc, lo, _cnt_add(rc, occ), ro)
-                tmid = _wrap_image(c, mid_spec, g, wside)
-                sub = _admit_wrap(sub_node, spec, g, wside)
-                inner_w = Witness(context=at_kid(tmid), principal=w.principal, child_origin=g0)
-                inner_node = ProofNode(rule, tmid, (sub,), inner_w)
-                outer_w = Witness(context=HOLE, principal=w.principal, child_origin=g)
-                return ProofNode(into_k, tc, (inner_node,), outer_w)
-            case "prop_left_out":
-                return one_step(_Enclosed(_cnt_add(lc, Occ(w.principal)), lo, rc, ro))
-            case "prop_left_in":
-                occ = next(o for o in occs(c.left) if o.formula == w.principal)
-                spec2 = _Enclosed(_cnt_sub(lc, occ), lo, rc, ro)
-                if g0 in ro:
-                    return one_step(spec2)
-                tmid = _wrap_image(c, spec2, g, wside)
-                sub = _admit_wrap(sub_node, spec2, g, wside)
-                step2 = ProofNode(
-                    rule, tmid, (sub,), Witness(context=HOLE, principal=w.principal, child_origin=g0)
-                )
-                out_w = Witness(context=HOLE, principal=w.principal, child_origin=g)
-                return ProofNode("prop_left_out", tc, (step2,), out_w)
-            case "prop_right_out":
-                if g0 in ro:
-                    return one_step(_Enclosed(lc, lo, _cnt_add(rc, Occ(w.principal)), ro))
-                sub = _admit_wrap(sub_node, spec, g, wside)
-                return ProofNode(
-                    rule, tc, (sub,), Witness(context=HOLE, principal=w.principal, child_origin=g0)
-                )
+    match _on(away, rule):
+        case "prop_left_in":
+            occ = next(o for o in occs(getattr(c, away)) if o.formula == f)
+            if spec.occ[away].get(occ, 0) > 0:
+                return one_step(spec.moved(away, (occ,)))
+            tmid = _wrap_image(c, spec.moved(away, added=(occ,)), g, wside)
+            sub = _admit_wrap(sub_node, spec, g, wside)
+            inner_w = Witness(context=at_kid(tmid), principal=f, child_origin=g0)
+            inner_node = ProofNode(rule, tmid, (sub,), inner_w)
+            outer_w = Witness(context=HOLE, principal=f, child_origin=g)
+            return ProofNode(into_k, tc, (inner_node,), outer_w)
+        case "prop_right_out":
+            return one_step(spec.moved(wside, added=(Occ(f),)))
+        case "prop_right_in":
+            occ = next(o for o in occs(getattr(c, wside)) if o.formula == f)
+            spec2 = spec.moved(wside, (occ,))
+            if g0 in spec.kids[away]:
+                return one_step(spec2)
+            tmid = _wrap_image(c, spec2, g, wside)
+            sub = _admit_wrap(sub_node, spec2, g, wside)
+            step2 = ProofNode(
+                rule, tmid, (sub,), Witness(context=HOLE, principal=f, child_origin=g0)
+            )
+            out_w = Witness(context=HOLE, principal=f, child_origin=g)
+            return ProofNode(_on(away, "prop_right_out"), tc, (step2,), out_w)
+        case "prop_left_out":
+            if g0 in spec.kids[away]:
+                return one_step(spec.moved(away, added=(Occ(f),)))
+            sub = _admit_wrap(sub_node, spec, g, wside)
+            return ProofNode(rule, tc, (sub,), Witness(context=HOLE, principal=f, child_origin=g0))
     raise TranslationError(f"unhandled rule {rule!r} in wrap admissibility")
 
 
@@ -1196,36 +1101,20 @@ def _admit_dissolve(node: ProofNode, dside: str, g: int) -> ProofNode:
     w = node.witness
     rule = node.rule
     ctx = w.context
+    at_root = isinstance(ctx, Hole)
+    # a propagation across the boundary of the dissolving child disappears
+    if at_root and rule in _PROP_SHAPE and _PROP_SHAPE[rule][1] == dside and w.child_origin == g:
+        return _admit_dissolve(node.premises[0], dside, g)
     tc = _flat_image(c, dside, g)
-
-    if isinstance(ctx, Hole):
-        crossing = (
-            ("prop_left_in", "prop_right_out") if dside == "right" else ("prop_right_in", "prop_left_out")
-        )
-        if rule in crossing and w.child_origin == g:
-            sub = _admit_dissolve(node.premises[0], dside, g)
-            return sub
-        subs = tuple(_admit_dissolve(p, dside, g) for p in node.premises)
-        if rule in BRANCH_RULES:
-            ww = Witness(context=HOLE, principal=w.principal, ctx1=HOLE, ctx2=HOLE)
-        else:
-            ww = Witness(context=HOLE, principal=w.principal, child_origin=w.child_origin)
-        return ProofNode(rule, tc, subs, ww)
-
-    kid_in_ctx = any(
-        isinstance(it, Sequent) and it.origin == g for it in getattr(ctx, dside)
-    )
-    if not kid_in_ctx:
-        # the redex is the dissolving child itself: refire at the root
-        subs = tuple(_admit_dissolve(p, dside, g) for p in node.premises)
-        if rule in BRANCH_RULES:
-            ww = Witness(context=HOLE, principal=w.principal, ctx1=HOLE, ctx2=HOLE)
-        else:
-            ww = Witness(context=HOLE, principal=w.principal, child_origin=w.child_origin)
-        return ProofNode(rule, tc, subs, ww)
-
-    wctx = _flat_image(ctx, dside, g)
     subs = tuple(_admit_dissolve(p, dside, g) for p in node.premises)
+    if at_root or not any(isinstance(it, Sequent) and it.origin == g for it in getattr(ctx, dside)):
+        # at the root, or the redex is the dissolving child itself: refire at the root
+        if rule in BRANCH_RULES:
+            ww = Witness(context=HOLE, principal=w.principal, ctx1=HOLE, ctx2=HOLE)
+        else:
+            ww = Witness(context=HOLE, principal=w.principal, child_origin=w.child_origin)
+        return ProofNode(rule, tc, subs, ww)
+    wctx = _flat_image(ctx, dside, g)
     if rule in BRANCH_RULES:
         ww = Witness(
             context=wctx,
@@ -1335,68 +1224,35 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
         return _snd_branch(node, target, fresh)
 
     prem = node.premises[0]
+    kind, _, side = rule.partition("_")
+    other = _FLIP.get(side)
 
-    if rule == "wrap_right":
-        (kid,) = child_seqs(target.right)
-        flat = Sequent(target.left + kid.left, kid.right, target.origin)
-        sub = _snd(prem, flat, fresh)
-        out = _admit_wrap(sub, _enclose_all(kid), kid.origin, "right")
-        return out
+    if kind == "wrap":
+        (kid,) = child_seqs(getattr(target, side))
+        far = getattr(kid, other) + getattr(target, other)
+        flat = _sided(side, getattr(kid, side), far, target.origin)
+        return _admit_wrap(_snd(prem, flat, fresh), _enclose_all(kid), kid.origin, side)
 
-    if rule == "wrap_left":
-        (kid,) = child_seqs(target.left)
-        flat = Sequent(kid.left, kid.right + target.right, target.origin)
-        sub = _snd(prem, flat, fresh)
-        out = _admit_wrap(sub, _enclose_all(kid), kid.origin, "left")
-        return out
+    if kind == "dissolve":
+        (kidn,) = child_seqs(getattr(_norm(prem.conclusion), side))
+        picked, rest = _match_by_norm(getattr(target, other), getattr(kidn, other))
+        kid = _sided(side, getattr(target, side), picked, next(fresh))
+        wrapped = _sided(side, (kid,), rest, target.origin)
+        return _admit_dissolve(_snd(prem, wrapped, fresh), side, kid.origin)
 
-    if rule == "dissolve_right":
-        pn = _norm(prem.conclusion)
-        (kidn,) = child_seqs(pn.right)
-        picked, rest = _match_by_norm(target.left, kidn.left)
-        kid = Sequent(picked, target.right, next(fresh))
-        wrapped = Sequent(rest, (kid,), target.origin)
-        out = _admit_dissolve(_snd(prem, wrapped, fresh), "right", kid.origin)
-        return out
-
-    if rule == "dissolve_left":
-        pn = _norm(prem.conclusion)
-        (kidn,) = child_seqs(pn.left)
-        picked, rest = _match_by_norm(target.right, kidn.right)
-        kid = Sequent(target.left, picked, next(fresh))
-        wrapped = Sequent((kid,), rest, target.origin)
-        out = _admit_dissolve(_snd(prem, wrapped, fresh), "left", kid.origin)
-        return out
-
-    if rule == "pull_left":
-        (k1,) = child_seqs(target.left)
-        pn = _norm(prem.conclusion)
-        for k0n in child_seqs(pn.left):
-            movedn = side_remove(pn.left, [k0n])
-            if _norm(k1) != Sequent(k0n.left + movedn, k0n.right, 0):
+    if kind in ("pull", "push"):
+        (k1,) = child_seqs(getattr(target, side))
+        items = getattr(_norm(prem.conclusion), side)
+        for k0n in child_seqs(items):
+            movedn = side_remove(items, [k0n])
+            if _norm(k1) != _sided(side, getattr(k0n, side) + movedn, getattr(k0n, other)):
                 continue
-            moved, k0_left = _match_by_norm(k1.left, movedn)
-            k0 = Sequent(k0_left, k1.right, next(fresh))
-            tp = Sequent((k0,) + moved, target.right, target.origin)
-            mid = _admit_dissolve(_snd(prem, tp, fresh), "left", k0.origin)
-            out = _admit_wrap(mid, _enclose_all(k1), k1.origin, "left")
-            return out
-        raise TranslationError("pull step does not match its premise")
-
-    if rule == "push_right":
-        (k1,) = child_seqs(target.right)
-        pn = _norm(prem.conclusion)
-        for k0n in child_seqs(pn.right):
-            movedn = side_remove(pn.right, [k0n])
-            if _norm(k1) != Sequent(k0n.left, k0n.right + movedn, 0):
-                continue
-            moved, k0_right = _match_by_norm(k1.right, movedn)
-            k0 = Sequent(k1.left, k0_right, next(fresh))
-            tp = Sequent(target.left, (k0,) + moved, target.origin)
-            mid = _admit_dissolve(_snd(prem, tp, fresh), "right", k0.origin)
-            out = _admit_wrap(mid, _enclose_all(k1), k1.origin, "right")
-            return out
-        raise TranslationError("push step does not match its premise")
+            moved, k0_near = _match_by_norm(getattr(k1, side), movedn)
+            k0 = _sided(side, k0_near, getattr(k1, other), next(fresh))
+            tp = _sided(side, (k0,) + moved, getattr(target, other), target.origin)
+            mid = _admit_dissolve(_snd(prem, tp, fresh), side, k0.origin)
+            return _admit_wrap(mid, _enclose_all(k1), k1.origin, side)
+        raise TranslationError(f"{kind} step does not match its premise")
 
     raise ValueError(f"no deep translation for rule {rule!r}")
 

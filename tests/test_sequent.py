@@ -13,7 +13,6 @@ from fillprover.sequent import (
     Occ,
     Sequent,
     context_decompose,
-    context_polarity,
     enumerate_context_partitions,
     enumerate_partitions,
     formula_occurrence_count,
@@ -21,8 +20,6 @@ from fillprover.sequent import (
     hole_count,
     is_fill_sequent,
     is_hollow,
-    merge_contexts,
-    merge_sequents,
     parse_sequent,
     plug,
     sequent_node_count,
@@ -30,10 +27,7 @@ from fillprover.sequent import (
     tau_a,
     tau_s,
 )
-
-
-def texts(seqs):
-    return sorted(sequent_text(s) for s in seqs)
+from fillprover.shallow import _merge_plan
 
 
 # ------------------------------------------------------- an independent
@@ -172,14 +166,6 @@ def test_plug_and_decompose():
     assert context_decompose(ctx, parse_sequent("a => d")) is None
 
 
-def test_polarity():
-    assert context_polarity(HOLE) == "root"
-    assert context_polarity(parse_sequent("a => _")) == "pos"
-    assert context_polarity(parse_sequent("_ => a")) == "neg"
-    assert context_polarity(parse_sequent("a => [_ => b]@2")) == "neg"
-    assert context_polarity(parse_sequent("a => [b => _, c]@2")) == "pos"
-
-
 # ------------------------------------------------ formula interpretations
 
 def test_tau_on_flat_sequents():
@@ -196,33 +182,49 @@ def test_tau_on_nested_sequents():
 
 # ------------------------------------------------------ merging and splits
 
+def merges(x, y, z):
+    """Whether `z` is a merge of `x` and `y`, by the merge plan the
+    translators fuse children with."""
+    return _merge_plan(x, y, z) is not None
+
+
+# a hollow node that no sequent here has: plugged into the hole of each
+# context, it makes the hole a child that a merge has to pair up
+MARK = Sequent((), (), 99)
+
+
+def merges_contexts(x, y, z):
+    return merges(plug(x, MARK), plug(y, MARK), plug(z, MARK))
+
+
 def test_merge_pairs_children_by_origin():
     s1 = parse_sequent("=> [a =>]@1, [b =>]@1")
     s2 = parse_sequent("=> [c =>]@1, [d =>]@1")
-    assert texts(merge_sequents(s1, s2)) == [
-        "=> [a, c =>]@1, [b, d =>]@1",
-        "=> [a, d =>]@1, [b, c =>]@1",
-    ]
+    assert merges(s1, s2, parse_sequent("=> [a, c =>]@1, [b, d =>]@1"))
+    assert merges(s1, s2, parse_sequent("=> [a, d =>]@1, [b, c =>]@1"))
+    assert not merges(s1, s2, parse_sequent("=> [a, b =>]@1, [c, d =>]@1"))
+    assert not merges(s1, s2, parse_sequent("=> [a, b, c, d =>]@1"))
 
 
 def test_merge_requires_matching_shape():
-    assert merge_sequents(parse_sequent("=> [a =>]@1"), parse_sequent("=> [a =>]@2")) == []
-    assert merge_sequents(parse_sequent("=> [a =>]@1"), parse_sequent("=> [a =>]@1, [b =>]@1")) == []
-    assert merge_sequents(parse_sequent("a => @1"), parse_sequent("b => @2")) == []
+    S = parse_sequent
+    assert not merges(S("=> [a =>]@1"), S("=> [a =>]@2"), S("=> [a =>]@1, [a =>]@2"))
+    assert not merges(S("=> [a =>]@1"), S("=> [a =>]@1, [b =>]@1"), S("=> [a, a =>]@1, [b =>]@1"))
+    assert not merges(S("a => @1"), S("b => @2"), S("a, b => @1"))
 
 
 def test_merge_flat():
-    got = merge_sequents(parse_sequent("a => b"), parse_sequent("c =>"))
-    assert texts(got) == ["a, c => b"]
+    assert _merge_plan(parse_sequent("a => b"), parse_sequent("c =>"), parse_sequent("a, c => b")) == []
+    assert not merges(parse_sequent("a => b"), parse_sequent("c =>"), parse_sequent("a => b, c"))
 
 
 def test_merge_contexts_aligns_holes():
     c1 = parse_sequent("a => _")
     c2 = parse_sequent("b => _")
-    assert texts(merge_contexts(c1, c2)) == ["a, b => _"]
-    assert merge_contexts(HOLE, HOLE) == [HOLE]
-    assert merge_contexts(HOLE, c1) == []
-    assert merge_contexts(parse_sequent("_ => a"), c1) == []
+    assert merges_contexts(c1, c2, parse_sequent("a, b => _"))
+    assert merges_contexts(HOLE, HOLE, HOLE)
+    assert not merges_contexts(HOLE, c1, c1)
+    assert not merges_contexts(parse_sequent("_ => a"), c1, parse_sequent("a, _ => a"))
 
 
 def test_partitions_match_brute_force():
@@ -246,7 +248,7 @@ def test_context_partitions_keep_the_hole():
     assert len(pairs) == 4
     for c1, c2 in pairs:
         assert hole_count(c1) == 1 and hole_count(c2) == 1
-        assert ctx in merge_contexts(c1, c2)
+        assert merges_contexts(c1, c2, ctx)
     assert enumerate_context_partitions(HOLE) == [(HOLE, HOLE)]
 
 
@@ -291,7 +293,7 @@ def test_every_partition_merges_back(s):
     if formula_occurrence_count(s) > 4:
         return
     for p1, p2 in enumerate_partitions(s):
-        assert s in merge_sequents(p1, p2)
+        assert merges(p1, p2, s)
 
 
 @given(nested_seqs)

@@ -353,6 +353,31 @@ def test_every_import_is_used_or_exported():
                     assert name in used, f"{path.name}:{node.lineno} imports {name} unused"
 
 
+# module-level functions that nothing in the package calls, kept on purpose
+UNCALLED = {
+    "parse_structure": "reads display structure text, as parse_display reads a sequent",
+    "tau_a": "the exclusion reading of a sequent, the dual of tau_s",
+    "proof_stays_in_fill": "tells whether a dn proof is a FILL proof",
+    "sn_proof_stays_in_fill": "tells whether an sn proof is a FILL proof",
+    "sequent_node_count": "the node count of a nested sequent, beside formula_occurrence_count",
+    "connective_count": "the size measure the corpus tests bound formulas by",
+    "decide_sequent": "the prover's entry point for a sequent goal, beside decide_formula",
+    "display_substructure": "the path-addressed residuation chain; only its own tests run it",
+}
+
+
+def test_every_function_is_called():
+    # a function is dead unless the package refers to it outside its own body
+    tops = [
+        (top, {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(top)})
+        for path in sorted(Path(fillprover.__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+    ]
+    for fn, _ in tops:
+        if isinstance(fn, ast.FunctionDef) and fn.name not in UNCALLED:
+            assert any(fn.name in names for top, names in tops if top is not fn), f"{fn.name} is never called"
+
+
 def test_the_package_holds_no_assertions():
     # python -O strips assertions, so no invariant may rest on one
     for path in sorted(Path(fillprover.__file__).parent.glob("*.py")):
