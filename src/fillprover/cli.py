@@ -57,7 +57,7 @@ from .formula import (
     parse_formula,
 )
 from .prover import decide_formula, goal_reading, search_bounds
-from .sequent import parse_sequent, signed_atom_count
+from .sequent import parse_sequent, signed_counts
 from .shallow import check_sn_proof
 from .translate import (
     TranslationError,
@@ -109,17 +109,27 @@ def _read_cert_file(path: str):
         return None
 
 
-def _times(n: int) -> str:
-    return f"{n} time" if n == 1 else f"{n} times"
+def _counted(n: int, one: str, many: str) -> str:
+    return f"{n} {one if n == 1 else many}"
 
 
 def _imbalance(f: Formula) -> str:
-    """Why the formula cannot be provable, when its atoms alone say so: the
-    first atom, in name order, that occurs more often with one polarity
-    than with the other.  Empty for a balanced formula."""
-    for name, (neg, pos) in sorted(signed_atom_count(f).items()):
+    """Why the formula cannot be provable, when its counts alone say so:
+    the first atom, in name order, that occurs more often with one polarity
+    than with the other, or else a leaf count other than one more than the
+    branching connectives.  Empty when both counts allow a proof."""
+    c = signed_counts(f)
+    for name, (neg, pos) in sorted(c.atoms.items()):
         if neg != pos:
-            return f": atom {name} occurs {_times(neg)} negatively, {_times(pos)} positively"
+            return (
+                f": atom {name} occurs {_counted(neg, 'time', 'times')} negatively, "
+                f"{_counted(pos, 'time', 'times')} positively"
+            )
+    if c.deficit:
+        return (
+            f": {_counted(c.leaves, 'positive atom or unit', 'positive atoms and units')}, "
+            f"{_counted(c.branches, 'branching connective', 'branching connectives')}"
+        )
     return ""
 
 

@@ -7,8 +7,9 @@ memoize soundly.  One bound shapes the search: a per-occurrence propagation
 cap `k`, the number of arrows in the goal's formula reading.  No branch is
 cut short by its length: every rule lowers a measure, so the search ends,
 and a state whose moves all fail is refuted and enters the failure memo.
-Two further cuts are argued below: unary rules are committed to, and states
-whose atoms do not balance are never searched.
+Three further cuts are argued below: unary rules are committed to, states
+whose atoms do not balance are never searched, and neither are states whose
+leaf count is off.
 
 The measure.  Give an occurrence of a formula `A` with `h` hops the weight
 `(k+1)*|A| - h`, where `|A|` is `formula_size`, and a sequent the sum of
@@ -93,7 +94,7 @@ argument stops:
   the same FILL proof (in 7,668 states, 12,887 before the commitment, and
   16 once the balance prune below is added).
 
-Atom balance.  `signed_atom_count` gives each atom of a sequent its
+Atom balance.  `signed_counts` gives each atom of a sequent its
 negative and positive occurrences, counted over the whole tree:
 
     position of the occurrence          polarity
@@ -134,20 +135,59 @@ induction on the dn proof, reading each rule bottom-up:
 So whenever all premises of a rule are balanced, its conclusion is too,
 and balance climbs from the leaves of any proof to its root.
 
-The search applies the lemma twice.  An unbalanced goal is refuted before
-any state is visited; `decide_formula` counts the atoms of the formula as
-given, so such a goal is never labelled, and its bounds are never derived.
-In `dfs`, a branch move whose first premise is unbalanced is skipped before
-either premise is searched.  Every state `dfs` visits is balanced (the goal
-is, unary and propagation premises keep the count, and a branch move is
-taken only with a balanced first premise), so the second premise is
-balanced exactly when the first is, and checking the first suffices.  Only
-unprovable premises are skipped, and the moves of a state are still tried
-in the same order, so the first move whose premises all succeed, and with
-it every proof, verdict and certificate, stays the same.  The memo tables
-may now meet a state first by another path, which changes nothing either:
-a state's proof is its first move whose premises all succeed, whichever
-path reaches it.
+Leaf count.  The same walk of `signed_counts`, with the same polarities,
+counts a sequent's positive leaves, its positive atoms and its positive
+units (`1` positive, `bot` negative), and its branching connectives (`*`
+and `-<` positive, `|` and `-o` negative), which are exactly the principal
+formulas of `tensor_r`, `excl_r`, `par_l` and `lolli_l`.  Child structures
+count nothing.  The deficit is leaves less branching connectives less 1.
+Lemma: every provable sequent has deficit 0.  Proof, by induction on the dn
+proof, reading each rule bottom-up, and using that each rule keeps the
+polarity of every subformula it moves, as the balance proof shows:
+
+- Axioms have deficit 0.  `id` closes a tree whose only occurrences are an
+  atom on a left side, negative, and the same atom on a right side,
+  positive; `i_r` one `1` on a right side, `bot_l` one `bot` on a left side.
+  Each holds one positive leaf and no connective.
+- Unary logical rules keep the deficit.  `i_l` drops a negative `1` and
+  `bot_r` a positive `bot`, neither of them a leaf.  `tensor_l`, `par_r`,
+  `lolli_r` and `excl_l` take apart a negative `*`, a positive `|`, a
+  positive `-o` and a negative `-<`, none of them branching, and put its
+  arguments in its place with the polarity they had.
+- Propagation rules keep it: the occurrence stays on a side of its
+  polarity, and nothing else moves.
+- Branch rules split it: each other item goes to exactly one premise, `A`
+  and `B` to one each with the polarity they had, and the principal
+  formula, one branching connective, is gone.  So the premises' leaves add
+  up to the conclusion's and their branching connectives to the
+  conclusion's less 1, and their deficits, each with its own 1 taken off,
+  add up to the conclusion's.
+
+So deficit 0 climbs from the leaves of any proof to its root.  Read from
+the whole proof: no rule has weakening or contraction, so every axiom
+consumes one positive leaf and every branch rule one branching connective,
+and a tree with `b` nodes of two premises has `b + 1` leaves.  This is the
+counting half of the multiplicative proof-net criterion (Girard, *Linear
+logic*, 1987; Danos and Regnier, *The structure of multiplicatives*,
+1989).  It sees units, which atom balance cannot, and proofs that would
+need more or fewer branches than the leaves allow: `a*b -o a|b` is
+balanced and has deficit 1.
+
+The search applies both lemmas twice, through `_balanced`, which asks for
+balanced atoms and deficit 0.  A goal that fails either is refuted before
+any state is visited; `decide_formula` counts the formula as given, so such
+a goal is never labelled, and its bounds are never derived.  In `dfs`, a
+branch move whose first premise fails either is skipped before either
+premise is searched.  Every state `dfs` visits passes both (the goal does,
+unary and propagation premises keep both counts, and a branch move is taken
+only with a first premise that passes), so the second premise's net atom
+counts and deficit are minus the first's, it passes exactly when the first
+does, and checking the first suffices.  Only unprovable premises are
+skipped, and the moves of a state are still tried in the same order, so
+the first move whose premises all succeed, and with it every proof,
+verdict and certificate, stays the same.  The memo tables may now meet a
+state first by another path, which changes nothing either: a state's proof
+is its first move whose premises all succeed, whichever path reaches it.
 """
 
 from __future__ import annotations
@@ -163,7 +203,7 @@ from .sequent import (
     Sequent,
     is_fill_sequent,
     label_sequent,
-    signed_atom_count,
+    signed_counts,
     strip_sequent,
     tau_s,
 )
@@ -223,11 +263,14 @@ def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
 
 
 def _balanced(s: Sequent | Formula) -> bool:
-    return all(neg == pos for neg, pos in signed_atom_count(s).values())
+    """Balanced atoms and deficit 0, as both lemmas above ask of a provable
+    sequent."""
+    c = signed_counts(s)
+    return c.deficit == 0 and all(neg == pos for neg, pos in c.atoms.values())
 
 
 def _search(s0: Sequent, logic: str, reading: Formula) -> Decision:
-    # s0 is balanced: both callers refute an unbalanced goal themselves
+    # s0 is balanced with deficit 0: both callers refute any other goal
     hop_cap, bound = search_bounds(reading)
     success: dict[Sequent, ProofNode] = {}
     failed: set[Sequent] = set()
@@ -240,7 +283,7 @@ def _search(s0: Sequent, logic: str, reading: Formula) -> Decision:
             return hit
         visited += 1
         for move in deep_moves(s, logic, hop_cap):
-            # s is balanced, so the second premise is when the first is
+            # s passes _balanced, so the second premise does when the first does
             if move.rule in BRANCH_RULES and not _balanced(move.premises[0]):
                 continue
             subproofs = []

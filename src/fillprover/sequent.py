@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .formula import (
     Atom,
@@ -69,7 +69,8 @@ __all__ = [
     "context_decompose",
     "tau_s",
     "tau_a",
-    "signed_atom_count",
+    "SignedCounts",
+    "signed_counts",
     "enumerate_partitions",
     "enumerate_context_partitions",
 ]
@@ -477,17 +478,36 @@ def tau_a(s: Sequent) -> Formula:
     return strip_labels(_tau(s, Excl))
 
 
-def signed_atom_count(s: Sequent | Formula) -> dict[str, tuple[int, int]]:
-    """Atom name -> (negative, positive) occurrences in the whole tree.  An
-    item on a node's left side is negative and one on its right side is
+class SignedCounts(NamedTuple):
+    """What `signed_counts` finds in the whole tree of a sequent."""
+
+    atoms: dict[str, tuple[int, int]]  # name -> (negative, positive) occurrences
+    leaves: int  # positive atoms and positive units
+    branches: int  # branching connectives
+
+    @property
+    def deficit(self) -> int:
+        return self.leaves - self.branches - 1
+
+
+def signed_counts(s: Sequent | Formula) -> SignedCounts:
+    """Count, in one walk over the whole tree, each atom's negative and
+    positive occurrences, the positive leaves and the branching connectives.
+    An item on a node's left side is negative and one on its right side is
     positive, at every depth; the antecedent of `-o` and the right argument
     of `-<` flip the polarity, every other argument keeps it.  So a
     left-nested child reads as `-<` and a right-nested one as `-o`, as under
-    `tau_s`.  A bare formula counts as the sole succedent of an otherwise
-    empty sequent.  Arrow labels and hop counts play no part.  Every
-    provable sequent is balanced: each atom occurs as often negatively as
-    positively (see the `prover` module docstring)."""
+    `tau_s`.  A positive leaf is a positive atom, a positive `1` or a
+    negative `bot`; a branching connective is a positive `*` or `-<`, or a
+    negative `|` or `-o`, the principal formulas of the four branch rules.
+    Child structures count nothing.  A bare formula counts as the sole
+    succedent of an otherwise empty sequent.  Arrow labels and hop counts
+    play no part.  Every provable sequent is balanced, each atom occurring
+    as often negatively as positively, and has deficit 0, the deficit being
+    `leaves - branches - 1` (the balance and leaf lemmas in the `prover`
+    module docstring)."""
     counts: dict[str, list[int]] = {}
+    leaves = branches = 0
     # (item, polarity): 0 negative, 1 positive, the index into the counts
     todo: list = [(s, 1)]
     while todo:
@@ -500,13 +520,24 @@ def signed_atom_count(s: Sequent | Formula) -> dict[str, tuple[int, int]]:
                 todo.extend((it, 1) for it in r)
             case Atom(name=n):
                 counts.setdefault(n, [0, 0])[pol] += 1
-            case Tensor(left=a, right=b) | Par(left=a, right=b):
+                leaves += pol
+            case Tensor(left=a, right=b):
                 todo += ((a, pol), (b, pol))
+                branches += pol
+            case Par(left=a, right=b):
+                todo += ((a, pol), (b, pol))
+                branches += 1 - pol
             case Lolli(left=a, right=b):
                 todo += ((a, 1 - pol), (b, pol))
+                branches += 1 - pol
             case Excl(left=a, right=b):
                 todo += ((a, pol), (b, 1 - pol))
-    return {n: (c[0], c[1]) for n, c in counts.items()}
+                branches += pol
+            case UnitI():
+                leaves += pol
+            case UnitBot():
+                leaves += 1 - pol
+    return SignedCounts({n: (c[0], c[1]) for n, c in counts.items()}, leaves, branches)
 
 
 # ----------------------------------------------------------------- splits

@@ -13,7 +13,7 @@ from fillprover.cli import CORPUS_CAP, corpus_formulas, main
 from fillprover.deep import check_dn_proof, check_separation
 from fillprover.display import check_dc_proof
 from fillprover.formula import connective_count, formula_text, parse_formula
-from fillprover.prover import search_bounds
+from fillprover.prover import decide_formula, search_bounds
 from fillprover.sequent import parse_sequent
 from fillprover.shallow import check_sn_proof
 
@@ -64,12 +64,21 @@ def test_prove_reproduces_the_golden_bierman_certificate(tmp_path):
         ("a -o a*a", "Unprovable: atom a occurs 1 time negatively, 2 times positively"),
         ("b*a*a -o a*c", "Unprovable: atom a occurs 2 times negatively, 1 time positively"),
         ("(p -< q) -o p", "Unprovable: atom q occurs 0 times negatively, 1 time positively"),
-        ("a*b -o a|b", "Unprovable"),
+        ("(p -o q|r) -o (p -o q)|r", "Unprovable"),
     ],
 )
 def test_prove_names_the_first_unbalanced_atom(capsys, formula, line):
     assert run("prove", formula) == 1
     assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("formula", ["1|1", "a*b -o a|b"])
+def test_prove_names_a_leaf_count_refutation(capsys, formula):
+    # balanced atoms, but two positive leaves and no branching connective:
+    # deficit 1, refuted before any state is visited
+    assert run("prove", formula) == 1
+    assert capsys.readouterr().err == "Unprovable: 2 positive atoms and units, 0 branching connectives\n"
+    assert decide_formula(parse_formula(formula)).visited == 0
 
 
 def test_prove_non_fill_formula_is_exit_2():

@@ -1,6 +1,6 @@
 """The decision procedure: known theorems, known non-theorems, the measure
-that bounds every branch, and the atom balance that every provable sequent
-has."""
+that bounds every branch, and the atom balance and leaf count that every
+provable sequent has."""
 
 import gzip
 import sys
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fillprover.deep import LEAF_RULES, DN_RULES, check_dn_proof, deep_moves, endsequent_for, proof_stays_in_fill
+from fillprover.deep import BRANCH_RULES, LEAF_RULES, DN_RULES, check_dn_proof, deep_moves, endsequent_for, proof_stays_in_fill
 from fillprover.certs import certificate_text, proof_size
 from fillprover.formula import (
     Atom,
@@ -25,7 +25,7 @@ from fillprover.formula import (
     parse_formula,
 )
 from fillprover.prover import decide_formula, decide_sequent, goal_reading, search_bounds
-from fillprover.sequent import Occ, Sequent, label_sequent, parse_sequent, signed_atom_count, strip_sequent
+from fillprover.sequent import Occ, Sequent, label_sequent, parse_sequent, signed_counts, strip_sequent
 
 VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus_p_q_3.tsv.gz"
 
@@ -112,6 +112,22 @@ def test_nested_example_proves():
     assert d.visited == 16
 
 
+@pytest.mark.parametrize(
+    "text, states",
+    [
+        ("(bot -o bot -o 1)*((bot -o bot -o 1) -o bot -o bot -o 1) -o bot -o bot -o 1", 319),
+        ("(bot -< 1 -o 1)*((bot -< 1 -o 1) -o bot -< 1 -o 1) -o bot -< 1 -o 1", 23),
+        ("(bot -o a -o a)*((bot -o a -o a) -o bot -o a -o a) -o bot -o a -o a", 121),
+        ("(a -o a -o a)*((a -o a -o a) -o a -o a -o a) -o a -o a -o a", 55),
+    ],
+)
+def test_unit_heavy_theorems_are_cut_by_the_leaf_count(text, states):
+    # each took thousands of states with the atom balance as the only prune
+    d = decide_formula(parse_formula(text), "biill")
+    assert d.status == "proved" and d.visited == states
+    check_dn_proof(d.proof, "biill")
+
+
 def test_decide_sequent():
     assert decide_sequent(parse_sequent("a, b => a*b")).proved
     assert decide_sequent(parse_sequent("a => a, [=>]@1")).proved
@@ -177,24 +193,33 @@ def balanced_tree(connective, leaves):
 
 
 def test_a_long_invertible_chain_needs_no_raised_recursion_limit():
-    # T => P unfolds by tensor_l and par_r alone: one dfs frame per state,
-    # 599 states deep, more than the limit the caller left
-    atoms = [Atom(f"a{i}") for i in range(300)]
-    s = Sequent((Occ(balanced_tree(Tensor, atoms)),), (Occ(balanced_tree(Par, atoms)),))
+    # 1*...*1 => bot|...|bot|1, 150 units a side, balanced with deficit 0,
+    # unfolds by tensor_l, i_l, par_r and bot_r alone and closes by i_r: one
+    # dfs frame per state, 598 states deep, more than the limit the caller
+    # left
+    n = 150
+    s = Sequent(
+        (Occ(balanced_tree(Tensor, [UnitI()] * n)),),
+        (Occ(balanced_tree(Par, [UnitBot()] * (n - 1) + [UnitI()])),),
+    )
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(500)
     try:
         d = decide_sequent(s)
     finally:
         sys.setrecursionlimit(limit)
-    assert d.status == "refuted" and d.visited == 599
+    assert d.status == "proved" and d.visited == 598
 
 
-# ------------------------------------------------------------ atom balance
+# ------------------------------------------- atom balance and leaf count
 
 def net_count(s):
     """Atom -> positive minus negative occurrences, zeros left out."""
-    return {a: pos - neg for a, (neg, pos) in signed_atom_count(s).items() if pos != neg}
+    return {a: pos - neg for a, (neg, pos) in signed_counts(s).atoms.items() if pos != neg}
+
+
+def deficit(s):
+    return signed_counts(s).deficit
 
 
 def added(counts):
@@ -206,27 +231,48 @@ def added(counts):
 
 
 def test_signed_atom_count_polarities():
-    s = parse_sequent("a -o b, c -< d, [e => f -o g]@1 => h -< i, [j => k]@2")
-    assert signed_atom_count(s) == {
+    s = signed_counts(parse_sequent("a -o b, c -< d, [e => f -o g]@1 => h -< i, [j => k]@2"))
+    assert s.atoms == {
         "a": (0, 1), "b": (1, 0), "c": (1, 0), "d": (0, 1),
         "e": (1, 0), "f": (1, 0), "g": (0, 1),
         "h": (0, 1), "i": (1, 0), "j": (1, 0), "k": (0, 1),
     }
-    assert signed_atom_count(parse_sequent("a*b, a|1 => a, bot")) == {"a": (2, 1), "b": (1, 0)}
+    # positive leaves a, d, g, h, k; branching the negative -o, the positive -<
+    assert (s.leaves, s.branches, s.deficit) == (5, 2, 2)
+    s = signed_counts(parse_sequent("a*b, a|1 => a, bot"))
+    assert s == ({"a": (2, 1), "b": (1, 0)}, 1, 1) and s.deficit == -1
+    # positive leaves the negative bot, the positive 1, c and d; a child's
+    # negative * and positive | do not branch
+    assert signed_counts(parse_sequent("bot, 1 => 1, bot, [a*b => c|d]@1")) == (
+        {"a": (1, 0), "b": (1, 0), "c": (0, 1), "d": (0, 1)}, 4, 0
+    )
+    # a bare formula is the sole succedent: the positive * and -< and the
+    # negative -o branch, and the negative bot is a leaf
+    assert signed_counts(parse_formula("(a*b) -< (c -o bot)")) == (
+        {"a": (0, 1), "b": (0, 1), "c": (0, 1)}, 4, 3
+    )
 
 
 def walk_moves(s0, limit):
     """Check every move `deep_moves` yields from `s0` and from the states its
-    premises reach, breadth first, up to `limit` states; return the rules
-    seen."""
+    premises reach, breadth first, up to `limit` states: the premises' net
+    atom counts add up to the conclusion's; a branch rule's two premises'
+    deficits add up to the conclusion's, a unary or propagation premise has
+    the conclusion's, and an axiom's conclusion is balanced with deficit 0.
+    Return the rules seen."""
     seen_rules, seen, todo = set(), {s0}, [s0]
     while todo and len(seen) <= limit:
         s = todo.pop(0)
         for move in deep_moves(s, "biill", 1):
             seen_rules.add(move.rule)
             assert added(net_count(p) for p in move.premises) == net_count(s), move.rule
+            deficits = [deficit(p) for p in move.premises]
             if move.rule in LEAF_RULES:
-                assert net_count(s) == {}
+                assert net_count(s) == {} and deficit(s) == 0, move.rule
+            elif move.rule in BRANCH_RULES:
+                assert len(deficits) == 2 and sum(deficits) == deficit(s), move.rule
+            else:
+                assert deficits == [deficit(s)], move.rule
             for p in move.premises:
                 if p not in seen:
                     seen.add(p)
@@ -295,18 +341,26 @@ def test_fixed_walks_keep_the_signed_atom_count_under_every_rule():
 
 def test_unbalanced_corpus_formulas_are_refuted_at_once():
     """The committed size-3 table was decided by the search without the
-    balance prune; every formula it holds whose atoms do not balance is
-    unprovable there in both logics, and the search refutes it now without
-    visiting a state."""
+    balance and leaf-count prunes; every formula it holds whose atoms do not
+    balance, or whose deficit is not 0, is unprovable there in both logics,
+    and the search refutes it now without visiting a state."""
     rows = read_verdicts()
-    unbalanced = 0
+    unbalanced = balanced_non_theorems = off_count = 0
     for row in rows:
         text, fill, biill = row.split("\t")[:3]
         f = parse_formula(text)
-        if not net_count(Sequent((), (Occ(f),))):  # labels do not change it
-            continue
-        unbalanced += 1
+        c = signed_counts(f)  # labels do not change it
+        if any(neg != pos for neg, pos in c.atoms.values()):
+            unbalanced += 1
+        else:
+            balanced_non_theorems += biill == "unprovable"
+            if c.deficit == 0:
+                continue
+            off_count += 1
         assert biill == "unprovable" and fill in ("unprovable", "-"), text
         d = decide_formula(f, "biill")
         assert d.status == "refuted" and d.visited == 0, text
     assert unbalanced > len(rows) // 2
+    # every theorem has deficit 0, and the leaf count refutes most of the
+    # non-theorems that atom balance lets through
+    assert (balanced_non_theorems, off_count) == (5888, 5007)
