@@ -373,10 +373,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # parsers and proof walks provision their own stack headroom, but give
-    # deep user input a comfortable floor up front
-    if sys.getrecursionlimit() < 30000:
-        sys.setrecursionlimit(30000)
     return _COMMANDS[args.command](args)
 
 

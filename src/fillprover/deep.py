@@ -74,7 +74,6 @@ __all__ = [
     "check_dn_proof",
     "replay_dn_proof",
     "check_separation",
-    "proof_stays_in_fill",
 ]
 
 LEAF_RULES = ("id", "bot_l", "i_r")
@@ -616,13 +615,3 @@ def check_separation(root: ProofNode) -> None:
             raise CheckError(f"rule {node.rule} lies outside FILL")
         if not is_fill_sequent(strip_sequent(node.conclusion)):
             raise CheckError(f"sequent leaves FILL: {_quoted(node.conclusion)}")
-
-
-def proof_stays_in_fill(root: ProofNode) -> bool:
-    """Whether every rule and every sequent of the proof lies in the FILL
-    fragment of the calculus."""
-    try:
-        check_separation(root)
-    except CheckError:
-        return False
-    return True

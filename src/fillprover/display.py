@@ -13,11 +13,13 @@ formulas appear directly as leaves in their usual syntax.  `Phi` is the
 empty structure.  Rendering is minimal-parenthesis and round-trips.  The
 text is read by the parser core in `formula.py`.
 
-Each rule is checked schematically against its conclusion and premises,
-with structures compared by plain equality.  Rules whose name ends in
-`_down` or `_up` are the directed halves of reversible structural moves;
-one name covers the two sequent shapes the move can start from, so a
-checker never has to guess which side was rearranged.
+The shapes of the rules are written once, in `dc_conclusions`, which
+derives forward the conclusions a rule gives its premises.  The checker
+accepts a node whose conclusion is among them, structures compared by plain
+equality, and the sn -> dc translator in `translate.py` builds every step
+it emits with it.  Rules whose name ends in `_down` or `_up` are the
+directed halves of reversible structural moves; one name covers the two
+sequent shapes the move can start from, as two readings of the rule.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ __all__ = [
     "sequent_to_display",
     "DC_RULES",
     "DC_FILL_EXCLUDED",
+    "dc_conclusions",
     "dc_rule_applies",
     "check_dc_proof",
-    "display_substructure",
 ]
 
 
@@ -342,22 +344,97 @@ DC_FILL_EXCLUDED = frozenset(
 )
 
 
-def _reassoc_l(a: Structure, b: Structure) -> bool:
-    # a = W, (X, Y)   b = (W, X), Y
+def _reassoc(x: Structure) -> tuple[Structure | None, Structure | None]:
+    # W, (X, Y) as (W, X), Y, and (W, X), Y as W, (X, Y)
+    if not isinstance(x, SComma):
+        return None, None
+    a, b = x.left, x.right
     return (
-        isinstance(a, SComma)
-        and isinstance(a.right, SComma)
-        and b == SComma(SComma(a.left, a.right.left), a.right.right)
+        SComma(SComma(a, b.left), b.right) if isinstance(b, SComma) else None,
+        SComma(a.left, SComma(a.right, b)) if isinstance(a, SComma) else None,
     )
 
 
-def _reassoc_r(a: Structure, b: Structure) -> bool:
-    # a = (X, Y), Z   b = X, (Y, Z)
-    return (
-        isinstance(a, SComma)
-        and isinstance(a.left, SComma)
-        and b == SComma(a.left.left, SComma(a.left.right, a.right))
-    )
+def dc_conclusions(rule: str, ps: tuple[DisplaySequent, ...]) -> tuple[DisplaySequent | None, ...]:
+    """The conclusion each reading of `rule` derives from the premises `ps`,
+    in order, with None where a reading does not fit them.  This is the one
+    place the shapes of the non-axiom rules are written: the checker asks
+    whether a conclusion is among them, and the sn -> dc translator builds
+    each step with them.  Assumes arity was already checked.
+
+    The residuation and associativity rules name reversible moves that can
+    start from either of two sequent shapes, so they have two readings:
+    reading 0 of `rp_*` and `drp_*` moves the right operand of a comma and
+    reading 1 its left one; reading 0 of `assoc_*` makes `W, (X, Y)` into
+    `(W, X), Y` and reading 1 does the reverse.  Every other rule has one.
+    """
+    D = DisplaySequent
+    match rule, ps:
+        case "cut", (D(x, SLeaf() as a), D(b, y)) if a == b:
+            return (D(x, y),)
+        case "i_l", (D(SPhi(), y),):
+            return (D(SLeaf(UnitI()), y),)
+        case "bot_r", (D(x, SPhi()),):
+            return (D(x, SLeaf(UnitBot())),)
+        case "tensor_l", (D(SComma(SLeaf(a), SLeaf(b)), y),):
+            return (D(SLeaf(Tensor(a, b)), y),)
+        case "tensor_r", (D(x, SLeaf(a)), D(y, SLeaf(b))):
+            return (D(SComma(x, y), SLeaf(Tensor(a, b))),)
+        case "par_l", (D(SLeaf(a), x), D(SLeaf(b), y)):
+            return (D(SLeaf(Par(a, b)), SComma(x, y)),)
+        case "par_r", (D(x, SComma(SLeaf(a), SLeaf(b))),):
+            return (D(x, SLeaf(Par(a, b))),)
+        case "lolli_l", (D(x, SLeaf(a)), D(SLeaf(b), y)):
+            return (D(SLeaf(Lolli(a, b)), SGt(x, y)),)
+        case "lolli_r", (D(x, SGt(SLeaf(a), SLeaf(b))),):
+            return (D(x, SLeaf(Lolli(a, b))),)
+        case "excl_l", (D(SLt(SLeaf(a), SLeaf(b)), y),):
+            return (D(SLeaf(Excl(a, b)), y),)
+        case "excl_r", (D(x, SLeaf(a)), D(SLeaf(b), y)):
+            return (D(SLt(x, y), SLeaf(Excl(a, b))),)
+        case "rp_down", (D(x, y),):
+            return (
+                D(SComma(x, y.left), y.right) if isinstance(y, SGt) else None,
+                D(x.right, SGt(x.left, y)) if isinstance(x, SComma) else None,
+            )
+        case "rp_up", (D(x, y),):
+            return (
+                D(x.left, SGt(x.right, y)) if isinstance(x, SComma) else None,
+                D(SComma(y.left, x), y.right) if isinstance(y, SGt) else None,
+            )
+        case "drp_down", (D(x, y),):
+            return (
+                D(SLt(x, y.right), y.left) if isinstance(y, SComma) else None,
+                D(x.left, SComma(x.right, y)) if isinstance(x, SLt) else None,
+            )
+        case "drp_up", (D(x, y),):
+            return (
+                D(x.left, SComma(y, x.right)) if isinstance(x, SLt) else None,
+                D(SLt(x, y.left), y.right) if isinstance(y, SComma) else None,
+            )
+        case "assoc_l", (D(x, y),):
+            return tuple(None if t is None else D(t, y) for t in _reassoc(x))
+        case "assoc_r", (D(x, y),):
+            return tuple(None if t is None else D(x, t) for t in _reassoc(y))
+        case "phi_l_down", (D(SComma(x, SPhi()), y),):
+            return (D(x, y),)
+        case "phi_l_up", (D(x, y),):
+            return (D(SComma(x, SPhi()), y),)
+        case "phi_r_down", (D(x, SComma(SPhi(), y)),):
+            return (D(x, y),)
+        case "phi_r_up", (D(x, y),):
+            return (D(x, SComma(SPhi(), y)),)
+        case "com_l", (D(SComma(x, y), z),):
+            return (D(SComma(y, x), z),)
+        case "com_r", (D(z, SComma(x, y)),):
+            return (D(z, SComma(y, x)),)
+        case "mixed_assoc_l", (D(SComma(w, SLt(x, y)), z),):
+            return (D(SLt(SComma(w, x), y), z),)
+        case "mixed_assoc_r", (D(w, SComma(SGt(x, y), z)),):
+            return (D(w, SGt(x, SComma(y, z))),)
+    if rule not in DC_RULES:
+        raise CheckError(f"unknown rule {_clip(rule)}")
+    return (None,)
 
 
 def dc_rule_applies(rule: str, c: DisplaySequent, ps: tuple[DisplaySequent, ...]) -> bool:
@@ -366,146 +443,11 @@ def dc_rule_applies(rule: str, c: DisplaySequent, ps: tuple[DisplaySequent, ...]
     match rule:
         case "id":
             return isinstance(c.ant, SLeaf) and isinstance(c.ant.formula, Atom) and c.ant == c.suc
-        case "cut":
-            p1, p2 = ps
-            return (
-                isinstance(p1.suc, SLeaf)
-                and p2.ant == p1.suc
-                and c == DisplaySequent(p1.ant, p2.suc)
-            )
-        case "i_l":
-            (p,) = ps
-            return c.ant == SLeaf(UnitI()) and p == DisplaySequent(SPhi(), c.suc)
         case "i_r":
             return c == DisplaySequent(SPhi(), SLeaf(UnitI()))
         case "bot_l":
             return c == DisplaySequent(SLeaf(UnitBot()), SPhi())
-        case "bot_r":
-            (p,) = ps
-            return c.suc == SLeaf(UnitBot()) and p == DisplaySequent(c.ant, SPhi())
-        case "tensor_l":
-            (p,) = ps
-            match c.ant:
-                case SLeaf(formula=Tensor(left=a, right=b)):
-                    return p == DisplaySequent(SComma(SLeaf(a), SLeaf(b)), c.suc)
-            return False
-        case "tensor_r":
-            p1, p2 = ps
-            match c.ant, c.suc:
-                case SComma(left=x, right=y), SLeaf(formula=Tensor(left=a, right=b)):
-                    return p1 == DisplaySequent(x, SLeaf(a)) and p2 == DisplaySequent(y, SLeaf(b))
-            return False
-        case "par_l":
-            p1, p2 = ps
-            match c.ant, c.suc:
-                case SLeaf(formula=Par(left=a, right=b)), SComma(left=x, right=y):
-                    return p1 == DisplaySequent(SLeaf(a), x) and p2 == DisplaySequent(SLeaf(b), y)
-            return False
-        case "par_r":
-            (p,) = ps
-            match c.suc:
-                case SLeaf(formula=Par(left=a, right=b)):
-                    return p == DisplaySequent(c.ant, SComma(SLeaf(a), SLeaf(b)))
-            return False
-        case "lolli_l":
-            p1, p2 = ps
-            match c.ant, c.suc:
-                case SLeaf(formula=Lolli(left=a, right=b)), SGt(left=x, right=y):
-                    return p1 == DisplaySequent(x, SLeaf(a)) and p2 == DisplaySequent(SLeaf(b), y)
-            return False
-        case "lolli_r":
-            (p,) = ps
-            match c.suc:
-                case SLeaf(formula=Lolli(left=a, right=b)):
-                    return p == DisplaySequent(c.ant, SGt(SLeaf(a), SLeaf(b)))
-            return False
-        case "excl_l":
-            (p,) = ps
-            match c.ant:
-                case SLeaf(formula=Excl(left=a, right=b)):
-                    return p == DisplaySequent(SLt(SLeaf(a), SLeaf(b)), c.suc)
-            return False
-        case "excl_r":
-            p1, p2 = ps
-            match c.ant, c.suc:
-                case SLt(left=x, right=y), SLeaf(formula=Excl(left=a, right=b)):
-                    return p1 == DisplaySequent(x, SLeaf(a)) and p2 == DisplaySequent(SLeaf(b), y)
-            return False
-        case "rp_down":
-            (p,) = ps
-            if isinstance(p.suc, SGt) and c == DisplaySequent(SComma(p.ant, p.suc.left), p.suc.right):
-                return True
-            return isinstance(p.ant, SComma) and c == DisplaySequent(
-                p.ant.right, SGt(p.ant.left, p.suc)
-            )
-        case "rp_up":
-            (p,) = ps
-            if isinstance(p.ant, SComma) and c == DisplaySequent(
-                p.ant.left, SGt(p.ant.right, p.suc)
-            ):
-                return True
-            return isinstance(p.suc, SGt) and c == DisplaySequent(
-                SComma(p.suc.left, p.ant), p.suc.right
-            )
-        case "drp_down":
-            (p,) = ps
-            if isinstance(p.ant, SLt) and c == DisplaySequent(
-                p.ant.left, SComma(p.ant.right, p.suc)
-            ):
-                return True
-            return isinstance(p.suc, SComma) and c == DisplaySequent(
-                SLt(p.ant, p.suc.right), p.suc.left
-            )
-        case "drp_up":
-            (p,) = ps
-            if isinstance(p.suc, SComma) and c == DisplaySequent(
-                SLt(p.ant, p.suc.left), p.suc.right
-            ):
-                return True
-            return isinstance(p.ant, SLt) and c == DisplaySequent(
-                p.ant.left, SComma(p.suc, p.ant.right)
-            )
-        case "phi_l_down":
-            (p,) = ps
-            return p == DisplaySequent(SComma(c.ant, SPhi()), c.suc)
-        case "phi_l_up":
-            (p,) = ps
-            return c == DisplaySequent(SComma(p.ant, SPhi()), p.suc)
-        case "phi_r_down":
-            (p,) = ps
-            return p == DisplaySequent(c.ant, SComma(SPhi(), c.suc))
-        case "phi_r_up":
-            (p,) = ps
-            return c == DisplaySequent(p.ant, SComma(SPhi(), p.suc))
-        case "assoc_l":
-            (p,) = ps
-            return p.suc == c.suc and (_reassoc_l(p.ant, c.ant) or _reassoc_l(c.ant, p.ant))
-        case "assoc_r":
-            (p,) = ps
-            return p.ant == c.ant and (_reassoc_r(p.suc, c.suc) or _reassoc_r(c.suc, p.suc))
-        case "com_l":
-            (p,) = ps
-            return isinstance(p.ant, SComma) and c == DisplaySequent(
-                SComma(p.ant.right, p.ant.left), p.suc
-            )
-        case "com_r":
-            (p,) = ps
-            return isinstance(p.suc, SComma) and c == DisplaySequent(
-                p.ant, SComma(p.suc.right, p.suc.left)
-            )
-        case "mixed_assoc_l":
-            (p,) = ps
-            match p.ant:
-                case SComma(left=w, right=SLt(left=x, right=y)):
-                    return c == DisplaySequent(SLt(SComma(w, x), y), p.suc)
-            return False
-        case "mixed_assoc_r":
-            (p,) = ps
-            match p.suc:
-                case SComma(left=SGt(left=x, right=y), right=z):
-                    return c == DisplaySequent(p.ant, SGt(x, SComma(y, z)))
-            return False
-    raise CheckError(f"unknown rule {_clip(rule)}")
+    return c in dc_conclusions(rule, ps)
 
 
 def _verify_dc(node: ProofNode, logic: str, c: DisplaySequent) -> None:
@@ -540,67 +482,3 @@ def check_dc_proof(root: ProofNode, logic: str = "biill", expect: DisplaySequent
         raise CheckError("root conclusion does not match the expected sequent")
     with stack_room(20 * proof_size(root) + 2000):
         _verify_dc(root, logic, c)
-
-
-def display_substructure(
-    ds: DisplaySequent, side: str, path: tuple[int, ...]
-) -> list[tuple[str, DisplaySequent]]:
-    """Residuation chain exhibiting one part of a sequent as a whole side.
-
-    ``side`` names the side the walk starts on ("ant" or "suc") and ``path``
-    picks an operand, 0 for left or 1 for right, of the focused structure at
-    each level.  Each returned (rule, sequent) step derives the sequent
-    before it from the one listed, so the chain reads bottom-up from ``ds``
-    and a proof of the last entry extends to a proof of ``ds``.  An empty
-    path returns an empty chain.
-
-    Crossing a comma costs one step, as does entering the major operand of a
-    residual (the left of ``<``, the right of ``>``).  Entering the minor
-    operand costs two steps and lands the part on the opposite side.
-    Raises ValueError when the path runs into a formula, an empty-side
-    marker, or a residual of the wrong polarity for its side.
-    """
-    if side not in ("ant", "suc"):
-        raise ValueError(f"side must be 'ant' or 'suc', not {side!r}")
-    steps: list[tuple[str, DisplaySequent]] = []
-    cur = ds
-    for idx in path:
-        if idx not in (0, 1):
-            raise ValueError(f"path component must be 0 or 1, not {idx!r}")
-        focus = cur.ant if side == "ant" else cur.suc
-        match side, focus:
-            case "ant", SComma(left=a, right=b):
-                if idx == 0:
-                    cur = DisplaySequent(a, SGt(b, cur.suc))
-                    steps.append(("rp_down", cur))
-                else:
-                    cur = DisplaySequent(b, SGt(a, cur.suc))
-                    steps.append(("rp_up", cur))
-            case "ant", SLt(left=a, right=b):
-                cur = DisplaySequent(a, SComma(b, cur.suc))
-                steps.append(("drp_up", cur))
-                if idx == 1:
-                    # the minor operand surfaces inside the succedent pair;
-                    # one more step makes it the whole succedent
-                    cur = DisplaySequent(SLt(cur.ant, cur.suc.right), b)
-                    steps.append(("drp_up", cur))
-                    side = "suc"
-            case "suc", SComma(left=a, right=b):
-                if idx == 0:
-                    cur = DisplaySequent(SLt(cur.ant, b), a)
-                    steps.append(("drp_up", cur))
-                else:
-                    cur = DisplaySequent(SLt(cur.ant, a), b)
-                    steps.append(("drp_down", cur))
-            case "suc", SGt(left=a, right=b):
-                cur = DisplaySequent(SComma(a, cur.ant), b)
-                steps.append(("rp_down", cur))
-                if idx == 0:
-                    cur = DisplaySequent(a, SGt(cur.ant.right, b))
-                    steps.append(("rp_down", cur))
-                    side = "ant"
-            case _:
-                raise ValueError(
-                    f"path enters no displayable position in {structure_text(focus)}"
-                )
-    return steps

@@ -71,7 +71,6 @@ __all__ = [
     "zero_origins",
     "sn_rule_applies",
     "check_sn_proof",
-    "sn_proof_stays_in_fill",
     "display_in_sn",
     "invert_display_chain",
     "stack_chain",
@@ -239,15 +238,6 @@ def check_sn_proof(root: ProofNode, logic: str = "biill", expect: Sequent | None
         raise CheckError("root conclusion does not match the expected sequent")
     with stack_room(20 * proof_size(root) + 2000):
         _verify_sn(root, logic, c)
-
-
-def sn_proof_stays_in_fill(root: ProofNode) -> bool:
-    """True when no node uses exclusion or a left-nested child."""
-    if root.rule in SN_FILL_EXCLUDED:
-        return False
-    if not is_fill_sequent(strip_sequent(root.conclusion)):
-        return False
-    return all(sn_proof_stays_in_fill(p) for p in root.premises)
 
 
 # -------------------------------------------------- bringing a node to root

@@ -17,7 +17,10 @@ rule, and brings the parked material back.  A conclusion only has to read,
 as a nested sequent, as the shallow one, so no comma order is restored
 after a step; one arrangement at the end makes the endsequent exactly the
 canonical structure of the input's (items in canonical order,
-comma-joined).
+comma-joined).  The shapes of the display rules live in
+`display.dc_conclusions`, which the dc checker uses too: each step names a
+rule and a reading of it, and its conclusion is derived from its premises
+there, so a step that does not fit raises TranslationError at once.
 
 display_to_shallow goes the other way by reading each structure as a
 nested sequent again: associativity, commutativity and empty-structure
@@ -83,6 +86,7 @@ from .display import (
     SPhi,
     Structure,
     check_dc_proof,
+    dc_conclusions,
     sequent_to_display,
     structure_text,
 )
@@ -371,6 +375,22 @@ def _path(tree: Structure, fits) -> list[int]:
     raise ValueError(f"no operand to display in {structure_text(tree)}")
 
 
+# The residuation moves of each side: `_PARK` parks the right operand of
+# the side's comma on the other side (reading 0) and brings a parked operand
+# back at the left end (reading 1); `_BRING` brings one back at the right
+# end (reading 0) and parks the left operand (reading 1).
+_PARK = {"ant": "rp_up", "suc": "drp_down"}
+_BRING = {"ant": "rp_down", "suc": "drp_up"}
+
+
+def _fire(rule: str, ps: tuple[DisplaySequent, ...], reading: int = 0) -> DisplaySequent:
+    """The conclusion `reading` of `rule` derives from `ps`."""
+    c = dc_conclusions(rule, ps)[reading]
+    if c is None:
+        raise TranslationError(f"sn -> dc: {rule} does not fit its premises")
+    return c
+
+
 class _DChain:
     """Top-down accumulator of display steps.
 
@@ -382,90 +402,55 @@ class _DChain:
     about as many steps as it is deep, and no order of the operands is ever
     restored.  Each conclusion is kept tidy: `Phi` is never a comma operand,
     so a side that reads as one item is exactly that item's structure.
+    Every move is a `step`, whose conclusion `display.dc_conclusions`
+    derives from the current one.
     """
 
     def __init__(self, start: DisplaySequent):
         self.cur = start
         self.steps: list[tuple[str, DisplaySequent]] = []
 
-    def emit(self, rule: str, below: DisplaySequent) -> None:
-        self.steps.append((rule, below))
-        self.cur = below
+    def step(self, rule: str, reading: int = 0) -> None:
+        self.cur = _fire(rule, (self.cur,), reading)
+        self.steps.append((rule, self.cur))
 
     def side(self, side: str) -> Structure:
         return self.cur.ant if side == "ant" else self.cur.suc
 
-    def _with(self, side: str, tree: Structure) -> DisplaySequent:
-        if side == "ant":
-            return DisplaySequent(tree, self.cur.suc)
-        return DisplaySequent(self.cur.ant, tree)
-
     def com(self, side: str) -> None:
-        t = self.side(side)
-        rule = "com_l" if side == "ant" else "com_r"
-        self.emit(rule, self._with(side, SComma(t.right, t.left)))
+        self.step("com_l" if side == "ant" else "com_r")
 
-    def reassoc(self, side: str, tree: Structure) -> None:
-        self.emit("assoc_l" if side == "ant" else "assoc_r", self._with(side, tree))
+    def reassoc(self, side: str, reading: int) -> None:
+        # reading 0 makes W, (X, Y) into (W, X), Y; reading 1 undoes it
+        self.step("assoc_l" if side == "ant" else "assoc_r", reading)
 
     def mixed_assoc(self, side: str) -> None:
         # W, (X < Y) becomes (W, X) < Y;  (X > Y), Z becomes X > (Y, Z)
-        t = self.side(side)
-        if side == "ant":
-            self.emit("mixed_assoc_l", self._with("ant", SLt(SComma(t.left, t.right.left), t.right.right)))
-        else:
-            self.emit("mixed_assoc_r", self._with("suc", SGt(t.left.left, SComma(t.left.right, t.right))))
+        self.step("mixed_assoc_l" if side == "ant" else "mixed_assoc_r")
 
     def stash(self, side: str) -> None:
-        # park the rightmost comma operand on the other side
-        if side == "ant":
-            t = self.cur.ant
-            self.emit("rp_up", DisplaySequent(t.left, SGt(t.right, self.cur.suc)))
-        else:
-            t = self.cur.suc
-            self.emit("drp_down", DisplaySequent(SLt(self.cur.ant, t.right), t.left))
+        self.step(_PARK[side], 0)
 
     def stash_first(self, side: str) -> None:
-        if side == "ant":
-            t = self.cur.ant
-            self.emit("rp_down", DisplaySequent(t.right, SGt(t.left, self.cur.suc)))
-        else:
-            t = self.cur.suc
-            self.emit("drp_up", DisplaySequent(SLt(self.cur.ant, t.left), t.right))
+        self.step(_BRING[side], 1)
 
     def unstash(self, side: str) -> None:
-        # the parked operand comes back at the right end
-        if side == "ant":
-            s = self.cur.suc
-            self.emit("rp_down", DisplaySequent(SComma(self.cur.ant, s.left), s.right))
-        else:
-            a = self.cur.ant
-            self.emit("drp_up", DisplaySequent(a.left, SComma(self.cur.suc, a.right)))
+        self.step(_BRING[side], 0)
 
     def unstash_first(self, side: str) -> None:
-        if side == "ant":
-            s = self.cur.suc
-            self.emit("rp_up", DisplaySequent(SComma(s.left, self.cur.ant), s.right))
-        else:
-            a = self.cur.ant
-            self.emit("drp_down", DisplaySequent(a.left, SComma(a.right, self.cur.suc)))
+        self.step(_PARK[side], 1)
 
     def pad(self, side: str) -> None:
         # an empty operand at the right of an antecedent, the left of a succedent
-        if side == "ant":
-            self.emit("phi_l_up", self._with("ant", SComma(self.cur.ant, SPhi())))
-        else:
-            self.emit("phi_r_up", self._with("suc", SComma(SPhi(), self.cur.suc)))
+        self.step("phi_l_up" if side == "ant" else "phi_r_up")
 
     def tidy(self, side: str) -> None:
         """Drop every empty operand of the side."""
         while isinstance(self.side(side), SComma) and SPhi() in _pool(self.side(side)):
             self.to_end(side, lambda op: op == SPhi())
-            if side == "ant":
-                self.emit("phi_l_down", self._with("ant", self.cur.ant.left))
-            else:
+            if side == "suc":
                 self.com("suc")
-                self.emit("phi_r_down", self._with("suc", self.cur.suc.right))
+            self.step("phi_l_down" if side == "ant" else "phi_r_down")
 
     def to_end(self, side: str, fits) -> None:
         """Make an operand that `fits` the right operand of the side's root
@@ -476,9 +461,7 @@ class _DChain:
                 self.com(side)
                 path[0] = 1
             else:
-                # W, (X, Y) becomes (W, X), Y
-                t = self.side(side)
-                self.reassoc(side, SComma(SComma(t.left, t.right.left), t.right.right))
+                self.reassoc(side, 0)
                 path = ([0, 1] if path[1] == 0 else [1]) + path[2:]
 
     def gather(self, side: str, items) -> bool:
@@ -493,8 +476,7 @@ class _DChain:
             self.unstash(side)
         if rest:
             for _ in items[1:]:
-                t = self.side(side)
-                self.reassoc(side, SComma(t.left.left, SComma(t.left.right, t.right)))
+                self.reassoc(side, 1)
         return rest
 
     def isolate(self, side: str, items) -> bool:
@@ -609,7 +591,7 @@ def _std(node: ProofNode) -> ProofNode:
         side = _DC_SIDE[_LOGICAL[rule][0]]
         f = _gained(cn, pns, _LOGICAL[rule][0])
         parked = ch.isolate(side, _unfolding(f))
-        ch.emit(rule, ch._with(side, SLeaf(f)))
+        ch.step(rule)
         if parked:
             ch.unstash_first(side)
         return stack_chain(subs[0], ch.steps)
@@ -620,13 +602,8 @@ def _std(node: ProofNode) -> ProofNode:
         sides = [_DC_SIDE[s] for s in _SPLIT[rule]]
         chs = [_DChain(s.conclusion) for s in subs]
         parked = [c.isolate(s, (Occ(a),)) for c, s, a in zip(chs, sides, (f.left, f.right))]
-        r1, r2 = rests = [c.side(_OTHER[s]) for c, s in zip(chs, sides)]
-        mid = {
-            "tensor_r": DisplaySequent(SComma(r1, r2), SLeaf(f)),
-            "par_l": DisplaySequent(SLeaf(f), SComma(r1, r2)),
-            "lolli_l": DisplaySequent(SLeaf(f), SGt(r1, r2)),
-            "excl_r": DisplaySequent(SLt(r1, r2), SLeaf(f)),
-        }[rule]
+        rests = [c.side(_OTHER[s]) for c, s in zip(chs, sides)]
+        mid = _fire(rule, tuple(c.cur for c in chs))
         out = ProofNode(rule, mid, tuple(stack_chain(s, c.steps) for s, c in zip(subs, chs)))
         ch = _DChain(mid)
         if rule == "lolli_l":
@@ -1152,45 +1129,22 @@ def _branch_plan(rule, target, occ, p1n, p2n):
     wants = []
     for pn, half, side in zip((p1n, p2n), (f.left, f.right), _SPLIT[rule]):
         try:
-            pn = _edit(pn, side, (Occ(strip_labels(half)),))
+            wants.append(_edit(pn, side, (Occ(strip_labels(half)),)))
         except ValueError:
             return None
-        wants.append(
-            (
-                Counter(o.formula for o in occs(pn.left)),
-                Counter(o.formula for o in occs(pn.right)),
-                Counter(child_seqs(pn.left)),
-                Counter(child_seqs(pn.right)),
-            )
-        )
 
-    halves = [([], []), ([], [])]
-    for side_idx, items in ((0, rest.left), (1, rest.right)):
-        for it in items:
-            if isinstance(it, Occ):
-                key = strip_labels(it.formula)
-                for which in (0, 1):
-                    cnt = wants[which][side_idx]
-                    if cnt.get(key, 0) > 0:
-                        cnt[key] -= 1
-                        halves[which][side_idx].append(it)
-                        break
-                else:
-                    return None
-            else:
-                key = _norm(it)
-                for which in (0, 1):
-                    cnt = wants[which][side_idx + 2]
-                    if cnt.get(key, 0) > 0:
-                        cnt[key] -= 1
-                        halves[which][side_idx].append(it)
-                        break
-                else:
-                    return None
-    if any(+c for want in wants for c in want):
-        return None
-
-    own = [Sequent(tuple(l), tuple(r), target.origin) for l, r in halves]
+    # each item goes to the first half that still wants it, in item order
+    halves = ([], [])
+    for side in _SIDES:
+        items = getattr(rest, side)
+        for half, want in zip(halves, wants):
+            picked, items = _match_by_norm(items, getattr(want, side))
+            if len(picked) != len(getattr(want, side)):
+                return None
+            half.append(picked)
+        if items:
+            return None
+    own = [Sequent(l, r, target.origin) for l, r in halves]
     pruned = _split_premises(rule, f, HOLE, own[0], HOLE, own[1])
     plan = []
     for which in (0, 1):

@@ -5,9 +5,9 @@ import pytest
 from fillprover.certs import CheckError, ProofNode, Witness, parse_context, proof_size
 from fillprover.deep import (
     check_dn_proof,
+    check_separation,
     deep_moves,
     endsequent_for,
-    proof_stays_in_fill,
 )
 from fillprover.formula import parse_formula
 from fillprover.sequent import label_sequent, parse_sequent, sequent_text, strip_sequent
@@ -184,7 +184,7 @@ def test_fixture_proof_checks_in_both_logics():
     assert proof_size(proof) == 14
     check_dn_proof(proof, "biill")
     check_dn_proof(proof, "fill")
-    assert proof_stays_in_fill(proof)
+    check_separation(proof)
 
 
 def test_fixture_expect_mismatch():
@@ -275,13 +275,14 @@ def test_unknown_rule_rejected():
 
 def test_stays_in_fill_predicate():
     inside = N("id", "a => a", {"context": "_", "principal": "a"})
-    assert proof_stays_in_fill(inside)
+    check_separation(inside)
     outside = N(
         "prop_right_in",
         "[a => b] => c",
         {"context": "_", "principal": "c", "child_origin": 0},
     )
-    assert not proof_stays_in_fill(outside)
+    with pytest.raises(CheckError):
+        check_separation(outside)
 
 
 def test_endsequent_for():

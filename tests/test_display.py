@@ -12,8 +12,8 @@ from fillprover.display import (
     SLt,
     SPhi,
     check_dc_proof,
+    dc_conclusions,
     dc_rule_applies,
-    display_substructure,
     display_text,
     is_fill_display,
     parse_display,
@@ -180,6 +180,12 @@ _SCHEMA_CASES = [
     ("mixed_assoc_l", "w, (x < y) |- z", ("(w, x) < y |- z",), False),
     ("mixed_assoc_r", "w |- x > (y, z)", ("w |- (x > y), z",), True),
     ("mixed_assoc_r", "w |- (x > y), z", ("w |- x > (y, z)",), False),
+    ("bot_r", "a |- bot", ("b |- Phi",), False),
+    ("par_l", "a|b |- a, b", ("b |- b", "a |- a"), False),
+    ("lolli_l", "a -o b |- a > b", ("b |- b", "a |- a"), False),
+    ("lolli_r", "c |- a -o b", ("c |- b > a",), False),
+    ("excl_l", "a -< b |- c", ("b < a |- c",), False),
+    ("excl_r", "a < b |- a -< b", ("b |- b", "a |- a"), False),
 ]
 
 
@@ -188,6 +194,28 @@ def test_rule_schema(rule, conclusion, premises, ok):
     c = parse_display(conclusion)
     ps = tuple(parse_display(p) for p in premises)
     assert dc_rule_applies(rule, c, ps) is ok
+
+
+_STRUCTURAL = (
+    "rp_down", "rp_up", "drp_down", "drp_up", "phi_l_down", "phi_l_up", "phi_r_down",
+    "phi_r_up", "assoc_l", "assoc_r", "com_l", "com_r", "mixed_assoc_l", "mixed_assoc_r",
+)
+
+
+@given(st.builds(DisplaySequent, _structures, _structures))
+def test_structural_readings_check_and_residuations_undo_each_other(p):
+    for rule in _STRUCTURAL:
+        readings = dc_conclusions(rule, (p,))
+        assert len(readings) == (2 if rule.startswith(("rp_", "drp_", "assoc_")) else 1)
+        for c in readings:
+            if c is not None:
+                assert dc_rule_applies(rule, c, (p,))
+    # each reading of a residuation move is undone by the same reading of
+    # its opposite
+    for a, b in (("rp_up", "rp_down"), ("rp_down", "rp_up"), ("drp_up", "drp_down"), ("drp_down", "drp_up")):
+        for i, c in enumerate(dc_conclusions(a, (p,))):
+            if c is not None:
+                assert dc_conclusions(b, (c,))[i] == p
 
 
 def test_unknown_rule_and_arity():
@@ -375,68 +403,3 @@ def test_dc_certificate_round_trip():
     assert back.calculus == "dc"
     assert back.endsequent == "a*b |- b*a"
     check_dc_proof(back.root, back.logic, expect=parse_display(back.endsequent))
-
-
-# -------------------------------------------------- displaying substructures
-
-def test_display_substructure_single_comma_step():
-    ds = parse_display("p, y |- z")
-    chain = display_substructure(ds, "ant", (0,))
-    assert chain == [("rp_down", parse_display("p |- y > z"))]
-
-
-def test_display_substructure_empty_path_is_already_displayed():
-    assert display_substructure(parse_display("p, y |- z"), "ant", ()) == []
-
-
-def test_display_substructure_succedent_comma():
-    ds = parse_display("(a | b) | c |- a, q | r")
-    chain = display_substructure(ds, "suc", (0,))
-    assert chain == [("drp_up", parse_display("(a|b)|c < (q|r) |- a"))]
-
-
-@pytest.mark.parametrize(
-    "text, side, path, want_len",
-    [
-        ("p, (y, w) |- z", "ant", (1, 0), 2),
-        ("p, (y, w) |- z", "ant", (1, 1), 2),
-        ("p < y |- z", "ant", (0,), 1),
-        ("p < y |- z", "ant", (1,), 2),           # crossing into the minor side
-        ("(p < y), w |- z", "ant", (0, 1), 3),
-        ("x |- (a, b), c", "suc", (0, 1), 2),
-        ("x |- a > (b, c)", "suc", (1, 0), 2),
-        ("x |- a > b", "suc", (0,), 2),
-        ("(p < (y, z)) |- w", "ant", (1, 0), 3),
-        ("x |- (a < b) > c", "suc", (0, 1), 4),   # two polarity flips
-    ],
-)
-def test_display_substructure_chains_check(text, side, path, want_len):
-    ds = parse_display(text)
-    chain = display_substructure(ds, side, path)
-    assert len(chain) == want_len
-    prev = ds
-    for rule, s in chain:
-        assert dc_rule_applies(rule, prev, (s,))
-        prev = s
-    target = ds.ant if side == "ant" else ds.suc
-    for i in path:
-        target = target.left if i == 0 else target.right
-    final = chain[-1][1]
-    assert target in (final.ant, final.suc)
-
-
-@pytest.mark.parametrize(
-    "text, side, path",
-    [
-        ("p |- z", "ant", (0,)),                  # a formula has no parts to move
-        ("p > y |- z", "ant", (0,)),              # residual on the wrong side
-        ("x |- p < q", "suc", (0,)),
-        ("x |- (a > b) > c", "suc", (0, 0)),      # inner > sits in an input hole
-        ("Phi |- z", "ant", (0,)),
-        ("p, y |- z", "up", (0,)),
-        ("p, y |- z", "ant", (2,)),
-    ],
-)
-def test_display_substructure_rejects_bad_paths(text, side, path):
-    with pytest.raises(ValueError):
-        display_substructure(parse_display(text), side, path)

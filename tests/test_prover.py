@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fillprover.deep import BRANCH_RULES, LEAF_RULES, DN_RULES, check_dn_proof, deep_moves, endsequent_for, proof_stays_in_fill
-from fillprover.certs import certificate_text, proof_size
+from fillprover.deep import BRANCH_RULES, LEAF_RULES, DN_RULES, check_dn_proof, check_separation, deep_moves, endsequent_for
+from fillprover.certs import CheckError, certificate_text, proof_size
 from fillprover.formula import (
     Atom,
     Excl,
@@ -76,7 +76,7 @@ def test_fill_theorems_prove_in_both_logics(text):
         assert d.status == "proved"
         check_dn_proof(d.proof, logic)
     # deciding a FILL goal in the larger logic stays inside the fragment
-    assert proof_stays_in_fill(decide_formula(f, "biill").proof)
+    check_separation(decide_formula(f, "biill").proof)
 
 
 @pytest.mark.parametrize("text", NON_THEOREMS)
@@ -93,7 +93,8 @@ def test_biill_only_theorems(text):
     d = decide_formula(f, "biill")
     assert d.status == "proved"
     check_dn_proof(d.proof, "biill")
-    assert not proof_stays_in_fill(d.proof)
+    with pytest.raises(CheckError):
+        check_separation(d.proof)
 
 
 def test_fill_mode_rejects_exclusion():

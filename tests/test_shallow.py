@@ -30,7 +30,6 @@ from fillprover.shallow import (
     expand_merge,
     expand_weaken_hollow,
     invert_display_chain,
-    sn_proof_stays_in_fill,
     sn_rule_applies,
     zero_origins,
 )
@@ -188,7 +187,6 @@ def test_lolli_identity_both_logics():
     root = lolli_identity_proof()
     assert proof_checks(root, "fill")
     assert proof_checks(root, "biill")
-    assert sn_proof_stays_in_fill(root)
     check_sn_proof(root, "fill", expect=S("=> a -o a"))
 
 
@@ -206,7 +204,6 @@ def test_unit_cut_proof():
 def test_self_exclusion_biill_only():
     root = self_exclusion_proof()
     assert proof_checks(root, "biill")
-    assert not sn_proof_stays_in_fill(root)
     with pytest.raises(CheckError):
         check_sn_proof(root, "fill")
 

@@ -357,12 +357,10 @@ def test_every_import_is_used_or_exported():
 UNCALLED = {
     "parse_structure": "reads display structure text, as parse_display reads a sequent",
     "tau_a": "the exclusion reading of a sequent, the dual of tau_s",
-    "proof_stays_in_fill": "tells whether a dn proof is a FILL proof",
-    "sn_proof_stays_in_fill": "tells whether an sn proof is a FILL proof",
+    "check_separation": "tells whether a dn proof stays in FILL, by raising or not",
     "sequent_node_count": "the node count of a nested sequent, beside formula_occurrence_count",
     "connective_count": "the size measure the corpus tests bound formulas by",
     "decide_sequent": "the prover's entry point for a sequent goal, beside decide_formula",
-    "display_substructure": "the path-addressed residuation chain; only its own tests run it",
 }
 
 
@@ -389,10 +387,9 @@ def test_the_package_holds_no_assertions():
                 assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), where
 
 
-def test_only_stack_room_and_main_set_the_recursion_limit():
-    # `certs.stack_room` sizes the limit for a block and puts it back, and
-    # `cli.main` pins a floor for the command line; any other site is a
-    # limit raised by hand
+def test_only_stack_room_sets_the_recursion_limit():
+    # `certs.stack_room` sizes the limit for a block and puts it back; any
+    # other site is a limit raised by hand
     sites = set()
 
     def visit(node, where):
@@ -407,7 +404,7 @@ def test_only_stack_room_and_main_set_the_recursion_limit():
 
     for path in sorted(Path(fillprover.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert sites == {"certs.stack_room", "cli.main"}
+    assert sites == {"certs.stack_room"}
 
 
 def test_cut_bearing_proofs_rejected():
