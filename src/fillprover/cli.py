@@ -51,7 +51,6 @@ from .formula import (
     Tensor,
     UnitBot,
     UnitI,
-    formula_key,
     formula_text,
     is_fill_formula,
     parse_formula,
@@ -220,7 +219,7 @@ def _stratum(strata, n: int, logic: str):
     for i in range(n):
         for a in strata[i]:
             for b in strata[n - 1 - i]:
-                if formula_key(a) <= formula_key(b):
+                if a <= b:
                     yield Tensor(a, b)
                     yield Par(a, b)
                 yield Lolli(a, b)

@@ -12,12 +12,20 @@ Arrow occurrences carry an integer label used to tie nested child sequents
 back to the occurrence that introduced them.  Labels are not part of the
 surface syntax: `parse_formula` yields label 0 everywhere, and
 `label_occurrences` numbers the arrows of a formula in prefix order.
+
+A formula is a tagged tuple: its first element is the tag of its kind
+(atom 0, `1` 1, `bot` 2, `*` 3, `|` 4, `-o` 5, `-<` 6) and its fields
+follow, an arrow's label last (`(5, left, right, label)`).  Tuple order is
+therefore the canonical order, kinds by tag and then fields left to right,
+labels included; equality is structural, and the interpreter computes the
+hash.  Fields read by name through properties, so class patterns such as
+`Lolli(left=l, label=k)` match as usual.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 __all__ = [
@@ -32,7 +40,6 @@ __all__ = [
     "Excl",
     "parse_formula",
     "formula_text",
-    "formula_key",
     "formula_size",
     "connective_count",
     "arrow_count",
@@ -46,86 +53,82 @@ class ParseError(ValueError):
     """Raised when formula or sequent text does not parse."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+# the kind tags, in the canonical order of the kinds
+_ATOM, _ONE, _BOT, _TENSOR, _PAR, _LOLLI, _EXCL = range(7)
+
+
+class _Tagged(tuple):
+    """A tuple whose first element is its kind's tag and whose other
+    elements are its fields."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self[1:]))})"
 
     def __str__(self) -> str:
         return formula_text(self)
 
 
-@dataclass(frozen=True)
-class UnitI:
-    def __str__(self) -> str:
-        return formula_text(self)
+class Atom(_Tagged):
+    __slots__ = ()
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (_ATOM, name))
 
 
-@dataclass(frozen=True)
-class UnitBot:
-    def __str__(self) -> str:
-        return formula_text(self)
+class UnitI(_Tagged):
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, (_ONE,))
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "Formula"
-    right: "Formula"
+class UnitBot(_Tagged):
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return formula_text(self)
+    def __new__(cls):
+        return tuple.__new__(cls, (_BOT,))
 
 
-@dataclass(frozen=True)
-class Par:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return formula_text(self)
+class _Binary(_Tagged):
+    __slots__ = ()
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
 
 
-@dataclass(frozen=True)
-class Lolli:
-    left: "Formula"
-    right: "Formula"
-    label: int = 0
+class Tensor(_Binary):
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return formula_text(self)
+    def __new__(cls, left: Formula, right: Formula):
+        return tuple.__new__(cls, (_TENSOR, left, right))
 
 
-@dataclass(frozen=True)
-class Excl:
-    left: "Formula"
-    right: "Formula"
-    label: int = 0
+class Par(_Binary):
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return formula_text(self)
+    def __new__(cls, left: Formula, right: Formula):
+        return tuple.__new__(cls, (_PAR, left, right))
+
+
+class Lolli(_Binary):
+    __slots__ = ()
+    label = property(itemgetter(3))
+
+    def __new__(cls, left: Formula, right: Formula, label: int = 0):
+        return tuple.__new__(cls, (_LOLLI, left, right, label))
+
+
+class Excl(_Binary):
+    __slots__ = ()
+    label = property(itemgetter(3))
+
+    def __new__(cls, left: Formula, right: Formula, label: int = 0):
+        return tuple.__new__(cls, (_EXCL, left, right, label))
 
 
 Formula = Union[Atom, UnitI, UnitBot, Tensor, Par, Lolli, Excl]
-
-
-def formula_key(f: Formula) -> tuple:
-    """Total order key.  Includes arrow labels, so occurrences introduced at
-    different points stay distinct even when they print the same."""
-    match f:
-        case Atom(name=n):
-            return (0, n)
-        case UnitI():
-            return (1,)
-        case UnitBot():
-            return (2,)
-        case Tensor(left=l, right=r):
-            return (3, formula_key(l), formula_key(r))
-        case Par(left=l, right=r):
-            return (4, formula_key(l), formula_key(r))
-        case Lolli(left=l, right=r, label=k):
-            return (5, formula_key(l), formula_key(r), k)
-        case Excl(left=l, right=r, label=k):
-            return (6, formula_key(l), formula_key(r), k)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def formula_size(f: Formula) -> int:
@@ -203,13 +206,13 @@ def label_occurrences(f: Formula, start: int = 1) -> tuple[Formula, int]:
 
 def is_fill_formula(f: Formula) -> bool:
     """True when the formula stays inside FILL, i.e. contains no exclusion."""
-    match f:
-        case Atom() | UnitI() | UnitBot():
-            return True
-        case Excl():
-            return False
-        case Tensor(left=l, right=r) | Par(left=l, right=r) | Lolli(left=l, right=r):
-            return is_fill_formula(l) and is_fill_formula(r)
+    tag = f[0]
+    if tag < _TENSOR:
+        return True
+    if tag < _EXCL:
+        return is_fill_formula(f[1]) and is_fill_formula(f[2])
+    if tag == _EXCL:
+        return False
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -359,16 +362,12 @@ def parse_formula(text: str) -> Formula:
 _PREC_ARROW, _PREC_EXCL, _PREC_MULT, _PREC_ATOM = 0, 1, 2, 3
 
 
+# indexed by kind tag
+_PREC_OF = (_PREC_ATOM, _PREC_ATOM, _PREC_ATOM, _PREC_MULT, _PREC_MULT, _PREC_ARROW, _PREC_EXCL)
+
+
 def _prec(f: Formula) -> int:
-    match f:
-        case Lolli():
-            return _PREC_ARROW
-        case Excl():
-            return _PREC_EXCL
-        case Tensor() | Par():
-            return _PREC_MULT
-        case _:
-            return _PREC_ATOM
+    return _PREC_OF[f[0]]
 
 
 def _wrap(f: Formula, cond: bool) -> str:

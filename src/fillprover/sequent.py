@@ -2,9 +2,13 @@
 
 A node `S => T` holds formula occurrences on both sides plus child sequents,
 each child tagged with the label (`origin`) of the arrow occurrence that
-introduced it.  Sides are kept canonically sorted, so structural equality of
-`Sequent` values is multiset equality and the values are usable as search
-keys directly.
+introduced it.  Items are tagged tuples, as formulas are (`formula.py`),
+with tags above the formulas' own: `Occ` is `(7, formula, hops)`,
+`Sequent` is `(8, origin, left, right)` and a hole is `(9,)`.  So tuple
+order is the canonical order, equality is structural, the interpreter
+computes the hash, and no formula equals an item.  A `Sequent` sorts each
+side when it is built, so equality of `Sequent` values is multiset equality
+and the values are usable as search keys directly.
 
 Text syntax: `Gamma => Delta` with comma-separated items; a child sequent is
 written in brackets with its origin as a suffix, `[a => b]@2` (`@0` is
@@ -20,12 +24,11 @@ partitions every child, so both halves keep the tree shape and origin labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
 from .formula import (
-    Atom,
     Formula,
     Lolli,
     Excl,
@@ -34,9 +37,16 @@ from .formula import (
     Tensor,
     UnitBot,
     UnitI,
+    _ATOM,
+    _BOT,
+    _EXCL,
+    _LOLLI,
+    _ONE,
+    _PAR,
+    _TENSOR,
     _Cursor,
+    _Tagged,
     _formula,
-    formula_key,
     formula_text,
     is_fill_formula,
     strip_labels,
@@ -49,7 +59,6 @@ __all__ = [
     "Sequent",
     "Item",
     "Context",
-    "item_key",
     "parse_sequent",
     "sequent_text",
     "side_remove",
@@ -76,21 +85,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Occ:
+# item tags, above the formula tags, in the canonical order of the kinds
+_OCC, _SEQUENT, _HOLE = 7, 8, 9
+
+
+class Occ(_Tagged):
     """One formula occurrence in a sequent.  `hops` counts how many times
     propagation has moved it; it participates in equality so search states
     that differ only in spent moves stay distinct."""
 
-    formula: Formula
-    hops: int = 0
+    __slots__ = ()
+    formula = property(itemgetter(1))
+    hops = property(itemgetter(2))
+
+    def __new__(cls, formula: Formula, hops: int = 0):
+        return tuple.__new__(cls, (_OCC, formula, hops))
 
     def __str__(self) -> str:
         return formula_text(self.formula)
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(_Tagged):
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, (_HOLE,))
+
     def __str__(self) -> str:
         return "_"
 
@@ -98,15 +118,20 @@ class Hole:
 HOLE = Hole()
 
 
-@dataclass(frozen=True)
-class Sequent:
-    left: tuple = ()
-    right: tuple = ()
-    origin: int = 0
+class Sequent(_Tagged):
+    __slots__ = ()
+    origin = property(itemgetter(1))
+    left = property(itemgetter(2))
+    right = property(itemgetter(3))
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(sorted(self.left, key=item_key)))
-        object.__setattr__(self, "right", tuple(sorted(self.right, key=item_key)))
+    def __new__(cls, left: tuple = (), right: tuple = (), origin: int = 0):
+        return tuple.__new__(cls, (_SEQUENT, origin, tuple(sorted(left)), tuple(sorted(right))))
+
+    def __init__(self, left: tuple = (), right: tuple = (), origin: int = 0):
+        # `__new__` builds the value; this stays so that a wrapper of
+        # `__init__`, such as perfbench's construction counter, can pass
+        # the constructor's arguments on
+        pass
 
     def __str__(self) -> str:
         return sequent_text(self)
@@ -114,17 +139,6 @@ class Sequent:
 
 Item = Union[Occ, Sequent, Hole]
 Context = Union[Hole, Sequent]
-
-
-def item_key(it: Item) -> tuple:
-    match it:
-        case Occ(formula=f, hops=h):
-            return (0, formula_key(f), h)
-        case Sequent(left=l, right=r, origin=g):
-            return (1, g, tuple(item_key(x) for x in l), tuple(item_key(x) for x in r))
-        case Hole():
-            return (2,)
-    raise TypeError(f"not a sequent item: {it!r}")
 
 
 # ------------------------------------------------------- basic inspection
@@ -512,31 +526,31 @@ def signed_counts(s: Sequent | Formula) -> SignedCounts:
     todo: list = [(s, 1)]
     while todo:
         x, pol = todo.pop()
-        match x:
-            case Occ(formula=f):
-                todo.append((f, pol))
-            case Sequent(left=l, right=r):
-                todo.extend((it, 0) for it in l)
-                todo.extend((it, 1) for it in r)
-            case Atom(name=n):
-                counts.setdefault(n, [0, 0])[pol] += 1
-                leaves += pol
-            case Tensor(left=a, right=b):
-                todo += ((a, pol), (b, pol))
-                branches += pol
-            case Par(left=a, right=b):
-                todo += ((a, pol), (b, pol))
-                branches += 1 - pol
-            case Lolli(left=a, right=b):
-                todo += ((a, 1 - pol), (b, pol))
-                branches += 1 - pol
-            case Excl(left=a, right=b):
-                todo += ((a, pol), (b, 1 - pol))
-                branches += pol
-            case UnitI():
-                leaves += pol
-            case UnitBot():
-                leaves += 1 - pol
+        tag = x[0]
+        if tag == _OCC:
+            todo.append((x[1], pol))
+        elif tag == _SEQUENT:
+            todo.extend((it, 0) for it in x[2])
+            todo.extend((it, 1) for it in x[3])
+        elif tag == _ATOM:
+            counts.setdefault(x[1], [0, 0])[pol] += 1
+            leaves += pol
+        elif tag == _TENSOR:
+            todo += ((x[1], pol), (x[2], pol))
+            branches += pol
+        elif tag == _PAR:
+            todo += ((x[1], pol), (x[2], pol))
+            branches += 1 - pol
+        elif tag == _LOLLI:
+            todo += ((x[1], 1 - pol), (x[2], pol))
+            branches += 1 - pol
+        elif tag == _EXCL:
+            todo += ((x[1], pol), (x[2], 1 - pol))
+            branches += pol
+        elif tag == _ONE:
+            leaves += pol
+        elif tag == _BOT:
+            leaves += 1 - pol
     return SignedCounts({n: (c[0], c[1]) for n, c in counts.items()}, leaves, branches)
 
 
