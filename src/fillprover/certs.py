@@ -12,8 +12,9 @@ where each node is `{"rule": ..., "conclusion": ..., "witness": {...}?,
 for the nested ("dn") and shallow ("sn") calculi and the structure syntax for
 the display calculus ("dc").  The optional witness narrows the choices a rule
 application makes: `context` locates the rewritten node (`_` marks the hole),
-`principal` names the formula acted on, `child_origin` picks a child by
-label, and `ctx1`/`ctx2` give the context halves used by a branching rule.
+`principal` names the formula acted on, `child_origin` picks the child a
+propagation crosses by its origin, and `ctx1`/`ctx2` give the context
+halves used by a branching rule.
 It does not pin everything: the dn checker still searches for the split of
 the rewritten node's own material between a branching rule's premises.
 
@@ -29,17 +30,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .formula import Formula, ParseError, _clip, formula_text, parse_formula, strip_labels
-from .sequent import (
-    HOLE,
-    Context,
-    Hole,
-    hole_count,
-    parse_sequent,
-    sequent_text,
-    strip_context,
-    strip_sequent,
-)
+from .formula import Formula, ParseError, _clip, formula_text, parse_formula
+from .sequent import HOLE, Context, Hole, hole_count, parse_sequent, sequent_text
 
 __all__ = [
     "CheckError",
@@ -171,20 +163,20 @@ def _kept(node: ProofNode) -> list:
 def cut_loops(root: ProofNode) -> ProofNode:
     """The proof with every detour inside a one-premise chain cut out.
 
-    When a node's conclusion equals (strictly, labels, origins and hops
-    included) the conclusion of a node higher up the same chain of
-    one-premise nodes, or of the chain's base, the proof above the higher
-    node takes the lower node's place, and the nodes in between go.  Rules
-    and witnesses of the surviving nodes are kept, and the root's
-    conclusion does not change.  Afterwards no chain repeats a conclusion.
+    When a node's conclusion equals (strictly, origins and hops included)
+    the conclusion of a node higher up the same chain of one-premise
+    nodes, or of the chain's base, the proof above the higher node takes
+    the lower node's place, and the nodes in between go.  Rules and
+    witnesses of the surviving nodes are kept, and the root's conclusion
+    does not change.  Afterwards no chain repeats a conclusion.
 
     Cutting keeps a proof a proof.  The sn and dc checkers judge a node by
     its own conclusion and the conclusions of its premises, and a surviving
     node's premise now concludes exactly what its old premise did, so each
     remaining node is checked against the same data as before.  The dn
-    checker also matches witnesses against the labels it carries down from
-    the root; conclusions are compared with their labels, so a surviving
-    premise carries the same labelled sequent as the one it replaces.
+    checker also replays each rule on the sequent it derived from the root,
+    hop counts included; conclusions are compared with their hops, so a
+    surviving premise carries the very sequent the one it replaces did.
 
     The walk uses explicit stacks and one dict per chain, so it takes time
     linear in the proof and no recursion."""
@@ -210,7 +202,7 @@ def cut_loops(root: ProofNode) -> ProofNode:
 
 
 def context_text(ctx: Context) -> str:
-    return "_" if isinstance(ctx, Hole) else sequent_text(strip_context(ctx))
+    return "_" if isinstance(ctx, Hole) else sequent_text(ctx)
 
 
 def parse_context(text: str) -> Context:
@@ -222,7 +214,7 @@ def parse_context(text: str) -> Context:
 
 def conclusion_text(calculus: str, conclusion) -> str:
     if calculus in ("dn", "sn"):
-        return sequent_text(strip_sequent(conclusion))
+        return sequent_text(conclusion)
     from .display import display_text
 
     return display_text(conclusion)
@@ -233,7 +225,7 @@ def _witness_dict(w: Witness) -> dict:
     if w.context is not None:
         out["context"] = context_text(w.context)
     if w.principal is not None:
-        out["principal"] = formula_text(strip_labels(w.principal))
+        out["principal"] = formula_text(w.principal)
     if w.child_origin is not None:
         out["child_origin"] = w.child_origin
     if w.ctx1 is not None:

@@ -3,11 +3,11 @@ tree, read bottom-up from conclusion to premises.
 
 Axioms close a branch only when the rest of the whole tree is hollow.  Unary
 rules unfold a connective in place; the two implication-like connectives
-spawn a child sequent tagged with the label of the occurrence that was
-unfolded.  Branching rules split the surrounding context and the remaining
-material of the rewritten node between two premises.  The witness records
-only the two context halves; the checker recovers the split of the node's
-own material by search, lifting the label-free premises it is given.
+spawn a child sequent, of origin 0 like every child a rule makes.  Branching
+rules split the surrounding context and the remaining material of the
+rewritten node between two premises.  The witness records only the two
+context halves; the checker recovers the split of the node's own material
+by search, lifting the premises it is given, which carry no hop counts.
 Propagation rules move one formula occurrence across one parent/child
 boundary, bumping its hop counter.
 
@@ -22,7 +22,7 @@ left-nested children, and insists every sequent stays right-nested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .certs import CheckError, ProofNode, Witness, proof_size, stack_room
@@ -37,7 +37,6 @@ from .formula import (
     UnitI,
     _clip,
     formula_text,
-    strip_labels,
 )
 from .sequent import (
     HOLE,
@@ -53,7 +52,6 @@ from .sequent import (
     formula_occurrence_count,
     hole_contexts,
     is_fill_sequent,
-    label_sequent,
     occs,
     plug,
     sequent_text,
@@ -95,8 +93,8 @@ class Move:
 
 
 def endsequent_for(formula: Formula) -> Sequent:
-    """The labelled root sequent asserting the formula."""
-    return label_sequent(Sequent((), (Occ(strip_labels(formula)),)))
+    """The root sequent asserting the formula."""
+    return Sequent((), (Occ(formula),))
 
 
 def _edit(s: Sequent, side: str, gone: tuple = (), added: tuple = ()) -> Sequent:
@@ -189,21 +187,22 @@ def _principals(rule: str, node: Sequent) -> Iterator[Occ]:
     return (occ for r, _, occ in _rules_at(node, False) if r == rule)
 
 
-def _unfolding(f: Formula) -> tuple:
+def _unfolding(f: Formula, origin: int = 0) -> tuple:
     """What an unfolding rule leaves in place of its principal formula: a
     unit vanishes, * on the left and | on the right leave both halves, and
-    -o on the right or -< on the left leave a child tagged with the arrow's
-    label."""
+    -o on the right or -< on the left leave the child `[A => B]`.  Search
+    and the checker spawn that child with origin 0; the sn->dn translator
+    gives it an origin of its own while it works."""
     if isinstance(f, (UnitI, UnitBot)):
         return ()
     if isinstance(f, (Tensor, Par)):
         return (Occ(f.left), Occ(f.right))
-    return (Sequent((Occ(f.left),), (Occ(f.right),), f.label),)
+    return (Sequent((Occ(f.left),), (Occ(f.right),), origin),)
 
 
-def _unfold(rule: str, node: Sequent, occ: Occ) -> Sequent:
+def _unfold(rule: str, node: Sequent, occ: Occ, origin: int = 0) -> Sequent:
     """The node after the unfolding rule acts on `occ`."""
-    return _edit(node, _LOGICAL[rule][0], (occ,), _unfolding(occ.formula))
+    return _edit(node, _LOGICAL[rule][0], (occ,), _unfolding(occ.formula, origin))
 
 
 def _split_premises(
@@ -359,18 +358,14 @@ def _prop_moves(ctx: Context, node: Sequent, fill: bool, hop_cap: Optional[int])
 # ---------------------------------------------------------------- checking
 
 def _quoted(s: Sequent) -> str:
-    """The label-free text of `s` for a checker message, clipped so that a
-    huge certificate still gets a short message."""
-    return _clip(sequent_text(strip_sequent(s)))
-
-
-def _strip_eq(f: Formula, claim: Optional[Formula]) -> bool:
-    return claim is None or strip_labels(f) == strip_labels(claim)
+    """The text of `s` for a checker message, clipped so that a huge
+    certificate still gets a short message."""
+    return _clip(sequent_text(s))
 
 
 def _lift_items(lab: tuple, c1: tuple, c2: tuple) -> Iterator[tuple[tuple, tuple]]:
-    """Ways to split the labelled items so the halves' label-free images are
-    exactly the two claimed item multisets."""
+    """Ways to split the items so the halves' hop-free images are exactly
+    the two claimed item multisets."""
     lab_holes = [it for it in lab if isinstance(it, Hole)]
     if any(
         len([it for it in items if isinstance(it, Hole)]) != len(lab_holes)
@@ -381,7 +376,7 @@ def _lift_items(lab: tuple, c1: tuple, c2: tuple) -> Iterator[tuple[tuple, tuple
     groups: dict = {}
     for it in lab:
         if isinstance(it, Occ):
-            groups.setdefault(strip_labels(it.formula), []).append(it)
+            groups.setdefault(it.formula, []).append(it)
     want1: dict = {}
     want2: dict = {}
     for items, want in ((c1, want1), (c2, want2)):
@@ -415,25 +410,10 @@ def _lift_items(lab: tuple, c1: tuple, c2: tuple) -> Iterator[tuple[tuple, tuple
 
     kid_choices = []
     for g in sorted(origins):
-        labs = lab_kids.get(g, [])
-        a_kids = kids1.get(g, [])
-        b_kids = kids2.get(g, [])
-        m = len(labs)
-        options = []
-        for pa in permutations(range(m)):
-            for pb in permutations(range(m)):
-                lifts = [_lift_seq(labs[i], a_kids[pa[i]], b_kids[pb[i]]) for i in range(m)]
-                lifted = [list(l) for l in lifts]
-                if any(not l for l in lifted):
-                    continue
-                for combo in product(*lifted):
-                    first = [c[0] for c in combo]
-                    second = [c[1] for c in combo]
-                    if (first, second) not in [(o[0], o[1]) for o in options]:
-                        options.append((first, second))
-        if not options and m:
+        options = _lift_kids(lab_kids.get(g, []), kids1.get(g, []), kids2.get(g, []))
+        if not options:
             return
-        kid_choices.append(options if m else [([], [])])
+        kid_choices.append(options)
 
     for occ_combo in product(*occ_choices):
         first_occs = [o for sel, _ in occ_combo for o in sel]
@@ -445,6 +425,42 @@ def _lift_items(lab: tuple, c1: tuple, c2: tuple) -> Iterator[tuple[tuple, tuple
                 tuple(first_occs + first_kids + lab_holes),
                 tuple(second_occs + second_kids + lab_holes),
             )
+
+
+def _lift_kids(labs: list, a_kids: list, b_kids: list) -> list[tuple[tuple, tuple]]:
+    """The distinct ways to lift the children `labs`, which share an origin,
+    each onto one child of `a_kids` and one of `b_kids`, in the order of the
+    pairs of index permutations that give them.  A prefix that pairs a child
+    with claims it cannot lift onto is dropped with every permutation
+    extending it, so children that differ from each other cost little; equal
+    claims are still tried in every order."""
+    m = len(labs)
+    lifts: dict = {}
+
+    def lift(i: int, j: int, k: int) -> list:
+        if (i, j, k) not in lifts:
+            lifts[i, j, k] = list(_lift_seq(labs[i], a_kids[j], b_kids[k]))
+        return lifts[i, j, k]
+
+    def perms(fits, used: tuple = ()) -> Iterator[tuple]:
+        i = len(used)
+        if i == m:
+            yield used
+            return
+        for j in range(m):
+            if j not in used and fits(i, j):
+                yield from perms(fits, used + (j,))
+
+    options: list = []
+    seen: set = set()
+    for pa in perms(lambda i, j: any(lift(i, j, k) for k in range(m))):
+        for pb in perms(lambda i, k: bool(lift(i, pa[i], k))):
+            for combo in product(*(lift(i, pa[i], pb[i]) for i in range(m))):
+                option = (tuple(c[0] for c in combo), tuple(c[1] for c in combo))
+                if option not in seen:
+                    seen.add(option)
+                    options.append(option)
+    return options
 
 
 def _lift_seq(lab: Sequent, c1: Sequent, c2: Sequent) -> Iterator[tuple[Sequent, Sequent]]:
@@ -474,20 +490,18 @@ def _instances(
         # at most one axiom applies anywhere: the rest of the tree is hollow
         ax = _axiom_move(plug(ctx, redex))
         if ax is not None and ax.rule == rule and ax.witness.context == ctx:
-            if _strip_eq(ax.witness.principal, w.principal):
+            if w.principal in (None, ax.witness.principal):
                 yield (), ax.witness
     elif rule in BRANCH_RULES:
         yield from _branch_instances(rule, ctx, redex, w, claims)
     elif rule in UNARY_LOGICAL_RULES:
         for occ in _principals(rule, redex):
             f = occ.formula
-            co = f.label if rule in ("lolli_r", "excl_l") else None
-            if not _strip_eq(f, w.principal) or (co is not None and w.child_origin not in (None, co)):
-                continue
-            yield (plug(ctx, _unfold(rule, redex, occ)),), Witness(context=ctx, principal=f, child_origin=co)
+            if w.principal in (None, f):
+                yield (plug(ctx, _unfold(rule, redex, occ)),), Witness(context=ctx, principal=f)
     else:
         for kid, occ in _prop_sites(rule, redex):
-            if not _strip_eq(occ.formula, w.principal) or w.child_origin not in (None, kid.origin):
+            if w.principal not in (None, occ.formula) or w.child_origin not in (None, kid.origin):
                 continue
             premise = plug(ctx, _propagate(rule, redex, kid, occ)[0])
             yield (premise,), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin)
@@ -499,23 +513,23 @@ def _branch_instances(
     if w.ctx1 is None or w.ctx2 is None:
         raise CheckError(f"{rule} needs ctx1 and ctx2 in its witness")
     a_side, b_side = _SPLIT[rule]
-    sp1, sp2 = (strip_sequent(c) for c in claims)
-    sredex1 = context_decompose(w.ctx1, sp1)
-    sredex2 = context_decompose(w.ctx2, sp2)
+    # the claims carry no hops; a witness from search may
+    sredex1 = context_decompose(strip_context(w.ctx1), claims[0])
+    sredex2 = context_decompose(strip_context(w.ctx2), claims[1])
     if sredex1 is None or sredex2 is None:
         return
     for occ in _principals(rule, redex):
         f = occ.formula
-        if not _strip_eq(f, w.principal):
+        if w.principal not in (None, f):
             continue
         rest = _edit(redex, _LOGICAL[rule][0], (occ,))
         try:
-            crest1 = _edit(sredex1, a_side, (Occ(strip_labels(f.left)),))
-            crest2 = _edit(sredex2, b_side, (Occ(strip_labels(f.right)),))
+            crest1 = _edit(sredex1, a_side, (Occ(f.left),))
+            crest2 = _edit(sredex2, b_side, (Occ(f.right),))
         except ValueError:
             continue
         # the witness pins only the context halves; the rewritten node's own
-        # material is split by lifting the claimed premises' label-free halves
+        # material is split by lifting the claimed premises' halves
         for l1, l2 in _lift_context(ctx, w.ctx1, w.ctx2):
             for r1, r2 in _lift_seq(rest, crest1, crest2):
                 pair = _split_premises(rule, f, l1, r1, l2, r2)
@@ -538,20 +552,15 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
     w = node.witness
     if w is None or w.context is None:
         raise CheckError(f"{rule} needs a witness context")
-    # Witnesses may arrive with live labels (from the prover); compare modulo them.
-    w = Witness(
-        context=strip_context(w.context),
-        principal=strip_labels(w.principal) if w.principal is not None else None,
-        child_origin=w.child_origin,
-        ctx1=strip_context(w.ctx1) if w.ctx1 is not None else None,
-        ctx2=strip_context(w.ctx2) if w.ctx2 is not None else None,
-    )
 
+    # conclusions and contexts compare without hops, which a certificate
+    # does not record
+    at = strip_context(w.context)
     claims = tuple(strip_sequent(p.conclusion) for p in node.premises)
     last: Optional[CheckError] = None
     derived: Optional[tuple] = None  # the first instance whose premises differ from the claims
     for ctx, redex in hole_contexts(current):
-        if strip_context(ctx) != w.context:
+        if strip_context(ctx) != at:
             continue
         if rule in BRANCH_RULES and len(node.premises) != 2:
             raise CheckError(f"{rule} needs two premises")
@@ -589,18 +598,17 @@ def check_dn_proof(root: ProofNode, logic: str = "biill", expect: Optional[Seque
 
 
 def replay_dn_proof(root: ProofNode, logic: str = "biill") -> ProofNode:
-    """Check the proof and return it rebuilt over canonically labelled
-    sequents, with every witness pinned down exactly: the context carries
-    live labels, branch witnesses hold the labelled context halves, and
-    spawning rules record the child origin actually used.  Labels are
-    reassigned canonically from the root conclusion, so certificates must
-    mint child origins the same way (prefix order, antecedent first).
-    Raises CheckError with a reason on any defect."""
+    """Check the proof and return it rebuilt over the sequents its rules
+    derive from the root conclusion, hop counts included, with every
+    witness pinned down exactly: the context is the one the rule acted in,
+    branch witnesses hold the context halves of the split, and propagations
+    record the origin of the child they cross.  A child that `lolli_r` or
+    `excl_l` spawns has origin 0, so a certificate must write it without an
+    `@` suffix.  Raises CheckError with a reason on any defect."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
-    internal = label_sequent(strip_sequent(root.conclusion))
     with stack_room(60 * proof_size(root) + 2000):
-        return _verify(root, internal, logic)
+        return _verify(root, strip_sequent(root.conclusion), logic)
 
 
 def check_separation(root: ProofNode) -> None:
@@ -613,5 +621,5 @@ def check_separation(root: ProofNode) -> None:
     for node in postorder(root):
         if node.rule in FILL_EXCLUDED:
             raise CheckError(f"rule {node.rule} lies outside FILL")
-        if not is_fill_sequent(strip_sequent(node.conclusion)):
+        if not is_fill_sequent(node.conclusion):
             raise CheckError(f"sequent leaves FILL: {_quoted(node.conclusion)}")

@@ -44,7 +44,6 @@ from .formula import (
     _join,
     formula_text,
     is_fill_formula,
-    strip_labels,
 )
 
 __all__ = [
@@ -59,8 +58,6 @@ __all__ = [
     "parse_display",
     "structure_text",
     "display_text",
-    "strip_structure",
-    "strip_display",
     "is_fill_structure",
     "is_fill_display",
     "comma_join",
@@ -234,26 +231,6 @@ def parse_display(text: str) -> DisplaySequent:
 
 # ------------------------------------------------------------- inspection
 
-def strip_structure(x: Structure) -> Structure:
-    """`x` with every arrow label 0.  Returns `x` itself when it has no
-    label to drop, and reuses every substructure that has none."""
-    match x:
-        case SLeaf(formula=f):
-            g = strip_labels(f)
-            return x if g is f else SLeaf(g)
-        case SPhi():
-            return x
-        case SComma(left=l, right=r) | SGt(left=l, right=r) | SLt(left=l, right=r):
-            sl, sr = strip_structure(l), strip_structure(r)
-            return x if sl is l and sr is r else type(x)(sl, sr)
-    raise TypeError(f"not a structure: {x!r}")
-
-
-def strip_display(ds: DisplaySequent) -> DisplaySequent:
-    ant, suc = strip_structure(ds.ant), strip_structure(ds.suc)
-    return ds if ant is ds.ant and suc is ds.suc else DisplaySequent(ant, suc)
-
-
 def is_fill_structure(x: Structure) -> bool:
     """No `<` anywhere and every leaf formula exclusion-free."""
     if isinstance(x, SLt):
@@ -286,14 +263,14 @@ def sequent_to_display(s) -> DisplaySequent:
     """Canonical structural reading of a nested sequent: each side becomes a
     left-associated comma of its items in canonical order, a right-nested
     child becomes `ant > suc`, a left-nested child becomes `ant < suc`, and
-    an empty side becomes `Phi`.  Formula labels are dropped."""
+    an empty side becomes `Phi`.  Hop counts and origins are dropped."""
     from .sequent import Occ, Sequent
 
     def side(items, make_child) -> Structure:
         parts = []
         for it in items:
             if isinstance(it, Occ):
-                parts.append(SLeaf(strip_labels(it.formula)))
+                parts.append(SLeaf(it.formula))
             elif isinstance(it, Sequent):
                 child = sequent_to_display(it)
                 parts.append(make_child(child.ant, child.suc))
@@ -450,10 +427,9 @@ def dc_rule_applies(rule: str, c: DisplaySequent, ps: tuple[DisplaySequent, ...]
     return c in dc_conclusions(rule, ps)
 
 
-def _verify_dc(node: ProofNode, logic: str, c: DisplaySequent) -> None:
-    # `c` is the node's conclusion through strip_display, so each
-    # conclusion is stripped once: here as a premise of its parent
+def _verify_dc(node: ProofNode, logic: str) -> None:
     rule = node.rule
+    c = node.conclusion
     if rule not in DC_RULES:
         raise CheckError(f"unknown rule {_clip(rule)}")
     if len(node.premises) != DC_RULES[rule]:
@@ -465,11 +441,11 @@ def _verify_dc(node: ProofNode, logic: str, c: DisplaySequent) -> None:
             raise CheckError(f"rule {rule} is not available in FILL")
         if not is_fill_display(c):
             raise CheckError(f"sequent leaves FILL: {_clip(display_text(c))}")
-    ps = tuple(strip_display(p.conclusion) for p in node.premises)
+    ps = tuple(p.conclusion for p in node.premises)
     if not dc_rule_applies(rule, c, ps):
         raise CheckError(f"rule {rule} does not derive {_clip(display_text(c))} from its premises")
-    for p, pc in zip(node.premises, ps):
-        _verify_dc(p, logic, pc)
+    for p in node.premises:
+        _verify_dc(p, logic)
 
 
 def check_dc_proof(root: ProofNode, logic: str = "biill", expect: DisplaySequent | None = None) -> None:
@@ -477,8 +453,7 @@ def check_dc_proof(root: ProofNode, logic: str = "biill", expect: DisplaySequent
     first offending node; returns None when the tree is a proof."""
     if logic not in LOGICS:
         raise CheckError(f"unknown logic {logic!r}")
-    c = strip_display(root.conclusion)
-    if expect is not None and strip_display(expect) != c:
+    if expect is not None and expect != root.conclusion:
         raise CheckError("root conclusion does not match the expected sequent")
     with stack_room(20 * proof_size(root) + 2000):
-        _verify_dc(root, logic, c)
+        _verify_dc(root, logic)

@@ -8,18 +8,15 @@ Formulas without exclusion form the FILL fragment.
 `-o` associates to the right, `-<` associates to the left and binds tighter
 than `-o`.  Atoms match `[a-z][a-z0-9_]*`; `bot` is reserved for the unit.
 
-Arrow occurrences carry an integer label used to tie nested child sequents
-back to the occurrence that introduced them.  Labels are not part of the
-surface syntax: `parse_formula` yields label 0 everywhere, and
-`label_occurrences` numbers the arrows of a formula in prefix order.
+Formulas carry no annotation: an occurrence is its formula and nothing
+more, as in the paper's annotation-free calculi.
 
 A formula is a tagged tuple: its first element is the tag of its kind
 (atom 0, `1` 1, `bot` 2, `*` 3, `|` 4, `-o` 5, `-<` 6) and its fields
-follow, an arrow's label last (`(5, left, right, label)`).  Tuple order is
-therefore the canonical order, kinds by tag and then fields left to right,
-labels included; equality is structural, and the interpreter computes the
-hash.  Fields read by name through properties, so class patterns such as
-`Lolli(left=l, label=k)` match as usual.
+follow (`(5, left, right)`).  Tuple order is therefore the canonical order,
+kinds by tag and then fields left to right; equality is structural, and
+the interpreter computes the hash.  Fields read by name through
+properties, so class patterns such as `Lolli(left=l)` match as usual.
 """
 
 from __future__ import annotations
@@ -43,8 +40,6 @@ __all__ = [
     "formula_size",
     "connective_count",
     "arrow_count",
-    "strip_labels",
-    "label_occurrences",
     "is_fill_formula",
 ]
 
@@ -114,18 +109,16 @@ class Par(_Binary):
 
 class Lolli(_Binary):
     __slots__ = ()
-    label = property(itemgetter(3))
 
-    def __new__(cls, left: Formula, right: Formula, label: int = 0):
-        return tuple.__new__(cls, (_LOLLI, left, right, label))
+    def __new__(cls, left: Formula, right: Formula):
+        return tuple.__new__(cls, (_LOLLI, left, right))
 
 
 class Excl(_Binary):
     __slots__ = ()
-    label = property(itemgetter(3))
 
-    def __new__(cls, left: Formula, right: Formula, label: int = 0):
-        return tuple.__new__(cls, (_EXCL, left, right, label))
+    def __new__(cls, left: Formula, right: Formula):
+        return tuple.__new__(cls, (_EXCL, left, right))
 
 
 Formula = Union[Atom, UnitI, UnitBot, Tensor, Par, Lolli, Excl]
@@ -160,47 +153,6 @@ def arrow_count(f: Formula) -> int:
             return arrow_count(l) + arrow_count(r)
         case Lolli(left=l, right=r) | Excl(left=l, right=r):
             return 1 + arrow_count(l) + arrow_count(r)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def strip_labels(f: Formula) -> Formula:
-    """`f` with every arrow label 0.  Returns `f` itself when it has no
-    label to drop, and reuses every subformula that has none."""
-    match f:
-        case Atom() | UnitI() | UnitBot():
-            return f
-        case Tensor(left=l, right=r) | Par(left=l, right=r):
-            sl, sr = strip_labels(l), strip_labels(r)
-            return f if sl is l and sr is r else type(f)(sl, sr)
-        case Lolli(left=l, right=r, label=k) | Excl(left=l, right=r, label=k):
-            sl, sr = strip_labels(l), strip_labels(r)
-            return f if k == 0 and sl is l and sr is r else type(f)(sl, sr)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def label_occurrences(f: Formula, start: int = 1) -> tuple[Formula, int]:
-    """Assign labels `start, start+1, ...` to every arrow occurrence in
-    prefix order (node before children, left subtree before right).
-    Returns the labelled formula and the next unused label."""
-    match f:
-        case Atom() | UnitI() | UnitBot():
-            return f, start
-        case Tensor(left=l, right=r):
-            ll, n = label_occurrences(l, start)
-            rr, n = label_occurrences(r, n)
-            return Tensor(ll, rr), n
-        case Par(left=l, right=r):
-            ll, n = label_occurrences(l, start)
-            rr, n = label_occurrences(r, n)
-            return Par(ll, rr), n
-        case Lolli(left=l, right=r):
-            ll, n = label_occurrences(l, start + 1)
-            rr, n = label_occurrences(r, n)
-            return Lolli(ll, rr, start), n
-        case Excl(left=l, right=r):
-            ll, n = label_occurrences(l, start + 1)
-            rr, n = label_occurrences(r, n)
-            return Excl(ll, rr, start), n
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -251,7 +203,7 @@ class _Cursor:
 
     - formulas: identifiers `[a-z][a-z0-9_]*`, `1`, `(`, `)`, `*`, `|`,
       `-o`, `-<`;
-    - nested sequents: `=>`, `[`, `]`, `,`, `_` and child labels `@<digits>`;
+    - nested sequents: `=>`, `[`, `]`, `,`, `_` and child origins `@<digits>`;
     - display structures: `|-`, `>`, `<`, `,`, and `Phi` when no identifier
       character follows it.
 
@@ -377,7 +329,7 @@ def _wrap(f: Formula, cond: bool) -> str:
 
 def formula_text(f: Formula) -> str:
     """Render with minimal parentheses; mixed `*`/`|` chains keep theirs so
-    the grouping stays visible.  Labels do not print."""
+    the grouping stays visible."""
     match f:
         case Atom(name=n):
             return n

@@ -2,8 +2,8 @@
 
 Backward search from the goal sequent, trying axioms first, then in-place
 unfolding, then branching splits, then propagation.  Search states are whole
-labelled sequents (hop counters included), so success and failure both
-memoize soundly.  One bound shapes the search: a per-occurrence propagation
+sequents (hop counters included), so success and failure both memoize
+soundly.  One bound shapes the search: a per-occurrence propagation
 cap `k`, the number of arrows in the goal's formula reading.  No branch is
 cut short by its length: every rule lowers a measure, so the search ends,
 and a state whose moves all fail is refuted and enters the failure memo.
@@ -176,9 +176,9 @@ balanced and has deficit 1.
 The search applies both lemmas twice, through `_balanced`, which asks for
 balanced atoms and deficit 0.  A goal that fails either is refuted before
 any state is visited; `decide_formula` counts the formula as given, so such
-a goal is never labelled, and its bounds are never derived.  In `dfs`, a
-branch move whose first premise fails either is skipped before either
-premise is searched.  Every state `dfs` visits passes both (the goal does,
+a goal never becomes a sequent, and its bounds are never derived.  In
+`dfs`, a branch move whose first premise fails either is skipped before
+either premise is searched.  Every state `dfs` visits passes both (the goal does,
 unary and propagation premises keep both counts, and a branch move is taken
 only with a first premise that passes), so the second premise's net atom
 counts and deficit are minus the first's, it passes exactly when the first
@@ -197,16 +197,8 @@ from typing import Optional
 
 from .certs import ProofNode, stack_room
 from .deep import BRANCH_RULES, deep_moves, endsequent_for
-from .formula import Formula, arrow_count, formula_size, is_fill_formula, strip_labels
-from .sequent import (
-    Occ,
-    Sequent,
-    is_fill_sequent,
-    label_sequent,
-    signed_counts,
-    strip_sequent,
-    tau_s,
-)
+from .formula import Formula, arrow_count, formula_size, is_fill_formula
+from .sequent import Occ, Sequent, is_fill_sequent, signed_counts, strip_sequent, tau_s
 
 __all__ = ["Decision", "goal_reading", "search_bounds", "decide_formula", "decide_sequent"]
 
@@ -226,7 +218,7 @@ def goal_reading(s: Sequent) -> Formula:
     """The formula whose bounds a search for the sequent uses: `F` for a
     root `=> F`, as `decide_formula` searches it, else `tau_s(s)`."""
     if not s.left and len(s.right) == 1 and isinstance(s.right[0], Occ):
-        return strip_labels(s.right[0].formula)
+        return s.right[0].formula
     return tau_s(s)
 
 
@@ -255,11 +247,11 @@ def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
     bound are those of its formula reading, `goal_reading(s)`."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
-    if logic == "fill" and not is_fill_sequent(strip_sequent(s)):
+    if logic == "fill" and not is_fill_sequent(s):
         raise ValueError("sequent lies outside the FILL fragment")
     if not _balanced(s):
         return Decision("refuted", None, 0)
-    return _search(label_sequent(strip_sequent(s)), logic, goal_reading(s))
+    return _search(strip_sequent(s), logic, goal_reading(s))
 
 
 def _balanced(s: Sequent | Formula) -> bool:

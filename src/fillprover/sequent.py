@@ -1,14 +1,16 @@
 """Nested sequents: finite trees whose nodes are two-sided formula multisets.
 
-A node `S => T` holds formula occurrences on both sides plus child sequents,
-each child tagged with the label (`origin`) of the arrow occurrence that
-introduced it.  Items are tagged tuples, as formulas are (`formula.py`),
-with tags above the formulas' own: `Occ` is `(7, formula, hops)`,
-`Sequent` is `(8, origin, left, right)` and a hole is `(9,)`.  So tuple
-order is the canonical order, equality is structural, the interpreter
-computes the hash, and no formula equals an item.  A `Sequent` sorts each
-side when it is built, so equality of `Sequent` values is multiset equality
-and the values are usable as search keys directly.
+A node `S => T` holds formula occurrences on both sides plus child sequents.
+Each child carries an integer `origin`.  Every child that a rule spawns has
+origin 0; another origin comes only from sequent text, such as an
+endsequent `a => a, [=>]@1` given by a user, and is then read, kept and
+compared like any other part of the tree.  Items are tagged tuples, as
+formulas are (`formula.py`), with tags above the formulas' own: `Occ` is
+`(7, formula, hops)`, `Sequent` is `(8, origin, left, right)` and a hole is
+`(9,)`.  So tuple order is the canonical order, equality is structural,
+the interpreter computes the hash, and no formula equals an item.  A
+`Sequent` sorts each side when it is built, so equality of `Sequent` values
+is multiset equality and the values are usable as search keys directly.
 
 Text syntax: `Gamma => Delta` with comma-separated items; a child sequent is
 written in brackets with its origin as a suffix, `[a => b]@2` (`@0` is
@@ -19,7 +21,7 @@ A context is a nested sequent with exactly one hole standing for a whole
 node; `plug` substitutes a sequent for the hole.  `HOLE` itself is the empty
 context.  Partitioning implements the resource splitting of the branching
 rules: a partition two-colours every formula occurrence and recursively
-partitions every child, so both halves keep the tree shape and origin labels.
+partitions every child, so both halves keep the tree shape and origins.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .formula import (
     _formula,
     formula_text,
     is_fill_formula,
-    strip_labels,
 )
 
 __all__ = [
@@ -71,7 +72,6 @@ __all__ = [
     "is_fill_sequent",
     "strip_sequent",
     "strip_context",
-    "label_sequent",
     "hole_count",
     "plug",
     "hole_contexts",
@@ -242,7 +242,7 @@ def _sequent(cur: _Cursor) -> Sequent:
 
 
 def _origin(cur: _Cursor) -> int:
-    """The optional `@n` label after a sequent; 0 when absent."""
+    """The optional `@n` origin after a sequent; 0 when absent."""
     tok = cur.peek()
     if tok is None or not tok.startswith("@"):
         return 0
@@ -250,7 +250,7 @@ def _origin(cur: _Cursor) -> int:
     try:
         return int(tok[1:])
     except ValueError:  # past the interpreter's limit on digits
-        raise ParseError(f"label number of {len(tok) - 1} digits is too long") from None
+        raise ParseError(f"origin of {len(tok) - 1} digits is too long") from None
 
 
 def parse_sequent(text: str) -> Sequent:
@@ -286,8 +286,8 @@ def _item_text(it: Item) -> str:
 
 
 def sequent_text(s: Sequent) -> str:
-    """Canonical rendering: items in canonical order, hops and formula labels
-    invisible, child origins as `@n` suffixes."""
+    """Canonical rendering: items in canonical order, hops invisible, child
+    origins as `@n` suffixes."""
     t = _core_text(s)
     return f"{t} @{s.origin}" if s.origin else t
 
@@ -386,7 +386,7 @@ def context_decompose(ctx: Context, tree: Sequent) -> Sequent | None:
     return context_decompose(special, t)
 
 
-# --------------------------------------------------------------- labelling
+# --------------------------------------------------------------- hops
 
 def _reuse(items: tuple, mapped: list) -> tuple:
     """`items` itself when each mapped item is the item it came from, else
@@ -396,14 +396,13 @@ def _reuse(items: tuple, mapped: list) -> tuple:
 
 def _strip_item(it: Item) -> Item:
     if isinstance(it, Occ):
-        f = strip_labels(it.formula)
-        return it if f is it.formula and it.hops == 0 else Occ(f)
+        return it if it.hops == 0 else Occ(it.formula)
     return strip_sequent(it) if isinstance(it, Sequent) else it
 
 
 def strip_sequent(s: Sequent) -> Sequent:
-    """Forget arrow labels and hop counts; origins stay.  Returns `s` itself
-    when it has nothing to forget, and reuses every unchanged item."""
+    """Zero every hop count; origins stay.  Returns `s` itself when every
+    hop count is already 0, and reuses every unchanged item."""
     left = _reuse(s.left, [_strip_item(it) for it in s.left])
     right = _reuse(s.right, [_strip_item(it) for it in s.right])
     if left is s.left and right is s.right:
@@ -413,40 +412,6 @@ def strip_sequent(s: Sequent) -> Sequent:
 
 def strip_context(ctx: Context) -> Context:
     return ctx if isinstance(ctx, Hole) else strip_sequent(ctx)
-
-
-def _max_origin(s: Sequent) -> int:
-    m = s.origin
-    for it in chain(s.left, s.right):
-        if isinstance(it, Sequent):
-            m = max(m, _max_origin(it))
-    return m
-
-
-def label_sequent(s: Sequent) -> Sequent:
-    """Number every arrow occurrence in the tree, walking nodes in canonical
-    item order, left side before right, formulas in prefix order.  Numbering
-    starts above any origin already present, so fresh child origins can never
-    collide with existing ones.  Expects an unlabelled sequent."""
-    from .formula import label_occurrences
-
-    def go(node: Sequent, n: int) -> tuple[Sequent, int]:
-        sides = []
-        for items in (node.left, node.right):
-            out = []
-            for it in items:
-                if isinstance(it, Occ):
-                    f, n = label_occurrences(it.formula, n)
-                    out.append(Occ(f, it.hops))
-                elif isinstance(it, Sequent):
-                    child, n = go(it, n)
-                    out.append(child)
-                else:
-                    out.append(it)
-            sides.append(tuple(out))
-        return Sequent(sides[0], sides[1], node.origin), n
-
-    return go(s, _max_origin(s) + 1)[0]
 
 
 # ------------------------------------------------- formula interpretations
@@ -484,12 +449,12 @@ def tau_s(s: Sequent) -> Formula:
     """Read a sequent as an implication: tensor of the left side implies par
     of the right side, children interpreted recursively (left-nested children
     as exclusions, right-nested as implications)."""
-    return strip_labels(_tau(s, Lolli))
+    return _tau(s, Lolli)
 
 
 def tau_a(s: Sequent) -> Formula:
     """Read a sequent as an exclusion, same treatment of the sides."""
-    return strip_labels(_tau(s, Excl))
+    return _tau(s, Excl)
 
 
 class SignedCounts(NamedTuple):
@@ -515,8 +480,8 @@ def signed_counts(s: Sequent | Formula) -> SignedCounts:
     negative `bot`; a branching connective is a positive `*` or `-<`, or a
     negative `|` or `-o`, the principal formulas of the four branch rules.
     Child structures count nothing.  A bare formula counts as the sole
-    succedent of an otherwise empty sequent.  Arrow labels and hop counts
-    play no part.  Every provable sequent is balanced, each atom occurring
+    succedent of an otherwise empty sequent.  Hop counts and origins play
+    no part.  Every provable sequent is balanced, each atom occurring
     as often negatively as positively, and has deficit 0, the deficit being
     `leaves - branches - 1` (the balance and leaf lemmas in the `prover`
     module docstring)."""

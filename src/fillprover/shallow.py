@@ -1,9 +1,9 @@
 """Shallow rules on nested sequents: every rule works at the root node.
 
 The sequents are the same nested trees the deep calculus uses, but here a
-rule may only touch root-level items.  Deep-style bookkeeping (child origin
-tags, hop counts, arrow labels) is invisible to this calculus: conclusions
-are compared with all of it erased.
+rule may only touch root-level items.  The deep calculus's bookkeeping
+(child origins and hop counts) is invisible to this calculus: conclusions
+are compared with both erased.
 
 Six structural rules move material between the root and a root-level child:
 `wrap_left` packs the whole antecedent of the root and part of its
@@ -138,7 +138,7 @@ def _single_child(items) -> Sequent | None:
 
 def sn_rule_applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
     """Schema check for one rule instance; conclusion `c`, premises `ps` in
-    order.  Origins, hop counts, and arrow labels are ignored."""
+    order.  Origins and hop counts are ignored."""
     return _applies(rule, _norm(c), tuple(_norm(p) for p in ps))
 
 

@@ -76,7 +76,7 @@ from .deep import (
     check_dn_proof,
     replay_dn_proof,
 )
-from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES
+from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES, PROP_RULES
 from .display import (
     DisplaySequent,
     SComma,
@@ -90,7 +90,6 @@ from .display import (
     sequent_to_display,
     structure_text,
 )
-from .formula import strip_labels
 from .sequent import (
     HOLE,
     Hole,
@@ -98,7 +97,6 @@ from .sequent import (
     Sequent,
     child_seqs,
     context_decompose,
-    label_sequent,
     occs,
     plug,
     sequent_text,
@@ -115,7 +113,6 @@ from .shallow import (
     invert_display_chain,
     sn_rule_applies,
     stack_chain,
-    zero_origins,
 )
 
 __all__ = [
@@ -123,7 +120,6 @@ __all__ = [
     "shallow_to_display",
     "display_to_shallow",
     "shallow_to_deep",
-    "embed_sequent",
     "TranslationError",
 ]
 
@@ -141,7 +137,7 @@ def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
     The cut (`cut_loops`) drops the nodes between two equal conclusions of
     a one-premise chain.  A proof stays a proof: each checker judges a
     node by its own conclusion and its premises' conclusions (the dn
-    checker by their labels too, which the equality includes), and a
+    checker by their hop counts too, which the equality includes), and a
     surviving node's new premise concludes exactly what its old one did."""
     out = cut_loops(out)
     try:
@@ -334,11 +330,6 @@ def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a_p: Occ, 
 
 
 # --------------------------------------------------- shallow -> display
-
-def embed_sequent(s: Sequent) -> DisplaySequent:
-    """Binary-structure reading of a nested sequent, labels erased."""
-    return sequent_to_display(zero_origins(strip_sequent(s)))
-
 
 def _pool(tree: Structure) -> list[Structure]:
     # comma operands, left to right; a bare Phi counts as one operand
@@ -559,7 +550,7 @@ def shallow_to_display(root: ProofNode, logic: str = "biill") -> ProofNode:
     needs, fire the matching display rule, and send the parked material
     back.  So each conclusion reads, as a nested sequent, as the matching
     shallow conclusion, in no fixed comma order.  One arrangement at the end
-    makes the result a display proof of exactly ``embed_sequent`` of the
+    makes the result a display proof of exactly ``sequent_to_display`` of the
     input's endsequent.  Cut-bearing proofs are rejected: cut is not part
     of the display vocabulary here.
     """
@@ -567,7 +558,7 @@ def shallow_to_display(root: ProofNode, logic: str = "biill") -> ProofNode:
     for node in postorder(root):
         if node.rule == "cut":
             raise ValueError("cannot translate a proof that uses cut")
-    target = embed_sequent(root.conclusion)
+    target = sequent_to_display(root.conclusion)
     with stack_room(100 * proof_size(root) + 4000):
         out = _std(root)
         ch = _DChain(out.conclusion)
@@ -581,7 +572,7 @@ def _std(node: ProofNode) -> ProofNode:
     conclusion."""
     rule = node.rule
     if rule in LEAF_RULES:
-        return ProofNode(rule, embed_sequent(node.conclusion))
+        return ProofNode(rule, sequent_to_display(node.conclusion))
     cn = _norm(node.conclusion)
     pns = [_norm(p.conclusion) for p in node.premises]
     subs = [_std(p) for p in node.premises]
@@ -670,7 +661,7 @@ def _read_side(st: Structure, side: str) -> list:
         case SComma(left=l, right=r):
             return _read_side(l, side) + _read_side(r, side)
         case SLeaf(formula=f):
-            return [Occ(strip_labels(f))]
+            return [Occ(f)]
         case SLt(left=l, right=r) if side == "left":
             return [Sequent(tuple(_read_side(l, "left")), tuple(_read_side(r, "right")), 0)]
         case SGt(left=l, right=r) if side == "right":
@@ -769,7 +760,8 @@ def _occ_counts(s: Sequent) -> dict:
 class _Enclosed(NamedTuple):
     """Which root items of a flat sequent belong inside the child a wrap step
     creates, side by side: occurrence values by count, nested children by
-    origin."""
+    origin, which names one child since every child of a working proof has
+    an origin of its own (see `shallow_to_deep`)."""
 
     occ: dict
     kids: dict
@@ -869,16 +861,15 @@ def _hollow_copy(s: Sequent) -> Sequent:
 
 def _match_by_norm(items, wanted):
     """Pick live items realising the normalised multiset `wanted`; returns
-    (picked, rest).  Occurrences match by stripped formula, children by
-    normalised content."""
+    (picked, rest).  Occurrences match by formula, children by normalised
+    content."""
     want_occ = Counter(o.formula for o in occs(wanted))
     want_kids = Counter(child_seqs(wanted))
     picked, rest = [], []
     for it in items:
         if isinstance(it, Occ):
-            key = Occ(strip_labels(it.formula))
-            if want_occ.get(key.formula, 0) > 0:
-                want_occ[key.formula] -= 1
+            if want_occ.get(it.formula, 0) > 0:
+                want_occ[it.formula] -= 1
                 picked.append(it)
             else:
                 rest.append(it)
@@ -984,13 +975,12 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
         inner = spec.occ[side].get(occ, 0) > 0
         spec2 = spec
         if inner:
-            added = _unfolding(f)
+            added = _unfolding(f, w.child_origin)
             kids = frozenset(k.origin for k in child_seqs(added))
             spec2 = spec.moved(side, (occ,), occs(added), kids)
         sub = _admit_wrap(node.premises[0], spec2, g, wside)
-        co = f.label if rule in ("lolli_r", "excl_l") else None
         kctx = at_kid(tc) if inner else HOLE
-        return ProofNode(rule, tc, (sub,), Witness(context=kctx, principal=f, child_origin=co))
+        return ProofNode(rule, tc, (sub,), Witness(context=kctx, principal=f, child_origin=w.child_origin))
 
     if rule in BRANCH_RULES:
         p_side = _LOGICAL[rule][0]
@@ -1129,7 +1119,7 @@ def _branch_plan(rule, target, occ, p1n, p2n):
     wants = []
     for pn, half, side in zip((p1n, p2n), (f.left, f.right), _SPLIT[rule]):
         try:
-            wants.append(_edit(pn, side, (Occ(strip_labels(half)),)))
+            wants.append(_edit(pn, side, (Occ(half),)))
         except ValueError:
             return None
 
@@ -1154,8 +1144,9 @@ def _branch_plan(rule, target, occ, p1n, p2n):
 
 
 def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
-    """Deep proof of `target`, a relabelled image of the shallow node's
-    conclusion.  Wrap and dissolve steps dissolve into the walks above."""
+    """Deep proof of `target`, which reads as the shallow node's conclusion
+    once origins and hops are erased.  Wrap and dissolve steps dissolve into
+    the walks above."""
     rule = node.rule
 
     if rule in ("id", "bot_l", "i_r"):
@@ -1163,14 +1154,15 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
         return ProofNode(rule, target, (), Witness(context=HOLE, principal=f))
 
     if rule in UNARY_LOGICAL_RULES:
+        # a spawned child takes a working origin, which the witness records
         want = _norm(node.premises[0].conclusion)
+        g = next(fresh)
         for occ in _principals(rule, target):
-            cand = _unfold(rule, target, occ)
+            cand = _unfold(rule, target, occ, g)
             if _norm(cand) != want:
                 continue
             sub = _snd(node.premises[0], cand, fresh)
-            co = occ.formula.label if rule in ("lolli_r", "excl_l") else None
-            ww = Witness(context=HOLE, principal=occ.formula, child_origin=co)
+            ww = Witness(context=HOLE, principal=occ.formula, child_origin=g)
             return ProofNode(rule, target, (sub,), ww)
         raise TranslationError(f"{rule}: no principal matches the premise")
 
@@ -1211,6 +1203,38 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
     raise ValueError(f"no deep translation for rule {rule!r}")
 
 
+def _with_origins(s, origin_of) -> object:
+    """The sequent or context `s` with each child's origin `o` replaced by
+    `origin_of(o)`; the root keeps its own."""
+    if not isinstance(s, Sequent):
+        return s
+
+    def go(items):
+        return tuple(
+            Sequent(go(it.left), go(it.right), origin_of(it.origin)) if isinstance(it, Sequent) else it
+            for it in items
+        )
+
+    return Sequent(go(s.left), go(s.right), s.origin)
+
+
+def _settled(node: ProofNode, back: dict) -> ProofNode:
+    """The working proof with each working origin replaced by the one the
+    dn checker derives: a child of the endsequent gets its own origin back
+    (`back`), and a spawned child gets 0.  Unary witnesses pin no origin."""
+    w = node.witness
+    origin_of = lambda o: back.get(o, 0)
+    ww = Witness(
+        context=_with_origins(w.context, origin_of),
+        principal=w.principal,
+        child_origin=origin_of(w.child_origin) if node.rule in PROP_RULES else None,
+        ctx1=_with_origins(w.ctx1, origin_of),
+        ctx2=_with_origins(w.ctx2, origin_of),
+    )
+    subs = tuple(_settled(p, back) for p in node.premises)
+    return ProofNode(node.rule, _with_origins(node.conclusion, origin_of), subs, ww)
+
+
 def shallow_to_deep(root: ProofNode, logic: str = "biill") -> ProofNode:
     """Rebuild a cut-free shallow proof as a deep proof of the same
     endsequent.  Logical rules map one for one, refired at whatever depth
@@ -1218,12 +1242,25 @@ def shallow_to_deep(root: ProofNode, logic: str = "biill") -> ProofNode:
     wrap and dissolve steps are permuted upward until they vanish, leaving
     propagation steps at the boundaries they created; pull and push steps
     factor through one dissolve and one wrap.  Proofs that use cut are
-    rejected with ValueError."""
+    rejected with ValueError.
+
+    The walks name children by origin, so while they work every child has
+    an origin of its own: a negative working origin, given to each child of
+    the endsequent and to each child a rule spawns.  The finished proof
+    gets back the origins the dn checker derives."""
     check_sn_proof(root, logic)
     for node in postorder(root):
         if node.rule == "cut":
             raise ValueError("cannot translate a proof that uses cut")
-    end = label_sequent(strip_sequent(root.conclusion))
+    end = strip_sequent(root.conclusion)
+    fresh = count(-1, -1)
+    back: dict = {}
+
+    def working(o: int) -> int:
+        g = next(fresh)
+        back[g] = o
+        return g
+
     with stack_room(120 * proof_size(root) + 4000):
-        out = _snd(root, end, count(-1, -1))
+        out = _settled(_snd(root, _with_origins(end, working), fresh), back)
     return _checked("sn -> dn", check_dn_proof, out, end)

@@ -52,6 +52,14 @@ def test_prove_unprovable_is_exit_1(capsys):
     assert "Unprovable" in captured.err
 
 
+def test_prove_writes_no_child_origin(tmp_path):
+    # the child that lolli_r spawns has origin 0, which the text omits
+    out = tmp_path / "cert.json"
+    assert run("prove", "a -o a", "--out", str(out)) == 0
+    text = out.read_text()
+    assert "[a => a]" in text and "@" not in text
+
+
 def test_prove_reproduces_the_golden_bierman_certificate(tmp_path):
     out = tmp_path / "cert.json"
     assert run("prove", "--logic", "fill", BIERMAN, "--out", str(out)) == 0

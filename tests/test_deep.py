@@ -10,7 +10,7 @@ from fillprover.deep import (
     endsequent_for,
 )
 from fillprover.formula import parse_formula
-from fillprover.sequent import label_sequent, parse_sequent, sequent_text, strip_sequent
+from fillprover.sequent import parse_sequent, sequent_text
 
 
 def N(rule, conclusion, witness=None, *premises):
@@ -27,8 +27,7 @@ def N(rule, conclusion, witness=None, *premises):
 
 
 def moves_of(text, logic="biill", hop_cap=None):
-    s = label_sequent(parse_sequent(text))
-    return list(deep_moves(s, logic, hop_cap))
+    return list(deep_moves(parse_sequent(text), logic, hop_cap))
 
 
 # ---------------------------------------------------------------- moves
@@ -48,18 +47,23 @@ def test_axioms_require_hollow_rest():
     assert [m.rule for m in moves_of("a => a, [=>]@1")] == ["id"]
 
 
-def test_lolli_r_creates_labelled_child():
+def test_lolli_r_creates_a_child_of_origin_0():
     ms = moves_of("=> a -o b")
     lolli = [m for m in ms if m.rule == "lolli_r"]
     assert len(lolli) == 1
-    assert sequent_text(strip_sequent(lolli[0].premises[0])) == "=> [a => b]@1"
+    (premise,) = lolli[0].premises
+    assert sequent_text(premise) == "=> [a => b]"
+    assert premise.right[0].origin == 0
+    # so does the child of an arrow that sits beside a child a user named
+    (premise,) = moves_of("=> a -o b, [c => c]@4")[0].premises
+    assert sequent_text(premise) == "=> [a => b], [c => c]@4"
 
 
 def test_unary_move_is_the_only_move():
     # tensor_r would apply too, but tensor_l is invertible
     ms = moves_of("a*b => c*d")
     assert [m.rule for m in ms] == ["tensor_l"]
-    assert sequent_text(strip_sequent(ms[0].premises[0])) == "a, b => c*d"
+    assert sequent_text(ms[0].premises[0]) == "a, b => c*d"
 
 
 def test_branch_moves_split_material():
@@ -67,7 +71,7 @@ def test_branch_moves_split_material():
     tensor = [m for m in ms if m.rule == "tensor_r"]
     # two occurrences to distribute freely: 4 distinct splits
     assert len(tensor) == 4
-    seen = {tuple(sequent_text(strip_sequent(p)) for p in m.premises) for m in tensor}
+    seen = {tuple(sequent_text(p) for p in m.premises) for m in tensor}
     assert ("c => a, d", "=> b") in seen
     assert ("=> a", "c => b, d") in seen
     assert ("c => a", "=> b, d") in seen
@@ -85,7 +89,7 @@ def test_propagation_moves_and_hop_cap():
     ms = moves_of("b => [=> b]@1")
     props = [m for m in ms if m.rule == "prop_left_in"]
     assert len(props) == 1
-    assert sequent_text(strip_sequent(props[0].premises[0])) == "=> [b => b]@1"
+    assert sequent_text(props[0].premises[0]) == "=> [b => b]@1"
     assert all(m.rule != "prop_left_in" for m in moves_of("b => [=> b]@1", hop_cap=0))
 
 
@@ -104,46 +108,46 @@ def test_left_nested_propagation_is_biill_only():
 # splitting at two levels, propagation, and hollow-rest axioms.
 
 def big_fill_proof():
-    id_e = N("id", "=> [e => e]@1", {"context": "=> _", "principal": "e"})
-    id_d = N("id", "=> [d => d]@1", {"context": "=> _", "principal": "d"})
-    v1 = N("id", "a => a, [=>]@1", {"context": "_", "principal": "a"})
-    id_b = N("id", "=> [b => b]@1", {"context": "=> _", "principal": "b"})
+    id_e = N("id", "=> [e => e]", {"context": "=> _", "principal": "e"})
+    id_d = N("id", "=> [d => d]", {"context": "=> _", "principal": "d"})
+    v1 = N("id", "a => a, [=>]", {"context": "_", "principal": "a"})
+    id_b = N("id", "=> [b => b]", {"context": "=> _", "principal": "b"})
     v2 = N(
         "prop_left_in",
-        "b => [=> b]@1",
-        {"context": "_", "principal": "b", "child_origin": 1},
+        "b => [=> b]",
+        {"context": "_", "principal": "b", "child_origin": 0},
         id_b,
     )
     u1 = N(
         "par_l",
-        "a|b => a, [=> b]@1",
+        "a|b => a, [=> b]",
         {"context": "_", "principal": "a|b", "ctx1": "_", "ctx2": "_"},
         v1,
         v2,
     )
-    id_c = N("id", "=> [c => c]@1", {"context": "=> _", "principal": "c"})
+    id_c = N("id", "=> [c => c]", {"context": "=> _", "principal": "c"})
     u2 = N(
         "prop_left_in",
-        "c => [=> c]@1",
-        {"context": "_", "principal": "c", "child_origin": 1},
+        "c => [=> c]",
+        {"context": "_", "principal": "c", "child_origin": 0},
         id_c,
     )
     r1 = N(
         "par_l",
-        "(a|b)|c => a, [=> b, c]@1",
+        "(a|b)|c => a, [=> b, c]",
         {"context": "_", "principal": "(a|b)|c", "ctx1": "_", "ctx2": "_"},
         u1,
         u2,
     )
     q1 = N(
         "par_r",
-        "(a|b)|c => a, [=> b|c]@1",
+        "(a|b)|c => a, [=> b|c]",
         {"context": "(a|b)|c => a, _", "principal": "b|c"},
         r1,
     )
     p1 = N(
         "lolli_l",
-        "(a|b)|c => a, [b|c -o d => d]@1",
+        "(a|b)|c => a, [b|c -o d => d]",
         {
             "context": "(a|b)|c => a, _",
             "principal": "b|c -o d",
@@ -155,7 +159,7 @@ def big_fill_proof():
     )
     s2 = N(
         "par_l",
-        "(a|b)|c => a, [(b|c -o d)|e => d, e]@1",
+        "(a|b)|c => a, [(b|c -o d)|e => d, e]",
         {
             "context": "(a|b)|c => a, _",
             "principal": "(b|c -o d)|e",
@@ -167,7 +171,7 @@ def big_fill_proof():
     )
     s1 = N(
         "par_r",
-        "(a|b)|c => a, [(b|c -o d)|e => d|e]@1",
+        "(a|b)|c => a, [(b|c -o d)|e => d|e]",
         {"context": "(a|b)|c => a, _", "principal": "d|e"},
         s2,
     )
@@ -206,21 +210,22 @@ def test_wrong_premise_rejected():
         "lolli_r",
         "=> a -o b",
         {"context": "_", "principal": "a -o b"},
-        N("id", "=> [b => a]@1", {"context": "=> _", "principal": "a"}),
+        N("id", "=> [b => a]", {"context": "=> _", "principal": "a"}),
     )
     with pytest.raises(CheckError):
         check_dn_proof(bad)
 
 
 def test_wrong_child_origin_rejected():
+    # a premise in the certificate format that numbered spawned children
     bad = N(
         "lolli_r",
         "=> a -o b",
         {"context": "_", "principal": "a -o b"},
-        N("id", "=> [a => b]@2", {"context": "=> _", "principal": "a"}),
+        N("id", "=> [a => b]@1", {"context": "=> _", "principal": "a"}),
     )
     # the rule applies; what is wrong is the stated premise
-    with pytest.raises(CheckError, match=r"premise mismatch at lolli_r: stated '=> \[a => b\]@2', derived '=> \[a => b\]@1'"):
+    with pytest.raises(CheckError, match=r"premise mismatch at lolli_r: stated '=> \[a => b\]@1', derived '=> \[a => b\]'"):
         check_dn_proof(bad)
 
 
@@ -286,7 +291,7 @@ def test_stays_in_fill_predicate():
 
 
 def test_endsequent_for():
-    s = endsequent_for(parse_formula("(a -o b) -o c -o d"))
-    assert sequent_text(strip_sequent(s)) == "=> (a -o b) -o c -o d"
-    f = s.right[0].formula
-    assert f.label == 1 and f.left.label == 2 and f.right.label == 3
+    f = parse_formula("(a -o b) -o c -o d")
+    s = endsequent_for(f)
+    assert sequent_text(s) == "=> (a -o b) -o c -o d"
+    assert s.right[0].formula is f

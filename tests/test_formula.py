@@ -1,4 +1,4 @@
-"""Formula parsing, printing, and occurrence labelling."""
+"""Formula parsing and printing."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +20,7 @@ from fillprover.formula import (
     formula_size,
     formula_text,
     is_fill_formula,
-    label_occurrences,
     parse_formula,
-    strip_labels,
 )
 from fillprover.sequent import parse_sequent, sequent_text
 
@@ -96,28 +94,6 @@ def test_fill_membership():
     assert not is_fill_formula(parse_formula("(a -< b) -o c"))
 
 
-def test_label_occurrences_prefix_order():
-    f = parse_formula("(a|b)|c -o a|((b|c -o d)|e -o d|e)")
-    assert arrow_count(f) == 3
-    g, nxt = label_occurrences(f)
-    assert nxt == 4
-    assert g.label == 1
-    outer = g.right.right  # the arrow ending in d|e
-    assert isinstance(outer, Lolli) and outer.label == 2
-    inner = outer.left.left  # the arrow ending in d
-    assert isinstance(inner, Lolli) and inner.label == 3
-    assert strip_labels(g) == f
-    # labelling twice from a later start renumbers cleanly
-    g2, _ = label_occurrences(g, 7)
-    assert g2.label == 7 and g2.right.right.label == 8
-
-
-def test_labels_distinguish_occurrences():
-    assert Lolli(a, b, 1) < Lolli(a, b, 2)
-    assert Lolli(a, b, 1) != Lolli(a, b, 2)
-    assert strip_labels(Lolli(a, b, 1)) == strip_labels(Lolli(a, b, 2))
-
-
 names = st.sampled_from(["a", "b", "c", "p", "q", "r", "x_1"])
 leaves = st.one_of(names.map(Atom), st.just(UnitI()), st.just(UnitBot()))
 formulas = st.recursive(
@@ -143,13 +119,6 @@ def test_key_respects_equality(f):
     # as the original
     g = parse_formula(formula_text(f))
     assert not f < g and not g < f and hash(g) == hash(f)
-
-
-@given(formulas)
-def test_labelling_is_invertible(f):
-    g, nxt = label_occurrences(f)
-    assert nxt == 1 + arrow_count(f)
-    assert strip_labels(g) == f
 
 
 # Every token of the shared tokenizer, some whole items, stray characters and

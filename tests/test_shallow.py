@@ -14,7 +14,6 @@ from fillprover.sequent import (
     formula_occurrence_count,
     hole_contexts,
     is_hollow,
-    label_sequent,
     parse_sequent,
     plug,
     sequent_text,
@@ -137,7 +136,7 @@ def test_sn_agrees_with_dn_at_the_root(rule):
     and no other rule with as many premises."""
     family = UNARY_LOGICAL_RULES if rule in UNARY_LOGICAL_RULES else BRANCH_RULES
     other = family[(family.index(rule) + 1) % len(family)]
-    s = label_sequent(S(_LOGICAL_CASES[rule]))
+    s = S(_LOGICAL_CASES[rule])
     move = next(m for m in deep_moves(s) if m.rule == rule and m.witness.context == HOLE)
     c = zero_origins(strip_sequent(s))
     ps = tuple(zero_origins(strip_sequent(p)) for p in move.premises)

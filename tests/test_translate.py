@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import fillprover
 from fillprover import translate
 from fillprover.certs import CheckError, ProofNode, certificate_text, postorder, proof_size, read_certificate
 from fillprover.deep import check_dn_proof, endsequent_for
-from fillprover.display import check_dc_proof, parse_display
+from fillprover.display import check_dc_proof, parse_display, sequent_to_display
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, parse_formula
 from fillprover.prover import decide_formula, decide_sequent
 from fillprover.sequent import parse_sequent, strip_sequent
@@ -22,10 +23,10 @@ from fillprover.translate import (
     TranslationError,
     deep_to_shallow,
     display_to_shallow,
-    embed_sequent,
     shallow_to_deep,
     shallow_to_display,
 )
+from round_trip_corpus import round_trip
 
 
 def proved(text, logic):
@@ -59,11 +60,11 @@ STAGE_CALCULI = ("dn", "sn", "dc", "sn", "dn")
 # fails here, even when its output still checks
 CLOSURE_CASES = [
     _case("a -o a", "fill", (
-        "d630a5335e21b765b86127002bc043e61727fa96e98710ae5d30029e3c95ca11",
-        "672313ea8b6246def31461002a5c937ecfef6dd6e7f85b7953c54b2a417b3826",
+        "8892f2bd916fad6db625d82ccb4f067387e765107de4fba93f3bdcb5a2e4dee6",
+        "6bdf78f86f7fde2364fab895aa82f66005e54ddfb34e5bbd51a9a08e542b53d6",
         "74e1fc1044731b315152dc065a2f4e03902cd9aaf6496cd696a4e26e84966a60",
         "6bdf78f86f7fde2364fab895aa82f66005e54ddfb34e5bbd51a9a08e542b53d6",
-        "34a6ebca2f204017480222753d9daa186a07c4862ba4a32622a27669eb61b1d9",
+        "8892f2bd916fad6db625d82ccb4f067387e765107de4fba93f3bdcb5a2e4dee6",
     )),
     _case("1", "fill", (
         "9c0f131729d21c7138d512bf5613c4db9afcfd23215c1242698c9334fe3253e4",
@@ -80,90 +81,85 @@ CLOSURE_CASES = [
         "7416d46a79b0d1b18ea038bdbedd9e49abe6a84af669c3d241e546150fc1afac",
     )),
     _case("a*b -o b*a", "fill", (
-        "70f8923a7cef962198dca4216a6f8a17eb69791029ed5b8582f21638b5fb317a",
-        "4f8335b202dd1b96611e8b5958e931ee3564138332e915807ef09f82dd3ba564",
+        "f8012b2410f271c219594479940556db642b5c0e21bfe3cae8bd5e2d2be4f4a4",
+        "47a665e29d9d41ae28ea24ab6a0a1303afd28d5b2510b288c2a7a54615a445eb",
         "a32a0e4973b312e290aeab0d87798cec1c0f424ed06d01b4975e875b60f64e22",
         "47a665e29d9d41ae28ea24ab6a0a1303afd28d5b2510b288c2a7a54615a445eb",
-        "bf6c9c2fae42c0b9658a04af06c05b6ade60166fab92e8b5c498c2ba5e816f0d",
+        "f8012b2410f271c219594479940556db642b5c0e21bfe3cae8bd5e2d2be4f4a4",
     )),
     _case("a|b -o b|a", "fill", (
-        "69011511fc82d0c0c4a8e62f1dd927b751d7e1ce9bd167921c5538d58a7d6ae3",
-        "3d4fcef35c6a7b879eb8fa7960744cf19394a0c00e01825617cc6b079a7e5844",
+        "431c6192ddad2d8336e6d21638f38464410ab10e4acfa2341f9033b6cf6e21e9",
+        "8c6820d5b47039734cb4ebbffec6b83297323dedfc1c99c0496bb08457cab0c2",
         "ddc76a379a6b399c195ab773c03768fc97c96477c0000dcf8a19a1bd48ff500c",
         "8eed2c10d53971489fba884863bfc9becd1ab4c891850f605b71d2803ed7ab52",
-        "0fe16b519420f240bd4990af8059c78046cb03aab98078e4db34b75b86c4c668",
+        "431c6192ddad2d8336e6d21638f38464410ab10e4acfa2341f9033b6cf6e21e9",
     )),
     _case("(p*(q|r)) -o (p*q)|r", "fill", (
-        "76413ae6522d0617c17a552705418a33bbd2893868720575f9af93b446cd4e64",
-        "15e6ed65e856576e98230f3db1f2c11133f8dcf8e70c66b5a03a0961e9f3b934",
+        "22553376fd0527e3a92ce8c3eaba930f33ef32cccc4bcd65a88574ec03e1d36d",
+        "50798895291e451db33a66518207d8f0e9f665a24ada6ca22a5717587ba85442",
         "0c7e534d0fab53b97a47084ec3a8f0ccc6ddd2646b501de99576f0ea3cc8358c",
         "f82de6112de488dabf5e6c639afdd749aca0d7cc41086068da7446b6434f628a",
-        "6fa6ab70203e482405f6529b87367b073537ebf961bc4f05c43a7919bf270a04",
+        "22553376fd0527e3a92ce8c3eaba930f33ef32cccc4bcd65a88574ec03e1d36d",
     )),
     _case("((b -o bot)|c) -o b -o c", "fill", (
-        "a97d17ddfac866c3603a5fec34678ba347cef118b26cb2d59e4ea0ef8ce1b220",
-        "01ca3054a20ba8ead4ffff354737ed04163551b87fc86dc1cb30ba519c642120",
+        "189f8de331fb6bea59798fe07b02ef55df6af6cc893cb6155c1baf054e10dd48",
+        "8cecaf8830d3ff74d6e21d6070cd160ca3c9e7b73a6e39bc93cfdf054a7963ab",
         "4ba033b155b1b0f58eadd6c199e2d3cbf31e77fcc218acd5d88641cb8a8e3dc5",
         "e38672d936ee65fe29b1f553538a514c46a88da96426c8b83396894b23a85ddf",
-        "eacce44c70abfd12521512c34254bb72ce3ffe5f7b876cad3e827c9494e50a82",
+        "189f8de331fb6bea59798fe07b02ef55df6af6cc893cb6155c1baf054e10dd48",
     )),
     _case("a -o b -o a*b", "fill", (
-        "853d74ffe39f6213011dbf164d23d1dbad83a15d50918fba07ad3c520bfeca6e",
-        "b444dbfff04ea387d7706ddbe63c88a71f7189386cea6d93d391e1ea9bf6a283",
+        "8584a4f1e770ae8d1e02f53d5c898605db0e4dc8422185144f7519776f81072e",
+        "a7e67d31fa1ea5d4e6aceeab49d1c4e66cd881ee625a9e68fa8e77861d24346b",
         "0f0b5bdb936f53e91c07d89044df447831124e41488c82085dff80c2d88c92f5",
         "4bdb2b5c0abe686e46111c484c3701bf3cfc7c3b00e5a8a430e881f96cee0286",
-        "26c780b2cc338df652effe7f916307ccea4341571aba4d989b6b785f87db2950",
+        "8584a4f1e770ae8d1e02f53d5c898605db0e4dc8422185144f7519776f81072e",
     )),
     _case("a*(b*c) -o (a*b)*c", "fill", (
-        "d644a77b3a1b35bb93dcfb2be10e7fc5da2112386128761fa30f99f4210eb164",
-        "e5bbc6c529a81eb44dbe87df49acff7d0332473067fdca25f13016aff9fc3227",
+        "7c9e98d93a9b39e07418a938c8fd9f52a0b70e1e8ab968d2f5e144af6c143fc0",
+        "8d86980c38dcf37b09805deb2b2f81bb14ae8f1f513a0710ecc66ea53a18fc0d",
         "641abefd98544bb4f0196fa5c9afb65257c6dc8ba37e6240c694e1b8903a7309",
         "c714e9782171bfbb678315542a851fe37dfd4b365848d4f71a2791a75e8b6653",
-        "e23dd5595746bed5a487c28fc90b7435a00471e21a23d9c0a08de70c4bbc0fd0",
+        "7c9e98d93a9b39e07418a938c8fd9f52a0b70e1e8ab968d2f5e144af6c143fc0",
     )),
     _case("p -o q|(p -< q)", "biill", (
-        "33a8043b550392e1650b25dd916b35cb2537097816fa9d9b72cda1785a14b0bf",
-        "5aacc962cc01abe2ecfa9fb3a5d87e693aadbc6a7f1a66784a8cab1aacd77600",
+        "c8528e4cca1641c21c03c0b452b78536b3c194bdcd428ef9123eb54a5d67a023",
+        "2ee1ddfd5c7f5b83c54cb40429129616468d564ebae8db22a2b76a01dac7eefb",
         "ec5b07d3017988d641c7b6e57948200313c8821b33a64b5398989584d8217f47",
         "a915c25fd7048ea3add308520104edcf0840dafa86a8244770a74b00ff9e2834",
-        "d10564439952be2a220224313786ef31c4f4c16dff51f889953469d50dd89417",
+        "c8528e4cca1641c21c03c0b452b78536b3c194bdcd428ef9123eb54a5d67a023",
     )),
     _case("(a -< a) -o bot|bot", "biill", (
-        "72165a640e517d376bfb298d78c648994aae7033fa18a60ec25974eef9c03164",
-        "8da6becb5fdbb62d26bfb81d851517775ebbca0a7a4571376efb15c0dd291f99",
+        "8ab3b407e7e45e746ff1e61e676c7e16c0ecea83e9f41faefcbba7c867745fa1",
+        "99f99a3333caa841d454ad260522162d09dcde9411acddbebbdcc989a5fab3c0",
         "0aba8e179afa9f84663f9994853b2623a56a649761eb01a30cfc9a84049cd9af",
         "1ba2a0361b9c0971f4b803c4172927829e647554c898d4ed21c99795cbeb638a",
-        "bf704b99d05ed0a074e769d9a1faa10aaf354b93eef96bed1f5f7ed0dab3cfce",
+        "8ab3b407e7e45e746ff1e61e676c7e16c0ecea83e9f41faefcbba7c867745fa1",
     )),
     _case("(a -< b) -< c -o a -< (b|c)", "biill", (
-        "8130ffa8e3037bdb37ca95d0ed5ad62e7762512f60f23ca1482a4caa19796e72",
-        "6edcd09aff7074c3983b16ab767fb4f47bcab88141accb7b602dc4f6b2f4bb7b",
+        "2b16419a75c2c39ec2ebd774c968d430cb6df29c5d9e9f8eea337db82efe43da",
+        "77eac9d57ef47744316a5d6ff54da73691271c1117b2f5639d27a4a217418b23",
         "39e19db384414815b80236b74a05350e3483f18315574e88cbf0c6516167c778",
         "b60d713fb939464779be0b0ded9feffd100a43977223385c4a4e777385d7f090",
-        "c32f86126b6da290735278348466e98c8ae1bac874f5ca07b6b5d61264c29705",
+        "c855ed5bd564503aa501b8e74be01b7834c8edf4084461765c70e2711240f255",
     )),
     _case("(a|b)|c -o a|((b|c -o d)|e -o d|e)", "fill", (
-        "b36dbf86f44f5a2d13adbfc401630fb3838da159967549adc37fd0516f2712b7",
-        "cf6fc14e262ae551cc332826dc5e23f67fabed9cbcccf8d0d59fcfa5598b503a",
+        "d9af12137f0e3ed03114a33aed2d7ba5963eb9f01203abcde7ffd152666b18cd",
+        "0cd2494d571f86b083bb8ac18304c80ab83e4d8558df71179eb9e2c6054a461f",
         "93cc7a100fa6046e14e3f6295e7b1ce28be677628257c5a240f2e8b10e74bee5",
         "9aa4d5770ec36d106ced10ea70bb7bfdbc195a4fa487aebbfc4fbcf27e2ed24e",
-        "88319fb98105372a39c36452fc6243018a8ba6331b520d01085bc782394aa8a0",
+        "d9af12137f0e3ed03114a33aed2d7ba5963eb9f01203abcde7ffd152666b18cd",
+    )),
+    # its dn proof reaches `=> [=>], [p => p]`: two children of one node,
+    # both spawned, both of origin 0
+    _case("(p -o p)|(1 -o bot)", "fill", (
+        "2ddfd3fe0e0d586d0038de074f89ab9b202ec0d034c73b9ee1cdfb11534a7e59",
+        "abef67c4deed45b6a1f63bb91970feeb8f72044a5ad82ac39ba415ca27e5f585",
+        "14c8c5f520b2a4c89ccba50cc6b362444c5abd44a9792f1b6e9698bde5b153a5",
+        "5c4ef20310186922da60927d9718b640005bda2ff843fee5d02d9d6f7433677d",
+        "2ddfd3fe0e0d586d0038de074f89ab9b202ec0d034c73b9ee1cdfb11534a7e59",
     )),
 ]
-
-
-def round_trip(dn, logic):
-    """The stages dn, sn, dc, sn2 and dn2 of the round trip, every one
-    re-checked against the endsequent it must have."""
-    sn = deep_to_shallow(dn, logic)
-    check_sn_proof(sn, "biill", expect=dn.conclusion)
-    dc = shallow_to_display(sn)
-    check_dc_proof(dc, "biill", expect=embed_sequent(sn.conclusion))
-    sn2 = display_to_shallow(dc)
-    check_sn_proof(sn2, "biill", expect=sn.conclusion)
-    dn2 = shallow_to_deep(sn)
-    check_dn_proof(dn2, "biill", expect=dn.conclusion)
-    return dn, sn, dc, sn2, dn2
 
 
 @pytest.mark.parametrize("text, logic, digests", CLOSURE_CASES)
@@ -184,6 +180,21 @@ def test_four_way_closure(text, logic, digests):
     # the sn -> dc translator as built, before `cut_loops` sees it
     assert proof_size(translate._std(sn)) <= 4 * proof_size(sn)
 
+
+def test_six_spawned_children_check_and_translate_in_seconds():
+    """Every child that `lolli_r` spawns has origin 0, so the dn checker's
+    lifting meets the six children of this proof's root together, beside
+    the hollow copies each branch split leaves: (6!)^2 pairs of
+    permutations at the first split, unless a permutation is dropped at
+    the first child that cannot lift."""
+    text = "(a -o a) | (b -o b) | (c -o c) | (d -o d) | (e -o e) | (f -o f) | (bot*bot*bot*bot*bot*bot)"
+    start = time.perf_counter()
+    dn = read_certificate(certificate_text("dn", "biill", proved(text, "biill"))).root
+    check_dn_proof(dn, "biill", expect=endsequent_for(parse_formula(text)))
+    sn = deep_to_shallow(dn)
+    dn2 = shallow_to_deep(sn)
+    assert dn2.conclusion == dn.conclusion
+    assert time.perf_counter() - start < 10
 
 
 def repeated_conclusions(root):
@@ -259,7 +270,7 @@ def test_frozen_translation_sizes():
     assert proof_size(display_to_shallow(dc)) == 3
     assert proof_size(shallow_to_deep(sn)) == 2
     sn = deep_to_shallow(proved("a*b -o a*b", "fill"), "fill")
-    assert proof_size(sn) == 22
+    assert proof_size(sn) == 20
     assert proof_size(shallow_to_deep(sn)) == 5
     dc = shallow_to_display(deep_to_shallow(proved("a*b -o b*a", "fill"), "fill"))
     assert proof_size(dc) == 42
@@ -324,7 +335,7 @@ def test_invalid_inputs_rejected():
 
 def test_a_broken_translator_is_caught_by_its_target_checker(tmp_path, monkeypatch, capsys):
     # a one-node "proof" of the right endsequent passes any endsequent test
-    monkeypatch.setattr(translate, "_std", lambda node: ProofNode("id", embed_sequent(node.conclusion)))
+    monkeypatch.setattr(translate, "_std", lambda node: ProofNode("id", sequent_to_display(node.conclusion)))
     sn = deep_to_shallow(proved("a*b -o b*a", "fill"), "fill")
     with pytest.raises(TranslationError, match="sn -> dc"):
         shallow_to_display(sn)
@@ -436,7 +447,7 @@ def test_translations_preserve_endsequent_exactly():
     dn2 = shallow_to_deep(sn)
     assert norm(dn2.conclusion) == norm(endsequent_for(f))
     dc = shallow_to_display(sn)
-    assert dc.conclusion == embed_sequent(sn.conclusion)
+    assert dc.conclusion == sequent_to_display(sn.conclusion)
 
 
 @pytest.mark.parametrize(
@@ -458,7 +469,7 @@ def test_display_proofs_end_in_the_embedded_endsequent(text):
     assert d.proved
     sn = deep_to_shallow(d.proof)
     dc = shallow_to_display(sn)
-    assert dc.conclusion == embed_sequent(sn.conclusion)
+    assert dc.conclusion == sequent_to_display(sn.conclusion)
     dn = shallow_to_deep(display_to_shallow(dc))
     check_dn_proof(dn, "biill")
     # display structures carry no child origins, so compare without them
