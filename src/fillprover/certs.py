@@ -46,7 +46,6 @@ __all__ = [
     "context_text",
     "parse_context",
     "conclusion_text",
-    "certificate_dict",
     "certificate_text",
     "read_certificate",
 ]
@@ -248,23 +247,20 @@ def _node_dict(calculus: str, node: ProofNode) -> dict:
     return out
 
 
-def certificate_dict(calculus: str, logic: str, root: ProofNode) -> dict:
+def certificate_text(calculus: str, logic: str, root: ProofNode) -> str:
     if calculus not in CALCULI:
         raise ValueError(f"unknown calculus {calculus!r}")
     if logic not in LOGICS:
         raise ValueError(f"unknown logic {logic!r}")
+    # one allowance covers building the nodes' dicts and encoding them
     with stack_room(10 * proof_size(root) + 2000):
-        return {
+        data = {
             "calculus": calculus,
             "logic": logic,
             "endsequent": conclusion_text(calculus, root.conclusion),
             "proof": _node_dict(calculus, root),
         }
-
-
-def certificate_text(calculus: str, logic: str, root: ProofNode) -> str:
-    with stack_room(10 * proof_size(root) + 2000):
-        return json.dumps(certificate_dict(calculus, logic, root)) + "\n"
+        return json.dumps(data) + "\n"
 
 
 def _check_types(what: str, data: dict, types: dict) -> None:

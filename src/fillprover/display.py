@@ -136,31 +136,21 @@ class DisplaySequent:
 _P_COMMA, _P_RESID, _P_UNIT = 0, 1, 2
 
 
-def _sprec(x: Structure) -> int:
-    match x:
-        case SComma():
-            return _P_COMMA
-        case SGt() | SLt():
-            return _P_RESID
-        case _:
-            return _P_UNIT
-
-
 def _stext(x: Structure, need: int) -> str:
-    match x:
-        case SLeaf(formula=f):
-            return formula_text(f)
-        case SPhi():
-            return "Phi"
-        case SComma(left=l, right=r):
-            t = f"{_stext(l, _P_COMMA)}, {_stext(r, _P_RESID)}"
-        case SGt(left=l, right=r):
-            t = f"{_stext(l, _P_UNIT)} > {_stext(r, _P_UNIT)}"
-        case SLt(left=l, right=r):
-            t = f"{_stext(l, _P_UNIT)} < {_stext(r, _P_UNIT)}"
-        case _:
-            raise TypeError(f"not a structure: {x!r}")
-    return f"({t})" if _sprec(x) < need else t
+    """`x` rendered, in parentheses when it binds looser than `need`."""
+    cls = type(x)
+    if cls is SLeaf:
+        return formula_text(x.formula)
+    if cls is SComma:
+        t = f"{_stext(x.left, _P_COMMA)}, {_stext(x.right, _P_RESID)}"
+        return f"({t})" if need > _P_COMMA else t
+    if cls is SGt or cls is SLt:
+        op = ">" if cls is SGt else "<"
+        t = f"{_stext(x.left, _P_UNIT)} {op} {_stext(x.right, _P_UNIT)}"
+        return f"({t})" if need > _P_RESID else t
+    if cls is SPhi:
+        return "Phi"
+    raise TypeError(f"not a structure: {x!r}")
 
 
 def structure_text(x: Structure) -> str:

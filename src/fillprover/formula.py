@@ -318,35 +318,30 @@ _PREC_ARROW, _PREC_EXCL, _PREC_MULT, _PREC_ATOM = 0, 1, 2, 3
 _PREC_OF = (_PREC_ATOM, _PREC_ATOM, _PREC_ATOM, _PREC_MULT, _PREC_MULT, _PREC_ARROW, _PREC_EXCL)
 
 
-def _prec(f: Formula) -> int:
-    return _PREC_OF[f[0]]
-
-
-def _wrap(f: Formula, cond: bool) -> str:
-    t = formula_text(f)
-    return f"({t})" if cond else t
-
-
 def formula_text(f: Formula) -> str:
     """Render with minimal parentheses; mixed `*`/`|` chains keep theirs so
     the grouping stays visible."""
-    match f:
-        case Atom(name=n):
-            return n
-        case UnitI():
-            return "1"
-        case UnitBot():
-            return "bot"
-        case Tensor(left=l, right=r) | Par(left=l, right=r):
-            op = "*" if isinstance(f, Tensor) else "|"
-            lt = _wrap(l, _prec(l) < _PREC_MULT or (_prec(l) == _PREC_MULT and type(l) is not type(f)))
-            rt = _wrap(r, _prec(r) <= _PREC_MULT)
-            return f"{lt}{op}{rt}"
-        case Lolli(left=l, right=r):
-            lt = _wrap(l, _prec(l) <= _PREC_ARROW)
-            return f"{lt} -o {formula_text(r)}"
-        case Excl(left=l, right=r):
-            lt = _wrap(l, _prec(l) < _PREC_EXCL)
-            rt = _wrap(r, _prec(r) <= _PREC_EXCL)
-            return f"{lt} -< {rt}"
-    raise TypeError(f"not a formula: {f!r}")
+    tag = f[0]
+    if tag == _ATOM:
+        return f[1]
+    if tag == _ONE:
+        return "1"
+    if tag == _BOT:
+        return "bot"
+    if not _TENSOR <= tag <= _EXCL:
+        raise TypeError(f"not a formula: {f!r}")
+    l, r = f[1], f[2]
+    lt, rt = formula_text(l), formula_text(r)
+    lp, rp = _PREC_OF[l[0]], _PREC_OF[r[0]]
+    if tag == _LOLLI:
+        return f"({lt}) -o {rt}" if lp <= _PREC_ARROW else f"{lt} -o {rt}"
+    if tag == _EXCL:
+        lt = f"({lt})" if lp < _PREC_EXCL else lt
+        rt = f"({rt})" if rp <= _PREC_EXCL else rt
+        return f"{lt} -< {rt}"
+    # `*` or `|`
+    if lp < _PREC_MULT or lp == _PREC_MULT and l[0] != tag:
+        lt = f"({lt})"
+    if rp <= _PREC_MULT:
+        rt = f"({rt})"
+    return f"{lt}*{rt}" if tag == _TENSOR else f"{lt}|{rt}"

@@ -17,6 +17,15 @@ written in brackets with its origin as a suffix, `[a => b]@2` (`@0` is
 omitted); `_` marks the hole of a context.  Formula occurrences parse with
 hop count 0.  The text is read by the parser core in `formula.py`.
 
+Hop counts and origins are bookkeeping of the deep search; the checkers
+and translators compare sequents with hops, and in the shallow calculus
+origins too, set to 0.  The walks that do so (`strip_sequent` here,
+`shallow.zero_origins` and `shallow._norm`) are check-first: one read-only
+pass over the tags looks for a mark to zero, and when there is none the
+walk returns its argument itself and builds nothing.  Sequent text never
+carries hops, so on a sequent read from a certificate the walk is that
+one pass.
+
 A context is a nested sequent with exactly one hole standing for a whole
 node; `plug` substitutes a sequent for the hole.  `HOLE` itself is the empty
 context.  Partitioning implements the resource splitting of the branching
@@ -218,9 +227,9 @@ def _item(cur: _Cursor) -> Item:
         return HOLE
     if tok == "[":
         cur.take()
-        s = _sequent(cur)
+        left, right = _sides(cur)
         cur.expect("]", "unbalanced '['")
-        return Sequent(s.left, s.right, _origin(cur))
+        return Sequent(left, right, _origin(cur))
     return Occ(_formula(cur))
 
 
@@ -235,10 +244,11 @@ def _side(cur: _Cursor) -> tuple[Item, ...]:
     return tuple(items)
 
 
-def _sequent(cur: _Cursor) -> Sequent:
+def _sides(cur: _Cursor) -> tuple[tuple[Item, ...], tuple[Item, ...]]:
+    """The two sides of a sequent, read up to the origin that may follow."""
     left = _side(cur)
     cur.expect("=>", "expected '=>'")
-    return Sequent(left, _side(cur))
+    return left, _side(cur)
 
 
 def _origin(cur: _Cursor) -> int:
@@ -255,10 +265,10 @@ def _origin(cur: _Cursor) -> int:
 
 def parse_sequent(text: str) -> Sequent:
     cur = _Cursor(text)
-    s = _sequent(cur)
-    origin = _origin(cur)
+    left, right = _sides(cur)
+    s = Sequent(left, right, _origin(cur))
     cur.end()
-    return Sequent(s.left, s.right, origin)
+    return s
 
 
 def _core_text(s: Sequent) -> str:
@@ -295,14 +305,32 @@ def sequent_text(s: Sequent) -> str:
 # ---------------------------------------------------------------- contexts
 
 def hole_count(x) -> int:
-    match x:
-        case Hole():
-            return 1
-        case Occ():
-            return 0
-        case Sequent(left=l, right=r):
-            return sum(hole_count(it) for it in chain(l, r))
+    tag = x[0]
+    if tag == _SEQUENT:
+        return sum(map(hole_count, x[2])) + sum(map(hole_count, x[3]))
+    if tag == _OCC:
+        return 0
+    if tag == _HOLE:
+        return 1
     raise TypeError(f"not a sequent item: {x!r}")
+
+
+def _has_hole(x: Item) -> bool:
+    """Whether a hole occurs in the item `x`; stops at the first."""
+    tag = x[0]
+    if tag == _SEQUENT:
+        return any(map(_has_hole, x[2])) or any(map(_has_hole, x[3]))
+    return tag == _HOLE
+
+
+def _holder(ctx: Sequent) -> tuple[str, Item] | None:
+    """The side of the root of `ctx` whose item holds the hole, with that
+    item; None when no item does."""
+    for side in ("left", "right"):
+        for it in getattr(ctx, side):
+            if _has_hole(it):
+                return side, it
+    return None
 
 
 def plug(ctx: Context, s: Sequent) -> Sequent:
@@ -363,17 +391,14 @@ def context_decompose(ctx: Context, tree: Sequent) -> Sequent | None:
         return tree
     if not isinstance(tree, Sequent) or ctx.origin != tree.origin:
         return None
-    carrier = None
-    for side_name in ("left", "right"):
-        if any(hole_count(it) for it in getattr(ctx, side_name)):
-            carrier = side_name
-    if carrier is None:
+    held = _holder(ctx)
+    if held is None:
         return None
+    carrier, special = held
     other = "right" if carrier == "left" else "left"
     if getattr(ctx, other) != getattr(tree, other):
         return None
     c_items = list(getattr(ctx, carrier))
-    special = next(it for it in c_items if hole_count(it))
     c_items.remove(special)
     leftover = _subtract(getattr(tree, carrier), c_items)
     if leftover is None or len(leftover) != 1:
@@ -388,26 +413,55 @@ def context_decompose(ctx: Context, tree: Sequent) -> Sequent | None:
 
 # --------------------------------------------------------------- hops
 
-def _reuse(items: tuple, mapped: list) -> tuple:
-    """`items` itself when each mapped item is the item it came from, else
-    the mapped items: lets a normalising walk hand back unchanged input."""
-    return items if all(a is b for a, b in zip(items, mapped)) else tuple(mapped)
+def _normal(s: Sequent, hops: bool, origins: bool) -> bool:
+    """True when the tree of `s` has nothing to zero: no hop count other
+    than 0 (with `hops`) and no origin other than 0 (with `origins`), the
+    root's own origin included.  Reads tags only, stops at the first mark
+    and allocates nothing: the test in front of every normal-form walk."""
+    if origins and s[1]:
+        return False
+    for it in s[2]:
+        tag = it[0]
+        if tag == _OCC:
+            if hops and it[2]:
+                return False
+        elif tag == _SEQUENT and not _normal(it, hops, origins):
+            return False
+    for it in s[3]:
+        tag = it[0]
+        if tag == _OCC:
+            if hops and it[2]:
+                return False
+        elif tag == _SEQUENT and not _normal(it, hops, origins):
+            return False
+    return True
 
 
-def _strip_item(it: Item) -> Item:
-    if isinstance(it, Occ):
-        return it if it.hops == 0 else Occ(it.formula)
-    return strip_sequent(it) if isinstance(it, Sequent) else it
+def _rebuild(s: Sequent, hops: bool, origins: bool) -> Sequent:
+    """`s` built anew with the marks `_normal` looks for set to 0; each
+    item with nothing to zero is kept as it is.  Called only once `_normal`
+    has found a mark."""
+
+    def go(items):
+        out = []
+        for it in items:
+            tag = it[0]
+            if tag == _SEQUENT and not _normal(it, hops, origins):
+                it = _rebuild(it, hops, origins)
+            elif tag == _OCC and hops and it[2]:
+                it = Occ(it[1])
+            out.append(it)
+        return tuple(out)
+
+    return Sequent(go(s[2]), go(s[3]), 0 if origins else s[1])
 
 
 def strip_sequent(s: Sequent) -> Sequent:
-    """Zero every hop count; origins stay.  Returns `s` itself when every
-    hop count is already 0, and reuses every unchanged item."""
-    left = _reuse(s.left, [_strip_item(it) for it in s.left])
-    right = _reuse(s.right, [_strip_item(it) for it in s.right])
-    if left is s.left and right is s.right:
-        return s
-    return Sequent(left, right, s.origin)
+    """Zero every hop count; origins stay.  Check-first: one read-only pass
+    (`_normal`) looks for a hop count other than 0, and when there is none
+    `s` itself comes back, with nothing built.  Only otherwise is the tree
+    rebuilt, every item without hops reused as it is."""
+    return s if _normal(s, True, False) else _rebuild(s, True, False)
 
 
 def strip_context(ctx: Context) -> Context:

@@ -52,10 +52,11 @@ from .sequent import (
     Hole,
     Occ,
     Sequent,
-    _reuse,
+    _holder,
+    _normal,
+    _rebuild,
     child_seqs,
     children_by_origin,
-    hole_count,
     is_fill_sequent,
     is_hollow,
     occs,
@@ -112,22 +113,16 @@ SN_FILL_EXCLUDED = frozenset(
 
 
 def zero_origins(s: Sequent) -> Sequent:
-    """`s` with every origin 0.  Returns `s` itself when all already are,
-    and reuses every unchanged item."""
-
-    def go(items):
-        return _reuse(
-            items, [zero_origins(it) if isinstance(it, Sequent) else it for it in items]
-        )
-
-    left, right = go(s.left), go(s.right)
-    if left is s.left and right is s.right and s.origin == 0:
-        return s
-    return Sequent(left, right, 0)
+    """`s` with every origin 0; hop counts stay.  Check-first, as
+    `strip_sequent`: one read-only pass looks for an origin other than 0,
+    and when there is none `s` itself comes back, with nothing built.  Only
+    otherwise is the tree rebuilt, every item without one reused as it is."""
+    return s if _normal(s, False, True) else _rebuild(s, False, True)
 
 
 def _norm(s: Sequent) -> Sequent:
-    return zero_origins(strip_sequent(s))
+    # one test over both marks first: most sequents have neither
+    return s if _normal(s, True, True) else zero_origins(strip_sequent(s))
 
 
 def _single_child(items) -> Sequent | None:
@@ -242,14 +237,6 @@ def check_sn_proof(root: ProofNode, logic: str = "biill", expect: Sequent | None
 
 # -------------------------------------------------- bringing a node to root
 
-def _holder(ctx: Sequent):
-    for side in ("left", "right"):
-        for it in getattr(ctx, side):
-            if hole_count(it):
-                return side, it
-    raise ValueError("context has no hole")
-
-
 def display_in_sn(ctx: Context, node: Sequent, always_wrap: bool = False) -> list[tuple[str, Sequent]]:
     """Steps taking `plug(ctx, node)` (top) down to a sequent whose root
     carries `node`'s own items, plus at most one wrapper child holding
@@ -260,7 +247,10 @@ def display_in_sn(ctx: Context, node: Sequent, always_wrap: bool = False) -> lis
     shape depends only on the hole's position, not on what surrounds it."""
     steps: list[tuple[str, Sequent]] = []
     while not isinstance(ctx, Hole):
-        side, special = _holder(ctx)
+        held = _holder(ctx)
+        if held is None:
+            raise ValueError("context has no hole")
+        side, special = held
         other = _FLIP[side]
         k_tree = plug(special, node) if isinstance(special, Sequent) else node
         rest = side_remove(getattr(ctx, side), [special])

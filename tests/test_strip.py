@@ -5,9 +5,21 @@ that rebuild every node, kept here as the reference."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fillprover import sequent, shallow
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI
-from fillprover.sequent import Occ, Sequent, parse_sequent, sequent_text, strip_sequent
-from fillprover.shallow import zero_origins
+from fillprover.sequent import (
+    HOLE,
+    Occ,
+    Sequent,
+    _normal,
+    parse_sequent,
+    sequent_text,
+    strip_context,
+    strip_sequent,
+)
+from fillprover.shallow import _norm, zero_origins
+from round_trip_corpus import round_trip
+from test_translate import CLOSURE_CASES, proved
 
 # ------------------------------------------------------------ reference
 
@@ -23,6 +35,14 @@ def ref_zero_origins(s):
         return tuple(ref_zero_origins(it) if isinstance(it, Sequent) else it for it in items)
 
     return Sequent(go(s.left), go(s.right), 0)
+
+
+def ref_norm(s):
+    return ref_zero_origins(ref_strip_sequent(s))
+
+
+# the reference walk for each pair of flags `_normal` takes
+REFS = {(True, False): ref_strip_sequent, (False, True): ref_zero_origins, (True, True): ref_norm}
 
 
 # ------------------------------------------------------------ random input
@@ -68,11 +88,17 @@ def _agrees(walk, ref, x):
 def test_sequent_walks_agree_with_the_rebuilding_walks(s):
     _agrees(strip_sequent, ref_strip_sequent, s)
     _agrees(zero_origins, ref_zero_origins, s)
-    _agrees(
-        lambda x: zero_origins(strip_sequent(x)),
-        lambda x: ref_zero_origins(ref_strip_sequent(x)),
-        s,
-    )
+    _agrees(_norm, ref_norm, s)
+    _agrees(lambda x: zero_origins(strip_sequent(x)), ref_norm, s)
+    _agrees(strip_context, ref_strip_sequent, s)
+    assert strip_context(HOLE) is HOLE
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sequents)
+def test_the_read_only_test_finds_exactly_what_the_walks_drop(s):
+    for (hops, origins), ref in REFS.items():
+        assert _normal(s, hops, origins) == (ref(s) == s)
 
 
 def test_an_unchanged_child_is_reused():
@@ -93,3 +119,26 @@ def test_walks_return_freshly_parsed_text_itself(s):
     assert strip_sequent(p) is p
     q = parse_sequent(sequent_text(ref_zero_origins(s)))
     assert zero_origins(strip_sequent(q)) is q
+
+
+# ------------------------------------------------------------ the chain
+
+def test_the_closure_chain_rebuilds_only_what_has_marks(monkeypatch):
+    # every rebuild the dn -> sn -> dc -> sn -> dn chain makes is of an
+    # argument with a mark to drop: on a normal one the walks return it
+    # after the read-only test alone
+    real = sequent._rebuild
+    rebuilt = []
+
+    def counted(s, hops, origins):
+        rebuilt.append(REFS[hops, origins](s) == s)
+        return real(s, hops, origins)
+
+    for module in (sequent, shallow):
+        monkeypatch.setattr(module, "_rebuild", counted)
+    for case in CLOSURE_CASES:
+        text, logic, _ = case.values
+        round_trip(proved(text, logic), logic)
+    # sn -> dn's working origins are dropped, so the counter is reached
+    assert rebuilt
+    assert not any(rebuilt), f"{sum(rebuilt)} of {len(rebuilt)} rebuilds had nothing to drop"
