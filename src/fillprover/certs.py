@@ -30,8 +30,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .formula import Formula, ParseError, _clip, formula_text, parse_formula
-from .sequent import HOLE, Context, Hole, hole_count, parse_sequent, sequent_text
+from .formula import Formula, ParseError, _clip, _read_formula, formula_text
+from .sequent import Context, Hole, _read_context, _read_sequent, sequent_text
 
 __all__ = [
     "CheckError",
@@ -205,10 +205,7 @@ def context_text(ctx: Context) -> str:
 
 
 def parse_context(text: str) -> Context:
-    ctx = HOLE if text.strip() == "_" else parse_sequent(text)
-    if hole_count(ctx) != 1:
-        raise ParseError(f"context needs exactly one hole: {_clip(text)}")
-    return ctx
+    return _read_context(text, {})
 
 
 def conclusion_text(calculus: str, conclusion) -> str:
@@ -270,48 +267,73 @@ def _check_types(what: str, data: dict, types: dict) -> None:
             raise CheckError(f"{what} field {key!r} must be {kind.__name__}, not {type(data[key]).__name__}")
 
 
+_NODE_TYPES = {"rule": str, "conclusion": str, "premises": list}
 _WITNESS_TYPES = {"context": str, "principal": str, "child_origin": int, "ctx1": str, "ctx2": str}
 
 
-def _read_witness(data: dict) -> Witness:
+def _read_witness(data: dict, table: dict) -> Witness:
     if not isinstance(data, dict):
         raise CheckError("witness must be an object")
-    unknown = set(data) - set(_WITNESS_TYPES)
+    unknown = data.keys() - _WITNESS_TYPES.keys()
     if unknown:
         raise CheckError(f"unknown witness fields: {sorted(unknown)}")
     _check_types("witness", data, _WITNESS_TYPES)
+
+    def context(key: str) -> Context | None:
+        return _read_context(data[key], table) if key in data else None
+
     try:
         return Witness(
-            context=parse_context(data["context"]) if "context" in data else None,
-            principal=parse_formula(data["principal"]) if "principal" in data else None,
+            context=context("context"),
+            principal=_read_formula(data["principal"], table) if "principal" in data else None,
             child_origin=data.get("child_origin"),
-            ctx1=parse_context(data["ctx1"]) if "ctx1" in data else None,
-            ctx2=parse_context(data["ctx2"]) if "ctx2" in data else None,
+            ctx1=context("ctx1"),
+            ctx2=context("ctx2"),
         )
     except ParseError as e:
         raise CheckError(f"bad witness: {e}") from e
 
 
-def _read_node(calculus: str, data: dict) -> ProofNode:
-    if not isinstance(data, dict) or "rule" not in data or "conclusion" not in data:
-        raise CheckError("proof node needs 'rule' and 'conclusion'")
-    _check_types("proof node", data, {"rule": str, "conclusion": str, "premises": list})
-    try:
-        if calculus in ("dn", "sn"):
-            conclusion = parse_sequent(data["conclusion"])
-        else:
-            from .display import parse_display
+def _reader(calculus: str):
+    """The reader of the conclusion text of `calculus`, which takes the text
+    and the formula table of the read."""
+    if calculus == "dc":
+        from .display import _read_display
 
-            conclusion = parse_display(data["conclusion"])
-    except ParseError as e:
-        raise CheckError(f"bad conclusion {_clip(data['conclusion'])}: {e}") from e
-    witness = _read_witness(data["witness"]) if "witness" in data else None
-    # a plain loop: a generator here would re-enter C at every level, and
-    # a deep enough proof would overflow the C stack
-    premises = []
-    for p in data.get("premises", ()):
-        premises.append(_read_node(calculus, p))
-    return ProofNode(data["rule"], conclusion, tuple(premises), witness)
+        return _read_display
+    return _read_sequent
+
+
+def _read_proof(calculus: str, proof, table: dict) -> ProofNode:
+    """The proof tree of the JSON node `proof`.  Nodes are read in preorder,
+    so the first bad one is the one reported, and built bottom-up, each
+    from the premises built before it; two explicit stacks, no recursion."""
+    read = _reader(calculus)
+    nodes = []  # (rule, conclusion, witness, premise count) in preorder
+    todo = [proof]
+    while todo:
+        data = todo.pop()
+        if not isinstance(data, dict) or "rule" not in data or "conclusion" not in data:
+            raise CheckError("proof node needs 'rule' and 'conclusion'")
+        _check_types("proof node", data, _NODE_TYPES)
+        try:
+            conclusion = read(data["conclusion"], table)
+        except ParseError as e:
+            raise CheckError(f"bad conclusion {_clip(data['conclusion'])}: {e}") from e
+        witness = _read_witness(data["witness"], table) if "witness" in data else None
+        premises = data.get("premises", ())
+        nodes.append((data["rule"], conclusion, witness, len(premises)))
+        todo.extend(reversed(premises))
+    # in reverse preorder, a node's premises are the last ones built, its
+    # first premise on top
+    built: list[ProofNode] = []
+    for rule, conclusion, witness, k in reversed(nodes):
+        premises = ()
+        if k:
+            premises = tuple(built[: -k - 1 : -1])
+            del built[-k:]
+        built.append(ProofNode(rule, conclusion, premises, witness))
+    return built[0]
 
 
 # The JSON decoder recurses on the C stack, which overflows well before an
@@ -321,6 +343,9 @@ _JSON_FRAMES = 40_000
 
 
 def read_certificate(data) -> Certificate:
+    """The certificate in `data`, JSON text or its decoded object.  One
+    formula table serves the whole read (see `formula._tokenize`), so each
+    distinct formula text in it is parsed once."""
     if isinstance(data, str):
         try:
             with stack_room(min(len(data) // 10, _JSON_FRAMES) + 2000):
@@ -339,30 +364,17 @@ def read_certificate(data) -> Certificate:
         raise CheckError(f"unknown logic {logic!r}")
     if "proof" not in data:
         raise CheckError("certificate has no proof")
-    nodes = 0
-    todo = [data["proof"]]
-    while todo:
-        cur = todo.pop()
-        nodes += 1
-        if isinstance(cur, dict):
-            kids = cur.get("premises", ())
-            todo.extend(kids if isinstance(kids, list) else ())
-    with stack_room(10 * nodes + 2000):
-        root = _read_node(calculus, data["proof"])
+    table: dict = {}
+    root = _read_proof(calculus, data["proof"], table)
     endsequent = data.get("endsequent")
     if endsequent is not None:
         _check_types("certificate", data, {"endsequent": str})
-        if conclusion_text(calculus, root.conclusion) != _normalize(calculus, endsequent):
+        try:
+            end = _reader(calculus)(endsequent, table)
+        except ParseError as e:
+            raise CheckError(f"bad endsequent {_clip(endsequent)}: {e}") from e
+        # values, not renderings, are compared: every rendering reads back
+        # as the value it renders
+        if end != root.conclusion:
             raise CheckError("endsequent does not match the proof root")
     return Certificate(calculus, logic, conclusion_text(calculus, root.conclusion), root)
-
-
-def _normalize(calculus: str, text: str) -> str:
-    try:
-        if calculus in ("dn", "sn"):
-            return sequent_text(parse_sequent(text))
-        from .display import display_text, parse_display
-
-        return display_text(parse_display(text))
-    except ParseError as e:
-        raise CheckError(f"bad endsequent {_clip(text)}: {e}") from e

@@ -11,7 +11,7 @@ Text syntax: `X |- Y`.  Comma is left-associative and loosest; `>` and `<`
 bind tighter and do not associate, so nesting them needs parentheses;
 formulas appear directly as leaves in their usual syntax.  `Phi` is the
 empty structure.  Rendering is minimal-parenthesis and round-trips.  The
-text is read by the parser core in `formula.py`.
+text is read by the parser core in `formula.py` (`_tokenize`).
 
 The shapes of the rules are written once, in `dc_conclusions`, which
 derives forward the conclusions a rule gives its premises.  The checker
@@ -38,10 +38,12 @@ from .formula import (
     Tensor,
     UnitBot,
     UnitI,
-    _Cursor,
+    _STOPS,
     _clip,
-    _formula,
+    _end,
+    _formula_at,
     _join,
+    _tokenize,
     formula_text,
     is_fill_formula,
 )
@@ -165,58 +167,91 @@ def display_text(ds: DisplaySequent) -> str:
 
 # Like the formula grammar, each rule returns the structure it read with
 # the depth of its tree above the leaf formulas, and `_join` bounds it, so
-# a comma chain of any length cannot outgrow the interpreter stack.
+# a comma chain of any length cannot outgrow the interpreter stack.  Each
+# rule also returns the index of the token past what it read.
 
-def _structure(cur: _Cursor) -> tuple[Structure, int]:
-    x = _resid(cur)
-    while cur.peek() == ",":
-        cur.take()
-        x = _join(SComma, x, _resid(cur), "structure")
-    return x
+_PHI = SPhi()
 
 
-def _resid(cur: _Cursor) -> tuple[Structure, int]:
-    x = _item(cur)
-    if cur.peek() in (">", "<"):
-        op = cur.take()
-        return _join(SGt if op == ">" else SLt, x, _item(cur), "structure")
-    return x
+def _formula_brackets(toks: list[str]) -> set[int]:
+    """The indices of the `(` that open a formula rather than a structure:
+    those whose group, up to the matching `)`, holds formula tokens only.
+    A group with a token that no formula uses cannot be a formula, and a
+    group without one reads as a structure only when it is a bracketed
+    formula, which gives the same leaf.  One pass over the tokens, so a
+    formula inside n structure brackets is read once, not n times."""
+    formulas: set[int] = set()
+    if "(" not in toks:
+        return formulas
+    groups: list[list] = []  # [index, formula tokens only so far] of each open `(`
+    for k, tok in enumerate(toks):
+        if tok == "(":
+            groups.append([k, True])
+        elif tok == ")":
+            if groups:
+                start, pure = groups.pop()
+                if pure:
+                    formulas.add(start)
+                elif groups:
+                    groups[-1][1] = False
+        elif groups and (tok in _STOPS or tok[0] == "@"):
+            groups[-1][1] = False
+    return formulas
 
 
-def _item(cur: _Cursor) -> tuple[Structure, int]:
-    tok = cur.peek()
+def _structure(toks: list[str], i: int, table: dict, formulas: set[int]) -> tuple[Structure, int, int]:
+    x, depth, i = _resid(toks, i, table, formulas)
+    while i < len(toks) and toks[i] == ",":
+        y, ydepth, i = _resid(toks, i + 1, table, formulas)
+        x, depth = _join(SComma, (x, depth), (y, ydepth), "structure")
+    return x, depth, i
+
+
+def _resid(toks: list[str], i: int, table: dict, formulas: set[int]) -> tuple[Structure, int, int]:
+    x, depth, i = _item(toks, i, table, formulas)
+    if i < len(toks) and toks[i] in (">", "<"):
+        cls = SGt if toks[i] == ">" else SLt
+        y, ydepth, i = _item(toks, i + 1, table, formulas)
+        x, depth = _join(cls, (x, depth), (y, ydepth), "structure")
+    return x, depth, i
+
+
+def _item(toks: list[str], i: int, table: dict, formulas: set[int]) -> tuple[Structure, int, int]:
+    tok = toks[i] if i < len(toks) else None
     if tok == "Phi":
-        cur.take()
-        return SPhi(), 0
-    # A leading '(' is ambiguous between a parenthesised formula and a
-    # parenthesised structure; try the formula reading first.
-    start = cur.i
-    try:
-        return SLeaf(_formula(cur)), 0
-    except ParseError:
-        cur.i = start
-    if tok == "(":
-        cur.take()
-        x = _structure(cur)
-        cur.expect(")", "unbalanced '(' in structure")
-        return x
-    raise ParseError(f"expected a structure item, found {_clip(tok) if tok else 'the end'}")
+        return _PHI, 0, i + 1
+    if tok == "(" and i not in formulas:
+        x, depth, i = _structure(toks, i + 1, table, formulas)
+        if i == len(toks) or toks[i] != ")":
+            raise ParseError("unbalanced '(' in structure")
+        return x, depth, i + 1
+    if tok is None or tok == ")" or tok in _STOPS:
+        raise ParseError(f"expected a structure item, found {_clip(tok) if tok else 'the end'}")
+    f, i = _formula_at(toks, i, table)
+    return SLeaf(f), 0, i
 
 
 def parse_structure(text: str) -> Structure:
-    cur = _Cursor(text)
-    x = _structure(cur)[0]
-    cur.end()
+    toks = _tokenize(text)
+    x, _, i = _structure(toks, 0, {}, _formula_brackets(toks))
+    _end(toks, i)
     return x
 
 
-def parse_display(text: str) -> DisplaySequent:
-    cur = _Cursor(text)
-    ant = _structure(cur)[0]
-    cur.expect("|-", "expected '|-'")
-    suc = _structure(cur)[0]
-    cur.end()
+def _read_display(text: str, table: dict) -> DisplaySequent:
+    """The display sequent `text`, its formulas read through `table`."""
+    toks = _tokenize(text)
+    formulas = _formula_brackets(toks)
+    ant, _, i = _structure(toks, 0, table, formulas)
+    if i == len(toks) or toks[i] != "|-":
+        raise ParseError("expected '|-'")
+    suc, _, i = _structure(toks, i + 1, table, formulas)
+    _end(toks, i)
     return DisplaySequent(ant, suc)
+
+
+def parse_display(text: str) -> DisplaySequent:
+    return _read_display(text, {})
 
 
 # ------------------------------------------------------------- inspection

@@ -170,9 +170,22 @@ def is_fill_formula(f: Formula) -> bool:
 
 # ---------------------------------------------------------------- parsing
 
-_TOKEN = re.compile(r"\s*(?:(Phi(?![a-z0-9_])|[a-z][a-z0-9_]*|@[0-9]+|-[o<]|=>|\|-|[()*|1\[\],_<>])|(\S))")
 _MAX_NESTING = 100
+
+# formula tokens other than brackets, and the tokens of the other grammars;
+# `_TOKEN` and `_FORMULA_TOKEN` are both built from these two fragments, so
+# they stay in step
+_FORMULA = r"[a-z][a-z0-9_]*|1|\*|\|(?!-)|-[o<]"
+_OTHER = r"[\[\](),_<>]|=>|\|-|Phi(?![a-z0-9_])|@[0-9]+"
+# a token of `_tokenize`: one of `_OTHER`, a run of `_FORMULA`, or an empty
+# match at a character that starts no token; no match can fail once a run
+# has begun, so the split is linear in the text
+_TOKEN = re.compile(rf"{_OTHER}|(?:{_FORMULA})(?:\s*(?:{_FORMULA}))*|(?=\S)")
+# the single tokens of a formula's text, for the formula grammar
+_FORMULA_TOKEN = re.compile(rf"{_FORMULA}|[()]")
 _NEST = {"(": 1, "[": 1, ")": -1, "]": -1}
+# the tokens that no formula uses, besides origins `@<digits>`
+_STOPS = frozenset({"[", "]", ",", "_", "<", ">", "=>", "|-", "Phi"})
 
 
 def _clip(text: str, limit: int = 60) -> str:
@@ -182,131 +195,159 @@ def _clip(text: str, limit: int = 60) -> str:
 
 
 def _tokenize(text: str) -> list[str]:
-    toks: list[str] = []
-    depth = 0
-    for m in _TOKEN.finditer(text):
-        tok = m.group(1)
-        if tok is None:
-            raise ParseError(f"unexpected character {m.group(2)!r} at position {m.start(2)}")
-        depth += _NEST.get(tok, 0)
-        if depth > _MAX_NESTING:
-            raise ParseError(f"brackets nest deeper than {_MAX_NESTING} at position {m.start(1)}")
-        toks.append(tok)
+    """The tokens of `text`.  This is the parser core of the package:
+    every text syntax reads through it and through `_formula_at`, formulas
+    here, nested sequents in `sequent.py` and display structures in
+    `display.py`.  The contract:
+
+    - The tokens are the union of what the three grammars use.  Formulas:
+      identifiers `[a-z][a-z0-9_]*`, `1`, `(`, `)`, `*`, `|`, `-o`, `-<`.
+      Nested sequents: `=>`, `[`, `]`, `,`, `_` and child origins
+      `@<digits>`.  Display structures: `|-`, `>`, `<`, `,`, and `Phi` when
+      no identifier character follows it.  Whitespace separates tokens and
+      is otherwise ignored; any other character is a ParseError that names
+      it and its position.  Tokens are read longest first (`|-` before `|`,
+      `-<` before `<`), which changes no valid input, and each grammar
+      rejects the tokens it does not use.
+    - A run of formula tokens other than brackets comes back as one token,
+      with the whitespace inside it: `(a -o b) -o c` is `(`, `a -o b`,
+      `)`, `-o c`.  The formula grammar reads it as the tokens it is made
+      of, so the grammars read the same language.
+    - Two nesting bounds: brackets nest at most `_MAX_NESTING` deep, and so
+      does each formula tree and each display structure tree above its
+      leaf formulas (`_join`), so neither a read nor a later walk of its
+      result runs out of interpreter stack.
+    - A read keeps a formula table, a dict from formula text to formula,
+      for as long as it lasts: one certificate in `certs.read_certificate`,
+      one text in each public `parse_*` function.  `_formula_at` looks each
+      formula up there and runs the formula grammar only on a miss, so a
+      read parses each distinct formula text once, and equal formula texts
+      give one object.
+
+    One `findall` splits the text in C, and marks a character that starts
+    no token with an empty token.  The tokens are walked again, with their
+    positions, only to name such a character, or to check the depth of a
+    text with more than `_MAX_NESTING` opening brackets."""
+    toks = _TOKEN.findall(text)
+    if "" in toks or len(text) > _MAX_NESTING and text.count("(") + text.count("[") > _MAX_NESTING:
+        depth = 0
+        for m in _TOKEN.finditer(text):
+            tok = m.group()
+            if not tok:
+                raise ParseError(f"unexpected character {text[m.start()]!r} at position {m.start()}")
+            depth += _NEST.get(tok, 0)
+            if depth > _MAX_NESTING:
+                raise ParseError(f"brackets nest deeper than {_MAX_NESTING} at position {m.start()}")
     return toks
 
 
-class _Cursor:
-    """The parser core: a position in the tokens of one text.  Every text
-    syntax of the package reads through it: formulas here, nested sequents
-    in `sequent.py`, display structures in `display.py`.  Its tokens are the
-    union of what the three grammars use:
-
-    - formulas: identifiers `[a-z][a-z0-9_]*`, `1`, `(`, `)`, `*`, `|`,
-      `-o`, `-<`;
-    - nested sequents: `=>`, `[`, `]`, `,`, `_` and child origins `@<digits>`;
-    - display structures: `|-`, `>`, `<`, `,`, and `Phi` when no identifier
-      character follows it.
-
-    Whitespace separates tokens and is otherwise ignored; any other
-    character is a ParseError.  Tokens are read longest first (`|-` before
-    `|`, `-<` before `<`), which changes no valid input, and each grammar
-    rejects the tokens it does not use.  Brackets nest at most
-    `_MAX_NESTING` deep, and so does each parsed formula tree and each
-    display structure tree (above its leaf formulas), so neither a parse nor
-    a later walk of its result runs out of interpreter stack.
-
-    A grammar that must retry from an earlier position saves `i` and
-    assigns it back."""
-
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self) -> str | None:
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str, message: str) -> None:
-        if self.take() != tok:
-            raise ParseError(message)
-
-    def end(self) -> None:
-        if self.peek() is not None:
-            raise ParseError(f"trailing input at token {_clip(self.peek())}")
+def _end(toks: list[str], i: int) -> None:
+    if i < len(toks):
+        raise ParseError(f"trailing input at token {_clip(toks[i])}")
 
 
-def _formula(cur: _Cursor) -> Formula:
-    """A formula starting at the cursor, read as far as it extends."""
-    return _arrows(cur)[0]
+def _formula_at(toks: list[str], i: int, table: dict) -> tuple[Formula, int]:
+    """The formula whose tokens start at `toks[i]`, and the index past them.
+    They are the longest stretch of runs and brackets that closes no
+    bracket it did not open; their text is looked up in `table`, and
+    parsed on a miss (see `_tokenize`)."""
+    j = i
+    depth = 0
+    n = len(toks)
+    while j < n:
+        tok = toks[j]
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            if not depth:
+                break
+            depth -= 1
+        elif tok in _STOPS or tok[0] == "@":
+            break
+        j += 1
+    key = toks[i] if j == i + 1 else "".join(toks[i:j])
+    f = table.get(key)
+    if f is None:
+        if j == i:
+            raise ParseError(f"unexpected token {_clip(toks[i])}" if i < n else "unexpected end of formula")
+        f = table[key] = _formula(key)
+    return f, j
 
 
-# Each rule below returns the formula it read with the depth of its tree,
-# and `_join` builds every connective node, so no tree grows past
-# `_MAX_NESTING` levels.  The display grammar builds its structure nodes
-# with `_join` too.
+# connective token -> binding strength, and the class it builds
+_BINARY = {"-o": (0, Lolli), "-<": (1, Excl), "*": (2, Tensor), "|": (2, Par)}
+
 
 def _join(cls, left: tuple, right: tuple, what: str = "formula") -> tuple:
+    """`cls(left, right)` from two (value, tree depth) pairs, with its own
+    depth, or a ParseError past `_MAX_NESTING`.  Every connective node a
+    read builds is built here, and so is every display structure node."""
     depth = 1 + max(left[1], right[1])
     if depth > _MAX_NESTING:
         raise ParseError(f"{what} nests deeper than {_MAX_NESTING}")
     return cls(left[0], right[0]), depth
 
 
-def _arrows(cur: _Cursor) -> tuple[Formula, int]:
-    # `-o` chains are collected and folded rightwards, so only brackets
-    # make the parser recurse
-    parts = [_excl(cur)]
-    while cur.peek() == "-o":
-        cur.take()
-        parts.append(_excl(cur))
-    f = parts.pop()
-    while parts:
-        f = _join(Lolli, parts.pop(), f)
-    return f
+def _formula(text: str) -> Formula:
+    """The formula `text`, made of formula tokens only, read by operator
+    precedence: `*` and `|` bind tightest and associate to the left, then
+    `-<` to the left, then `-o` to the right."""
+    out: list[tuple] = []  # operands, each with the depth of its tree
+    ops: list[str] = []  # connectives not yet applied, and open brackets
 
+    def apply() -> None:
+        right = out.pop()
+        out.append(_join(_BINARY[ops.pop()][1], out.pop(), right))
 
-def _excl(cur: _Cursor) -> tuple[Formula, int]:
-    f = _mult(cur)
-    while cur.peek() == "-<":
-        cur.take()
-        f = _join(Excl, f, _mult(cur))
-    return f
-
-
-def _mult(cur: _Cursor) -> tuple[Formula, int]:
-    f = _unary(cur)
-    while cur.peek() in ("*", "|"):
-        op = cur.take()
-        f = _join(Tensor if op == "*" else Par, f, _unary(cur))
-    return f
-
-
-def _unary(cur: _Cursor) -> tuple[Formula, int]:
-    tok = cur.take()
-    if tok is None:
+    operand = True  # whether an operand comes next
+    for tok in _FORMULA_TOKEN.findall(text):
+        if operand:
+            if tok == "(":
+                ops.append(tok)
+                continue
+            if tok == "1":
+                out.append((UnitI(), 0))
+            elif tok == "bot":
+                out.append((UnitBot(), 0))
+            elif "a" <= tok[0] <= "z":
+                out.append((Atom(tok), 0))
+            else:
+                raise ParseError(f"unexpected token {_clip(tok)}")
+            operand = False
+        elif tok == ")":
+            while ops and ops[-1] != "(":
+                apply()
+            if not ops:
+                raise ParseError("unbalanced ')'")
+            ops.pop()
+        elif tok in _BINARY:
+            # apply what binds tighter, or as tight when `tok` associates
+            # to the left, as all but `-o` do
+            least = _BINARY[tok][0] + (tok == "-o")
+            while ops and ops[-1] != "(" and _BINARY[ops[-1]][0] >= least:
+                apply()
+            ops.append(tok)
+            operand = True
+        else:
+            raise ParseError(f"unexpected token {_clip(tok)}")
+    if operand:
         raise ParseError("unexpected end of formula")
-    if tok == "(":
-        f = _arrows(cur)
-        cur.expect(")", "unbalanced '('")
-        return f
-    if tok == "1":
-        return UnitI(), 0
-    if tok == "bot":
-        return UnitBot(), 0
-    if "a" <= tok[0] <= "z":
-        return Atom(tok), 0
-    raise ParseError(f"unexpected token {_clip(tok)}")
+    while ops:
+        if ops[-1] == "(":
+            raise ParseError("unbalanced '('")
+        apply()
+    return out[0][0]
+
+
+def _read_formula(text: str, table: dict) -> Formula:
+    toks = _tokenize(text)
+    f, i = _formula_at(toks, 0, table)
+    _end(toks, i)
+    return f
 
 
 def parse_formula(text: str) -> Formula:
-    cur = _Cursor(text)
-    f = _formula(cur)
-    cur.end()
-    return f
+    return _read_formula(text, {})
 
 
 # --------------------------------------------------------------- printing

@@ -15,7 +15,8 @@ is multiset equality and the values are usable as search keys directly.
 Text syntax: `Gamma => Delta` with comma-separated items; a child sequent is
 written in brackets with its origin as a suffix, `[a => b]@2` (`@0` is
 omitted); `_` marks the hole of a context.  Formula occurrences parse with
-hop count 0.  The text is read by the parser core in `formula.py`.
+hop count 0.  The text is read by the parser core in `formula.py`
+(`_tokenize`).
 
 Hop counts and origins are bookkeeping of the deep search; the checkers
 and translators compare sequents with hops, and in the shallow calculus
@@ -55,9 +56,11 @@ from .formula import (
     _ONE,
     _PAR,
     _TENSOR,
-    _Cursor,
     _Tagged,
-    _formula,
+    _clip,
+    _end,
+    _formula_at,
+    _tokenize,
     formula_text,
     is_fill_formula,
 )
@@ -220,55 +223,81 @@ def side_remove(items, gone) -> tuple:
 
 # ----------------------------------------------------------------- parsing
 
-def _item(cur: _Cursor) -> Item:
-    tok = cur.peek()
-    if tok == "_":
-        cur.take()
-        return HOLE
-    if tok == "[":
-        cur.take()
-        left, right = _sides(cur)
-        cur.expect("]", "unbalanced '['")
-        return Sequent(left, right, _origin(cur))
-    return Occ(_formula(cur))
+def _side(toks: list[str], i: int, table: dict) -> tuple[list[Item], int]:
+    """The items of the side whose tokens start at `toks[i]`, and the index
+    past them.  A side is empty when `=>`, `]`, an origin or the end comes
+    first."""
+    items: list[Item] = []
+    n = len(toks)
+    if i == n or toks[i] == "=>" or toks[i] == "]" or toks[i][0] == "@":
+        return items, i
+    while True:
+        tok = toks[i] if i < n else None
+        if tok == "_":
+            items.append(HOLE)
+            i += 1
+        elif tok == "[":
+            child, i = _child(toks, i + 1, table)
+            items.append(child)
+        else:
+            f, i = _formula_at(toks, i, table)
+            items.append(Occ(f))
+        if i == n or toks[i] != ",":
+            return items, i
+        i += 1
 
 
-def _side(cur: _Cursor) -> tuple[Item, ...]:
-    nxt = cur.peek()
-    if nxt in (None, "=>", "]") or nxt.startswith("@"):
-        return ()
-    items = [_item(cur)]
-    while cur.peek() == ",":
-        cur.take()
-        items.append(_item(cur))
-    return tuple(items)
-
-
-def _sides(cur: _Cursor) -> tuple[tuple[Item, ...], tuple[Item, ...]]:
+def _sides(toks: list[str], i: int, table: dict) -> tuple[list[Item], list[Item], int]:
     """The two sides of a sequent, read up to the origin that may follow."""
-    left = _side(cur)
-    cur.expect("=>", "expected '=>'")
-    return left, _side(cur)
+    left, i = _side(toks, i, table)
+    if i == len(toks) or toks[i] != "=>":
+        raise ParseError("expected '=>'")
+    right, i = _side(toks, i + 1, table)
+    return left, right, i
 
 
-def _origin(cur: _Cursor) -> int:
-    """The optional `@n` origin after a sequent; 0 when absent."""
-    tok = cur.peek()
-    if tok is None or not tok.startswith("@"):
-        return 0
-    cur.take()
+def _child(toks: list[str], i: int, table: dict) -> tuple[Sequent, int]:
+    """The child sequent whose tokens start at `toks[i]`, past its `[`, and
+    the index past its `]` and origin."""
+    left, right, i = _sides(toks, i, table)
+    if i == len(toks) or toks[i] != "]":
+        raise ParseError("unbalanced '['")
+    origin, i = _origin(toks, i + 1)
+    return Sequent(left, right, origin), i
+
+
+def _origin(toks: list[str], i: int) -> tuple[int, int]:
+    """The optional `@n` origin after a sequent, 0 when absent, and the
+    index past it."""
+    if i == len(toks) or toks[i][0] != "@":
+        return 0, i
     try:
-        return int(tok[1:])
+        return int(toks[i][1:]), i + 1
     except ValueError:  # past the interpreter's limit on digits
-        raise ParseError(f"origin of {len(tok) - 1} digits is too long") from None
+        raise ParseError(f"origin of {len(toks[i]) - 1} digits is too long") from None
+
+
+def _read_sequent(text: str, table: dict) -> Sequent:
+    """The sequent `text`, its formulas read through `table`."""
+    toks = _tokenize(text)
+    left, right, i = _sides(toks, 0, table)
+    origin, i = _origin(toks, i)
+    _end(toks, i)
+    return Sequent(left, right, origin)
+
+
+def _read_context(text: str, table: dict) -> Context:
+    """The context `text`: `_` alone, or a sequent with exactly one hole."""
+    if text.strip() == "_":
+        return HOLE
+    ctx = _read_sequent(text, table)
+    if hole_count(ctx) != 1:
+        raise ParseError(f"context needs exactly one hole: {_clip(text)}")
+    return ctx
 
 
 def parse_sequent(text: str) -> Sequent:
-    cur = _Cursor(text)
-    left, right = _sides(cur)
-    s = Sequent(left, right, _origin(cur))
-    cur.end()
-    return s
+    return _read_sequent(text, {})
 
 
 def _core_text(s: Sequent) -> str:

@@ -4,9 +4,11 @@ The corpus is `cli.corpus_formulas(["p", "q"], 3)`, whose 1,258 BiILL
 theorems take about 15 s.  Each theorem's dn proof from the search is
 checked, then translated to sn, the sn proof to dc and back to sn, and the
 first sn proof to dn; every stage is checked again against the endsequent
-it must have.  Prints the node count of each stage, summed over the
-theorems, and fails with the traceback of the first theorem whose round
-trip fails, after naming it.
+it must have.  Each of the five stages is also written as a certificate
+and read back, and must come back as the proof it was written from.
+Prints the node count of each stage, summed over the theorems, and the
+seconds the certificates took, and fails with the traceback of the first
+theorem whose round trip fails, after naming it.
 
     PYTHONPATH=src python3 tests/round_trip_corpus.py
 """
@@ -15,17 +17,20 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 
-from fillprover.certs import proof_size
+from fillprover.certs import ProofNode, certificate_text, postorder, proof_size, read_certificate
 from fillprover.cli import corpus_formulas
 from fillprover.deep import check_dn_proof, endsequent_for
 from fillprover.display import check_dc_proof, sequent_to_display
 from fillprover.formula import formula_text
 from fillprover.prover import decide_formula
+from fillprover.sequent import Sequent, strip_context, strip_sequent
 from fillprover.shallow import check_sn_proof
 from fillprover.translate import deep_to_shallow, display_to_shallow, shallow_to_deep, shallow_to_display
 
 STAGES = ("dn", "sn", "dc", "sn2", "dn2")
+CALCULI = ("dn", "sn", "dc", "sn", "dn")
 
 
 def round_trip(dn, logic: str = "biill") -> tuple:
@@ -45,10 +50,38 @@ def round_trip(dn, logic: str = "biill") -> tuple:
     return dn, sn, dc, sn2, dn2
 
 
+def as_written(proof: ProofNode) -> ProofNode:
+    """`proof` as its certificate gives it back: every hop count, which
+    text does not carry, set to 0.  Display structures carry none."""
+
+    def context(ctx):
+        return None if ctx is None else strip_context(ctx)
+
+    built: dict[int, ProofNode] = {}
+    for node in postorder(proof):
+        c, w = node.conclusion, node.witness
+        if isinstance(c, Sequent):
+            c = strip_sequent(c)
+        if w is not None:
+            w = replace(w, context=context(w.context), ctx1=context(w.ctx1), ctx2=context(w.ctx2))
+        built[id(node)] = ProofNode(node.rule, c, tuple(built[id(p)] for p in node.premises), w)
+    return built[id(proof)]
+
+
+def read_back(stages: tuple) -> None:
+    """Write each stage as a certificate, read it back, and fail unless the
+    proof it was written from comes back."""
+    for name, calculus, proof in zip(STAGES, CALCULI, stages):
+        back = read_certificate(certificate_text(calculus, "biill", proof)).root
+        if back != as_written(proof):
+            raise AssertionError(f"the {name} certificate reads back as another proof")
+
+
 def main() -> int:
     start = time.perf_counter()
     nodes = [0] * len(STAGES)
     theorems = 0
+    io = 0.0  # seconds spent writing and reading back certificates
     for f in corpus_formulas(["p", "q"], 3):
         decision = decide_formula(f, "biill")
         if not decision.proved:
@@ -57,12 +90,18 @@ def main() -> int:
         try:
             check_dn_proof(decision.proof, "biill", expect=endsequent_for(f))
             stages = round_trip(decision.proof)
+            io -= time.perf_counter()
+            read_back(stages)
+            io += time.perf_counter()
         except Exception:
             print(f"round trip of {formula_text(f)} failed:", file=sys.stderr)
             raise
         nodes = [n + proof_size(p) for n, p in zip(nodes, stages)]
     totals = ", ".join(f"{name} {n:,}" for name, n in zip(STAGES, nodes))
-    print(f"{theorems:,} theorems round-tripped in {time.perf_counter() - start:.1f} s; nodes: {totals}")
+    print(
+        f"{theorems:,} theorems round-tripped in {time.perf_counter() - start:.1f} s, "
+        f"{io:.1f} s of it writing and reading back {len(STAGES) * theorems:,} certificates; nodes: {totals}"
+    )
     return 0
 
 

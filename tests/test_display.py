@@ -1,5 +1,7 @@
 """Display sequents: syntax round-trips, rule schemas, whole derivations."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +23,7 @@ from fillprover.display import (
     sequent_to_display,
     structure_text,
 )
-from fillprover.formula import Atom, Excl, Lolli, Par, ParseError, Tensor, UnitBot, UnitI
+from fillprover.formula import Atom, Excl, Lolli, Par, ParseError, Tensor, UnitBot, UnitI, parse_formula
 from fillprover.sequent import parse_sequent
 
 
@@ -62,6 +64,20 @@ def test_parenthesised_formula_stays_a_leaf():
     assert parse_structure("(a -o b) * c") == SLeaf(
         Tensor(Lolli(Atom("a"), Atom("b")), Atom("c"))
     )
+
+
+def test_structure_brackets_around_a_big_formula_read_it_once():
+    # a balanced tensor of 4,096 atoms, 24,573 characters, inside 80
+    # structure brackets: a reader that tried each `(` as a formula first
+    # and rewound read the formula once per bracket, seconds in all
+    f = "abc"
+    for _ in range(12):
+        f = f"({f}*{f})"
+    text = "(" * 80 + f + ", b" + ")" * 80 + " |- c"
+    start = time.perf_counter()
+    ds = parse_display(text)
+    assert time.perf_counter() - start < 0.5
+    assert ds == DisplaySequent(SComma(SLeaf(parse_formula(f)), SLeaf(Atom("b"))), SLeaf(Atom("c")))
 
 
 def test_leaf_formula_stops_at_structure_tokens():

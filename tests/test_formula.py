@@ -24,6 +24,8 @@ from fillprover.formula import (
 )
 from fillprover.sequent import parse_sequent, sequent_text
 
+import parse_reference as reference
+
 a, b, c, p, q, r = (Atom(x) for x in "abcpqr")
 
 
@@ -127,21 +129,66 @@ TOKEN_PIECES = [
     "a", "b", "bot", "1", "(", ")", "*", "|", "-o", "-<", "=>", "[", "]", ",", "_", "@0", "@2",
     "|-", ">", "<", "Phi", " ", "-", "@", "=", "[a => b]@1", "a -o b", "a, b |- c",
 ]
+# each reader, how it renders what it reads, and the reference reader of
+# `parse_reference.py`
 ENTRY_POINTS = [
-    (parse_formula, formula_text),
-    (parse_sequent, sequent_text),
-    (parse_structure, structure_text),
-    (parse_display, display_text),
-    (parse_context, context_text),
+    (parse_formula, formula_text, reference.parse_formula),
+    (parse_sequent, sequent_text, reference.parse_sequent),
+    (parse_structure, structure_text, reference.parse_structure),
+    (parse_display, display_text, reference.parse_display),
+    (parse_context, context_text, reference.parse_context),
 ]
+
+
+def agree_with_the_reference(text):
+    """Each reader either rejects `text`, as the reference does, or reads
+    the value the reference reads, which reads back from its rendering."""
+    for parse, render, read_reference in ENTRY_POINTS:
+        try:
+            value = parse(text)
+        except ParseError:
+            with pytest.raises(ParseError):
+                read_reference(text)
+            continue
+        assert read_reference(text) == value
+        assert parse(render(value)) == value
 
 
 @settings(max_examples=400)
 @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=20).map("".join))
 def test_every_grammar_rejects_or_round_trips(text):
-    for parse, render in ENTRY_POINTS:
-        try:
-            value = parse(text)
-        except ParseError:
-            continue
-        assert parse(render(value)) == value
+    agree_with_the_reference(text)
+
+
+def joined(ops):
+    """Two texts joined by one of `ops`, in brackets or not."""
+    return lambda kids: st.tuples(kids, st.sampled_from(ops), kids, st.booleans()).map(
+        lambda t: f"({t[0]}{t[1]}{t[2]})" if t[3] else f"{t[0]}{t[1]}{t[2]}"
+    )
+
+
+# texts with brackets everywhere a reader must tell a formula bracket from a
+# structure bracket, and many that are close to valid but are not
+formula_texts = st.recursive(st.sampled_from(["a", "b", "bot", "1", "(a)"]), joined(["*", "|", " -o ", " -< "]), max_leaves=6)
+structure_texts = st.recursive(st.one_of(formula_texts, st.just("Phi")), joined([", ", " > ", " < "]), max_leaves=6)
+item_texts = st.recursive(
+    st.one_of(formula_texts, st.just("_")),
+    lambda kids: st.tuples(st.lists(kids, max_size=2), st.lists(kids, max_size=2), st.sampled_from(["", "@1"])).map(
+        lambda t: f"[{', '.join(t[0])} => {', '.join(t[1])}]{t[2]}"
+    ),
+    max_leaves=6,
+)
+TEXTS = st.one_of(
+    formula_texts,
+    structure_texts,
+    st.tuples(structure_texts, structure_texts).map(" |- ".join),
+    st.tuples(st.lists(item_texts, max_size=3), st.lists(item_texts, max_size=3)).map(
+        lambda t: f"{', '.join(t[0])} => {', '.join(t[1])}"
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(TEXTS)
+def test_every_grammar_reads_bracketed_text_as_the_reference_does(text):
+    agree_with_the_reference(text)

@@ -26,7 +26,8 @@ from fillprover.translate import (
     shallow_to_deep,
     shallow_to_display,
 )
-from round_trip_corpus import round_trip
+import parse_reference as reference
+from round_trip_corpus import as_written, round_trip
 
 
 def proved(text, logic):
@@ -170,6 +171,12 @@ def test_four_way_closure(text, logic, digests):
     check_dn_proof(dn, logic, expect=endsequent_for(f))
     stages = dn, sn, dc, sn2, dn2 = round_trip(dn, logic)
     assert tuple(digest(c, p) for c, p in zip(STAGE_CALCULI, stages)) == digests
+    # each stage's certificate reads back, through one formula table for the
+    # whole certificate, as the proof it was written from, and as the
+    # reference grammars read it text by text
+    for calculus, proof in zip(STAGE_CALCULI, stages):
+        cert = certificate_text(calculus, "biill", proof)
+        assert read_certificate(cert).root == reference.read_proof(cert) == as_written(proof)
     # the dc leg leaves no trace in the dn proof it ends in
     dn3 = shallow_to_deep(sn2)
     assert certificate_text("dn", "biill", dn3) == certificate_text("dn", "biill", dn2)
@@ -259,6 +266,12 @@ def test_outward_propagations_round_trip(rule, conclusion, premise, digests):
     stages = round_trip(dn, "biill")
     assert [proof_size(p) for p in stages] == [2, 7, 15, 7, 2]
     assert tuple(digest(c, p) for c, p in zip(STAGE_CALCULI, stages)) == digests
+    # each stage's certificate reads back, through one formula table for the
+    # whole certificate, as the proof it was written from, and as the
+    # reference grammars read it text by text
+    for calculus, proof in zip(STAGE_CALCULI, stages):
+        cert = certificate_text(calculus, "biill", proof)
+        assert read_certificate(cert).root == reference.read_proof(cert) == as_written(proof)
 
 
 def test_frozen_translation_sizes():
@@ -367,6 +380,7 @@ def test_every_import_is_used_or_exported():
 # module-level functions that nothing in the package calls, kept on purpose
 UNCALLED = {
     "parse_structure": "reads display structure text, as parse_display reads a sequent",
+    "parse_context": "reads witness context text on its own; certificates read it with their formula table",
     "tau_a": "the exclusion reading of a sequent, the dual of tau_s",
     "check_separation": "tells whether a dn proof stays in FILL, by raising or not",
     "sequent_node_count": "the node count of a nested sequent, beside formula_occurrence_count",
