@@ -5,7 +5,8 @@ Axioms close a branch only when the rest of the whole tree is hollow.  Unary
 rules unfold a connective in place; the two implication-like connectives
 spawn a child sequent, of origin 0 like every child a rule makes.  Branching
 rules split the surrounding context and the remaining material of the
-rewritten node between two premises.  The witness records only the two
+rewritten node between two premises; search builds only the splits whose
+first premise balances (`deep_moves`).  The witness records only the two
 context halves; the checker recovers the split of the node's own material
 by search, lifting the premises it is given, which carry no hop counts.
 Propagation rules move one formula occurrence across one parent/child
@@ -44,6 +45,7 @@ from .sequent import (
     Hole,
     Occ,
     Sequent,
+    _tally,
     child_seqs,
     children_by_origin,
     context_decompose,
@@ -287,6 +289,20 @@ def _axiom_move(s: Sequent) -> Optional[Move]:
     return None
 
 
+def _charge(*parts: tuple) -> tuple:
+    """The counts of `signed_counts` that decide balance, over the items
+    `parts`, each an (item, polarity) pair: the positive leaves less the
+    branching connectives, and each atom's positive less negative
+    occurrences, where they differ.  Counts add across `plug` and `_edit`,
+    so a sequent put together from these parts passes `prover._balanced`
+    exactly when the charge is `(1, frozenset())`."""
+    atoms: dict = {}
+    sums = [0, 0]
+    for x, pol in parts:
+        _tally(x, pol, atoms, sums)
+    return sums[0] - sums[1], frozenset((n, pos - neg) for n, (neg, pos) in atoms.items() if pos != neg)
+
+
 def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) -> Iterator[Move]:
     """Candidate rule applications with `s` as conclusion, most constrained
     first: axioms, then in-place unfolding, then branching, then propagation.
@@ -304,7 +320,15 @@ def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) 
     which part of it rests on evidence instead: that the hop cap leaves room
     for the premise when a proof of the conclusion propagates the principal
     formula before unfolding it.  Branch and propagation moves are built
-    only for states no unary rule applies to."""
+    only for states no unary rule applies to.
+
+    Branch moves are only the splits whose first premise balances: atoms
+    balanced and deficit 0, as `prover._balanced` asks, since no other
+    first premise is provable.  Each context half and each half of the
+    node's rest is counted once (`_charge`), and a split is built only when
+    its halves' counts and the active formula's add up to a balanced first
+    premise.  The splits come in the order of the colourings of the context,
+    then of the rest, each distinct pair of premises once."""
     fill = logic == "fill"
     ax = _axiom_move(s)
     if ax is not None:
@@ -326,10 +350,15 @@ def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) 
             if rule not in BRANCH_RULES:
                 continue
             f = occ.formula
-            rest = _edit(node, side, (occ,))
+            a_pol = int(_SPLIT[rule][0] == "right")
+            # premise 1 is c1 plugged with r1 plus A, at its side's polarity
+            fitting: dict = {}
+            for r1, r2 in enumerate_partitions(_edit(node, side, (occ,))):
+                fitting.setdefault(_charge((r1, 1)), []).append((r1, r2))
             seen: set = set()
             for c1, c2 in enumerate_context_partitions(ctx):
-                for r1, r2 in enumerate_partitions(rest):
+                surplus, nets = _charge((c1, 1), (f.left, a_pol))
+                for r1, r2 in fitting.get((1 - surplus, frozenset((n, -d) for n, d in nets)), ()):
                     pair = _split_premises(rule, f, c1, r1, c2, r2)
                     if pair in seen:
                         continue

@@ -173,21 +173,28 @@ logic*, 1987; Danos and Regnier, *The structure of multiplicatives*,
 need more or fewer branches than the leaves allow: `a*b -o a|b` is
 balanced and has deficit 1.
 
-The search applies both lemmas twice, through `_balanced`, which asks for
-balanced atoms and deficit 0.  A goal that fails either is refuted before
-any state is visited; `decide_formula` counts the formula as given, so such
-a goal never becomes a sequent, and its bounds are never derived.  In
-`dfs`, a branch move whose first premise fails either is skipped before
-either premise is searched.  Every state `dfs` visits passes both (the goal does,
-unary and propagation premises keep both counts, and a branch move is taken
-only with a first premise that passes), so the second premise's net atom
-counts and deficit are minus the first's, it passes exactly when the first
-does, and checking the first suffices.  Only unprovable premises are
-skipped, and the moves of a state are still tried in the same order, so
-the first move whose premises all succeed, and with it every proof,
-verdict and certificate, stays the same.  The memo tables may now meet a
-state first by another path, which changes nothing either: a state's proof
-is its first move whose premises all succeed, whichever path reaches it.
+The search applies both lemmas twice.  A goal that fails either is refuted
+by `_balanced` before any state is visited; `decide_formula` counts the
+formula as given, so such a goal never becomes a sequent, and its bounds
+are never derived.  And `deep_moves` builds a branch split only when its
+first premise is balanced with deficit 0: it counts each context half and
+each rest half once, adds the counts of the pieces premise 1 is made of,
+and skips a split whose sum fails before building either premise.  Every
+state `dfs` visits passes both tests (the goal does, unary and propagation
+premises keep both counts, and every branch move has a first premise that
+passes), so the second premise's net atom counts and deficit are minus the
+first's, it passes exactly when the first does, and testing the first
+suffices.  Counts add across `plug` and `_edit`, so the sum is premise 1's
+own count, and `deep_moves` yields the surviving splits in the order of the
+colourings: its moves are exactly those that building every split and then
+testing its first premise would keep, in the same order (the test helper
+`tests/moves_reference.py` keeps that enumeration as the reference).  Only
+unprovable premises are skipped, so the first move of a state whose
+premises all succeed, and with it every proof, verdict and certificate, is
+the one a search without either test would find.  The memo tables may meet
+a state first by another path than without the tests, which changes
+nothing either: a state's proof is its first move whose premises all
+succeed, whichever path reaches it.
 """
 
 from __future__ import annotations
@@ -196,9 +203,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certs import ProofNode, stack_room
-from .deep import BRANCH_RULES, deep_moves, endsequent_for
+from .deep import deep_moves, endsequent_for
 from .formula import Formula, arrow_count, formula_size, is_fill_formula
-from .sequent import Occ, Sequent, is_fill_sequent, signed_counts, strip_sequent, tau_s
+from .sequent import Occ, Sequent, _tally, is_fill_sequent, strip_sequent, tau_s
 
 __all__ = ["Decision", "goal_reading", "search_bounds", "decide_formula", "decide_sequent"]
 
@@ -256,9 +263,12 @@ def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
 
 def _balanced(s: Sequent | Formula) -> bool:
     """Balanced atoms and deficit 0, as both lemmas above ask of a provable
-    sequent."""
-    c = signed_counts(s)
-    return c.deficit == 0 and all(neg == pos for neg, pos in c.atoms.values())
+    sequent: the counts of `signed_counts`, read from its walk's
+    accumulators."""
+    atoms: dict = {}
+    sums = [0, 0]
+    _tally(s, 1, atoms, sums)
+    return sums[0] - sums[1] == 1 and all(neg == pos for neg, pos in atoms.values())
 
 
 def _search(s0: Sequent, logic: str, reading: Formula) -> Decision:
@@ -275,9 +285,6 @@ def _search(s0: Sequent, logic: str, reading: Formula) -> Decision:
             return hit
         visited += 1
         for move in deep_moves(s, logic, hop_cap):
-            # s passes _balanced, so the second premise does when the first does
-            if move.rule in BRANCH_RULES and not _balanced(move.premises[0]):
-                continue
             subproofs = []
             for p in move.premises:
                 pr = dfs(p)

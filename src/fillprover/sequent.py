@@ -567,39 +567,60 @@ def signed_counts(s: Sequent | Formula) -> SignedCounts:
     no part.  Every provable sequent is balanced, each atom occurring
     as often negatively as positively, and has deficit 0, the deficit being
     `leaves - branches - 1` (the balance and leaf lemmas in the `prover`
-    module docstring)."""
-    counts: dict[str, list[int]] = {}
-    leaves = branches = 0
-    # (item, polarity): 0 negative, 1 positive, the index into the counts
-    todo: list = [(s, 1)]
-    while todo:
-        x, pol = todo.pop()
-        tag = x[0]
-        if tag == _OCC:
-            todo.append((x[1], pol))
-        elif tag == _SEQUENT:
-            todo.extend((it, 0) for it in x[2])
-            todo.extend((it, 1) for it in x[3])
-        elif tag == _ATOM:
-            counts.setdefault(x[1], [0, 0])[pol] += 1
-            leaves += pol
-        elif tag == _TENSOR:
-            todo += ((x[1], pol), (x[2], pol))
-            branches += pol
-        elif tag == _PAR:
-            todo += ((x[1], pol), (x[2], pol))
-            branches += 1 - pol
-        elif tag == _LOLLI:
-            todo += ((x[1], 1 - pol), (x[2], pol))
-            branches += 1 - pol
-        elif tag == _EXCL:
-            todo += ((x[1], pol), (x[2], 1 - pol))
-            branches += pol
-        elif tag == _ONE:
-            leaves += pol
-        elif tag == _BOT:
-            leaves += 1 - pol
-    return SignedCounts({n: (c[0], c[1]) for n, c in counts.items()}, leaves, branches)
+    module docstring).
+
+    The walk (`_tally`) recurses once per formula node, occurrence and
+    child sequent, so it needs as many interpreter frames as the tree is
+    deep.  What a parser builds is at most `formula._MAX_NESTING` (100)
+    deep in its brackets and again in each formula tree, so it counts at
+    the default recursion limit."""
+    atoms: dict[str, list[int]] = {}
+    sums = [0, 0]
+    _tally(s, 1, atoms, sums)
+    return SignedCounts({n: (c[0], c[1]) for n, c in atoms.items()}, sums[0], sums[1])
+
+
+def _tally(x, pol: int, atoms: dict, sums: list) -> None:
+    """Add the counts of the formula or item `x`, at polarity `pol` (0
+    negative, 1 positive; a sequent ignores it), to `atoms`, each atom's
+    `[negative, positive]` occurrences by name, and to `sums`, `[positive
+    leaves, branching connectives]`.  The one encoding of the polarity rules
+    of `signed_counts`; counts add, so the counts of a tree are the sums of
+    its parts' counts, whichever node a part is plugged into."""
+    tag = x[0]
+    if tag == _ATOM:
+        c = atoms.get(x[1])
+        if c is None:
+            c = atoms[x[1]] = [0, 0]
+        c[pol] += 1
+        sums[0] += pol
+    elif tag == _OCC:
+        _tally(x[1], pol, atoms, sums)
+    elif tag == _SEQUENT:
+        for it in x[2]:
+            _tally(it, 0, atoms, sums)
+        for it in x[3]:
+            _tally(it, 1, atoms, sums)
+    elif tag == _TENSOR:
+        sums[1] += pol
+        _tally(x[1], pol, atoms, sums)
+        _tally(x[2], pol, atoms, sums)
+    elif tag == _PAR:
+        sums[1] += 1 - pol
+        _tally(x[1], pol, atoms, sums)
+        _tally(x[2], pol, atoms, sums)
+    elif tag == _LOLLI:
+        sums[1] += 1 - pol
+        _tally(x[1], 1 - pol, atoms, sums)
+        _tally(x[2], pol, atoms, sums)
+    elif tag == _EXCL:
+        sums[1] += pol
+        _tally(x[1], pol, atoms, sums)
+        _tally(x[2], 1 - pol, atoms, sums)
+    elif tag == _ONE:
+        sums[0] += pol
+    elif tag == _BOT:
+        sums[0] += 1 - pol
 
 
 # ----------------------------------------------------------------- splits

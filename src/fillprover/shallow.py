@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
-from .certs import CheckError, LOGICS, ProofNode, proof_size, stack_room
+from .certs import CheckError, LOGICS, ProofNode
 from .deep import (
     _FLIP,
     _LOGICAL,
@@ -201,26 +201,30 @@ def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
     raise CheckError(f"unknown rule {_clip(rule)}")
 
 
-def _verify_sn(node: ProofNode, logic: str, c: Sequent) -> None:
-    # `c` is the node's conclusion through _norm, so each conclusion is
-    # normalised once: here as a premise of its parent
-    rule = node.rule
-    if rule not in SN_RULES:
-        raise CheckError(f"unknown rule {_clip(rule)}")
-    if len(node.premises) != SN_RULES[rule]:
-        raise CheckError(
-            f"rule {rule} expects {SN_RULES[rule]} premises, got {len(node.premises)}"
-        )
-    if logic == "fill":
-        if rule in SN_FILL_EXCLUDED:
-            raise CheckError(f"rule {rule} is not available in FILL")
-        if not is_fill_sequent(c):
-            raise CheckError(f"sequent leaves FILL: {_quoted(node.conclusion)}")
-    ps = tuple(_norm(p.conclusion) for p in node.premises)
-    if not _applies(rule, c, ps):
-        raise CheckError(f"rule {rule} does not derive {_quoted(node.conclusion)} from its premises")
-    for p, pc in zip(node.premises, ps):
-        _verify_sn(p, logic, pc)
+def _verify_sn(root: ProofNode, logic: str, c: Sequent) -> None:
+    """Check every node in preorder, so the first offending node is the one
+    a recursive walk would meet first, over an explicit stack of (node, its
+    conclusion through `_norm`): each conclusion is normalised once, as a
+    premise of its parent."""
+    todo = [(root, c)]
+    while todo:
+        node, c = todo.pop()
+        rule = node.rule
+        if rule not in SN_RULES:
+            raise CheckError(f"unknown rule {_clip(rule)}")
+        if len(node.premises) != SN_RULES[rule]:
+            raise CheckError(
+                f"rule {rule} expects {SN_RULES[rule]} premises, got {len(node.premises)}"
+            )
+        if logic == "fill":
+            if rule in SN_FILL_EXCLUDED:
+                raise CheckError(f"rule {rule} is not available in FILL")
+            if not is_fill_sequent(c):
+                raise CheckError(f"sequent leaves FILL: {_quoted(node.conclusion)}")
+        ps = tuple(_norm(p.conclusion) for p in node.premises)
+        if not _applies(rule, c, ps):
+            raise CheckError(f"rule {rule} does not derive {_quoted(node.conclusion)} from its premises")
+        todo.extend(reversed(tuple(zip(node.premises, ps))))
 
 
 def check_sn_proof(root: ProofNode, logic: str = "biill", expect: Sequent | None = None) -> None:
@@ -231,8 +235,7 @@ def check_sn_proof(root: ProofNode, logic: str = "biill", expect: Sequent | None
     c = _norm(root.conclusion)
     if expect is not None and _norm(expect) != c:
         raise CheckError("root conclusion does not match the expected sequent")
-    with stack_room(20 * proof_size(root) + 2000):
-        _verify_sn(root, logic, c)
+    _verify_sn(root, logic, c)
 
 
 # -------------------------------------------------- bringing a node to root

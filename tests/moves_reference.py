@@ -1,0 +1,195 @@
+"""References for the counting in the deep search, to test the package's own.
+
+`reference_moves` yields the moves of `deep.deep_moves` with the branch
+moves built as every colouring gives them: for each branch rule on each
+occurrence, every colouring of the context and of the rewritten node, both
+premises built, the pairs deduplicated, and only then each kept when its
+first premise passes `prover._balanced`.  `deep_moves` instead counts each
+context half and each rest half once and builds only the pairs whose first
+premise balances; both must yield the same moves in the same order.  The
+axiom, unary and propagation moves are the package's own.
+
+`reference_counts` is the explicit-stack walk that `sequent.signed_counts`
+once was, for the recursive walk to be compared with.
+
+`searched_calls` records the states a decision visits, and `size4_sample`
+draws seeded formulas of four connectives that reach the search.  Nothing
+in the package imports this module.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Iterator
+
+from fillprover import prover
+from fillprover.certs import Witness
+from fillprover.cli import corpus_formulas
+from fillprover.deep import (
+    BRANCH_RULES,
+    UNARY_LOGICAL_RULES,
+    Move,
+    deep_moves,
+    _axiom_move,
+    _edit,
+    _prop_moves,
+    _rules_at,
+    _split_premises,
+    _unfold,
+)
+from fillprover.formula import (
+    _ATOM,
+    _BOT,
+    _EXCL,
+    _LOLLI,
+    _ONE,
+    _PAR,
+    _TENSOR,
+    Excl,
+    Formula,
+    Lolli,
+    Par,
+    Tensor,
+    connective_count,
+    is_fill_formula,
+)
+from fillprover.sequent import (
+    _OCC,
+    _SEQUENT,
+    Sequent,
+    SignedCounts,
+    enumerate_context_partitions,
+    enumerate_partitions,
+    hole_contexts,
+    plug,
+)
+
+
+def reference_moves(s: Sequent, logic: str = "biill", hop_cap: int | None = None) -> Iterator[Move]:
+    """The moves of `deep_moves(s, logic, hop_cap)`, each branch split built
+    from its colouring before its first premise is tested."""
+    fill = logic == "fill"
+    ax = _axiom_move(s)
+    if ax is not None:
+        yield ax
+        return
+
+    spots = []
+    for ctx, node in hole_contexts(s):
+        acts = list(_rules_at(node, fill))
+        for rule, _, occ in acts:
+            if rule in UNARY_LOGICAL_RULES:
+                premise = plug(ctx, _unfold(rule, node, occ))
+                yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula))
+                return
+        spots.append((ctx, node, acts))
+
+    for ctx, node, acts in spots:
+        for rule, side, occ in acts:
+            if rule not in BRANCH_RULES:
+                continue
+            f = occ.formula
+            rest = _edit(node, side, (occ,))
+            seen: set = set()
+            for c1, c2 in enumerate_context_partitions(ctx):
+                for r1, r2 in enumerate_partitions(rest):
+                    pair = _split_premises(rule, f, c1, r1, c2, r2)
+                    if pair in seen:
+                        continue
+                    seen.add(pair)
+                    if prover._balanced(pair[0]):
+                        yield Move(rule, pair, Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
+
+    for ctx, node, _ in spots:
+        yield from _prop_moves(ctx, node, fill, hop_cap)
+
+
+def reference_counts(s: Sequent | Formula) -> SignedCounts:
+    """`signed_counts(s)`, walked over an explicit stack of (item, polarity)
+    pairs, 0 negative and 1 positive."""
+    counts: dict[str, list[int]] = {}
+    leaves = branches = 0
+    todo: list = [(s, 1)]
+    while todo:
+        x, pol = todo.pop()
+        tag = x[0]
+        if tag == _OCC:
+            todo.append((x[1], pol))
+        elif tag == _SEQUENT:
+            todo.extend((it, 0) for it in x[2])
+            todo.extend((it, 1) for it in x[3])
+        elif tag == _ATOM:
+            counts.setdefault(x[1], [0, 0])[pol] += 1
+            leaves += pol
+        elif tag == _TENSOR:
+            todo += ((x[1], pol), (x[2], pol))
+            branches += pol
+        elif tag == _PAR:
+            todo += ((x[1], pol), (x[2], pol))
+            branches += 1 - pol
+        elif tag == _LOLLI:
+            todo += ((x[1], 1 - pol), (x[2], pol))
+            branches += 1 - pol
+        elif tag == _EXCL:
+            todo += ((x[1], pol), (x[2], 1 - pol))
+            branches += pol
+        elif tag == _ONE:
+            leaves += pol
+        elif tag == _BOT:
+            leaves += 1 - pol
+    return SignedCounts({n: (c[0], c[1]) for n, c in counts.items()}, leaves, branches)
+
+
+def searched_calls(f: Formula, logic: str) -> list[tuple]:
+    """The `(state, logic, hop_cap)` arguments of every `deep_moves` call
+    that `decide_formula(f, logic)` makes, in the order it makes them."""
+    calls: list[tuple] = []
+    real = prover.deep_moves
+
+    def recording(s, logic="biill", hop_cap=None):
+        calls.append((s, logic, hop_cap))
+        return real(s, logic, hop_cap)
+
+    prover.deep_moves = recording
+    try:
+        prover.decide_formula(f, logic)
+    finally:
+        prover.deep_moves = real
+    return calls
+
+
+def first_disagreement(calls: list[tuple]) -> tuple | None:
+    """The first of the `deep_moves` calls (as `searched_calls` gives them)
+    for which `deep_moves` and `reference_moves` yield other moves or
+    another order, with both lists; None when they agree on every call."""
+    for s, logic, hop_cap in calls:
+        got = list(deep_moves(s, logic, hop_cap))
+        want = list(reference_moves(s, logic, hop_cap))
+        if got != want:
+            return s, got, want
+    return None
+
+
+def logics(f: Formula) -> tuple[str, ...]:
+    """The logics `f` is decided in: BiILL, and FILL too without exclusion."""
+    return ("biill", "fill") if is_fill_formula(f) else ("biill",)
+
+
+def size4_sample(seed: int, n: int, variables=("p", "q")) -> list[Formula]:
+    """`n` distinct formulas of four connectives over `variables` and the
+    units, drawn with `random.Random(seed)`, each passing
+    `prover._balanced`, so that each reaches the search: a connective at
+    the root over a formula of `i` connectives and one of `3 - i`, from the
+    size-3 corpus."""
+    strata: list[list[Formula]] = [[] for _ in range(4)]
+    for f in corpus_formulas(list(variables), 3):
+        strata[connective_count(f)].append(f)
+    rng = random.Random(seed)
+    picked: dict = {}
+    while len(picked) < n:
+        i = rng.randrange(4)
+        make = rng.choice((Tensor, Par, Lolli, Excl))
+        f = make(rng.choice(strata[i]), rng.choice(strata[3 - i]))
+        if prover._balanced(f):
+            picked.setdefault(f, None)
+    return list(picked)

@@ -9,8 +9,9 @@ from fillprover.deep import (
     deep_moves,
     endsequent_for,
 )
-from fillprover.formula import parse_formula
+from fillprover.formula import formula_text, parse_formula
 from fillprover.sequent import parse_sequent, sequent_text
+from moves_reference import first_disagreement, logics, searched_calls, size4_sample
 
 
 def N(rule, conclusion, witness=None, *premises):
@@ -66,23 +67,50 @@ def test_unary_move_is_the_only_move():
     assert sequent_text(ms[0].premises[0]) == "a, b => c*d"
 
 
+def texts(moves):
+    return [(m.rule, tuple(sequent_text(p) for p in m.premises)) for m in moves]
+
+
 def test_branch_moves_split_material():
-    ms = moves_of("c => a*b, d")
-    tensor = [m for m in ms if m.rule == "tensor_r"]
-    # two occurrences to distribute freely: 4 distinct splits
-    assert len(tensor) == 4
-    seen = {tuple(sequent_text(p) for p in m.premises) for m in tensor}
-    assert ("c => a, d", "=> b") in seen
-    assert ("=> a", "c => b, d") in seen
-    assert ("c => a", "=> b, d") in seen
-    assert ("=> a, d", "c => b") in seen
+    # a balanced conclusion: of the four colourings of `a, c -o c` only the
+    # two that leave premise 1 balanced are built, in colouring order; the
+    # lolli_l on `c -o c` has none, since premise 1 would hold only the
+    # positive `c`
+    assert texts(moves_of("a, b, c -o c => a*b")) == [
+        ("tensor_r", ("a, c -o c => a", "b => b")),
+        ("tensor_r", ("a => a", "b, c -o c => b")),
+    ]
+    # at a child, the context splits as well: premise 1 needs the root's `a`
+    ms = moves_of("a => [b => a*b]")
+    assert texts(ms) == [
+        ("tensor_r", ("a => [=> a]", "=> [b => b]")),
+        ("prop_left_in", ("=> [a, b => a*b]",)),
+        ("prop_right_out", ("a => a*b, [b =>]",)),
+    ]
+    w = ms[0].witness
+    assert (sequent_text(w.context), sequent_text(w.ctx1), sequent_text(w.ctx2)) == ("a => _", "a => _", "=> _")
 
 
 def test_fill_mode_drops_exclusion_rules():
-    assert any(m.rule == "excl_l" for m in moves_of("a -< b => c"))
-    assert all(m.rule != "excl_l" for m in moves_of("a -< b => c", logic="fill"))
-    assert any(m.rule == "excl_r" for m in moves_of("=> a -< b"))
-    assert all(m.rule != "excl_r" for m in moves_of("=> a -< b", logic="fill"))
+    assert texts(moves_of("a -< b => c")) == [("excl_l", ("[a => b] => c",))]
+    assert moves_of("a -< b => c", logic="fill") == []
+    assert texts(moves_of("a => a -< b, b")) == [("excl_r", ("a => a", "b => b"))]
+    assert moves_of("a => a -< b, b", logic="fill") == []
+
+
+def test_branch_moves_match_the_colouring_reference_on_every_searched_state():
+    # every state the search visits for 300 seeded size-4 formulas that
+    # reach it, in both logics: the moves built from counts are the moves
+    # every colouring gives, less those whose premise 1 does not balance,
+    # in the same order
+    decisions = states = 0
+    for f in size4_sample(20, 300):
+        for logic in logics(f):
+            calls = searched_calls(f, logic)
+            assert first_disagreement(calls) is None, (formula_text(f), logic)
+            decisions += 1
+            states += len(calls)
+    assert (decisions, states) == (370, 2261)
 
 
 def test_propagation_moves_and_hop_cap():

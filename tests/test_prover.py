@@ -20,12 +20,15 @@ from fillprover.formula import (
     Tensor,
     UnitBot,
     UnitI,
+    _MAX_NESTING,
     arrow_count,
     formula_size,
     parse_formula,
 )
 from fillprover.prover import decide_formula, decide_sequent, goal_reading, search_bounds
-from fillprover.sequent import Occ, Sequent, parse_sequent, signed_counts
+from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent, signed_counts
+from fillprover.cli import corpus_formulas, main
+from moves_reference import reference_counts
 
 VERDICTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "corpus_p_q_3.tsv.gz"
 
@@ -319,6 +322,55 @@ def material(s):
 @given(_trees.filter(lambda s: material(s) <= 12))
 def test_every_move_keeps_the_signed_atom_count(tree):
     walk_moves(tree, 40)
+
+
+def test_the_recursive_count_walk_equals_the_explicit_stack_walk_on_the_size_3_corpus():
+    n = 0
+    for f in corpus_formulas(["p", "q"], 3):
+        assert signed_counts(f) == reference_counts(f), f
+        n += 1
+    assert n == 39420
+
+
+_counted_items = st.recursive(
+    st.builds(Occ, _small_formulas, st.integers(0, 3)) | st.just(HOLE),
+    lambda kids: st.builds(
+        lambda l, r, g: Sequent(tuple(l), tuple(r), g),
+        st.lists(kids, max_size=3),
+        st.lists(kids, max_size=3),
+        st.integers(0, 2),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_counted_items, max_size=3), st.lists(_counted_items, max_size=3), st.integers(0, 2))
+def test_the_recursive_count_walk_equals_the_explicit_stack_walk_on_sequents(left, right, origin):
+    # children, holes, hop counts and origins, none of which changes a count
+    s = Sequent(tuple(left), tuple(right), origin)
+    assert signed_counts(s) == reference_counts(s)
+
+
+def test_counts_at_the_nesting_bound_need_no_more_than_the_default_recursion_limit(capsys):
+    # a formula tree _MAX_NESTING deep, a -o (a -o ( ... -o a)), alone and
+    # inside children whose brackets nest _MAX_NESTING deep: both unbalanced,
+    # so the count is all that decides them
+    chain = " -o ".join(["a"] * (_MAX_NESTING + 1))
+    deep = "=> [" * (_MAX_NESTING - 1) + "=> [b => " + chain + "]" + "]" * (_MAX_NESTING - 1)
+    s = parse_sequent(deep)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        counts = signed_counts(s)
+        d = decide_sequent(s)
+        code = main(["prove", chain])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert counts == reference_counts(s) and counts.atoms == {"a": (_MAX_NESTING, 1), "b": (1, 0)}
+    assert d.status == "refuted" and d.visited == 0
+    assert code == 1
+    assert capsys.readouterr().err == f"Unprovable: atom a occurs {_MAX_NESTING} times negatively, 1 time positively\n"
 
 
 FIXED_STARTS = [

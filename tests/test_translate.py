@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -430,6 +431,35 @@ def test_only_stack_room_sets_the_recursion_limit():
     for path in sorted(Path(fillprover.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert sites == {"certs.stack_room"}
+
+
+def test_5000_step_sn_and_dc_chains_check_without_raising_the_recursion_limit(monkeypatch):
+    # both checkers walk the proof over an explicit stack, so neither asks
+    # for room in proportion to the proof
+    n = 5000
+    flat, nested = parse_sequent("a => a"), parse_sequent("=> [a => a]")
+
+    def sn_chain(leaf):
+        for i in reversed(range(n)):
+            leaf = ProofNode("wrap_right" if i % 2 else "dissolve_right", nested if i % 2 else flat, (leaf,))
+        return leaf
+
+    ab, ba = parse_display("a, b |- a*b"), parse_display("b, a |- a*b")
+    dc = ProofNode("tensor_r", ab, (ProofNode("id", parse_display("a |- a")), ProofNode("id", parse_display("b |- b"))))
+    for i in reversed(range(n)):
+        dc = ProofNode("com_l", ba if i % 2 else ab, (dc,))
+
+    def refuse(limit):
+        raise AssertionError(f"recursion limit raised to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    sn = sn_chain(ProofNode("id", flat))
+    check_sn_proof(sn, "fill", expect=flat)
+    check_dc_proof(dc, "biill", expect=ab)
+    assert proof_size(sn) == n + 1 and proof_size(dc) == n + 3
+    # a defect at the far end is still found, and named as before
+    with pytest.raises(CheckError, match=r"^rule wrap_right does not derive '=> \[a => a\]' from its premises$"):
+        check_sn_proof(sn_chain(ProofNode("id", parse_sequent("b => b"))))
 
 
 def test_cut_bearing_proofs_rejected():
