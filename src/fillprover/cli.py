@@ -3,9 +3,10 @@
 Five subcommands: `prove` decides a formula and writes a deep-calculus
 certificate, `check` validates a certificate with the matching checker,
 `translate` rebuilds a certificate in another calculus, `corpus` enumerates
-formulas up to a connective bound and decides each in both logics, and
-`stats` reports size metrics for a certificate, with the branch bound and
-hop cap that dn search would have for its endsequent.
+formulas up to a connective bound and decides each once, its FILL verdict
+through the separation check, and `stats` reports size metrics for a
+certificate, with the branch bound and hop cap that dn search would have
+for its endsequent.
 
 Exit statuses: 0 when the request succeeds, 1 when it fails on the merits
 (unprovable formula, rejected proof, cut-bearing input declined, a
@@ -245,20 +246,14 @@ def corpus_formulas(variables, max_connectives: int, logic: str = "biill"):
             yield from _stratum(strata, n, logic)
 
 
-def _decision_word(status: str) -> str:
-    return "unprovable" if status == "refuted" else status
-
-
 def corpus_record(f: Formula) -> dict:
-    """Decide one formula in both logics.  `fill` is null for formulas that
-    use exclusion; node and branch metrics come from the BiILL proof."""
-    record: dict = {"formula": formula_text(f)}
-    if is_fill_formula(f):
-        record["fill"] = _decision_word(decide_formula(f, "fill").status)
-    else:
-        record["fill"] = None
-    decision = decide_formula(f, "biill")
-    record["biill"] = _decision_word(decision.status)
+    """Decide one formula once: in FILL when it has no exclusion, so its
+    proof passes the separation check and `fill` is its verdict, else in
+    BiILL with `fill` null.  Node and branch metrics come from the proof."""
+    fill = is_fill_formula(f)
+    decision = decide_formula(f, "fill" if fill else "biill")
+    word = "proved" if decision.proved else "unprovable"
+    record: dict = {"formula": formula_text(f), "fill": word if fill else None, "biill": word}
     if decision.proof is not None:
         record["nodes"] = proof_size(decision.proof)
         record["max_branch"] = branch_length(decision.proof)
@@ -327,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="decide a formula, write a dn certificate on success")
     p.add_argument("formula", help="formula text, e.g. 'a * (b | c) -o (a * b) | c'")
-    p.add_argument("--logic", choices=("fill", "biill"), default="biill")
+    fill_help = "fill: an exclusion-free formula, the one search, then the separation check on the proof"
+    p.add_argument("--logic", choices=("fill", "biill"), default="biill", help=fill_help)
     p.add_argument("--out", metavar="PATH", help="certificate file (default stdout)")
 
     p = sub.add_parser("check", help="validate a certificate with its calculus checker")
@@ -348,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--logic",
         choices=("fill", "biill"),
         default="biill",
-        help="biill enumerates exclusion formulas too; decisions are always recorded for both",
+        help="biill enumerates exclusion formulas too; each formula is decided once, in fill if it can be",
     )
     p.add_argument("--out", metavar="PATH", help="records file (default stdout)")
 

@@ -16,8 +16,11 @@ The shape of each logical rule is encoded once, in the rule-shape helpers
 below; search, the checker, the shallow checker and the translators all
 build premises and conclusions with them.
 
-The FILL restriction drops exclusion and the two propagation moves that need
-left-nested children, and insists every sequent stays right-nested.
+FILL drops exclusion and the two propagation moves that need left-nested
+children (`FILL_EXCLUDED`), and keeps sequents right-nested.  Search has no
+FILL mode: on a FILL goal, `excl_l` and `excl_r` lack an exclusion (by the
+subformula property), and `prop_right_in` and `prop_left_out` a left-nested
+child, which only `excl_l` makes, so none of them fires.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .certs import CheckError, ProofNode, Witness, proof_size, stack_room
+from .certs import CheckError, ProofNode, Witness, postorder, proof_size, stack_room
 from .formula import (
     Atom,
     Excl,
@@ -82,8 +85,6 @@ BRANCH_RULES = ("tensor_r", "par_l", "lolli_l", "excl_r")
 PROP_RULES = ("prop_left_in", "prop_right_in", "prop_left_out", "prop_right_out")
 DN_RULES = LEAF_RULES + UNARY_LOGICAL_RULES + BRANCH_RULES + PROP_RULES
 
-# exclusion talks about left-nested children, as do the two propagation
-# moves dropped here; everything else stays untouched in FILL
 FILL_EXCLUDED = frozenset({"excl_l", "excl_r", "prop_right_in", "prop_left_out"})
 
 
@@ -174,19 +175,19 @@ def _sided(side: str, near: tuple, far: tuple, origin: int = 0) -> Sequent:
     return Sequent(far, near, origin)
 
 
-def _rules_at(node: Sequent, fill: bool) -> Iterator[tuple[str, str, Occ]]:
+def _rules_at(node: Sequent) -> Iterator[tuple[str, str, Occ]]:
     """(rule, side, occurrence) for every logical rule that can act on an
     occurrence of the node, antecedent first."""
     for side in ("left", "right"):
         for occ in occs(getattr(node, side)):
             rule = _RULE_AT.get((side, type(occ.formula)))
-            if rule is not None and not (fill and rule in FILL_EXCLUDED):
+            if rule is not None:
                 yield rule, side, occ
 
 
 def _principals(rule: str, node: Sequent) -> Iterator[Occ]:
     """The occurrences of the node that `rule` can act on."""
-    return (occ for r, _, occ in _rules_at(node, False) if r == rule)
+    return (occ for r, _, occ in _rules_at(node) if r == rule)
 
 
 def _unfolding(f: Formula, origin: int = 0) -> tuple:
@@ -303,7 +304,7 @@ def _charge(*parts: tuple) -> tuple:
     return sums[0] - sums[1], frozenset((n, pos - neg) for n, (neg, pos) in atoms.items() if pos != neg)
 
 
-def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) -> Iterator[Move]:
+def deep_moves(s: Sequent, hop_cap: Optional[int] = None) -> Iterator[Move]:
     """Candidate rule applications with `s` as conclusion, most constrained
     first: axioms, then in-place unfolding, then branching, then propagation.
     `hop_cap` suppresses propagation of occurrences that already moved that
@@ -329,7 +330,6 @@ def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) 
     its halves' counts and the active formula's add up to a balanced first
     premise.  The splits come in the order of the colourings of the context,
     then of the rest, each distinct pair of premises once."""
-    fill = logic == "fill"
     ax = _axiom_move(s)
     if ax is not None:
         yield ax
@@ -337,7 +337,7 @@ def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) 
 
     spots = []
     for ctx, node in hole_contexts(s):
-        acts = list(_rules_at(node, fill))
+        acts = list(_rules_at(node))
         for rule, _, occ in acts:
             if rule in UNARY_LOGICAL_RULES:
                 premise = plug(ctx, _unfold(rule, node, occ))
@@ -366,14 +366,12 @@ def deep_moves(s: Sequent, logic: str = "biill", hop_cap: Optional[int] = None) 
                     yield Move(rule, pair, Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
 
     for ctx, node, _ in spots:
-        yield from _prop_moves(ctx, node, fill, hop_cap)
+        yield from _prop_moves(ctx, node, hop_cap)
 
 
-def _prop_moves(ctx: Context, node: Sequent, fill: bool, hop_cap: Optional[int]) -> Iterator[Move]:
+def _prop_moves(ctx: Context, node: Sequent, hop_cap: Optional[int]) -> Iterator[Move]:
     seen: set = set()
     for rule in _PROP_SHAPE:
-        if fill and rule in FILL_EXCLUDED:
-            continue
         for kid, occ in _prop_sites(rule, node):
             if hop_cap is not None and occ.hops >= hop_cap:
                 continue
@@ -645,8 +643,6 @@ def check_separation(root: ProofNode) -> None:
     the FILL subset and every sequent free of left-nested children.  Raises
     CheckError naming the first offender.  Schema validity is
     check_dn_proof's job; this only polices the fragment."""
-    from .certs import postorder
-
     for node in postorder(root):
         if node.rule in FILL_EXCLUDED:
             raise CheckError(f"rule {node.rule} lies outside FILL")

@@ -72,9 +72,7 @@ argument stops:
   or antitone in each argument, so are the readings of the whole trees.
 - By the paper's soundness and completeness of the deep calculus for BiILL
   (a sequent is dn-provable exactly when its `tau_s` reading is a BiILL
-  theorem), the premise is provable exactly when the conclusion is.  The
-  FILL search agrees because the FILL fragment is conservative: a FILL
-  sequent that BiILL proves has a dn proof inside FILL.
+  theorem), the premise is provable exactly when the conclusion is.
 - The hop cap is the one bound that argument does not cover.  The
   unfolding changes no counter the cap reads: the premise keeps every
   other occurrence with its hops, and the occurrences it adds start at 0,
@@ -88,8 +86,7 @@ argument stops:
   `-o` or `-<` unfolded in place leaves a child that no rule moves.  That
   the cap still leaves room for a proof of the premise then is not proved
   here; it rests on evidence: the 39,420 formulas of the size-3 corpus
-  over `p, q` get the same BiILL verdicts (and the 12,460 without
-  exclusion the same FILL verdicts), and their BiILL proofs the same size
+  over `p, q` get the same verdicts, and their proofs the same size
   and branch length, as with full backtracking, and Bierman's formula gets
   the same FILL proof (in 7,668 states, 12,887 before the commitment, and
   16 once the balance prune below is added).
@@ -203,7 +200,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certs import ProofNode, stack_room
-from .deep import deep_moves, endsequent_for
+from .deep import check_separation, deep_moves, endsequent_for
 from .formula import Formula, arrow_count, formula_size, is_fill_formula
 from .sequent import Occ, Sequent, _tally, is_fill_sequent, strip_sequent, tau_s
 
@@ -239,26 +236,36 @@ def search_bounds(f: Formula) -> tuple[int, int]:
 
 def decide_formula(f: Formula, logic: str = "biill") -> Decision:
     """Decide provability of a single formula (as the sole succedent of an
-    otherwise empty sequent)."""
+    otherwise empty sequent).  FILL runs the same search on a formula
+    without exclusion (ValueError otherwise), then raises, never masks, the
+    CheckError of `check_separation` on a proof outside FILL."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
     if logic == "fill" and not is_fill_formula(f):
         raise ValueError("formula uses exclusion, which FILL does not have")
     if not _balanced(f):
         return Decision("refuted", None, 0)
-    return _search(endsequent_for(f), logic, f)
+    return _separated(_search(endsequent_for(f), f), logic)
 
 
 def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
     """Decide provability of a nested sequent.  The hop cap and the branch
-    bound are those of its formula reading, `goal_reading(s)`."""
+    bound are those of its formula reading, `goal_reading(s)`.  FILL is as
+    for `decide_formula`, on a sequent that `is_fill_sequent` accepts."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
     if logic == "fill" and not is_fill_sequent(s):
         raise ValueError("sequent lies outside the FILL fragment")
     if not _balanced(s):
         return Decision("refuted", None, 0)
-    return _search(strip_sequent(s), logic, goal_reading(s))
+    return _separated(_search(strip_sequent(s), goal_reading(s)), logic)
+
+
+def _separated(d: Decision, logic: str) -> Decision:
+    """`d`, once a FILL proof has passed `check_separation`, as the paper's theorem says it must."""
+    if logic == "fill" and d.proof is not None:
+        check_separation(d.proof)
+    return d
 
 
 def _balanced(s: Sequent | Formula) -> bool:
@@ -271,7 +278,7 @@ def _balanced(s: Sequent | Formula) -> bool:
     return sums[0] - sums[1] == 1 and all(neg == pos for neg, pos in atoms.values())
 
 
-def _search(s0: Sequent, logic: str, reading: Formula) -> Decision:
+def _search(s0: Sequent, reading: Formula) -> Decision:
     # s0 is balanced with deficit 0: both callers refute any other goal
     hop_cap, bound = search_bounds(reading)
     success: dict[Sequent, ProofNode] = {}
@@ -284,7 +291,7 @@ def _search(s0: Sequent, logic: str, reading: Formula) -> Decision:
         if hit is not None or s in failed:
             return hit
         visited += 1
-        for move in deep_moves(s, logic, hop_cap):
+        for move in deep_moves(s, hop_cap):
             subproofs = []
             for p in move.premises:
                 pr = dfs(p)

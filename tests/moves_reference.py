@@ -12,9 +12,10 @@ axiom, unary and propagation moves are the package's own.
 `reference_counts` is the explicit-stack walk that `sequent.signed_counts`
 once was, for the recursive walk to be compared with.
 
-`searched_calls` records the states a decision visits, and `size4_sample`
-draws seeded formulas of four connectives that reach the search.  Nothing
-in the package imports this module.
+`searched_calls` records the states a decision visits,
+`fill_excluded_offers` names any rule outside FILL those states offer, and
+`size4_sample` draws seeded formulas of four connectives that reach the
+search.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ from fillprover import prover
 from fillprover.certs import Witness
 from fillprover.cli import corpus_formulas
 from fillprover.deep import (
+    _PROP_SHAPE,
     BRANCH_RULES,
+    FILL_EXCLUDED,
     UNARY_LOGICAL_RULES,
     Move,
     deep_moves,
     _axiom_move,
     _edit,
     _prop_moves,
+    _prop_sites,
     _rules_at,
     _split_premises,
     _unfold,
@@ -65,10 +69,9 @@ from fillprover.sequent import (
 )
 
 
-def reference_moves(s: Sequent, logic: str = "biill", hop_cap: int | None = None) -> Iterator[Move]:
-    """The moves of `deep_moves(s, logic, hop_cap)`, each branch split built
-    from its colouring before its first premise is tested."""
-    fill = logic == "fill"
+def reference_moves(s: Sequent, hop_cap: int | None = None) -> Iterator[Move]:
+    """The moves of `deep_moves(s, hop_cap)`, each branch split built from
+    its colouring before its first premise is tested."""
     ax = _axiom_move(s)
     if ax is not None:
         yield ax
@@ -76,7 +79,7 @@ def reference_moves(s: Sequent, logic: str = "biill", hop_cap: int | None = None
 
     spots = []
     for ctx, node in hole_contexts(s):
-        acts = list(_rules_at(node, fill))
+        acts = list(_rules_at(node))
         for rule, _, occ in acts:
             if rule in UNARY_LOGICAL_RULES:
                 premise = plug(ctx, _unfold(rule, node, occ))
@@ -101,7 +104,7 @@ def reference_moves(s: Sequent, logic: str = "biill", hop_cap: int | None = None
                         yield Move(rule, pair, Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
 
     for ctx, node, _ in spots:
-        yield from _prop_moves(ctx, node, fill, hop_cap)
+        yield from _prop_moves(ctx, node, hop_cap)
 
 
 def reference_counts(s: Sequent | Formula) -> SignedCounts:
@@ -140,19 +143,20 @@ def reference_counts(s: Sequent | Formula) -> SignedCounts:
     return SignedCounts({n: (c[0], c[1]) for n, c in counts.items()}, leaves, branches)
 
 
-def searched_calls(f: Formula, logic: str) -> list[tuple]:
-    """The `(state, logic, hop_cap)` arguments of every `deep_moves` call
-    that `decide_formula(f, logic)` makes, in the order it makes them."""
+def searched_calls(f: Formula) -> list[tuple]:
+    """The `(state, hop_cap)` arguments of every `deep_moves` call that
+    deciding `f` makes, in the order it makes them: in FILL when `f` has no
+    exclusion, as `cli.corpus_record` decides it, else in BiILL."""
     calls: list[tuple] = []
     real = prover.deep_moves
 
-    def recording(s, logic="biill", hop_cap=None):
-        calls.append((s, logic, hop_cap))
-        return real(s, logic, hop_cap)
+    def recording(s, hop_cap=None):
+        calls.append((s, hop_cap))
+        return real(s, hop_cap)
 
     prover.deep_moves = recording
     try:
-        prover.decide_formula(f, logic)
+        prover.decide_formula(f, "fill" if is_fill_formula(f) else "biill")
     finally:
         prover.deep_moves = real
     return calls
@@ -162,17 +166,28 @@ def first_disagreement(calls: list[tuple]) -> tuple | None:
     """The first of the `deep_moves` calls (as `searched_calls` gives them)
     for which `deep_moves` and `reference_moves` yield other moves or
     another order, with both lists; None when they agree on every call."""
-    for s, logic, hop_cap in calls:
-        got = list(deep_moves(s, logic, hop_cap))
-        want = list(reference_moves(s, logic, hop_cap))
+    for s, hop_cap in calls:
+        got = list(deep_moves(s, hop_cap))
+        want = list(reference_moves(s, hop_cap))
         if got != want:
             return s, got, want
     return None
 
 
-def logics(f: Formula) -> tuple[str, ...]:
-    """The logics `f` is decided in: BiILL, and FILL too without exclusion."""
-    return ("biill", "fill") if is_fill_formula(f) else ("biill",)
+def fill_excluded_offers(calls: list[tuple]) -> list[tuple]:
+    """`(state, rule)` for every rule of `FILL_EXCLUDED` that a state of the
+    `deep_moves` calls offers: a move it yields, a logical rule `_rules_at`
+    finds at one of its nodes, or a site `_prop_sites` finds there.  Empty
+    for the calls of an exclusion-free goal, as the `deep` module docstring
+    argues."""
+    found = []
+    for s, hop_cap in calls:
+        rules = {m.rule for m in deep_moves(s, hop_cap)}
+        for _, node in hole_contexts(s):
+            rules.update(rule for rule, _, _ in _rules_at(node))
+            rules.update(rule for rule in _PROP_SHAPE if any(_prop_sites(rule, node)))
+        found += [(s, rule) for rule in sorted(rules & FILL_EXCLUDED)]
+    return found
 
 
 def size4_sample(seed: int, n: int, variables=("p", "q")) -> list[Formula]:

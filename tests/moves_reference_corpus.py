@@ -1,12 +1,15 @@
 """Check the branch moves against the colouring reference over the size-3 corpus.
 
-For every formula of `cli.corpus_formulas(["p", "q"], 3)`, decided in
-BiILL and, without exclusion, in FILL, every state the search visits must
-get from `deep.deep_moves` exactly the moves of
-`moves_reference.reference_moves`, in the same order: the moves every
-colouring gives, less the branch splits whose first premise does not
-balance.  Prints the decisions and states checked, and fails naming the
-first formula, logic and state on which the two disagree.
+Every formula of `cli.corpus_formulas(["p", "q"], 3)` is decided once, as
+`cli.corpus_record` decides it: in FILL when it has no exclusion, else in
+BiILL.  Every state the search visits must get from `deep.deep_moves`
+exactly the moves of `moves_reference.reference_moves`, in the same order:
+the moves every colouring gives, less the branch splits whose first premise
+does not balance.  On the states of an exclusion-free goal, no rule of
+`deep.FILL_EXCLUDED` may be offered at all (`fill_excluded_offers`), since
+FILL and BiILL share that one search.  Prints the decisions and states
+checked, each in all and for exclusion-free goals, and fails naming the
+first formula and state that breaks either check.
 
     PYTHONPATH=src python3 tests/moves_reference_corpus.py
 """
@@ -17,31 +20,40 @@ import sys
 import time
 
 from fillprover.cli import corpus_formulas
-from fillprover.formula import formula_text
+from fillprover.formula import formula_text, is_fill_formula
 from fillprover.sequent import sequent_text
-from moves_reference import first_disagreement, logics, searched_calls
+from moves_reference import fill_excluded_offers, first_disagreement, searched_calls
 
 
 def main() -> int:
     start = time.perf_counter()
-    decisions = states = 0
+    decisions = states = fill_decisions = fill_states = 0
     for f in corpus_formulas(["p", "q"], 3):
-        for logic in logics(f):
-            calls = searched_calls(f, logic)
-            bad = first_disagreement(calls)
-            if bad is not None:
-                s, got, want = bad
-                print(
-                    f"{formula_text(f)} ({logic}): at {sequent_text(s)}, deep_moves yields "
-                    f"{[m.rule for m in got]}, the reference {[m.rule for m in want]}",
-                    file=sys.stderr,
-                )
+        calls = searched_calls(f)
+        bad = first_disagreement(calls)
+        if bad is not None:
+            s, got, want = bad
+            print(
+                f"{formula_text(f)}: at {sequent_text(s)}, deep_moves yields "
+                f"{[m.rule for m in got]}, the reference {[m.rule for m in want]}",
+                file=sys.stderr,
+            )
+            return 1
+        if is_fill_formula(f):
+            offers = fill_excluded_offers(calls)
+            if offers:
+                s, rule = offers[0]
+                print(f"{formula_text(f)}: at {sequent_text(s)}, {rule} is offered", file=sys.stderr)
                 return 1
-            decisions += 1
-            states += len(calls)
+            fill_decisions += 1
+            fill_states += len(calls)
+        decisions += 1
+        states += len(calls)
     print(
         f"{decisions:,} decisions, {states:,} searched states: deep_moves agrees with the "
-        f"colouring reference on every one, in {time.perf_counter() - start:.1f} s"
+        f"colouring reference on every one; {fill_decisions:,} decisions without exclusion, "
+        f"{fill_states:,} searched states, none offering a rule outside FILL; "
+        f"in {time.perf_counter() - start:.1f} s"
     )
     return 0
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import fillprover
+from fillprover import prover
 from fillprover.certs import ProofNode, certificate_text, proof_size, read_certificate
-from fillprover.cli import CORPUS_CAP, corpus_formulas, main
+from fillprover.cli import CORPUS_CAP, corpus_formulas, corpus_record, main
 from fillprover.deep import check_dn_proof, check_separation
 from fillprover.display import check_dc_proof
 from fillprover.formula import connective_count, formula_text, parse_formula
@@ -342,11 +343,31 @@ def test_corpus_fill_mode_skips_exclusion(capsys):
 
 
 def test_corpus_decisions_agree(capsys):
-    """No FILL formula may be refuted in FILL yet proved in BiILL."""
-    assert run("corpus", "--max-size", "2", "--vars", "p,q", "--logic", "fill") == 0
+    """`fill` is null exactly for formulas with exclusion, and otherwise the
+    one decision's verdict, which holds because every FILL theorem's proof
+    lies in FILL (the separation property)."""
+    assert run("corpus", "--max-size", "2", "--vars", "p,q") == 0
+    theorems = 0
     for r in _records(capsys):
-        assert r["fill"] == r["biill"], r["formula"]
-        assert r["fill"] in ("proved", "unprovable")
+        assert (r["fill"] is None) == ("-<" in r["formula"]), r["formula"]
+        assert r["biill"] in ("proved", "unprovable")
+        if r["fill"] is not None:
+            assert r["fill"] == r["biill"], r["formula"]
+            if r["fill"] == "proved":
+                check_separation(decide_formula(parse_formula(r["formula"]), "biill").proof)
+                theorems += 1
+    assert theorems > 0
+
+
+def test_corpus_record_searches_an_exclusion_free_theorem_once(monkeypatch):
+    f = parse_formula(BIERMAN)
+    states = []
+    real = prover.deep_moves
+    monkeypatch.setattr(prover, "deep_moves", lambda s, *rest: states.append(s) or real(s, *rest))
+    record = corpus_record(f)
+    searched = len(states)
+    assert record["fill"] == record["biill"] == "proved"
+    assert searched == decide_formula(f, "fill").visited == 16
 
 
 def test_corpus_quotients_commutativity(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from fillprover.certs import CheckError, ProofNode, Witness, parse_context, proof_size
+from fillprover.cli import corpus_formulas
 from fillprover.deep import (
     check_dn_proof,
     check_separation,
@@ -10,8 +11,9 @@ from fillprover.deep import (
     endsequent_for,
 )
 from fillprover.formula import formula_text, parse_formula
-from fillprover.sequent import parse_sequent, sequent_text
-from moves_reference import first_disagreement, logics, searched_calls, size4_sample
+from fillprover.prover import decide_formula
+from fillprover.sequent import is_fill_sequent, parse_sequent, sequent_text
+from moves_reference import fill_excluded_offers, first_disagreement, searched_calls, size4_sample
 
 
 def N(rule, conclusion, witness=None, *premises):
@@ -27,8 +29,8 @@ def N(rule, conclusion, witness=None, *premises):
     return ProofNode(rule, parse_sequent(conclusion), tuple(premises), w)
 
 
-def moves_of(text, logic="biill", hop_cap=None):
-    return list(deep_moves(parse_sequent(text), logic, hop_cap))
+def moves_of(text, hop_cap=None):
+    return list(deep_moves(parse_sequent(text), hop_cap))
 
 
 # ---------------------------------------------------------------- moves
@@ -91,26 +93,37 @@ def test_branch_moves_split_material():
     assert (sequent_text(w.context), sequent_text(w.ctx1), sequent_text(w.ctx2)) == ("a => _", "a => _", "=> _")
 
 
-def test_fill_mode_drops_exclusion_rules():
-    assert texts(moves_of("a -< b => c")) == [("excl_l", ("[a => b] => c",))]
-    assert moves_of("a -< b => c", logic="fill") == []
-    assert texts(moves_of("a => a -< b, b")) == [("excl_r", ("a => a", "b => b"))]
-    assert moves_of("a => a -< b, b", logic="fill") == []
-
-
 def test_branch_moves_match_the_colouring_reference_on_every_searched_state():
     # every state the search visits for 300 seeded size-4 formulas that
-    # reach it, in both logics: the moves built from counts are the moves
-    # every colouring gives, less those whose premise 1 does not balance,
-    # in the same order
-    decisions = states = 0
+    # reach it, each decided once: the moves built from counts are the
+    # moves every colouring gives, less those whose premise 1 does not
+    # balance, in the same order
+    states = 0
     for f in size4_sample(20, 300):
-        for logic in logics(f):
-            calls = searched_calls(f, logic)
-            assert first_disagreement(calls) is None, (formula_text(f), logic)
-            decisions += 1
-            states += len(calls)
-    assert (decisions, states) == (370, 2261)
+        calls = searched_calls(f)
+        assert first_disagreement(calls) is None, formula_text(f)
+        states += len(calls)
+    assert states == 1841
+
+
+def test_no_rule_outside_fill_is_offered_on_an_exclusion_free_search():
+    # FILL has no search mode of its own: on every state the search visits
+    # for an exclusion-free size-3 formula, no FILL_EXCLUDED rule is yielded
+    # as a move, found by `_rules_at` or sited by `_prop_sites`, and every
+    # proof checks in FILL and separates
+    decisions = states = theorems = 0
+    for f in corpus_formulas(["p", "q"], 3, "fill"):
+        calls = searched_calls(f)
+        assert fill_excluded_offers(calls) == [], formula_text(f)
+        decisions += 1
+        states += len(calls)
+        if calls:
+            d = decide_formula(f, "fill")
+            if d.proof is not None:
+                check_dn_proof(d.proof, "fill")
+                check_separation(d.proof)
+                theorems += 1
+    assert (decisions, states, theorems) == (12460, 3892, 522)
 
 
 def test_propagation_moves_and_hop_cap():
@@ -122,12 +135,14 @@ def test_propagation_moves_and_hop_cap():
 
 
 def test_left_nested_propagation_is_biill_only():
+    # exclusion and the propagations across a left-nested child are moves of
+    # the one search, on sequents outside FILL only
+    assert texts(moves_of("a -< b => c")) == [("excl_l", ("[a => b] => c",))]
+    assert texts(moves_of("a => a -< b, b")) == [("excl_r", ("a => a", "b => b"))]
     assert any(m.rule == "prop_right_in" for m in moves_of("[a => b] => c"))
     assert any(m.rule == "prop_left_out" for m in moves_of("[a, x => b] => c"))
-    assert all(
-        m.rule not in ("prop_right_in", "prop_left_out")
-        for m in moves_of("[a => b] => c", logic="fill")
-    )
+    outside = ("a -< b => c", "a => a -< b, b", "[a => b] => c", "[a, x => b] => c")
+    assert not any(is_fill_sequent(parse_sequent(t)) for t in outside)
 
 
 # ------------------------------------------------------------- the fixture

@@ -25,6 +25,7 @@ from fillprover.formula import (
     formula_size,
     parse_formula,
 )
+from fillprover import prover
 from fillprover.prover import decide_formula, decide_sequent, goal_reading, search_bounds
 from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent, signed_counts
 from fillprover.cli import corpus_formulas, main
@@ -103,6 +104,41 @@ def test_biill_only_theorems(text):
 def test_fill_mode_rejects_exclusion():
     with pytest.raises(ValueError):
         decide_formula(parse_formula("p -o q|(p -< q)"), "fill")
+
+
+def test_fill_proof_outside_the_fragment_raises(monkeypatch):
+    # the search proves a FILL goal inside FILL (separation); were it ever
+    # to hand back a proof that leaves the fragment, deciding in FILL must
+    # raise, not report the verdict
+    outside = decide_formula(parse_formula(BIILL_ONLY[0]), "biill")
+    monkeypatch.setattr(prover, "_search", lambda s0, reading: outside)
+    assert decide_formula(parse_formula("a -o a"), "biill") is outside
+    with pytest.raises(CheckError):
+        decide_formula(parse_formula("a -o a"), "fill")
+    with pytest.raises(CheckError):
+        decide_sequent(parse_sequent("a => a"), "fill")
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        ("a => a, [=>]@1", "proved"),
+        ("a => b, [c => d]@1", "refuted"),
+        ("a => [b => a*b]@1", "proved"),
+        ("b -o c => [b => c]@1", "proved"),
+        ("c => [a => [b => a*b*c]@2]@1", "proved"),
+    ],
+)
+def test_fill_sequents_with_right_nested_children_decide_as_in_biill(text, status):
+    # one search for both logics: the same decision, and a FILL proof that
+    # checks in FILL and separates
+    s = parse_sequent(text)
+    d = decide_sequent(s, "fill")
+    assert d.status == status
+    assert d == decide_sequent(s, "biill")
+    if d.proof is not None:
+        check_dn_proof(d.proof, "fill", expect=s)
+        check_separation(d.proof)
 
 
 def test_nested_example_proves():
@@ -267,7 +303,7 @@ def walk_moves(s0, limit):
     seen_rules, seen, todo = set(), {s0}, [s0]
     while todo and len(seen) <= limit:
         s = todo.pop(0)
-        for move in deep_moves(s, "biill", 1):
+        for move in deep_moves(s, 1):
             seen_rules.add(move.rule)
             assert added(net_count(p) for p in move.premises) == net_count(s), move.rule
             deficits = [deficit(p) for p in move.premises]
