@@ -28,6 +28,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator, Optional
 
 from .formula import Formula, ParseError, _clip, _read_formula, formula_text
@@ -41,6 +42,8 @@ __all__ = [
     "proof_size",
     "branch_length",
     "postorder",
+    "check_tree",
+    "check_fragment",
     "cut_loops",
     "stack_room",
     "context_text",
@@ -55,7 +58,21 @@ LOGICS = ("fill", "biill")
 
 
 class CheckError(Exception):
-    """Raised when a proof fails schema or side-condition checking."""
+    """Raised when a proof fails schema or side-condition checking.  `path`
+    (premise indices from the root) and `rule` name the failing node; None
+    for a malformed certificate and for dn schema errors (not on `check_tree`)."""
+
+    path: Optional[tuple] = None
+    rule: Optional[str] = None
+
+    def located(self) -> str:
+        """The message after `at 0*2.1.0 (tensor_r): `, a run of n steps i as `i*n`."""
+        if self.path is None:
+            return str(self)
+        runs = ((i, len(tuple(g))) for i, g in groupby(self.path))
+        where = ".".join(f"{i}*{n}" if n > 1 else str(i) for i, n in runs) or "root"
+        rule = _clip(self.rule, quote=str if self.rule.isidentifier() else repr)
+        return f"at {_clip(where, quote=str)} ({rule}): {self}"
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,58 @@ def postorder(node: ProofNode) -> Iterator[ProofNode]:
         else:
             stack.append((cur, True))
             stack.extend((p, False) for p in reversed(cur.premises))
+
+
+def _located(e: CheckError, root: ProofNode, node: ProofNode) -> CheckError:
+    """`e` naming `node`, where a preorder walk from `root` failed: found by identity only then."""
+    path, todo = [], [(root, 0, None)]
+    while todo:
+        cur, depth, i = todo.pop()
+        path[depth:] = [i]
+        if cur is node:
+            e.path, e.rule = tuple(path[1:]), node.rule
+            return e
+        todo.extend((p, depth + 1, j) for j, p in reversed(tuple(enumerate(cur.premises))))
+
+
+def check_tree(root: ProofNode, rules: dict, applies, read=None, expect=None) -> None:
+    """The checker loop: each node in preorder, over an explicit stack of
+    (node, its conclusion through `read`), each read once, as a premise of
+    its parent.  `rules` maps a rule name to its premise count, and
+    `applies(rule, c, ps)` tells whether the rule derives `c` from `ps`.
+    The root must conclude `expect`, when given, as `read` reads both."""
+    read = read or (lambda c: c)
+    todo = [(root, read(root.conclusion))]
+    if expect is not None and read(expect) != todo[0][1]:
+        raise CheckError("root conclusion does not match the expected sequent")
+    try:
+        while todo:
+            node, c = todo.pop()
+            rule = node.rule
+            if rule not in rules:
+                raise CheckError(f"unknown rule {_clip(rule)}")
+            if len(node.premises) != rules[rule]:
+                raise CheckError(f"rule {rule} expects {rules[rule]} premises, got {len(node.premises)}")
+            ps = tuple(read(p.conclusion) for p in node.premises)
+            if not applies(rule, c, ps):
+                raise CheckError(f"rule {rule} does not derive {_clip(str(node.conclusion))} from its premises")
+            todo.extend(reversed(tuple(zip(node.premises, ps))))
+    except CheckError as e:
+        raise _located(e, root, node)
+
+
+def check_fragment(root: ProofNode, excluded: frozenset, inside) -> None:
+    """The FILL fragment pass, given a calculus's rules outside FILL and its
+    test of a FILL conclusion.  Raises CheckError at the first offender in
+    preorder; the checker, not this pass, says whether the tree is a proof."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if node.rule in excluded:
+            raise _located(CheckError(f"rule {node.rule} lies outside FILL"), root, node)
+        if not inside(node.conclusion):
+            raise _located(CheckError(f"sequent leaves FILL: {_clip(str(node.conclusion))}"), root, node)
+        todo.extend(reversed(node.premises))
 
 
 def _kept(node: ProofNode) -> list:

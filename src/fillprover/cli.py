@@ -1,20 +1,20 @@
 """Command-line front end.
 
 Five subcommands: `prove` decides a formula and writes a deep-calculus
-certificate, `check` validates a certificate with the matching checker,
-`translate` rebuilds a certificate in another calculus, `corpus` enumerates
-formulas up to a connective bound and decides each once, its FILL verdict
-through the separation check, and `stats` reports size metrics for a
-certificate, with the branch bound and hop cap that dn search would have
-for its endsequent.
+certificate, `check` validates a certificate with the matching checker (in
+FILL, then the fragment pass), `translate` rebuilds a certificate in another
+calculus, `corpus` enumerates formulas up to a connective bound and decides
+each once, its FILL verdict through the separation check, and `stats`
+reports size metrics for a certificate, with the branch bound and hop cap
+that dn search would have for its endsequent.
 
 Exit statuses: 0 when the request succeeds, 1 when it fails on the merits
 (unprovable formula, rejected proof, cut-bearing input declined, a
 translation its target checker rejects, which writes no output), 2 for
-usage errors, unparseable input, malformed certificates, fragment
-violations, and an --out path that cannot be written.  Diagnostics go to
-standard error; certificates and records go to standard output or the --out
-path.
+usage errors, unparseable input, malformed certificates, a formula outside
+FILL to prove in FILL, and an --out path that cannot be written.
+Diagnostics go to standard error; certificates and records go to standard
+output or the --out path.
 
 `main` can be called any number of times in one process, as the tests and
 the benchmark do.  It builds the argument parser once, on its first call,
@@ -30,18 +30,19 @@ import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
-from functools import cache
+from functools import cache, partial
 
 from .certs import (
     CheckError,
     branch_length,
     certificate_text,
+    check_fragment,
     postorder,
     proof_size,
     read_certificate,
 )
-from .deep import check_dn_proof
-from .display import check_dc_proof, parse_display
+from .deep import check_dn_proof, check_separation
+from .display import DC_FILL_EXCLUDED, check_dc_proof, is_fill_display, parse_display
 from .formula import (
     Atom,
     Excl,
@@ -57,8 +58,8 @@ from .formula import (
     parse_formula,
 )
 from .prover import decide_formula, goal_reading, search_bounds
-from .sequent import parse_sequent, signed_counts
-from .shallow import check_sn_proof
+from .sequent import is_fill_sequent, parse_sequent, signed_counts
+from .shallow import SN_FILL_EXCLUDED, check_sn_proof
 from .translate import (
     TranslationError,
     deep_to_shallow,
@@ -74,6 +75,22 @@ __all__ = ["main", "corpus_formulas", "corpus_record", "CORPUS_CAP"]
 CORPUS_CAP = 8
 
 _CHECKERS = {"dn": check_dn_proof, "sn": check_sn_proof, "dc": check_dc_proof}
+# each calculus's FILL fragment pass: a FILL proof is a BiILL proof that passes it
+_FILL = {
+    "dn": check_separation,
+    "sn": partial(check_fragment, excluded=SN_FILL_EXCLUDED, inside=is_fill_sequent),
+    "dc": partial(check_fragment, excluded=DC_FILL_EXCLUDED, inside=is_fill_display),
+}
+
+
+def _in_logic(cert, logic: str) -> None:
+    if logic == "fill":
+        _FILL[cert.calculus](cert.root)
+
+
+def _check(cert, logic: str) -> None:
+    _CHECKERS[cert.calculus](cert.root)
+    _in_logic(cert, logic)
 
 
 def _cannot_write(path: str, e: OSError) -> int:
@@ -162,9 +179,9 @@ def cmd_check(args) -> int:
         return 1
     logic = args.logic or cert.logic
     try:
-        _CHECKERS[cert.calculus](cert.root, logic)
+        _check(cert, logic)
     except CheckError as e:
-        print(f"check failed: {e}", file=sys.stderr)
+        print(f"check failed: {e.located()}", file=sys.stderr)
         return 1
     print(
         f"{cert.calculus} certificate ok under {logic}: {cert.endsequent}",
@@ -173,16 +190,12 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _translated(root, src: str, dst: str, logic: str):
-    # a second hop revalidates in biill: translated proofs may use
-    # structural rules outside the FILL subset even for FILL endsequents
-    if src == "dn":
-        sn = deep_to_shallow(root, logic)
-        return sn if dst == "sn" else shallow_to_display(sn, "biill")
-    if src == "sn":
-        return shallow_to_deep(root, logic) if dst == "dn" else shallow_to_display(root, logic)
-    sn = display_to_shallow(root, logic)
-    return sn if dst == "sn" else shallow_to_deep(sn, "biill")
+def _translated(root, src: str, dst: str):
+    # by way of sn; each translator checks its input, in BiILL
+    sn = root if src == "sn" else deep_to_shallow(root) if src == "dn" else display_to_shallow(root)
+    if dst == "sn":
+        return sn
+    return shallow_to_deep(sn) if dst == "dn" else shallow_to_display(sn)
 
 
 def cmd_translate(args) -> int:
@@ -195,7 +208,8 @@ def cmd_translate(args) -> int:
     logic = args.logic or cert.logic
     start = time.perf_counter()
     try:
-        out_root = _translated(cert.root, cert.calculus, args.calculus, logic)
+        _in_logic(cert, logic)  # the translator runs the BiILL check
+        out_root = _translated(cert.root, cert.calculus, args.calculus)
     except TranslationError as e:
         print(f"translation failed: {e}", file=sys.stderr)
         return 1
@@ -203,7 +217,7 @@ def cmd_translate(args) -> int:
         print(str(e), file=sys.stderr)
         return 1
     except CheckError as e:
-        print(f"input certificate rejected: {e}", file=sys.stderr)
+        print(f"input certificate rejected: {e.located()}", file=sys.stderr)
         return 1
     seconds = time.perf_counter() - start
     if _emit(certificate_text(args.calculus, "biill", out_root), args.out):
@@ -289,9 +303,9 @@ def cmd_stats(args) -> int:
     if cert is None:
         return 2
     try:
-        _CHECKERS[cert.calculus](cert.root, cert.logic)
+        _check(cert, cert.logic)
     except CheckError as e:
-        print(f"certificate does not check: {e}", file=sys.stderr)
+        print(f"certificate does not check: {e.located()}", file=sys.stderr)
         return 1
     if cert.calculus == "dc":
         endsequent = read_display_sequent(parse_display(cert.endsequent))
@@ -329,12 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a certificate with its calculus checker")
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--calculus", choices=("dn", "sn", "dc"), help="require this calculus")
-    p.add_argument("--logic", choices=("fill", "biill"), help="override the recorded logic")
+    override = "override the recorded logic; fill adds the FILL fragment pass"
+    p.add_argument("--logic", choices=("fill", "biill"), help=f"{override} to the biill check")
 
     p = sub.add_parser("translate", help="rebuild a certificate in another calculus")
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--calculus", choices=("dn", "sn", "dc"), required=True, help="target calculus")
-    p.add_argument("--logic", choices=("fill", "biill"), help="validate the input under this logic")
+    p.add_argument("--logic", choices=("fill", "biill"), help=f"{override} on the input")
     p.add_argument("--out", metavar="PATH", help="certificate file (default stdout)")
 
     p = sub.add_parser("corpus", help="enumerate and decide formulas, one JSON record per line")

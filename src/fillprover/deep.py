@@ -16,11 +16,11 @@ The shape of each logical rule is encoded once, in the rule-shape helpers
 below; search, the checker, the shallow checker and the translators all
 build premises and conclusions with them.
 
-FILL drops exclusion and the two propagation moves that need left-nested
-children (`FILL_EXCLUDED`), and keeps sequents right-nested.  Search has no
-FILL mode: on a FILL goal, `excl_l` and `excl_r` lack an exclusion (by the
-subformula property), and `prop_right_in` and `prop_left_out` a left-nested
-child, which only `excl_l` makes, so none of them fires.
+FILL drops exclusion and left-nested children, and with them the rules of
+`FILL_EXCLUDED`; a FILL proof is a BiILL proof that passes
+`check_separation`.  Search has no FILL mode: on a FILL goal, `excl_l` and
+`excl_r` lack an exclusion (by the subformula property), and `prop_right_in`
+and `prop_left_out` a left-nested child, which only `excl_l` makes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .certs import CheckError, ProofNode, Witness, postorder, proof_size, stack_room
+from .certs import CheckError, ProofNode, Witness, check_fragment, proof_size, stack_room
 from .formula import (
     Atom,
     Excl,
@@ -563,15 +563,10 @@ def _branch_instances(
                 yield pair, Witness(context=ctx, principal=f, ctx1=l1, ctx2=l2)
 
 
-def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
+def _verify(node: ProofNode, current: Sequent) -> ProofNode:
     rule = node.rule
     if rule not in DN_RULES:
         raise CheckError(f"unknown rule {_clip(rule)}")
-    if logic == "fill":
-        if rule in FILL_EXCLUDED:
-            raise CheckError(f"rule {rule} is not available in FILL")
-        if not is_fill_sequent(current):
-            raise CheckError(f"sequent leaves the FILL fragment: {_quoted(current)}")
     if strip_sequent(node.conclusion) != strip_sequent(current):
         raise CheckError(
             f"conclusion mismatch at {rule}: stated {_quoted(node.conclusion)}, derived {_quoted(current)}"
@@ -599,7 +594,7 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
                 derived = derived or stripped
                 continue
             try:
-                kids = tuple(_verify(child, p, logic) for p, child in zip(premises, node.premises))
+                kids = tuple(_verify(child, p) for p, child in zip(premises, node.premises))
                 return ProofNode(rule, current, kids, exact_w)
             except CheckError as e:
                 last = e
@@ -613,7 +608,7 @@ def _verify(node: ProofNode, current: Sequent, logic: str) -> ProofNode:
     raise CheckError(f"rule {rule} does not apply to {_quoted(current)} with the given witness")
 
 
-def check_dn_proof(root: ProofNode, logic: str = "biill", expect: Optional[Sequent] = None) -> None:
+def check_dn_proof(root: ProofNode, expect: Optional[Sequent] = None) -> None:
     """Validate a proof tree in the deep calculus: replay_dn_proof, after
     comparing the root conclusion with `expect` when one is given.  Raises
     CheckError with a reason on any defect."""
@@ -621,10 +616,10 @@ def check_dn_proof(root: ProofNode, logic: str = "biill", expect: Optional[Seque
         raise CheckError(
             f"proof concludes {_quoted(root.conclusion)}, expected {_quoted(expect)}"
         )
-    replay_dn_proof(root, logic)
+    replay_dn_proof(root)
 
 
-def replay_dn_proof(root: ProofNode, logic: str = "biill") -> ProofNode:
+def replay_dn_proof(root: ProofNode) -> ProofNode:
     """Check the proof and return it rebuilt over the sequents its rules
     derive from the root conclusion, hop counts included, with every
     witness pinned down exactly: the context is the one the rule acted in,
@@ -632,19 +627,10 @@ def replay_dn_proof(root: ProofNode, logic: str = "biill") -> ProofNode:
     record the origin of the child they cross.  A child that `lolli_r` or
     `excl_l` spawns has origin 0, so a certificate must write it without an
     `@` suffix.  Raises CheckError with a reason on any defect."""
-    if logic not in ("fill", "biill"):
-        raise ValueError(f"unknown logic {logic!r}")
     with stack_room(60 * proof_size(root) + 2000):
-        return _verify(root, strip_sequent(root.conclusion), logic)
+        return _verify(root, strip_sequent(root.conclusion))
 
 
 def check_separation(root: ProofNode) -> None:
-    """Confirm a deep proof lies wholly in the FILL fragment: every rule in
-    the FILL subset and every sequent free of left-nested children.  Raises
-    CheckError naming the first offender.  Schema validity is
-    check_dn_proof's job; this only polices the fragment."""
-    for node in postorder(root):
-        if node.rule in FILL_EXCLUDED:
-            raise CheckError(f"rule {node.rule} lies outside FILL")
-        if not is_fill_sequent(node.conclusion):
-            raise CheckError(f"sequent leaves FILL: {_quoted(node.conclusion)}")
+    """The FILL fragment pass, `certs.check_fragment`, with the deep tables."""
+    check_fragment(root, FILL_EXCLUDED, is_fill_sequent)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .certs import CheckError, LOGICS, ProofNode
+from .certs import CheckError, ProofNode, check_tree
 from .formula import (
     Atom,
     Excl,
@@ -452,36 +452,7 @@ def dc_rule_applies(rule: str, c: DisplaySequent, ps: tuple[DisplaySequent, ...]
     return c in dc_conclusions(rule, ps)
 
 
-def _verify_dc(root: ProofNode, logic: str) -> None:
-    """Check every node in preorder, so the first offending node is the one
-    a recursive walk would meet first, over an explicit stack."""
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        rule = node.rule
-        c = node.conclusion
-        if rule not in DC_RULES:
-            raise CheckError(f"unknown rule {_clip(rule)}")
-        if len(node.premises) != DC_RULES[rule]:
-            raise CheckError(
-                f"rule {rule} expects {DC_RULES[rule]} premises, got {len(node.premises)}"
-            )
-        if logic == "fill":
-            if rule in DC_FILL_EXCLUDED:
-                raise CheckError(f"rule {rule} is not available in FILL")
-            if not is_fill_display(c):
-                raise CheckError(f"sequent leaves FILL: {_clip(display_text(c))}")
-        ps = tuple(p.conclusion for p in node.premises)
-        if not dc_rule_applies(rule, c, ps):
-            raise CheckError(f"rule {rule} does not derive {_clip(display_text(c))} from its premises")
-        todo.extend(reversed(node.premises))
-
-
-def check_dc_proof(root: ProofNode, logic: str = "biill", expect: DisplaySequent | None = None) -> None:
+def check_dc_proof(root: ProofNode, expect: DisplaySequent | None = None) -> None:
     """Validate a display-calculus derivation.  Raises CheckError on the
     first offending node; returns None when the tree is a proof."""
-    if logic not in LOGICS:
-        raise CheckError(f"unknown logic {logic!r}")
-    if expect is not None and expect != root.conclusion:
-        raise CheckError("root conclusion does not match the expected sequent")
-    _verify_dc(root, logic)
+    check_tree(root, DC_RULES, dc_rule_applies, expect=expect)

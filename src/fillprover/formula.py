@@ -188,10 +188,10 @@ _NEST = {"(": 1, "[": 1, ")": -1, "]": -1}
 _STOPS = frozenset({"[", "]", ",", "_", "<", ">", "=>", "|-", "Phi"})
 
 
-def _clip(text: str, limit: int = 60) -> str:
-    """`text` quoted for an error message, cut to its first `limit`
-    characters so that one line stays short whatever the input."""
-    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+def _clip(text: str, limit: int = 60, quote=repr) -> str:
+    """`text` quoted for an error message, by `quote`, cut to its first
+    `limit` characters so that one line stays short whatever the input."""
+    return quote(text) if len(text) <= limit else quote(text[:limit]) + "..."
 
 
 def _tokenize(text: str) -> list[str]:

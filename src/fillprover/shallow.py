@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
-from .certs import CheckError, LOGICS, ProofNode
+from .certs import CheckError, ProofNode, check_tree
 from .deep import (
     _FLIP,
     _LOGICAL,
@@ -42,7 +42,6 @@ from .deep import (
     _branch_conclusion,
     _on,
     _principals,
-    _quoted,
     _sided,
     _unfold,
 )
@@ -57,7 +56,6 @@ from .sequent import (
     _rebuild,
     child_seqs,
     children_by_origin,
-    is_fill_sequent,
     is_hollow,
     occs,
     plug,
@@ -201,41 +199,10 @@ def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
     raise CheckError(f"unknown rule {_clip(rule)}")
 
 
-def _verify_sn(root: ProofNode, logic: str, c: Sequent) -> None:
-    """Check every node in preorder, so the first offending node is the one
-    a recursive walk would meet first, over an explicit stack of (node, its
-    conclusion through `_norm`): each conclusion is normalised once, as a
-    premise of its parent."""
-    todo = [(root, c)]
-    while todo:
-        node, c = todo.pop()
-        rule = node.rule
-        if rule not in SN_RULES:
-            raise CheckError(f"unknown rule {_clip(rule)}")
-        if len(node.premises) != SN_RULES[rule]:
-            raise CheckError(
-                f"rule {rule} expects {SN_RULES[rule]} premises, got {len(node.premises)}"
-            )
-        if logic == "fill":
-            if rule in SN_FILL_EXCLUDED:
-                raise CheckError(f"rule {rule} is not available in FILL")
-            if not is_fill_sequent(c):
-                raise CheckError(f"sequent leaves FILL: {_quoted(node.conclusion)}")
-        ps = tuple(_norm(p.conclusion) for p in node.premises)
-        if not _applies(rule, c, ps):
-            raise CheckError(f"rule {rule} does not derive {_quoted(node.conclusion)} from its premises")
-        todo.extend(reversed(tuple(zip(node.premises, ps))))
-
-
-def check_sn_proof(root: ProofNode, logic: str = "biill", expect: Sequent | None = None) -> None:
+def check_sn_proof(root: ProofNode, expect: Sequent | None = None) -> None:
     """Validate a shallow derivation.  Raises CheckError on the first
     offending node; returns None when the tree is a proof."""
-    if logic not in LOGICS:
-        raise CheckError(f"unknown logic {logic!r}")
-    c = _norm(root.conclusion)
-    if expect is not None and _norm(expect) != c:
-        raise CheckError("root conclusion does not match the expected sequent")
-    _verify_sn(root, logic, c)
+    check_tree(root, SN_RULES, _applies, _norm, expect)
 
 
 # -------------------------------------------------- bringing a node to root

@@ -44,11 +44,11 @@ translated by one body, parametrised by side: it is written for one rule of
 the pair and names the other with `deep._on`.
 
 Each translation ends by running the checker of its target calculus on its
-result, against the input's endsequent.  The check runs under BiILL, since
-a translation may use left-nested structure even for a FILL endsequent.  A
-result the checker rejects, or a step that no case of a translator fits,
-raises TranslationError; that check, not per-step assertions, is what
-guards the output.
+result, against the input's endsequent.  Checks are BiILL checks: a
+translation may use left-nested structure even for a FILL endsequent, and
+the FILL fragment pass is for the caller to run.  A result the checker
+rejects, or a step that no case of a translator fits, raises
+TranslationError; that check, not per-step assertions, guards the output.
 """
 
 from __future__ import annotations
@@ -128,20 +128,20 @@ class TranslationError(Exception):
     """Raised when a translator builds no proof of its input's endsequent."""
 
 
-def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
-    """`out` with its loops cut, once the target calculus's checker
-    accepts it as a BiILL proof of `expect`.
+def _cut_free(root: ProofNode, check) -> None:
+    check(root)
+    if any(node.rule == "cut" for node in postorder(root)):
+        raise ValueError("cannot translate a proof that uses cut")
 
+
+def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
+    """`out` with its loops cut (`cut_loops`, which keeps a proof a proof),
+    once the target calculus's checker accepts it as a proof of `expect`.
     Every translator leaves through here, so none can skip the cut, and
-    the checker judges the cut proof, not the one the translator built.
-    The cut (`cut_loops`) drops the nodes between two equal conclusions of
-    a one-premise chain.  A proof stays a proof: each checker judges a
-    node by its own conclusion and its premises' conclusions (the dn
-    checker by their hop counts too, which the equality includes), and a
-    surviving node's new premise concludes exactly what its old one did."""
+    the checker judges the cut proof, not the one the translator built."""
     out = cut_loops(out)
     try:
-        check(out, "biill", expect)
+        check(out, expect)
     except CheckError as e:
         raise TranslationError(f"{stage}: output rejected: {e}") from None
     return out
@@ -149,11 +149,11 @@ def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
 
 # ------------------------------------------------- deep to shallow
 
-def deep_to_shallow(root: ProofNode, logic: str = "biill") -> ProofNode:
+def deep_to_shallow(root: ProofNode) -> ProofNode:
     """Rebuild a deep proof as a shallow (root-rule-only) proof of the same
     endsequent.  The input is checked first and the output last; the
     output is cut-free by construction."""
-    exact = replay_dn_proof(root, logic)
+    exact = replay_dn_proof(root)
     with stack_room(200 * proof_size(exact) + 4000):
         out = _dts(exact)
     return _checked("dn -> sn", check_sn_proof, out, exact.conclusion)
@@ -542,7 +542,7 @@ def _gained(cn: Sequent, pns, side: str, cls=object):
     return next(f for f, v in have.items() if v > 0 and isinstance(f, cls))
 
 
-def shallow_to_display(root: ProofNode, logic: str = "biill") -> ProofNode:
+def shallow_to_display(root: ProofNode) -> ProofNode:
     """Rebuild a root-rule-only proof in the display calculus.
 
     Each shallow step becomes a few display steps that work on whatever
@@ -554,10 +554,7 @@ def shallow_to_display(root: ProofNode, logic: str = "biill") -> ProofNode:
     input's endsequent.  Cut-bearing proofs are rejected: cut is not part
     of the display vocabulary here.
     """
-    check_sn_proof(root, logic)
-    for node in postorder(root):
-        if node.rule == "cut":
-            raise ValueError("cannot translate a proof that uses cut")
+    _cut_free(root, check_sn_proof)
     target = sequent_to_display(root.conclusion)
     with stack_room(100 * proof_size(root) + 4000):
         out = _std(root)
@@ -689,15 +686,12 @@ _DC_SAME = frozenset((
 ))
 
 
-def display_to_shallow(root: ProofNode, logic: str = "biill") -> ProofNode:
+def display_to_shallow(root: ProofNode) -> ProofNode:
     """Rebuild a display proof as a root-rule-only proof over the nested
     reading of each structure.  Associativity, commutativity and the empty
     structure leave no trace; residuation steps become wrap or dissolve
     steps; cut-bearing proofs are rejected."""
-    check_dc_proof(root, logic)
-    for node in postorder(root):
-        if node.rule == "cut":
-            raise ValueError("cannot translate a proof that uses cut")
+    _cut_free(root, check_dc_proof)
     with stack_room(40 * proof_size(root) + 4000):
         out = _dfs_down(root)
     return _checked("dc -> sn", check_sn_proof, out, read_display_sequent(root.conclusion))
@@ -1235,7 +1229,7 @@ def _settled(node: ProofNode, back: dict) -> ProofNode:
     return ProofNode(node.rule, _with_origins(node.conclusion, origin_of), subs, ww)
 
 
-def shallow_to_deep(root: ProofNode, logic: str = "biill") -> ProofNode:
+def shallow_to_deep(root: ProofNode) -> ProofNode:
     """Rebuild a cut-free shallow proof as a deep proof of the same
     endsequent.  Logical rules map one for one, refired at whatever depth
     their material sits after the structural steps below are accounted for;
@@ -1248,10 +1242,7 @@ def shallow_to_deep(root: ProofNode, logic: str = "biill") -> ProofNode:
     an origin of its own: a negative working origin, given to each child of
     the endsequent and to each child a rule spawns.  The finished proof
     gets back the origins the dn checker derives."""
-    check_sn_proof(root, logic)
-    for node in postorder(root):
-        if node.rule == "cut":
-            raise ValueError("cannot translate a proof that uses cut")
+    _cut_free(root, check_sn_proof)
     end = strip_sequent(root.conclusion)
     fresh = count(-1, -1)
     back: dict = {}

@@ -33,20 +33,20 @@ STAGES = ("dn", "sn", "dc", "sn2", "dn2")
 CALCULI = ("dn", "sn", "dc", "sn", "dn")
 
 
-def round_trip(dn, logic: str = "biill") -> tuple:
+def round_trip(dn) -> tuple:
     """The stages dn, sn, dc, sn2 and dn2 of the round trip of the dn proof
     `dn`, every one checked against the endsequent it must have (the
     translation from dn checks `dn` itself first).  The tests of
     `test_translate.py` use it too."""
     end = dn.conclusion
-    sn = deep_to_shallow(dn, logic)
-    check_sn_proof(sn, "biill", expect=end)
+    sn = deep_to_shallow(dn)
+    check_sn_proof(sn, expect=end)
     dc = shallow_to_display(sn)
-    check_dc_proof(dc, "biill", expect=sequent_to_display(end))
+    check_dc_proof(dc, expect=sequent_to_display(end))
     sn2 = display_to_shallow(dc)
-    check_sn_proof(sn2, "biill", expect=end)
+    check_sn_proof(sn2, expect=end)
     dn2 = shallow_to_deep(sn)
-    check_dn_proof(dn2, "biill", expect=end)
+    check_dn_proof(dn2, expect=end)
     return dn, sn, dc, sn2, dn2
 
 
@@ -88,7 +88,7 @@ def main() -> int:
             continue
         theorems += 1
         try:
-            check_dn_proof(decision.proof, "biill", expect=endsequent_for(f))
+            check_dn_proof(decision.proof, expect=endsequent_for(f))
             stages = round_trip(decision.proof)
             io -= time.perf_counter()
             read_back(stages)

@@ -1,10 +1,18 @@
-"""cut_loops: the pass every translator's output goes through."""
+"""cut_loops, the pass every translator's output goes through, and where
+the shared checker walks say a proof fails."""
 
 import sys
 
-from fillprover.certs import ProofNode, Witness, cut_loops, proof_size
-from fillprover.formula import Atom
+import pytest
+
+from fillprover.certs import CheckError, ProofNode, Witness, cut_loops, proof_size
+from fillprover.deep import check_separation
+from fillprover.display import check_dc_proof
+from fillprover.formula import Atom, parse_formula
+from fillprover.prover import decide_formula
 from fillprover.sequent import Occ, Sequent, parse_sequent
+from fillprover.shallow import check_sn_proof
+from fillprover.translate import deep_to_shallow, shallow_to_display
 
 
 def chain(*steps):
@@ -99,3 +107,39 @@ def test_a_100_000_node_chain_is_cut_at_the_default_recursion_limit():
         sys.setrecursionlimit(limit)
     assert shape(cut) == [(f"r{n - 2}", "A"), (f"r{n - 1}", "B"), ("leaf", "C")]
     assert same is distinct and proof_size(same) == n
+
+
+def replaced(root, path, node):
+    """`root` with the node at `path`, premise indices from the root, replaced by `node`."""
+    if not path:
+        return node
+    kids = list(root.premises)
+    kids[path[0]] = replaced(kids[path[0]], path[1:], node)
+    return ProofNode(root.rule, root.conclusion, tuple(kids), root.witness)
+
+
+@pytest.mark.parametrize(
+    "calculus, rule, check, located",
+    [
+        ("dn", "prop_right_in", check_separation, "at 0*5.1.0.1 (prop_right_in): rule prop_right_in lies outside FILL"),
+        ("sn", "i_r", check_sn_proof, "at 0*40.1.0*34.1.0*9 (i_r): rule i_r does not derive 'c => c' from its premises"),
+        ("dc", "i_r", check_dc_proof, "at 0*90.1.0*78.1.0*18 (i_r): rule i_r does not derive 'c |- c' from its premises"),
+    ],
+)
+def test_a_defect_deep_in_a_proof_is_named_by_its_path(calculus, rule, check, located):
+    # the top node of the last branch of a proof of each calculus gets a
+    # rule outside FILL (dn, against the fragment pass) or a rule that does
+    # not derive it (sn and dc, against the checker loop); runs of equal
+    # steps in the path print as `i*n`
+    dn = decide_formula(parse_formula("(a -o b) -o (b -o c) -o a -o c")).proof
+    sn = deep_to_shallow(dn)
+    proof = {"dn": dn, "sn": sn, "dc": shallow_to_display(sn)}[calculus]
+    path, node = (), proof
+    while node.premises:
+        i = len(node.premises) - 1
+        path, node = path + (i,), node.premises[i]
+    check(proof)
+    with pytest.raises(CheckError) as e:
+        check(replaced(proof, path, ProofNode(rule, node.conclusion, node.premises, node.witness)))
+    assert (e.value.path, e.value.rule) == (path, rule)
+    assert e.value.located() == located

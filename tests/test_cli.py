@@ -36,7 +36,7 @@ def test_prove_writes_a_checkable_certificate(tmp_path):
     assert run("prove", "--logic", "fill", BIERMAN, "--out", str(out)) == 0
     cert = read_certificate(out.read_text())
     assert cert.calculus == "dn" and cert.logic == "fill"
-    check_dn_proof(cert.root, "fill")
+    check_dn_proof(cert.root)
     check_separation(cert.root)
 
 
@@ -213,6 +213,25 @@ def test_huge_one_node_certificate_gets_one_short_line(tmp_path, capsys, calculu
     assert len(err.encode()) < 1_000
 
 
+@pytest.mark.parametrize("calculus", ["sn", "dc"])
+def test_a_defect_atop_a_5000_step_chain_gets_one_short_line(tmp_path, capsys, calculus):
+    # steps alternate between two conclusions, and the top one is no axiom:
+    # the failing node's path of 4,999 or 5,000 steps prints as one run
+    steps = {
+        "sn": (("dissolve_right", "a => a"), ("wrap_right", "=> [a => a]"), "b => b"),
+        "dc": (("com_l", "a, b |- a*b"), ("com_l", "b, a |- a*b"), "a, b |- a*b"),
+    }[calculus]
+    chain = "".join('{"rule": "%s", "conclusion": "%s", "premises": [' % steps[i % 2] for i in range(5000))
+    top = '{"rule": "id", "conclusion": "%s"}' % steps[2]
+    path = tmp_path / "cert.json"
+    path.write_text(f'{{"calculus": "{calculus}", "proof": ' + chain + top + "]}" * 5000 + "}")
+    capsys.readouterr()
+    assert run("check", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith({"sn": "check failed: at 0*4999 (wrap_right): ", "dc": "check failed: at 0*5000 (id): "}[calculus])
+    assert err.count("\n") == 1 and len(err.encode()) < 1_000
+
+
 def test_check_json_nested_past_the_c_stack_is_exit_2(tmp_path):
     # in a child process: a C stack overflow would kill the interpreter
     path = tmp_path / "cert.json"
@@ -240,11 +259,53 @@ def test_check_deep_proof_is_rejected_not_a_crash(tmp_path):
     assert done.stderr.startswith("check failed: ")
 
 
-def test_check_logic_override(tmp_path):
-    out = tmp_path / "cert.json"
-    run("prove", "--logic", "biill", "p -o q|(p -< q)", "--out", str(out))
-    assert run("check", str(out)) == 0
-    assert run("check", str(out), "--logic", "fill") == 1
+def biill_only_certificates(tmp_path):
+    """A certificate of the BiILL-only theorem `p -o q|(p -< q)` in each
+    calculus, by path."""
+    path = {c: tmp_path / f"{c}.json" for c in ("dn", "sn", "dc")}
+    assert run("prove", "--logic", "biill", "p -o q|(p -< q)", "--out", str(path["dn"])) == 0
+    assert run("translate", str(path["dn"]), "--calculus", "sn", "--out", str(path["sn"])) == 0
+    assert run("translate", str(path["sn"]), "--calculus", "dc", "--out", str(path["dc"])) == 0
+    return path
+
+
+def test_check_logic_override(tmp_path, capsys):
+    for calculus, out in biill_only_certificates(tmp_path).items():
+        assert run("check", str(out)) == 0
+        capsys.readouterr()
+        assert run("check", str(out), "--logic", "fill") == 1
+        # the fragment pass names the first node outside FILL, here the root
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"check failed: at root \(\w+\): sequent leaves FILL: '(=>|Phi \|-) p -o q\|\(p -< q\)'\n", err), err
+
+
+def test_translate_logic_fill_runs_the_fragment_pass_on_the_input(tmp_path, capsys):
+    # the translator checks its input in BiILL; --logic fill adds only the
+    # fragment pass, so a BiILL-only input is rejected in every calculus
+    target = {"dn": "sn", "sn": "dc", "dc": "sn"}
+    for calculus, path in biill_only_certificates(tmp_path).items():
+        capsys.readouterr()
+        assert run("translate", str(path), "--calculus", target[calculus], "--logic", "fill") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input certificate rejected: at ") and captured.out == ""
+        assert run("translate", str(path), "--calculus", target[calculus]) == 0
+
+
+def test_check_names_the_failing_node(tmp_path, capsys):
+    # a schema defect at the top of a chain: the path of premise indices
+    # from the root, and the rule, come before the reason
+    leaf = {"rule": "id", "conclusion": "c => c"}
+    proof = {"rule": "tensor_r", "conclusion": "a, b => a*b", "premises": [
+        {"rule": "id", "conclusion": "a => a"},
+        {"rule": "dissolve_right", "conclusion": "b => b", "premises": [
+            {"rule": "wrap_right", "conclusion": "=> [b => b]", "premises": [leaf]}]}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"calculus": "sn", "proof": proof}))
+    capsys.readouterr()
+    assert run("check", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "check failed: at 1.0 (wrap_right): rule wrap_right does not derive '=> [b => b]' from its premises\n"
+    )
 
 
 # -------------------------------------------------- translate
@@ -258,14 +319,17 @@ def test_translate_chain_re_checks(tmp_path, capsys):
     assert run("translate", str(sn), "--calculus", "dc", "--out", str(dc)) == 0
     capsys.readouterr()
     cert = read_certificate(sn.read_text())
-    check_sn_proof(cert.root, cert.logic)
+    assert cert.logic == "biill"
+    check_sn_proof(cert.root)
     cert = read_certificate(dc.read_text())
-    check_dc_proof(cert.root, cert.logic)
+    assert cert.logic == "biill"
+    check_dc_proof(cert.root)
     # and back down to a deep proof of the same endsequent
     assert run("translate", str(dc), "--calculus", "dn") == 0
     back = read_certificate(capsys.readouterr().out)
     assert back.endsequent == "=> a*(b|c) -o (a*b)|c"
-    check_dn_proof(back.root, back.logic)
+    assert back.logic == "biill"
+    check_dn_proof(back.root)
 
 
 def test_translate_reports_sizes_and_time(tmp_path, capsys):

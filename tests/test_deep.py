@@ -120,7 +120,7 @@ def test_no_rule_outside_fill_is_offered_on_an_exclusion_free_search():
         if calls:
             d = decide_formula(f, "fill")
             if d.proof is not None:
-                check_dn_proof(d.proof, "fill")
+                check_dn_proof(d.proof)
                 check_separation(d.proof)
                 theorems += 1
     assert (decisions, states, theorems) == (12460, 3892, 522)
@@ -229,15 +229,14 @@ def big_fill_proof():
 def test_fixture_proof_checks_in_both_logics():
     proof = big_fill_proof()
     assert proof_size(proof) == 14
-    check_dn_proof(proof, "biill")
-    check_dn_proof(proof, "fill")
+    check_dn_proof(proof)
     check_separation(proof)
 
 
 def test_fixture_expect_mismatch():
     proof = big_fill_proof()
     with pytest.raises(CheckError):
-        check_dn_proof(proof, "biill", expect=parse_sequent("=> a"))
+        check_dn_proof(proof, expect=parse_sequent("=> a"))
 
 
 # ------------------------------------------------------------- rejections
@@ -293,7 +292,7 @@ def test_branch_with_witnesses_checks():
         N("id", "b => b", {"context": "_", "principal": "b"}),
     )
     check_dn_proof(good)
-    check_dn_proof(good, "fill")
+    check_separation(good)
 
 
 def test_missing_witness_rejected():
@@ -309,11 +308,13 @@ def test_fill_rejects_exclusion_and_left_nesting():
         {"context": "_", "principal": "a -< b"},
         N("id", "[a => b] => c", {"context": "_", "principal": "c"}),
     )
-    with pytest.raises(CheckError):
-        check_dn_proof(proof, "fill")
+    with pytest.raises(CheckError, match=r"^rule excl_l lies outside FILL$") as e:
+        check_separation(proof)
+    assert (e.value.path, e.value.rule) == ((), "excl_l")
     nested = N("id", "[a => b] => c", {"context": "_", "principal": "c"})
-    with pytest.raises(CheckError):
-        check_dn_proof(nested, "fill")
+    with pytest.raises(CheckError, match=r"^sequent leaves FILL: '\[a => b\] => c'$") as e:
+        check_separation(nested)
+    assert (e.value.path, e.value.rule) == ((), "id")
 
 
 def test_unknown_rule_rejected():

@@ -5,7 +5,15 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from fillprover.certs import Certificate, CheckError, ProofNode, certificate_text, proof_size, read_certificate
+from fillprover.certs import (
+    Certificate,
+    CheckError,
+    ProofNode,
+    certificate_text,
+    proof_size,
+    read_certificate,
+)
+from fillprover.cli import _FILL
 from fillprover.display import (
     DisplaySequent,
     SComma,
@@ -29,6 +37,9 @@ from fillprover.sequent import parse_sequent
 
 def D(rule, conclusion, *premises):
     return ProofNode(rule, parse_display(conclusion), tuple(premises))
+
+
+in_fill = _FILL["dc"]  # the display calculus's FILL fragment pass
 
 
 # ------------------------------------------------------------------ syntax
@@ -257,16 +268,18 @@ def tensor_swap_proof():
 
 def test_tensor_swap_checks_in_both_logics():
     p = tensor_swap_proof()
-    check_dc_proof(p, "biill")
-    check_dc_proof(p, "fill")
+    check_dc_proof(p)
+    in_fill(p)
     assert proof_size(p) == 5
 
 
 def test_unit_derivations():
     one = D("i_l", "1 |- 1", D("i_r", "Phi |- 1"))
-    check_dc_proof(one, "fill", expect=parse_display("1 |- 1"))
+    check_dc_proof(one, expect=parse_display("1 |- 1"))
+    in_fill(one)
     bot = D("bot_r", "bot |- bot", D("bot_l", "bot |- Phi"))
-    check_dc_proof(bot, "fill")
+    check_dc_proof(bot)
+    in_fill(bot)
 
 
 def test_cut_derivation():
@@ -276,7 +289,7 @@ def test_cut_derivation():
         D("i_r", "Phi |- 1"),
         D("i_l", "1 |- 1", D("i_r", "Phi |- 1")),
     )
-    check_dc_proof(p, "biill")
+    check_dc_proof(p)
 
 
 def test_exclusion_identity_needs_biill():
@@ -285,14 +298,16 @@ def test_exclusion_identity_needs_biill():
         "a -< b |- a -< b",
         D("excl_r", "a < b |- a -< b", D("id", "a |- a"), D("id", "b |- b")),
     )
-    check_dc_proof(p, "biill")
-    with pytest.raises(CheckError):
-        check_dc_proof(p, "fill")
+    check_dc_proof(p)
+    with pytest.raises(CheckError, match="^rule excl_l lies outside FILL$") as e:
+        in_fill(p)
+    assert (e.value.path, e.value.rule) == ((), "excl_l")
 
 
 def test_phi_bounce():
     p = D("phi_r_down", "a |- a", D("phi_r_up", "a |- Phi, a", D("id", "a |- a")))
-    check_dc_proof(p, "fill")
+    check_dc_proof(p)
+    in_fill(p)
 
 
 _FIXTURE_END = "Phi |- (a|b)|c -o a|((b|c -o d)|e -o d|e)"
@@ -373,7 +388,7 @@ def nested_example_display_proof():
 
 def test_nested_example_display_proof_checks():
     p = nested_example_display_proof()
-    check_dc_proof(p, "biill", expect=parse_display(_FIXTURE_END))
+    check_dc_proof(p, expect=parse_display(_FIXTURE_END))
     assert proof_size(p) == 22
 
 
@@ -381,8 +396,10 @@ def test_nested_example_needs_antecedent_residual():
     # the endsequent stays inside FILL, the derivation does not
     p = nested_example_display_proof()
     assert is_fill_display(p.conclusion)
-    with pytest.raises(CheckError):
-        check_dc_proof(p, "fill")
+    check_dc_proof(p)
+    with pytest.raises(CheckError, match="^rule drp_down lies outside FILL$") as e:
+        in_fill(p)
+    assert (e.value.path, e.value.rule) == ((0, 0, 0, 0), "drp_down")
 
 
 def test_fixture_rejects_tampering():
@@ -394,7 +411,7 @@ def test_fixture_rejects_tampering():
     with pytest.raises(CheckError):
         check_dc_proof(bad_seq)
     with pytest.raises(CheckError):
-        check_dc_proof(p, "biill", expect=parse_display("Phi |- 1"))
+        check_dc_proof(p, expect=parse_display("Phi |- 1"))
 
 
 # -------------------------------------------------- embeddings and formats
@@ -418,4 +435,6 @@ def test_dc_certificate_round_trip():
     back = read_certificate(text)
     assert back.calculus == "dc"
     assert back.endsequent == "a*b |- b*a"
-    check_dc_proof(back.root, back.logic, expect=parse_display(back.endsequent))
+    assert back.logic == "fill"
+    check_dc_proof(back.root, expect=parse_display(back.endsequent))
+    in_fill(back.root)

@@ -78,7 +78,7 @@ def test_fill_theorems_prove_in_both_logics(text):
     for logic in ("fill", "biill"):
         d = decide_formula(f, logic)
         assert d.status == "proved"
-        check_dn_proof(d.proof, logic)
+        check_dn_proof(d.proof)
     # deciding a FILL goal in the larger logic stays inside the fragment
     check_separation(decide_formula(f, "biill").proof)
 
@@ -96,7 +96,7 @@ def test_biill_only_theorems(text):
     f = parse_formula(text)
     d = decide_formula(f, "biill")
     assert d.status == "proved"
-    check_dn_proof(d.proof, "biill")
+    check_dn_proof(d.proof)
     with pytest.raises(CheckError):
         check_separation(d.proof)
 
@@ -137,7 +137,7 @@ def test_fill_sequents_with_right_nested_children_decide_as_in_biill(text, statu
     assert d.status == status
     assert d == decide_sequent(s, "biill")
     if d.proof is not None:
-        check_dn_proof(d.proof, "fill", expect=s)
+        check_dn_proof(d.proof, expect=s)
         check_separation(d.proof)
 
 
@@ -145,7 +145,8 @@ def test_nested_example_proves():
     f = parse_formula("(a|b)|c -o a|((b|c -o d)|e -o d|e)")
     d = decide_formula(f, "fill")
     assert d.status == "proved"
-    check_dn_proof(d.proof, "fill")
+    check_dn_proof(d.proof)
+    check_separation(d.proof)
     assert proof_size(d.proof) <= 4 * formula_size(f) ** 4
     # the unary rules are committed to, so their alternatives are never
     # tried, and branch splits whose atoms do not balance are skipped
@@ -165,7 +166,7 @@ def test_unit_heavy_theorems_are_cut_by_the_leaf_count(text, states):
     # each took thousands of states with the atom balance as the only prune
     d = decide_formula(parse_formula(text), "biill")
     assert d.status == "proved" and d.visited == states
-    check_dn_proof(d.proof, "biill")
+    check_dn_proof(d.proof)
 
 
 def test_decide_sequent():

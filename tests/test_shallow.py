@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillprover.certs import CheckError, ProofNode, certificate_text, read_certificate
+from fillprover.cli import _FILL
 from fillprover.deep import BRANCH_RULES, UNARY_LOGICAL_RULES, deep_moves
 from fillprover.formula import parse_formula
 from fillprover.sequent import (
@@ -40,9 +41,7 @@ def N(rule, conclusion, *premises):
     return ProofNode(rule, S(conclusion), tuple(premises))
 
 
-def proof_checks(root, logic="biill"):
-    check_sn_proof(root, logic)
-    return True
+in_fill = _FILL["sn"]  # the shallow calculus's FILL fragment pass
 
 
 # ------------------------------------------------------------ rule schemas
@@ -184,32 +183,33 @@ def self_exclusion_proof():
 
 def test_lolli_identity_both_logics():
     root = lolli_identity_proof()
-    assert proof_checks(root, "fill")
-    assert proof_checks(root, "biill")
-    check_sn_proof(root, "fill", expect=S("=> a -o a"))
+    check_sn_proof(root, expect=S("=> a -o a"))
+    in_fill(root)
 
 
 def test_tensor_swap_proof():
     root = tensor_swap_proof()
-    assert proof_checks(root, "fill")
-    assert proof_checks(root, "biill")
+    check_sn_proof(root)
+    in_fill(root)
 
 
 def test_unit_cut_proof():
     root = unit_cut_proof()
-    assert proof_checks(root, "fill")
+    check_sn_proof(root)
+    in_fill(root)
 
 
 def test_self_exclusion_biill_only():
     root = self_exclusion_proof()
-    assert proof_checks(root, "biill")
-    with pytest.raises(CheckError):
-        check_sn_proof(root, "fill")
+    check_sn_proof(root)
+    with pytest.raises(CheckError, match="^rule excl_l lies outside FILL$") as e:
+        in_fill(root)
+    assert (e.value.path, e.value.rule) == ((), "excl_l")
 
 
 def test_expect_mismatch():
     with pytest.raises(CheckError):
-        check_sn_proof(lolli_identity_proof(), "biill", expect=S("=> b -o b"))
+        check_sn_proof(lolli_identity_proof(), expect=S("=> b -o b"))
 
 
 def test_wrong_arity_rejected():
@@ -234,7 +234,8 @@ def test_origin_and_label_blind():
         Sequent((), (Occ(parse_formula("a -o a")),)),
         (mid,),
     )
-    check_sn_proof(root, "fill")
+    check_sn_proof(root)
+    in_fill(root)
     assert zero_origins(S("[a => b]@7 => [c =>]@2")) == S("[a => b] => [c =>]")
 
 
@@ -244,7 +245,8 @@ def test_certificate_round_trip():
     cert = read_certificate(text)
     assert cert.calculus == "sn" and cert.logic == "fill"
     assert cert.endsequent == "a*b => b*a"
-    check_sn_proof(cert.root, cert.logic, expect=S(cert.endsequent))
+    check_sn_proof(cert.root, expect=S(cert.endsequent))
+    in_fill(cert.root)
 
 
 # --------------------------------------------------- bringing nodes to root
@@ -469,29 +471,31 @@ def test_expand_weaken_rejects_non_hollow():
 
 def test_expand_deep_leaf_at_root():
     out = expand_deep_leaf("id", HOLE, S("p => p"))
-    check_sn_proof(out, "fill", expect=S("p => p"))
+    check_sn_proof(out, expect=S("p => p"))
+    in_fill(out)
     out = expand_deep_leaf("i_r", HOLE, S("=> 1"))
-    check_sn_proof(out, "fill", expect=S("=> 1"))
+    check_sn_proof(out, expect=S("=> 1"))
+    in_fill(out)
 
 
 def test_expand_deep_leaf_nested_id():
     ctx = S("=> _")
     node = S("p => p, [=>]@5 @1")
     out = expand_deep_leaf("id", ctx, node)
-    check_sn_proof(out, "biill", expect=plug(ctx, node))
+    check_sn_proof(out, expect=plug(ctx, node))
 
 
 def test_expand_deep_leaf_nested_bot():
     ctx = S("[=>]@7 => _")
     node = S("bot => @2")
     out = expand_deep_leaf("bot_l", ctx, node)
-    check_sn_proof(out, "biill", expect=plug(ctx, node))
+    check_sn_proof(out, expect=plug(ctx, node))
 
 
 def test_expand_deep_leaf_hollow_padding():
     node = S("[=>]@3, p => p")
     out = expand_deep_leaf("id", HOLE, node)
-    check_sn_proof(out, "biill", expect=node)
+    check_sn_proof(out, expect=node)
 
 
 def test_expand_deep_leaf_rejections():
@@ -516,5 +520,5 @@ def test_weaken_then_check(xa, xb):
     top = expand_deep_leaf("id", HOLE, S("p => p"))
     out = expand_weaken_hollow(xa, "left", top)
     out = expand_weaken_hollow(xb, "right", out)
-    check_sn_proof(out, "biill")
+    check_sn_proof(out)
     assert formula_occurrence_count(out.conclusion) == 2

@@ -138,7 +138,7 @@ def test_the_closure_chain_rebuilds_only_what_has_marks(monkeypatch):
         monkeypatch.setattr(module, "_rebuild", counted)
     for case in CLOSURE_CASES:
         text, logic, _ = case.values
-        round_trip(proved(text, logic), logic)
+        round_trip(proved(text, logic))
     # sn -> dn's working origins are dropped, so the counter is reached
     assert rebuilt
     assert not any(rebuilt), f"{sum(rebuilt)} of {len(rebuilt)} rebuilds had nothing to drop"

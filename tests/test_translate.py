@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -11,14 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fillprover
-from fillprover import translate
-from fillprover.certs import CheckError, ProofNode, certificate_text, postorder, proof_size, read_certificate
-from fillprover.deep import check_dn_proof, endsequent_for
+from fillprover import deep, display, shallow, translate
+from fillprover.certs import (
+    CheckError,
+    ProofNode,
+    certificate_text,
+    postorder,
+    proof_size,
+    read_certificate,
+)
+from fillprover.deep import check_dn_proof, check_separation, endsequent_for
 from fillprover.display import check_dc_proof, parse_display, sequent_to_display
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, parse_formula
 from fillprover.prover import decide_formula, decide_sequent
 from fillprover.sequent import parse_sequent, strip_sequent
-from fillprover.cli import main
+from fillprover.cli import _FILL, main
 from fillprover.shallow import check_sn_proof, zero_origins
 from fillprover.translate import (
     TranslationError,
@@ -169,8 +177,10 @@ def test_four_way_closure(text, logic, digests):
     """dn -> sn -> dc -> sn and dn -> sn -> dn, every stage re-checked."""
     f = parse_formula(text)
     dn = proved(text, logic)
-    check_dn_proof(dn, logic, expect=endsequent_for(f))
-    stages = dn, sn, dc, sn2, dn2 = round_trip(dn, logic)
+    check_dn_proof(dn, expect=endsequent_for(f))
+    if logic == "fill":
+        check_separation(dn)
+    stages = dn, sn, dc, sn2, dn2 = round_trip(dn)
     assert tuple(digest(c, p) for c, p in zip(STAGE_CALCULI, stages)) == digests
     # each stage's certificate reads back, through one formula table for the
     # whole certificate, as the proof it was written from, and as the
@@ -198,7 +208,7 @@ def test_six_spawned_children_check_and_translate_in_seconds():
     text = "(a -o a) | (b -o b) | (c -o c) | (d -o d) | (e -o e) | (f -o f) | (bot*bot*bot*bot*bot*bot)"
     start = time.perf_counter()
     dn = read_certificate(certificate_text("dn", "biill", proved(text, "biill"))).root
-    check_dn_proof(dn, "biill", expect=endsequent_for(parse_formula(text)))
+    check_dn_proof(dn, expect=endsequent_for(parse_formula(text)))
     sn = deep_to_shallow(dn)
     dn2 = shallow_to_deep(sn)
     assert dn2.conclusion == dn.conclusion
@@ -263,8 +273,8 @@ def test_outward_propagations_round_trip(rule, conclusion, premise, digests):
     # the only proofs in the suite whose dn -> sn leg moves material out of
     # a child: the recipes for both outward propagations run here
     dn = read_certificate(outward_certificate(rule, conclusion, premise)).root
-    check_dn_proof(dn, "biill", expect=parse_sequent(conclusion))
-    stages = round_trip(dn, "biill")
+    check_dn_proof(dn, expect=parse_sequent(conclusion))
+    stages = round_trip(dn)
     assert [proof_size(p) for p in stages] == [2, 7, 15, 7, 2]
     assert tuple(digest(c, p) for c, p in zip(STAGE_CALCULI, stages)) == digests
     # each stage's certificate reads back, through one formula table for the
@@ -278,21 +288,21 @@ def test_outward_propagations_round_trip(rule, conclusion, premise, digests):
 def test_frozen_translation_sizes():
     # determinism pins; recheck before touching either translator
     dn = proved("a -o a", "fill")
-    sn = deep_to_shallow(dn, "fill")
+    sn = deep_to_shallow(dn)
     dc = shallow_to_display(sn)
     assert (proof_size(dn), proof_size(sn), proof_size(dc)) == (2, 3, 4)
     assert proof_size(display_to_shallow(dc)) == 3
     assert proof_size(shallow_to_deep(sn)) == 2
-    sn = deep_to_shallow(proved("a*b -o a*b", "fill"), "fill")
+    sn = deep_to_shallow(proved("a*b -o a*b", "fill"))
     assert proof_size(sn) == 20
     assert proof_size(shallow_to_deep(sn)) == 5
-    dc = shallow_to_display(deep_to_shallow(proved("a*b -o b*a", "fill"), "fill"))
+    dc = shallow_to_display(deep_to_shallow(proved("a*b -o b*a", "fill")))
     assert proof_size(dc) == 42
     assert proof_size(display_to_shallow(dc)) == 20
 
 
 def assoc_dc_certificate():
-    dc = shallow_to_display(deep_to_shallow(proved("a*(b*(c*d)) -o ((a*b)*c)*d", "fill"), "fill"))
+    dc = shallow_to_display(deep_to_shallow(proved("a*(b*(c*d)) -o ((a*b)*c)*d", "fill")))
     return dc, certificate_text("dc", "fill", dc)
 
 
@@ -309,7 +319,7 @@ def test_indented_certificates_still_read():
 
 def test_one_node_proofs_stay_one_node():
     dn = proved("1", "fill")
-    sn = deep_to_shallow(dn, "fill")
+    sn = deep_to_shallow(dn)
     assert sn.rule == "i_r" and not sn.premises
     dn2 = shallow_to_deep(sn)
     assert dn2.rule == "i_r" and not dn2.premises
@@ -321,18 +331,11 @@ def test_deep_to_shallow_output_leaves_fill():
     """Displaying a redex parks the rest of the tree in a left wrapper, so
     shallow output of a FILL proof is a biill-calculus artifact."""
     dn = proved("(p*(q|r)) -o (p*q)|r", "fill")
-    sn = deep_to_shallow(dn, "fill")
-    check_sn_proof(sn, "biill")
+    sn = deep_to_shallow(dn)
+    check_sn_proof(sn)
     assert rules_of(sn) & {"wrap_left", "dissolve_left", "pull_left"}
-    with pytest.raises(CheckError):
-        check_sn_proof(sn, "fill")
-
-
-def test_input_is_validated_in_the_given_logic():
-    dn = proved("p -o q|(p -< q)", "biill")
-    with pytest.raises(CheckError):
-        deep_to_shallow(dn, "fill")
-    deep_to_shallow(dn, "biill")
+    with pytest.raises(CheckError, match="lies outside FILL"):
+        _FILL["sn"](sn)
 
 
 def test_invalid_inputs_rejected():
@@ -350,7 +353,7 @@ def test_invalid_inputs_rejected():
 def test_a_broken_translator_is_caught_by_its_target_checker(tmp_path, monkeypatch, capsys):
     # a one-node "proof" of the right endsequent passes any endsequent test
     monkeypatch.setattr(translate, "_std", lambda node: ProofNode("id", sequent_to_display(node.conclusion)))
-    sn = deep_to_shallow(proved("a*b -o b*a", "fill"), "fill")
+    sn = deep_to_shallow(proved("a*b -o b*a", "fill"))
     with pytest.raises(TranslationError, match="sn -> dc"):
         shallow_to_display(sn)
     src = tmp_path / "sn.json"
@@ -433,6 +436,15 @@ def test_only_stack_room_sets_the_recursion_limit():
     assert sites == {"certs.stack_room"}
 
 
+def test_no_checker_or_translator_takes_a_logic():
+    # FILL is BiILL plus the fragment pass (`certs.check_fragment`), which
+    # the command line runs; no checker or translator has a FILL mode
+    for module in (deep, display, shallow, translate):
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_"):
+                assert "logic" not in inspect.signature(fn).parameters, f"{module.__name__}.{name}"
+
+
 def test_5000_step_sn_and_dc_chains_check_without_raising_the_recursion_limit(monkeypatch):
     # both checkers walk the proof over an explicit stack, so neither asks
     # for room in proportion to the proof
@@ -454,8 +466,10 @@ def test_5000_step_sn_and_dc_chains_check_without_raising_the_recursion_limit(mo
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     sn = sn_chain(ProofNode("id", flat))
-    check_sn_proof(sn, "fill", expect=flat)
-    check_dc_proof(dc, "biill", expect=ab)
+    check_sn_proof(sn, expect=flat)
+    check_dc_proof(dc, expect=ab)
+    _FILL["sn"](sn)  # both chains stay in FILL, and the fragment pass walks them too
+    _FILL["dc"](dc)
     assert proof_size(sn) == n + 1 and proof_size(dc) == n + 3
     # a defect at the far end is still found, and named as before
     with pytest.raises(CheckError, match=r"^rule wrap_right does not derive '=> \[a => a\]' from its premises$"):
@@ -465,7 +479,7 @@ def test_5000_step_sn_and_dc_chains_check_without_raising_the_recursion_limit(mo
 def test_cut_bearing_proofs_rejected():
     ida = ProofNode("id", parse_sequent("a => a"))
     snc = ProofNode("cut", parse_sequent("a => a"), (ida, ida))
-    check_sn_proof(snc, "biill")  # the checker itself allows cut
+    check_sn_proof(snc)  # the checker itself allows cut
     with pytest.raises(ValueError, match="cut"):
         shallow_to_deep(snc)
     with pytest.raises(ValueError, match="cut"):
@@ -478,7 +492,7 @@ def test_cut_bearing_proofs_rejected():
             ProofNode("i_l", parse_display("1 |- 1"), (ProofNode("i_r", parse_display("Phi |- 1")),)),
         ),
     )
-    check_dc_proof(dcc, "biill")
+    check_dc_proof(dcc)
     with pytest.raises(ValueError, match="cut"):
         display_to_shallow(dcc)
 
@@ -486,7 +500,7 @@ def test_cut_bearing_proofs_rejected():
 def test_translations_preserve_endsequent_exactly():
     f = parse_formula("((p -o q)|r) -o p -o q|r")
     dn = proved("((p -o q)|r) -o p -o q|r", "fill")
-    sn = deep_to_shallow(dn, "fill")
+    sn = deep_to_shallow(dn)
     assert norm(sn.conclusion) == norm(endsequent_for(f))
     dn2 = shallow_to_deep(sn)
     assert norm(dn2.conclusion) == norm(endsequent_for(f))
@@ -515,7 +529,7 @@ def test_display_proofs_end_in_the_embedded_endsequent(text):
     dc = shallow_to_display(sn)
     assert dc.conclusion == sequent_to_display(sn.conclusion)
     dn = shallow_to_deep(display_to_shallow(dc))
-    check_dn_proof(dn, "biill")
+    check_dn_proof(dn)
     # display structures carry no child origins, so compare without them
     assert norm(dn.conclusion) == norm(sn.conclusion)
 
@@ -555,7 +569,7 @@ def test_random_theorems_round_trip(sub, make):
     d = decide_formula(f, "biill")
     assert d.status == "proved"
     sn = deep_to_shallow(d.proof)
-    check_sn_proof(sn, "biill", expect=endsequent_for(f))
-    check_dn_proof(shallow_to_deep(sn), "biill", expect=endsequent_for(f))
+    check_sn_proof(sn, expect=endsequent_for(f))
+    check_dn_proof(shallow_to_deep(sn), expect=endsequent_for(f))
     sn2 = display_to_shallow(shallow_to_display(sn))
-    check_sn_proof(sn2, "biill", expect=sn.conclusion)
+    check_sn_proof(sn2, expect=sn.conclusion)
