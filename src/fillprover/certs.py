@@ -15,8 +15,9 @@ application makes: `context` locates the rewritten node (`_` marks the hole),
 `principal` names the formula acted on, `child_origin` picks the child a
 propagation crosses by its origin, and `ctx1`/`ctx2` give the context
 halves used by a branching rule.
-It does not pin everything: the dn checker still searches for the split of
-the rewritten node's own material between a branching rule's premises.
+It does not pin everything: the dn checker takes the first split of the
+rewritten node's own material between a branching rule's premises that
+fits the stated premises.
 
 Certificates are written as compact JSON, on one line without indentation;
 the reader accepts any layout of the same JSON.
@@ -60,7 +61,7 @@ LOGICS = ("fill", "biill")
 class CheckError(Exception):
     """Raised when a proof fails schema or side-condition checking.  `path`
     (premise indices from the root) and `rule` name the failing node; None
-    for a malformed certificate and for dn schema errors (not on `check_tree`)."""
+    for a malformed certificate."""
 
     path: Optional[tuple] = None
     rule: Optional[str] = None
@@ -126,9 +127,9 @@ def branch_length(node: ProofNode) -> int:
 @contextmanager
 def stack_room(frames: int):
     """Run a block with at least `frames` of recursion headroom left, then
-    put the interpreter limit back.  Checkers and translators recurse in
-    proportion to proof size, so they size their own allowance instead of
-    assuming whoever ran last left the limit high enough."""
+    put the interpreter limit back.  The walks that recurse in proportion
+    to proof size ask for their own allowance instead of assuming whoever
+    ran last left the limit high enough."""
     depth = 2
     f = sys._getframe()
     while f is not None:
@@ -169,12 +170,14 @@ def _located(e: CheckError, root: ProofNode, node: ProofNode) -> CheckError:
         todo.extend((p, depth + 1, j) for j, p in reversed(tuple(enumerate(cur.premises))))
 
 
-def check_tree(root: ProofNode, rules: dict, applies, read=None, expect=None) -> None:
+def check_tree(root: ProofNode, rules: dict, step, read=None, expect=None) -> None:
     """The checker loop: each node in preorder, over an explicit stack of
-    (node, its conclusion through `read`), each read once, as a premise of
-    its parent.  `rules` maps a rule name to its premise count, and
-    `applies(rule, c, ps)` tells whether the rule derives `c` from `ps`.
-    The root must conclude `expect`, when given, as `read` reads both."""
+    (node, the value `c` it is checked against).  `rules` maps a rule name
+    to its premise count, and `step(node, c, ps)`, given the premises'
+    conclusions through `read`, returns the values the premises are checked
+    against, or None when the rule does not derive `c`: sn and dc hand `ps`
+    back, dn the premises it derives.  The root is checked against its
+    conclusion, which must read as `expect` does, when given."""
     read = read or (lambda c: c)
     todo = [(root, read(root.conclusion))]
     if expect is not None and read(expect) != todo[0][1]:
@@ -187,10 +190,10 @@ def check_tree(root: ProofNode, rules: dict, applies, read=None, expect=None) ->
                 raise CheckError(f"unknown rule {_clip(rule)}")
             if len(node.premises) != rules[rule]:
                 raise CheckError(f"rule {rule} expects {rules[rule]} premises, got {len(node.premises)}")
-            ps = tuple(read(p.conclusion) for p in node.premises)
-            if not applies(rule, c, ps):
+            got = step(node, c, tuple(read(p.conclusion) for p in node.premises))
+            if got is None:
                 raise CheckError(f"rule {rule} does not derive {_clip(str(node.conclusion))} from its premises")
-            todo.extend(reversed(tuple(zip(node.premises, ps))))
+            todo.extend(reversed(tuple(zip(node.premises, got))))
     except CheckError as e:
         raise _located(e, root, node)
 
@@ -393,15 +396,16 @@ def _read_proof(calculus: str, proof, table: dict) -> ProofNode:
         premises = data.get("premises", ())
         nodes.append((data["rule"], conclusion, witness, len(premises)))
         todo.extend(reversed(premises))
-    # in reverse preorder, a node's premises are the last ones built, its
-    # first premise on top
+    return _from_preorder(nodes)
+
+
+def _from_preorder(nodes: list) -> ProofNode:
+    """The proof tree of `nodes`, (rule, conclusion, witness, premise count)
+    in preorder: in reverse, a node's premises are the last built, first on top."""
     built: list[ProofNode] = []
-    for rule, conclusion, witness, k in reversed(nodes):
-        premises = ()
-        if k:
-            premises = tuple(built[: -k - 1 : -1])
-            del built[-k:]
-        built.append(ProofNode(rule, conclusion, premises, witness))
+    for rule, conclusion, witness, n in reversed(nodes):
+        k = len(built) - n
+        built[k:] = [ProofNode(rule, conclusion, tuple(reversed(built[k:])), witness)]
     return built[0]
 
 

@@ -8,9 +8,10 @@ rules split the surrounding context and the remaining material of the
 rewritten node between two premises; search builds only the splits whose
 first premise balances (`deep_moves`).  The witness records only the two
 context halves; the checker recovers the split of the node's own material
-by search, lifting the premises it is given, which carry no hop counts.
-Propagation rules move one formula occurrence across one parent/child
-boundary, bumping its hop counter.
+by lifting the premises it is given, which carry no hop counts, and takes
+the first split that fits, in one pass with no backtracking
+(`replay_dn_proof` says why).  Propagation rules move one formula
+occurrence across one parent/child boundary, bumping its hop counter.
 
 The shape of each logical rule is encoded once, in the rule-shape helpers
 below; search, the checker, the shallow checker and the translators all
@@ -26,10 +27,11 @@ and `prop_left_out` a left-nested child, which only `excl_l` makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .certs import CheckError, ProofNode, Witness, check_fragment, proof_size, stack_room
+from .certs import CheckError, ProofNode, Witness, _from_preorder, check_fragment, check_tree
 from .formula import (
     Atom,
     Excl,
@@ -83,7 +85,9 @@ LEAF_RULES = ("id", "bot_l", "i_r")
 UNARY_LOGICAL_RULES = ("i_l", "bot_r", "tensor_l", "par_r", "lolli_r", "excl_l")
 BRANCH_RULES = ("tensor_r", "par_l", "lolli_l", "excl_r")
 PROP_RULES = ("prop_left_in", "prop_right_in", "prop_left_out", "prop_right_out")
-DN_RULES = LEAF_RULES + UNARY_LOGICAL_RULES + BRANCH_RULES + PROP_RULES
+# rule: premise count
+DN_RULES = {rule: n for n, group in enumerate((LEAF_RULES, UNARY_LOGICAL_RULES + PROP_RULES, BRANCH_RULES))
+            for rule in group}
 
 FILL_EXCLUDED = frozenset({"excl_l", "excl_r", "prop_right_in", "prop_left_out"})
 
@@ -563,60 +567,37 @@ def _branch_instances(
                 yield pair, Witness(context=ctx, principal=f, ctx1=l1, ctx2=l2)
 
 
-def _verify(node: ProofNode, current: Sequent) -> ProofNode:
+def _replay(done: list, node: ProofNode, current: Sequent, claims: tuple) -> tuple:
+    """The `check_tree` step of the dn checker: the premises of the first
+    instance of the node's rule at `current` whose hop-free premises are
+    `claims`, after recording the node as it replays in `done`."""
     rule = node.rule
-    if rule not in DN_RULES:
-        raise CheckError(f"unknown rule {_clip(rule)}")
-    if strip_sequent(node.conclusion) != strip_sequent(current):
-        raise CheckError(
-            f"conclusion mismatch at {rule}: stated {_quoted(node.conclusion)}, derived {_quoted(current)}"
-        )
     w = node.witness
     if w is None or w.context is None:
         raise CheckError(f"{rule} needs a witness context")
-
-    # conclusions and contexts compare without hops, which a certificate
-    # does not record
+    # contexts and premises compare without hops, which certificates omit
     at = strip_context(w.context)
-    claims = tuple(strip_sequent(p.conclusion) for p in node.premises)
-    last: Optional[CheckError] = None
     derived: Optional[tuple] = None  # the first instance whose premises differ from the claims
     for ctx, redex in hole_contexts(current):
         if strip_context(ctx) != at:
             continue
-        if rule in BRANCH_RULES and len(node.premises) != 2:
-            raise CheckError(f"{rule} needs two premises")
         for premises, exact_w in _instances(rule, ctx, redex, w, claims):
-            if len(premises) != len(node.premises):
-                continue
             stripped = tuple(strip_sequent(p) for p in premises)
-            if stripped != claims:
-                derived = derived or stripped
-                continue
-            try:
-                kids = tuple(_verify(child, p) for p, child in zip(premises, node.premises))
-                return ProofNode(rule, current, kids, exact_w)
-            except CheckError as e:
-                last = e
-    if last is not None:
-        raise last
+            if stripped == claims:
+                done.append((rule, current, exact_w, len(premises)))
+                return premises
+            derived = derived or stripped
     if derived is not None:
-        raise CheckError(
-            f"premise mismatch at {rule}: stated {'; '.join(map(_quoted, claims))}, "
-            f"derived {'; '.join(map(_quoted, derived))}"
-        )
+        stated, got = ("; ".join(map(_quoted, ps)) for ps in (claims, derived))
+        raise CheckError(f"premise mismatch at {rule}: stated {stated}, derived {got}")
     raise CheckError(f"rule {rule} does not apply to {_quoted(current)} with the given witness")
 
 
 def check_dn_proof(root: ProofNode, expect: Optional[Sequent] = None) -> None:
-    """Validate a proof tree in the deep calculus: replay_dn_proof, after
-    comparing the root conclusion with `expect` when one is given.  Raises
-    CheckError with a reason on any defect."""
-    if expect is not None and strip_sequent(expect) != strip_sequent(root.conclusion):
-        raise CheckError(
-            f"proof concludes {_quoted(root.conclusion)}, expected {_quoted(expect)}"
-        )
-    replay_dn_proof(root)
+    """Validate a proof tree in the deep calculus, as `replay_dn_proof` does,
+    after comparing the root conclusion with `expect` when one is given.
+    Raises CheckError with a reason on any defect."""
+    check_tree(root, DN_RULES, partial(_replay, []), strip_sequent, expect)
 
 
 def replay_dn_proof(root: ProofNode) -> ProofNode:
@@ -626,9 +607,20 @@ def replay_dn_proof(root: ProofNode) -> ProofNode:
     branch witnesses hold the context halves of the split, and propagations
     record the origin of the child they cross.  A child that `lolli_r` or
     `excl_l` spawns has origin 0, so a certificate must write it without an
-    `@` suffix.  Raises CheckError with a reason on any defect."""
-    with stack_room(60 * proof_size(root) + 2000):
-        return _verify(root, strip_sequent(root.conclusion))
+    `@` suffix.  Raises CheckError with a reason on any defect.
+
+    The check is one pass of `certs.check_tree` with no backtracking: each
+    node takes the first instance of its rule whose premises, hops
+    stripped, are the stated ones, and a failure above it rejects the
+    proof.  No other instance could succeed where that one fails.  Every
+    test the checker makes compares hop-free values (contexts, stated
+    premises, principals by formula); hop counts are only carried along.
+    So whether a subtree checks depends only on the hop-free sequent it
+    starts from, and every instance that fits the stated premises starts
+    its subtrees from those same hop-free premises."""
+    done: list = []
+    check_tree(root, DN_RULES, partial(_replay, done), strip_sequent)
+    return _from_preorder(done)
 
 
 def check_separation(root: ProofNode) -> None:

@@ -455,4 +455,4 @@ def dc_rule_applies(rule: str, c: DisplaySequent, ps: tuple[DisplaySequent, ...]
 def check_dc_proof(root: ProofNode, expect: DisplaySequent | None = None) -> None:
     """Validate a display-calculus derivation.  Raises CheckError on the
     first offending node; returns None when the tree is a proof."""
-    check_tree(root, DC_RULES, dc_rule_applies, expect=expect)
+    check_tree(root, DC_RULES, lambda node, c, ps: ps if dc_rule_applies(node.rule, c, ps) else None, expect=expect)

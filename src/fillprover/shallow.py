@@ -202,7 +202,7 @@ def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
 def check_sn_proof(root: ProofNode, expect: Sequent | None = None) -> None:
     """Validate a shallow derivation.  Raises CheckError on the first
     offending node; returns None when the tree is a proof."""
-    check_tree(root, SN_RULES, _applies, _norm, expect)
+    check_tree(root, SN_RULES, lambda node, c, ps: ps if _applies(node.rule, c, ps) else None, _norm, expect)
 
 
 # -------------------------------------------------- bringing a node to root

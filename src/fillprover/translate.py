@@ -143,7 +143,7 @@ def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
     try:
         check(out, expect)
     except CheckError as e:
-        raise TranslationError(f"{stage}: output rejected: {e}") from None
+        raise TranslationError(f"{stage}: output rejected: {e.located()}") from None
     return out
 
 
@@ -152,18 +152,24 @@ def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
 def deep_to_shallow(root: ProofNode) -> ProofNode:
     """Rebuild a deep proof as a shallow (root-rule-only) proof of the same
     endsequent.  The input is checked first and the output last; the
-    output is cut-free by construction."""
+    output is cut-free by construction.  Each node of the replayed input is
+    translated from its premises' translations, in postorder, so no walk
+    recurses on the proof."""
     exact = replay_dn_proof(root)
-    with stack_room(200 * proof_size(exact) + 4000):
-        out = _dts(exact)
-    return _checked("dn -> sn", check_sn_proof, out, exact.conclusion)
+    done: list[ProofNode] = []  # translations of the finished subtrees, in order
+    for node in postorder(exact):
+        k = len(done) - len(node.premises)
+        done[k:] = [_dts(node, tuple(done[k:]))]
+    return _checked("dn -> sn", check_sn_proof, done[0], exact.conclusion)
 
 
 def _displayed(steps, fallback):
     return steps[-1][1] if steps else fallback
 
 
-def _dts(node: ProofNode) -> ProofNode:
+def _dts(node: ProofNode, subs: tuple) -> ProofNode:
+    """The shallow proof of the deep node's conclusion, given shallow
+    proofs `subs` of its premises."""
     rule = node.rule
     w = node.witness
     conclusion = node.conclusion
@@ -174,23 +180,22 @@ def _dts(node: ProofNode) -> ProofNode:
         return expand_deep_leaf(rule, ctx, redex_c)
 
     if rule in UNARY_LOGICAL_RULES:
-        sub = _dts(node.premises[0])
         premise = node.premises[0].conclusion
         redex_p = premise if isinstance(ctx, Hole) else context_decompose(ctx, premise)
         steps_p = display_in_sn(ctx, redex_p)
-        cur = stack_chain(sub, steps_p)
+        cur = stack_chain(subs[0], steps_p)
         steps_c = display_in_sn(ctx, redex_c)
         d_c = _displayed(steps_c, redex_c)
         cur = ProofNode(rule, d_c, (cur,))
         return stack_chain(cur, invert_display_chain(steps_c, conclusion))
 
     if rule in BRANCH_RULES:
-        return _dts_branch(node, redex_c)
+        return _dts_branch(node, redex_c, subs)
 
-    return _dts_prop(node, redex_c)
+    return _dts_prop(node, redex_c, subs)
 
 
-def _dts_branch(node: ProofNode, redex_c: Sequent) -> ProofNode:
+def _dts_branch(node: ProofNode, redex_c: Sequent, subs: tuple) -> ProofNode:
     w = node.witness
     f = w.principal
     p_side = _LOGICAL[node.rule][0]
@@ -212,14 +217,12 @@ def _dts_branch(node: ProofNode, redex_c: Sequent) -> ProofNode:
         and _merge_plan(r1, r2, _edit(redex_c, p_side, (occ,))) is not None
     )
 
-    sub1 = _dts(node.premises[0])
-    sub2 = _dts(node.premises[1])
     steps1 = display_in_sn(w.ctx1, redex1, always_wrap=True)
     steps2 = display_in_sn(w.ctx2, redex2, always_wrap=True)
     d1 = _displayed(steps1, redex1)
     d2 = _displayed(steps2, redex2)
-    cur1 = stack_chain(sub1, steps1)
-    cur2 = stack_chain(sub2, steps2)
+    cur1 = stack_chain(subs[0], steps1)
+    cur2 = stack_chain(subs[1], steps2)
 
     mid = _branch_conclusion(node.rule, d1, a_occ, d2, b_occ, principal)
     cur = ProofNode(node.rule, mid, (cur1, cur2))
@@ -265,7 +268,7 @@ def _child_pairing(have: list, want: list):
     return None
 
 
-def _dts_prop(node: ProofNode, redex_c: Sequent) -> ProofNode:
+def _dts_prop(node: ProofNode, redex_c: Sequent, subs: tuple) -> ProofNode:
     w = node.witness
     ctx = w.context
     premise = node.premises[0].conclusion
@@ -284,11 +287,10 @@ def _dts_prop(node: ProofNode, redex_c: Sequent) -> ProofNode:
     k_p = _propagate(node.rule, redex_c, k_c, a_c)[1]
     a_p = Occ(a_c.formula, a_c.hops + 1)
 
-    sub = _dts(node.premises[0])
     redex_p = premise if isinstance(ctx, Hole) else context_decompose(ctx, premise)
     steps_p = display_in_sn(ctx, redex_p)
     d_p = _displayed(steps_p, redex_p)
-    cur = stack_chain(sub, steps_p)
+    cur = stack_chain(subs[0], steps_p)
 
     recipe = _prop_recipe(node.rule, d_p, k_p, k_c, a_p, a_c)
     cur = stack_chain(cur, recipe)
@@ -554,14 +556,16 @@ def shallow_to_display(root: ProofNode) -> ProofNode:
     input's endsequent.  Cut-bearing proofs are rejected: cut is not part
     of the display vocabulary here.
     """
-    _cut_free(root, check_sn_proof)
-    target = sequent_to_display(root.conclusion)
+    # display structures hash and compare recursively, one level per comma,
+    # so the checks run inside the block too
     with stack_room(100 * proof_size(root) + 4000):
+        _cut_free(root, check_sn_proof)
+        target = sequent_to_display(root.conclusion)
         out = _std(root)
         ch = _DChain(out.conclusion)
         ch.arrange("ant", target.ant)
         ch.arrange("suc", target.suc)
-    return _checked("sn -> dc", check_dc_proof, stack_chain(out, ch.steps), target)
+        return _checked("sn -> dc", check_dc_proof, stack_chain(out, ch.steps), target)
 
 
 def _std(node: ProofNode) -> ProofNode:
@@ -691,10 +695,10 @@ def display_to_shallow(root: ProofNode) -> ProofNode:
     reading of each structure.  Associativity, commutativity and the empty
     structure leave no trace; residuation steps become wrap or dissolve
     steps; cut-bearing proofs are rejected."""
-    _cut_free(root, check_dc_proof)
     with stack_room(40 * proof_size(root) + 4000):
+        _cut_free(root, check_dc_proof)
         out = _dfs_down(root)
-    return _checked("dc -> sn", check_sn_proof, out, read_display_sequent(root.conclusion))
+        return _checked("dc -> sn", check_sn_proof, out, read_display_sequent(root.conclusion))
 
 
 def _dfs_down(node: ProofNode) -> ProofNode:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from fillprover.certs import CheckError, ProofNode, Witness, cut_loops, proof_size
-from fillprover.deep import check_separation
+from fillprover.deep import check_dn_proof, check_separation
 from fillprover.display import check_dc_proof
 from fillprover.formula import Atom, parse_formula
 from fillprover.prover import decide_formula
@@ -122,6 +122,7 @@ def replaced(root, path, node):
     "calculus, rule, check, located",
     [
         ("dn", "prop_right_in", check_separation, "at 0*5.1.0.1 (prop_right_in): rule prop_right_in lies outside FILL"),
+        ("dn", "i_r", check_dn_proof, "at 0*5.1.0.1 (i_r): rule i_r does not apply to '=> [=> [=> [c => c]]]' with the given witness"),
         ("sn", "i_r", check_sn_proof, "at 0*40.1.0*34.1.0*9 (i_r): rule i_r does not derive 'c => c' from its premises"),
         ("dc", "i_r", check_dc_proof, "at 0*90.1.0*78.1.0*18 (i_r): rule i_r does not derive 'c |- c' from its premises"),
     ],
@@ -129,7 +130,7 @@ def replaced(root, path, node):
 def test_a_defect_deep_in_a_proof_is_named_by_its_path(calculus, rule, check, located):
     # the top node of the last branch of a proof of each calculus gets a
     # rule outside FILL (dn, against the fragment pass) or a rule that does
-    # not derive it (sn and dc, against the checker loop); runs of equal
+    # not derive it (each calculus, against the checker loop); runs of equal
     # steps in the path print as `i*n`
     dn = decide_formula(parse_formula("(a -o b) -o (b -o c) -o a -o c")).proof
     sn = deep_to_shallow(dn)

@@ -306,6 +306,14 @@ def test_check_names_the_failing_node(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "check failed: at 1.0 (wrap_right): rule wrap_right does not derive '=> [b => b]' from its premises\n"
     )
+    # a dn certificate too: the id inside the child is called i_r
+    leaf = {"rule": "i_r", "conclusion": "=> [a => a]", "witness": {"context": "=> _", "principal": "a"}}
+    proof = {"rule": "lolli_r", "conclusion": "=> a -o a", "witness": {"context": "_"}, "premises": [leaf]}
+    path.write_text(json.dumps({"calculus": "dn", "proof": proof}))
+    assert run("check", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "check failed: at 0 (i_r): rule i_r does not apply to '=> [a => a]' with the given witness\n"
+    )
 
 
 # -------------------------------------------------- translate

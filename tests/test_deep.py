@@ -2,6 +2,7 @@
 
 import pytest
 
+from fillprover import deep
 from fillprover.certs import CheckError, ProofNode, Witness, parse_context, proof_size
 from fillprover.cli import corpus_formulas
 from fillprover.deep import (
@@ -320,6 +321,34 @@ def test_fill_rejects_exclusion_and_left_nesting():
 def test_unknown_rule_rejected():
     with pytest.raises(CheckError):
         check_dn_proof(N("cut", "a => a", {"context": "_"}))
+
+
+def test_a_wrong_leaf_above_equal_children_costs_one_instance_search_per_node(monkeypatch):
+    # each prop_left_in moves a_i into one of d - i equal empty children;
+    # every choice gives the same premise, so when the wrong id above them
+    # fails, no other choice is tried: one pass, not d! retries
+    d = 6
+    atoms = [f"a{i}" for i in range(d)]
+
+    def conclusion(i):
+        kids = [f"[{a} =>]" for a in atoms[:i]] + ["[=>]"] * (d - i)
+        return ", ".join(atoms[i:]) + " => " + ", ".join(kids)
+
+    proof = N("id", conclusion(d), {"context": "_", "principal": "a0"})
+    for i in reversed(range(d)):
+        proof = N("prop_left_in", conclusion(i), {"context": "_", "principal": atoms[i]}, proof)
+    calls = []
+    instances = deep._instances
+
+    def counted(*args):
+        calls.append(args)
+        return instances(*args)
+
+    monkeypatch.setattr(deep, "_instances", counted)
+    with pytest.raises(CheckError, match=r"^rule id does not apply to ") as e:
+        check_dn_proof(proof)
+    assert e.value.path == (0,) * d
+    assert len(calls) <= proof_size(proof) == d + 1
 
 
 def test_stays_in_fill_predicate():

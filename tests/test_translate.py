@@ -16,6 +16,7 @@ from fillprover import deep, display, shallow, translate
 from fillprover.certs import (
     CheckError,
     ProofNode,
+    Witness,
     certificate_text,
     postorder,
     proof_size,
@@ -25,7 +26,7 @@ from fillprover.deep import check_dn_proof, check_separation, endsequent_for
 from fillprover.display import check_dc_proof, parse_display, sequent_to_display
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, parse_formula
 from fillprover.prover import decide_formula, decide_sequent
-from fillprover.sequent import parse_sequent, strip_sequent
+from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent, strip_sequent
 from fillprover.cli import _FILL, main
 from fillprover.shallow import check_sn_proof, zero_origins
 from fillprover.translate import (
@@ -362,7 +363,8 @@ def test_a_broken_translator_is_caught_by_its_target_checker(tmp_path, monkeypat
     capsys.readouterr()
     assert main(["translate", str(src), "--calculus", "dc", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("translation failed: ") and err.count("\n") == 1
+    # the target checker names the node it rejects
+    assert err.startswith("translation failed: sn -> dc: output rejected: at root (id): ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -416,9 +418,8 @@ def test_the_package_holds_no_assertions():
                 assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), where
 
 
-def test_only_stack_room_sets_the_recursion_limit():
-    # `certs.stack_room` sizes the limit for a block and puts it back; any
-    # other site is a limit raised by hand
+def functions_where(fits) -> set:
+    """`module.function` of every package function holding an AST node that `fits`."""
     sites = set()
 
     def visit(node, where):
@@ -426,14 +427,43 @@ def test_only_stack_room_sets_the_recursion_limit():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{where.split('.')[0]}.{child.name}")
                 continue
-            name = getattr(child, "attr", None) or getattr(child, "id", None) or getattr(child, "name", None)
-            if name == "setrecursionlimit":
+            if fits(child):
                 sites.add(where)
             visit(child, where)
 
     for path in sorted(Path(fillprover.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert sites == {"certs.stack_room"}
+    return sites
+
+
+def test_only_stack_room_sets_the_recursion_limit():
+    # `certs.stack_room` sizes the limit for a block and puts it back; any
+    # other site is a limit raised by hand
+    def names_it(node):
+        name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+        return name == "setrecursionlimit"
+
+    assert functions_where(names_it) == {"certs.stack_room"}
+
+
+def test_stack_room_is_entered_only_where_the_walk_recurses():
+    # the three checkers run on `certs.check_tree` and dn -> sn folds over
+    # the proof in postorder; what is left recurses on purpose: the search,
+    # the JSON encoder and decoder, and three translators (sn -> dc and
+    # dc -> sn for their recursively hashed structures as well)
+    def enters_it(node):
+        return isinstance(node, ast.With) and any(
+            getattr(getattr(item.context_expr, "func", None), "id", None) == "stack_room" for item in node.items
+        )
+
+    assert functions_where(enters_it) == {
+        "prover._search",
+        "certs.certificate_text",
+        "certs.read_certificate",
+        "translate.shallow_to_display",
+        "translate.display_to_shallow",
+        "translate.shallow_to_deep",
+    }
 
 
 def test_no_checker_or_translator_takes_a_logic():
@@ -446,8 +476,9 @@ def test_no_checker_or_translator_takes_a_logic():
 
 
 def test_5000_step_sn_and_dc_chains_check_without_raising_the_recursion_limit(monkeypatch):
-    # both checkers walk the proof over an explicit stack, so neither asks
-    # for room in proportion to the proof
+    # all three checkers walk the proof over an explicit stack, and dn -> sn
+    # folds over it in postorder, so none asks for room in proportion to
+    # the proof
     n = 5000
     flat, nested = parse_sequent("a => a"), parse_sequent("=> [a => a]")
 
@@ -474,6 +505,30 @@ def test_5000_step_sn_and_dc_chains_check_without_raising_the_recursion_limit(mo
     # a defect at the far end is still found, and named as before
     with pytest.raises(CheckError, match=r"^rule wrap_right does not derive '=> \[a => a\]' from its premises$"):
         check_sn_proof(sn_chain(ProofNode("id", parse_sequent("b => b"))))
+    # a dn chain deeper than the default limit: 1,200 i_l steps
+    m = 1200
+    dn = ProofNode("id", flat, (), Witness(context=HOLE, principal=Atom("a")))
+    for k in range(1, m + 1):
+        dn = ProofNode("i_l", parse_sequent("1, " * k + "a => a"), (dn,), Witness(context=HOLE, principal=UnitI()))
+    check_dn_proof(dn, expect=dn.conclusion)
+    assert proof_size(deep_to_shallow(dn)) == m + 1
+
+
+def test_sn_to_dc_of_a_400_atom_sequent():
+    # a side of n operands is a comma chain n levels deep, which display
+    # structures hash and compare recursively: each stage of sn -> dc,
+    # checks included, runs inside the translator's stack room
+    def tensor(lo, hi):
+        """The sn proof of a_lo, ..., a_(hi-1) => their balanced tensor."""
+        if hi - lo == 1:
+            occ = Occ(Atom(f"a{lo}"))
+            return ProofNode("id", Sequent((occ,), (occ,)))
+        p1, p2 = tensor(lo, (lo + hi) // 2), tensor((lo + hi) // 2, hi)
+        f = Tensor(p1.conclusion.right[0].formula, p2.conclusion.right[0].formula)
+        return ProofNode("tensor_r", Sequent(p1.conclusion.left + p2.conclusion.left, (Occ(f),)), (p1, p2))
+
+    sn = tensor(0, 400)
+    assert rules_of(shallow_to_display(sn)) >= {"id", "tensor_r"}
 
 
 def test_cut_bearing_proofs_rejected():
