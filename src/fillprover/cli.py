@@ -42,8 +42,9 @@ from .certs import (
     read_certificate,
 )
 from .deep import check_dn_proof, check_separation
-from .display import DC_FILL_EXCLUDED, check_dc_proof, is_fill_display, parse_display
+from .display import DC_FILL_EXCLUDED, check_dc_proof, is_fill_display, parse_display, text_nesting
 from .formula import (
+    _MAX_NESTING,
     Atom,
     Excl,
     Formula,
@@ -195,7 +196,18 @@ def _translated(root, src: str, dst: str):
     sn = root if src == "sn" else deep_to_shallow(root) if src == "dn" else display_to_shallow(root)
     if dst == "sn":
         return sn
-    return shallow_to_deep(sn) if dst == "dn" else shallow_to_display(sn)
+    if dst == "dn":
+        return shallow_to_deep(sn)
+    # a display side nests as deep as it is wide, and a certificate reader
+    # bounds how deep the text it reads may nest
+    dc = shallow_to_display(sn)
+    depth, formulas = text_nesting(dc)
+    if depth > _MAX_NESTING:
+        raise TranslationError(
+            f"sn -> dc: a display side of {formulas} formulas nests {depth} deep,"
+            f" past the {_MAX_NESTING} levels a certificate can hold"
+        )
+    return dc
 
 
 def cmd_translate(args) -> int:

@@ -25,9 +25,10 @@ sequent shapes the move can start from, as two readings of the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
-from .certs import CheckError, ProofNode, check_tree
+from .certs import CheckError, ProofNode, check_tree, postorder
 from .formula import (
     Atom,
     Excl,
@@ -60,6 +61,7 @@ __all__ = [
     "parse_display",
     "structure_text",
     "display_text",
+    "text_nesting",
     "is_fill_structure",
     "is_fill_display",
     "comma_join",
@@ -161,6 +163,46 @@ def structure_text(x: Structure) -> str:
 
 def display_text(ds: DisplaySequent) -> str:
     return f"{structure_text(ds.ant)} |- {structure_text(ds.suc)}"
+
+
+def text_nesting(root: ProofNode) -> tuple[int, int]:
+    """How deep the conclusions of a display proof nest as a certificate
+    reader counts them, which is at most `formula._MAX_NESTING` for a
+    certificate to read: the deepest of every side's tree above its leaf
+    formulas (`formula._join`) and every side's text brackets, its
+    formulas' own included (`formula._tokenize`, with the brackets
+    `_stext` writes).  Also the number of leaf formulas of a side that
+    nests that deep.  Each structure is measured once, by identity, so the
+    structures that successive conclusions share cost nothing more."""
+    known: dict = {}  # id -> (tree depth, bracket depth, leaves)
+    todo = [side for node in postorder(root) for side in (node.conclusion.ant, node.conclusion.suc)]
+    deepest = (0, 0)
+    while todo:
+        x = todo.pop()
+        cls = type(x)
+        if id(x) in known:
+            continue
+        if cls is SLeaf:
+            text = formula_text(x.formula)
+            known[id(x)] = (0, max(accumulate((c == "(") - (c == ")") for c in text)), 1)
+        elif cls is SPhi:
+            known[id(x)] = (0, 0, 0)
+        elif id(x.left) not in known or id(x.right) not in known:
+            todo += (x, x.left, x.right)
+            continue
+        else:
+            (dl, bl, nl), (dr, br, nr) = known[id(x.left)], known[id(x.right)]
+            # a comma brackets a right operand that is a comma; a residual
+            # brackets each operand that is not a leaf or `Phi`
+            if cls is SComma:
+                br += type(x.right) is SComma
+            else:
+                bl += type(x.left) in (SComma, SGt, SLt)
+                br += type(x.right) in (SComma, SGt, SLt)
+            known[id(x)] = (1 + max(dl, dr), max(bl, br), nl + nr)
+        d, b, n = known[id(x)]
+        deepest = max(deepest, (max(d, b), n))
+    return deepest
 
 
 # ---------------------------------------------------------------- parsing

@@ -20,13 +20,15 @@ rule on the left, with the sequents built by side (`deep._sided`); the
 rule for the other side is named by the one mirror table, `deep._MIRROR`.
 
 The second half of this module builds derivation fragments from those
-rules: a chain that brings an arbitrary node of a tree to the root
-(`display_in_sn`) and its inverse, a fragment fusing two root children into
-one (`expand_dist`), the recursive version that re-pairs grandchildren
-(`expand_merge`), weakening by a hollow subtree (`expand_weaken_hollow`),
-and complete proofs for trees that are hollow except for one axiom node
-(`expand_deep_leaf`).  These are the building blocks for turning deep
-proofs into shallow ones.
+rules: a chain that brings an arbitrary node of a tree to the root and
+packs the rest of the tree into one wrapper child, never an empty one
+(`display_in_sn`), and its inverse; a fragment fusing two root children
+into one (`expand_dist`); the recursive version that re-pairs grandchildren
+by a merge plan, where a child of origin 0 with no partner, such as a
+wrapper only one of the two has, stays as it is (`expand_merge`);
+weakening by a hollow subtree (`expand_weaken_hollow`); and complete proofs
+for trees that are hollow except for one axiom node (`expand_deep_leaf`).
+These are the building blocks for turning deep proofs into shallow ones.
 """
 
 from __future__ import annotations
@@ -207,14 +209,15 @@ def check_sn_proof(root: ProofNode, expect: Sequent | None = None) -> None:
 
 # -------------------------------------------------- bringing a node to root
 
-def display_in_sn(ctx: Context, node: Sequent, always_wrap: bool = False) -> list[tuple[str, Sequent]]:
+def display_in_sn(ctx: Context, node: Sequent) -> list[tuple[str, Sequent]]:
     """Steps taking `plug(ctx, node)` (top) down to a sequent whose root
     carries `node`'s own items, plus at most one wrapper child holding
     everything else.  Each entry is (rule, sequent-below-that-step); the
     wrapper lands on the left when the node sat in a succedent, on the
-    right when it sat in an antecedent.  With `always_wrap` a wrapper is
-    emitted at every level even when it carries nothing, so the chain's
-    shape depends only on the hole's position, not on what surrounds it."""
+    right when it sat in an antecedent.  A level of the context that holds
+    nothing beside the path to the hole, and gets no wrapper from the
+    levels nearer the root, gets no wrapper either: the chain only
+    dissolves its way through it, so no wrapper is ever empty."""
     steps: list[tuple[str, Sequent]] = []
     while not isinstance(ctx, Hole):
         held = _holder(ctx)
@@ -225,7 +228,7 @@ def display_in_sn(ctx: Context, node: Sequent, always_wrap: bool = False) -> lis
         k_tree = plug(special, node) if isinstance(special, Sequent) else node
         rest = side_remove(getattr(ctx, side), [special])
         extra: tuple = ()
-        if rest or getattr(ctx, other) or always_wrap:
+        if rest or getattr(ctx, other):
             extra = (_sided(side, rest, getattr(ctx, other)),)
             steps.append((_on(side, "wrap_right"), _sided(side, (k_tree,), extra)))
         near, far = getattr(k_tree, side), getattr(k_tree, other)
@@ -298,7 +301,12 @@ def expand_dist(x: Sequent, y: Sequent, top: ProofNode, side: str = "left", orig
 def _merge_plan(x: Sequent, y: Sequent, z: Sequent):
     """Pairing of children under which `z` is a merge of `x` and `y`:
     a list of (side, x_child, y_child, z_child) with matching recursive
-    plans, or None.  Formula occurrences must union up exactly."""
+    plans, or None.  Formula occurrences must union up exactly, and children
+    pair up by origin.  A child of origin 0 may also stand on its own for an
+    equal child of `z`, and has no entry: that is a display wrapper that
+    only one premise of a branch step has (`display_in_sn`).  A child of
+    another origin is named by the endsequent and sits in both halves of
+    every split, so it always pairs."""
     if not (x.origin == y.origin == z.origin):
         return None
     plan: list[tuple[str, Sequent, Sequent, Sequent]] = []
@@ -309,37 +317,55 @@ def _merge_plan(x: Sequent, y: Sequent, z: Sequent):
         if Counter(occs(xi)) + Counter(occs(yi)) != Counter(occs(zi)):
             return None
         xg, yg, zg = (children_by_origin(t) for t in (xi, yi, zi))
-        if sorted(xg) != sorted(yg) or sorted(xg) != sorted(zg):
-            return None
-        if any(len(xg[g]) != len(yg[g]) or len(xg[g]) != len(zg[g]) for g in xg):
-            return None
-        for g in sorted(xg):
-            sub = _pair_group(xg[g], yg[g], zg[g], side)
+        for g in sorted(xg.keys() | yg.keys() | zg.keys()):
+            sub = _pair_group(xg.get(g, []), yg.get(g, []), zg.get(g, []), side, g == 0)
             if sub is None:
                 return None
             plan.extend(sub)
     return plan
 
 
-def _pair_group(xs, ys, zs, side):
-    if not xs:
+def _pair_group(xs: list, ys: list, zs: list, side: str, alone: bool):
+    """Plan entries covering every child in `zs`, in order, each by an x and
+    a y child that merge into it or, when `alone`, by an equal x or y child
+    on its own.  The three counts fix how many children of each stand alone.
+    No alternative equal to one tried before for the same child is tried
+    again, so equal children cost no backtracking."""
+    alone_x, alone_y = len(zs) - len(ys), len(zs) - len(xs)
+    if min(alone_x, alone_y, len(xs) - alone_x) < 0 or (alone_x or alone_y) and not alone:
+        return None
+    if not zs:
         return []
-    x0 = xs[0]
-    for i, yc in enumerate(ys):
-        for j, zc in enumerate(zs):
-            if _merge_plan(x0, yc, zc) is None:
-                continue
-            rest = _pair_group(xs[1:], ys[:i] + ys[i + 1 :], zs[:j] + zs[j + 1 :], side)
-            if rest is not None:
-                return [(side, x0, yc, zc)] + rest
+    z0, zr = zs[0], zs[1:]
+
+    def covers():
+        # (x children left, y children left, entry) for each way to cover z0
+        if alone_x and z0 in xs:
+            yield _without(xs, z0), ys, []
+        if alone_y and z0 in ys:
+            yield xs, _without(ys, z0), []
+        for xc in dict.fromkeys(xs):
+            for yc in dict.fromkeys(ys):
+                if _merge_plan(xc, yc, z0) is not None:
+                    yield _without(xs, xc), _without(ys, yc), [(side, xc, yc, z0)]
+
+    for xr, yr, entry in covers():
+        rest = _pair_group(xr, yr, zr, side, alone)
+        if rest is not None:
+            return entry + rest
     return None
+
+
+def _without(items: list, item) -> list:
+    i = items.index(item)
+    return items[:i] + items[i + 1 :]
 
 
 def expand_merge(x: Sequent, y: Sequent, z: Sequent, top: ProofNode, side: str = "left") -> ProofNode:
     """Replace root children `x` and `y` of `top`'s conclusion by their
     merge `z`: fuse them, then recursively merge the grandchild pairs the
-    merge plan dictates.  Raises ValueError when `z` is not a merge of the
-    two."""
+    merge plan dictates; a grandchild the plan leaves alone is already one
+    of `z`'s.  Raises ValueError when `z` is not a merge of the two."""
     plan = _merge_plan(x, y, z)
     if plan is None:
         raise ValueError(

@@ -3,9 +3,14 @@
 deep_to_shallow rebuilds a deep proof as a root-rule-only proof.  Each deep
 inference is replayed by bringing the rewritten node to the root with a
 wrap/dissolve chain, firing the matching root rule there, and lowering the
-result back down.  Branch rules additionally reconcile the two premises'
-copies of the surrounding context, which is what the merge expansion is
-for; propagation steps become a short pull or push sandwich around the
+result back down.  The chain packs the rest of the tree into one wrapper
+child, built only at the levels that carry something, so no wrapper is
+empty.  A branch rule displays both premises and its conclusion so, and
+then merges the root children the two premises bring: the two copies of
+each child of the context, and the two wrappers, level by level, with the
+merge expansion.  A wrapper that only one premise has, at a level where
+the other premise has nothing, is already the conclusion's and stays as it
+is.  Propagation steps become a short pull or push sandwich around the
 child boundary they cross.  The output never uses cut.
 
 shallow_to_display makes the bookkeeping the shallow checker does with
@@ -99,7 +104,6 @@ from .sequent import (
     context_decompose,
     occs,
     plug,
-    sequent_text,
     side_remove,
     strip_sequent,
 )
@@ -205,67 +209,31 @@ def _dts_branch(node: ProofNode, redex_c: Sequent, subs: tuple) -> ProofNode:
     redex2 = p2 if isinstance(w.ctx2, Hole) else context_decompose(w.ctx2, p2)
     a_occ = Occ(f.left)
     b_occ = Occ(f.right)
-    r1 = _edit(redex1, a_side, (a_occ,))
-    r2 = _edit(redex2, b_side, (b_occ,))
-
-    # which occurrence of the principal the deep step consumed: removing it
-    # must leave a merge of the material the two premise halves carve up
-    principal = next(
-        occ
-        for occ in occs(getattr(redex_c, p_side))
-        if occ.formula == f
-        and _merge_plan(r1, r2, _edit(redex_c, p_side, (occ,))) is not None
-    )
-
-    steps1 = display_in_sn(w.ctx1, redex1, always_wrap=True)
-    steps2 = display_in_sn(w.ctx2, redex2, always_wrap=True)
+    steps1 = display_in_sn(w.ctx1, redex1)
+    steps2 = display_in_sn(w.ctx2, redex2)
+    steps_c = display_in_sn(w.context, redex_c)
     d1 = _displayed(steps1, redex1)
     d2 = _displayed(steps2, redex2)
-    cur1 = stack_chain(subs[0], steps1)
-    cur2 = stack_chain(subs[1], steps2)
+    d_c = _displayed(steps_c, redex_c)
+
+    # which occurrence of the principal the deep step consumed: removing it
+    # must leave a merge of what the two displayed premises keep beside
+    # their active halves, and the merge's plan names the root children to
+    # fuse; a wrapper only one premise has stays as it is
+    rest1 = _edit(d1, a_side, (a_occ,))
+    rest2 = _edit(d2, b_side, (b_occ,))
+    principal, plan = next(
+        (occ, plan)
+        for occ in occs(getattr(d_c, p_side))
+        if occ.formula == f
+        and (plan := _merge_plan(rest1, rest2, _edit(d_c, p_side, (occ,)))) is not None
+    )
 
     mid = _branch_conclusion(node.rule, d1, a_occ, d2, b_occ, principal)
-    cur = ProofNode(node.rule, mid, (cur1, cur2))
-
-    steps_c = display_in_sn(w.context, redex_c, always_wrap=True)
-    d_c = _displayed(steps_c, redex_c)
-    cur = _fuse_children(cur, d_c)
+    cur = ProofNode(node.rule, mid, (stack_chain(subs[0], steps1), stack_chain(subs[1], steps2)))
+    for side, x, y, z in plan:
+        cur = expand_merge(x, y, z, cur, side)
     return stack_chain(cur, invert_display_chain(steps_c, node.conclusion))
-
-
-def _fuse_children(cur: ProofNode, target: Sequent) -> ProofNode:
-    """Merge the root children of `cur`'s conclusion pairwise until the
-    conclusion is exactly `target`; each target child consumes one child
-    contributed by each branch premise."""
-    for side in ("left", "right"):
-        have = list(child_seqs(getattr(cur.conclusion, side)))
-        want = list(child_seqs(getattr(target, side)))
-        plan = _child_pairing(have, want)
-        if plan is None:
-            raise ValueError(
-                f"cannot merge {sequent_text(cur.conclusion)} into {sequent_text(target)}"
-            )
-        for x, y, z in plan:
-            cur = expand_merge(x, y, z, cur, side)
-    return cur
-
-
-def _child_pairing(have: list, want: list):
-    if not want:
-        return [] if not have else None
-    z = want[0]
-    for i in range(len(have)):
-        for j in range(len(have)):
-            if i == j:
-                continue
-            x, y = have[i], have[j]
-            if _merge_plan(x, y, z) is None:
-                continue
-            rest_have = [h for k, h in enumerate(have) if k not in (i, j)]
-            rest = _child_pairing(rest_have, want[1:])
-            if rest is not None:
-                return [(x, y, z)] + rest
-    return None
 
 
 def _dts_prop(node: ProofNode, redex_c: Sequent, subs: tuple) -> ProofNode:
@@ -350,7 +318,7 @@ def _reads_as(item, side: str):
     if isinstance(item, Occ):
         leaf = SLeaf(item.formula)
         return lambda op: op == leaf
-    return lambda op: isinstance(op, (SLt, SGt)) and _read_side(op, _SN_SIDE[side]) == [item]
+    return lambda op: isinstance(op, (SLt, SGt)) and _read_side(op, _SN_SIDE[side], {}) == [item]
 
 
 def _path(tree: Structure, fits) -> list[int]:
@@ -511,7 +479,7 @@ class _DChain:
             return
         parts = _pool(target)
         for part in reversed(parts[1:]):
-            self.to_end(side, _reads_as(_read_side(part, _SN_SIDE[side])[0], side))
+            self.to_end(side, _reads_as(_read_side(part, _SN_SIDE[side], {})[0], side))
             if self.side(side).right != part:
                 self.stash_first(side)
                 self.settle(side, part)
@@ -655,28 +623,40 @@ def _std(node: ProofNode) -> ProofNode:
 
 # --------------------------------------------------- display -> shallow
 
-def _read_side(st: Structure, side: str) -> list:
-    match st:
-        case SPhi():
-            return []
-        case SComma(left=l, right=r):
-            return _read_side(l, side) + _read_side(r, side)
-        case SLeaf(formula=f):
-            return [Occ(f)]
-        case SLt(left=l, right=r) if side == "left":
-            return [Sequent(tuple(_read_side(l, "left")), tuple(_read_side(r, "right")), 0)]
-        case SGt(left=l, right=r) if side == "right":
-            return [Sequent(tuple(_read_side(l, "left")), tuple(_read_side(r, "right")), 0)]
-    raise ValueError(
-        f"structure {structure_text(st)} has no sequent reading in {side} position")
+def _read_side(st: Structure, side: str, seen: dict) -> list:
+    """The items the structure reads as in `side` position, left to right.
+    Commas are flattened in one pass, so a chain of n operands costs n steps.
+    `seen` maps each residual read before, by identity, to its reading, so
+    a residual that many conclusions share is read once; the caller keeps
+    the structures alive while `seen` is in use, so no identity is reused."""
+    items: list = []
+    todo = [st]
+    while todo:
+        x = todo.pop()
+        cls = type(x)
+        if cls is SComma:
+            todo += (x.right, x.left)
+        elif cls is SLeaf:
+            items.append(Occ(x.formula))
+        elif cls is (SLt if side == "left" else SGt):
+            kid = seen.get(id(x))
+            if kid is None:
+                kid = seen[id(x)] = Sequent(
+                    tuple(_read_side(x.left, "left", seen)), tuple(_read_side(x.right, "right", seen)), 0
+                )
+            items.append(kid)
+        elif cls is not SPhi:
+            raise ValueError(f"structure {structure_text(x)} has no sequent reading in {side} position")
+    return items
 
 
-def read_display_sequent(ds: DisplaySequent) -> Sequent:
+def read_display_sequent(ds: DisplaySequent, seen: dict | None = None) -> Sequent:
     """Nested-sequent reading of a display sequent: commas flatten into the
     surrounding multiset, `Phi` vanishes, and the two residuals become
-    nested children on their home sides."""
-    return Sequent(tuple(_read_side(ds.ant, "left")),
-                   tuple(_read_side(ds.suc, "right")), 0)
+    nested children on their home sides.  Readings that pass one `seen`
+    read each residual they share once (`_read_side`)."""
+    seen = {} if seen is None else seen
+    return Sequent(tuple(_read_side(ds.ant, "left", seen)), tuple(_read_side(ds.suc, "right", seen)), 0)
 
 
 _DC_SKIP = frozenset((
@@ -697,16 +677,17 @@ def display_to_shallow(root: ProofNode) -> ProofNode:
     steps; cut-bearing proofs are rejected."""
     with stack_room(40 * proof_size(root) + 4000):
         _cut_free(root, check_dc_proof)
-        out = _dfs_down(root)
-        return _checked("dc -> sn", check_sn_proof, out, read_display_sequent(root.conclusion))
+        seen: dict = {}
+        out = _dfs_down(root, seen)
+        return _checked("dc -> sn", check_sn_proof, out, read_display_sequent(root.conclusion, seen))
 
 
-def _dfs_down(node: ProofNode) -> ProofNode:
+def _dfs_down(node: ProofNode, seen: dict) -> ProofNode:
     rule = node.rule
-    cn = read_display_sequent(node.conclusion)
-    subs = [_dfs_down(p) for p in node.premises]
+    subs = [_dfs_down(p, seen) for p in node.premises]
     if rule in _DC_SKIP:
         return subs[0]
+    cn = read_display_sequent(node.conclusion, seen)
     if rule in ("id", "bot_l", "i_r"):
         return ProofNode(rule, cn)
     prems = tuple(s.conclusion for s in subs)

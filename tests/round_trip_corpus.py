@@ -8,7 +8,9 @@ it must have.  Each of the five stages is also written as a certificate
 and read back, and must come back as the proof it was written from.
 Prints the node count of each stage, summed over the theorems, and the
 seconds the certificates took, and fails with the traceback of the first
-theorem whose round trip fails, after naming it.
+theorem whose round trip fails, after naming it.  It also fails when a
+stage's total exceeds its bound in `BOUNDS`, the totals of the translators
+as they stand, so a translator whose proofs grow is caught here.
 
     PYTHONPATH=src python3 tests/round_trip_corpus.py
 """
@@ -31,6 +33,8 @@ from fillprover.translate import deep_to_shallow, display_to_shallow, shallow_to
 
 STAGES = ("dn", "sn", "dc", "sn2", "dn2")
 CALCULI = ("dn", "sn", "dc", "sn", "dn")
+# the most nodes each stage may total over the corpus
+BOUNDS = {"dn": 8_062, "sn": 11_750, "dc": 21_485, "sn2": 13_972, "dn2": 8_062}
 
 
 def round_trip(dn) -> tuple:
@@ -102,6 +106,10 @@ def main() -> int:
         f"{theorems:,} theorems round-tripped in {time.perf_counter() - start:.1f} s, "
         f"{io:.1f} s of it writing and reading back {len(STAGES) * theorems:,} certificates; nodes: {totals}"
     )
+    over = [f"{name} {n:,} > {BOUNDS[name]:,}" for name, n in zip(STAGES, nodes) if n > BOUNDS[name]]
+    if over:
+        print(f"stage totals over their bounds: {', '.join(over)}", file=sys.stderr)
+        return 1
     return 0
 
 

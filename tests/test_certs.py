@@ -123,8 +123,8 @@ def replaced(root, path, node):
     [
         ("dn", "prop_right_in", check_separation, "at 0*5.1.0.1 (prop_right_in): rule prop_right_in lies outside FILL"),
         ("dn", "i_r", check_dn_proof, "at 0*5.1.0.1 (i_r): rule i_r does not apply to '=> [=> [=> [c => c]]]' with the given witness"),
-        ("sn", "i_r", check_sn_proof, "at 0*40.1.0*34.1.0*9 (i_r): rule i_r does not derive 'c => c' from its premises"),
-        ("dc", "i_r", check_dc_proof, "at 0*90.1.0*78.1.0*18 (i_r): rule i_r does not derive 'c |- c' from its premises"),
+        ("sn", "i_r", check_sn_proof, "at 0*15.1.0*6.1 (i_r): rule i_r does not derive 'c => c' from its premises"),
+        ("dc", "i_r", check_dc_proof, "at 0*31.1.0*15.1 (i_r): rule i_r does not derive 'c |- c' from its premises"),
     ],
 )
 def test_a_defect_deep_in_a_proof_is_named_by_its_path(calculus, rule, check, located):

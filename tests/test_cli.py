@@ -17,6 +17,7 @@ from fillprover.formula import connective_count, formula_text, parse_formula
 from fillprover.prover import decide_formula, search_bounds
 from fillprover.sequent import parse_sequent
 from fillprover.shallow import check_sn_proof
+from test_translate import balanced_tensor
 
 BIERMAN = "(a|b)|c -o a | ((b|c -o d)|e -o d|e)"
 DATA = Path(__file__).parent / "data"
@@ -389,6 +390,27 @@ def test_translate_rejects_cut(tmp_path, capsys):
     assert run("check", str(path)) == 0
     assert run("translate", str(path), "--calculus", "dn") == 1
     assert "cut" in capsys.readouterr().err
+
+
+def test_translate_writes_no_dc_certificate_too_deep_to_read(tmp_path, capsys):
+    # a display side nests about as deep as it is wide, and the reader of a
+    # certificate bounds how deep its text may nest: a translation past
+    # that bound is refused, not written for `check` to refuse
+    sn = tmp_path / "sn.json"
+    dc = tmp_path / "dc.json"
+    sn.write_text(certificate_text("sn", "biill", balanced_tensor(0, 150)))
+    assert run("translate", str(sn), "--calculus", "dc", "--out", str(dc)) == 1
+    assert capsys.readouterr().err == (
+        "translation failed: sn -> dc: a display side of 146 formulas nests 151 deep,"
+        " past the 100 levels a certificate can hold\n"
+    )
+    assert not dc.exists()
+    # the widest sequent of this shape whose translation fits is written
+    sn.write_text(certificate_text("sn", "biill", balanced_tensor(0, 99)))
+    assert run("translate", str(sn), "--calculus", "dc", "--out", str(dc)) == 0
+    assert run("check", str(dc)) == 0
+    sn.write_text(certificate_text("sn", "biill", balanced_tensor(0, 100)))
+    assert run("translate", str(sn), "--calculus", "dc", "--out", str(dc)) == 1
 
 
 # -------------------------------------------------- corpus

@@ -1,5 +1,6 @@
 """Nested sequent structure: canonical form, contexts, splits and merges."""
 
+import time
 from collections import Counter
 
 import pytest
@@ -211,6 +212,32 @@ def test_merge_requires_matching_shape():
     assert not merges(S("=> [a =>]@1"), S("=> [a =>]@2"), S("=> [a =>]@1, [a =>]@2"))
     assert not merges(S("=> [a =>]@1"), S("=> [a =>]@1, [b =>]@1"), S("=> [a, a =>]@1, [b =>]@1"))
     assert not merges(S("a => @1"), S("b => @2"), S("a, b => @1"))
+
+
+def test_a_child_of_origin_0_may_stand_alone_in_a_merge():
+    # a display wrapper only one premise of a branch has: an origin 0 child
+    # stands for an equal child of the merge; a child of another origin is
+    # named by the endsequent, sits in both halves, and always pairs
+    S = parse_sequent
+    assert _merge_plan(S("=> [a =>]"), S("b =>"), S("b => [a =>]")) == []
+    assert _merge_plan(S("=> [c => [a =>]]"), S("=> [b =>]"), S("=> [b, c => [a =>]]")) == [
+        ("right", S("c => [a =>]"), S("b =>"), S("b, c => [a =>]"))
+    ]
+    assert not merges(S("=> [a =>]@1"), S("=>"), S("=> [a =>]@1"))
+    assert not merges(S("=> [a =>]"), S("=>"), S("=> [a, a =>]"))
+    assert not merges(S("=> [a =>]"), S("=> [a =>]"), S("=> [a =>]"))
+
+
+def test_merging_equal_children_never_backtracks():
+    # each child of the merge tries each pair of distinct values once, so a
+    # merge that fails at its last child fails at once, however many equal
+    # children come before it
+    x = parse_sequent("=> " + ", ".join(["[a =>]"] * 40))
+    y = parse_sequent("=> " + ", ".join(["[=>]"] * 40))
+    start = time.perf_counter()
+    assert merges(x, y, parse_sequent("=> " + ", ".join(["[a =>]"] * 40)))
+    assert not merges(x, y, parse_sequent("=> " + ", ".join(["[a =>]"] * 39 + ["[=> a]"])))
+    assert time.perf_counter() - start < 1
 
 
 def test_merge_flat():

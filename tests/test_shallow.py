@@ -10,6 +10,7 @@ from fillprover.deep import BRANCH_RULES, UNARY_LOGICAL_RULES, deep_moves
 from fillprover.formula import parse_formula
 from fillprover.sequent import (
     HOLE,
+    Hole,
     Occ,
     Sequent,
     formula_occurrence_count,
@@ -341,41 +342,52 @@ def test_display_chain_valid_everywhere(tree):
         assert chain_ok(final, inv) == tree
 
 
-def test_display_chain_always_wrap_empty_levels():
+def test_display_chain_wraps_only_levels_that_carry_something():
+    # the root holds nothing beside its child, and gets no wrapper
     tree = S("=> [=> [a => b]@2]@1")
     ctx, node = next((c, n) for c, n in hole_contexts(tree) if n.origin == 2)
-    assert [r for r, _ in display_in_sn(ctx, node)] == [
-        "dissolve_right",
-        "dissolve_right",
-    ]
-    steps = display_in_sn(ctx, node, always_wrap=True)
-    assert [r for r, _ in steps] == [
-        "wrap_left",
-        "dissolve_right",
-        "wrap_left",
-        "dissolve_right",
-    ]
-    assert sequent_text(steps[-1][1]) == "a, [[=>] =>] => b"
-    chain_ok(tree, steps)
+    assert [r for r, _ in display_in_sn(ctx, node)] == ["dissolve_right", "dissolve_right"]
+    # `c` at the root is wrapped, and that wrapper then makes the level
+    # below carry something too, so it is wrapped in turn
+    tree = S("c => [=> [a => b]@2]@1")
+    ctx, node = next((c, n) for c, n in hole_contexts(tree) if n.origin == 2)
+    steps = display_in_sn(ctx, node)
+    assert [r for r, _ in steps] == ["wrap_left", "dissolve_right", "wrap_left", "dissolve_right"]
+    assert sequent_text(steps[-1][1]) == "a, [[c =>] =>] => b"
     inv = invert_display_chain(steps, tree)
-    assert chain_ok(steps[-1][1], inv) == tree
+    assert chain_ok(chain_ok(tree, steps), inv) == tree
+
+
+def nested_nodes(s):
+    """Every node of the tree below the root of `s`."""
+    for it in s.left + s.right:
+        if isinstance(it, Sequent):
+            yield it
+            yield from nested_nodes(it)
+
+
+def bare_path(ctx):
+    """Whether the context holds nothing but the path down to its hole."""
+    while not isinstance(ctx, Hole):
+        items = ctx.left + ctx.right
+        if len(items) != 1:
+            return False
+        ctx = items[0]
+    return True
 
 
 @given(two_sided_trees)
 @settings(max_examples=60, deadline=None)
-def test_display_chain_always_wrap_everywhere(tree):
+def test_display_chain_never_builds_an_empty_wrapper(tree):
+    empty = Sequent((), ())
     for ctx, node in hole_contexts(tree):
-        steps = display_in_sn(ctx, node, always_wrap=True)
+        steps = display_in_sn(ctx, node)
         final = chain_ok(tree, steps)
-        # one wrap and one dissolve per boundary crossed, never a bare dissolve
-        rules = [r for r, _ in steps]
-        assert len([r for r in rules if r.startswith("wrap")]) == len(rules) // 2
-        assert len(rules) % 2 == 0
-        if steps:
-            spare = (len(final.left) + len(final.right)) - (
-                len(node.left) + len(node.right)
-            )
-            assert spare == 1
+        for _, s in steps:
+            assert empty not in nested_nodes(s)
+        # a wrapper comes out exactly when the context has more than a path
+        spare = (len(final.left) + len(final.right)) - (len(node.left) + len(node.right))
+        assert spare == (0 if bare_path(ctx) else 1)
         inv = invert_display_chain(steps, tree)
         assert chain_ok(final, inv) == tree
 

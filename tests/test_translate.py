@@ -93,51 +93,51 @@ CLOSURE_CASES = [
     )),
     _case("a*b -o b*a", "fill", (
         "f8012b2410f271c219594479940556db642b5c0e21bfe3cae8bd5e2d2be4f4a4",
-        "47a665e29d9d41ae28ea24ab6a0a1303afd28d5b2510b288c2a7a54615a445eb",
-        "a32a0e4973b312e290aeab0d87798cec1c0f424ed06d01b4975e875b60f64e22",
-        "47a665e29d9d41ae28ea24ab6a0a1303afd28d5b2510b288c2a7a54615a445eb",
+        "d18e2d8f0faf9cd9805196c037e9cbdaf25103e9cdb6404ae1996cfa57983064",
+        "bd4aac76f046a19f4b9054f0ab509c266b6306b53f97fb3437e4d2611bf012cf",
+        "d18e2d8f0faf9cd9805196c037e9cbdaf25103e9cdb6404ae1996cfa57983064",
         "f8012b2410f271c219594479940556db642b5c0e21bfe3cae8bd5e2d2be4f4a4",
     )),
     _case("a|b -o b|a", "fill", (
         "431c6192ddad2d8336e6d21638f38464410ab10e4acfa2341f9033b6cf6e21e9",
-        "8c6820d5b47039734cb4ebbffec6b83297323dedfc1c99c0496bb08457cab0c2",
-        "ddc76a379a6b399c195ab773c03768fc97c96477c0000dcf8a19a1bd48ff500c",
-        "8eed2c10d53971489fba884863bfc9becd1ab4c891850f605b71d2803ed7ab52",
+        "bd5f261a8bfa0065593f0b183abbe0123306a98524a7e94cec0389e81f6cfc01",
+        "8a4ac3a5c1458b639eae1407af67229dac071def1bcfc490f5f2a44255678bd4",
+        "bd5f261a8bfa0065593f0b183abbe0123306a98524a7e94cec0389e81f6cfc01",
         "431c6192ddad2d8336e6d21638f38464410ab10e4acfa2341f9033b6cf6e21e9",
     )),
     _case("(p*(q|r)) -o (p*q)|r", "fill", (
         "22553376fd0527e3a92ce8c3eaba930f33ef32cccc4bcd65a88574ec03e1d36d",
-        "50798895291e451db33a66518207d8f0e9f665a24ada6ca22a5717587ba85442",
-        "0c7e534d0fab53b97a47084ec3a8f0ccc6ddd2646b501de99576f0ea3cc8358c",
-        "f82de6112de488dabf5e6c639afdd749aca0d7cc41086068da7446b6434f628a",
+        "3f4534441459c3e3b3114d7fd859b079b880b8289da3bc5a08f6dc2a8bf13324",
+        "163696e2b873afa5dab32401ae934e5290b3c211039affa00632d583bdd9084c",
+        "1b86c4e8cf0e40dde50227e6d4dc583068f4b02dad63529baa5d36a420974c3c",
         "22553376fd0527e3a92ce8c3eaba930f33ef32cccc4bcd65a88574ec03e1d36d",
     )),
     _case("((b -o bot)|c) -o b -o c", "fill", (
         "189f8de331fb6bea59798fe07b02ef55df6af6cc893cb6155c1baf054e10dd48",
-        "8cecaf8830d3ff74d6e21d6070cd160ca3c9e7b73a6e39bc93cfdf054a7963ab",
-        "4ba033b155b1b0f58eadd6c199e2d3cbf31e77fcc218acd5d88641cb8a8e3dc5",
-        "e38672d936ee65fe29b1f553538a514c46a88da96426c8b83396894b23a85ddf",
+        "650985673ef35795bcdefd7ea2484e09a0be77e0d8c3ab13f10418cec52a6f17",
+        "2176b7cc82820ba04b5b8e99dae3e5ede11f10c3642b10ccfb70256c5556afab",
+        "e32386c95fbffb8bb4156c044ac60275594dbcd8bd74009df9e9bd30dedcc523",
         "189f8de331fb6bea59798fe07b02ef55df6af6cc893cb6155c1baf054e10dd48",
     )),
     _case("a -o b -o a*b", "fill", (
         "8584a4f1e770ae8d1e02f53d5c898605db0e4dc8422185144f7519776f81072e",
-        "a7e67d31fa1ea5d4e6aceeab49d1c4e66cd881ee625a9e68fa8e77861d24346b",
-        "0f0b5bdb936f53e91c07d89044df447831124e41488c82085dff80c2d88c92f5",
-        "4bdb2b5c0abe686e46111c484c3701bf3cfc7c3b00e5a8a430e881f96cee0286",
+        "8fd88ffea0486b1c8a3b4b00cfafbb5322a22299c4ceff4dfe33899c6a1ded42",
+        "1b43d978ca8c7fd468a9aab78ba99f304aee3d7e217641bef5398cabe1176fcd",
+        "8fd88ffea0486b1c8a3b4b00cfafbb5322a22299c4ceff4dfe33899c6a1ded42",
         "8584a4f1e770ae8d1e02f53d5c898605db0e4dc8422185144f7519776f81072e",
     )),
     _case("a*(b*c) -o (a*b)*c", "fill", (
         "7c9e98d93a9b39e07418a938c8fd9f52a0b70e1e8ab968d2f5e144af6c143fc0",
-        "8d86980c38dcf37b09805deb2b2f81bb14ae8f1f513a0710ecc66ea53a18fc0d",
-        "641abefd98544bb4f0196fa5c9afb65257c6dc8ba37e6240c694e1b8903a7309",
-        "c714e9782171bfbb678315542a851fe37dfd4b365848d4f71a2791a75e8b6653",
+        "703f2a0c0600f9d2e152ae359cebbfcc0ef23f0e9a978aa6c70451518132fcd2",
+        "f9e58f8e634830118f51c3ddd58258cdf33aa9067c0a167f40a38ce4bc6262a3",
+        "f905347e857677e66553ad9e44e7a72e1c28289b2629368e60afa8b34241b935",
         "7c9e98d93a9b39e07418a938c8fd9f52a0b70e1e8ab968d2f5e144af6c143fc0",
     )),
     _case("p -o q|(p -< q)", "biill", (
         "c8528e4cca1641c21c03c0b452b78536b3c194bdcd428ef9123eb54a5d67a023",
-        "2ee1ddfd5c7f5b83c54cb40429129616468d564ebae8db22a2b76a01dac7eefb",
-        "ec5b07d3017988d641c7b6e57948200313c8821b33a64b5398989584d8217f47",
-        "a915c25fd7048ea3add308520104edcf0840dafa86a8244770a74b00ff9e2834",
+        "388c592ff87e0618704ade7cc2933e01cd6a7d8e4c26505c1a063fc783052b36",
+        "e0446e7864c21078844885b5864cc6629488fa9af618540042b45cab03cd72c7",
+        "388c592ff87e0618704ade7cc2933e01cd6a7d8e4c26505c1a063fc783052b36",
         "c8528e4cca1641c21c03c0b452b78536b3c194bdcd428ef9123eb54a5d67a023",
     )),
     _case("(a -< a) -o bot|bot", "biill", (
@@ -149,16 +149,16 @@ CLOSURE_CASES = [
     )),
     _case("(a -< b) -< c -o a -< (b|c)", "biill", (
         "2b16419a75c2c39ec2ebd774c968d430cb6df29c5d9e9f8eea337db82efe43da",
-        "77eac9d57ef47744316a5d6ff54da73691271c1117b2f5639d27a4a217418b23",
-        "39e19db384414815b80236b74a05350e3483f18315574e88cbf0c6516167c778",
-        "b60d713fb939464779be0b0ded9feffd100a43977223385c4a4e777385d7f090",
+        "9e1dfae5e9b47d2671d6639d5e555f4af51dc551fd4183c122b34c6aa054089d",
+        "c4cc31595d8d69a9bed84c63b4352aceb682afc0f8866ef044c3a49da275d0bf",
+        "e59156d6f4e717d5404c81d8e49bdac7289c6e377474a27cb2783798ee34b949",
         "c855ed5bd564503aa501b8e74be01b7834c8edf4084461765c70e2711240f255",
     )),
     _case("(a|b)|c -o a|((b|c -o d)|e -o d|e)", "fill", (
         "d9af12137f0e3ed03114a33aed2d7ba5963eb9f01203abcde7ffd152666b18cd",
-        "0cd2494d571f86b083bb8ac18304c80ab83e4d8558df71179eb9e2c6054a461f",
-        "93cc7a100fa6046e14e3f6295e7b1ce28be677628257c5a240f2e8b10e74bee5",
-        "9aa4d5770ec36d106ced10ea70bb7bfdbc195a4fa487aebbfc4fbcf27e2ed24e",
+        "b43d082d2cbfc1b86e8fe58f8f4915089043a7fc40955d1234c5d4493b1de3c0",
+        "2f6c4911419034cdbe7870a94bba46ecb32608b70968549e85f5af429b363d70",
+        "6f9eea6dfb182efc2c53ae6d5fcfc0249b8732a7a473f3263179fe4a03d79213",
         "d9af12137f0e3ed03114a33aed2d7ba5963eb9f01203abcde7ffd152666b18cd",
     )),
     # its dn proof reaches `=> [=>], [p => p]`: two children of one node,
@@ -214,6 +214,21 @@ def test_six_spawned_children_check_and_translate_in_seconds():
     dn2 = shallow_to_deep(sn)
     assert dn2.conclusion == dn.conclusion
     assert time.perf_counter() - start < 10
+
+
+def test_a_wrapper_only_one_premise_of_a_branch_has_stays_as_it_is():
+    """`tensor_r` fires two levels down in `a => [b => [=> a*b]]`.  Its
+    first premise keeps `a` at the root and its second keeps nothing there,
+    so displaying the redex wraps the root for the first premise only, and
+    that wrapper sits inside the wrapper both premises build for the child
+    between.  Merging the two keeps the inner wrapper as it is."""
+    s = parse_sequent("a => [b => [=> a*b]]")
+    dn = decide_sequent(s).proof
+    assert dn.rule == "tensor_r"
+    assert (dn.witness.ctx1, dn.witness.ctx2) == (parse_sequent("a => [=> _]"), parse_sequent("=> [b => _]"))
+    sn = deep_to_shallow(dn)
+    check_sn_proof(sn, expect=s)
+    assert proof_size(sn) == 33
 
 
 def repeated_conclusions(root):
@@ -295,25 +310,25 @@ def test_frozen_translation_sizes():
     assert proof_size(display_to_shallow(dc)) == 3
     assert proof_size(shallow_to_deep(sn)) == 2
     sn = deep_to_shallow(proved("a*b -o a*b", "fill"))
-    assert proof_size(sn) == 20
+    assert proof_size(sn) == 6
     assert proof_size(shallow_to_deep(sn)) == 5
     dc = shallow_to_display(deep_to_shallow(proved("a*b -o b*a", "fill")))
-    assert proof_size(dc) == 42
-    assert proof_size(display_to_shallow(dc)) == 20
+    assert proof_size(dc) == 8
+    assert proof_size(display_to_shallow(dc)) == 6
 
 
-def assoc_dc_certificate():
-    dc = shallow_to_display(deep_to_shallow(proved("a*(b*(c*d)) -o ((a*b)*c)*d", "fill")))
+def large_dc_certificate():
+    dc = shallow_to_display(deep_to_shallow(proved("a -o b -o c -o d -o ((a*b)*c)*d", "fill")))
     return dc, certificate_text("dc", "fill", dc)
 
 
 def test_certificates_are_written_compact():
-    dc, text = assoc_dc_certificate()
+    dc, text = large_dc_certificate()
     assert proof_size(dc) > 100 and len(text.encode()) < 64 * 1024
 
 
 def test_indented_certificates_still_read():
-    _, text = assoc_dc_certificate()
+    _, text = large_dc_certificate()
     indented = json.dumps(json.loads(text), indent=2)
     assert read_certificate(indented).root == read_certificate(text).root
 
@@ -329,14 +344,37 @@ def test_one_node_proofs_stay_one_node():
 # ------------------------------------------------------- endpoint behaviour
 
 def test_deep_to_shallow_output_leaves_fill():
-    """Displaying a redex parks the rest of the tree in a left wrapper, so
-    shallow output of a FILL proof is a biill-calculus artifact."""
-    dn = proved("(p*(q|r)) -o (p*q)|r", "fill")
+    """Displaying a redex in a child parks what the tree has beside it in a
+    left wrapper, so shallow output of a FILL proof can be a biill-calculus
+    artifact: here `a` waits at the root while `b` joins `a*b` in a child."""
+    dn = proved("a -o b -o a*b", "fill")
     sn = deep_to_shallow(dn)
     check_sn_proof(sn)
     assert rules_of(sn) & {"wrap_left", "dissolve_left", "pull_left"}
     with pytest.raises(CheckError, match="lies outside FILL"):
         _FILL["sn"](sn)
+
+
+def test_deep_to_shallow_output_of_most_fill_closure_cases_stays_in_fill():
+    """A context level with nothing beside the redex gets no wrapper, so
+    most FILL proofs translate to sn proofs that the FILL fragment pass
+    accepts: 7 of the 9 FILL formulas of the benchmark's pipeline, which
+    are the first FILL cases here.  A left wrapper stays where a child's
+    redex has material beside it."""
+    outside = set()
+    for case in CLOSURE_CASES:
+        text, logic, _ = case.values
+        if logic == "fill":
+            try:
+                _FILL["sn"](deep_to_shallow(proved(text, logic)))
+            except CheckError:
+                outside.add(text)
+    assert outside == {
+        "((b -o bot)|c) -o b -o c",
+        "a -o b -o a*b",
+        "(a|b)|c -o a|((b|c -o d)|e -o d|e)",
+        "(p -o p)|(1 -o bot)",
+    }
 
 
 def test_invalid_inputs_rejected():
@@ -514,21 +552,29 @@ def test_5000_step_sn_and_dc_chains_check_without_raising_the_recursion_limit(mo
     assert proof_size(deep_to_shallow(dn)) == m + 1
 
 
+def balanced_tensor(lo, hi):
+    """The sn proof of a_lo, ..., a_(hi-1) => their balanced tensor."""
+    if hi - lo == 1:
+        occ = Occ(Atom(f"a{lo}"))
+        return ProofNode("id", Sequent((occ,), (occ,)))
+    p1, p2 = balanced_tensor(lo, (lo + hi) // 2), balanced_tensor((lo + hi) // 2, hi)
+    f = Tensor(p1.conclusion.right[0].formula, p2.conclusion.right[0].formula)
+    return ProofNode("tensor_r", Sequent(p1.conclusion.left + p2.conclusion.left, (Occ(f),)), (p1, p2))
+
+
 def test_sn_to_dc_of_a_400_atom_sequent():
     # a side of n operands is a comma chain n levels deep, which display
     # structures hash and compare recursively: each stage of sn -> dc,
-    # checks included, runs inside the translator's stack room
-    def tensor(lo, hi):
-        """The sn proof of a_lo, ..., a_(hi-1) => their balanced tensor."""
-        if hi - lo == 1:
-            occ = Occ(Atom(f"a{lo}"))
-            return ProofNode("id", Sequent((occ,), (occ,)))
-        p1, p2 = tensor(lo, (lo + hi) // 2), tensor((lo + hi) // 2, hi)
-        f = Tensor(p1.conclusion.right[0].formula, p2.conclusion.right[0].formula)
-        return ProofNode("tensor_r", Sequent(p1.conclusion.left + p2.conclusion.left, (Occ(f),)), (p1, p2))
-
-    sn = tensor(0, 400)
-    assert rules_of(shallow_to_display(sn)) >= {"id", "tensor_r"}
+    # checks included, runs inside the translator's stack room; dc -> sn
+    # reads each structure its conclusions share once, and each comma chain
+    # in one pass
+    sn = balanced_tensor(0, 400)
+    dc = shallow_to_display(sn)
+    assert rules_of(dc) >= {"id", "tensor_r"}
+    start = time.perf_counter()
+    back = display_to_shallow(dc)
+    assert time.perf_counter() - start < 1
+    assert back.conclusion == sn.conclusion and proof_size(back) == proof_size(sn)
 
 
 def test_cut_bearing_proofs_rejected():
