@@ -15,9 +15,11 @@ application makes: `context` locates the rewritten node (`_` marks the hole),
 `principal` names the formula acted on, `child_origin` picks the child a
 propagation crosses by its origin, and `ctx1`/`ctx2` give the context
 halves used by a branching rule.
-It does not pin everything: the dn checker takes the first split of the
-rewritten node's own material between a branching rule's premises that
-fits the stated premises.
+Every checker judges each node locally, on its own conclusion and its
+premises' conclusions (`check_tree`).  The witness need not pin everything:
+the dn checker tries every principal and child that the witness leaves
+open, and recovers the split of the rewritten node's own material between a
+branching rule's premises from the stated premises.
 
 Certificates are written as compact JSON, on one line without indentation;
 the reader accepts any layout of the same JSON.
@@ -171,13 +173,14 @@ def _located(e: CheckError, root: ProofNode, node: ProofNode) -> CheckError:
 
 
 def check_tree(root: ProofNode, rules: dict, step, read=None, expect=None) -> None:
-    """The checker loop: each node in preorder, over an explicit stack of
-    (node, the value `c` it is checked against).  `rules` maps a rule name
-    to its premise count, and `step(node, c, ps)`, given the premises'
-    conclusions through `read`, returns the values the premises are checked
-    against, or None when the rule does not derive `c`: sn and dc hand `ps`
-    back, dn the premises it derives.  The root is checked against its
-    conclusion, which must read as `expect` does, when given."""
+    """The checker loop of all three calculi: each node in preorder, over an
+    explicit stack of (node, the value `c` its conclusion reads as).  Every
+    node is judged locally: `rules` maps a rule name to its premise count,
+    and `step(node, c, ps)` says whether the node's rule derives `c` from
+    `ps`, its premises' conclusions through `read`, which each premise is
+    then checked against.  No node's check depends on another's, so the loop
+    never backtracks.  The root is checked against its conclusion, which
+    must read as `expect` does, when given."""
     read = read or (lambda c: c)
     todo = [(root, read(root.conclusion))]
     if expect is not None and read(expect) != todo[0][1]:
@@ -190,10 +193,10 @@ def check_tree(root: ProofNode, rules: dict, step, read=None, expect=None) -> No
                 raise CheckError(f"unknown rule {_clip(rule)}")
             if len(node.premises) != rules[rule]:
                 raise CheckError(f"rule {rule} expects {rules[rule]} premises, got {len(node.premises)}")
-            got = step(node, c, tuple(read(p.conclusion) for p in node.premises))
-            if got is None:
+            ps = tuple(read(p.conclusion) for p in node.premises)
+            if not step(node, c, ps):
                 raise CheckError(f"rule {rule} does not derive {_clip(str(node.conclusion))} from its premises")
-            todo.extend(reversed(tuple(zip(node.premises, got))))
+            todo.extend(reversed(tuple(zip(node.premises, ps))))
     except CheckError as e:
         raise _located(e, root, node)
 
@@ -234,20 +237,17 @@ def _kept(node: ProofNode) -> list:
 def cut_loops(root: ProofNode) -> ProofNode:
     """The proof with every detour inside a one-premise chain cut out.
 
-    When a node's conclusion equals (strictly, origins and hops included)
+    When a node's conclusion equals (strictly, origins included)
     the conclusion of a node higher up the same chain of one-premise
     nodes, or of the chain's base, the proof above the higher node takes
     the lower node's place, and the nodes in between go.  Rules and
     witnesses of the surviving nodes are kept, and the root's conclusion
     does not change.  Afterwards no chain repeats a conclusion.
 
-    Cutting keeps a proof a proof.  The sn and dc checkers judge a node by
-    its own conclusion and the conclusions of its premises, and a surviving
-    node's premise now concludes exactly what its old premise did, so each
-    remaining node is checked against the same data as before.  The dn
-    checker also replays each rule on the sequent it derived from the root,
-    hop counts included; conclusions are compared with their hops, so a
-    surviving premise carries the very sequent the one it replaces did.
+    Cutting keeps a proof a proof.  Every checker judges a node by its own
+    conclusion and the conclusions of its premises (`check_tree`), and a
+    surviving node's premise now concludes exactly what its old premise
+    did, so each remaining node is checked against the same data as before.
 
     The walk uses explicit stacks and one dict per chain, so it takes time
     linear in the proof and no recursion."""
@@ -396,13 +396,7 @@ def _read_proof(calculus: str, proof, table: dict) -> ProofNode:
         premises = data.get("premises", ())
         nodes.append((data["rule"], conclusion, witness, len(premises)))
         todo.extend(reversed(premises))
-    return _from_preorder(nodes)
-
-
-def _from_preorder(nodes: list) -> ProofNode:
-    """The proof tree of `nodes`, (rule, conclusion, witness, premise count)
-    in preorder: in reverse, a node's premises are the last built, first on top."""
-    built: list[ProofNode] = []
+    built: list[ProofNode] = []  # in reverse preorder, a node's premises are the last built, first on top
     for rule, conclusion, witness, n in reversed(nodes):
         k = len(built) - n
         built[k:] = [ProofNode(rule, conclusion, tuple(reversed(built[k:])), witness)]

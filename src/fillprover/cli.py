@@ -59,7 +59,7 @@ from .formula import (
     parse_formula,
 )
 from .prover import decide_formula, goal_reading, search_bounds
-from .sequent import is_fill_sequent, parse_sequent, signed_counts
+from .sequent import is_fill_sequent, parse_sequent, sequent_nesting, signed_counts
 from .shallow import SN_FILL_EXCLUDED, check_sn_proof
 from .translate import (
     TranslationError,
@@ -194,20 +194,23 @@ def cmd_check(args) -> int:
 def _translated(root, src: str, dst: str):
     # by way of sn; each translator checks its input, in BiILL
     sn = root if src == "sn" else deep_to_shallow(root) if src == "dn" else display_to_shallow(root)
-    if dst == "sn":
-        return sn
-    if dst == "dn":
-        return shallow_to_deep(sn)
-    # a display side nests as deep as it is wide, and a certificate reader
-    # bounds how deep the text it reads may nest
-    dc = shallow_to_display(sn)
-    depth, formulas = text_nesting(dc)
+    out = sn if dst == "sn" else shallow_to_deep(sn) if dst == "dn" else shallow_to_display(sn)
+    # a certificate reader bounds how deep the text it reads may nest, and a
+    # translation can nest deeper than its input: a display side nests as
+    # deep as it is wide, and a displayed sequent about twice as deep as
+    # its tree
+    if dst == "dc":
+        depth, formulas = text_nesting(out)
+        what = f"a display side of {formulas} formulas"
+    else:
+        depth = sequent_nesting([node.conclusion for node in postorder(out)])
+        what = "a sequent"
     if depth > _MAX_NESTING:
+        stage = f"{src} -> sn" if dst == "sn" else f"sn -> {dst}"
         raise TranslationError(
-            f"sn -> dc: a display side of {formulas} formulas nests {depth} deep,"
-            f" past the {_MAX_NESTING} levels a certificate can hold"
+            f"{stage}: {what} nests {depth} deep, past the {_MAX_NESTING} levels a certificate can hold"
         )
-    return dc
+    return out
 
 
 def cmd_translate(args) -> int:

@@ -6,12 +6,18 @@ rules unfold a connective in place; the two implication-like connectives
 spawn a child sequent, of origin 0 like every child a rule makes.  Branching
 rules split the surrounding context and the remaining material of the
 rewritten node between two premises; search builds only the splits whose
-first premise balances (`deep_moves`).  The witness records only the two
-context halves; the checker recovers the split of the node's own material
-by lifting the premises it is given, which carry no hop counts, and takes
-the first split that fits, in one pass with no backtracking
-(`replay_dn_proof` says why).  Propagation rules move one formula
-occurrence across one parent/child boundary, bumping its hop counter.
+first premise balances (`deep_moves`).  Propagation rules move one formula
+occurrence across one parent/child boundary.  Hop counts are search's own
+device (`prover`): only `_prop_moves` bumps one, and no proof search
+returns carries one, so no checker or translator reads them.
+
+The checker judges each node on its own, as the sn and dc checkers do: a
+deep rule instance relates one conclusion to its premises (Brünnler, *Deep
+sequent systems for modal logic*, 2009).  The witness context locates the
+rewritten node, and the stated premises must be among those of the rule's
+instances there.  A branching rule's witness records only the two context
+halves; the split of the node's own material is recovered by lifting the
+stated premises' halves onto it.
 
 The shape of each logical rule is encoded once, in the rule-shape helpers
 below; search, the checker, the shallow checker and the translators all
@@ -27,11 +33,10 @@ and `prop_left_out` a left-nested child, which only `excl_l` makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .certs import CheckError, ProofNode, Witness, _from_preorder, check_fragment, check_tree
+from .certs import CheckError, ProofNode, Witness, check_fragment, check_tree
 from .formula import (
     Atom,
     Excl,
@@ -63,8 +68,6 @@ from .sequent import (
     plug,
     sequent_text,
     side_remove,
-    strip_context,
-    strip_sequent,
 )
 
 __all__ = [
@@ -77,7 +80,6 @@ __all__ = [
     "endsequent_for",
     "deep_moves",
     "check_dn_proof",
-    "replay_dn_proof",
     "check_separation",
 ]
 
@@ -255,11 +257,14 @@ def _prop_sites(rule: str, node: Sequent) -> Iterator[tuple[Sequent, Occ]]:
                 yield kid, occ
 
 
-def _propagate(rule: str, node: Sequent, kid: Sequent, occ: Occ) -> tuple[Sequent, Sequent]:
-    """The node after `occ` crosses the boundary of its child `kid`, one hop
-    further along, and that child as it then stands."""
+def _propagate(
+    rule: str, node: Sequent, kid: Sequent, occ: Occ, moved: Optional[Occ] = None
+) -> tuple[Sequent, Sequent]:
+    """The node after `occ` crosses the boundary of its child `kid`, and that
+    child as it then stands.  The occurrence arrives as `moved`, by default
+    `occ` itself; search passes it one hop further along."""
     occ_side, kid_side, inward = _PROP_SHAPE[rule]
-    moved = Occ(occ.formula, occ.hops + 1)
+    moved = occ if moved is None else moved
     items = {"left": node.left, "right": node.right}
     if inward:
         kid2 = _edit(kid, occ_side, (), (moved,))
@@ -379,7 +384,7 @@ def _prop_moves(ctx: Context, node: Sequent, hop_cap: Optional[int]) -> Iterator
         for kid, occ in _prop_sites(rule, node):
             if hop_cap is not None and occ.hops >= hop_cap:
                 continue
-            premise = plug(ctx, _propagate(rule, node, kid, occ)[0])
+            premise = plug(ctx, _propagate(rule, node, kid, occ, Occ(occ.formula, occ.hops + 1))[0])
             if (rule, premise) in seen:
                 continue
             seen.add((rule, premise))
@@ -514,39 +519,35 @@ def _lift_context(lab: Context, c1: Context, c2: Context) -> Iterator[tuple[Cont
 
 def _instances(
     rule: str, ctx: Context, redex: Sequent, w: Witness, claims: tuple[Sequent, ...]
-) -> Iterator[tuple]:
-    """Applications of `rule` at `redex` that the witness allows, each as
-    (premises, witness pinned to what was used)."""
+) -> Iterator[tuple[Sequent, ...]]:
+    """The premises of each application of `rule` at `redex` in `ctx` that
+    the witness allows."""
     if rule in LEAF_RULES:
         # at most one axiom applies anywhere: the rest of the tree is hollow
         ax = _axiom_move(plug(ctx, redex))
         if ax is not None and ax.rule == rule and ax.witness.context == ctx:
             if w.principal in (None, ax.witness.principal):
-                yield (), ax.witness
+                yield ()
     elif rule in BRANCH_RULES:
         yield from _branch_instances(rule, ctx, redex, w, claims)
     elif rule in UNARY_LOGICAL_RULES:
         for occ in _principals(rule, redex):
-            f = occ.formula
-            if w.principal in (None, f):
-                yield (plug(ctx, _unfold(rule, redex, occ)),), Witness(context=ctx, principal=f)
+            if w.principal in (None, occ.formula):
+                yield (plug(ctx, _unfold(rule, redex, occ)),)
     else:
         for kid, occ in _prop_sites(rule, redex):
-            if w.principal not in (None, occ.formula) or w.child_origin not in (None, kid.origin):
-                continue
-            premise = plug(ctx, _propagate(rule, redex, kid, occ)[0])
-            yield (premise,), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin)
+            if w.principal in (None, occ.formula) and w.child_origin in (None, kid.origin):
+                yield (plug(ctx, _propagate(rule, redex, kid, occ)[0]),)
 
 
 def _branch_instances(
     rule: str, ctx: Context, redex: Sequent, w: Witness, claims: tuple[Sequent, ...]
-) -> Iterator[tuple]:
+) -> Iterator[tuple[Sequent, Sequent]]:
     if w.ctx1 is None or w.ctx2 is None:
         raise CheckError(f"{rule} needs ctx1 and ctx2 in its witness")
     a_side, b_side = _SPLIT[rule]
-    # the claims carry no hops; a witness from search may
-    sredex1 = context_decompose(strip_context(w.ctx1), claims[0])
-    sredex2 = context_decompose(strip_context(w.ctx2), claims[1])
+    sredex1 = context_decompose(w.ctx1, claims[0])
+    sredex2 = context_decompose(w.ctx2, claims[1])
     if sredex1 is None or sredex2 is None:
         return
     for occ in _principals(rule, redex):
@@ -563,64 +564,39 @@ def _branch_instances(
         # material is split by lifting the claimed premises' halves
         for l1, l2 in _lift_context(ctx, w.ctx1, w.ctx2):
             for r1, r2 in _lift_seq(rest, crest1, crest2):
-                pair = _split_premises(rule, f, l1, r1, l2, r2)
-                yield pair, Witness(context=ctx, principal=f, ctx1=l1, ctx2=l2)
+                yield _split_premises(rule, f, l1, r1, l2, r2)
 
 
-def _replay(done: list, node: ProofNode, current: Sequent, claims: tuple) -> tuple:
-    """The `check_tree` step of the dn checker: the premises of the first
-    instance of the node's rule at `current` whose hop-free premises are
-    `claims`, after recording the node as it replays in `done`."""
+def _derives(node: ProofNode, c: Sequent, claims: tuple[Sequent, ...]) -> bool:
+    """The `check_tree` step of the dn checker: True when the stated premises
+    `claims` are those of an instance of the node's rule at the node of `c`
+    that the witness context locates.  A node no instance fits is rejected
+    here, with the premises the first instance derives when there is one."""
     rule = node.rule
     w = node.witness
     if w is None or w.context is None:
         raise CheckError(f"{rule} needs a witness context")
-    # contexts and premises compare without hops, which certificates omit
-    at = strip_context(w.context)
-    derived: Optional[tuple] = None  # the first instance whose premises differ from the claims
-    for ctx, redex in hole_contexts(current):
-        if strip_context(ctx) != at:
-            continue
-        for premises, exact_w in _instances(rule, ctx, redex, w, claims):
-            stripped = tuple(strip_sequent(p) for p in premises)
-            if stripped == claims:
-                done.append((rule, current, exact_w, len(premises)))
-                return premises
-            derived = derived or stripped
+    redex = context_decompose(w.context, c)
+    derived: Optional[tuple] = None  # the premises of the first instance
+    if redex is not None:
+        for premises in _instances(rule, w.context, redex, w, claims):
+            if premises == claims:
+                return True
+            derived = derived or premises
     if derived is not None:
         stated, got = ("; ".join(map(_quoted, ps)) for ps in (claims, derived))
         raise CheckError(f"premise mismatch at {rule}: stated {stated}, derived {got}")
-    raise CheckError(f"rule {rule} does not apply to {_quoted(current)} with the given witness")
+    raise CheckError(f"rule {rule} does not apply to {_quoted(c)} with the given witness")
 
 
 def check_dn_proof(root: ProofNode, expect: Optional[Sequent] = None) -> None:
-    """Validate a proof tree in the deep calculus, as `replay_dn_proof` does,
-    after comparing the root conclusion with `expect` when one is given.
-    Raises CheckError with a reason on any defect."""
-    check_tree(root, DN_RULES, partial(_replay, []), strip_sequent, expect)
-
-
-def replay_dn_proof(root: ProofNode) -> ProofNode:
-    """Check the proof and return it rebuilt over the sequents its rules
-    derive from the root conclusion, hop counts included, with every
-    witness pinned down exactly: the context is the one the rule acted in,
-    branch witnesses hold the context halves of the split, and propagations
-    record the origin of the child they cross.  A child that `lolli_r` or
-    `excl_l` spawns has origin 0, so a certificate must write it without an
-    `@` suffix.  Raises CheckError with a reason on any defect.
-
-    The check is one pass of `certs.check_tree` with no backtracking: each
-    node takes the first instance of its rule whose premises, hops
-    stripped, are the stated ones, and a failure above it rejects the
-    proof.  No other instance could succeed where that one fails.  Every
-    test the checker makes compares hop-free values (contexts, stated
-    premises, principals by formula); hop counts are only carried along.
-    So whether a subtree checks depends only on the hop-free sequent it
-    starts from, and every instance that fits the stated premises starts
-    its subtrees from those same hop-free premises."""
-    done: list = []
-    check_tree(root, DN_RULES, partial(_replay, done), strip_sequent)
-    return _from_preorder(done)
+    """Validate a proof tree in the deep calculus: `certs.check_tree` with
+    the local step `_derives`, after comparing the root conclusion with
+    `expect` when one is given.  Sequents compare exactly, origins included;
+    a child that `lolli_r` or `excl_l` spawns has origin 0, so a certificate
+    writes it without an `@` suffix.  Raises CheckError with a reason on any
+    defect."""
+    check_tree(root, DN_RULES, _derives, expect=expect)
 
 
 def check_separation(root: ProofNode) -> None:

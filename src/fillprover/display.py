@@ -25,7 +25,6 @@ sequent shapes the move can start from, as two readings of the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Union
 
 from .certs import CheckError, ProofNode, check_tree, postorder
@@ -44,6 +43,7 @@ from .formula import (
     _end,
     _formula_at,
     _join,
+    _text_depth,
     _tokenize,
     formula_text,
     is_fill_formula,
@@ -183,8 +183,7 @@ def text_nesting(root: ProofNode) -> tuple[int, int]:
         if id(x) in known:
             continue
         if cls is SLeaf:
-            text = formula_text(x.formula)
-            known[id(x)] = (0, max(accumulate((c == "(") - (c == ")") for c in text)), 1)
+            known[id(x)] = (0, _text_depth(formula_text(x.formula)), 1)
         elif cls is SPhi:
             known[id(x)] = (0, 0, 0)
         elif id(x.left) not in known or id(x.right) not in known:
@@ -497,4 +496,4 @@ def dc_rule_applies(rule: str, c: DisplaySequent, ps: tuple[DisplaySequent, ...]
 def check_dc_proof(root: ProofNode, expect: DisplaySequent | None = None) -> None:
     """Validate a display-calculus derivation.  Raises CheckError on the
     first offending node; returns None when the tree is a proof."""
-    check_tree(root, DC_RULES, lambda node, c, ps: ps if dc_rule_applies(node.rule, c, ps) else None, expect=expect)
+    check_tree(root, DC_RULES, lambda node, c, ps: dc_rule_applies(node.rule, c, ps), expect=expect)

@@ -22,6 +22,7 @@ properties, so class patterns such as `Lolli(left=l)` match as usual.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from operator import itemgetter
 from typing import Union
 
@@ -239,6 +240,12 @@ def _tokenize(text: str) -> list[str]:
             if depth > _MAX_NESTING:
                 raise ParseError(f"brackets nest deeper than {_MAX_NESTING} at position {m.start()}")
     return toks
+
+
+def _text_depth(text: str) -> int:
+    """How deep the brackets of `text` nest, counted as `_tokenize` counts
+    them."""
+    return max(accumulate(_NEST.get(c, 0) for c in text), default=0)
 
 
 def _end(toks: list[str], i: int) -> None:

@@ -3,13 +3,16 @@
 Backward search from the goal sequent, trying axioms first, then in-place
 unfolding, then branching splits, then propagation.  Search states are whole
 sequents (hop counters included), so success and failure both memoize
-soundly.  One bound shapes the search: a per-occurrence propagation
-cap `k`, the number of arrows in the goal's formula reading.  No branch is
-cut short by its length: every rule lowers a measure, so the search ends,
-and a state whose moves all fail is refuted and enters the failure memo.
-Three further cuts are argued below: unary rules are committed to, states
-whose atoms do not balance are never searched, and neither are states whose
-leaf count is off.
+soundly.  Hop counters are this search's own device, for the hop cap and
+the measure below; the calculus has none.  Each proof node is built from
+the hop-free conclusion and witness contexts, so no proof that search
+returns carries a hop.  One bound shapes the search: a per-occurrence
+propagation cap `k`, the number of arrows in the goal's formula reading.
+No branch is cut short by its length: every rule lowers a measure, so the
+search ends, and a state whose moves all fail is refuted and enters the
+failure memo.  Three further cuts are argued below: unary rules are
+committed to, states whose atoms do not balance are never searched, and
+neither are states whose leaf count is off.
 
 The measure.  Give an occurrence of a formula `A` with `h` hops the weight
 `(k+1)*|A| - h`, where `|A|` is `formula_size`, and a sequent the sum of
@@ -199,10 +202,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .certs import ProofNode, stack_room
+from .certs import ProofNode, Witness, stack_room
 from .deep import check_separation, deep_moves, endsequent_for
 from .formula import Formula, arrow_count, formula_size, is_fill_formula
-from .sequent import Occ, Sequent, _tally, is_fill_sequent, strip_sequent, tau_s
+from .sequent import Occ, Sequent, _tally, is_fill_sequent, strip_context, strip_sequent, tau_s
 
 __all__ = ["Decision", "goal_reading", "search_bounds", "decide_formula", "decide_sequent"]
 
@@ -299,8 +302,11 @@ def _search(s0: Sequent, reading: Formula) -> Decision:
                     break
                 subproofs.append(pr)
             else:
-                node = ProofNode(move.rule, s, tuple(subproofs), move.witness)
-                success[s] = node
+                # hop counts stay in search: the node is built without them
+                w = move.witness
+                ctx, ctx1, ctx2 = map(strip_context, (w.context, w.ctx1, w.ctx2))
+                w = Witness(ctx, w.principal, w.child_origin, ctx1, ctx2)
+                node = success[s] = ProofNode(move.rule, strip_sequent(s), tuple(subproofs), w)
                 return node
         failed.add(s)
         return None

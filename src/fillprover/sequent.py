@@ -18,14 +18,14 @@ omitted); `_` marks the hole of a context.  Formula occurrences parse with
 hop count 0.  The text is read by the parser core in `formula.py`
 (`_tokenize`).
 
-Hop counts and origins are bookkeeping of the deep search; the checkers
-and translators compare sequents with hops, and in the shallow calculus
-origins too, set to 0.  The walks that do so (`strip_sequent` here,
-`shallow.zero_origins` and `shallow._norm`) are check-first: one read-only
-pass over the tags looks for a mark to zero, and when there is none the
-walk returns its argument itself and builds nothing.  Sequent text never
-carries hops, so on a sequent read from a certificate the walk is that
-one pass.
+Hop counts are the deep search's own bookkeeping, and never leave it: the
+search builds every proof node from the hop-free sequent (`strip_sequent`
+here), so every proof, checker and translator sees hop count 0 throughout,
+as sequent text does.  The shallow calculus compares sequents with every
+origin set to 0 (`shallow.zero_origins`).  Both walks are check-first: one
+read-only pass over the tags looks for a mark to zero, and when there is
+none the walk returns its argument itself and builds nothing, so on a
+sequent with nothing to drop the walk is that one pass.
 
 A context is a nested sequent with exactly one hole standing for a whole
 node; `plug` substitutes a sequent for the hole.  `HOLE` itself is the empty
@@ -60,6 +60,7 @@ from .formula import (
     _clip,
     _end,
     _formula_at,
+    _text_depth,
     _tokenize,
     formula_text,
     is_fill_formula,
@@ -74,6 +75,7 @@ __all__ = [
     "Context",
     "parse_sequent",
     "sequent_text",
+    "sequent_nesting",
     "side_remove",
     "occs",
     "child_seqs",
@@ -103,8 +105,9 @@ _OCC, _SEQUENT, _HOLE = 7, 8, 9
 
 class Occ(_Tagged):
     """One formula occurrence in a sequent.  `hops` counts how many times
-    propagation has moved it; it participates in equality so search states
-    that differ only in spent moves stay distinct."""
+    propagation has moved it in search; it participates in equality so
+    search states that differ only in spent moves stay distinct.  Outside
+    search it is 0."""
 
     __slots__ = ()
     formula = property(itemgetter(1))
@@ -331,6 +334,37 @@ def sequent_text(s: Sequent) -> str:
     return f"{t} @{s.origin}" if s.origin else t
 
 
+def sequent_nesting(sequents: list) -> int:
+    """How deep the text of the deepest of `sequents` nests, as a
+    certificate reader counts brackets (`formula._tokenize`): one level for
+    each child's `[`, and below it the brackets of the formulas' own text.
+    Each child and formula is measured once, by identity, so what many
+    sequents share costs nothing more.  A context nests no deeper than the
+    sequent it is cut from."""
+    known: dict = {}  # id of a sequent or formula -> how deep its text nests
+    todo = sequents[:]
+    while todo:
+        items = todo[-1][2] + todo[-1][3]
+        kids = [it for it in items if it[0] == _SEQUENT and id(it) not in known]
+        if kids:
+            todo += kids
+            continue
+        depth = 0
+        for it in items:
+            if it[0] == _SEQUENT:
+                d = known[id(it)] + 1
+            elif it[0] == _OCC:
+                d = known.get(id(it[1]))
+                if d is None:
+                    d = known[id(it[1])] = _text_depth(formula_text(it[1]))
+            else:
+                continue
+            if d > depth:
+                depth = d
+        known[id(todo.pop())] = depth
+    return max(known[id(s)] for s in sequents)
+
+
 # ---------------------------------------------------------------- contexts
 
 def hole_count(x) -> int:
@@ -493,8 +527,8 @@ def strip_sequent(s: Sequent) -> Sequent:
     return s if _normal(s, True, False) else _rebuild(s, True, False)
 
 
-def strip_context(ctx: Context) -> Context:
-    return ctx if isinstance(ctx, Hole) else strip_sequent(ctx)
+def strip_context(ctx: Context | None) -> Context | None:
+    return strip_sequent(ctx) if isinstance(ctx, Sequent) else ctx
 
 
 # ------------------------------------------------- formula interpretations

@@ -1,9 +1,8 @@
 """Shallow rules on nested sequents: every rule works at the root node.
 
 The sequents are the same nested trees the deep calculus uses, but here a
-rule may only touch root-level items.  The deep calculus's bookkeeping
-(child origins and hop counts) is invisible to this calculus: conclusions
-are compared with both erased.
+rule may only touch root-level items.  Child origins are invisible to this
+calculus: conclusions are compared with every origin set to 0.
 
 Six structural rules move material between the root and a root-level child:
 `wrap_left` packs the whole antecedent of the root and part of its
@@ -63,7 +62,6 @@ from .sequent import (
     plug,
     sequent_text,
     side_remove,
-    strip_sequent,
 )
 
 __all__ = [
@@ -113,16 +111,11 @@ SN_FILL_EXCLUDED = frozenset(
 
 
 def zero_origins(s: Sequent) -> Sequent:
-    """`s` with every origin 0; hop counts stay.  Check-first, as
-    `strip_sequent`: one read-only pass looks for an origin other than 0,
-    and when there is none `s` itself comes back, with nothing built.  Only
-    otherwise is the tree rebuilt, every item without one reused as it is."""
+    """`s` with every origin 0.  Check-first, as `strip_sequent`: one
+    read-only pass looks for an origin other than 0, and when there is none
+    `s` itself comes back, with nothing built.  Only otherwise is the tree
+    rebuilt, every item without one reused as it is."""
     return s if _normal(s, False, True) else _rebuild(s, False, True)
-
-
-def _norm(s: Sequent) -> Sequent:
-    # one test over both marks first: most sequents have neither
-    return s if _normal(s, True, True) else zero_origins(strip_sequent(s))
 
 
 def _single_child(items) -> Sequent | None:
@@ -133,12 +126,12 @@ def _single_child(items) -> Sequent | None:
 
 def sn_rule_applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
     """Schema check for one rule instance; conclusion `c`, premises `ps` in
-    order.  Origins and hop counts are ignored."""
-    return _applies(rule, _norm(c), tuple(_norm(p) for p in ps))
+    order.  Origins are ignored."""
+    return _applies(rule, zero_origins(c), tuple(zero_origins(p) for p in ps))
 
 
 def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
-    # sn_rule_applies on sequents already passed through _norm
+    # sn_rule_applies on sequents already passed through zero_origins
     if rule in _SPLIT:
         p1, p2 = ps
         a_side, b_side = _SPLIT[rule]
@@ -204,7 +197,7 @@ def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
 def check_sn_proof(root: ProofNode, expect: Sequent | None = None) -> None:
     """Validate a shallow derivation.  Raises CheckError on the first
     offending node; returns None when the tree is a proof."""
-    check_tree(root, SN_RULES, lambda node, c, ps: ps if _applies(node.rule, c, ps) else None, _norm, expect)
+    check_tree(root, SN_RULES, lambda node, c, ps: _applies(node.rule, c, ps), zero_origins, expect)
 
 
 # -------------------------------------------------- bringing a node to root

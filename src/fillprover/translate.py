@@ -1,7 +1,7 @@
 """Translations between the three proof calculi.
 
 deep_to_shallow rebuilds a deep proof as a root-rule-only proof.  Each deep
-inference is replayed by bringing the rewritten node to the root with a
+inference is redone by bringing the rewritten node to the root with a
 wrap/dissolve chain, firing the matching root rule there, and lowering the
 result back down.  The chain packs the rest of the tree into one wrapper
 child, built only at the levels that carry something, so no wrapper is
@@ -48,6 +48,12 @@ pull and push, the propagations, and `lolli_l` with `excl_r`) is
 translated by one body, parametrised by side: it is written for one rule of
 the pair and names the other with `deep._on`.
 
+Every checker judges each node locally (`certs.check_tree`), and no proof
+carries a hop count, the deep search's own device.  So a translator reads
+each node of its checked input on its own: a deep witness context locates
+the rewritten node exactly, and the principal and the child crossed, which
+a witness may leave open, are found from the node's premises.
+
 Each translation ends by running the checker of its target calculus on its
 result, against the input's endsequent.  Checks are BiILL checks: a
 translation may use left-nested structure even for a FILL endsequent, and
@@ -79,7 +85,6 @@ from .deep import (
     _unfold,
     _unfolding,
     check_dn_proof,
-    replay_dn_proof,
 )
 from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES, PROP_RULES
 from .display import (
@@ -105,11 +110,9 @@ from .sequent import (
     occs,
     plug,
     side_remove,
-    strip_sequent,
 )
 from .shallow import (
     _merge_plan,
-    _norm,
     check_sn_proof,
     display_in_sn,
     expand_deep_leaf,
@@ -117,6 +120,7 @@ from .shallow import (
     invert_display_chain,
     sn_rule_applies,
     stack_chain,
+    zero_origins,
 )
 
 __all__ = [
@@ -156,120 +160,93 @@ def _checked(stage: str, check, out: ProofNode, expect) -> ProofNode:
 def deep_to_shallow(root: ProofNode) -> ProofNode:
     """Rebuild a deep proof as a shallow (root-rule-only) proof of the same
     endsequent.  The input is checked first and the output last; the
-    output is cut-free by construction.  Each node of the replayed input is
+    output is cut-free by construction.  Each node of the input is
     translated from its premises' translations, in postorder, so no walk
-    recurses on the proof."""
-    exact = replay_dn_proof(root)
+    recurses on the proof.  A checked witness locates each rewritten node
+    exactly; the principal and the crossed child it may leave open are
+    found from the node's premises."""
+    check_dn_proof(root)
     done: list[ProofNode] = []  # translations of the finished subtrees, in order
-    for node in postorder(exact):
+    for node in postorder(root):
         k = len(done) - len(node.premises)
         done[k:] = [_dts(node, tuple(done[k:]))]
-    return _checked("dn -> sn", check_sn_proof, done[0], exact.conclusion)
+    return _checked("dn -> sn", check_sn_proof, done[0], root.conclusion)
 
 
-def _displayed(steps, fallback):
-    return steps[-1][1] if steps else fallback
+def _shown(ctx, s: Sequent):
+    """The wrap/dissolve chain displaying the node of `s` that `ctx`
+    locates, and the sequent the chain ends in."""
+    redex = context_decompose(ctx, s)
+    steps = display_in_sn(ctx, redex)
+    return steps, steps[-1][1] if steps else redex
 
 
 def _dts(node: ProofNode, subs: tuple) -> ProofNode:
     """The shallow proof of the deep node's conclusion, given shallow
-    proofs `subs` of its premises."""
+    proofs `subs` of its premises: a proof of the displayed conclusion,
+    lowered back down."""
     rule = node.rule
-    w = node.witness
-    conclusion = node.conclusion
-    ctx = w.context
-    redex_c = conclusion if isinstance(ctx, Hole) else context_decompose(ctx, conclusion)
-
+    ctx = node.witness.context
     if rule in LEAF_RULES:
-        return expand_deep_leaf(rule, ctx, redex_c)
-
+        return expand_deep_leaf(rule, ctx, context_decompose(ctx, node.conclusion))
+    steps_c, d_c = _shown(ctx, node.conclusion)
     if rule in UNARY_LOGICAL_RULES:
-        premise = node.premises[0].conclusion
-        redex_p = premise if isinstance(ctx, Hole) else context_decompose(ctx, premise)
-        steps_p = display_in_sn(ctx, redex_p)
-        cur = stack_chain(subs[0], steps_p)
-        steps_c = display_in_sn(ctx, redex_c)
-        d_c = _displayed(steps_c, redex_c)
-        cur = ProofNode(rule, d_c, (cur,))
-        return stack_chain(cur, invert_display_chain(steps_c, conclusion))
-
-    if rule in BRANCH_RULES:
-        return _dts_branch(node, redex_c, subs)
-
-    return _dts_prop(node, redex_c, subs)
+        cur = ProofNode(rule, d_c, (stack_chain(subs[0], _shown(ctx, node.premises[0].conclusion)[0]),))
+    elif rule in BRANCH_RULES:
+        cur = _dts_branch(node, d_c, subs)
+    else:
+        cur = _dts_prop(node, subs)
+    return stack_chain(cur, invert_display_chain(steps_c, node.conclusion))
 
 
-def _dts_branch(node: ProofNode, redex_c: Sequent, subs: tuple) -> ProofNode:
+def _dts_branch(node: ProofNode, d_c: Sequent, subs: tuple) -> ProofNode:
     w = node.witness
-    f = w.principal
-    p_side = _LOGICAL[node.rule][0]
-    a_side, b_side = _SPLIT[node.rule]
-    p1, p2 = (p.conclusion for p in node.premises)
-    redex1 = p1 if isinstance(w.ctx1, Hole) else context_decompose(w.ctx1, p1)
-    redex2 = p2 if isinstance(w.ctx2, Hole) else context_decompose(w.ctx2, p2)
-    a_occ = Occ(f.left)
-    b_occ = Occ(f.right)
-    steps1 = display_in_sn(w.ctx1, redex1)
-    steps2 = display_in_sn(w.ctx2, redex2)
-    steps_c = display_in_sn(w.context, redex_c)
-    d1 = _displayed(steps1, redex1)
-    d2 = _displayed(steps2, redex2)
-    d_c = _displayed(steps_c, redex_c)
+    rule = node.rule
+    p_side = _LOGICAL[rule][0]
+    a_side, b_side = _SPLIT[rule]
+    (steps1, d1), (steps2, d2) = (_shown(c, p.conclusion) for c, p in zip((w.ctx1, w.ctx2), node.premises))
 
-    # which occurrence of the principal the deep step consumed: removing it
-    # must leave a merge of what the two displayed premises keep beside
-    # their active halves, and the merge's plan names the root children to
-    # fuse; a wrapper only one premise has stays as it is
-    rest1 = _edit(d1, a_side, (a_occ,))
-    rest2 = _edit(d2, b_side, (b_occ,))
-    principal, plan = next(
-        (occ, plan)
-        for occ in occs(getattr(d_c, p_side))
-        if occ.formula == f
-        and (plan := _merge_plan(rest1, rest2, _edit(d_c, p_side, (occ,)))) is not None
-    )
+    def plan(occ: Occ):
+        # removing the principal and its two halves must leave a merge of
+        # what the displayed premises keep beside their active halves
+        f = occ.formula
+        try:
+            rest1 = _edit(d1, a_side, (Occ(f.left),))
+            rest2 = _edit(d2, b_side, (Occ(f.right),))
+        except ValueError:
+            return None
+        return _merge_plan(rest1, rest2, _edit(d_c, p_side, (occ,)))
 
-    mid = _branch_conclusion(node.rule, d1, a_occ, d2, b_occ, principal)
-    cur = ProofNode(node.rule, mid, (stack_chain(subs[0], steps1), stack_chain(subs[1], steps2)))
-    for side, x, y, z in plan:
+    # which occurrence of the principal the deep step consumed: the merge's
+    # plan names the root children to fuse; a wrapper only one premise has
+    # stays as it is
+    principal, merges = next((occ, m) for occ in _principals(rule, d_c) if (m := plan(occ)) is not None)
+    f = principal.formula
+    mid = _branch_conclusion(rule, d1, Occ(f.left), d2, Occ(f.right), principal)
+    cur = ProofNode(rule, mid, (stack_chain(subs[0], steps1), stack_chain(subs[1], steps2)))
+    for side, x, y, z in merges:
         cur = expand_merge(x, y, z, cur, side)
-    return stack_chain(cur, invert_display_chain(steps_c, node.conclusion))
+    return cur
 
 
-def _dts_prop(node: ProofNode, redex_c: Sequent, subs: tuple) -> ProofNode:
-    w = node.witness
-    ctx = w.context
+def _dts_prop(node: ProofNode, subs: tuple) -> ProofNode:
+    ctx = node.witness.context
     premise = node.premises[0].conclusion
-
-    # pin down which occurrence moved and across which child: replaying the
-    # move from the conclusion side must reproduce the premise exactly
-    k_c, a_c = next(
-        (kid, occ)
+    redex_c = context_decompose(ctx, node.conclusion)
+    # which occurrence moved, across which child: the move must give the
+    # premise; the child as the premise has it comes with it
+    k_c, a, k_p = next(
+        (kid, occ, moved[1])
         for kid, occ in _prop_sites(node.rule, redex_c)
-        if kid.origin == w.child_origin
-        and occ.formula == w.principal
-        and plug(ctx, _propagate(node.rule, redex_c, kid, occ)[0]) == premise
+        if plug(ctx, (moved := _propagate(node.rule, redex_c, kid, occ))[0]) == premise
     )
-    # from the premise's point of view: its version of the child, and the
-    # occurrence as it sits there (one hop further along)
-    k_p = _propagate(node.rule, redex_c, k_c, a_c)[1]
-    a_p = Occ(a_c.formula, a_c.hops + 1)
-
-    redex_p = premise if isinstance(ctx, Hole) else context_decompose(ctx, premise)
-    steps_p = display_in_sn(ctx, redex_p)
-    d_p = _displayed(steps_p, redex_p)
-    cur = stack_chain(subs[0], steps_p)
-
-    recipe = _prop_recipe(node.rule, d_p, k_p, k_c, a_p, a_c)
-    cur = stack_chain(cur, recipe)
-
-    steps_c = display_in_sn(ctx, redex_c)
-    return stack_chain(cur, invert_display_chain(steps_c, node.conclusion))
+    steps_p, d_p = _shown(ctx, premise)
+    return stack_chain(stack_chain(subs[0], steps_p), _prop_recipe(node.rule, d_p, k_p, k_c, a))
 
 
-def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a_p: Occ, a_c: Occ):
+def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a: Occ):
     """The structural steps lowering the displayed premise of a propagation
-    move to its displayed conclusion.  Crossing into a child needs a five
+    move of `a` to its displayed conclusion.  Crossing into a child needs a five
     step sandwich (display the child, pull or push the occurrence across,
     reassemble); crossing out needs three.  The steps are those of
     `prop_left_in` and `prop_right_out`, whose child sits on the right,
@@ -280,19 +257,19 @@ def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a_p: Occ, 
     if inward:
         rest = side_remove(getattr(d_p, kid_side), [k_p])
         w0 = _sided(side, near, rest)
-        w1 = _sided(side, near + (a_c,), rest)
+        w1 = _sided(side, near + (a,), rest)
         steps = [
             ("wrap_left", _sided(side, (w0,), (k_p,))),
             ("dissolve_right", _sided(side, (w0,) + getattr(k_p, side), getattr(k_p, kid_side))),
-            ("wrap_right", _sided(side, (w0, a_p), (k_c,))),
+            ("wrap_right", _sided(side, (w0, a), (k_c,))),
             ("pull_left", _sided(side, (w1,), (k_c,))),
-            ("dissolve_left", _sided(side, near + (a_c,), rest + (k_c,))),
+            ("dissolve_left", _sided(side, near + (a,), rest + (k_c,))),
         ]
     else:
-        rest = side_remove(getattr(d_p, kid_side), [a_p, k_p])
+        rest = side_remove(getattr(d_p, kid_side), [a, k_p])
         w0 = _sided(side, near, rest)
         steps = [
-            ("wrap_left", _sided(side, (w0,), (a_p, k_p))),
+            ("wrap_left", _sided(side, (w0,), (a, k_p))),
             ("push_right", _sided(side, (w0,), (k_c,))),
             ("dissolve_left", _sided(side, near, rest + (k_c,))),
         ]
@@ -542,8 +519,8 @@ def _std(node: ProofNode) -> ProofNode:
     rule = node.rule
     if rule in LEAF_RULES:
         return ProofNode(rule, sequent_to_display(node.conclusion))
-    cn = _norm(node.conclusion)
-    pns = [_norm(p.conclusion) for p in node.premises]
+    cn = zero_origins(node.conclusion)
+    pns = [zero_origins(p.conclusion) for p in node.premises]
     subs = [_std(p) for p in node.premises]
 
     if rule in UNARY_LOGICAL_RULES:
@@ -853,7 +830,7 @@ def _match_by_norm(items, wanted):
             else:
                 rest.append(it)
         else:
-            key = _norm(it)
+            key = zero_origins(it)
             if want_kids.get(key, 0) > 0:
                 want_kids[key] -= 1
                 picked.append(it)
@@ -1075,8 +1052,8 @@ def _admit_dissolve(node: ProofNode, dside: str, g: int) -> ProofNode:
 
 def _snd_branch(node: ProofNode, target: Sequent, fresh) -> ProofNode:
     rule = node.rule
-    p1n = _norm(node.premises[0].conclusion)
-    p2n = _norm(node.premises[1].conclusion)
+    p1n = zero_origins(node.premises[0].conclusion)
+    p2n = zero_origins(node.premises[1].conclusion)
     for occ in _principals(rule, target):
         plan = _branch_plan(rule, target, occ, p1n, p2n)
         if plan is None:
@@ -1124,7 +1101,7 @@ def _branch_plan(rule, target, occ, p1n, p2n):
 
 def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
     """Deep proof of `target`, which reads as the shallow node's conclusion
-    once origins and hops are erased.  Wrap and dissolve steps dissolve into
+    once origins are erased.  Wrap and dissolve steps dissolve into
     the walks above."""
     rule = node.rule
 
@@ -1134,11 +1111,11 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
 
     if rule in UNARY_LOGICAL_RULES:
         # a spawned child takes a working origin, which the witness records
-        want = _norm(node.premises[0].conclusion)
+        want = zero_origins(node.premises[0].conclusion)
         g = next(fresh)
         for occ in _principals(rule, target):
             cand = _unfold(rule, target, occ, g)
-            if _norm(cand) != want:
+            if zero_origins(cand) != want:
                 continue
             sub = _snd(node.premises[0], cand, fresh)
             ww = Witness(context=HOLE, principal=occ.formula, child_origin=g)
@@ -1159,7 +1136,7 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
         return _admit_wrap(_snd(prem, flat, fresh), _enclose_all(kid), kid.origin, side)
 
     if kind == "dissolve":
-        (kidn,) = child_seqs(getattr(_norm(prem.conclusion), side))
+        (kidn,) = child_seqs(getattr(zero_origins(prem.conclusion), side))
         picked, rest = _match_by_norm(getattr(target, other), getattr(kidn, other))
         kid = _sided(side, getattr(target, side), picked, next(fresh))
         wrapped = _sided(side, (kid,), rest, target.origin)
@@ -1167,10 +1144,10 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
 
     if kind in ("pull", "push"):
         (k1,) = child_seqs(getattr(target, side))
-        items = getattr(_norm(prem.conclusion), side)
+        items = getattr(zero_origins(prem.conclusion), side)
         for k0n in child_seqs(items):
             movedn = side_remove(items, [k0n])
-            if _norm(k1) != _sided(side, getattr(k0n, side) + movedn, getattr(k0n, other)):
+            if zero_origins(k1) != _sided(side, getattr(k0n, side) + movedn, getattr(k0n, other)):
                 continue
             moved, k0_near = _match_by_norm(getattr(k1, side), movedn)
             k0 = _sided(side, k0_near, getattr(k1, other), next(fresh))
@@ -1228,7 +1205,7 @@ def shallow_to_deep(root: ProofNode) -> ProofNode:
     the endsequent and to each child a rule spawns.  The finished proof
     gets back the origins the dn checker derives."""
     _cut_free(root, check_sn_proof)
-    end = strip_sequent(root.conclusion)
+    end = root.conclusion
     fresh = count(-1, -1)
     back: dict = {}
 

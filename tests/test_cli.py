@@ -9,7 +9,7 @@ import pytest
 
 import fillprover
 from fillprover import prover
-from fillprover.certs import ProofNode, certificate_text, proof_size, read_certificate
+from fillprover.certs import CheckError, ProofNode, Witness, certificate_text, parse_context, proof_size, read_certificate
 from fillprover.cli import CORPUS_CAP, corpus_formulas, corpus_record, main
 from fillprover.deep import check_dn_proof, check_separation
 from fillprover.display import check_dc_proof
@@ -17,6 +17,7 @@ from fillprover.formula import connective_count, formula_text, parse_formula
 from fillprover.prover import decide_formula, search_bounds
 from fillprover.sequent import parse_sequent
 from fillprover.shallow import check_sn_proof
+from fillprover.translate import deep_to_shallow
 from test_translate import balanced_tensor
 
 BIERMAN = "(a|b)|c -o a | ((b|c -o d)|e -o d|e)"
@@ -411,6 +412,43 @@ def test_translate_writes_no_dc_certificate_too_deep_to_read(tmp_path, capsys):
     assert run("check", str(dc)) == 0
     sn.write_text(certificate_text("sn", "biill", balanced_tensor(0, 100)))
     assert run("translate", str(sn), "--calculus", "dc", "--out", str(dc)) == 1
+
+
+def two_chains(depth):
+    """The one-node dn proof, by `i_r`, of `=> [=> … [=> 1] …], [=> … [=>] …]`:
+    two chains of children `depth` deep, one ending in `1`, one hollow."""
+    full = "[=> " * (depth - 1) + "[=> 1]" + "]" * (depth - 1)
+    hollow = "[=> " * (depth - 1) + "[=>]" + "]" * (depth - 1)
+    end = parse_sequent(f"=> {full}, {hollow}")
+    ctx = parse_context("=> " + "[=> " * (depth - 1) + "_" + "]" * (depth - 1) + f", {hollow}")
+    return ProofNode("i_r", end, (), Witness(context=ctx))
+
+
+def test_translate_writes_no_sn_certificate_too_deep_to_read(tmp_path, capsys):
+    # displaying the node of `1` wraps the other chain one level deeper at
+    # each level it passes, so the sn proof nests about twice as deep as the
+    # dn tree: a translation past the reader's bound is refused, not written
+    # for `check` to refuse
+    dn = tmp_path / "dn.json"
+    sn = tmp_path / "sn.json"
+    dn.write_text(certificate_text("dn", "biill", two_chains(55)))
+    assert run("check", str(dn)) == 0
+    capsys.readouterr()
+    assert run("translate", str(dn), "--calculus", "sn", "--out", str(sn)) == 1
+    assert capsys.readouterr().err == (
+        "translation failed: dn -> sn: a sequent nests 110 deep, past the 100 levels a certificate can hold\n"
+    )
+    assert not sn.exists()
+    # the deepest chains whose translation fits are written and check
+    dn.write_text(certificate_text("dn", "biill", two_chains(50)))
+    assert run("translate", str(dn), "--calculus", "sn", "--out", str(sn)) == 0
+    assert run("check", str(sn)) == 0
+    # one level more nests past the bound, as the reader counts it
+    too_deep = certificate_text("sn", "biill", deep_to_shallow(two_chains(51)))
+    with pytest.raises(CheckError, match="brackets nest deeper than 100"):
+        read_certificate(too_deep)
+    dn.write_text(certificate_text("dn", "biill", two_chains(51)))
+    assert run("translate", str(dn), "--calculus", "sn", "--out", str(tmp_path / "sn51.json")) == 1
 
 
 # -------------------------------------------------- corpus

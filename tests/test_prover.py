@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fillprover.deep import BRANCH_RULES, LEAF_RULES, DN_RULES, check_dn_proof, check_separation, deep_moves, endsequent_for
-from fillprover.certs import CheckError, certificate_text, proof_size
+from fillprover.deep import BRANCH_RULES, LEAF_RULES, DN_RULES, PROP_RULES, check_dn_proof, check_separation, deep_moves, endsequent_for
+from fillprover.certs import CheckError, certificate_text, postorder, proof_size
 from fillprover.formula import (
     Atom,
     Excl,
@@ -23,6 +23,7 @@ from fillprover.formula import (
     _MAX_NESTING,
     arrow_count,
     formula_size,
+    formula_text,
     parse_formula,
 )
 from fillprover import prover
@@ -201,6 +202,32 @@ def test_proof_sizes_within_quartic_bound():
         f = parse_formula(text)
         d = decide_formula(f, "biill")
         assert proof_size(d.proof) <= 4 * formula_size(f) ** 4
+
+
+def _hopped(x) -> bool:
+    """Whether a hop count other than 0 occurs anywhere in the sequent or
+    context `x`."""
+    if not isinstance(x, Sequent):  # no context, or the hole alone
+        return False
+    return any(it.hops if isinstance(it, Occ) else _hopped(it) for it in x.left + x.right)
+
+
+def test_no_proof_that_leaves_search_carries_a_hop():
+    """Hop counts are the search's own: every proof `decide_formula` and
+    `decide_sequent` return over the size-2 corpus, for `=> F` and for
+    `=> [=> F]`, is hop-free in every conclusion and witness context, while
+    the searches themselves move occurrences that hop."""
+    proofs = propagations = 0
+    for f in corpus_formulas(["p", "q"], 2):
+        for d in (decide_formula(f), decide_sequent(Sequent((), (Sequent((), (Occ(f),)),)))):
+            if not d.proved:
+                continue
+            proofs += 1
+            for node in postorder(d.proof):
+                w = node.witness
+                propagations += node.rule in PROP_RULES
+                assert not any(_hopped(x) for x in (node.conclusion, w.context, w.ctx1, w.ctx2)), formula_text(f)
+    assert proofs > 100 and propagations > 0
 
 
 # ---------------------------------------------------------------- measure
