@@ -58,7 +58,7 @@ from .formula import (
     is_fill_formula,
     parse_formula,
 )
-from .prover import decide_formula, goal_reading, search_bounds
+from .prover import _countermodel, decide_formula, goal_reading, search_bounds
 from .sequent import is_fill_sequent, parse_sequent, sequent_nesting, signed_counts
 from .shallow import SN_FILL_EXCLUDED, check_sn_proof
 from .translate import (
@@ -151,6 +151,16 @@ def _imbalance(f: Formula) -> str:
     return ""
 
 
+def _countermodel_line(f: Formula) -> str:
+    """The valuation into S4 that refutes the formula, as `decide_formula`
+    finds it once the counts allow a proof; empty when none does."""
+    valuation = _countermodel(f)
+    if valuation is None:
+        return ""
+    at = ", ".join(f"{name}={value}" for name, value in valuation.items())
+    return ": false in the 4-element Sugihara monoid" + (f" at {at}" if at else "")
+
+
 def cmd_prove(args) -> int:
     try:
         f = parse_formula(args.formula)
@@ -167,7 +177,7 @@ def cmd_prove(args) -> int:
             return 2
         print(f"Proved ({decision.visited} states visited)", file=sys.stderr)
         return 0
-    print(f"Unprovable{_imbalance(f)}", file=sys.stderr)
+    print(f"Unprovable{_imbalance(f) or _countermodel_line(f)}", file=sys.stderr)
     return 1
 
 

@@ -61,7 +61,6 @@ from .sequent import (
     context_decompose,
     enumerate_context_partitions,
     enumerate_partitions,
-    formula_occurrence_count,
     hole_contexts,
     is_fill_sequent,
     occs,
@@ -133,6 +132,8 @@ _LOGICAL = {
     "excl_r": ("right", Excl),
 }
 _RULE_AT = {shape: rule for rule, shape in _LOGICAL.items()}
+# the unit axioms: (side of the unit, its kind)
+_UNIT_AXIOM = {("left", UnitBot): "bot_l", ("right", UnitI): "i_r"}
 
 # branch rule: (where A goes in premise 1, where B goes in premise 2)
 _SPLIT = {
@@ -279,24 +280,43 @@ def _propagate(
 # ------------------------------------------------------------------ moves
 
 def _axiom_move(s: Sequent) -> Optional[Move]:
-    total = formula_occurrence_count(s)
-    if total == 1:
-        for ctx, node in hole_contexts(s):
-            for occ in occs(node.left):
-                if isinstance(occ.formula, UnitBot):
-                    return Move("bot_l", (), Witness(context=ctx, principal=occ.formula))
-            for occ in occs(node.right):
-                if isinstance(occ.formula, UnitI):
-                    return Move("i_r", (), Witness(context=ctx, principal=occ.formula))
-    if total == 2:
-        for ctx, node in hole_contexts(s):
-            for lo in occs(node.left):
-                if not isinstance(lo.formula, Atom):
-                    continue
-                for ro in occs(node.right):
-                    if ro.formula == lo.formula:
-                        return Move("id", (), Witness(context=ctx, principal=lo.formula))
-    return None
+    """The axiom that closes `s`, or None.  An axiom needs the rest of the
+    tree hollow, so `s` holds one or two formula occurrences in all, both
+    at one node: `bot` on its left or `1` on its right closes by `bot_l` or
+    `i_r`, and an atom on each side by `id`.  One walk of the tree finds
+    them, and stops at a third occurrence or at a second one elsewhere.
+    Only the node that closes gets its witness context, built from the
+    walk's trail of parents.  Search and the dn checker's axiom step both
+    ask here."""
+    found: list = []  # (side, formula) of each occurrence, all at one node
+    at = None  # that node's trail: (parent's trail, parent, side, node), () at the root
+    todo: list = [(s, ())]
+    while todo:
+        node, trail = todo.pop()
+        for side, items in (("left", node.left), ("right", node.right)):
+            for it in items:
+                if isinstance(it, Sequent):
+                    todo.append((it, (trail, node, side, it)))
+                elif isinstance(it, Occ):
+                    if found and (at is not trail or len(found) == 2):
+                        return None
+                    found.append((side, it.formula))
+                    at = trail
+    rule = None
+    if len(found) == 1:
+        ((side, f),) = found
+        rule = _UNIT_AXIOM.get((side, type(f)))
+    elif len(found) == 2:
+        (side, f), (other, g) = found
+        if side != other and f == g and isinstance(f, Atom):
+            rule = "id"
+    if rule is None:
+        return None
+    ctx: Context = HOLE
+    while at:
+        at, parent, side, node = at
+        ctx = _edit(parent, side, (node,), (ctx,))
+    return Move(rule, (), Witness(context=ctx, principal=f))
 
 
 def _charge(*parts: tuple) -> tuple:

@@ -10,9 +10,10 @@ returns carries a hop.  One bound shapes the search: a per-occurrence
 propagation cap `k`, the number of arrows in the goal's formula reading.
 No branch is cut short by its length: every rule lowers a measure, so the
 search ends, and a state whose moves all fail is refuted and enters the
-failure memo.  Three further cuts are argued below: unary rules are
-committed to, states whose atoms do not balance are never searched, and
-neither are states whose leaf count is off.
+failure memo.  Four further cuts are argued below: unary rules are
+committed to, states whose atoms do not balance are never searched, neither
+are states whose leaf count is off, and a goal that a four-element model
+refutes is never searched either.
 
 The measure.  Give an occurrence of a formula `A` with `h` hops the weight
 `(k+1)*|A| - h`, where `|A|` is `formula_size`, and a sequent the sum of
@@ -173,7 +174,7 @@ logic*, 1987; Danos and Regnier, *The structure of multiplicatives*,
 need more or fewer branches than the leaves allow: `a*b -o a|b` is
 balanced and has deficit 1.
 
-The search applies both lemmas twice.  A goal that fails either is refuted
+The search applies both counting lemmas twice.  A goal that fails either is refuted
 by `_balanced` before any state is visited; `decide_formula` counts the
 formula as given, so such a goal never becomes a sequent, and its bounds
 are never derived.  And `deep_moves` builds a branch split only when its
@@ -195,6 +196,74 @@ the one a search without either test would find.  The memo tables may meet
 a state first by another path than without the tests, which changes
 nothing either: a state's proof is its first move whose premises all
 succeed, whichever path reaches it.
+
+Countermodel.  S4, the four-element even Sugihara monoid, has the
+elements `-2 < -1 < 1 < 2`.  `x*y` is the operand with the larger absolute
+value, or the smaller operand when the absolute values tie; `~x` is `-x`,
+the unit `1` is 1 and `bot` is -1; `x|y = ~(~x * ~y)`, `x -o y = ~(x * ~y)`
+and `x -< y = x * ~y`.  A value of 1 or more is valid.  `_S4_TABLES` holds
+the four tables as literals, each element by its index in `_S4`:
+
+    x*y   -2 -1  1  2    x|y   -2 -1  1  2
+     -2   -2 -2 -2 -2     -2   -2 -2 -2  2
+     -1   -2 -1 -1  2     -1   -2 -1  1  2
+      1   -2 -1  1  2      1   -2  1  1  2
+      2   -2  2  2  2      2    2  2  2  2
+
+    x -o y -2 -1  1  2   x -< y -2 -1  1  2
+     -2     2  2  2  2     -2   -2 -2 -2 -2
+     -1    -2  1  1  2     -1    2 -1 -1 -2
+      1    -2 -1  1  2      1    2  1 -1 -2
+      2    -2 -2 -2  2      2    2  2  2 -2
+
+Lemma: S4 is a *-autonomous poset with `bot = ~1`, and in it `-<` is the
+left adjoint of `|`.  That is, `*` is commutative, associative, monotone
+and has unit 1, `~` reverses the order and `~~x = x`, `x*y <= z` exactly
+when `y <= x -o z`, and `x -< y <= z` exactly when `x <= y|z`.  Proof:
+
+- Order the elements as `1, -1, 2, -2`, absolute value first and the
+  negative one above its positive twin.  `x*y` is the later of its
+  operands in that chain, so `*` is a chain's join: commutative and
+  associative, with unit 1, the first element.  Each row of the `*` table
+  is nondecreasing, so `*` is monotone in each argument.  `~` is negation.
+- For all `u` and `z`: `u <= z` exactly when `u * ~z <= -1`.  When
+  `|u| > |z|`, `u * ~z` is `u`, and both sides say `u < 0`.  When
+  `|z| > |u|`, it is `-z`, and both say `z > 0`.  When `|u| = |z|`, either
+  `u = z`, and `u * ~z` is `-|u|`, so both hold; or `u = -z`, and it is
+  `u`, so both say `u < 0`.
+- So `x*y <= z` exactly when `y * (x * ~z) <= -1`, by associativity and
+  commutativity, that is `y * ~(x -o z) <= -1`, that is `y <= x -o z`.
+- And `x -< y <= z`, that is `x * ~y <= z`, holds exactly when
+  `x <= ~y -o z = ~(~y * ~z) = y|z`, by the adjunction just shown.
+
+The tier-1 tests check every instance of each law over the whole domain.
+Such a poset is a model of BiILL.  `(*, 1, -o)` is a commutative residuated
+poset and `(|, bot, -<)` its order dual, by the two adjunctions.  Grishin's
+weak distributivity `x*(y|z) <= (x*y)|z` holds too: by the `-<` adjunction
+it says `x*(y|z) -< z <= x*y`, that is `x * ((y|z) * ~z) <= x*y`, and
+`(y|z) * ~z <= y` holds because `y|z <= ~z -o y = z|y`.  The paper proves
+every rule of the deep calculus sound for this algebraic semantics through
+`tau_s`: under every valuation, when the readings of a rule's premises are
+valid, so is the reading of its conclusion.  By induction on the proof,
+every provable sequent's reading is valid under every valuation into S4
+(Galatos, Jipsen, Kowalski and Ono, *Residuated lattices*, 2007; Lafont,
+*The finite model property for various fragments of linear logic*, 1997).
+
+So a single valuation that gives the goal's reading a value below 1
+proves the goal unprovable, and `decide_formula` and `decide_sequent` refute
+such a goal before any state is visited, as they refute an unbalanced one.
+`_countermodel` evaluates the reading, `goal_reading` of the goal, under
+every valuation of its `n` atoms when `n <= 3`, and else under the first
+64 in a fixed order: the atoms by name, each running through `1, -1, 2,
+-2`, the last atom fastest, so that every atom before the last three
+stands for the unit 1.  Every valuation is sound alone, so the cap gives
+up refutations and never soundness, and it bounds the cost at 64 table
+lookups per symbol of the reading.  Only goals the search would
+refute are skipped, so every proof, certificate and state count of a
+theorem is as before.  S4 satisfies laws BiILL lacks, such as the
+double negation `((a -o bot) -o bot) -o a`, so it refutes fewer goals than
+the search does: `(p -o q|r) -o (p -o q)|r` is valid in S4 and refuted
+only by the search.
 """
 
 from __future__ import annotations
@@ -204,10 +273,25 @@ from typing import Optional
 
 from .certs import ProofNode, Witness, stack_room
 from .deep import check_separation, deep_moves, endsequent_for
-from .formula import Formula, arrow_count, formula_size, is_fill_formula
+from .formula import _ATOM, _BOT, _EXCL, _LOLLI, _ONE, _PAR, _TENSOR, Formula, arrow_count, formula_size, is_fill_formula
 from .sequent import Occ, Sequent, _tally, is_fill_sequent, strip_context, strip_sequent, tau_s
 
 __all__ = ["Decision", "goal_reading", "search_bounds", "decide_formula", "decide_sequent"]
+
+# S4, the model of the countermodel lemma: element i is _S4[i], and each
+# table gives `x op y` at [x][y], elements by index; `~` takes i to 3 - i
+_S4 = (-2, -1, 1, 2)
+_S4_UNITS = {_ONE: 2, _BOT: 1}
+_S4_TABLES = {
+    _TENSOR: ((0, 0, 0, 0), (0, 1, 1, 3), (0, 1, 2, 3), (0, 3, 3, 3)),
+    _PAR: ((0, 0, 0, 3), (0, 1, 2, 3), (0, 2, 2, 3), (3, 3, 3, 3)),
+    _LOLLI: ((3, 3, 3, 3), (0, 2, 2, 3), (0, 1, 2, 3), (0, 0, 0, 3)),
+    _EXCL: ((0, 0, 0, 0), (3, 1, 1, 0), (3, 2, 1, 0), (3, 3, 3, 0)),
+}
+# the least valid element, 1, by index
+_S4_VALID = 2
+# the order in which each atom runs through S4, by index: 1, -1, 2, -2
+_S4_RUN = (2, 1, 3, 0)
 
 
 @dataclass(frozen=True)
@@ -239,29 +323,37 @@ def search_bounds(f: Formula) -> tuple[int, int]:
 
 def decide_formula(f: Formula, logic: str = "biill") -> Decision:
     """Decide provability of a single formula (as the sole succedent of an
-    otherwise empty sequent).  FILL runs the same search on a formula
-    without exclusion (ValueError otherwise), then raises, never masks, the
-    CheckError of `check_separation` on a proof outside FILL."""
+    otherwise empty sequent).  A formula whose counts do not balance, or
+    that a valuation into S4 takes below 1, is refuted before any state is
+    visited (the lemmas above); any other is searched.  FILL runs the same
+    search on a formula without exclusion (ValueError otherwise), then
+    raises, never masks, the CheckError of `check_separation` on a proof
+    outside FILL."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
     if logic == "fill" and not is_fill_formula(f):
         raise ValueError("formula uses exclusion, which FILL does not have")
-    if not _balanced(f):
+    if not _balanced(f) or _countermodel(f) is not None:
         return Decision("refuted", None, 0)
     return _separated(_search(endsequent_for(f), f), logic)
 
 
 def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
     """Decide provability of a nested sequent.  The hop cap and the branch
-    bound are those of its formula reading, `goal_reading(s)`.  FILL is as
-    for `decide_formula`, on a sequent that `is_fill_sequent` accepts."""
+    bound are those of its formula reading, `goal_reading(s)`, and the
+    countermodel test evaluates that reading; the counts are taken over the
+    sequent's tree.  FILL is as for `decide_formula`, on a sequent that
+    `is_fill_sequent` accepts."""
     if logic not in ("fill", "biill"):
         raise ValueError(f"unknown logic {logic!r}")
     if logic == "fill" and not is_fill_sequent(s):
         raise ValueError("sequent lies outside the FILL fragment")
     if not _balanced(s):
         return Decision("refuted", None, 0)
-    return _separated(_search(strip_sequent(s), goal_reading(s)), logic)
+    reading = goal_reading(s)
+    if _countermodel(reading) is not None:
+        return Decision("refuted", None, 0)
+    return _separated(_search(strip_sequent(s), reading), logic)
 
 
 def _separated(d: Decision, logic: str) -> Decision:
@@ -279,6 +371,48 @@ def _balanced(s: Sequent | Formula) -> bool:
     sums = [0, 0]
     _tally(s, 1, atoms, sums)
     return sums[0] - sums[1] == 1 and all(neg == pos for neg, pos in atoms.values())
+
+
+def _countermodel(f: Formula) -> Optional[dict[str, int]]:
+    """The first valuation, atom name to element of S4 in name order, that
+    takes `f` below 1, or None when every valuation tried leaves it valid:
+    all `4**n` valuations of its `n` atoms when `n <= 3`, else the first 64
+    (the countermodel lemma above).  One walk evaluates every valuation at
+    once: each symbol gets the tuple of its values, one per valuation."""
+    order = []  # f's symbols, each before its arguments, the right one first
+    atoms = set()
+    todo = [f]
+    while todo:
+        x = todo.pop()
+        order.append(x)
+        if x[0] >= _TENSOR:
+            todo += x[1:]
+        elif x[0] == _ATOM:
+            atoms.add(x[1])
+    names = sorted(atoms)
+    n = len(names)
+    count = 4 ** min(n, 3)
+    # valuation j gives the atom of rank r the element that base-4 digit
+    # n-1-r of j picks from _S4_RUN, so the last atom runs fastest and all
+    # but the last three stay at 1
+    column = {
+        name: tuple(_S4_RUN[j >> 2 * (n - 1 - r) & 3] for j in range(count)) for r, name in enumerate(names)
+    }
+    values = []  # a stack of value tuples: `order` reversed is a postorder
+    for x in reversed(order):
+        tag = x[0]
+        if tag == _ATOM:
+            values.append(column[x[1]])
+        elif tag in _S4_UNITS:
+            values.append((_S4_UNITS[tag],) * count)
+        else:
+            table = _S4_TABLES[tag]
+            right = values.pop()
+            values[-1] = [table[a][b] for a, b in zip(values[-1], right)]
+    for j, v in enumerate(values[0]):
+        if v < _S4_VALID:
+            return {name: _S4[column[name][j]] for name in names}
+    return None
 
 
 def _search(s0: Sequent, reading: Formula) -> Decision:

@@ -80,7 +80,6 @@ __all__ = [
     "occs",
     "child_seqs",
     "children_by_origin",
-    "formula_occurrence_count",
     "sequent_node_count",
     "is_hollow",
     "is_fill_sequent",
@@ -172,16 +171,6 @@ def children_by_origin(items) -> dict[int, list[Sequent]]:
         if isinstance(it, Sequent):
             groups.setdefault(it.origin, []).append(it)
     return groups
-
-
-def formula_occurrence_count(s: Sequent) -> int:
-    n = 0
-    for it in chain(s.left, s.right):
-        if isinstance(it, Occ):
-            n += 1
-        elif isinstance(it, Sequent):
-            n += formula_occurrence_count(it)
-    return n
 
 
 def sequent_node_count(s: Sequent) -> int:
@@ -662,8 +651,8 @@ def _tally(x, pol: int, atoms: dict, sums: list) -> None:
 def enumerate_partitions(s: Sequent) -> list[tuple[Sequent, Sequent]]:
     """Every two-colouring of the formula occurrences; both halves keep the
     full child shape with origins, child contents partitioned recursively.
-    Exactly 2**formula_occurrence_count(s) pairs, with multiplicity, ordered
-    so the first half starts maximal."""
+    Exactly 2**n pairs for the n occurrences of the tree, with multiplicity,
+    ordered so the first half starts maximal."""
     return [
         (Sequent(l1, r1, s.origin), Sequent(l2, r2, s.origin))
         for (l1, l2), (r1, r2) in product(_split_items(s.left), _split_items(s.right))

@@ -7,15 +7,19 @@ premises built, the pairs deduplicated, and only then each kept when its
 first premise passes `prover._balanced`.  `deep_moves` instead counts each
 context half and each rest half once and builds only the pairs whose first
 premise balances; both must yield the same moves in the same order.  The
-axiom, unary and propagation moves are the package's own.
+axiom move is `reference_axiom_move`, which reads the tree as every
+context-plus-node pair that `sequent.hole_contexts` gives and tests each
+node, where `deep._axiom_move` walks the tree once; the unary and
+propagation moves are the package's own.
 
+`formula_occurrence_count` counts the occurrences of a tree, and
 `reference_counts` is the explicit-stack walk that `sequent.signed_counts`
 once was, for the recursive walk to be compared with.
 
 `searched_calls` records the states a decision visits,
 `fill_excluded_offers` names any rule outside FILL those states offer, and
-`size4_sample` draws seeded formulas of four connectives that reach the
-search.  Nothing in the package imports this module.
+`size4_sample` draws seeded formulas of four connectives that pass the
+counting prunes.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from fillprover.deep import (
     UNARY_LOGICAL_RULES,
     Move,
     deep_moves,
-    _axiom_move,
     _edit,
     _prop_moves,
     _prop_sites,
@@ -43,6 +46,7 @@ from fillprover.deep import (
 )
 from fillprover.formula import (
     _ATOM,
+    Atom,
     _BOT,
     _EXCL,
     _LOLLI,
@@ -54,25 +58,65 @@ from fillprover.formula import (
     Lolli,
     Par,
     Tensor,
+    UnitBot,
+    UnitI,
     connective_count,
     is_fill_formula,
 )
 from fillprover.sequent import (
     _OCC,
     _SEQUENT,
+    Occ,
     Sequent,
     SignedCounts,
     enumerate_context_partitions,
     enumerate_partitions,
     hole_contexts,
+    occs,
     plug,
 )
 
 
+def formula_occurrence_count(s: Sequent) -> int:
+    """The formula occurrences in the whole tree of `s`."""
+    n = 0
+    for it in s.left + s.right:
+        if isinstance(it, Occ):
+            n += 1
+        elif isinstance(it, Sequent):
+            n += formula_occurrence_count(it)
+    return n
+
+
+def reference_axiom_move(s: Sequent) -> Move | None:
+    """`deep._axiom_move(s)`, found by counting every occurrence of the
+    tree and then testing each node that `hole_contexts` reads it as, with
+    the context it gives."""
+    total = formula_occurrence_count(s)
+    if total == 1:
+        for ctx, node in hole_contexts(s):
+            for occ in occs(node.left):
+                if isinstance(occ.formula, UnitBot):
+                    return Move("bot_l", (), Witness(context=ctx, principal=occ.formula))
+            for occ in occs(node.right):
+                if isinstance(occ.formula, UnitI):
+                    return Move("i_r", (), Witness(context=ctx, principal=occ.formula))
+    if total == 2:
+        for ctx, node in hole_contexts(s):
+            for lo in occs(node.left):
+                if not isinstance(lo.formula, Atom):
+                    continue
+                for ro in occs(node.right):
+                    if ro.formula == lo.formula:
+                        return Move("id", (), Witness(context=ctx, principal=lo.formula))
+    return None
+
+
 def reference_moves(s: Sequent, hop_cap: int | None = None) -> Iterator[Move]:
-    """The moves of `deep_moves(s, hop_cap)`, each branch split built from
-    its colouring before its first premise is tested."""
-    ax = _axiom_move(s)
+    """The moves of `deep_moves(s, hop_cap)`, the axiom found by
+    `reference_axiom_move` and each branch split built from its colouring
+    before its first premise is tested."""
+    ax = reference_axiom_move(s)
     if ax is not None:
         yield ax
         return
@@ -193,9 +237,9 @@ def fill_excluded_offers(calls: list[tuple]) -> list[tuple]:
 def size4_sample(seed: int, n: int, variables=("p", "q")) -> list[Formula]:
     """`n` distinct formulas of four connectives over `variables` and the
     units, drawn with `random.Random(seed)`, each passing
-    `prover._balanced`, so that each reaches the search: a connective at
-    the root over a formula of `i` connectives and one of `3 - i`, from the
-    size-3 corpus."""
+    `prover._balanced`, so that each reaches the search unless S4 refutes
+    it: a connective at the root over a formula of `i` connectives and one
+    of `3 - i`, from the size-3 corpus."""
     strata: list[list[Formula]] = [[] for _ in range(4)]
     for f in corpus_formulas(list(variables), 3):
         strata[connective_count(f)].append(f)

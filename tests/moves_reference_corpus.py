@@ -4,6 +4,8 @@ Every formula of `cli.corpus_formulas(["p", "q"], 3)` is decided once, as
 `cli.corpus_record` decides it: in FILL when it has no exclusion, else in
 BiILL.  Every state the search visits must get from `deep.deep_moves`
 exactly the moves of `moves_reference.reference_moves`, in the same order:
+the axiom that scanning every context-plus-node pair finds
+(`reference_axiom_move`, against the one walk of `deep._axiom_move`), and
 the moves every colouring gives, less the branch splits whose first premise
 does not balance.  On the states of an exclusion-free goal, no rule of
 `deep.FILL_EXCLUDED` may be offered at all (`fill_excluded_offers`), since
@@ -51,7 +53,7 @@ def main() -> int:
         states += len(calls)
     print(
         f"{decisions:,} decisions, {states:,} searched states: deep_moves agrees with the "
-        f"colouring reference on every one; {fill_decisions:,} decisions without exclusion, "
+        f"axiom and colouring references on every one; {fill_decisions:,} decisions without exclusion, "
         f"{fill_states:,} searched states, none offering a rule outside FILL; "
         f"in {time.perf_counter() - start:.1f} s"
     )

@@ -11,7 +11,7 @@ import fillprover
 from fillprover import prover
 from fillprover.certs import CheckError, ProofNode, Witness, certificate_text, parse_context, proof_size, read_certificate
 from fillprover.cli import CORPUS_CAP, corpus_formulas, corpus_record, main
-from fillprover.deep import check_dn_proof, check_separation
+from fillprover.deep import check_dn_proof, check_separation, endsequent_for
 from fillprover.display import check_dc_proof
 from fillprover.formula import connective_count, formula_text, parse_formula
 from fillprover.prover import decide_formula, search_bounds
@@ -90,6 +90,25 @@ def test_prove_names_a_leaf_count_refutation(capsys, formula):
     assert run("prove", formula) == 1
     assert capsys.readouterr().err == "Unprovable: 2 positive atoms and units, 0 branching connectives\n"
     assert decide_formula(parse_formula(formula)).visited == 0
+
+
+@pytest.mark.parametrize(
+    "formula, line",
+    [
+        ("p -o q*(q -o p)", "Unprovable: false in the 4-element Sugihara monoid at p=1, q=-1"),
+        ("p*(p -o 1)", "Unprovable: false in the 4-element Sugihara monoid at p=-1"),
+        ("bot*(1|1)", "Unprovable: false in the 4-element Sugihara monoid"),
+    ],
+)
+def test_prove_names_a_countermodel(capsys, formula, line):
+    # balanced atoms and deficit 0, so the counts allow a proof, but a
+    # valuation into S4 takes the formula below 1: refuted before any state
+    # is visited, and refuted by the search too
+    assert run("prove", formula) == 1
+    assert capsys.readouterr().err == line + "\n"
+    f = parse_formula(formula)
+    assert decide_formula(f).visited == 0
+    assert prover._search(endsequent_for(f), f).status == "refuted"
 
 
 def test_prove_non_fill_formula_is_exit_2():

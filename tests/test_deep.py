@@ -1,6 +1,8 @@
 """Deep nested calculus: move generation and proof checking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fillprover import deep
 from fillprover.certs import CheckError, ProofNode, Witness, parse_context, proof_size
@@ -11,10 +13,16 @@ from fillprover.deep import (
     deep_moves,
     endsequent_for,
 )
-from fillprover.formula import formula_text, parse_formula
+from fillprover.formula import Atom, UnitBot, UnitI, formula_text, parse_formula
 from fillprover.prover import decide_formula
-from fillprover.sequent import is_fill_sequent, parse_sequent, sequent_text
-from moves_reference import fill_excluded_offers, first_disagreement, searched_calls, size4_sample
+from fillprover.sequent import HOLE, Occ, Sequent, hole_contexts, is_fill_sequent, parse_sequent, plug, sequent_text
+from moves_reference import (
+    fill_excluded_offers,
+    first_disagreement,
+    reference_axiom_move,
+    searched_calls,
+    size4_sample,
+)
 
 
 def N(rule, conclusion, witness=None, *premises):
@@ -42,6 +50,72 @@ def test_axiom_moves():
     assert ms[0].premises == ()
     assert [m.rule for m in moves_of("bot =>")] == ["bot_l"]
     assert [m.rule for m in moves_of("=> 1")] == ["i_r"]
+
+
+AXIOM_CASES = [
+    ("a => a", "id", "_"),
+    ("bot =>", "bot_l", "_"),
+    ("=> 1", "i_r", "_"),
+    ("a => a, [=>]@1", "id", "_"),
+    ("[=>] => [[=> [a => a]] =>]@2", "id", "[=>] => [[=> _] =>]@2"),
+    ("=> [=>], [=> 1], [=>]@3", "i_r", "=> [=>], [=>]@3, _"),
+    ("[bot =>]@1, [bot =>]@2 =>", None, None),
+    ("=> [=> a], [a =>]", None, None),
+    ("=> [a =>], [a =>]", None, None),
+    ("a => a, b", None, None),
+    ("a, bot => a", None, None),
+    ("1 =>", None, None),
+    ("=> bot", None, None),
+    ("a => b", None, None),
+    ("1 => 1", None, None),
+    ("=> [=>]", None, None),
+    ("=>", None, None),
+]
+
+
+@pytest.mark.parametrize("text, rule, context", AXIOM_CASES)
+def test_the_axiom_walk_finds_the_axiom_the_hole_context_scan_finds(text, rule, context):
+    s = parse_sequent(text)
+    got = deep._axiom_move(s)
+    assert got == reference_axiom_move(s)
+    if rule is None:
+        assert got is None
+    else:
+        ctx = got.witness.context
+        assert (got.rule, "_" if ctx == HOLE else sequent_text(ctx)) == (rule, context)
+
+
+hollow_trees = st.recursive(
+    st.builds(Sequent, st.just(()), st.just(()), st.integers(0, 2)),
+    lambda kids: st.builds(
+        lambda left, right, origin: Sequent(tuple(left), tuple(right), origin),
+        st.lists(kids, max_size=2),
+        st.lists(kids, max_size=2),
+        st.integers(0, 2),
+    ),
+    max_leaves=6,
+)
+axiom_items = st.sampled_from(
+    [Occ(Atom("a")), Occ(Atom("a"), 1), Occ(Atom("b")), Occ(UnitI()), Occ(UnitBot()), Occ(parse_formula("a*a"))]
+)
+
+
+@given(hollow_trees, st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_axiom_walk_agrees_with_the_hole_context_scan(tree, data):
+    # up to three occurrences, each put on a side of a node the tree
+    # already has, so closing trees, trees with the occurrences at two
+    # nodes and trees with too many all arise
+    s = tree
+    for _ in range(data.draw(st.integers(0, 3))):
+        ctx, node = data.draw(st.sampled_from(list(hole_contexts(s))))
+        occ = data.draw(axiom_items)
+        if data.draw(st.booleans()):
+            node = Sequent(node.left + (occ,), node.right, node.origin)
+        else:
+            node = Sequent(node.left, node.right + (occ,), node.origin)
+        s = plug(ctx, node)
+    assert deep._axiom_move(s) == reference_axiom_move(s)
 
 
 def test_axioms_require_hollow_rest():
@@ -104,7 +178,7 @@ def test_branch_moves_match_the_colouring_reference_on_every_searched_state():
         calls = searched_calls(f)
         assert first_disagreement(calls) is None, formula_text(f)
         states += len(calls)
-    assert states == 1841
+    assert states == 1301
 
 
 def test_no_rule_outside_fill_is_offered_on_an_exclusion_free_search():
@@ -124,7 +198,7 @@ def test_no_rule_outside_fill_is_offered_on_an_exclusion_free_search():
                 check_dn_proof(d.proof)
                 check_separation(d.proof)
                 theorems += 1
-    assert (decisions, states, theorems) == (12460, 3892, 522)
+    assert (decisions, states, theorems) == (12460, 3433, 522)
 
 
 def test_propagation_moves_and_hop_cap():

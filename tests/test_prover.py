@@ -13,6 +13,12 @@ from hypothesis import strategies as st
 from fillprover.deep import BRANCH_RULES, LEAF_RULES, DN_RULES, PROP_RULES, check_dn_proof, check_separation, deep_moves, endsequent_for
 from fillprover.certs import CheckError, certificate_text, postorder, proof_size
 from fillprover.formula import (
+    _BOT,
+    _EXCL,
+    _LOLLI,
+    _ONE,
+    _PAR,
+    _TENSOR,
     Atom,
     Excl,
     Lolli,
@@ -52,6 +58,8 @@ FILL_THEOREMS = [
     "a -o b -o a*b",
     "(a|b)|c -o a|(b|c)",
 ]
+
+BIERMAN_TEXT = "(a|b)|c -o a|((b|c -o d)|e -o d|e)"
 
 # not provable in either logic
 NON_THEOREMS = [
@@ -481,3 +489,82 @@ def test_unbalanced_corpus_formulas_are_refuted_at_once():
     # every theorem has deficit 0, and the leaf count refutes most of the
     # non-theorems that atom balance lets through
     assert (balanced_non_theorems, off_count) == (5888, 5007)
+
+
+# ------------------------------------------------------------ countermodel
+
+def s4(tag):
+    """The S4 operation of the connective `tag`, on elements."""
+    table = prover._S4_TABLES[tag]
+    return lambda x, y: prover._S4[table[prover._S4.index(x)][prover._S4.index(y)]]
+
+
+def test_s4_is_a_star_autonomous_poset_in_which_exclusion_is_left_adjoint_to_par():
+    """The countermodel lemma in the `prover` docstring: each table is the
+    operation it names, and each law holds over the whole domain."""
+    elements = prover._S4
+    times, par, lolli, excl = (s4(tag) for tag in (_TENSOR, _PAR, _LOLLI, _EXCL))
+    one, bot = (elements[prover._S4_UNITS[tag]] for tag in (_ONE, _BOT))
+    assert elements == (-2, -1, 1, 2) and (one, bot) == (1, -1)
+    assert elements[prover._S4_VALID] == 1
+    for x in elements:
+        assert -x in elements and -(-x) == x and times(one, x) == x
+        for y in elements:
+            bigger = x if abs(x) > abs(y) else y if abs(y) > abs(x) else min(x, y)
+            assert times(x, y) == bigger == times(y, x)
+            assert par(x, y) == -times(-x, -y)
+            assert lolli(x, y) == -times(x, -y)
+            assert excl(x, y) == times(x, -y)
+            assert (x <= y) == (-y <= -x)
+            for z in elements:
+                assert times(times(x, y), z) == times(x, times(y, z))
+                if x <= y:
+                    assert times(x, z) <= times(y, z)
+                assert (times(x, y) <= z) == (y <= lolli(x, z))
+                assert (excl(x, y) <= z) == (x <= par(y, z))
+    # bot is the negation of 1
+    assert bot == -one
+
+
+def corpus_rows():
+    """(formula, fill verdict, biill verdict) for each row of the table."""
+    for row in read_verdicts():
+        text, fill, biill = row.split("\t")[:3]
+        yield parse_formula(text), fill, biill
+
+
+def test_every_theorem_is_valid_in_s4_and_every_formula_it_refutes_is_unprovable():
+    theorems = refuted = 0
+    for f, fill, biill in corpus_rows():
+        valuation = prover._countermodel(f)
+        if biill == "proved":
+            assert valuation is None, formula_text(f)
+            theorems += 1
+        elif valuation is not None:
+            assert biill == "unprovable" and fill in ("unprovable", "-"), formula_text(f)
+            refuted += 1
+    assert (theorems, refuted) == (1258, 35947)
+
+
+def test_the_search_refutes_every_balanced_formula_that_s4_refutes():
+    # the search, called directly, past the prune that keeps these formulas
+    # from it: a differential of the model against the calculus
+    refuted = 0
+    for f, _, _ in corpus_rows():
+        if prover._balanced(f) and prover._countermodel(f) is not None:
+            assert prover._search(endsequent_for(f), f).status == "refuted", formula_text(f)
+            assert decide_formula(f).visited == 0
+            refuted += 1
+    assert refuted == 803
+
+
+def test_past_three_atoms_only_the_last_three_run_through_s4():
+    # each atom runs through 1, -1, 2, -2, the last fastest, and an atom
+    # before the last three stays at 1, the unit
+    refute = prover._countermodel
+    assert refute(parse_formula("(a -o b) -o (b -o c) -o c -o d")) == {"a": 1, "b": 1, "c": 1, "d": -1}
+    assert refute(parse_formula("a -o b -o c -o d -o e")) == {"a": 1, "b": 1, "c": 1, "d": 1, "e": -1}
+    assert refute(parse_formula("(d -o 1)*(a -o a)*(b -o b)*(c -o c)")) == {"a": 1, "b": 1, "c": 1, "d": 2}
+    # `a -o 1` is false only at a = 2, which the 64 valuations never give `a`
+    assert refute(parse_formula("(a -o 1)*(b -o b)*(c -o c)*(d -o d)")) is None
+    assert refute(parse_formula(BIERMAN_TEXT)) is None

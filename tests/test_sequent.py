@@ -16,7 +16,6 @@ from fillprover.sequent import (
     context_decompose,
     enumerate_context_partitions,
     enumerate_partitions,
-    formula_occurrence_count,
     hole_contexts,
     hole_count,
     is_fill_sequent,
@@ -29,6 +28,7 @@ from fillprover.sequent import (
     tau_s,
 )
 from fillprover.shallow import _merge_plan
+from moves_reference import formula_occurrence_count
 
 
 # ------------------------------------------------------- an independent

@@ -13,7 +13,6 @@ from fillprover.sequent import (
     Hole,
     Occ,
     Sequent,
-    formula_occurrence_count,
     hole_contexts,
     is_hollow,
     parse_sequent,
@@ -34,6 +33,7 @@ from fillprover.shallow import (
     sn_rule_applies,
     zero_origins,
 )
+from moves_reference import formula_occurrence_count
 
 S = parse_sequent
 

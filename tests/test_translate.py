@@ -453,7 +453,7 @@ UNCALLED = {
     "parse_context": "reads witness context text on its own; certificates read it with their formula table",
     "tau_a": "the exclusion reading of a sequent, the dual of tau_s",
     "check_separation": "tells whether a dn proof stays in FILL, by raising or not",
-    "sequent_node_count": "the node count of a nested sequent, beside formula_occurrence_count",
+    "sequent_node_count": "the node count of a nested sequent",
     "connective_count": "the size measure the corpus tests bound formulas by",
     "decide_sequent": "the prover's entry point for a sequent goal, beside decide_formula",
 }
