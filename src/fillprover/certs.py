@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, Optional
 
-from .formula import Formula, ParseError, _clip, _read_formula, formula_text
+from .formula import _MAX_NESTING, Formula, ParseError, _clip, _read_formula, formula_text
 from .sequent import Context, Hole, _read_context, _read_sequent, sequent_text
 
 __all__ = [
@@ -288,47 +288,71 @@ def conclusion_text(calculus: str, conclusion) -> str:
     return display_text(conclusion)
 
 
-def _witness_dict(w: Witness) -> dict:
+# the longest text that cannot nest past the reader's bound: a level of
+# brackets, or of a formula or structure tree, takes two characters at least
+_SHORT = 2 * _MAX_NESTING + 1
+
+
+def _text(value, text: str, long: list) -> str:
+    """`text`, the rendering of `value`; `value` joins `long` when its text
+    is long enough to nest past the reader's bound."""
+    if len(text) > _SHORT:
+        long.append(value)
+    return text
+
+
+def _witness_dict(w: Witness, long: list) -> dict:
     out: dict = {}
     if w.context is not None:
-        out["context"] = context_text(w.context)
+        out["context"] = _text(w.context, context_text(w.context), long)
     if w.principal is not None:
-        out["principal"] = formula_text(w.principal)
+        out["principal"] = _text(w.principal, formula_text(w.principal), long)
     if w.child_origin is not None:
         out["child_origin"] = w.child_origin
     if w.ctx1 is not None:
-        out["ctx1"] = context_text(w.ctx1)
+        out["ctx1"] = _text(w.ctx1, context_text(w.ctx1), long)
     if w.ctx2 is not None:
-        out["ctx2"] = context_text(w.ctx2)
+        out["ctx2"] = _text(w.ctx2, context_text(w.ctx2), long)
     return out
 
 
-def _node_dict(calculus: str, node: ProofNode) -> dict:
+def _node_dict(calculus: str, node: ProofNode, long: list) -> dict:
     out: dict = {
         "rule": node.rule,
-        "conclusion": conclusion_text(calculus, node.conclusion),
+        "conclusion": _text(node.conclusion, conclusion_text(calculus, node.conclusion), long),
     }
     if node.witness is not None:
-        w = _witness_dict(node.witness)
+        w = _witness_dict(node.witness, long)
         if w:
             out["witness"] = w
-    out["premises"] = [_node_dict(calculus, p) for p in node.premises]
+    out["premises"] = [_node_dict(calculus, p, long) for p in node.premises]
     return out
 
 
 def certificate_text(calculus: str, logic: str, root: ProofNode) -> str:
+    """The certificate of `root` as JSON text.  Raises ValueError when a
+    conclusion or witness nests deeper than `read_certificate` reads
+    (`display.nesting`, applied to each text too long to be within the
+    bound on its length alone), so no certificate written here is refused
+    for how deep it nests."""
+    from .display import nesting
+
     if calculus not in CALCULI:
         raise ValueError(f"unknown calculus {calculus!r}")
     if logic not in LOGICS:
         raise ValueError(f"unknown logic {logic!r}")
+    long: list = []
     # one allowance covers building the nodes' dicts and encoding them
     with stack_room(10 * proof_size(root) + 2000):
         data = {
             "calculus": calculus,
             "logic": logic,
             "endsequent": conclusion_text(calculus, root.conclusion),
-            "proof": _node_dict(calculus, root),
+            "proof": _node_dict(calculus, root, long),
         }
+        depth, what = nesting(long) if long else (0, None)
+        if depth > _MAX_NESTING:
+            raise ValueError(f"{what} nests {depth} deep, past the {_MAX_NESTING} levels a certificate can hold")
         return json.dumps(data) + "\n"
 
 

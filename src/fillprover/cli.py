@@ -42,9 +42,8 @@ from .certs import (
     read_certificate,
 )
 from .deep import check_dn_proof, check_separation
-from .display import DC_FILL_EXCLUDED, check_dc_proof, is_fill_display, parse_display, text_nesting
+from .display import DC_FILL_EXCLUDED, check_dc_proof, is_fill_display, parse_display
 from .formula import (
-    _MAX_NESTING,
     Atom,
     Excl,
     Formula,
@@ -59,7 +58,7 @@ from .formula import (
     parse_formula,
 )
 from .prover import _countermodel, decide_formula, goal_reading, search_bounds
-from .sequent import is_fill_sequent, parse_sequent, sequent_nesting, signed_counts
+from .sequent import is_fill_sequent, parse_sequent, signed_counts
 from .shallow import SN_FILL_EXCLUDED, check_sn_proof
 from .translate import (
     TranslationError,
@@ -173,7 +172,12 @@ def cmd_prove(args) -> int:
         print(str(e), file=sys.stderr)
         return 2
     if decision.proved:
-        if _emit(certificate_text("dn", args.logic, decision.proof), args.out):
+        try:
+            text = certificate_text("dn", args.logic, decision.proof)
+        except ValueError as e:
+            print(f"cannot write the certificate: {e}", file=sys.stderr)
+            return 1
+        if _emit(text, args.out):
             return 2
         print(f"Proved ({decision.visited} states visited)", file=sys.stderr)
         return 0
@@ -204,23 +208,7 @@ def cmd_check(args) -> int:
 def _translated(root, src: str, dst: str):
     # by way of sn; each translator checks its input, in BiILL
     sn = root if src == "sn" else deep_to_shallow(root) if src == "dn" else display_to_shallow(root)
-    out = sn if dst == "sn" else shallow_to_deep(sn) if dst == "dn" else shallow_to_display(sn)
-    # a certificate reader bounds how deep the text it reads may nest, and a
-    # translation can nest deeper than its input: a display side nests as
-    # deep as it is wide, and a displayed sequent about twice as deep as
-    # its tree
-    if dst == "dc":
-        depth, formulas = text_nesting(out)
-        what = f"a display side of {formulas} formulas"
-    else:
-        depth = sequent_nesting([node.conclusion for node in postorder(out)])
-        what = "a sequent"
-    if depth > _MAX_NESTING:
-        stage = f"{src} -> sn" if dst == "sn" else f"sn -> {dst}"
-        raise TranslationError(
-            f"{stage}: {what} nests {depth} deep, past the {_MAX_NESTING} levels a certificate can hold"
-        )
-    return out
+    return sn if dst == "sn" else shallow_to_deep(sn) if dst == "dn" else shallow_to_display(sn)
 
 
 def cmd_translate(args) -> int:
@@ -245,7 +233,16 @@ def cmd_translate(args) -> int:
         print(f"input certificate rejected: {e.located()}", file=sys.stderr)
         return 1
     seconds = time.perf_counter() - start
-    if _emit(certificate_text(args.calculus, "biill", out_root), args.out):
+    try:
+        text = certificate_text(args.calculus, "biill", out_root)
+    except ValueError as e:
+        # a translation can nest deeper than its input: a display side as
+        # deep as it is wide, a displayed sequent about twice as deep as
+        # its tree
+        stage = f"{cert.calculus} -> sn" if args.calculus == "sn" else f"sn -> {args.calculus}"
+        print(f"translation failed: {stage}: {e}", file=sys.stderr)
+        return 1
+    if _emit(text, args.out):
         return 2
     print(
         f"{cert.calculus} -> {args.calculus}: {proof_size(cert.root)} nodes "
@@ -286,11 +283,13 @@ def corpus_formulas(variables, max_connectives: int, logic: str = "biill"):
 
 
 def corpus_record(f: Formula) -> dict:
-    """Decide one formula once: in FILL when it has no exclusion, so its
-    proof passes the separation check and `fill` is its verdict, else in
-    BiILL with `fill` null.  Node and branch metrics come from the proof."""
+    """Decide one formula once, in BiILL.  When it has no exclusion, `fill`
+    is that verdict too, once a proof has passed the separation check;
+    else `fill` is null.  Node and branch metrics come from the proof."""
+    decision = decide_formula(f)
     fill = is_fill_formula(f)
-    decision = decide_formula(f, "fill" if fill else "biill")
+    if fill and decision.proved:
+        check_separation(decision.proof)
     word = "proved" if decision.proved else "unprovable"
     record: dict = {"formula": formula_text(f), "fill": word if fill else None, "biill": word}
     if decision.proof is not None:

@@ -13,6 +13,15 @@ formulas appear directly as leaves in their usual syntax.  `Phi` is the
 empty structure.  Rendering is minimal-parenthesis and round-trips.  The
 text is read by the parser core in `formula.py` (`_tokenize`).
 
+Structures are tagged tuples, as formulas and sequent items are, with tags
+above theirs: `SLeaf` is `(10, formula)`, `SPhi` is `(11,)`, `SComma`,
+`SGt` and `SLt` are `(12, left, right)`, `(13, ...)` and `(14, ...)`, and
+`DisplaySequent` is `(15, ant, suc)`.  So equality is structural and the
+interpreter hashes and compares them; fields read by name, and class
+patterns such as `SComma(SLeaf(a), y)` match positionally.  `nesting` is
+the one nesting rule of the package: how deep the text of a formula,
+sequent or display sequent nests, as the certificate reader counts it.
+
 The shapes of the rules are written once, in `dc_conclusions`, which
 derives forward the conclusions a rule gives its premises.  The checker
 accepts a node whose conclusion is among them, structures compared by plain
@@ -24,11 +33,13 @@ sequent shapes the move can start from, as two readings of the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import itemgetter
 from typing import Union
 
-from .certs import CheckError, ProofNode, check_tree, postorder
+from .certs import CheckError, ProofNode, check_tree
 from .formula import (
+    _BRACKETED as _FORMULA_BRACKETED,
     Atom,
     Excl,
     Formula,
@@ -39,15 +50,16 @@ from .formula import (
     UnitBot,
     UnitI,
     _STOPS,
+    _Tagged,
     _clip,
     _end,
     _formula_at,
     _join,
-    _text_depth,
     _tokenize,
     formula_text,
     is_fill_formula,
 )
+from .sequent import _OCC, _SEQUENT, Occ, Sequent
 
 __all__ = [
     "SLeaf",
@@ -61,7 +73,7 @@ __all__ = [
     "parse_display",
     "structure_text",
     "display_text",
-    "text_nesting",
+    "nesting",
     "is_fill_structure",
     "is_fill_display",
     "comma_join",
@@ -74,62 +86,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SLeaf:
+# structure tags, above the sequent items' tags, in the order of the kinds
+_LEAF, _PHI, _COMMA, _GT, _LT, _DISPLAY = range(10, 16)
+
+
+class _Structure(_Tagged):
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return structure_text(self)
+
+
+class SLeaf(_Structure):
     """A formula used as a structure leaf."""
 
-    formula: Formula
+    __slots__ = ()
+    __match_args__ = ("formula",)
+    formula = property(itemgetter(1))
 
-    def __str__(self) -> str:
-        return structure_text(self)
+    def __new__(cls, formula: Formula):
+        return tuple.__new__(cls, (_LEAF, formula))
 
 
-@dataclass(frozen=True)
-class SPhi:
+class SPhi(_Structure):
     """The empty structure, written `Phi`."""
 
-    def __str__(self) -> str:
-        return "Phi"
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, (_PHI,))
 
 
-@dataclass(frozen=True)
-class SComma:
-    left: "Structure"
-    right: "Structure"
+class _Pair(_Structure):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
 
-    def __str__(self) -> str:
-        return structure_text(self)
+    def __new__(cls, left: "Structure", right: "Structure"):
+        return tuple.__new__(cls, (cls._tag, left, right))
 
 
-@dataclass(frozen=True)
-class SGt:
+class SComma(_Pair):
+    __slots__ = ()
+    _tag = _COMMA
+
+
+class SGt(_Pair):
     """`left > right`: succedent-side residual, the structural implication."""
 
-    left: "Structure"
-    right: "Structure"
-
-    def __str__(self) -> str:
-        return structure_text(self)
+    __slots__ = ()
+    _tag = _GT
 
 
-@dataclass(frozen=True)
-class SLt:
+class SLt(_Pair):
     """`left < right`: antecedent-side residual, the structural exclusion."""
 
-    left: "Structure"
-    right: "Structure"
-
-    def __str__(self) -> str:
-        return structure_text(self)
+    __slots__ = ()
+    _tag = _LT
 
 
 Structure = Union[SLeaf, SPhi, SComma, SGt, SLt]
 
 
-@dataclass(frozen=True)
-class DisplaySequent:
-    ant: Structure
-    suc: Structure
+class DisplaySequent(_Tagged):
+    __slots__ = ()
+    __match_args__ = ("ant", "suc")
+    ant = property(itemgetter(1))
+    suc = property(itemgetter(2))
+
+    def __new__(cls, ant: Structure, suc: Structure):
+        return tuple.__new__(cls, (_DISPLAY, ant, suc))
 
     def __str__(self) -> str:
         return display_text(self)
@@ -137,71 +164,88 @@ class DisplaySequent:
 
 # --------------------------------------------------------------- printing
 
-_P_COMMA, _P_RESID, _P_UNIT = 0, 1, 2
-
-
-def _stext(x: Structure, need: int) -> str:
-    """`x` rendered, in parentheses when it binds looser than `need`."""
-    cls = type(x)
-    if cls is SLeaf:
-        return formula_text(x.formula)
-    if cls is SComma:
-        t = f"{_stext(x.left, _P_COMMA)}, {_stext(x.right, _P_RESID)}"
-        return f"({t})" if need > _P_COMMA else t
-    if cls is SGt or cls is SLt:
-        op = ">" if cls is SGt else "<"
-        t = f"{_stext(x.left, _P_UNIT)} {op} {_stext(x.right, _P_UNIT)}"
-        return f"({t})" if need > _P_RESID else t
-    if cls is SPhi:
-        return "Phi"
-    raise TypeError(f"not a structure: {x!r}")
+# The operands `structure_text` brackets, as `formula._BRACKETED` gives
+# those of `formula_text`: a comma brackets a right operand that is a
+# comma, and a residual each operand that is a comma or a residual.
+_PAIRS = frozenset({_COMMA, _GT, _LT})
+_BRACKETED = {_COMMA: (frozenset(), frozenset({_COMMA})), _GT: (_PAIRS, _PAIRS), _LT: (_PAIRS, _PAIRS)}
+_SYMBOL = {_COMMA: ", ", _GT: " > ", _LT: " < "}
 
 
 def structure_text(x: Structure) -> str:
-    return _stext(x, _P_COMMA)
+    """Render with minimal parentheses (`_BRACKETED`)."""
+    tag = x[0]
+    if tag == _LEAF:
+        return formula_text(x[1])
+    if tag == _PHI:
+        return "Phi"
+    if tag not in _BRACKETED:
+        raise TypeError(f"not a structure: {x!r}")
+    l, r = x[1], x[2]
+    lt, rt = structure_text(l), structure_text(r)
+    left, right = _BRACKETED[tag]
+    if l[0] in left:
+        lt = f"({lt})"
+    if r[0] in right:
+        rt = f"({rt})"
+    return f"{lt}{_SYMBOL[tag]}{rt}"
 
 
 def display_text(ds: DisplaySequent) -> str:
-    return f"{structure_text(ds.ant)} |- {structure_text(ds.suc)}"
+    return f"{structure_text(ds[1])} |- {structure_text(ds[2])}"
 
 
-def text_nesting(root: ProofNode) -> tuple[int, int]:
-    """How deep the conclusions of a display proof nest as a certificate
-    reader counts them, which is at most `formula._MAX_NESTING` for a
-    certificate to read: the deepest of every side's tree above its leaf
-    formulas (`formula._join`) and every side's text brackets, its
-    formulas' own included (`formula._tokenize`, with the brackets
-    `_stext` writes).  Also the number of leaf formulas of a side that
-    nests that deep.  Each structure is measured once, by identity, so the
-    structures that successive conclusions share cost nothing more."""
-    known: dict = {}  # id -> (tree depth, bracket depth, leaves)
-    todo = [side for node in postorder(root) for side in (node.conclusion.ant, node.conclusion.suc)]
-    deepest = (0, 0)
+# the operands that the printers bracket, by the tag of every binary node
+_OPERANDS = {**_FORMULA_BRACKETED, **_BRACKETED}
+
+
+def nesting(values) -> tuple[int, str]:
+    """How deep the deepest of `values` nests as a certificate reader counts
+    it, and what that value is: "a formula", "a sequent" or "a display side
+    of n formulas", the widest side when several nest that deep.  The
+    values are formulas, sequents, contexts and display sequents, whose
+    sides count one by one.
+
+    This is the one nesting rule of the package.  A reader bounds three
+    depths by `formula._MAX_NESTING`: the brackets of each text, the `(`
+    that the printers write and each child's `[` (`formula._tokenize`),
+    each formula's tree and each display side's tree above its leaf
+    formulas (`formula._join`).  The measure of a value is the deepest of
+    these in its text, so a certificate reads back exactly when each value
+    it writes measures at most the bound (`certs.certificate_text`).  Each
+    node is measured once, by identity, so what the values share costs
+    nothing more; one explicit stack, no recursion."""
+    sides = [v for x in values for v in (x[1:] if x[0] == _DISPLAY else (x,))]
+    known: dict = {}  # id -> (tree depth, bracket depth, deepest of either below, leaf formulas)
+    todo = sides[:]
     while todo:
-        x = todo.pop()
-        cls = type(x)
-        if id(x) in known:
-            continue
-        if cls is SLeaf:
-            known[id(x)] = (0, _text_depth(formula_text(x.formula)), 1)
-        elif cls is SPhi:
-            known[id(x)] = (0, 0, 0)
-        elif id(x.left) not in known or id(x.right) not in known:
-            todo += (x, x.left, x.right)
-            continue
+        x = todo[-1]
+        tag = x[0]
+        if tag in _OPERANDS:
+            parts = x[1:]
+        elif tag == _SEQUENT:
+            parts = x[2] + x[3]
         else:
-            (dl, bl, nl), (dr, br, nr) = known[id(x.left)], known[id(x.right)]
-            # a comma brackets a right operand that is a comma; a residual
-            # brackets each operand that is not a leaf or `Phi`
-            if cls is SComma:
-                br += type(x.right) is SComma
-            else:
-                bl += type(x.left) in (SComma, SGt, SLt)
-                br += type(x.right) in (SComma, SGt, SLt)
-            known[id(x)] = (1 + max(dl, dr), max(bl, br), nl + nr)
-        d, b, n = known[id(x)]
-        deepest = max(deepest, (max(d, b), n))
-    return deepest
+            parts = x[1:2] if tag == _OCC or tag == _LEAF else ()
+        new = [p for p in parts if id(p) not in known]
+        if new:
+            todo += new
+            continue
+        todo.pop()
+        if tag in _OPERANDS:
+            (l, r), (left, right) = parts, _OPERANDS[tag]
+            (ls, lb, lm, ln), (rs, rb, rm, rn) = known[id(l)], known[id(r)]
+            s, b = 1 + max(ls, rs), max(lb + (l[0] in left), rb + (r[0] in right))
+            known[id(x)] = (s, b, max(s, b, lm, rm), ln + rn)
+        else:
+            # a child sequent's `[`, and below it the child's own brackets
+            b = max((known[id(p)][1] + (p[0] == _SEQUENT) for p in parts), default=0)
+            m = max((known[id(p)][2] for p in parts), default=0)
+            known[id(x)] = (0, b, max(b, m), 1 if tag == _LEAF else 0)
+    depth, leaves, x = max(((*known[id(v)][2:], v) for v in sides), key=itemgetter(0, 1))
+    if x[0] >= _LEAF:
+        return depth, f"a display side of {leaves} formulas"
+    return depth, "a sequent" if x[0] >= _SEQUENT else "a formula"
 
 
 # ---------------------------------------------------------------- parsing
@@ -211,7 +255,7 @@ def text_nesting(root: ProofNode) -> tuple[int, int]:
 # a comma chain of any length cannot outgrow the interpreter stack.  Each
 # rule also returns the index of the token past what it read.
 
-_PHI = SPhi()
+_EMPTY = SPhi()
 
 
 def _formula_brackets(toks: list[str]) -> set[int]:
@@ -260,7 +304,7 @@ def _resid(toks: list[str], i: int, table: dict, formulas: set[int]) -> tuple[St
 def _item(toks: list[str], i: int, table: dict, formulas: set[int]) -> tuple[Structure, int, int]:
     tok = toks[i] if i < len(toks) else None
     if tok == "Phi":
-        return _PHI, 0, i + 1
+        return _EMPTY, 0, i + 1
     if tok == "(" and i not in formulas:
         x, depth, i = _structure(toks, i + 1, table, formulas)
         if i == len(toks) or toks[i] != ")":
@@ -317,12 +361,7 @@ def is_fill_display(ds: DisplaySequent) -> bool:
 def comma_join(parts) -> Structure:
     """Left-associated comma of the given structures; `Phi` when empty."""
     parts = list(parts)
-    if not parts:
-        return SPhi()
-    out = parts[0]
-    for p in parts[1:]:
-        out = SComma(out, p)
-    return out
+    return reduce(SComma, parts) if parts else SPhi()
 
 
 def sequent_to_display(s) -> DisplaySequent:
@@ -330,7 +369,6 @@ def sequent_to_display(s) -> DisplaySequent:
     left-associated comma of its items in canonical order, a right-nested
     child becomes `ant > suc`, a left-nested child becomes `ant < suc`, and
     an empty side becomes `Phi`.  Hop counts and origins are dropped."""
-    from .sequent import Occ, Sequent
 
     def side(items, make_child) -> Structure:
         parts = []

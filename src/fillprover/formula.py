@@ -17,12 +17,18 @@ follow (`(5, left, right)`).  Tuple order is therefore the canonical order,
 kinds by tag and then fields left to right; equality is structural, and
 the interpreter computes the hash.  Fields read by name through
 properties, so class patterns such as `Lolli(left=l)` match as usual.
+Sequent items (`sequent.py`) and display structures (`display.py`) are
+tagged tuples on the same base class, with tags above these.
+
+The reader here bounds how deep a text nests (`_tokenize`, `_join`).  One
+measure, `display.nesting`, counts what it counts on any tagged tuple, and
+`certs.certificate_text` applies it, so that no certificate is written
+that its reader refuses for nesting.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate
 from operator import itemgetter
 from typing import Union
 
@@ -217,7 +223,8 @@ def _tokenize(text: str) -> list[str]:
     - Two nesting bounds: brackets nest at most `_MAX_NESTING` deep, and so
       does each formula tree and each display structure tree above its
       leaf formulas (`_join`), so neither a read nor a later walk of its
-      result runs out of interpreter stack.
+      result runs out of interpreter stack.  `display.nesting` measures a
+      value as these bounds count it.
     - A read keeps a formula table, a dict from formula text to formula,
       for as long as it lasts: one certificate in `certs.read_certificate`,
       one text in each public `parse_*` function.  `_formula_at` looks each
@@ -240,12 +247,6 @@ def _tokenize(text: str) -> list[str]:
             if depth > _MAX_NESTING:
                 raise ParseError(f"brackets nest deeper than {_MAX_NESTING} at position {m.start()}")
     return toks
-
-
-def _text_depth(text: str) -> int:
-    """How deep the brackets of `text` nest, counted as `_tokenize` counts
-    them."""
-    return max(accumulate(_NEST.get(c, 0) for c in text), default=0)
 
 
 def _end(toks: list[str], i: int) -> None:
@@ -359,16 +360,23 @@ def parse_formula(text: str) -> Formula:
 
 # --------------------------------------------------------------- printing
 
-_PREC_ARROW, _PREC_EXCL, _PREC_MULT, _PREC_ATOM = 0, 1, 2, 3
-
-
-# indexed by kind tag
-_PREC_OF = (_PREC_ATOM, _PREC_ATOM, _PREC_ATOM, _PREC_MULT, _PREC_MULT, _PREC_ARROW, _PREC_EXCL)
+# The operands `formula_text` brackets, by the tag of the connective: the
+# tags of the left operands and of the right operands it puts in
+# parentheses.  `*` and `|` share the tightest tier, left-associative, and
+# a mixed chain keeps its parentheses; `-<` comes next, left-associative;
+# `-o` is loosest and associates to the right.
+_BINARIES = frozenset({_TENSOR, _PAR, _LOLLI, _EXCL})
+_BRACKETED = {
+    _TENSOR: (frozenset({_PAR, _LOLLI, _EXCL}), _BINARIES),
+    _PAR: (frozenset({_TENSOR, _LOLLI, _EXCL}), _BINARIES),
+    _LOLLI: (frozenset({_LOLLI}), frozenset()),
+    _EXCL: (frozenset({_LOLLI}), frozenset({_LOLLI, _EXCL})),
+}
+_SYMBOL = {_TENSOR: "*", _PAR: "|", _LOLLI: " -o ", _EXCL: " -< "}
 
 
 def formula_text(f: Formula) -> str:
-    """Render with minimal parentheses; mixed `*`/`|` chains keep theirs so
-    the grouping stays visible."""
+    """Render with minimal parentheses (`_BRACKETED`)."""
     tag = f[0]
     if tag == _ATOM:
         return f[1]
@@ -376,20 +384,13 @@ def formula_text(f: Formula) -> str:
         return "1"
     if tag == _BOT:
         return "bot"
-    if not _TENSOR <= tag <= _EXCL:
+    if tag not in _BRACKETED:
         raise TypeError(f"not a formula: {f!r}")
     l, r = f[1], f[2]
     lt, rt = formula_text(l), formula_text(r)
-    lp, rp = _PREC_OF[l[0]], _PREC_OF[r[0]]
-    if tag == _LOLLI:
-        return f"({lt}) -o {rt}" if lp <= _PREC_ARROW else f"{lt} -o {rt}"
-    if tag == _EXCL:
-        lt = f"({lt})" if lp < _PREC_EXCL else lt
-        rt = f"({rt})" if rp <= _PREC_EXCL else rt
-        return f"{lt} -< {rt}"
-    # `*` or `|`
-    if lp < _PREC_MULT or lp == _PREC_MULT and l[0] != tag:
+    left, right = _BRACKETED[tag]
+    if l[0] in left:
         lt = f"({lt})"
-    if rp <= _PREC_MULT:
+    if r[0] in right:
         rt = f"({rt})"
-    return f"{lt}*{rt}" if tag == _TENSOR else f"{lt}|{rt}"
+    return f"{lt}{_SYMBOL[tag]}{rt}"

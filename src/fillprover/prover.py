@@ -10,10 +10,11 @@ returns carries a hop.  One bound shapes the search: a per-occurrence
 propagation cap `k`, the number of arrows in the goal's formula reading.
 No branch is cut short by its length: every rule lowers a measure, so the
 search ends, and a state whose moves all fail is refuted and enters the
-failure memo.  Four further cuts are argued below: unary rules are
-committed to, states whose atoms do not balance are never searched, neither
-are states whose leaf count is off, and a goal that a four-element model
-refutes is never searched either.
+failure memo.  Three further cuts are argued below, the last two by one
+soundness fact: unary rules are committed to, states whose counts the
+integer models refute (atoms that do not balance, or a leaf count that is
+off) are never searched, and neither is a goal that a four-element model
+refutes.
 
 The measure.  Give an occurrence of a formula `A` with `h` hops the weight
 `(k+1)*|A| - h`, where `|A|` is `formula_size`, and a sequent the sum of
@@ -95,8 +96,8 @@ argument stops:
   the same FILL proof (in 7,668 states, 12,887 before the commitment, and
   16 once the balance prune below is added).
 
-Atom balance.  `signed_counts` gives each atom of a sequent its
-negative and positive occurrences, counted over the whole tree:
+Counting.  `signed_counts` gives each atom of a sequent its negative and
+positive occurrences, counted over the whole tree:
 
     position of the occurrence          polarity
     item on a node's left side          negative, at every depth
@@ -107,74 +108,66 @@ negative and positive occurrences, counted over the whole tree:
     left argument of `-<`               that of the connective
     right argument of `-<`              flipped
 
-A sequent is balanced when every atom occurs as often negatively as
-positively.  Lemma: every provable sequent is balanced.  Proof, by
-induction on the dn proof, reading each rule bottom-up:
-
-- Unary logical rules keep the count.  `i_l` and `bot_r` drop a unit,
-  which holds no atom.  `tensor_l` and `par_r` put `A, B` on the side that
-  held `A*B` or `A|B`, where both keep the polarity.  `lolli_r` puts
-  `A -o B` (positive) as a right child `[A => B]`: `A` was flipped to
-  negative and now sits on a left side, `B` stays positive on a right
-  side.  `excl_l` puts `A -< B` (negative) as a left child `[A => B]`: `A`
-  stays negative on a left side, `B` was flipped to positive and now sits
-  on a right side.
-- Propagation rules keep the count: the occurrence crosses one boundary
-  but stays on a left side or a right side, and nothing else moves.
-- Branch rules split it: each item of the context and of the rewritten
-  node goes to exactly one premise, `A` and `B` go to the sides `_SPLIT`
-  names, and those sides carry the polarity the principal formula gave
-  them (for `lolli_l` on the left, `A` flipped to positive on a right side
-  and `B` negative on a left side; for `excl_r` on the right, `A` positive
-  on a right side and `B` flipped to negative on a left side).  So the two
-  premises' counts add up to the conclusion's.
-- Axioms: `bot_l` and `i_r` close a tree whose only occurrence is a unit,
-  so it holds no atom; `id` closes a tree whose only occurrences are one
-  atom on a left side and the same atom on the right side of that node,
-  one negative and one positive.  Every leaf is balanced.
-
-So whenever all premises of a rule are balanced, its conclusion is too,
-and balance climbs from the leaves of any proof to its root.
-
-Leaf count.  The same walk of `signed_counts`, with the same polarities,
-counts a sequent's positive leaves, its positive atoms and its positive
-units (`1` positive, `bot` negative), and its branching connectives (`*`
+With the same polarities it counts the positive leaves, positive atoms and
+units (`1` positive, `bot` negative), and the branching connectives (`*`
 and `-<` positive, `|` and `-o` negative), which are exactly the principal
 formulas of `tensor_r`, `excl_r`, `par_l` and `lolli_l`.  Child structures
-count nothing.  The deficit is leaves less branching connectives less 1.
-Lemma: every provable sequent has deficit 0.  Proof, by induction on the dn
-proof, reading each rule bottom-up, and using that each rule keeps the
-polarity of every subformula it moves, as the balance proof shows:
+count nothing.  A sequent is balanced when every atom occurs as often
+negatively as positively, and its deficit is its leaves less its branching
+connectives less 1.  These are the counts of its reading `tau_s` too: the
+units, joins and arrows that the reading adds are neither leaves nor
+branching connectives, and it gives every item the polarity of its side.
 
-- Axioms have deficit 0.  `id` closes a tree whose only occurrences are an
-  atom on a left side, negative, and the same atom on a right side,
-  positive; `i_r` one `1` on a right side, `bot_l` one `bot` on a left side.
-  Each holds one positive leaf and no connective.
-- Unary logical rules keep the deficit.  `i_l` drops a negative `1` and
-  `bot_r` a positive `bot`, neither of them a leaf.  `tensor_l`, `par_r`,
-  `lolli_r` and `excl_l` take apart a negative `*`, a positive `|`, a
-  positive `-o` and a negative `-<`, none of them branching, and put its
-  arguments in its place with the polarity they had.
-- Propagation rules keep it: the occurrence stays on a side of its
-  polarity, and nothing else moves.
-- Branch rules split it: each other item goes to exactly one premise, `A`
-  and `B` to one each with the polarity they had, and the principal
-  formula, one branching connective, is gone.  So the premises' leaves add
-  up to the conclusion's and their branching connectives to the
-  conclusion's less 1, and their deficits, each with its own 1 taken off,
-  add up to the conclusion's.
+Lemma: every provable sequent is balanced and has deficit 0.  Proof, by
+soundness in one family of models.  The paper proves every rule of the
+deep calculus sound for the algebraic semantics of BiILL through `tau_s`:
+in a *-autonomous poset in which `-<` is the left adjoint of `|`, under
+every valuation, when the readings of a rule's premises are valid (at
+least the unit), so is the reading of its conclusion.  So every provable
+sequent's reading is valid in every such model, under every valuation.
+Fix an integer `d` and read the integers in their order with `x*y = x + y`,
+the unit `1` as 0, `bot` as `d` and `~x = d - x`, so that `x|y = x + y - d`,
+`x -o y = y - x` and `x -< y = x - y + d`.  This is such a model: `+` is
+commutative, associative and monotone with unit 0, `~` reverses the order
+and `~~x = x`, `bot = ~1`, `x + y <= z` exactly when `y <= z - x`, and
+`x - y + d <= z` exactly when `x <= y + z - d`.  A reading is valid when its
+value is 0 or more.
 
-So deficit 0 climbs from the leaves of any proof to its root.  Read from
-the whole proof: no rule has weakening or contraction, so every axiom
-consumes one positive leaf and every branch rule one branching connective,
-and a tree with `b` nodes of two premises has `b + 1` leaves.  This is the
-counting half of the multiplicative proof-net criterion (Girard, *Linear
-logic*, 1987; Danos and Regnier, *The structure of multiplicatives*,
-1989).  It sees units, which atom balance cannot, and proofs that would
-need more or fewer branches than the leaves allow: `a*b -o a|b` is
-balanced and has deficit 1.
+The value is linear in the counts: a formula read at positive polarity
+takes `sum(n_a * v(a)) - d * deficit`, where `n_a` is the atom's positive
+less negative occurrences and `v(a)` its value.  By induction on the
+formula, with `x` and `y` the values of `A` and `B`, one row per symbol:
 
-The search applies both counting lemmas twice.  A goal that fails either is refuted
+    formula     value        deficit
+    atom a      v(a)         0
+    1           0            0
+    bot         d            -1
+    A*B         x + y        deficit(A) + deficit(B)
+    A|B         x + y - d    deficit(A) + deficit(B) + 1
+    A -o B      y - x        deficit(B) - deficit(A)
+    A -< B      x - y + d    deficit(A) - deficit(B) - 1
+
+The deficits follow from the counts: `*` and `-<` are one branching
+connective, and reading an argument negatively flips each of its counts,
+so that its leaves less its branching connectives become minus its
+deficit.  So a provable sequent has `sum(n_a * v(a)) - d * deficit >= 0`
+for every `d` and every `v`.  At `d = 0` and `v(a) = -n_a` the sum is
+minus the sum of the squares `n_a**2`, so every `n_a` is 0: the sequent
+is balanced.  Then `d = 1` and `d = -1` give `deficit <= 0` and
+`deficit >= 0`.  Linearity is also why `deep._charge` adds: the counts of
+a sequent, and with them its value in every such model, are the sums of
+its parts' counts, wherever each part is plugged in.
+
+Read from a proof: no rule weakens or contracts, so each axiom consumes one
+positive leaf and each branch rule one branching connective, and a tree
+with `b` nodes of two premises has `b + 1` leaves.  This is the counting
+half of the multiplicative proof-net criterion (Girard, *Linear logic*,
+1987; Danos and Regnier, *The structure of multiplicatives*, 1989).  It
+sees units, which atom balance cannot, and proofs that would need more or
+fewer branches than the leaves allow: `a*b -o a|b` is balanced and has
+deficit 1.
+
+The search applies the counting lemma twice.  A goal that fails it is refuted
 by `_balanced` before any state is visited; `decide_formula` counts the
 formula as given, so such a goal never becomes a sequent, and its bounds
 are never derived.  And `deep_moves` builds a branch split only when its
@@ -241,13 +234,11 @@ Such a poset is a model of BiILL.  `(*, 1, -o)` is a commutative residuated
 poset and `(|, bot, -<)` its order dual, by the two adjunctions.  Grishin's
 weak distributivity `x*(y|z) <= (x*y)|z` holds too: by the `-<` adjunction
 it says `x*(y|z) -< z <= x*y`, that is `x * ((y|z) * ~z) <= x*y`, and
-`(y|z) * ~z <= y` holds because `y|z <= ~z -o y = z|y`.  The paper proves
-every rule of the deep calculus sound for this algebraic semantics through
-`tau_s`: under every valuation, when the readings of a rule's premises are
-valid, so is the reading of its conclusion.  By induction on the proof,
-every provable sequent's reading is valid under every valuation into S4
-(Galatos, Jipsen, Kowalski and Ono, *Residuated lattices*, 2007; Lafont,
-*The finite model property for various fragments of linear logic*, 1997).
+`(y|z) * ~z <= y` holds because `y|z <= ~z -o y = z|y`.  So, by the
+soundness the counting lemma rests on, every provable sequent's reading is
+valid under every valuation into S4, as into the integers (Galatos,
+Jipsen, Kowalski and Ono, *Residuated lattices*, 2007; Lafont, *The finite
+model property for various fragments of linear logic*, 1997).
 
 So a single valuation that gives the goal's reading a value below 1
 proves the goal unprovable, and `decide_formula` and `decide_sequent` refute
@@ -325,7 +316,7 @@ def decide_formula(f: Formula, logic: str = "biill") -> Decision:
     """Decide provability of a single formula (as the sole succedent of an
     otherwise empty sequent).  A formula whose counts do not balance, or
     that a valuation into S4 takes below 1, is refuted before any state is
-    visited (the lemmas above); any other is searched.  FILL runs the same
+    visited (the counting and countermodel lemmas above); any other is searched.  FILL runs the same
     search on a formula without exclusion (ValueError otherwise), then
     raises, never masks, the CheckError of `check_separation` on a proof
     outside FILL."""
@@ -364,7 +355,7 @@ def _separated(d: Decision, logic: str) -> Decision:
 
 
 def _balanced(s: Sequent | Formula) -> bool:
-    """Balanced atoms and deficit 0, as both lemmas above ask of a provable
+    """Balanced atoms and deficit 0, as the counting lemma above asks of a provable
     sequent: the counts of `signed_counts`, read from its walk's
     accumulators."""
     atoms: dict = {}

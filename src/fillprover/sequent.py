@@ -11,12 +11,14 @@ formulas are (`formula.py`), with tags above the formulas' own: `Occ` is
 the interpreter computes the hash, and no formula equals an item.  A
 `Sequent` sorts each side when it is built, so equality of `Sequent` values
 is multiset equality and the values are usable as search keys directly.
+Display structures take the tags above these (`display.py`).
 
 Text syntax: `Gamma => Delta` with comma-separated items; a child sequent is
 written in brackets with its origin as a suffix, `[a => b]@2` (`@0` is
 omitted); `_` marks the hole of a context.  Formula occurrences parse with
 hop count 0.  The text is read by the parser core in `formula.py`
-(`_tokenize`).
+(`_tokenize`), which bounds how deep it nests; `display.nesting`, the one
+nesting measure, counts a sequent's brackets as that reader does.
 
 Hop counts are the deep search's own bookkeeping, and never leave it: the
 search builds every proof node from the hop-free sequent (`strip_sequent`
@@ -60,7 +62,6 @@ from .formula import (
     _clip,
     _end,
     _formula_at,
-    _text_depth,
     _tokenize,
     formula_text,
     is_fill_formula,
@@ -75,7 +76,6 @@ __all__ = [
     "Context",
     "parse_sequent",
     "sequent_text",
-    "sequent_nesting",
     "side_remove",
     "occs",
     "child_seqs",
@@ -323,37 +323,6 @@ def sequent_text(s: Sequent) -> str:
     return f"{t} @{s.origin}" if s.origin else t
 
 
-def sequent_nesting(sequents: list) -> int:
-    """How deep the text of the deepest of `sequents` nests, as a
-    certificate reader counts brackets (`formula._tokenize`): one level for
-    each child's `[`, and below it the brackets of the formulas' own text.
-    Each child and formula is measured once, by identity, so what many
-    sequents share costs nothing more.  A context nests no deeper than the
-    sequent it is cut from."""
-    known: dict = {}  # id of a sequent or formula -> how deep its text nests
-    todo = sequents[:]
-    while todo:
-        items = todo[-1][2] + todo[-1][3]
-        kids = [it for it in items if it[0] == _SEQUENT and id(it) not in known]
-        if kids:
-            todo += kids
-            continue
-        depth = 0
-        for it in items:
-            if it[0] == _SEQUENT:
-                d = known[id(it)] + 1
-            elif it[0] == _OCC:
-                d = known.get(id(it[1]))
-                if d is None:
-                    d = known[id(it[1])] = _text_depth(formula_text(it[1]))
-            else:
-                continue
-            if d > depth:
-                depth = d
-        known[id(todo.pop())] = depth
-    return max(known[id(s)] for s in sequents)
-
-
 # ---------------------------------------------------------------- contexts
 
 def hole_count(x) -> int:
@@ -589,7 +558,7 @@ def signed_counts(s: Sequent | Formula) -> SignedCounts:
     succedent of an otherwise empty sequent.  Hop counts and origins play
     no part.  Every provable sequent is balanced, each atom occurring
     as often negatively as positively, and has deficit 0, the deficit being
-    `leaves - branches - 1` (the balance and leaf lemmas in the `prover`
+    `leaves - branches - 1` (the counting lemma in the `prover`
     module docstring).
 
     The walk (`_tally`) recurses once per formula node, occurrence and

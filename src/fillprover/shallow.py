@@ -40,6 +40,7 @@ from .deep import (
     _FLIP,
     _LOGICAL,
     _SPLIT,
+    _axiom_move,
     _branch_conclusion,
     _on,
     _principals,
@@ -399,52 +400,21 @@ def expand_weaken_hollow(x: Sequent, side: str, top: ProofNode) -> ProofNode:
 
 def expand_deep_leaf(rule: str, ctx: Context, node: Sequent) -> ProofNode:
     """Complete shallow proof of `plug(ctx, node)` for a tree that is
-    hollow except for the axiom node: an atom on both sides of `node`
-    ("id"), a left bottom unit ("bot_l"), or a right tensor unit ("i_r")."""
-    if rule == "id":
-        pair = None
-        for lo in occs(node.left):
-            if not isinstance(lo.formula, Atom):
-                continue
-            for ro in occs(node.right):
-                if ro.formula == lo.formula:
-                    pair = (lo, ro)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise ValueError("no atomic identity pair at the axiom node")
-        lo, ro = pair
-        out = ProofNode("id", Sequent((lo,), (ro,)))
-        left_rest = side_remove(node.left, [lo])
-        right_rest = side_remove(node.right, [ro])
-    elif rule == "bot_l":
-        bo = next((o for o in occs(node.left) if isinstance(o.formula, UnitBot)), None)
-        if bo is None:
-            raise ValueError("no left bottom unit at the axiom node")
-        out = ProofNode("bot_l", Sequent((bo,), ()))
-        left_rest = side_remove(node.left, [bo])
-        right_rest = node.right
-    elif rule == "i_r":
-        io = next((o for o in occs(node.right) if isinstance(o.formula, UnitI)), None)
-        if io is None:
-            raise ValueError("no right tensor unit at the axiom node")
-        out = ProofNode("i_r", Sequent((), (io,)))
-        left_rest = node.left
-        right_rest = side_remove(node.right, [io])
-    else:
-        raise ValueError(f"not a leaf rule: {rule!r}")
-
+    hollow except for the axiom node: the axiom `rule` that
+    `deep._axiom_move` finds closing the tree must close it at `node`, or
+    ValueError."""
+    ax = _axiom_move(plug(ctx, node))
+    if ax is None or ax.rule != rule or ax.witness.context != ctx:
+        raise ValueError(f"no {rule} axiom closes the tree at {_clip(sequent_text(node))}")
+    occ = Occ(ax.witness.principal)
+    taken = {"left": () if rule == "i_r" else (occ,), "right": () if rule == "bot_l" else (occ,)}
+    out = ProofNode(rule, Sequent(taken["left"], taken["right"]))
     steps = display_in_sn(ctx, node)
     shown = steps[-1][1] if steps else plug(ctx, node)
-    extra_l = side_remove(shown.left, node.left)
-    extra_r = side_remove(shown.right, node.right)
-    for it in chain(left_rest, extra_l):
-        if not isinstance(it, Sequent):
-            raise ValueError("axiom node carries a spare formula occurrence")
-        out = expand_weaken_hollow(it, "left", out)
-    for it in chain(right_rest, extra_r):
-        if not isinstance(it, Sequent):
-            raise ValueError("axiom node carries a spare formula occurrence")
-        out = expand_weaken_hollow(it, "right", out)
+    # what else the displayed root holds is hollow: the node's own children,
+    # then the wrapper of the rest of the tree
+    for side, gone in taken.items():
+        near = getattr(node, side)
+        for it in chain(side_remove(near, gone), side_remove(getattr(shown, side), near)):
+            out = expand_weaken_hollow(it, side, out)
     return stack_chain(out, invert_display_chain(steps, plug(ctx, node)))

@@ -87,6 +87,7 @@ from .deep import (
     check_dn_proof,
 )
 from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES, PROP_RULES
+from .display import _COMMA, _GT, _LEAF, _LT, _PHI
 from .display import (
     DisplaySequent,
     SComma,
@@ -606,23 +607,24 @@ def _read_side(st: Structure, side: str, seen: dict) -> list:
     `seen` maps each residual read before, by identity, to its reading, so
     a residual that many conclusions share is read once; the caller keeps
     the structures alive while `seen` is in use, so no identity is reused."""
+    home = _LT if side == "left" else _GT
     items: list = []
     todo = [st]
     while todo:
         x = todo.pop()
-        cls = type(x)
-        if cls is SComma:
-            todo += (x.right, x.left)
-        elif cls is SLeaf:
-            items.append(Occ(x.formula))
-        elif cls is (SLt if side == "left" else SGt):
+        tag = x[0]
+        if tag == _COMMA:
+            todo += (x[2], x[1])
+        elif tag == _LEAF:
+            items.append(Occ(x[1]))
+        elif tag == home:
             kid = seen.get(id(x))
             if kid is None:
                 kid = seen[id(x)] = Sequent(
-                    tuple(_read_side(x.left, "left", seen)), tuple(_read_side(x.right, "right", seen)), 0
+                    tuple(_read_side(x[1], "left", seen)), tuple(_read_side(x[2], "right", seen)), 0
                 )
             items.append(kid)
-        elif cls is not SPhi:
+        elif tag != _PHI:
             raise ValueError(f"structure {structure_text(x)} has no sequent reading in {side} position")
     return items
 
@@ -633,7 +635,7 @@ def read_display_sequent(ds: DisplaySequent, seen: dict | None = None) -> Sequen
     nested children on their home sides.  Readings that pass one `seen`
     read each residual they share once (`_read_side`)."""
     seen = {} if seen is None else seen
-    return Sequent(tuple(_read_side(ds.ant, "left", seen)), tuple(_read_side(ds.suc, "right", seen)), 0)
+    return Sequent(tuple(_read_side(ds[1], "left", seen)), tuple(_read_side(ds[2], "right", seen)), 0)
 
 
 _DC_SKIP = frozenset((

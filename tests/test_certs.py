@@ -1,16 +1,29 @@
-"""cut_loops, the pass every translator's output goes through, and where
-the shared checker walks say a proof fails."""
+"""cut_loops, the pass every translator's output goes through, where the
+shared checker walks say a proof fails, and the nesting that certificate
+writer and reader agree on."""
 
+import json
+import random
 import sys
 
 import pytest
 
-from fillprover.certs import CheckError, ProofNode, Witness, cut_loops, proof_size
+from fillprover.certs import (
+    CheckError,
+    ProofNode,
+    Witness,
+    certificate_text,
+    conclusion_text,
+    context_text,
+    cut_loops,
+    proof_size,
+    read_certificate,
+)
 from fillprover.deep import check_dn_proof, check_separation
-from fillprover.display import check_dc_proof
-from fillprover.formula import Atom, parse_formula
+from fillprover.display import DisplaySequent, SComma, SGt, SLeaf, SLt, SPhi, check_dc_proof
+from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, formula_text, parse_formula
 from fillprover.prover import decide_formula
-from fillprover.sequent import Occ, Sequent, parse_sequent
+from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent
 from fillprover.shallow import check_sn_proof
 from fillprover.translate import deep_to_shallow, shallow_to_display
 
@@ -144,3 +157,121 @@ def test_a_defect_deep_in_a_proof_is_named_by_its_path(calculus, rule, check, lo
         check(replaced(proof, path, ProofNode(rule, node.conclusion, node.premises, node.witness)))
     assert (e.value.path, e.value.rule) == (path, rule)
     assert e.value.located() == located
+
+
+# ------------------------------------------------- nesting, written and read
+
+def json_text(calculus, root):
+    """The certificate text of `root` as `certificate_text` lays it out, but
+    written by `json.dumps` alone, with no check of how deep it nests."""
+
+    def node(n):
+        out = {"rule": n.rule, "conclusion": conclusion_text(calculus, n.conclusion)}
+        if n.witness is not None:
+            out["witness"] = {"context": context_text(n.witness.context), "principal": formula_text(n.witness.principal)}
+        out["premises"] = [node(p) for p in n.premises]
+        return out
+
+    data = {"calculus": calculus, "logic": "biill", "endsequent": conclusion_text(calculus, root.conclusion)}
+    return json.dumps({**data, "proof": node(root)}) + "\n"
+
+
+ATOMS = [Atom(x) for x in "abc"]
+
+
+def formula_tree(rng, n):
+    """A formula whose tree is `n` deep: each connective drawn, and the
+    deeper operand on a drawn side."""
+    f = rng.choice(ATOMS)
+    for _ in range(n):
+        op, a = rng.choice((Tensor, Par, Lolli, Excl)), rng.choice(ATOMS)
+        f = op(f, a) if rng.random() < 0.5 else op(a, f)
+    return f
+
+
+def tensors(rng, n):
+    """`a*b*…`: a tree `n` deep in the shortest text that can nest so deep."""
+    f = rng.choice(ATOMS)
+    for _ in range(n):
+        f = Tensor(f, rng.choice(ATOMS))
+    return f
+
+
+def bracketed(j):
+    """`(…((a -o a) -o a)…) -o a`: brackets `j` deep, its tree `j + 1`."""
+    f = Atom("a")
+    for _ in range(j + 1):
+        f = Lolli(f, Atom("a"))
+    return f
+
+
+def children(rng, k, inner):
+    """`inner`, an occurrence or a hole, inside `k` levels of children, each
+    on a drawn side, with a drawn atom beside it or none."""
+    s = Sequent((inner,), ())
+    for _ in range(k):
+        extra = tuple(Occ(rng.choice(ATOMS)) for _ in range(rng.randrange(2)))
+        s = Sequent((s,) + extra, ()) if rng.random() < 0.5 else Sequent(extra, (s,))
+    return s
+
+
+def structure_tree(rng, n):
+    """A display side whose tree is `n` deep above its leaves: each node
+    drawn among comma, `>` and `<`, its other operand a leaf or `Phi`."""
+    x = SLeaf(rng.choice(ATOMS))
+    for _ in range(n):
+        op, y = rng.choice((SComma, SGt, SLt)), rng.choice((SLeaf(rng.choice(ATOMS)), SPhi()))
+        x = op(x, y) if rng.random() < 0.5 else op(y, x)
+    return x
+
+
+def residuals(rng, k, f):
+    """The leaf `f` inside `k` residuals, each bracketing the one inside it."""
+    x = SLeaf(f)
+    for _ in range(k):
+        op, y = rng.choice((SGt, SLt)), SLeaf(rng.choice(ATOMS))
+        x = op(x, y) if rng.random() < 0.5 else op(y, x)
+    return x
+
+
+def nested(rng, n):
+    """(calculus, one-node proof) pairs that nest exactly `n` deep as the
+    reader counts it: child chains, formula brackets inside them, formula
+    trees, the shortest text of each depth, display trees, residual
+    brackets and a witness context."""
+    j = rng.randrange(1, 6)
+    side = rng.choice(ATOMS)
+    shallow = Sequent((Occ(side),), (Occ(side),))
+    cases = [
+        ("sn", ProofNode("id", children(rng, n, Occ(side)))),
+        ("sn", ProofNode("id", children(rng, n - j, Occ(bracketed(j))))),
+        ("dn", ProofNode("id", Sequent((), (Occ(formula_tree(rng, n)),)), (), Witness(HOLE, side))),
+        ("dn", ProofNode("id", shallow, (), Witness(children(rng, n, HOLE), side))),
+        ("dn", ProofNode("id", shallow, (), Witness(HOLE, formula_tree(rng, n)))),
+        ("dn", ProofNode("id", shallow, (), Witness(HOLE, tensors(rng, n)))),
+    ]
+    for ant in (structure_tree(rng, n), residuals(rng, n - j + 1, bracketed(j)), SLeaf(formula_tree(rng, n))):
+        pair = (ant, SLeaf(side)) if rng.random() < 0.5 else (SLeaf(side), ant)
+        cases.append(("dc", ProofNode("id", DisplaySequent(*pair))))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_text_writes_exactly_what_the_reader_reads(seed):
+    rng = random.Random(seed)
+    for n in (99, 100, 101):
+        for calculus, root in nested(rng, n):
+            text = json_text(calculus, root)
+            try:
+                read_certificate(text)
+            except CheckError:
+                read = False
+            else:
+                read = True
+            try:
+                written = certificate_text(calculus, "biill", root)
+            except ValueError as e:
+                assert str(e).endswith(f"nests {n} deep, past the 100 levels a certificate can hold")
+                written = None
+            assert read == (n <= 100), (calculus, text)
+            assert written == (text if read else None)

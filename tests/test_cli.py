@@ -15,9 +15,10 @@ from fillprover.deep import check_dn_proof, check_separation, endsequent_for
 from fillprover.display import check_dc_proof
 from fillprover.formula import connective_count, formula_text, parse_formula
 from fillprover.prover import decide_formula, search_bounds
-from fillprover.sequent import parse_sequent
+from fillprover.sequent import Sequent, parse_sequent
 from fillprover.shallow import check_sn_proof
 from fillprover.translate import deep_to_shallow
+from test_certs import json_text
 from test_translate import balanced_tensor
 
 BIERMAN = "(a|b)|c -o a | ((b|c -o d)|e -o d|e)"
@@ -443,6 +444,22 @@ def two_chains(depth):
     return ProofNode("i_r", end, (), Witness(context=ctx))
 
 
+def test_prove_writes_no_certificate_too_deep_to_read(tmp_path, capsys, monkeypatch):
+    # `prove` writes through the same guard as `translate`: a proof whose
+    # text nests past the reader's bound is refused, not written
+    s = parse_sequent("=> 1")
+    for _ in range(101):
+        s = Sequent((), (s,))
+    deep = ProofNode("i_r", s)
+    monkeypatch.setattr(fillprover.cli, "decide_formula", lambda f, logic: prover.Decision("proved", deep, 1))
+    out = tmp_path / "dn.json"
+    assert run("prove", "p -o p", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "cannot write the certificate: a sequent nests 101 deep, past the 100 levels a certificate can hold\n"
+    )
+    assert not out.exists()
+
+
 def test_translate_writes_no_sn_certificate_too_deep_to_read(tmp_path, capsys):
     # displaying the node of `1` wraps the other chain one level deeper at
     # each level it passes, so the sn proof nests about twice as deep as the
@@ -463,7 +480,7 @@ def test_translate_writes_no_sn_certificate_too_deep_to_read(tmp_path, capsys):
     assert run("translate", str(dn), "--calculus", "sn", "--out", str(sn)) == 0
     assert run("check", str(sn)) == 0
     # one level more nests past the bound, as the reader counts it
-    too_deep = certificate_text("sn", "biill", deep_to_shallow(two_chains(51)))
+    too_deep = json_text("sn", deep_to_shallow(two_chains(51)))
     with pytest.raises(CheckError, match="brackets nest deeper than 100"):
         read_certificate(too_deep)
     dn.write_text(certificate_text("dn", "biill", two_chains(51)))
