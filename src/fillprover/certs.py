@@ -30,9 +30,8 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .formula import _MAX_NESTING, Formula, ParseError, _clip, _read_formula, formula_text
 from .sequent import Context, Hole, _read_context, _read_sequent, sequent_text
@@ -78,8 +77,7 @@ class CheckError(Exception):
         return f"at {_clip(where, quote=str)} ({rule}): {self}"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     context: Optional[Context] = None
     principal: Optional[Formula] = None
     child_origin: Optional[int] = None
@@ -87,16 +85,14 @@ class Witness:
     ctx2: Optional[Context] = None
 
 
-@dataclass(frozen=True)
-class ProofNode:
+class ProofNode(NamedTuple):
     rule: str
     conclusion: object
     premises: tuple = ()
     witness: Optional[Witness] = None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     calculus: str
     logic: str
     endsequent: str
@@ -292,6 +288,15 @@ def conclusion_text(calculus: str, conclusion) -> str:
 # brackets, or of a formula or structure tree, takes two characters at least
 _SHORT = 2 * _MAX_NESTING + 1
 
+# The JSON decoder recurses on the C stack, which overflows well before an
+# allowance proportional to the input would trip on a few megabytes of
+# nested brackets; past this many levels the text is rejected instead.
+_JSON_FRAMES = 40_000
+# the tallest proof a certificate holds: each node nests two JSON levels,
+# its object and its premise list, and its text takes over 20 characters,
+# so the reader's allowance by length, a level per 10, covers it too
+_TALLEST = _JSON_FRAMES // 2
+
 
 def _text(value, text: str, long: list) -> str:
     """`text`, the rendering of `value`; `value` joins `long` when its text
@@ -330,20 +335,23 @@ def _node_dict(calculus: str, node: ProofNode, long: list) -> dict:
 
 
 def certificate_text(calculus: str, logic: str, root: ProofNode) -> str:
-    """The certificate of `root` as JSON text.  Raises ValueError when a
-    conclusion or witness nests deeper than `read_certificate` reads
-    (`display.nesting`, applied to each text too long to be within the
-    bound on its length alone), so no certificate written here is refused
-    for how deep it nests."""
+    """The certificate of `root` as JSON text.  Raises ValueError when the
+    proof is taller than `_TALLEST` nodes, or a conclusion or witness nests
+    deeper than `read_certificate` reads (`display.nesting`, applied to
+    each text too long to be within the bound on its length alone), so no
+    certificate written here is refused for how deep it nests."""
     from .display import nesting
 
     if calculus not in CALCULI:
         raise ValueError(f"unknown calculus {calculus!r}")
     if logic not in LOGICS:
         raise ValueError(f"unknown logic {logic!r}")
+    height = branch_length(root)
+    if height > _TALLEST:
+        raise ValueError(f"the proof is {height} nodes tall, past the {_TALLEST} a certificate can hold")
     long: list = []
     # one allowance covers building the nodes' dicts and encoding them
-    with stack_room(10 * proof_size(root) + 2000):
+    with stack_room(10 * height + 2000):
         data = {
             "calculus": calculus,
             "logic": logic,
@@ -425,12 +433,6 @@ def _read_proof(calculus: str, proof, table: dict) -> ProofNode:
         k = len(built) - n
         built[k:] = [ProofNode(rule, conclusion, tuple(reversed(built[k:])), witness)]
     return built[0]
-
-
-# The JSON decoder recurses on the C stack, which overflows well before an
-# allowance proportional to the input would trip on a few megabytes of
-# nested brackets; past this many levels the text is rejected instead.
-_JSON_FRAMES = 40_000
 
 
 def read_certificate(data) -> Certificate:

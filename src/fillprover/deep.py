@@ -5,8 +5,10 @@ Axioms close a branch only when the rest of the whole tree is hollow.  Unary
 rules unfold a connective in place; the two implication-like connectives
 spawn a child sequent, of origin 0 like every child a rule makes.  Branching
 rules split the surrounding context and the remaining material of the
-rewritten node between two premises; search builds only the splits whose
-first premise balances (`deep_moves`).  Propagation rules move one formula
+rewritten node between two premises.  Search walks the tree once per
+state, charges each occurrence once, and sums those charges over every
+colouring, so it builds only the splits whose first premise balances
+(`deep_moves`).  Propagation rules move one formula
 occurrence across one parent/child boundary.  Hop counts are search's own
 device (`prover`): only `_prop_moves` bumps one, and no proof search
 returns carries one, so no checker or translator reads them.
@@ -32,9 +34,8 @@ and `prop_left_out` a left-nested child, which only `excl_l` makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .certs import CheckError, ProofNode, Witness, check_fragment, check_tree
 from .formula import (
@@ -59,9 +60,6 @@ from .sequent import (
     child_seqs,
     children_by_origin,
     context_decompose,
-    enumerate_context_partitions,
-    enumerate_partitions,
-    hole_contexts,
     is_fill_sequent,
     occs,
     plug,
@@ -93,8 +91,7 @@ DN_RULES = {rule: n for n, group in enumerate((LEAF_RULES, UNARY_LOGICAL_RULES +
 FILL_EXCLUDED = frozenset({"excl_l", "excl_r", "prop_right_in", "prop_left_out"})
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     rule: str
     premises: tuple[Sequent, ...]
     witness: Witness
@@ -182,19 +179,10 @@ def _sided(side: str, near: tuple, far: tuple, origin: int = 0) -> Sequent:
     return Sequent(far, near, origin)
 
 
-def _rules_at(node: Sequent) -> Iterator[tuple[str, str, Occ]]:
-    """(rule, side, occurrence) for every logical rule that can act on an
-    occurrence of the node, antecedent first."""
-    for side in ("left", "right"):
-        for occ in occs(getattr(node, side)):
-            rule = _RULE_AT.get((side, type(occ.formula)))
-            if rule is not None:
-                yield rule, side, occ
-
-
 def _principals(rule: str, node: Sequent) -> Iterator[Occ]:
     """The occurrences of the node that `rule` can act on."""
-    return (occ for r, _, occ in _rules_at(node) if r == rule)
+    side, connective = _LOGICAL[rule]
+    return (occ for occ in occs(getattr(node, side)) if type(occ.formula) is connective)
 
 
 def _unfolding(f: Formula, origin: int = 0) -> tuple:
@@ -278,6 +266,18 @@ def _propagate(
 
 
 # ------------------------------------------------------------------ moves
+#
+# A trail locates a node of a tree: () at the root, else (the parent's
+# trail, the parent, the side of the parent the node sits on, the node).
+
+def _put(trail: tuple, x: Context) -> Context:
+    """The tree the trail was read from, with `x` in place of the node the
+    trail leads to; only the nodes on the way up are built anew."""
+    while trail:
+        trail, parent, side, node = trail
+        x = _edit(parent, side, (node,), (x,))
+    return x
+
 
 def _axiom_move(s: Sequent) -> Optional[Move]:
     """The axiom that closes `s`, or None.  An axiom needs the rest of the
@@ -286,10 +286,10 @@ def _axiom_move(s: Sequent) -> Optional[Move]:
     `i_r`, and an atom on each side by `id`.  One walk of the tree finds
     them, and stops at a third occurrence or at a second one elsewhere.
     Only the node that closes gets its witness context, built from the
-    walk's trail of parents.  Search and the dn checker's axiom step both
+    walk's trail (`_put`).  Search and the dn checker's axiom step both
     ask here."""
     found: list = []  # (side, formula) of each occurrence, all at one node
-    at = None  # that node's trail: (parent's trail, parent, side, node), () at the root
+    at = None  # that node's trail
     todo: list = [(s, ())]
     while todo:
         node, trail = todo.pop()
@@ -312,25 +312,79 @@ def _axiom_move(s: Sequent) -> Optional[Move]:
             rule = "id"
     if rule is None:
         return None
-    ctx: Context = HOLE
-    while at:
-        at, parent, side, node = at
-        ctx = _edit(parent, side, (node,), (ctx,))
-    return Move(rule, (), Witness(context=ctx, principal=f))
+    return Move(rule, (), Witness(context=_put(at, HOLE), principal=f))
 
 
-def _charge(*parts: tuple) -> tuple:
-    """The counts of `signed_counts` that decide balance, over the items
-    `parts`, each an (item, polarity) pair: the positive leaves less the
-    branching connectives, and each atom's positive less negative
-    occurrences, where they differ.  Counts add across `plug` and `_edit`,
-    so a sequent put together from these parts passes `prover._balanced`
-    exactly when the charge is `(1, frozenset())`."""
+# A charge packs the counts of `signed_counts` that decide balance into one
+# integer, 64 bits to a count.  A sum of charges of one state's occurrences
+# has each count below the state's size, far inside its field, so charges
+# add as integers, and a sum is 1 exactly when its leaves exceed its
+# branching connectives by 1 and every atom's net is 0.
+_FIELD = 64
+
+
+def _charge_of(f: Formula, pol: int, fields: dict) -> int:
+    """The charge of `f` at polarity `pol` (0 negative, 1 positive): its
+    positive leaves less its branching connectives, plus each atom's
+    positive less negative occurrences, shifted to the atom's field.
+    `fields` numbers the atoms from 1 as they are first met.  Counts add
+    across `plug` and `_edit`, so a sequent put together from parts passes
+    `prover._balanced` exactly when their charges sum to 1."""
     atoms: dict = {}
     sums = [0, 0]
-    for x, pol in parts:
-        _tally(x, pol, atoms, sums)
-    return sums[0] - sums[1], frozenset((n, pos - neg) for n, (neg, pos) in atoms.items() if pos != neg)
+    _tally(f, pol, atoms, sums)
+    c = sums[0] - sums[1]
+    for name, (neg, pos) in atoms.items():
+        c += (pos - neg) << _FIELD * fields.setdefault(name, len(fields) + 1)
+    return c
+
+
+def _charges(x: Context, fields: dict) -> list[int]:
+    """The charge of each occurrence of `x`, at its side's polarity, in the
+    digit order of the colourings: the left side of a node before its
+    right, and on each side the node's own occurrences, last to first, then
+    each child's in turn."""
+    out: list = []
+    if isinstance(x, Sequent):
+        for pol, items in enumerate((x.left, x.right)):
+            out += [_charge_of(o.formula, pol, fields) for o in reversed(occs(items))]
+            for kid in child_seqs(items):
+                out += _charges(kid, fields)
+    return out
+
+
+def _sums(charges: list[int]) -> list[int]:
+    """The charge of the first half of every colouring, in colouring order.
+    Colouring `j` reads `j` in binary, a digit for each charge, the first
+    the most significant, and sends each occurrence whose digit is 0 to the
+    first half: on each side, the masks over the node's own occurrences
+    come first, then its children's colourings in product order."""
+    sums = [0]
+    for c in charges:
+        sums = [t for s in sums for t in (s + c, s)]
+    return sums
+
+
+def _halves(x: Context, digits: Iterator[int]) -> tuple[Context, Context]:
+    """The two halves of `x` under the colouring whose digits, in the order
+    of `_charges`, `digits` gives.  Both halves keep every child, with its
+    origin, and the hole."""
+    if not isinstance(x, Sequent):
+        return x, x
+    halves = (([], []), ([], []))  # each half's left and right items
+    for k, items in enumerate((x.left, x.right)):
+        for o in reversed(occs(items)):
+            halves[next(digits)][k].append(o)
+        for it in items:
+            if not isinstance(it, Occ):
+                for half, part in zip(halves, _halves(it, digits)):
+                    half[k].append(part)
+    return tuple(Sequent(left, right, x.origin) for left, right in halves)
+
+
+def _colouring(j: int, charges: list) -> Iterator[int]:
+    """The digits of colouring `j` of the occurrences `charges` counts."""
+    return map(int, f"{j:0{len(charges)}b}")
 
 
 def deep_moves(s: Sequent, hop_cap: Optional[int] = None) -> Iterator[Move]:
@@ -352,63 +406,95 @@ def deep_moves(s: Sequent, hop_cap: Optional[int] = None) -> Iterator[Move]:
     formula before unfolding it.  Branch and propagation moves are built
     only for states no unary rule applies to.
 
+    After the axiom walk, one preorder walk visits the nodes, root first,
+    then each child's subtree in item order, left side before right, and
+    keeps each node's trail; the first unary site returns at once.  A
+    premise and its witness context are built from the trail only where a
+    move is yielded, and a branch site's context also where its colourings
+    are counted, since its sorted items fix their order.
+
     Branch moves are only the splits whose first premise balances: atoms
     balanced and deficit 0, as `prover._balanced` asks, since no other
-    first premise is provable.  Each context half and each half of the
-    node's rest is counted once (`_charge`), and a split is built only when
-    its halves' counts and the active formula's add up to a balanced first
-    premise.  The splits come in the order of the colourings of the context,
-    then of the rest, each distinct pair of premises once."""
+    first premise is provable.  Each occurrence of the context and of the
+    node's rest is charged once (`_charge_of`), and the first half of every
+    colouring is charged by summing (`_sums`); a split is built (`_halves`)
+    only when its context half, its rest half and the active formula charge
+    premise 1 with exactly 1.  The splits come in the order of the
+    colourings of the context, then of the rest, each distinct pair of
+    premises once."""
     ax = _axiom_move(s)
     if ax is not None:
         yield ax
         return
 
-    spots = []
-    for ctx, node in hole_contexts(s):
-        acts = list(_rules_at(node))
-        for rule, _, occ in acts:
-            if rule in UNARY_LOGICAL_RULES:
-                premise = plug(ctx, _unfold(rule, node, occ))
-                yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula))
-                return
-        spots.append((ctx, node, acts))
+    spots = []  # (trail, node, its branch sites as (rule, side, occurrence)), in preorder
+    todo: list = [(s, ())]
+    while todo:
+        node, trail = todo.pop()
+        sites, kids = [], []
+        for side, items in (("left", node.left), ("right", node.right)):
+            for it in items:
+                if isinstance(it, Sequent):
+                    kids.append((it, (trail, node, side, it)))
+                    continue
+                rule = _RULE_AT.get((side, type(it.formula)))
+                if rule in UNARY_LOGICAL_RULES:
+                    premise = _put(trail, _unfold(rule, node, it))
+                    yield Move(rule, (premise,), Witness(context=_put(trail, HOLE), principal=it.formula))
+                    return
+                if rule is not None:
+                    sites.append((rule, side, it))
+        spots.append((trail, node, sites))
+        todo += reversed(kids)
 
-    for ctx, node, acts in spots:
-        for rule, side, occ in acts:
-            if rule not in BRANCH_RULES:
-                continue
+    fields: dict = {}
+    for trail, node, sites in spots:
+        ctx = None
+        for rule, side, occ in sites:
+            if ctx is None:
+                ctx = _put(trail, HOLE)
+                outer = _charges(ctx, fields)
+                outer_sums = _sums(outer)
             f = occ.formula
-            a_pol = int(_SPLIT[rule][0] == "right")
-            # premise 1 is c1 plugged with r1 plus A, at its side's polarity
+            rest = _edit(node, side, (occ,))
+            inner = _charges(rest, fields)
             fitting: dict = {}
-            for r1, r2 in enumerate_partitions(_edit(node, side, (occ,))):
-                fitting.setdefault(_charge((r1, 1)), []).append((r1, r2))
+            for i, c in enumerate(_sums(inner)):
+                fitting.setdefault(c, []).append(i)
+            # premise 1 is c1 plugged with r1 plus A, at its side's polarity
+            need = 1 - _charge_of(f.left, int(_SPLIT[rule][0] == "right"), fields)
             seen: set = set()
-            for c1, c2 in enumerate_context_partitions(ctx):
-                surplus, nets = _charge((c1, 1), (f.left, a_pol))
-                for r1, r2 in fitting.get((1 - surplus, frozenset((n, -d) for n, d in nets)), ()):
+            for j, c in enumerate(outer_sums):
+                fits = fitting.get(need - c)
+                if fits is None:
+                    continue
+                c1, c2 = _halves(ctx, _colouring(j, outer))
+                for i in fits:
+                    r1, r2 = _halves(rest, _colouring(i, inner))
                     pair = _split_premises(rule, f, c1, r1, c2, r2)
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    yield Move(rule, pair, Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
+                    if pair not in seen:
+                        seen.add(pair)
+                        yield Move(rule, pair, Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
 
-    for ctx, node, _ in spots:
-        yield from _prop_moves(ctx, node, hop_cap)
+    for trail, node, _ in spots:
+        yield from _prop_moves(trail, node, hop_cap)
 
 
-def _prop_moves(ctx: Context, node: Sequent, hop_cap: Optional[int]) -> Iterator[Move]:
+def _prop_moves(trail: tuple, node: Sequent, hop_cap: Optional[int]) -> Iterator[Move]:
+    """The propagations at the node the trail leads to, each rule's distinct
+    premises once, in the order of `_PROP_SHAPE`."""
+    ctx = None
     seen: set = set()
     for rule in _PROP_SHAPE:
         for kid, occ in _prop_sites(rule, node):
             if hop_cap is not None and occ.hops >= hop_cap:
                 continue
-            premise = plug(ctx, _propagate(rule, node, kid, occ, Occ(occ.formula, occ.hops + 1))[0])
-            if (rule, premise) in seen:
+            new = _propagate(rule, node, kid, occ, Occ(occ.formula, occ.hops + 1))[0]
+            if (rule, new) in seen:
                 continue
-            seen.add((rule, premise))
-            yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin))
+            seen.add((rule, new))
+            ctx = _put(trail, HOLE) if ctx is None else ctx
+            yield Move(rule, (_put(trail, new),), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin))
 
 
 # ---------------------------------------------------------------- checking

@@ -154,9 +154,9 @@ deficit.  So a provable sequent has `sum(n_a * v(a)) - d * deficit >= 0`
 for every `d` and every `v`.  At `d = 0` and `v(a) = -n_a` the sum is
 minus the sum of the squares `n_a**2`, so every `n_a` is 0: the sequent
 is balanced.  Then `d = 1` and `d = -1` give `deficit <= 0` and
-`deficit >= 0`.  Linearity is also why `deep._charge` adds: the counts of
-a sequent, and with them its value in every such model, are the sums of
-its parts' counts, wherever each part is plugged in.
+`deficit >= 0`.  Linearity is also why charges add (`deep._charge_of`):
+the counts of a sequent, and with them its value in every such model, are
+the sums of its parts' counts, wherever each part is plugged in.
 
 Read from a proof: no rule weakens or contracts, so each axiom consumes one
 positive leaf and each branch rule one branching connective, and a tree
@@ -171,9 +171,9 @@ The search applies the counting lemma twice.  A goal that fails it is refuted
 by `_balanced` before any state is visited; `decide_formula` counts the
 formula as given, so such a goal never becomes a sequent, and its bounds
 are never derived.  And `deep_moves` builds a branch split only when its
-first premise is balanced with deficit 0: it counts each context half and
-each rest half once, adds the counts of the pieces premise 1 is made of,
-and skips a split whose sum fails before building either premise.  Every
+first premise is balanced with deficit 0: it charges each occurrence once,
+sums the charges of the pieces premise 1 is made of, and skips a split
+whose sum fails before building either premise.  Every
 state `dfs` visits passes both tests (the goal does, unary and propagation
 premises keep both counts, and every branch move has a first premise that
 passes), so the second premise's net atom counts and deficit are minus the
@@ -259,8 +259,7 @@ only by the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .certs import ProofNode, Witness, stack_room
 from .deep import check_separation, deep_moves, endsequent_for
@@ -285,8 +284,7 @@ _S4_VALID = 2
 _S4_RUN = (2, 1, 3, 0)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     status: str  # "proved" | "refuted"
     proof: Optional[ProofNode]
     visited: int
@@ -294,6 +292,10 @@ class Decision:
     @property
     def proved(self) -> bool:
         return self.status == "proved"
+
+
+# every goal refuted before search gets this one decision
+_REFUTED = Decision("refuted", None, 0)
 
 
 def goal_reading(s: Sequent) -> Formula:
@@ -325,7 +327,7 @@ def decide_formula(f: Formula, logic: str = "biill") -> Decision:
     if logic == "fill" and not is_fill_formula(f):
         raise ValueError("formula uses exclusion, which FILL does not have")
     if not _balanced(f) or _countermodel(f) is not None:
-        return Decision("refuted", None, 0)
+        return _REFUTED
     return _separated(_search(endsequent_for(f), f), logic)
 
 
@@ -340,10 +342,10 @@ def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
     if logic == "fill" and not is_fill_sequent(s):
         raise ValueError("sequent lies outside the FILL fragment")
     if not _balanced(s):
-        return Decision("refuted", None, 0)
+        return _REFUTED
     reading = goal_reading(s)
     if _countermodel(reading) is not None:
-        return Decision("refuted", None, 0)
+        return _REFUTED
     return _separated(_search(strip_sequent(s), reading), logic)
 
 

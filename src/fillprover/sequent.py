@@ -31,16 +31,16 @@ sequent with nothing to drop the walk is that one pass.
 
 A context is a nested sequent with exactly one hole standing for a whole
 node; `plug` substitutes a sequent for the hole.  `HOLE` itself is the empty
-context.  Partitioning implements the resource splitting of the branching
-rules: a partition two-colours every formula occurrence and recursively
-partitions every child, so both halves keep the tree shape and origins.
+context.  The resource splitting of the branching rules two-colours every
+formula occurrence of the tree, so both halves keep the tree shape and
+origins; the deep search generates the splits (`deep.deep_moves`).
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import chain
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .formula import (
     Formula,
@@ -87,14 +87,11 @@ __all__ = [
     "strip_context",
     "hole_count",
     "plug",
-    "hole_contexts",
     "context_decompose",
     "tau_s",
     "tau_a",
     "SignedCounts",
     "signed_counts",
-    "enumerate_partitions",
-    "enumerate_context_partitions",
 ]
 
 
@@ -377,25 +374,6 @@ def plug(ctx: Context, s: Sequent) -> Sequent:
     return subst_seq(ctx)
 
 
-def hole_contexts(s: Sequent) -> Iterator[tuple[Context, Sequent]]:
-    """Every way to read `s` as context-plus-node: each node of the tree in
-    turn becomes the plugged sequent.  Root first, then children in canonical
-    order, left side before right."""
-    yield HOLE, s
-    for side_name in ("left", "right"):
-        items = getattr(s, side_name)
-        for idx, it in enumerate(items):
-            if not isinstance(it, Sequent):
-                continue
-            for sub_ctx, node in hole_contexts(it):
-                replaced = items[:idx] + (HOLE if isinstance(sub_ctx, Hole) else sub_ctx,) + items[idx + 1 :]
-                if side_name == "left":
-                    ctx = Sequent(replaced, s.right, s.origin)
-                else:
-                    ctx = Sequent(s.left, replaced, s.origin)
-                yield ctx, node
-
-
 def _subtract(items: tuple, gone: list) -> list | None:
     out = list(items)
     for g in gone:
@@ -613,39 +591,3 @@ def _tally(x, pol: int, atoms: dict, sums: list) -> None:
         sums[0] += pol
     elif tag == _BOT:
         sums[0] += 1 - pol
-
-
-# ----------------------------------------------------------------- splits
-
-def enumerate_partitions(s: Sequent) -> list[tuple[Sequent, Sequent]]:
-    """Every two-colouring of the formula occurrences; both halves keep the
-    full child shape with origins, child contents partitioned recursively.
-    Exactly 2**n pairs for the n occurrences of the tree, with multiplicity,
-    ordered so the first half starts maximal."""
-    return [
-        (Sequent(l1, r1, s.origin), Sequent(l2, r2, s.origin))
-        for (l1, l2), (r1, r2) in product(_split_items(s.left), _split_items(s.right))
-    ]
-
-
-def enumerate_context_partitions(ctx: Context) -> list[tuple[Context, Context]]:
-    if isinstance(ctx, Hole):
-        return [(HOLE, HOLE)]
-    return enumerate_partitions(ctx)
-
-
-def _split_items(items: tuple) -> list[tuple[tuple, tuple]]:
-    occ_list = list(occs(items))
-    holes = [it for it in items if isinstance(it, Hole)]
-    kid_splits = [enumerate_partitions(k) for k in child_seqs(items)]
-    results = []
-    for mask in range(2 ** len(occ_list)):
-        first = [o for j, o in enumerate(occ_list) if not mask >> j & 1]
-        second = [o for j, o in enumerate(occ_list) if mask >> j & 1]
-        for combo in product(*kid_splits):
-            k1 = [c[0] for c in combo]
-            k2 = [c[1] for c in combo]
-            results.append(
-                (tuple(first + k1 + holes), tuple(second + k2 + holes))
-            )
-    return results

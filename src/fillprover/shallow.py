@@ -132,7 +132,7 @@ def sn_rule_applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
 
 
 def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
-    # sn_rule_applies on sequents already passed through zero_origins
+    # sn_rule_applies on sequents without origins
     if rule in _SPLIT:
         p1, p2 = ps
         a_side, b_side = _SPLIT[rule]

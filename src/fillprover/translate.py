@@ -113,13 +113,13 @@ from .sequent import (
     side_remove,
 )
 from .shallow import (
+    _applies,
     _merge_plan,
     check_sn_proof,
     display_in_sn,
     expand_deep_leaf,
     expand_merge,
     invert_display_chain,
-    sn_rule_applies,
     stack_chain,
     zero_origins,
 )
@@ -686,8 +686,10 @@ def _dfs_down(node: ProofNode, seen: dict) -> ProofNode:
             cands = ("wrap_left", "dissolve_left")
         else:
             cands = ("pull_left",) if rule.endswith("_l") else ("push_right",)
+        # readings of display structures carry no origins, so the schema
+        # test needs no normalising walk
         for cand in cands:
-            if sn_rule_applies(cand, cn, prems):
+            if _applies(cand, cn, prems):
                 return ProofNode(cand, cn, tuple(subs))
         raise TranslationError(f"{rule}: no structural reading fits")
     raise ValueError(f"no shallow translation for rule {rule!r}")

@@ -1,16 +1,20 @@
 """References for the counting in the deep search, to test the package's own.
 
-`reference_moves` yields the moves of `deep.deep_moves` with the branch
-moves built as every colouring gives them: for each branch rule on each
-occurrence, every colouring of the context and of the rewritten node, both
-premises built, the pairs deduplicated, and only then each kept when its
-first premise passes `prover._balanced`.  `deep_moves` instead counts each
-context half and each rest half once and builds only the pairs whose first
-premise balances; both must yield the same moves in the same order.  The
-axiom move is `reference_axiom_move`, which reads the tree as every
-context-plus-node pair that `sequent.hole_contexts` gives and tests each
-node, where `deep._axiom_move` walks the tree once; the unary and
-propagation moves are the package's own.
+`reference_moves` yields the moves of `deep.deep_moves` as reading the tree
+as every context-plus-node pair (`hole_contexts`) and building every
+colouring gives them: for each branch rule on each occurrence, every
+colouring of the context and of the rewritten node
+(`enumerate_context_partitions`, `enumerate_partitions`), both premises
+built, the pairs deduplicated, and only then each kept when its first
+premise passes `prover._balanced`.  `deep_moves` instead walks the tree
+once, charges each occurrence once, sums the charges of every colouring
+and builds only the pairs whose first premise balances; both must yield
+the same moves in the same order.  The axiom move is
+`reference_axiom_move`, which tests each node that `hole_contexts` gives,
+where `deep._axiom_move` walks the tree once.  The unary and propagation
+moves are built here by plugging each node's premise into its context,
+with the package's rule shapes.  `_charge` counts a whole part by walking
+it, for the test that charges add.
 
 `formula_occurrence_count` counts the occurrences of a tree, and
 `reference_counts` is the explicit-stack walk that `sequent.signed_counts`
@@ -25,6 +29,7 @@ counting prunes.  Nothing in the package imports this module.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Iterator
 
 from fillprover import prover
@@ -32,15 +37,15 @@ from fillprover.certs import Witness
 from fillprover.cli import corpus_formulas
 from fillprover.deep import (
     _PROP_SHAPE,
+    _RULE_AT,
     BRANCH_RULES,
     FILL_EXCLUDED,
     UNARY_LOGICAL_RULES,
     Move,
     deep_moves,
     _edit,
-    _prop_moves,
+    _propagate,
     _prop_sites,
-    _rules_at,
     _split_premises,
     _unfold,
 )
@@ -66,15 +71,93 @@ from fillprover.formula import (
 from fillprover.sequent import (
     _OCC,
     _SEQUENT,
+    HOLE,
+    Context,
+    Hole,
     Occ,
     Sequent,
     SignedCounts,
-    enumerate_context_partitions,
-    enumerate_partitions,
-    hole_contexts,
+    _tally,
+    child_seqs,
     occs,
     plug,
 )
+
+
+def hole_contexts(s: Sequent) -> Iterator[tuple[Context, Sequent]]:
+    """Every way to read `s` as context-plus-node: each node of the tree in
+    turn becomes the plugged sequent.  Root first, then children in canonical
+    order, left side before right."""
+    yield HOLE, s
+    for side_name in ("left", "right"):
+        items = getattr(s, side_name)
+        for idx, it in enumerate(items):
+            if not isinstance(it, Sequent):
+                continue
+            for sub_ctx, node in hole_contexts(it):
+                replaced = items[:idx] + (HOLE if isinstance(sub_ctx, Hole) else sub_ctx,) + items[idx + 1 :]
+                if side_name == "left":
+                    ctx = Sequent(replaced, s.right, s.origin)
+                else:
+                    ctx = Sequent(s.left, replaced, s.origin)
+                yield ctx, node
+
+
+def enumerate_partitions(s: Sequent) -> list[tuple[Sequent, Sequent]]:
+    """Every two-colouring of the formula occurrences; both halves keep the
+    full child shape with origins, child contents partitioned recursively.
+    Exactly 2**n pairs for the n occurrences of the tree, with multiplicity,
+    ordered so the first half starts maximal."""
+    return [
+        (Sequent(l1, r1, s.origin), Sequent(l2, r2, s.origin))
+        for (l1, l2), (r1, r2) in product(_split_items(s.left), _split_items(s.right))
+    ]
+
+
+def enumerate_context_partitions(ctx: Context) -> list[tuple[Context, Context]]:
+    if isinstance(ctx, Hole):
+        return [(HOLE, HOLE)]
+    return enumerate_partitions(ctx)
+
+
+def _split_items(items: tuple) -> list[tuple[tuple, tuple]]:
+    occ_list = list(occs(items))
+    holes = [it for it in items if isinstance(it, Hole)]
+    kid_splits = [enumerate_partitions(k) for k in child_seqs(items)]
+    results = []
+    for mask in range(2 ** len(occ_list)):
+        first = [o for j, o in enumerate(occ_list) if not mask >> j & 1]
+        second = [o for j, o in enumerate(occ_list) if mask >> j & 1]
+        for combo in product(*kid_splits):
+            k1 = [c[0] for c in combo]
+            k2 = [c[1] for c in combo]
+            results.append(
+                (tuple(first + k1 + holes), tuple(second + k2 + holes))
+            )
+    return results
+
+
+def _charge(*parts: tuple) -> tuple:
+    """The counts of `signed_counts` that decide balance, over the items
+    `parts`, each an (item, polarity) pair: the positive leaves less the
+    branching connectives, and each atom's positive less negative
+    occurrences, where they differ.  A sequent passes `prover._balanced`
+    exactly when its charge is `(1, frozenset())`."""
+    atoms: dict = {}
+    sums = [0, 0]
+    for x, pol in parts:
+        _tally(x, pol, atoms, sums)
+    return sums[0] - sums[1], frozenset((n, pos - neg) for n, (neg, pos) in atoms.items() if pos != neg)
+
+
+def rules_at(node: Sequent) -> Iterator[tuple[str, str, Occ]]:
+    """(rule, side, occurrence) for every logical rule that can act on an
+    occurrence of the node, antecedent first."""
+    for side in ("left", "right"):
+        for occ in occs(getattr(node, side)):
+            rule = _RULE_AT.get((side, type(occ.formula)))
+            if rule is not None:
+                yield rule, side, occ
 
 
 def formula_occurrence_count(s: Sequent) -> int:
@@ -123,7 +206,7 @@ def reference_moves(s: Sequent, hop_cap: int | None = None) -> Iterator[Move]:
 
     spots = []
     for ctx, node in hole_contexts(s):
-        acts = list(_rules_at(node))
+        acts = list(rules_at(node))
         for rule, _, occ in acts:
             if rule in UNARY_LOGICAL_RULES:
                 premise = plug(ctx, _unfold(rule, node, occ))
@@ -148,7 +231,15 @@ def reference_moves(s: Sequent, hop_cap: int | None = None) -> Iterator[Move]:
                         yield Move(rule, pair, Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
 
     for ctx, node, _ in spots:
-        yield from _prop_moves(ctx, node, hop_cap)
+        seen = set()
+        for rule in _PROP_SHAPE:
+            for kid, occ in _prop_sites(rule, node):
+                if hop_cap is not None and occ.hops >= hop_cap:
+                    continue
+                premise = plug(ctx, _propagate(rule, node, kid, occ, Occ(occ.formula, occ.hops + 1))[0])
+                if (rule, premise) not in seen:
+                    seen.add((rule, premise))
+                    yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin))
 
 
 def reference_counts(s: Sequent | Formula) -> SignedCounts:
@@ -220,7 +311,7 @@ def first_disagreement(calls: list[tuple]) -> tuple | None:
 
 def fill_excluded_offers(calls: list[tuple]) -> list[tuple]:
     """`(state, rule)` for every rule of `FILL_EXCLUDED` that a state of the
-    `deep_moves` calls offers: a move it yields, a logical rule `_rules_at`
+    `deep_moves` calls offers: a move it yields, a logical rule `rules_at`
     finds at one of its nodes, or a site `_prop_sites` finds there.  Empty
     for the calls of an exclusion-free goal, as the `deep` module docstring
     argues."""
@@ -228,7 +319,7 @@ def fill_excluded_offers(calls: list[tuple]) -> list[tuple]:
     for s, hop_cap in calls:
         rules = {m.rule for m in deep_moves(s, hop_cap)}
         for _, node in hole_contexts(s):
-            rules.update(rule for rule, _, _ in _rules_at(node))
+            rules.update(rule for rule, _, _ in rules_at(node))
             rules.update(rule for rule in _PROP_SHAPE if any(_prop_sites(rule, node)))
         found += [(s, rule) for rule in sorted(rules & FILL_EXCLUDED)]
     return found

@@ -1,8 +1,10 @@
-"""Check the branch moves against the colouring reference over the size-3 corpus.
+"""Check the branch moves against the colouring reference over the size-3
+corpus and a seeded size-4 sample.
 
-Every formula of `cli.corpus_formulas(["p", "q"], 3)` is decided once, as
-`cli.corpus_record` decides it: in FILL when it has no exclusion, else in
-BiILL.  Every state the search visits must get from `deep.deep_moves`
+Every formula of `cli.corpus_formulas(["p", "q"], 3)`, and every formula of
+`moves_reference.size4_sample(7, 3000)`, where splits are larger, is decided
+once, as `cli.corpus_record` decides it: in FILL when it has no exclusion,
+else in BiILL.  Every state the search visits must get from `deep.deep_moves`
 exactly the moves of `moves_reference.reference_moves`, in the same order:
 the axiom that scanning every context-plus-node pair finds
 (`reference_axiom_move`, against the one walk of `deep._axiom_move`), and
@@ -10,8 +12,8 @@ the moves every colouring gives, less the branch splits whose first premise
 does not balance.  On the states of an exclusion-free goal, no rule of
 `deep.FILL_EXCLUDED` may be offered at all (`fill_excluded_offers`), since
 FILL and BiILL share that one search.  Prints the decisions and states
-checked, each in all and for exclusion-free goals, and fails naming the
-first formula and state that breaks either check.
+checked, each in all and for exclusion-free goals, for each set, and fails
+naming the first formula and state that breaks either check.
 
     PYTHONPATH=src python3 tests/moves_reference_corpus.py
 """
@@ -24,13 +26,21 @@ import time
 from fillprover.cli import corpus_formulas
 from fillprover.formula import formula_text, is_fill_formula
 from fillprover.sequent import sequent_text
-from moves_reference import fill_excluded_offers, first_disagreement, searched_calls
+from moves_reference import fill_excluded_offers, first_disagreement, searched_calls, size4_sample
 
 
 def main() -> int:
+    for name, formulas in (("size-3 corpus", corpus_formulas(["p", "q"], 3)), ("size-4 sample", size4_sample(7, 3000))):
+        if check(name, formulas):
+            return 1
+    return 0
+
+
+def check(name: str, formulas) -> int:
+    """Check every formula of `formulas`; 1 at the first that fails, else 0."""
     start = time.perf_counter()
     decisions = states = fill_decisions = fill_states = 0
-    for f in corpus_formulas(["p", "q"], 3):
+    for f in formulas:
         calls = searched_calls(f)
         bad = first_disagreement(calls)
         if bad is not None:
@@ -52,7 +62,7 @@ def main() -> int:
         decisions += 1
         states += len(calls)
     print(
-        f"{decisions:,} decisions, {states:,} searched states: deep_moves agrees with the "
+        f"{name}: {decisions:,} decisions, {states:,} searched states: deep_moves agrees with the "
         f"axiom and colouring references on every one; {fill_decisions:,} decisions without exclusion, "
         f"{fill_states:,} searched states, none offering a rule outside FILL; "
         f"in {time.perf_counter() - start:.1f} s"

@@ -275,3 +275,16 @@ def test_certificate_text_writes_exactly_what_the_reader_reads(seed):
                 written = None
             assert read == (n <= 100), (calculus, text)
             assert written == (text if read else None)
+
+
+def test_a_proof_too_tall_to_read_is_not_written():
+    # each proof node nests two JSON levels, its object and its premise
+    # list, so a 25,000-node chain would pass the reader's JSON allowance:
+    # the writer refuses it, and a 20,000-node chain is written and reads
+    # back as the very proof (compared node by node: equality of such tall
+    # trees recurses past the interpreter's limit)
+    a = parse_sequent("a => a")
+    with pytest.raises(ValueError, match="the proof is 25000 nodes tall, past the 20000"):
+        certificate_text("sn", "biill", chain(*[("wrap_left", a)] * 24_999, ("id", a)))
+    tallest = chain(*[("wrap_left", a)] * 19_999, ("id", a))
+    assert shape(read_certificate(certificate_text("sn", "biill", tallest)).root) == shape(tallest)

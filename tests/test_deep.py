@@ -1,11 +1,13 @@
 """Deep nested calculus: move generation and proof checking."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillprover import deep
-from fillprover.certs import CheckError, ProofNode, Witness, parse_context, proof_size
+from fillprover.certs import CheckError, ProofNode, Witness, certificate_text, parse_context, proof_size
 from fillprover.cli import corpus_formulas
 from fillprover.deep import (
     check_dn_proof,
@@ -14,11 +16,15 @@ from fillprover.deep import (
     endsequent_for,
 )
 from fillprover.formula import Atom, UnitBot, UnitI, formula_text, parse_formula
-from fillprover.prover import decide_formula
-from fillprover.sequent import HOLE, Occ, Sequent, hole_contexts, is_fill_sequent, parse_sequent, plug, sequent_text
+from fillprover.prover import decide_formula, goal_reading, search_bounds
+from fillprover.sequent import HOLE, Occ, Sequent, child_seqs, is_fill_sequent, parse_sequent, plug, sequent_text
 from moves_reference import (
+    _charge,
+    enumerate_context_partitions,
     fill_excluded_offers,
     first_disagreement,
+    formula_occurrence_count,
+    hole_contexts,
     reference_axiom_move,
     searched_calls,
     size4_sample,
@@ -181,10 +187,75 @@ def test_branch_moves_match_the_colouring_reference_on_every_searched_state():
     assert states == 1301
 
 
+FIVE_ARROWS = "(a -o a)|(b -o b)|(c -o c)|(d -o d)|(e -o e)|(bot*bot*bot*bot*bot)"
+
+
+def reachable(s, hop_cap):
+    """`s` and every state that premises of its moves lead to, in turn."""
+    seen, todo = {s}, [s]
+    while todo:
+        for m in deep_moves(todo.pop(), hop_cap):
+            for p in m.premises:
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+    return seen
+
+
+def test_branch_moves_match_the_colouring_reference_where_colourings_are_many():
+    # states of more than six occurrences, children among them: those the
+    # search visits for the five-arrow formula, and every state the moves
+    # reach from the Horn-like `a, a, a -o b, b -o c => c` in a child beside
+    # an arrow; on each, the moves charged and summed are those every
+    # colouring gives, in the same order
+    calls = searched_calls(parse_formula(FIVE_ARROWS))
+    s = parse_sequent("d, d -o e => e, [a, a, a -o b, b -o c => c]")
+    hop_cap = search_bounds(goal_reading(s))[0]
+    calls += [(x, hop_cap) for x in reachable(s, hop_cap)]
+    many = [(x, h) for x, h in calls if formula_occurrence_count(x) > 6]
+    assert len(many) == 29
+    assert all(child_seqs(x.left + x.right) for x, _ in many)
+    assert max(formula_occurrence_count(x) for x, _ in many) == 11
+    assert first_disagreement(many) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "=>",
+        "a, b -o a => [a => b, [c -o c => 1]@2], bot",
+        "a, a -o b => _, [b => a*b]",
+        "[a, a => [_ => b -< a], b]@1, 1 => a",
+        "a, a, a -o b, b -o c => c, [d, d -o e => e]",
+    ],
+)
+def test_summed_charges_are_the_charges_of_the_halves_they_stand_for(text):
+    # colouring j of a sequent or context: its halves are the reference's
+    # j-th pair, and the charge summed for it is the first half's charge
+    # as walking that half counts it
+    x = parse_context(text) if "_" in text else parse_sequent(text)
+    fields: dict = {}
+    charges = deep._charges(x, fields)
+    pairs = enumerate_context_partitions(x)
+    assert len(deep._sums(charges)) == len(pairs) == 2 ** len(charges)
+    for j, c in enumerate(deep._sums(charges)):
+        halves = deep._halves(x, deep._colouring(j, charges))
+        assert halves == pairs[j]
+        surplus, nets = _charge((halves[0], 1))
+        assert c == surplus + sum(net << deep._FIELD * fields[name] for name, net in nets)
+
+
+def test_the_five_arrow_formula_keeps_its_search_and_its_proof():
+    d = decide_formula(parse_formula(FIVE_ARROWS), "fill")
+    assert d.visited == 24
+    digest = hashlib.sha256(certificate_text("dn", "fill", d.proof).encode()).hexdigest()
+    assert digest == "f5c76410221ba28cc87da5229f0f1cb1a6398e77591653dfc367dcc8fd3a06a6"
+
+
 def test_no_rule_outside_fill_is_offered_on_an_exclusion_free_search():
     # FILL has no search mode of its own: on every state the search visits
     # for an exclusion-free size-3 formula, no FILL_EXCLUDED rule is yielded
-    # as a move, found by `_rules_at` or sited by `_prop_sites`, and every
+    # as a move, found by `rules_at` or sited by `_prop_sites`, and every
     # proof checks in FILL and separates
     decisions = states = theorems = 0
     for f in corpus_formulas(["p", "q"], 3, "fill"):

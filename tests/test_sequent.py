@@ -14,9 +14,6 @@ from fillprover.sequent import (
     Occ,
     Sequent,
     context_decompose,
-    enumerate_context_partitions,
-    enumerate_partitions,
-    hole_contexts,
     hole_count,
     is_fill_sequent,
     is_hollow,
@@ -28,12 +25,13 @@ from fillprover.sequent import (
     tau_s,
 )
 from fillprover.shallow import _merge_plan
-from moves_reference import formula_occurrence_count
+from moves_reference import enumerate_context_partitions, enumerate_partitions, formula_occurrence_count, hole_contexts
 
 
 # ------------------------------------------------------- an independent
-# partition enumerator used as the oracle for the library's: address every
-# formula occurrence by its tree path, two-colour the addresses, rebuild.
+# partition enumerator used as the oracle for the reference's
+# (`moves_reference`): address every formula occurrence by its tree path,
+# two-colour the addresses, rebuild.
 
 def brute_partitions(s):
     slots = []

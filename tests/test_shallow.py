@@ -13,7 +13,6 @@ from fillprover.sequent import (
     Hole,
     Occ,
     Sequent,
-    hole_contexts,
     is_hollow,
     parse_sequent,
     plug,
@@ -33,7 +32,7 @@ from fillprover.shallow import (
     sn_rule_applies,
     zero_origins,
 )
-from moves_reference import formula_occurrence_count
+from moves_reference import formula_occurrence_count, hole_contexts
 
 S = parse_sequent
 

@@ -456,6 +456,7 @@ UNCALLED = {
     "sequent_node_count": "the node count of a nested sequent",
     "connective_count": "the size measure the corpus tests bound formulas by",
     "decide_sequent": "the prover's entry point for a sequent goal, beside decide_formula",
+    "sn_rule_applies": "the sn schema test of one rule instance, origins ignored",
 }
 
 
