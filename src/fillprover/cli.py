@@ -5,8 +5,8 @@ certificate, `check` validates a certificate with the matching checker (in
 FILL, then the fragment pass), `translate` rebuilds a certificate in another
 calculus, `corpus` enumerates formulas up to a connective bound and decides
 each once, its FILL verdict through the separation check, and `stats`
-reports size metrics for a certificate, with the branch bound and hop cap
-that dn search would have for its endsequent.
+reports size metrics for a certificate, with the branch bound that dn
+search would have for its endsequent.
 
 Exit statuses: 0 when the request succeeds, 1 when it fails on the merits
 (unprovable formula, rejected proof, cut-bearing input declined, a
@@ -57,7 +57,7 @@ from .formula import (
     is_fill_formula,
     parse_formula,
 )
-from .prover import _countermodel, decide_formula, goal_reading, search_bounds
+from .prover import _countermodel, branch_bound, decide_formula, goal_reading
 from .sequent import is_fill_sequent, parse_sequent, signed_counts
 from .shallow import SN_FILL_EXCLUDED, check_sn_proof
 from .translate import (
@@ -335,7 +335,6 @@ def cmd_stats(args) -> int:
         endsequent = read_display_sequent(parse_display(cert.endsequent))
     else:
         endsequent = parse_sequent(cert.endsequent)
-    hop_cap, branch_bound = search_bounds(goal_reading(endsequent))
     rules = Counter(node.rule for node in postorder(cert.root))
     record = {
         "calculus": cert.calculus,
@@ -344,8 +343,7 @@ def cmd_stats(args) -> int:
         "nodes": proof_size(cert.root),
         "max_branch": branch_length(cert.root),
         "rules": dict(sorted(rules.items())),
-        "branch_bound": branch_bound,
-        "hop_cap": hop_cap,
+        "branch_bound": branch_bound(goal_reading(endsequent)),
     }
     return _emit(json.dumps(record, indent=2) + "\n", args.out)
 

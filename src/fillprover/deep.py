@@ -8,10 +8,9 @@ rules split the surrounding context and the remaining material of the
 rewritten node between two premises.  Search walks the tree once per
 state, charges each occurrence once, and sums those charges over every
 colouring, so it builds only the splits whose first premise balances
-(`deep_moves`).  Propagation rules move one formula
-occurrence across one parent/child boundary.  Hop counts are search's own
-device (`prover`): only `_prop_moves` bumps one, and no proof search
-returns carries one, so no checker or translator reads them.
+(`deep_moves`).  Propagation rules move one formula occurrence across one
+parent/child boundary; search needs no cap on them and no loop check,
+since no occurrence can pass through a node twice (`prover`).
 
 The checker judges each node on its own, as the sn and dc checkers do: a
 deep rule instance relates one conclusion to its premises (Brünnler, *Deep
@@ -246,21 +245,17 @@ def _prop_sites(rule: str, node: Sequent) -> Iterator[tuple[Sequent, Occ]]:
                 yield kid, occ
 
 
-def _propagate(
-    rule: str, node: Sequent, kid: Sequent, occ: Occ, moved: Optional[Occ] = None
-) -> tuple[Sequent, Sequent]:
+def _propagate(rule: str, node: Sequent, kid: Sequent, occ: Occ) -> tuple[Sequent, Sequent]:
     """The node after `occ` crosses the boundary of its child `kid`, and that
-    child as it then stands.  The occurrence arrives as `moved`, by default
-    `occ` itself; search passes it one hop further along."""
+    child as it then stands."""
     occ_side, kid_side, inward = _PROP_SHAPE[rule]
-    moved = occ if moved is None else moved
     items = {"left": node.left, "right": node.right}
     if inward:
-        kid2 = _edit(kid, occ_side, (), (moved,))
+        kid2 = _edit(kid, occ_side, (), (occ,))
         items[occ_side] = side_remove(items[occ_side], (occ,))
     else:
         kid2 = _edit(kid, occ_side, (occ,))
-        items[occ_side] += (moved,)
+        items[occ_side] += (occ,)
     items[kid_side] = side_remove(items[kid_side], (kid,)) + (kid2,)
     return Sequent(items["left"], items["right"], node.origin), kid2
 
@@ -387,11 +382,9 @@ def _colouring(j: int, charges: list) -> Iterator[int]:
     return map(int, f"{j:0{len(charges)}b}")
 
 
-def deep_moves(s: Sequent, hop_cap: Optional[int] = None) -> Iterator[Move]:
+def deep_moves(s: Sequent) -> Iterator[Move]:
     """Candidate rule applications with `s` as conclusion, most constrained
     first: axioms, then in-place unfolding, then branching, then propagation.
-    `hop_cap` suppresses propagation of occurrences that already moved that
-    many times.
 
     Two kinds of move are committed to, so nothing else is generated after
     them: an axiom, and the first unfolding by a unary logical rule (`i_l`,
@@ -400,11 +393,9 @@ def deep_moves(s: Sequent, hop_cap: Optional[int] = None) -> Iterator[Move]:
     the premise as a formula equivalent in BiILL to the reading of the
     conclusion, so by soundness and completeness the premise is provable
     exactly when the conclusion is, and when the premise fails no other move
-    can succeed.  The `prover` module docstring gives the argument and says
-    which part of it rests on evidence instead: that the hop cap leaves room
-    for the premise when a proof of the conclusion propagates the principal
-    formula before unfolding it.  Branch and propagation moves are built
-    only for states no unary rule applies to.
+    can succeed (the argument is in the `prover` module docstring).  Branch
+    and propagation moves are built only for states no unary rule applies
+    to.
 
     After the axiom walk, one preorder walk visits the nodes, root first,
     then each child's subtree in item order, left side before right, and
@@ -477,19 +468,17 @@ def deep_moves(s: Sequent, hop_cap: Optional[int] = None) -> Iterator[Move]:
                         yield Move(rule, pair, Witness(context=ctx, principal=f, ctx1=c1, ctx2=c2))
 
     for trail, node, _ in spots:
-        yield from _prop_moves(trail, node, hop_cap)
+        yield from _prop_moves(trail, node)
 
 
-def _prop_moves(trail: tuple, node: Sequent, hop_cap: Optional[int]) -> Iterator[Move]:
+def _prop_moves(trail: tuple, node: Sequent) -> Iterator[Move]:
     """The propagations at the node the trail leads to, each rule's distinct
     premises once, in the order of `_PROP_SHAPE`."""
     ctx = None
     seen: set = set()
     for rule in _PROP_SHAPE:
         for kid, occ in _prop_sites(rule, node):
-            if hop_cap is not None and occ.hops >= hop_cap:
-                continue
-            new = _propagate(rule, node, kid, occ, Occ(occ.formula, occ.hops + 1))[0]
+            new = _propagate(rule, node, kid, occ)[0]
             if (rule, new) in seen:
                 continue
             seen.add((rule, new))
@@ -506,8 +495,9 @@ def _quoted(s: Sequent) -> str:
 
 
 def _lift_items(lab: tuple, c1: tuple, c2: tuple) -> Iterator[tuple[tuple, tuple]]:
-    """Ways to split the items so the halves' hop-free images are exactly
-    the two claimed item multisets."""
+    """Ways to split the items so the halves lift onto exactly the two
+    claimed item multisets: the same occurrences, and each child lifted
+    onto one claimed child of its origin (`_lift_kids`)."""
     lab_holes = [it for it in lab if isinstance(it, Hole)]
     if any(
         len([it for it in items if isinstance(it, Hole)]) != len(lab_holes)

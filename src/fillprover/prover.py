@@ -1,40 +1,55 @@
 """Proof search in the deep nested calculus.
 
 Backward search from the goal sequent, trying axioms first, then in-place
-unfolding, then branching splits, then propagation.  Search states are whole
-sequents (hop counters included), so success and failure both memoize
-soundly.  Hop counters are this search's own device, for the hop cap and
-the measure below; the calculus has none.  Each proof node is built from
-the hop-free conclusion and witness contexts, so no proof that search
-returns carries a hop.  One bound shapes the search: a per-occurrence
-propagation cap `k`, the number of arrows in the goal's formula reading.
-No branch is cut short by its length: every rule lowers a measure, so the
-search ends, and a state whose moves all fail is refuted and enters the
-failure memo.  Three further cuts are argued below, the last two by one
-soundness fact: unary rules are committed to, states whose counts the
-integer models refute (atoms that do not balance, or a leaf count that is
-off) are never searched, and neither is a goal that a four-element model
-refutes.
+unfolding, then branching splits, then propagation.  Search states are the
+sequents themselves, so success and failure both memoize soundly, and each
+proof node is built from its state and the witness of its move.  A state
+carries nothing the calculus lacks, such as a counter on an occurrence, and
+search has no cap on propagation and no loop check.  No branch is cut short
+by its length either: by the two lemmas below every branch ends, and a
+state whose moves all fail is refuted and enters the failure memo.  Three further cuts are
+argued below, the last two by one soundness fact: unary rules are committed
+to, states whose counts the integer models refute (atoms that do not
+balance, or a leaf count that is off) are never searched, and neither is a
+goal that a four-element model refutes.
 
-The measure.  Give an occurrence of a formula `A` with `h` hops the weight
-`(k+1)*|A| - h`, where `|A|` is `formula_size`, and a sequent the sum of
-the weights of the occurrences in its whole tree.  The goal's occurrences
-start at 0 hops, and `deep_moves` propagates only an occurrence below the
-cap, so no occurrence of a searched state has more than `k` hops and each
-weighs at least `(k+1) - k = 1`.  Lemma: every premise of every rule
-weighs at least 1 less than the conclusion.  Proof, rule by rule:
+Propagation paths are simple.  Let `k` be the arrow count (`arrow_count`)
+of the goal's formula reading, `goal_reading`.  A left occurrence moves
+only into a right child (`prop_left_in`) or out of a left child
+(`prop_left_out`); a right occurrence moves the mirror image, into a left
+child or out of a right one.  Once an occurrence has moved down, it sits in
+a child it cannot leave upward, so along a branch its moves go up zero or
+more times, then down zero or more times, and never pass through a node
+twice.  No rule removes a node, and only `lolli_r` and `excl_l` add one,
+each using up one arrow of a formula occurrence; a branch rule shares the
+occurrences out between premises that both keep every node.  So the nodes
+of a tree plus the arrows of its occurrences never grow along a branch.  At
+the goal they number at most `k + 1`: `=> F` has one node and `k` arrows,
+and `tau_s` reads any other goal with one arrow per node, its root's
+included, besides its occurrences' arrows.  So every tree on a branch has
+at most `k + 1` nodes, all of them nodes of the branch's last tree, and no
+occurrence moves more than `k` times on a branch.
 
-- A propagation moves one occurrence one hop further, so its weight falls
+The measure.  Give an occurrence of a formula `A` that has made `h` moves
+on the branch so far the weight `(k+1)*|A| - h`, where `|A|` is
+`formula_size`, and a state the sum of the weights of the occurrences in
+its whole tree.  The weight belongs to the branch, not to the state: it
+counts moves the state does not record.  By the path lemma `h <= k`, so
+every occurrence weighs at least `(k+1) - k = 1`.  Lemma: every premise of
+every rule weighs at least 1 less than the conclusion.  Proof, rule by
+rule:
+
+- A propagation moves one occurrence one move further, so its weight falls
   by exactly 1; nothing else changes.
 - A unary logical rule acts on one occurrence of `A*B`, `A|B`, `A -o B`
-  or `A -< B` with `h <= k` hops, weighing `(k+1)*(|A|+|B|+1) - h`, which is
-  at least `(k+1)*(|A|+|B|) + 1`.  The premise holds `A` and `B` in its
-  place, side by side or as the child `[A => B]`, both at 0 hops, weighing
-  `(k+1)*(|A|+|B|)`; `i_l` and `bot_r` just drop a unit, which weighs at
-  least 1.  Every other occurrence keeps its hops.
-- A branch rule sends each other occurrence, with its hops, to one of the
-  two premises, and puts `A` in the first and `B` in the second, each at 0
-  hops.  The first premise weighs at most the conclusion less the
+  or `A -< B` with `h <= k` moves, weighing `(k+1)*(|A|+|B|+1) - h`, which
+  is at least `(k+1)*(|A|+|B|) + 1`.  The premise holds `A` and `B` in its
+  place, side by side or as the child `[A => B]`, both new occurrences with
+  no moves, weighing `(k+1)*(|A|+|B|)`; `i_l` and `bot_r` just drop a unit,
+  which weighs at least 1.  Every other occurrence keeps its moves.
+- A branch rule sends each other occurrence, with its moves, to one of the
+  two premises, and puts `A` in the first and `B` in the second, each with
+  no moves.  The first premise weighs at most the conclusion less the
   principal formula's weight, plus `(k+1)*|A|`, so at least
   `(k+1)*|B| + 1` less than the conclusion; the second likewise.
 - An axiom has no premise, and its conclusion holds an occurrence, so it
@@ -50,19 +65,18 @@ so does a root `=> F` for `decide_sequent`, whose `goal_reading` is `F`;
 any other goal `s` weighs at most `(k+1)*|tau_s(s)|`, since that reading
 adds connectives and units to the occurrences it joins.  Every node of a
 proof has a move, so no proof branch holds more than `(k+1)*|F|` sequents,
-`F` the goal's reading; `search_bounds` gives this branch bound with the
-hop cap, and `dfs` recurses at most one frame per state on a branch.  The
-bound is tight on the size-3 corpus: some of its BiILL proofs meet it.
+`F` the goal's reading; `branch_bound` gives this bound, and `dfs` recurses
+at most one frame per state on a branch.  The bound is tight on the size-3
+corpus: some of its BiILL proofs meet it.  Both lemmas hold for a branch
+from any state taken as its goal, so the chains of moves from any state are
+bounded too, and with finitely many moves per state, each state has a
+longest chain, which every premise of its moves undercuts.
 
 Invertible rules first.  Where a unary logical rule (`i_l`, `bot_r`,
 `tensor_l`, `par_r`, `lolli_r`, `excl_l`) applies anywhere in a state,
 `deep_moves` offers only the first such unfolding, so the search commits to
 it: when its premise fails, the state fails, with no backtracking into
-branch splits or propagations.  That first unfolding was already tried
-before anything else, so the commitment only prunes the alternatives tried
-after it has failed; when none of them could have succeeded either, the
-search finds the same proofs as before.  Why none could, and where the
-argument stops:
+branch splits or propagations.  That loses no proof:
 
 - The two sequents read as equivalent formulas.  `tau_s` reads a node
   `Gamma => Delta` as the tensor of `Gamma` (`1` when empty) implying the par
@@ -78,23 +92,14 @@ argument stops:
 - By the paper's soundness and completeness of the deep calculus for BiILL
   (a sequent is dn-provable exactly when its `tau_s` reading is a BiILL
   theorem), the premise is provable exactly when the conclusion is.
-- The hop cap is the one bound that argument does not cover.  The
-  unfolding changes no counter the cap reads: the premise keeps every
-  other occurrence with its hops, and the occurrences it adds start at 0,
-  as the parts of an unfolded occurrence always do (the measure lemma
-  covers the premise for the same reason).  So a proof of the conclusion
-  within the cap that unfolds the principal formula where it stands
-  permutes into a proof of the premise within the cap, every occurrence
-  making the same moves with the same counters.  A proof that first
-  propagates the principal formula and unfolds it elsewhere does not
-  permute so: its parts would have to make those hops themselves, and a
-  `-o` or `-<` unfolded in place leaves a child that no rule moves.  That
-  the cap still leaves room for a proof of the premise then is not proved
-  here; it rests on evidence: the 39,420 formulas of the size-3 corpus
-  over `p, q` get the same verdicts, and their proofs the same size
-  and branch length, as with full backtracking, and Bierman's formula gets
-  the same FILL proof (in 7,668 states, 12,887 before the commitment, and
-  16 once the balance prune below is added).
+- So search finds a proof of every provable state, by induction on the
+  longest chain of moves from it.  A state a unary rule applies to is
+  provable exactly when the premise of its first unfolding is, and search
+  takes that premise.  Any other provable state has a proof whose last rule
+  is one of its moves: an axiom, a propagation, none of which search cuts,
+  or a branch split, whose first premise is provable and so balances (the
+  counting lemma below).  Search tries each such move in turn until one
+  has premises it proves.
 
 Counting.  `signed_counts` gives each atom of a sequent its negative and
 positive occurrences, counted over the whole tree:
@@ -261,12 +266,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .certs import ProofNode, Witness, stack_room
+from .certs import ProofNode, stack_room
 from .deep import check_separation, deep_moves, endsequent_for
 from .formula import _ATOM, _BOT, _EXCL, _LOLLI, _ONE, _PAR, _TENSOR, Formula, arrow_count, formula_size, is_fill_formula
-from .sequent import Occ, Sequent, _tally, is_fill_sequent, strip_context, strip_sequent, tau_s
+from .sequent import Occ, Sequent, _tally, is_fill_sequent, tau_s
 
-__all__ = ["Decision", "goal_reading", "search_bounds", "decide_formula", "decide_sequent"]
+__all__ = ["Decision", "goal_reading", "branch_bound", "decide_formula", "decide_sequent"]
 
 # S4, the model of the countermodel lemma: element i is _S4[i], and each
 # table gives `x op y` at [x][y], elements by index; `~` takes i to 3 - i
@@ -306,12 +311,11 @@ def goal_reading(s: Sequent) -> Formula:
     return tau_s(s)
 
 
-def search_bounds(f: Formula) -> tuple[int, int]:
-    """(hop cap, branch bound) of a search whose goal reads as `f`: the cap
-    is the arrow count `k`, and no proof branch holds more than
-    `(k+1) * formula_size(f)` sequents (the measure lemma above)."""
-    k = arrow_count(f)
-    return k, (k + 1) * formula_size(f)
+def branch_bound(f: Formula) -> int:
+    """The most sequents a branch of a search whose goal reads as `f` can
+    hold, `(k+1) * formula_size(f)` with `k` its arrow count (the path and
+    measure lemmas above)."""
+    return (arrow_count(f) + 1) * formula_size(f)
 
 
 def decide_formula(f: Formula, logic: str = "biill") -> Decision:
@@ -332,9 +336,9 @@ def decide_formula(f: Formula, logic: str = "biill") -> Decision:
 
 
 def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
-    """Decide provability of a nested sequent.  The hop cap and the branch
-    bound are those of its formula reading, `goal_reading(s)`, and the
-    countermodel test evaluates that reading; the counts are taken over the
+    """Decide provability of a nested sequent.  The branch bound is that of
+    its formula reading, `goal_reading(s)`, and the countermodel test
+    evaluates that reading; the counts are taken over the
     sequent's tree.  FILL is as for `decide_formula`, on a sequent that
     `is_fill_sequent` accepts."""
     if logic not in ("fill", "biill"):
@@ -346,7 +350,7 @@ def decide_sequent(s: Sequent, logic: str = "biill") -> Decision:
     reading = goal_reading(s)
     if _countermodel(reading) is not None:
         return _REFUTED
-    return _separated(_search(strip_sequent(s), reading), logic)
+    return _separated(_search(s, reading), logic)
 
 
 def _separated(d: Decision, logic: str) -> Decision:
@@ -410,7 +414,7 @@ def _countermodel(f: Formula) -> Optional[dict[str, int]]:
 
 def _search(s0: Sequent, reading: Formula) -> Decision:
     # s0 is balanced with deficit 0: both callers refute any other goal
-    hop_cap, bound = search_bounds(reading)
+    bound = branch_bound(reading)
     success: dict[Sequent, ProofNode] = {}
     failed: set[Sequent] = set()
     visited = 0
@@ -421,7 +425,7 @@ def _search(s0: Sequent, reading: Formula) -> Decision:
         if hit is not None or s in failed:
             return hit
         visited += 1
-        for move in deep_moves(s, hop_cap):
+        for move in deep_moves(s):
             subproofs = []
             for p in move.premises:
                 pr = dfs(p)
@@ -429,11 +433,7 @@ def _search(s0: Sequent, reading: Formula) -> Decision:
                     break
                 subproofs.append(pr)
             else:
-                # hop counts stay in search: the node is built without them
-                w = move.witness
-                ctx, ctx1, ctx2 = map(strip_context, (w.context, w.ctx1, w.ctx2))
-                w = Witness(ctx, w.principal, w.child_origin, ctx1, ctx2)
-                node = success[s] = ProofNode(move.rule, strip_sequent(s), tuple(subproofs), w)
+                node = success[s] = ProofNode(move.rule, s, tuple(subproofs), move.witness)
                 return node
         failed.add(s)
         return None

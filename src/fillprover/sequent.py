@@ -6,7 +6,7 @@ origin 0; another origin comes only from sequent text, such as an
 endsequent `a => a, [=>]@1` given by a user, and is then read, kept and
 compared like any other part of the tree.  Items are tagged tuples, as
 formulas are (`formula.py`), with tags above the formulas' own: `Occ` is
-`(7, formula, hops)`, `Sequent` is `(8, origin, left, right)` and a hole is
+`(7, formula)`, `Sequent` is `(8, origin, left, right)` and a hole is
 `(9,)`.  So tuple order is the canonical order, equality is structural,
 the interpreter computes the hash, and no formula equals an item.  A
 `Sequent` sorts each side when it is built, so equality of `Sequent` values
@@ -15,19 +15,16 @@ Display structures take the tags above these (`display.py`).
 
 Text syntax: `Gamma => Delta` with comma-separated items; a child sequent is
 written in brackets with its origin as a suffix, `[a => b]@2` (`@0` is
-omitted); `_` marks the hole of a context.  Formula occurrences parse with
-hop count 0.  The text is read by the parser core in `formula.py`
-(`_tokenize`), which bounds how deep it nests; `display.nesting`, the one
-nesting measure, counts a sequent's brackets as that reader does.
+omitted); `_` marks the hole of a context.  The text is read by the parser
+core in `formula.py` (`_tokenize`), which bounds how deep it nests;
+`display.nesting`, the one nesting measure, counts a sequent's brackets as
+that reader does.
 
-Hop counts are the deep search's own bookkeeping, and never leave it: the
-search builds every proof node from the hop-free sequent (`strip_sequent`
-here), so every proof, checker and translator sees hop count 0 throughout,
-as sequent text does.  The shallow calculus compares sequents with every
-origin set to 0 (`shallow.zero_origins`).  Both walks are check-first: one
-read-only pass over the tags looks for a mark to zero, and when there is
-none the walk returns its argument itself and builds nothing, so on a
-sequent with nothing to drop the walk is that one pass.
+The shallow calculus compares sequents with every origin set to 0
+(`shallow.zero_origins`).  That walk is check-first: one read-only pass
+looks for an origin to zero, and when there is none the walk returns its
+argument itself and builds nothing, so on a sequent with nothing to drop
+the walk is that one pass.
 
 A context is a nested sequent with exactly one hole standing for a whole
 node; `plug` substitutes a sequent for the hole.  `HOLE` itself is the empty
@@ -83,8 +80,6 @@ __all__ = [
     "sequent_node_count",
     "is_hollow",
     "is_fill_sequent",
-    "strip_sequent",
-    "strip_context",
     "hole_count",
     "plug",
     "context_decompose",
@@ -100,17 +95,13 @@ _OCC, _SEQUENT, _HOLE = 7, 8, 9
 
 
 class Occ(_Tagged):
-    """One formula occurrence in a sequent.  `hops` counts how many times
-    propagation has moved it in search; it participates in equality so
-    search states that differ only in spent moves stay distinct.  Outside
-    search it is 0."""
+    """One formula occurrence in a sequent."""
 
     __slots__ = ()
     formula = property(itemgetter(1))
-    hops = property(itemgetter(2))
 
-    def __new__(cls, formula: Formula, hops: int = 0):
-        return tuple.__new__(cls, (_OCC, formula, hops))
+    def __new__(cls, formula: Formula):
+        return tuple.__new__(cls, (_OCC, formula))
 
     def __str__(self) -> str:
         return formula_text(self.formula)
@@ -314,8 +305,8 @@ def _item_text(it: Item) -> str:
 
 
 def sequent_text(s: Sequent) -> str:
-    """Canonical rendering: items in canonical order, hops invisible, child
-    origins as `@n` suffixes."""
+    """Canonical rendering: items in canonical order, child origins as `@n`
+    suffixes."""
     t = _core_text(s)
     return f"{t} @{s.origin}" if s.origin else t
 
@@ -410,63 +401,6 @@ def context_decompose(ctx: Context, tree: Sequent) -> Sequent | None:
     return context_decompose(special, t)
 
 
-# --------------------------------------------------------------- hops
-
-def _normal(s: Sequent, hops: bool, origins: bool) -> bool:
-    """True when the tree of `s` has nothing to zero: no hop count other
-    than 0 (with `hops`) and no origin other than 0 (with `origins`), the
-    root's own origin included.  Reads tags only, stops at the first mark
-    and allocates nothing: the test in front of every normal-form walk."""
-    if origins and s[1]:
-        return False
-    for it in s[2]:
-        tag = it[0]
-        if tag == _OCC:
-            if hops and it[2]:
-                return False
-        elif tag == _SEQUENT and not _normal(it, hops, origins):
-            return False
-    for it in s[3]:
-        tag = it[0]
-        if tag == _OCC:
-            if hops and it[2]:
-                return False
-        elif tag == _SEQUENT and not _normal(it, hops, origins):
-            return False
-    return True
-
-
-def _rebuild(s: Sequent, hops: bool, origins: bool) -> Sequent:
-    """`s` built anew with the marks `_normal` looks for set to 0; each
-    item with nothing to zero is kept as it is.  Called only once `_normal`
-    has found a mark."""
-
-    def go(items):
-        out = []
-        for it in items:
-            tag = it[0]
-            if tag == _SEQUENT and not _normal(it, hops, origins):
-                it = _rebuild(it, hops, origins)
-            elif tag == _OCC and hops and it[2]:
-                it = Occ(it[1])
-            out.append(it)
-        return tuple(out)
-
-    return Sequent(go(s[2]), go(s[3]), 0 if origins else s[1])
-
-
-def strip_sequent(s: Sequent) -> Sequent:
-    """Zero every hop count; origins stay.  Check-first: one read-only pass
-    (`_normal`) looks for a hop count other than 0, and when there is none
-    `s` itself comes back, with nothing built.  Only otherwise is the tree
-    rebuilt, every item without hops reused as it is."""
-    return s if _normal(s, True, False) else _rebuild(s, True, False)
-
-
-def strip_context(ctx: Context | None) -> Context | None:
-    return strip_sequent(ctx) if isinstance(ctx, Sequent) else ctx
-
-
 # ------------------------------------------------- formula interpretations
 
 def _join(fs: list[Formula], make, empty: Formula) -> Formula:
@@ -533,8 +467,7 @@ def signed_counts(s: Sequent | Formula) -> SignedCounts:
     negative `bot`; a branching connective is a positive `*` or `-<`, or a
     negative `|` or `-o`, the principal formulas of the four branch rules.
     Child structures count nothing.  A bare formula counts as the sole
-    succedent of an otherwise empty sequent.  Hop counts and origins play
-    no part.  Every provable sequent is balanced, each atom occurring
+    succedent of an otherwise empty sequent.  Origins play no part.  Every provable sequent is balanced, each atom occurring
     as often negatively as positively, and has deficit 0, the deficit being
     `leaves - branches - 1` (the counting lemma in the `prover`
     module docstring).

@@ -54,8 +54,6 @@ from .sequent import (
     Occ,
     Sequent,
     _holder,
-    _normal,
-    _rebuild,
     child_seqs,
     children_by_origin,
     is_hollow,
@@ -112,11 +110,32 @@ SN_FILL_EXCLUDED = frozenset(
 
 
 def zero_origins(s: Sequent) -> Sequent:
-    """`s` with every origin 0.  Check-first, as `strip_sequent`: one
-    read-only pass looks for an origin other than 0, and when there is none
-    `s` itself comes back, with nothing built.  Only otherwise is the tree
-    rebuilt, every item without one reused as it is."""
-    return s if _normal(s, False, True) else _rebuild(s, False, True)
+    """`s` with every origin 0.  Check-first: one read-only pass (`_normal`)
+    looks for an origin other than 0, and when there is none `s` itself
+    comes back, with nothing built.  Only otherwise is the tree rebuilt,
+    every item without one reused as it is."""
+    return s if _normal(s) else _rebuild(s)
+
+
+def _normal(s: Sequent) -> bool:
+    """True when no node of `s`, the root included, has an origin other
+    than 0.  Reads the tree only, and stops at the first such origin."""
+    if s.origin:
+        return False
+    for it in chain(s.left, s.right):
+        if isinstance(it, Sequent) and not _normal(it):
+            return False
+    return True
+
+
+def _rebuild(s: Sequent) -> Sequent:
+    """`s` built anew with origin 0, each child through `zero_origins`.
+    Called only once `_normal` has found an origin to zero."""
+
+    def go(items):
+        return tuple(zero_origins(it) if isinstance(it, Sequent) else it for it in items)
+
+    return Sequent(go(s.left), go(s.right))
 
 
 def _single_child(items) -> Sequent | None:

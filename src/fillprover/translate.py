@@ -48,11 +48,11 @@ pull and push, the propagations, and `lolli_l` with `excl_r`) is
 translated by one body, parametrised by side: it is written for one rule of
 the pair and names the other with `deep._on`.
 
-Every checker judges each node locally (`certs.check_tree`), and no proof
-carries a hop count, the deep search's own device.  So a translator reads
-each node of its checked input on its own: a deep witness context locates
-the rewritten node exactly, and the principal and the child crossed, which
-a witness may leave open, are found from the node's premises.
+Every checker judges each node locally (`certs.check_tree`).  So a
+translator reads each node of its checked input on its own: a deep witness
+context locates the rewritten node exactly, and the principal and the
+child crossed, which a witness may leave open, are found from the node's
+premises.
 
 Each translation ends by running the checker of its target calculus on its
 result, against the input's endsequent.  Checks are BiILL checks: a

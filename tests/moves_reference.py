@@ -195,8 +195,8 @@ def reference_axiom_move(s: Sequent) -> Move | None:
     return None
 
 
-def reference_moves(s: Sequent, hop_cap: int | None = None) -> Iterator[Move]:
-    """The moves of `deep_moves(s, hop_cap)`, the axiom found by
+def reference_moves(s: Sequent) -> Iterator[Move]:
+    """The moves of `deep_moves(s)`, the axiom found by
     `reference_axiom_move` and each branch split built from its colouring
     before its first premise is tested."""
     ax = reference_axiom_move(s)
@@ -234,9 +234,7 @@ def reference_moves(s: Sequent, hop_cap: int | None = None) -> Iterator[Move]:
         seen = set()
         for rule in _PROP_SHAPE:
             for kid, occ in _prop_sites(rule, node):
-                if hop_cap is not None and occ.hops >= hop_cap:
-                    continue
-                premise = plug(ctx, _propagate(rule, node, kid, occ, Occ(occ.formula, occ.hops + 1))[0])
+                premise = plug(ctx, _propagate(rule, node, kid, occ)[0])
                 if (rule, premise) not in seen:
                     seen.add((rule, premise))
                     yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin))
@@ -278,16 +276,16 @@ def reference_counts(s: Sequent | Formula) -> SignedCounts:
     return SignedCounts({n: (c[0], c[1]) for n, c in counts.items()}, leaves, branches)
 
 
-def searched_calls(f: Formula) -> list[tuple]:
-    """The `(state, hop_cap)` arguments of every `deep_moves` call that
-    deciding `f` makes, in the order it makes them: in FILL when `f` has no
-    exclusion, as `cli.corpus_record` decides it, else in BiILL."""
-    calls: list[tuple] = []
+def searched_calls(f: Formula) -> list[Sequent]:
+    """The state of every `deep_moves` call that deciding `f` makes, in the
+    order it makes them: in FILL when `f` has no exclusion, as
+    `cli.corpus_record` decides it, else in BiILL."""
+    calls: list[Sequent] = []
     real = prover.deep_moves
 
-    def recording(s, hop_cap=None):
-        calls.append((s, hop_cap))
-        return real(s, hop_cap)
+    def recording(s):
+        calls.append(s)
+        return real(s)
 
     prover.deep_moves = recording
     try:
@@ -297,27 +295,27 @@ def searched_calls(f: Formula) -> list[tuple]:
     return calls
 
 
-def first_disagreement(calls: list[tuple]) -> tuple | None:
+def first_disagreement(calls: list[Sequent]) -> tuple | None:
     """The first of the `deep_moves` calls (as `searched_calls` gives them)
     for which `deep_moves` and `reference_moves` yield other moves or
     another order, with both lists; None when they agree on every call."""
-    for s, hop_cap in calls:
-        got = list(deep_moves(s, hop_cap))
-        want = list(reference_moves(s, hop_cap))
+    for s in calls:
+        got = list(deep_moves(s))
+        want = list(reference_moves(s))
         if got != want:
             return s, got, want
     return None
 
 
-def fill_excluded_offers(calls: list[tuple]) -> list[tuple]:
+def fill_excluded_offers(calls: list[Sequent]) -> list[tuple]:
     """`(state, rule)` for every rule of `FILL_EXCLUDED` that a state of the
     `deep_moves` calls offers: a move it yields, a logical rule `rules_at`
     finds at one of its nodes, or a site `_prop_sites` finds there.  Empty
     for the calls of an exclusion-free goal, as the `deep` module docstring
     argues."""
     found = []
-    for s, hop_cap in calls:
-        rules = {m.rule for m in deep_moves(s, hop_cap)}
+    for s in calls:
+        rules = {m.rule for m in deep_moves(s)}
         for _, node in hole_contexts(s):
             rules.update(rule for rule, _, _ in rules_at(node))
             rules.update(rule for rule in _PROP_SHAPE if any(_prop_sites(rule, node)))

@@ -11,9 +11,12 @@ the axiom that scanning every context-plus-node pair finds
 the moves every colouring gives, less the branch splits whose first premise
 does not balance.  On the states of an exclusion-free goal, no rule of
 `deep.FILL_EXCLUDED` may be offered at all (`fill_excluded_offers`), since
-FILL and BiILL share that one search.  Prints the decisions and states
-checked, each in all and for exclusion-free goals, for each set, and fails
-naming the first formula and state that breaks either check.
+FILL and BiILL share that one search.  No branch of a proof of `F` may hold
+more than `prover.branch_bound(F)` sequents, the bound of the path and
+measure lemmas in the `prover` docstring.  Prints the decisions and states
+checked, each in all and for exclusion-free goals, and the proofs bounded,
+for each set, and fails naming the first formula and state that breaks a
+check.
 
     PYTHONPATH=src python3 tests/moves_reference_corpus.py
 """
@@ -23,8 +26,10 @@ from __future__ import annotations
 import sys
 import time
 
+from fillprover.certs import branch_length
 from fillprover.cli import corpus_formulas
 from fillprover.formula import formula_text, is_fill_formula
+from fillprover.prover import branch_bound, decide_formula
 from fillprover.sequent import sequent_text
 from moves_reference import fill_excluded_offers, first_disagreement, searched_calls, size4_sample
 
@@ -39,7 +44,7 @@ def main() -> int:
 def check(name: str, formulas) -> int:
     """Check every formula of `formulas`; 1 at the first that fails, else 0."""
     start = time.perf_counter()
-    decisions = states = fill_decisions = fill_states = 0
+    decisions = states = fill_decisions = fill_states = proofs = 0
     for f in formulas:
         calls = searched_calls(f)
         bad = first_disagreement(calls)
@@ -61,11 +66,18 @@ def check(name: str, formulas) -> int:
             fill_states += len(calls)
         decisions += 1
         states += len(calls)
+        if calls:
+            proof = decide_formula(f).proof
+            if proof is not None:
+                if branch_length(proof) > branch_bound(f):
+                    print(f"{formula_text(f)}: a proof branch of {branch_length(proof)} sequents", file=sys.stderr)
+                    return 1
+                proofs += 1
     print(
         f"{name}: {decisions:,} decisions, {states:,} searched states: deep_moves agrees with the "
         f"axiom and colouring references on every one; {fill_decisions:,} decisions without exclusion, "
         f"{fill_states:,} searched states, none offering a rule outside FILL; "
-        f"in {time.perf_counter() - start:.1f} s"
+        f"{proofs:,} proofs, no branch past the branch bound; in {time.perf_counter() - start:.1f} s"
     )
     return 0
 

@@ -34,8 +34,8 @@ def formula_key(f):
 
 def item_key(it):
     match it:
-        case Occ(formula=f, hops=h):
-            return (0, formula_key(f), h)
+        case Occ(formula=f):
+            return (0, formula_key(f))
         case Sequent(left=l, right=r, origin=g):
             return (1, g, tuple(item_key(x) for x in l), tuple(item_key(x) for x in r))
         case Hole():
@@ -57,7 +57,7 @@ def random_items(rng, formulas, depth):
     for _ in range(rng.randrange(4)):
         roll = rng.random()
         if roll < 0.6 or depth == 0:
-            items.append(Occ(rng.choice(formulas), rng.randrange(3)))
+            items.append(Occ(rng.choice(formulas)))
         elif roll < 0.9:
             items.append(random_sequent(rng, formulas, depth - 1))
         else:
@@ -98,7 +98,6 @@ def test_sequent_items_order_and_compare_as_their_keys():
     items = [HOLE] + sequents + [it for s in sequents for it in s.left + s.right]
     assert {type(it) for it in items} == {Occ, Sequent, Hole}
     assert any(k.origin for s in sequents for k in s.left + s.right if isinstance(k, Sequent))
-    assert any(it.hops for it in items if isinstance(it, Occ))
     for s in sequents:
         assert list(s.left) == sorted(s.left, key=item_key)
         assert list(s.right) == sorted(s.right, key=item_key)

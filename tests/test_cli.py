@@ -14,7 +14,7 @@ from fillprover.cli import CORPUS_CAP, corpus_formulas, corpus_record, main
 from fillprover.deep import check_dn_proof, check_separation, endsequent_for
 from fillprover.display import check_dc_proof
 from fillprover.formula import connective_count, formula_text, parse_formula
-from fillprover.prover import decide_formula, search_bounds
+from fillprover.prover import branch_bound, decide_formula
 from fillprover.sequent import Sequent, parse_sequent
 from fillprover.shallow import check_sn_proof
 from fillprover.translate import deep_to_shallow
@@ -573,7 +573,8 @@ def test_stats_id_only_certificate(tmp_path, capsys):
     assert record["max_branch"] == 1
     assert record["rules"] == {"id": 1}
     # a => a reads as a -o a: one arrow, size 3
-    assert record["hop_cap"] == 1 and record["branch_bound"] == 6
+    assert record["branch_bound"] == 6
+    assert set(record) == {"calculus", "logic", "endsequent", "nodes", "max_branch", "rules", "branch_bound"}
 
 
 def test_stats_branch_within_budget(tmp_path, capsys):
@@ -582,8 +583,8 @@ def test_stats_branch_within_budget(tmp_path, capsys):
     assert run("stats", str(out)) == 0
     record = json.loads(capsys.readouterr().out)
     # the endsequent => F reads as F, which prove searched: 3 arrows, size 19
-    assert record["hop_cap"] == 3 and record["branch_bound"] == 4 * 19
-    assert search_bounds(parse_formula(BIERMAN)) == (3, 76)
+    assert record["branch_bound"] == 4 * 19
+    assert branch_bound(parse_formula(BIERMAN)) == 76
     assert record["max_branch"] <= 76
     assert record["calculus"] == "dn"
 

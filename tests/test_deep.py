@@ -1,6 +1,7 @@
 """Deep nested calculus: move generation and proof checking."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +11,26 @@ from fillprover import deep
 from fillprover.certs import CheckError, ProofNode, Witness, certificate_text, parse_context, proof_size
 from fillprover.cli import corpus_formulas
 from fillprover.deep import (
+    PROP_RULES,
     check_dn_proof,
     check_separation,
     deep_moves,
     endsequent_for,
 )
 from fillprover.formula import Atom, UnitBot, UnitI, formula_text, parse_formula
-from fillprover.prover import decide_formula, goal_reading, search_bounds
-from fillprover.sequent import HOLE, Occ, Sequent, child_seqs, is_fill_sequent, parse_sequent, plug, sequent_text
+from fillprover.prover import decide_formula
+from fillprover.sequent import (
+    HOLE,
+    Occ,
+    Sequent,
+    child_seqs,
+    is_fill_sequent,
+    occs,
+    parse_sequent,
+    plug,
+    sequent_node_count,
+    sequent_text,
+)
 from moves_reference import (
     _charge,
     enumerate_context_partitions,
@@ -44,8 +57,8 @@ def N(rule, conclusion, witness=None, *premises):
     return ProofNode(rule, parse_sequent(conclusion), tuple(premises), w)
 
 
-def moves_of(text, hop_cap=None):
-    return list(deep_moves(parse_sequent(text), hop_cap))
+def moves_of(text):
+    return list(deep_moves(parse_sequent(text)))
 
 
 # ---------------------------------------------------------------- moves
@@ -102,7 +115,7 @@ hollow_trees = st.recursive(
     max_leaves=6,
 )
 axiom_items = st.sampled_from(
-    [Occ(Atom("a")), Occ(Atom("a"), 1), Occ(Atom("b")), Occ(UnitI()), Occ(UnitBot()), Occ(parse_formula("a*a"))]
+    [Occ(Atom("a")), Occ(Atom("b")), Occ(UnitI()), Occ(UnitBot()), Occ(parse_formula("a*a"))]
 )
 
 
@@ -184,17 +197,17 @@ def test_branch_moves_match_the_colouring_reference_on_every_searched_state():
         calls = searched_calls(f)
         assert first_disagreement(calls) is None, formula_text(f)
         states += len(calls)
-    assert states == 1301
+    assert states == 1294
 
 
 FIVE_ARROWS = "(a -o a)|(b -o b)|(c -o c)|(d -o d)|(e -o e)|(bot*bot*bot*bot*bot)"
 
 
-def reachable(s, hop_cap):
+def reachable(s):
     """`s` and every state that premises of its moves lead to, in turn."""
     seen, todo = {s}, [s]
     while todo:
-        for m in deep_moves(todo.pop(), hop_cap):
+        for m in deep_moves(todo.pop()):
             for p in m.premises:
                 if p not in seen:
                     seen.add(p)
@@ -210,12 +223,11 @@ def test_branch_moves_match_the_colouring_reference_where_colourings_are_many():
     # colouring gives, in the same order
     calls = searched_calls(parse_formula(FIVE_ARROWS))
     s = parse_sequent("d, d -o e => e, [a, a, a -o b, b -o c => c]")
-    hop_cap = search_bounds(goal_reading(s))[0]
-    calls += [(x, hop_cap) for x in reachable(s, hop_cap)]
-    many = [(x, h) for x, h in calls if formula_occurrence_count(x) > 6]
-    assert len(many) == 29
-    assert all(child_seqs(x.left + x.right) for x, _ in many)
-    assert max(formula_occurrence_count(x) for x, _ in many) == 11
+    calls += list(reachable(s))
+    many = [x for x in calls if formula_occurrence_count(x) > 6]
+    assert len(many) == 27
+    assert all(child_seqs(x.left + x.right) for x in many)
+    assert max(formula_occurrence_count(x) for x in many) == 11
     assert first_disagreement(many) is None
 
 
@@ -269,15 +281,95 @@ def test_no_rule_outside_fill_is_offered_on_an_exclusion_free_search():
                 check_dn_proof(d.proof)
                 check_separation(d.proof)
                 theorems += 1
-    assert (decisions, states, theorems) == (12460, 3433, 522)
+    assert (decisions, states, theorems) == (12460, 3427, 522)
 
 
-def test_propagation_moves_and_hop_cap():
+def test_propagation_moves():
     ms = moves_of("b => [=> b]@1")
     props = [m for m in ms if m.rule == "prop_left_in"]
     assert len(props) == 1
     assert sequent_text(props[0].premises[0]) == "=> [b => b]@1"
-    assert all(m.rule != "prop_left_in" for m in moves_of("b => [=> b]@1", hop_cap=0))
+
+
+def hollow_tree(rng, nodes):
+    """A tree of `nodes` hollow nodes, each below the root a left or right
+    child of an earlier node, with one atom `a` on a side of one of them."""
+    kids = [([], []) for _ in range(nodes)]
+    parents = [(rng.randrange(i), rng.randrange(2)) for i in range(1, nodes)]
+    home = rng.randrange(nodes)
+    kids[home][rng.randrange(2)].append(Occ(Atom("a")))
+
+    def build(i):
+        left, right = kids[i]
+        for j, (parent, side) in enumerate(parents, 1):
+            if parent == i:
+                (left, right)[side].append(build(j))
+        return Sequent(tuple(left), tuple(right), rng.randrange(2))
+
+    return build(0)
+
+
+def longest_propagation_path(s):
+    """The most moves in a row from `s`, asserting on the way that every
+    move is a propagation that carries the one occurrence unchanged, keeps
+    every node and never leads back to a state it started from."""
+    (occ,) = [o for _, node in hole_contexts(s) for o in occs(node.left + node.right)]
+    longest: dict = {}
+    on_path: set = set()
+
+    def walk(x):
+        if x in longest:
+            return longest[x]
+        assert x not in on_path, f"a cycle through {sequent_text(x)}"
+        on_path.add(x)
+        best = 0
+        for m in deep_moves(x):
+            assert m.rule in PROP_RULES and m.witness.principal == occ.formula
+            (p,) = m.premises
+            assert [o for _, node in hole_contexts(p) for o in occs(node.left + node.right)] == [occ]
+            assert sequent_node_count(p) == sequent_node_count(x)
+            best = max(best, 1 + walk(p))
+        on_path.discard(x)
+        longest[x] = best
+        return best
+
+    return walk(s)
+
+
+@pytest.mark.parametrize(
+    "text, moves",
+    [
+        ("a =>", 0),
+        ("a => [=>]", 1),
+        ("[a =>] => [=> [=>]]", 3),
+        ("[[a =>] =>] => [=> [=>]]", 4),
+        ("[[[a =>] =>] =>] => [=> [=>]]", 5),
+        ("[[=>] =>] => a, [=> [=>]]", 2),
+        ("[[=>] =>] => [=> [=> a]]", 4),
+        ("[[=> a] =>] => [[=>] =>]", 0),
+    ],
+)
+def test_propagation_paths_of_hand_built_trees(text, moves):
+    # a left occurrence leaves left children and enters right ones, a right
+    # occurrence the mirror image: up, then down, each node at most once
+    s = parse_sequent(text)
+    assert longest_propagation_path(s) == moves <= sequent_node_count(s) - 1
+
+
+def test_propagation_paths_are_simple():
+    # the path lemma of the `prover` docstring: on trees of up to six hollow
+    # nodes around one atom, the moves form no cycle and the longest chain
+    # of them passes each node at most once
+    rng = random.Random(31)
+    tight = set()  # the node counts of trees whose longest chain meets the bound
+    for _ in range(400):
+        s = hollow_tree(rng, rng.randrange(1, 7))
+        nodes = sequent_node_count(s)
+        moves = longest_propagation_path(s)
+        assert moves <= nodes - 1, sequent_text(s)
+        if moves == nodes - 1:
+            tight.add(nodes)
+    assert tight == {1, 2, 3, 4, 5}
 
 
 def test_left_nested_propagation_is_biill_only():

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fillprover.deep import BRANCH_RULES, LEAF_RULES, DN_RULES, PROP_RULES, check_dn_proof, check_separation, deep_moves, endsequent_for
-from fillprover.certs import CheckError, certificate_text, postorder, proof_size
+from fillprover.deep import BRANCH_RULES, LEAF_RULES, DN_RULES, check_dn_proof, check_separation, deep_moves, endsequent_for
+from fillprover.certs import CheckError, certificate_text, proof_size
 from fillprover.formula import (
     _BOT,
     _EXCL,
@@ -33,7 +33,7 @@ from fillprover.formula import (
     parse_formula,
 )
 from fillprover import prover
-from fillprover.prover import decide_formula, decide_sequent, goal_reading, search_bounds
+from fillprover.prover import branch_bound, decide_formula, decide_sequent, goal_reading
 from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent, signed_counts
 from fillprover.cli import corpus_formulas, main
 from moves_reference import reference_counts
@@ -165,10 +165,10 @@ def test_nested_example_proves():
 @pytest.mark.parametrize(
     "text, states",
     [
-        ("(bot -o bot -o 1)*((bot -o bot -o 1) -o bot -o bot -o 1) -o bot -o bot -o 1", 319),
+        ("(bot -o bot -o 1)*((bot -o bot -o 1) -o bot -o bot -o 1) -o bot -o bot -o 1", 258),
         ("(bot -< 1 -o 1)*((bot -< 1 -o 1) -o bot -< 1 -o 1) -o bot -< 1 -o 1", 23),
-        ("(bot -o a -o a)*((bot -o a -o a) -o bot -o a -o a) -o bot -o a -o a", 134),
-        ("(a -o a -o a)*((a -o a -o a) -o a -o a -o a) -o a -o a -o a", 90),
+        ("(bot -o a -o a)*((bot -o a -o a) -o bot -o a -o a) -o bot -o a -o a", 112),
+        ("(a -o a -o a)*((a -o a -o a) -o a -o a -o a) -o a -o a -o a", 61),
     ],
 )
 def test_unit_heavy_theorems_are_cut_by_the_leaf_count(text, states):
@@ -190,15 +190,15 @@ def test_decide_sequent():
     "text, logic, states",
     [
         ("(a|b)|c -o a|((b|c -o d)|e -o d|e)", "fill", 16),
-        ("(a -o b) -o (b -o c) -o a -o c", "fill", 28),
-        ("(a -< b) -< c -o a -< (b|c)", "biill", 37),
+        ("(a -o b) -o (b -o c) -o a -o c", "fill", 26),
+        ("(a -< b) -< c -o a -< (b|c)", "biill", 28),
     ],
 )
 def test_a_root_formula_sequent_is_searched_as_its_formula(text, logic, states):
-    # `=> F` reads as `F`, not as `1 -o F`, so both searches get F's bounds
+    # `=> F` reads as `F`, not as `1 -o F`, so both searches get F's bound
     f = parse_formula(text)
     s = parse_sequent(f"=> {text}")
-    assert search_bounds(goal_reading(s)) == search_bounds(f)
+    assert branch_bound(goal_reading(s)) == branch_bound(f)
     by_formula = decide_formula(f, logic)
     by_sequent = decide_sequent(s, logic)
     assert by_sequent.visited == by_formula.visited == states
@@ -210,32 +210,6 @@ def test_proof_sizes_within_quartic_bound():
         f = parse_formula(text)
         d = decide_formula(f, "biill")
         assert proof_size(d.proof) <= 4 * formula_size(f) ** 4
-
-
-def _hopped(x) -> bool:
-    """Whether a hop count other than 0 occurs anywhere in the sequent or
-    context `x`."""
-    if not isinstance(x, Sequent):  # no context, or the hole alone
-        return False
-    return any(it.hops if isinstance(it, Occ) else _hopped(it) for it in x.left + x.right)
-
-
-def test_no_proof_that_leaves_search_carries_a_hop():
-    """Hop counts are the search's own: every proof `decide_formula` and
-    `decide_sequent` return over the size-2 corpus, for `=> F` and for
-    `=> [=> F]`, is hop-free in every conclusion and witness context, while
-    the searches themselves move occurrences that hop."""
-    proofs = propagations = 0
-    for f in corpus_formulas(["p", "q"], 2):
-        for d in (decide_formula(f), decide_sequent(Sequent((), (Sequent((), (Occ(f),)),)))):
-            if not d.proved:
-                continue
-            proofs += 1
-            for node in postorder(d.proof):
-                w = node.witness
-                propagations += node.rule in PROP_RULES
-                assert not any(_hopped(x) for x in (node.conclusion, w.context, w.ctx1, w.ctx2)), formula_text(f)
-    assert proofs > 100 and propagations > 0
 
 
 # ---------------------------------------------------------------- measure
@@ -339,7 +313,7 @@ def walk_moves(s0, limit):
     seen_rules, seen, todo = set(), {s0}, [s0]
     while todo and len(seen) <= limit:
         s = todo.pop(0)
-        for move in deep_moves(s, 1):
+        for move in deep_moves(s):
             seen_rules.add(move.rule)
             assert added(net_count(p) for p in move.premises) == net_count(s), move.rule
             deficits = [deficit(p) for p in move.premises]
@@ -405,7 +379,7 @@ def test_the_recursive_count_walk_equals_the_explicit_stack_walk_on_the_size_3_c
 
 
 _counted_items = st.recursive(
-    st.builds(Occ, _small_formulas, st.integers(0, 3)) | st.just(HOLE),
+    st.builds(Occ, _small_formulas) | st.just(HOLE),
     lambda kids: st.builds(
         lambda l, r, g: Sequent(tuple(l), tuple(r), g),
         st.lists(kids, max_size=3),
@@ -419,7 +393,7 @@ _counted_items = st.recursive(
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_counted_items, max_size=3), st.lists(_counted_items, max_size=3), st.integers(0, 2))
 def test_the_recursive_count_walk_equals_the_explicit_stack_walk_on_sequents(left, right, origin):
-    # children, holes, hop counts and origins, none of which changes a count
+    # children, holes and origins, none of which changes a count
     s = Sequent(tuple(left), tuple(right), origin)
     assert signed_counts(s) == reference_counts(s)
 

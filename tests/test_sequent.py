@@ -105,13 +105,6 @@ def test_duplicates_and_origins():
     assert parse_sequent("=> [b => c]@2").right[0] == child
 
 
-def test_hops_are_invisible_but_distinct():
-    f = parse_formula("a")
-    assert Occ(f, 1) != Occ(f, 0)
-    assert sequent_text(Sequent((Occ(f, 1),), ())) == "a =>"
-    assert Sequent((Occ(f, 1),), ()) != Sequent((Occ(f),), ())
-
-
 @pytest.mark.parametrize("bad", ["a", "a => => b", "[a => b", "a => ]", "=> @", "a,, b =>", "=> [a => a]@²"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):

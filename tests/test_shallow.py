@@ -17,7 +17,6 @@ from fillprover.sequent import (
     parse_sequent,
     plug,
     sequent_text,
-    strip_sequent,
 )
 from fillprover.shallow import (
     SN_FILL_EXCLUDED,
@@ -137,8 +136,8 @@ def test_sn_agrees_with_dn_at_the_root(rule):
     other = family[(family.index(rule) + 1) % len(family)]
     s = S(_LOGICAL_CASES[rule])
     move = next(m for m in deep_moves(s) if m.rule == rule and m.witness.context == HOLE)
-    c = zero_origins(strip_sequent(s))
-    ps = tuple(zero_origins(strip_sequent(p)) for p in move.premises)
+    c = zero_origins(s)
+    ps = tuple(zero_origins(p) for p in move.premises)
     assert sn_rule_applies(rule, c, ps)
     assert not sn_rule_applies(other, c, ps)
 

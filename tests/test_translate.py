@@ -26,7 +26,7 @@ from fillprover.deep import check_dn_proof, check_separation, endsequent_for
 from fillprover.display import check_dc_proof, parse_display, sequent_to_display
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, parse_formula
 from fillprover.prover import decide_formula, decide_sequent
-from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent, strip_sequent
+from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent
 from fillprover.cli import _FILL, main
 from fillprover.shallow import check_sn_proof, zero_origins
 from fillprover.translate import (
@@ -44,10 +44,6 @@ def proved(text, logic):
     d = decide_formula(parse_formula(text), logic)
     assert d.status == "proved"
     return d.proof
-
-
-def norm(s):
-    return zero_origins(strip_sequent(s))
 
 
 def rules_of(p):
@@ -629,9 +625,9 @@ def test_translations_preserve_endsequent_exactly():
     f = parse_formula("((p -o q)|r) -o p -o q|r")
     dn = proved("((p -o q)|r) -o p -o q|r", "fill")
     sn = deep_to_shallow(dn)
-    assert norm(sn.conclusion) == norm(endsequent_for(f))
+    assert zero_origins(sn.conclusion) == zero_origins(endsequent_for(f))
     dn2 = shallow_to_deep(sn)
-    assert norm(dn2.conclusion) == norm(endsequent_for(f))
+    assert zero_origins(dn2.conclusion) == zero_origins(endsequent_for(f))
     dc = shallow_to_display(sn)
     assert dc.conclusion == sequent_to_display(sn.conclusion)
 
@@ -659,7 +655,7 @@ def test_display_proofs_end_in_the_embedded_endsequent(text):
     dn = shallow_to_deep(display_to_shallow(dc))
     check_dn_proof(dn)
     # display structures carry no child origins, so compare without them
-    assert norm(dn.conclusion) == norm(sn.conclusion)
+    assert zero_origins(dn.conclusion) == zero_origins(sn.conclusion)
 
 
 # -------------------------------------------------------------- randomized
