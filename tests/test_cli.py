@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from fillprover.sequent import Sequent, parse_sequent
 from fillprover.shallow import check_sn_proof
 from fillprover.translate import deep_to_shallow
 from test_certs import json_text
-from test_translate import balanced_tensor
+from test_translate import balanced_tensor, functions_where
 
 BIERMAN = "(a|b)|c -o a | ((b|c -o d)|e -o d|e)"
 DATA = Path(__file__).parent / "data"
@@ -368,10 +369,11 @@ def test_translate_reports_sizes_and_time(tmp_path, capsys):
     capsys.readouterr()
     assert run("translate", str(dn), "--calculus", "sn", "--out", str(tmp_path / "sn.json")) == 0
     err = capsys.readouterr().err
-    m = re.fullmatch(r"dn -> sn: (\d+) nodes in, (\d+) out, \d+\.\d\d s\n", err)
+    m = re.fullmatch(r"dn -> sn: (\d+) nodes in, (\d+) out, (\d+) bytes, \d+\.\d\d s\n", err)
     assert m is not None, err
     out = read_certificate((tmp_path / "sn.json").read_text()).root
     assert (int(m[1]), int(m[2])) == (5, proof_size(out))
+    assert int(m[3]) == (tmp_path / "sn.json").stat().st_size
 
 
 @pytest.mark.parametrize("command", ["prove", "translate", "corpus"])
@@ -594,6 +596,80 @@ def test_stats_rejects_invalid_proof(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(certificate_text("dn", "fill", leaf))
     assert run("stats", str(path)) == 1
+
+
+# -------------------------------------------------- --out
+
+WRITERS = ["prove", "translate", "corpus", "stats"]
+
+
+def writing(command, tmp_path):
+    """The command line of `command` without --out, its input file made."""
+    dn = tmp_path / "in.dn.json"
+    assert run("prove", "a*b -o b*a", "--out", str(dn)) == 0
+    return {
+        "prove": ["prove", BIERMAN],
+        "translate": ["translate", str(dn), "--calculus", "dc"],
+        "corpus": ["corpus", "--max-size", "1"],
+        "stats": ["stats", str(dn)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_over_a_longer_file_holds_exactly_what_stdout_gets(tmp_path, capsys, command):
+    argv = writing(command, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    for old in ("#" * (3 * len(printed)), "#"):
+        out.write_text(old)
+        assert run(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == printed.encode()
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_to_a_device_is_written_not_cut(tmp_path, capsys, command):
+    argv = writing(command, tmp_path)
+    assert run(*argv, "--out", "/dev/null") == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_naming_a_directory_is_a_one_line_exit_2(tmp_path, capsys, command):
+    argv = writing(command, tmp_path)
+    capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {tmp_path}: ") and captured.err.count("\n") == 1
+
+
+def test_a_write_that_fails_partway_leaves_exactly_what_was_written(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("old " * 1000)
+    with pytest.raises(RuntimeError), fillprover.cli._overwritten(str(out)) as fh:
+        fh.write("new")
+        raise RuntimeError
+    assert out.read_text() == "new"
+
+
+def test_only_the_out_writer_opens_a_file_for_writing():
+    # `open(path, "w")` would truncate to zero first; every --out overwrites
+    # in place through `cli._overwritten` instead
+    def opens_for_writing(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        if isinstance(f, ast.Attribute):
+            return f.attr in ("write_text", "write_bytes") or (f.attr == "open" and getattr(f.value, "id", None) == "os")
+        if not (isinstance(f, ast.Name) and f.id == "open"):
+            return False
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+    assert functions_where(opens_for_writing) == {"cli._overwritten"}
 
 
 # -------------------------------------------------- plumbing

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fillprover.certs import (
-    Certificate,
     CheckError,
     ProofNode,
     certificate_text,
