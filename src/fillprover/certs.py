@@ -12,14 +12,17 @@ where each node is `{"rule": ..., "conclusion": ..., "witness": {...}?,
 for the nested ("dn") and shallow ("sn") calculi and the structure syntax for
 the display calculus ("dc").  The optional witness narrows the choices a rule
 application makes: `context` locates the rewritten node (`_` marks the hole),
-`principal` names the formula acted on, `child_origin` picks the child a
-propagation crosses by its origin, and `ctx1`/`ctx2` give the context
-halves used by a branching rule.
+`principal` names the formula acted on, and `ctx1`/`ctx2` give the context
+halves used by a branching rule.  Older certificates may also carry a
+`child_origin`, and their sequent texts `@<digits>` origins; both are read
+and ignored (a `child_origin` must still be a JSON integer), and neither is
+ever written.
 Every checker judges each node locally, on its own conclusion and its
 premises' conclusions (`check_tree`).  The witness need not pin everything:
-the dn checker tries every principal and child that the witness leaves
-open, and recovers the split of the rewritten node's own material between a
-branching rule's premises from the stated premises.
+the dn checker tries every principal, and every child a propagation may
+cross, that gives the stated premise, and recovers the split of the
+rewritten node's own material between a branching rule's premises from the
+stated premises.
 
 Certificates are written as compact JSON, on one line without indentation;
 the reader accepts any layout of the same JSON.
@@ -80,7 +83,6 @@ class CheckError(Exception):
 class Witness(NamedTuple):
     context: Optional[Context] = None
     principal: Optional[Formula] = None
-    child_origin: Optional[int] = None
     ctx1: Optional[Context] = None
     ctx2: Optional[Context] = None
 
@@ -233,12 +235,11 @@ def _kept(node: ProofNode) -> list:
 def cut_loops(root: ProofNode) -> ProofNode:
     """The proof with every detour inside a one-premise chain cut out.
 
-    When a node's conclusion equals (strictly, origins included)
-    the conclusion of a node higher up the same chain of one-premise
-    nodes, or of the chain's base, the proof above the higher node takes
-    the lower node's place, and the nodes in between go.  Rules and
-    witnesses of the surviving nodes are kept, and the root's conclusion
-    does not change.  Afterwards no chain repeats a conclusion.
+    When a node's conclusion equals the conclusion of a node higher up the
+    same chain of one-premise nodes, or of the chain's base, the proof above
+    the higher node takes the lower node's place, and the nodes in between
+    go.  Rules and witnesses of the surviving nodes are kept, and the root's
+    conclusion does not change.  Afterwards no chain repeats a conclusion.
 
     Cutting keeps a proof a proof.  Every checker judges a node by its own
     conclusion and the conclusions of its premises (`check_tree`), and a
@@ -312,8 +313,6 @@ def _witness_dict(w: Witness, long: list) -> dict:
         out["context"] = _text(w.context, context_text(w.context), long)
     if w.principal is not None:
         out["principal"] = _text(w.principal, formula_text(w.principal), long)
-    if w.child_origin is not None:
-        out["child_origin"] = w.child_origin
     if w.ctx1 is not None:
         out["ctx1"] = _text(w.ctx1, context_text(w.ctx1), long)
     if w.ctx2 is not None:
@@ -372,6 +371,7 @@ def _check_types(what: str, data: dict, types: dict) -> None:
 
 
 _NODE_TYPES = {"rule": str, "conclusion": str, "premises": list}
+# `child_origin` is read, type-checked and ignored (see the module docstring)
 _WITNESS_TYPES = {"context": str, "principal": str, "child_origin": int, "ctx1": str, "ctx2": str}
 
 
@@ -390,7 +390,6 @@ def _read_witness(data: dict, table: dict) -> Witness:
         return Witness(
             context=context("context"),
             principal=_read_formula(data["principal"], table) if "principal" in data else None,
-            child_origin=data.get("child_origin"),
             ctx1=context("ctx1"),
             ctx2=context("ctx2"),
         )

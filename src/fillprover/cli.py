@@ -339,14 +339,17 @@ def cmd_corpus(args) -> int:
         print("--vars needs a comma-separated list of lowercase names", file=sys.stderr)
         return 2
     n = 0
-    with ExitStack() as stack:
-        try:
+    try:
+        with ExitStack() as stack:
             sink = sys.stdout if args.out is None else stack.enter_context(_overwritten(args.out))
-        except OSError as e:
-            return _cannot_write(args.out, e)
-        for f in corpus_formulas(variables, args.max_size, args.logic):
-            sink.write(json.dumps(corpus_record(f)) + "\n")
-            n += 1
+            for f in corpus_formulas(variables, args.max_size, args.logic):
+                sink.write(json.dumps(corpus_record(f)) + "\n")
+                n += 1
+    except OSError as e:
+        # the open, a write partway through, or the flush as the file closes
+        if args.out is None:
+            raise
+        return _cannot_write(args.out, e)
     print(f"{n} records", file=sys.stderr)
     return 0
 

@@ -3,7 +3,7 @@ tree, read bottom-up from conclusion to premises.
 
 Axioms close a branch only when the rest of the whole tree is hollow.  Unary
 rules unfold a connective in place; the two implication-like connectives
-spawn a child sequent, of origin 0 like every child a rule makes.  Branching
+spawn a child sequent.  Branching
 rules split the surrounding context and the remaining material of the
 rewritten node between two premises.  Search walks the tree once per
 state, charges each occurrence once, and sums those charges over every
@@ -33,11 +33,12 @@ and `prop_left_out` a left-nested child, which only `excl_l` makes.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
 from .certs import CheckError, ProofNode, Witness, check_fragment, check_tree
 from .formula import (
+    _EXCL,
     Atom,
     Excl,
     Formula,
@@ -47,17 +48,14 @@ from .formula import (
     UnitBot,
     UnitI,
     _clip,
-    formula_text,
 )
 from .sequent import (
     HOLE,
     Context,
     Hole,
-    Occ,
     Sequent,
     _tally,
     child_seqs,
-    children_by_origin,
     context_decompose,
     is_fill_sequent,
     occs,
@@ -98,15 +96,15 @@ class Move(NamedTuple):
 
 def endsequent_for(formula: Formula) -> Sequent:
     """The root sequent asserting the formula."""
-    return Sequent((), (Occ(formula),))
+    return Sequent((), (formula,))
 
 
 def _edit(s: Sequent, side: str, gone: tuple = (), added: tuple = ()) -> Sequent:
     """`s` with the items `gone` taken off one side and `added` put on it."""
     items = side_remove(getattr(s, side), gone) + added
     if side == "left":
-        return Sequent(items, s.right, s.origin)
-    return Sequent(s.left, items, s.origin)
+        return Sequent(items, s.right)
+    return Sequent(s.left, items)
 
 
 # ------------------------------------------------------------- rule shapes
@@ -171,35 +169,33 @@ def _on(side: str, rule: str) -> str:
     return rule if side == "left" else _MIRROR[rule]
 
 
-def _sided(side: str, near: tuple, far: tuple, origin: int = 0) -> Sequent:
+def _sided(side: str, near: tuple, far: tuple) -> Sequent:
     """The sequent with `near` on `side` and `far` on the other side."""
     if side == "left":
-        return Sequent(near, far, origin)
-    return Sequent(far, near, origin)
+        return Sequent(near, far)
+    return Sequent(far, near)
 
 
-def _principals(rule: str, node: Sequent) -> Iterator[Occ]:
+def _principals(rule: str, node: Sequent) -> Iterator[Formula]:
     """The occurrences of the node that `rule` can act on."""
     side, connective = _LOGICAL[rule]
-    return (occ for occ in occs(getattr(node, side)) if type(occ.formula) is connective)
+    return (it for it in getattr(node, side) if type(it) is connective)
 
 
-def _unfolding(f: Formula, origin: int = 0) -> tuple:
+def _unfolding(f: Formula) -> tuple:
     """What an unfolding rule leaves in place of its principal formula: a
     unit vanishes, * on the left and | on the right leave both halves, and
-    -o on the right or -< on the left leave the child `[A => B]`.  Search
-    and the checker spawn that child with origin 0; the sn->dn translator
-    gives it an origin of its own while it works."""
+    -o on the right or -< on the left leave the child `[A => B]`."""
     if isinstance(f, (UnitI, UnitBot)):
         return ()
     if isinstance(f, (Tensor, Par)):
-        return (Occ(f.left), Occ(f.right))
-    return (Sequent((Occ(f.left),), (Occ(f.right),), origin),)
+        return (f.left, f.right)
+    return (Sequent((f.left,), (f.right,)),)
 
 
-def _unfold(rule: str, node: Sequent, occ: Occ, origin: int = 0) -> Sequent:
-    """The node after the unfolding rule acts on `occ`."""
-    return _edit(node, _LOGICAL[rule][0], (occ,), _unfolding(occ.formula, origin))
+def _unfold(rule: str, node: Sequent, f: Formula) -> Sequent:
+    """The node after the unfolding rule acts on its occurrence `f`."""
+    return _edit(node, _LOGICAL[rule][0], (f,), _unfolding(f))
 
 
 def _split_premises(
@@ -209,21 +205,18 @@ def _split_premises(
     and whose rewritten node, less `f`, splits into r1 and r2."""
     a_side, b_side = _SPLIT[rule]
     return (
-        plug(c1, _edit(r1, a_side, (), (Occ(f.left),))),
-        plug(c2, _edit(r2, b_side, (), (Occ(f.right),))),
+        plug(c1, _edit(r1, a_side, (), (f.left,))),
+        plug(c2, _edit(r2, b_side, (), (f.right,))),
     )
 
 
-def _branch_conclusion(
-    rule: str, p1: Sequent, a: Occ, p2: Sequent, b: Occ, principal: Optional[Occ] = None
-) -> Sequent:
+def _branch_conclusion(rule: str, p1: Sequent, a: Formula, p2: Sequent, b: Formula) -> Sequent:
     """Root-level conclusion of a branch rule whose premises have active
-    occurrences `a` and `b`: both premises' other material plus the principal
-    occurrence, by default the rule's connective over the two."""
+    occurrences `a` and `b`: both premises' other material plus the rule's
+    connective over the two."""
     side, connective = _LOGICAL[rule]
     a_side, b_side = _SPLIT[rule]
-    if principal is None:
-        principal = Occ(connective(a.formula, b.formula))
+    principal = connective(a, b)
     items = {"left": p1.left + p2.left, "right": p1.right + p2.right}
     items[a_side] = side_remove(items[a_side], (a,))
     items[b_side] = side_remove(items[b_side], (b,))
@@ -231,7 +224,7 @@ def _branch_conclusion(
     return Sequent(items["left"], items["right"])
 
 
-def _prop_sites(rule: str, node: Sequent) -> Iterator[tuple[Sequent, Occ]]:
+def _prop_sites(rule: str, node: Sequent) -> Iterator[tuple[Sequent, Formula]]:
     """(child, occurrence) pairs the propagation rule can move at the node."""
     occ_side, kid_side, inward = _PROP_SHAPE[rule]
     kids = child_seqs(getattr(node, kid_side))
@@ -245,7 +238,7 @@ def _prop_sites(rule: str, node: Sequent) -> Iterator[tuple[Sequent, Occ]]:
                 yield kid, occ
 
 
-def _propagate(rule: str, node: Sequent, kid: Sequent, occ: Occ) -> tuple[Sequent, Sequent]:
+def _propagate(rule: str, node: Sequent, kid: Sequent, occ: Formula) -> tuple[Sequent, Sequent]:
     """The node after `occ` crosses the boundary of its child `kid`, and that
     child as it then stands."""
     occ_side, kid_side, inward = _PROP_SHAPE[rule]
@@ -257,7 +250,7 @@ def _propagate(rule: str, node: Sequent, kid: Sequent, occ: Occ) -> tuple[Sequen
         kid2 = _edit(kid, occ_side, (occ,))
         items[occ_side] += (occ,)
     items[kid_side] = side_remove(items[kid_side], (kid,)) + (kid2,)
-    return Sequent(items["left"], items["right"], node.origin), kid2
+    return Sequent(items["left"], items["right"]), kid2
 
 
 # ------------------------------------------------------------------ moves
@@ -292,10 +285,10 @@ def _axiom_move(s: Sequent) -> Optional[Move]:
             for it in items:
                 if isinstance(it, Sequent):
                     todo.append((it, (trail, node, side, it)))
-                elif isinstance(it, Occ):
+                else:
                     if found and (at is not trail or len(found) == 2):
                         return None
-                    found.append((side, it.formula))
+                    found.append((side, it))
                     at = trail
     rule = None
     if len(found) == 1:
@@ -342,7 +335,7 @@ def _charges(x: Context, fields: dict) -> list[int]:
     out: list = []
     if isinstance(x, Sequent):
         for pol, items in enumerate((x.left, x.right)):
-            out += [_charge_of(o.formula, pol, fields) for o in reversed(occs(items))]
+            out += [_charge_of(f, pol, fields) for f in reversed(occs(items))]
             for kid in child_seqs(items):
                 out += _charges(kid, fields)
     return out
@@ -362,19 +355,19 @@ def _sums(charges: list[int]) -> list[int]:
 
 def _halves(x: Context, digits: Iterator[int]) -> tuple[Context, Context]:
     """The two halves of `x` under the colouring whose digits, in the order
-    of `_charges`, `digits` gives.  Both halves keep every child, with its
-    origin, and the hole."""
+    of `_charges`, `digits` gives.  Both halves keep every child and the
+    hole."""
     if not isinstance(x, Sequent):
         return x, x
     halves = (([], []), ([], []))  # each half's left and right items
     for k, items in enumerate((x.left, x.right)):
-        for o in reversed(occs(items)):
-            halves[next(digits)][k].append(o)
+        for f in reversed(occs(items)):
+            halves[next(digits)][k].append(f)
         for it in items:
-            if not isinstance(it, Occ):
+            if it[0] > _EXCL:
                 for half, part in zip(halves, _halves(it, digits)):
                     half[k].append(part)
-    return tuple(Sequent(left, right, x.origin) for left, right in halves)
+    return tuple(Sequent(left, right) for left, right in halves)
 
 
 def _colouring(j: int, charges: list) -> Iterator[int]:
@@ -428,10 +421,10 @@ def deep_moves(s: Sequent) -> Iterator[Move]:
                 if isinstance(it, Sequent):
                     kids.append((it, (trail, node, side, it)))
                     continue
-                rule = _RULE_AT.get((side, type(it.formula)))
+                rule = _RULE_AT.get((side, type(it)))
                 if rule in UNARY_LOGICAL_RULES:
                     premise = _put(trail, _unfold(rule, node, it))
-                    yield Move(rule, (premise,), Witness(context=_put(trail, HOLE), principal=it.formula))
+                    yield Move(rule, (premise,), Witness(context=_put(trail, HOLE), principal=it))
                     return
                 if rule is not None:
                     sites.append((rule, side, it))
@@ -441,13 +434,12 @@ def deep_moves(s: Sequent) -> Iterator[Move]:
     fields: dict = {}
     for trail, node, sites in spots:
         ctx = None
-        for rule, side, occ in sites:
+        for rule, side, f in sites:
             if ctx is None:
                 ctx = _put(trail, HOLE)
                 outer = _charges(ctx, fields)
                 outer_sums = _sums(outer)
-            f = occ.formula
-            rest = _edit(node, side, (occ,))
+            rest = _edit(node, side, (f,))
             inner = _charges(rest, fields)
             fitting: dict = {}
             for i, c in enumerate(_sums(inner)):
@@ -483,7 +475,7 @@ def _prop_moves(trail: tuple, node: Sequent) -> Iterator[Move]:
                 continue
             seen.add((rule, new))
             ctx = _put(trail, HOLE) if ctx is None else ctx
-            yield Move(rule, (_put(trail, new),), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin))
+            yield Move(rule, (_put(trail, new),), Witness(context=ctx, principal=occ))
 
 
 # ---------------------------------------------------------------- checking
@@ -496,73 +488,27 @@ def _quoted(s: Sequent) -> str:
 
 def _lift_items(lab: tuple, c1: tuple, c2: tuple) -> Iterator[tuple[tuple, tuple]]:
     """Ways to split the items so the halves lift onto exactly the two
-    claimed item multisets: the same occurrences, and each child lifted
-    onto one claimed child of its origin (`_lift_kids`)."""
-    lab_holes = [it for it in lab if isinstance(it, Hole)]
-    if any(
-        len([it for it in items if isinstance(it, Hole)]) != len(lab_holes)
-        for items in (c1, c2)
+    claimed item multisets: the same occurrences and holes, and the
+    children, all of them as one group, each lifted onto one claimed child
+    of each (`_lift_kids`).  Equal occurrences are interchangeable, so the
+    occurrences split one way only, as the claims do."""
+    holes = tuple(it for it in lab if isinstance(it, Hole))
+    kids, kids1, kids2 = child_seqs(lab), child_seqs(c1), child_seqs(c2)
+    occ1, occ2 = occs(c1), occs(c2)
+    if (
+        any(sum(isinstance(it, Hole) for it in items) != len(holes) for items in (c1, c2))
+        or not len(kids) == len(kids1) == len(kids2)
+        or sorted(occs(lab)) != sorted(occ1 + occ2)
     ):
         return
-
-    groups: dict = {}
-    for it in lab:
-        if isinstance(it, Occ):
-            groups.setdefault(it.formula, []).append(it)
-    want1: dict = {}
-    want2: dict = {}
-    for items, want in ((c1, want1), (c2, want2)):
-        for it in items:
-            if isinstance(it, Occ):
-                want[it.formula] = want.get(it.formula, 0) + 1
-    keys = set(groups) | set(want1) | set(want2)
-    if any(len(groups.get(t, ())) != want1.get(t, 0) + want2.get(t, 0) for t in keys):
-        return
-
-    lab_kids = children_by_origin(lab)
-    kids1 = children_by_origin(c1)
-    kids2 = children_by_origin(c2)
-    origins = set(lab_kids) | set(kids1) | set(kids2)
-    if any(
-        len(lab_kids.get(g, ())) != len(kids1.get(g, ())) or len(lab_kids.get(g, ())) != len(kids2.get(g, ()))
-        for g in origins
-    ):
-        return
-
-    occ_choices = []
-    for t in sorted(groups, key=formula_text):
-        group = groups[t]
-        picks = []
-        for idx_sel in combinations(range(len(group)), want1.get(t, 0)):
-            chosen = set(idx_sel)
-            pick = ([group[i] for i in idx_sel], [group[i] for i in range(len(group)) if i not in chosen])
-            if pick not in picks:
-                picks.append(pick)
-        occ_choices.append(picks)
-
-    kid_choices = []
-    for g in sorted(origins):
-        options = _lift_kids(lab_kids.get(g, []), kids1.get(g, []), kids2.get(g, []))
-        if not options:
-            return
-        kid_choices.append(options)
-
-    for occ_combo in product(*occ_choices):
-        first_occs = [o for sel, _ in occ_combo for o in sel]
-        second_occs = [o for _, rest in occ_combo for o in rest]
-        for kid_combo in product(*kid_choices):
-            first_kids = [k for kk, _ in kid_combo for k in kk]
-            second_kids = [k for _, kk in kid_combo for k in kk]
-            yield (
-                tuple(first_occs + first_kids + lab_holes),
-                tuple(second_occs + second_kids + lab_holes),
-            )
+    for first, second in _lift_kids(kids, kids1, kids2) if kids else [((), ())]:
+        yield occ1 + first + holes, occ2 + second + holes
 
 
-def _lift_kids(labs: list, a_kids: list, b_kids: list) -> list[tuple[tuple, tuple]]:
-    """The distinct ways to lift the children `labs`, which share an origin,
-    each onto one child of `a_kids` and one of `b_kids`, in the order of the
-    pairs of index permutations that give them.  A prefix that pairs a child
+def _lift_kids(labs: tuple, a_kids: tuple, b_kids: tuple) -> list[tuple[tuple, tuple]]:
+    """The distinct ways to lift the children `labs`, all those of one side
+    of a node, each onto one child of `a_kids` and one of `b_kids`, in the
+    order of the pairs of index permutations that give them.  A prefix that pairs a child
     with claims it cannot lift onto is dropped with every permutation
     extending it, so children that differ from each other cost little; equal
     claims are still tried in every order."""
@@ -596,11 +542,9 @@ def _lift_kids(labs: list, a_kids: list, b_kids: list) -> list[tuple[tuple, tupl
 
 
 def _lift_seq(lab: Sequent, c1: Sequent, c2: Sequent) -> Iterator[tuple[Sequent, Sequent]]:
-    if not (lab.origin == c1.origin == c2.origin):
-        return
     for l1, l2 in _lift_items(lab.left, c1.left, c2.left):
         for r1, r2 in _lift_items(lab.right, c1.right, c2.right):
-            yield Sequent(l1, r1, lab.origin), Sequent(l2, r2, lab.origin)
+            yield Sequent(l1, r1), Sequent(l2, r2)
 
 
 def _lift_context(lab: Context, c1: Context, c2: Context) -> Iterator[tuple[Context, Context]]:
@@ -627,13 +571,13 @@ def _instances(
     elif rule in BRANCH_RULES:
         yield from _branch_instances(rule, ctx, redex, w, claims)
     elif rule in UNARY_LOGICAL_RULES:
-        for occ in _principals(rule, redex):
-            if w.principal in (None, occ.formula):
-                yield (plug(ctx, _unfold(rule, redex, occ)),)
+        for f in _principals(rule, redex):
+            if w.principal in (None, f):
+                yield (plug(ctx, _unfold(rule, redex, f)),)
     else:
-        for kid, occ in _prop_sites(rule, redex):
-            if w.principal in (None, occ.formula) and w.child_origin in (None, kid.origin):
-                yield (plug(ctx, _propagate(rule, redex, kid, occ)[0]),)
+        for kid, f in _prop_sites(rule, redex):
+            if w.principal in (None, f):
+                yield (plug(ctx, _propagate(rule, redex, kid, f)[0]),)
 
 
 def _branch_instances(
@@ -646,14 +590,13 @@ def _branch_instances(
     sredex2 = context_decompose(w.ctx2, claims[1])
     if sredex1 is None or sredex2 is None:
         return
-    for occ in _principals(rule, redex):
-        f = occ.formula
+    for f in _principals(rule, redex):
         if w.principal not in (None, f):
             continue
-        rest = _edit(redex, _LOGICAL[rule][0], (occ,))
+        rest = _edit(redex, _LOGICAL[rule][0], (f,))
         try:
-            crest1 = _edit(sredex1, a_side, (Occ(f.left),))
-            crest2 = _edit(sredex2, b_side, (Occ(f.right),))
+            crest1 = _edit(sredex1, a_side, (f.left,))
+            crest2 = _edit(sredex2, b_side, (f.right,))
         except ValueError:
             continue
         # the witness pins only the context halves; the rewritten node's own
@@ -688,10 +631,11 @@ def _derives(node: ProofNode, c: Sequent, claims: tuple[Sequent, ...]) -> bool:
 def check_dn_proof(root: ProofNode, expect: Optional[Sequent] = None) -> None:
     """Validate a proof tree in the deep calculus: `certs.check_tree` with
     the local step `_derives`, after comparing the root conclusion with
-    `expect` when one is given.  Sequents compare exactly, origins included;
-    a child that `lolli_r` or `excl_l` spawns has origin 0, so a certificate
-    writes it without an `@` suffix.  Raises CheckError with a reason on any
-    defect."""
+    `expect` when one is given.  Sequents compare exactly, as the multisets
+    they are: nothing but its formulas and children tells one child from
+    another, so a propagation may cross any child that gives the stated
+    premise, and a branch rule's children lift as one group.  Raises
+    CheckError with a reason on any defect."""
     check_tree(root, DN_RULES, _derives, expect=expect)
 
 

@@ -59,7 +59,7 @@ from .formula import (
     formula_text,
     is_fill_formula,
 )
-from .sequent import _OCC, _SEQUENT, Occ, Sequent
+from .sequent import _SEQUENT, Sequent
 
 __all__ = [
     "SLeaf",
@@ -224,9 +224,9 @@ def nesting(values) -> tuple[int, str]:
         if tag in _OPERANDS:
             parts = x[1:]
         elif tag == _SEQUENT:
-            parts = x[2] + x[3]
+            parts = x[1] + x[2]
         else:
-            parts = x[1:2] if tag == _OCC or tag == _LEAF else ()
+            parts = x[1:2] if tag == _LEAF else ()
         new = [p for p in parts if id(p) not in known]
         if new:
             todo += new
@@ -368,16 +368,16 @@ def sequent_to_display(s) -> DisplaySequent:
     """Canonical structural reading of a nested sequent: each side becomes a
     left-associated comma of its items in canonical order, a right-nested
     child becomes `ant > suc`, a left-nested child becomes `ant < suc`, and
-    an empty side becomes `Phi`.  Hop counts and origins are dropped."""
+    an empty side becomes `Phi`."""
 
     def side(items, make_child) -> Structure:
         parts = []
         for it in items:
-            if isinstance(it, Occ):
-                parts.append(SLeaf(it.formula))
-            elif isinstance(it, Sequent):
+            if isinstance(it, Sequent):
                 child = sequent_to_display(it)
                 parts.append(make_child(child.ant, child.suc))
+            elif it[0] < _SEQUENT:
+                parts.append(SLeaf(it))
             else:
                 raise ValueError("cannot embed a context hole as a structure")
         return comma_join(parts)

@@ -209,9 +209,10 @@ def _tokenize(text: str) -> list[str]:
 
     - The tokens are the union of what the three grammars use.  Formulas:
       identifiers `[a-z][a-z0-9_]*`, `1`, `(`, `)`, `*`, `|`, `-o`, `-<`.
-      Nested sequents: `=>`, `[`, `]`, `,`, `_` and child origins
-      `@<digits>`.  Display structures: `|-`, `>`, `<`, `,`, and `Phi` when
-      no identifier character follows it.  Whitespace separates tokens and
+      Nested sequents: `=>`, `[`, `]`, `,`, `_` and the origins
+      `@<digits>` of older text, which the sequent reader skips.  Display
+      structures: `|-`, `>`, `<`, `,`, and `Phi` when no identifier
+      character follows it.  Whitespace separates tokens and
       is otherwise ignored; any other character is a ParseError that names
       it and its position.  Tokens are read longest first (`|-` before `|`,
       `-<` before `<`), which changes no valid input, and each grammar

@@ -269,7 +269,7 @@ from typing import NamedTuple, Optional
 from .certs import ProofNode, stack_room
 from .deep import check_separation, deep_moves, endsequent_for
 from .formula import _ATOM, _BOT, _EXCL, _LOLLI, _ONE, _PAR, _TENSOR, Formula, arrow_count, formula_size, is_fill_formula
-from .sequent import Occ, Sequent, _tally, is_fill_sequent, tau_s
+from .sequent import Sequent, _tally, is_fill_sequent, tau_s
 
 __all__ = ["Decision", "goal_reading", "branch_bound", "decide_formula", "decide_sequent"]
 
@@ -306,8 +306,8 @@ _REFUTED = Decision("refuted", None, 0)
 def goal_reading(s: Sequent) -> Formula:
     """The formula whose bounds a search for the sequent uses: `F` for a
     root `=> F`, as `decide_formula` searches it, else `tau_s(s)`."""
-    if not s.left and len(s.right) == 1 and isinstance(s.right[0], Occ):
-        return s.right[0].formula
+    if not s.left and len(s.right) == 1 and not isinstance(s.right[0], Sequent):
+        return s.right[0]
     return tau_s(s)
 
 

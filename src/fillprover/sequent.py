@@ -1,36 +1,31 @@
 """Nested sequents: finite trees whose nodes are two-sided formula multisets.
 
-A node `S => T` holds formula occurrences on both sides plus child sequents.
-Each child carries an integer `origin`.  Every child that a rule spawns has
-origin 0; another origin comes only from sequent text, such as an
-endsequent `a => a, [=>]@1` given by a user, and is then read, kept and
-compared like any other part of the tree.  Items are tagged tuples, as
-formulas are (`formula.py`), with tags above the formulas' own: `Occ` is
-`(7, formula)`, `Sequent` is `(8, origin, left, right)` and a hole is
-`(9,)`.  So tuple order is the canonical order, equality is structural,
-the interpreter computes the hash, and no formula equals an item.  A
-`Sequent` sorts each side when it is built, so equality of `Sequent` values
-is multiset equality and the values are usable as search keys directly.
-Display structures take the tags above these (`display.py`).
+A node `S => T` holds formula occurrences on both sides plus child
+sequents, and nothing else: an occurrence is its formula, and a child is
+its two sides, with no annotation on either, as in the paper's
+annotation-free calculi.  Items are tagged tuples, as formulas are
+(`formula.py`): an item is a formula (tags 0-6), a `Sequent`
+`(8, left, right)` or the hole `(9,)`.  So tuple order is the canonical
+order, formulas before children before the hole, equality is structural,
+and the interpreter computes the hash.  A `Sequent` sorts each side when
+it is built, so equality of `Sequent` values is multiset equality and the
+values are usable as search keys directly.  Display structures take the
+tags above these (`display.py`).
 
 Text syntax: `Gamma => Delta` with comma-separated items; a child sequent is
-written in brackets with its origin as a suffix, `[a => b]@2` (`@0` is
-omitted); `_` marks the hole of a context.  The text is read by the parser
-core in `formula.py` (`_tokenize`), which bounds how deep it nests;
+written in brackets, `[a => b]`; `_` marks the hole of a context.  Older
+text may follow a sequent or a child with an origin `@<digits>`, as in
+`a => a, [=>]@1`: it is read and ignored, so that text reads as
+`a => a, [=>]`, and the printer never writes one.  The text is read by the
+parser core in `formula.py` (`_tokenize`), which bounds how deep it nests;
 `display.nesting`, the one nesting measure, counts a sequent's brackets as
 that reader does.
-
-The shallow calculus compares sequents with every origin set to 0
-(`shallow.zero_origins`).  That walk is check-first: one read-only pass
-looks for an origin to zero, and when there is none the walk returns its
-argument itself and builds nothing, so on a sequent with nothing to drop
-the walk is that one pass.
 
 A context is a nested sequent with exactly one hole standing for a whole
 node; `plug` substitutes a sequent for the hole.  `HOLE` itself is the empty
 context.  The resource splitting of the branching rules two-colours every
-formula occurrence of the tree, so both halves keep the tree shape and
-origins; the deep search generates the splits (`deep.deep_moves`).
+formula occurrence of the tree, so both halves keep the tree shape; the
+deep search generates the splits (`deep.deep_moves`).
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ from .formula import (
 )
 
 __all__ = [
-    "Occ",
     "Hole",
     "HOLE",
     "Sequent",
@@ -76,7 +70,6 @@ __all__ = [
     "side_remove",
     "occs",
     "child_seqs",
-    "children_by_origin",
     "sequent_node_count",
     "is_hollow",
     "is_fill_sequent",
@@ -91,20 +84,7 @@ __all__ = [
 
 
 # item tags, above the formula tags, in the canonical order of the kinds
-_OCC, _SEQUENT, _HOLE = 7, 8, 9
-
-
-class Occ(_Tagged):
-    """One formula occurrence in a sequent."""
-
-    __slots__ = ()
-    formula = property(itemgetter(1))
-
-    def __new__(cls, formula: Formula):
-        return tuple.__new__(cls, (_OCC, formula))
-
-    def __str__(self) -> str:
-        return formula_text(self.formula)
+_SEQUENT, _HOLE = 8, 9
 
 
 class Hole(_Tagged):
@@ -122,14 +102,13 @@ HOLE = Hole()
 
 class Sequent(_Tagged):
     __slots__ = ()
-    origin = property(itemgetter(1))
-    left = property(itemgetter(2))
-    right = property(itemgetter(3))
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
 
-    def __new__(cls, left: tuple = (), right: tuple = (), origin: int = 0):
-        return tuple.__new__(cls, (_SEQUENT, origin, tuple(sorted(left)), tuple(sorted(right))))
+    def __new__(cls, left: tuple = (), right: tuple = ()):
+        return tuple.__new__(cls, (_SEQUENT, tuple(sorted(left)), tuple(sorted(right))))
 
-    def __init__(self, left: tuple = (), right: tuple = (), origin: int = 0):
+    def __init__(self, left: tuple = (), right: tuple = ()):
         # `__new__` builds the value; this stays so that a wrapper of
         # `__init__`, such as perfbench's construction counter, can pass
         # the constructor's arguments on
@@ -139,26 +118,19 @@ class Sequent(_Tagged):
         return sequent_text(self)
 
 
-Item = Union[Occ, Sequent, Hole]
+Item = Union[Formula, Sequent, Hole]
 Context = Union[Hole, Sequent]
 
 
 # ------------------------------------------------------- basic inspection
 
-def occs(items) -> tuple[Occ, ...]:
-    return tuple(it for it in items if isinstance(it, Occ))
+def occs(items) -> tuple[Formula, ...]:
+    """The formula occurrences among `items`: those with a formula's tag."""
+    return tuple(it for it in items if it[0] <= _EXCL)
 
 
 def child_seqs(items) -> tuple[Sequent, ...]:
     return tuple(it for it in items if isinstance(it, Sequent))
-
-
-def children_by_origin(items) -> dict[int, list[Sequent]]:
-    groups: dict[int, list[Sequent]] = {}
-    for it in items:
-        if isinstance(it, Sequent):
-            groups.setdefault(it.origin, []).append(it)
-    return groups
 
 
 def sequent_node_count(s: Sequent) -> int:
@@ -179,11 +151,11 @@ def is_hollow(s: Sequent) -> bool:
 def is_fill_sequent(s: Sequent) -> bool:
     """Right-nested only, and every formula stays inside FILL."""
     for it in s.left:
-        if not (isinstance(it, Occ) and is_fill_formula(it.formula)):
+        if not (it[0] <= _EXCL and is_fill_formula(it)):
             return False
     for it in s.right:
-        if isinstance(it, Occ):
-            if not is_fill_formula(it.formula):
+        if it[0] <= _EXCL:
+            if not is_fill_formula(it):
                 return False
         elif isinstance(it, Sequent):
             if not is_fill_sequent(it):
@@ -221,7 +193,7 @@ def _side(toks: list[str], i: int, table: dict) -> tuple[list[Item], int]:
             items.append(child)
         else:
             f, i = _formula_at(toks, i, table)
-            items.append(Occ(f))
+            items.append(f)
         if i == n or toks[i] != ",":
             return items, i
         i += 1
@@ -242,28 +214,21 @@ def _child(toks: list[str], i: int, table: dict) -> tuple[Sequent, int]:
     left, right, i = _sides(toks, i, table)
     if i == len(toks) or toks[i] != "]":
         raise ParseError("unbalanced '['")
-    origin, i = _origin(toks, i + 1)
-    return Sequent(left, right, origin), i
+    return Sequent(left, right), _past_origin(toks, i + 1)
 
 
-def _origin(toks: list[str], i: int) -> tuple[int, int]:
-    """The optional `@n` origin after a sequent, 0 when absent, and the
-    index past it."""
-    if i == len(toks) or toks[i][0] != "@":
-        return 0, i
-    try:
-        return int(toks[i][1:]), i + 1
-    except ValueError:  # past the interpreter's limit on digits
-        raise ParseError(f"origin of {len(toks[i]) - 1} digits is too long") from None
+def _past_origin(toks: list[str], i: int) -> int:
+    """The index past the `@n` origin that older text may write after a
+    sequent, which is read and ignored; `i` itself when there is none."""
+    return i + 1 if i < len(toks) and toks[i][0] == "@" else i
 
 
 def _read_sequent(text: str, table: dict) -> Sequent:
     """The sequent `text`, its formulas read through `table`."""
     toks = _tokenize(text)
     left, right, i = _sides(toks, 0, table)
-    origin, i = _origin(toks, i)
-    _end(toks, i)
-    return Sequent(left, right, origin)
+    _end(toks, _past_origin(toks, i))
+    return Sequent(left, right)
 
 
 def _read_context(text: str, table: dict) -> Context:
@@ -293,22 +258,17 @@ def _core_text(s: Sequent) -> str:
 
 
 def _item_text(it: Item) -> str:
-    match it:
-        case Occ(formula=f):
-            return formula_text(f)
-        case Sequent(origin=g):
-            inner = _core_text(it)
-            return f"[{inner}]@{g}" if g else f"[{inner}]"
-        case Hole():
-            return "_"
-    raise TypeError(f"not a sequent item: {it!r}")
+    tag = it[0]
+    if tag == _SEQUENT:
+        return f"[{_core_text(it)}]"
+    if tag == _HOLE:
+        return "_"
+    return formula_text(it)  # a TypeError on anything but a formula
 
 
 def sequent_text(s: Sequent) -> str:
-    """Canonical rendering: items in canonical order, child origins as `@n`
-    suffixes."""
-    t = _core_text(s)
-    return f"{t} @{s.origin}" if s.origin else t
+    """Canonical rendering: items in canonical order."""
+    return _core_text(s)
 
 
 # ---------------------------------------------------------------- contexts
@@ -316,8 +276,8 @@ def sequent_text(s: Sequent) -> str:
 def hole_count(x) -> int:
     tag = x[0]
     if tag == _SEQUENT:
-        return sum(map(hole_count, x[2])) + sum(map(hole_count, x[3]))
-    if tag == _OCC:
+        return sum(map(hole_count, x[1])) + sum(map(hole_count, x[2]))
+    if tag <= _EXCL:
         return 0
     if tag == _HOLE:
         return 1
@@ -328,7 +288,7 @@ def _has_hole(x: Item) -> bool:
     """Whether a hole occurs in the item `x`; stops at the first."""
     tag = x[0]
     if tag == _SEQUENT:
-        return any(map(_has_hole, x[2])) or any(map(_has_hole, x[3]))
+        return any(map(_has_hole, x[1])) or any(map(_has_hole, x[2]))
     return tag == _HOLE
 
 
@@ -343,8 +303,7 @@ def _holder(ctx: Sequent) -> tuple[str, Item] | None:
 
 
 def plug(ctx: Context, s: Sequent) -> Sequent:
-    """Substitute `s` for the hole.  The plugged node keeps the origin carried
-    by `s` itself; the hole is position only."""
+    """Substitute `s` for the hole."""
     if isinstance(ctx, Hole):
         return s
 
@@ -360,7 +319,7 @@ def plug(ctx: Context, s: Sequent) -> Sequent:
         return tuple(out)
 
     def subst_seq(node: Sequent) -> Sequent:
-        return Sequent(subst(node.left), subst(node.right), node.origin)
+        return Sequent(subst(node.left), subst(node.right))
 
     return subst_seq(ctx)
 
@@ -379,7 +338,7 @@ def context_decompose(ctx: Context, tree: Sequent) -> Sequent | None:
     """The unique sequent `n` with `plug(ctx, n) == tree`, or None."""
     if isinstance(ctx, Hole):
         return tree
-    if not isinstance(tree, Sequent) or ctx.origin != tree.origin:
+    if not isinstance(tree, Sequent):
         return None
     held = _holder(ctx)
     if held is None:
@@ -413,23 +372,15 @@ def _join(fs: list[Formula], make, empty: Formula) -> Formula:
 
 
 def _tau(s: Sequent, arrow) -> Formula:
-    ant = []
-    for it in s.left:
-        if isinstance(it, Occ):
-            ant.append(it.formula)
-        elif isinstance(it, Sequent):
-            ant.append(_tau(it, Excl))
-        else:
-            raise ValueError("cannot interpret a context hole as a formula")
-    suc = []
-    for it in s.right:
-        if isinstance(it, Occ):
-            suc.append(it.formula)
-        elif isinstance(it, Sequent):
-            suc.append(_tau(it, Lolli))
-        else:
-            raise ValueError("cannot interpret a context hole as a formula")
-    return arrow(_join(ant, Tensor, UnitI()), _join(suc, Par, UnitBot()))
+    sides = []
+    for items, child in ((s.left, Excl), (s.right, Lolli)):
+        fs = []
+        for it in items:
+            if isinstance(it, Hole):
+                raise ValueError("cannot interpret a context hole as a formula")
+            fs.append(_tau(it, child) if isinstance(it, Sequent) else it)
+        sides.append(fs)
+    return arrow(_join(sides[0], Tensor, UnitI()), _join(sides[1], Par, UnitBot()))
 
 
 def tau_s(s: Sequent) -> Formula:
@@ -467,7 +418,7 @@ def signed_counts(s: Sequent | Formula) -> SignedCounts:
     negative `bot`; a branching connective is a positive `*` or `-<`, or a
     negative `|` or `-o`, the principal formulas of the four branch rules.
     Child structures count nothing.  A bare formula counts as the sole
-    succedent of an otherwise empty sequent.  Origins play no part.  Every provable sequent is balanced, each atom occurring
+    succedent of an otherwise empty sequent.  Every provable sequent is balanced, each atom occurring
     as often negatively as positively, and has deficit 0, the deficit being
     `leaves - branches - 1` (the counting lemma in the `prover`
     module docstring).
@@ -497,12 +448,10 @@ def _tally(x, pol: int, atoms: dict, sums: list) -> None:
             c = atoms[x[1]] = [0, 0]
         c[pol] += 1
         sums[0] += pol
-    elif tag == _OCC:
-        _tally(x[1], pol, atoms, sums)
     elif tag == _SEQUENT:
-        for it in x[2]:
+        for it in x[1]:
             _tally(it, 0, atoms, sums)
-        for it in x[3]:
+        for it in x[2]:
             _tally(it, 1, atoms, sums)
     elif tag == _TENSOR:
         sums[1] += pol

@@ -1,8 +1,7 @@
 """Shallow rules on nested sequents: every rule works at the root node.
 
 The sequents are the same nested trees the deep calculus uses, but here a
-rule may only touch root-level items.  Child origins are invisible to this
-calculus: conclusions are compared with every origin set to 0.
+rule may only touch root-level items.
 
 Six structural rules move material between the root and a root-level child:
 `wrap_left` packs the whole antecedent of the root and part of its
@@ -23,8 +22,8 @@ rules: a chain that brings an arbitrary node of a tree to the root and
 packs the rest of the tree into one wrapper child, never an empty one
 (`display_in_sn`), and its inverse; a fragment fusing two root children
 into one (`expand_dist`); the recursive version that re-pairs grandchildren
-by a merge plan, where a child of origin 0 with no partner, such as a
-wrapper only one of the two has, stays as it is (`expand_merge`);
+by a merge plan, where a child with no partner, such as a wrapper only one
+of the two has, stays as it is (`expand_merge`);
 weakening by a hollow subtree (`expand_weaken_hollow`); and complete proofs
 for trees that are hollow except for one axiom node (`expand_deep_leaf`).
 These are the building blocks for turning deep proofs into shallow ones.
@@ -51,11 +50,9 @@ from .formula import Atom, UnitBot, UnitI, _clip
 from .sequent import (
     Context,
     Hole,
-    Occ,
     Sequent,
     _holder,
     child_seqs,
-    children_by_origin,
     is_hollow,
     occs,
     plug,
@@ -66,7 +63,6 @@ from .sequent import (
 __all__ = [
     "SN_RULES",
     "SN_FILL_EXCLUDED",
-    "zero_origins",
     "sn_rule_applies",
     "check_sn_proof",
     "display_in_sn",
@@ -109,35 +105,6 @@ SN_FILL_EXCLUDED = frozenset(
 )
 
 
-def zero_origins(s: Sequent) -> Sequent:
-    """`s` with every origin 0.  Check-first: one read-only pass (`_normal`)
-    looks for an origin other than 0, and when there is none `s` itself
-    comes back, with nothing built.  Only otherwise is the tree rebuilt,
-    every item without one reused as it is."""
-    return s if _normal(s) else _rebuild(s)
-
-
-def _normal(s: Sequent) -> bool:
-    """True when no node of `s`, the root included, has an origin other
-    than 0.  Reads the tree only, and stops at the first such origin."""
-    if s.origin:
-        return False
-    for it in chain(s.left, s.right):
-        if isinstance(it, Sequent) and not _normal(it):
-            return False
-    return True
-
-
-def _rebuild(s: Sequent) -> Sequent:
-    """`s` built anew with origin 0, each child through `zero_origins`.
-    Called only once `_normal` has found an origin to zero."""
-
-    def go(items):
-        return tuple(zero_origins(it) if isinstance(it, Sequent) else it for it in items)
-
-    return Sequent(go(s.left), go(s.right))
-
-
 def _single_child(items) -> Sequent | None:
     if len(items) == 1 and isinstance(items[0], Sequent):
         return items[0]
@@ -146,12 +113,7 @@ def _single_child(items) -> Sequent | None:
 
 def sn_rule_applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
     """Schema check for one rule instance; conclusion `c`, premises `ps` in
-    order.  Origins are ignored."""
-    return _applies(rule, zero_origins(c), tuple(zero_origins(p) for p in ps))
-
-
-def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
-    # sn_rule_applies on sequents without origins
+    order."""
     if rule in _SPLIT:
         p1, p2 = ps
         a_side, b_side = _SPLIT[rule]
@@ -168,18 +130,17 @@ def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
             return (
                 len(c.left) == 1
                 and len(c.right) == 1
-                and isinstance(c.left[0], Occ)
-                and isinstance(c.left[0].formula, Atom)
+                and isinstance(c.left[0], Atom)
                 and c.left == c.right
             )
         case "bot_l":
-            return c == Sequent((Occ(UnitBot()),), ())
+            return c == Sequent((UnitBot(),), ())
         case "i_r":
-            return c == Sequent((), (Occ(UnitI()),))
+            return c == Sequent((), (UnitI(),))
         case "cut":
             p1, p2 = ps
             return any(
-                a.formula == b.formula
+                a == b
                 and c
                 == Sequent(
                     p1.left + side_remove(p2.left, [b]),
@@ -217,7 +178,7 @@ def _applies(rule: str, c: Sequent, ps: tuple[Sequent, ...]) -> bool:
 def check_sn_proof(root: ProofNode, expect: Sequent | None = None) -> None:
     """Validate a shallow derivation.  Raises CheckError on the first
     offending node; returns None when the tree is a proof."""
-    check_tree(root, SN_RULES, lambda node, c, ps: _applies(node.rule, c, ps), zero_origins, expect)
+    check_tree(root, SN_RULES, lambda node, c, ps: sn_rule_applies(node.rule, c, ps), expect=expect)
 
 
 # -------------------------------------------------- bringing a node to root
@@ -279,14 +240,13 @@ def stack_chain(top: ProofNode, steps: list[tuple[str, Sequent]]) -> ProofNode:
 
 # ----------------------------------------------------- derived-rule bodies
 
-def expand_dist(x: Sequent, y: Sequent, top: ProofNode, side: str = "left", origin: int = 0) -> ProofNode:
+def expand_dist(x: Sequent, y: Sequent, top: ProofNode, side: str = "left") -> ProofNode:
     """Fuse root children `x` and `y` of `top`'s conclusion into the single
-    child `(x.left, y.left => x.right, y.right)`, tagged `origin`.  Their
-    grandchildren pile up unpaired inside the fused child.  Nine structural
-    steps; on the right they mirror the left-hand ones with `x` and `y`
-    exchanged."""
+    child `(x.left, y.left => x.right, y.right)`.  Their grandchildren pile
+    up unpaired inside the fused child.  Nine structural steps; on the right
+    they mirror the left-hand ones with `x` and `y` exchanged."""
     base = top.conclusion
-    combined = Sequent(x.left + y.left, x.right + y.right, origin)
+    combined = Sequent(x.left + y.left, x.right + y.right)
     if side == "right":
         x, y = y, x
     other = _FLIP[side]
@@ -314,14 +274,11 @@ def expand_dist(x: Sequent, y: Sequent, top: ProofNode, side: str = "left", orig
 def _merge_plan(x: Sequent, y: Sequent, z: Sequent):
     """Pairing of children under which `z` is a merge of `x` and `y`:
     a list of (side, x_child, y_child, z_child) with matching recursive
-    plans, or None.  Formula occurrences must union up exactly, and children
-    pair up by origin.  A child of origin 0 may also stand on its own for an
-    equal child of `z`, and has no entry: that is a display wrapper that
-    only one premise of a branch step has (`display_in_sn`).  A child of
-    another origin is named by the endsequent and sits in both halves of
-    every split, so it always pairs."""
-    if not (x.origin == y.origin == z.origin):
-        return None
+    plans, or None.  Formula occurrences must union up exactly, and the
+    children of each side, as one group, pair up (`_pair_group`).  A child
+    may also stand on its own for an equal child of `z`, and has no entry:
+    that is a display wrapper that only one premise of a branch step has
+    (`display_in_sn`)."""
     plan: list[tuple[str, Sequent, Sequent, Sequent]] = []
     for side in ("left", "right"):
         xi, yi, zi = getattr(x, side), getattr(y, side), getattr(z, side)
@@ -329,23 +286,21 @@ def _merge_plan(x: Sequent, y: Sequent, z: Sequent):
             return None
         if Counter(occs(xi)) + Counter(occs(yi)) != Counter(occs(zi)):
             return None
-        xg, yg, zg = (children_by_origin(t) for t in (xi, yi, zi))
-        for g in sorted(xg.keys() | yg.keys() | zg.keys()):
-            sub = _pair_group(xg.get(g, []), yg.get(g, []), zg.get(g, []), side, g == 0)
-            if sub is None:
-                return None
-            plan.extend(sub)
+        sub = _pair_group(*(child_seqs(t) for t in (xi, yi, zi)), side)
+        if sub is None:
+            return None
+        plan.extend(sub)
     return plan
 
 
-def _pair_group(xs: list, ys: list, zs: list, side: str, alone: bool):
+def _pair_group(xs: tuple, ys: tuple, zs: tuple, side: str):
     """Plan entries covering every child in `zs`, in order, each by an x and
-    a y child that merge into it or, when `alone`, by an equal x or y child
-    on its own.  The three counts fix how many children of each stand alone.
-    No alternative equal to one tried before for the same child is tried
+    a y child that merge into it or by an equal x or y child on its own.
+    The three counts fix how many children of each stand alone.  No
+    alternative equal to one tried before for the same child is tried
     again, so equal children cost no backtracking."""
     alone_x, alone_y = len(zs) - len(ys), len(zs) - len(xs)
-    if min(alone_x, alone_y, len(xs) - alone_x) < 0 or (alone_x or alone_y) and not alone:
+    if min(alone_x, alone_y, len(xs) - alone_x) < 0:
         return None
     if not zs:
         return []
@@ -363,13 +318,13 @@ def _pair_group(xs: list, ys: list, zs: list, side: str, alone: bool):
                     yield _without(xs, xc), _without(ys, yc), [(side, xc, yc, z0)]
 
     for xr, yr, entry in covers():
-        rest = _pair_group(xr, yr, zr, side, alone)
+        rest = _pair_group(xr, yr, zr, side)
         if rest is not None:
             return entry + rest
     return None
 
 
-def _without(items: list, item) -> list:
+def _without(items: tuple, item) -> tuple:
     i = items.index(item)
     return items[:i] + items[i + 1 :]
 
@@ -390,7 +345,7 @@ def expand_merge(x: Sequent, y: Sequent, z: Sequent, top: ProofNode, side: str =
     v = getattr(base, other)
     uw = _sided(side, u, v)
     node = ProofNode(_on(side, "wrap_right"), _sided(side, (x, y), (uw,)), (top,))
-    node = expand_dist(x, y, node, side, origin=z.origin)
+    node = expand_dist(x, y, node, side)
     if plan:
         fused = Sequent(x.left + y.left, x.right + y.right)
         opened = _sided(side, getattr(fused, side), getattr(fused, other) + (uw,))
@@ -407,7 +362,7 @@ def expand_weaken_hollow(x: Sequent, side: str, top: ProofNode) -> ProofNode:
     if not is_hollow(x):
         raise ValueError(f"cannot weaken by non-hollow {sequent_text(x)}")
     base = top.conclusion
-    uw = Sequent(base.left, base.right, 0)
+    uw = Sequent(base.left, base.right)
     node = ProofNode(_on(side, "wrap_right"), _sided(side, (), (uw,)), (top,))
     for kside in ("left", "right"):
         for k in child_seqs(getattr(x, kside)):
@@ -425,8 +380,8 @@ def expand_deep_leaf(rule: str, ctx: Context, node: Sequent) -> ProofNode:
     ax = _axiom_move(plug(ctx, node))
     if ax is None or ax.rule != rule or ax.witness.context != ctx:
         raise ValueError(f"no {rule} axiom closes the tree at {_clip(sequent_text(node))}")
-    occ = Occ(ax.witness.principal)
-    taken = {"left": () if rule == "i_r" else (occ,), "right": () if rule == "bot_l" else (occ,)}
+    f = ax.witness.principal
+    taken = {"left": () if rule == "i_r" else (f,), "right": () if rule == "bot_l" else (f,)}
     out = ProofNode(rule, Sequent(taken["left"], taken["right"]))
     steps = display_in_sn(ctx, node)
     shown = steps[-1][1] if steps else plug(ctx, node)

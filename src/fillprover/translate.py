@@ -82,11 +82,10 @@ from .deep import (
     _propagate,
     _sided,
     _split_premises,
-    _unfold,
     _unfolding,
     check_dn_proof,
 )
-from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES, PROP_RULES
+from .deep import LEAF_RULES, UNARY_LOGICAL_RULES, BRANCH_RULES
 from .display import _COMMA, _GT, _LEAF, _LT, _PHI
 from .display import (
     DisplaySequent,
@@ -101,10 +100,10 @@ from .display import (
     sequent_to_display,
     structure_text,
 )
+from .formula import _EXCL
 from .sequent import (
     HOLE,
     Hole,
-    Occ,
     Sequent,
     child_seqs,
     context_decompose,
@@ -113,15 +112,14 @@ from .sequent import (
     side_remove,
 )
 from .shallow import (
-    _applies,
     _merge_plan,
     check_sn_proof,
     display_in_sn,
     expand_deep_leaf,
     expand_merge,
     invert_display_chain,
+    sn_rule_applies,
     stack_chain,
-    zero_origins,
 )
 
 __all__ = [
@@ -207,23 +205,21 @@ def _dts_branch(node: ProofNode, d_c: Sequent, subs: tuple) -> ProofNode:
     a_side, b_side = _SPLIT[rule]
     (steps1, d1), (steps2, d2) = (_shown(c, p.conclusion) for c, p in zip((w.ctx1, w.ctx2), node.premises))
 
-    def plan(occ: Occ):
+    def plan(f):
         # removing the principal and its two halves must leave a merge of
         # what the displayed premises keep beside their active halves
-        f = occ.formula
         try:
-            rest1 = _edit(d1, a_side, (Occ(f.left),))
-            rest2 = _edit(d2, b_side, (Occ(f.right),))
+            rest1 = _edit(d1, a_side, (f.left,))
+            rest2 = _edit(d2, b_side, (f.right,))
         except ValueError:
             return None
-        return _merge_plan(rest1, rest2, _edit(d_c, p_side, (occ,)))
+        return _merge_plan(rest1, rest2, _edit(d_c, p_side, (f,)))
 
     # which occurrence of the principal the deep step consumed: the merge's
     # plan names the root children to fuse; a wrapper only one premise has
     # stays as it is
-    principal, merges = next((occ, m) for occ in _principals(rule, d_c) if (m := plan(occ)) is not None)
-    f = principal.formula
-    mid = _branch_conclusion(rule, d1, Occ(f.left), d2, Occ(f.right), principal)
+    f, merges = next((f, m) for f in _principals(rule, d_c) if (m := plan(f)) is not None)
+    mid = _branch_conclusion(rule, d1, f.left, d2, f.right)
     cur = ProofNode(rule, mid, (stack_chain(subs[0], steps1), stack_chain(subs[1], steps2)))
     for side, x, y, z in merges:
         cur = expand_merge(x, y, z, cur, side)
@@ -245,7 +241,7 @@ def _dts_prop(node: ProofNode, subs: tuple) -> ProofNode:
     return stack_chain(stack_chain(subs[0], steps_p), _prop_recipe(node.rule, d_p, k_p, k_c, a))
 
 
-def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a: Occ):
+def _prop_recipe(rule: str, d_p: Sequent, k_p: Sequent, k_c: Sequent, a):
     """The structural steps lowering the displayed premise of a propagation
     move of `a` to its displayed conclusion.  Crossing into a child needs a five
     step sandwich (display the child, pull or push the occurrence across,
@@ -293,8 +289,8 @@ _OTHER = {"ant": "suc", "suc": "ant"}
 
 def _reads_as(item, side: str):
     """Test for an operand of `side` whose nested reading is the item."""
-    if isinstance(item, Occ):
-        leaf = SLeaf(item.formula)
+    if not isinstance(item, Sequent):
+        leaf = SLeaf(item)
         return lambda op: op == leaf
     return lambda op: isinstance(op, (SLt, SGt)) and _read_side(op, _SN_SIDE[side], {}) == [item]
 
@@ -484,9 +480,9 @@ class _DChain:
 def _gained(cn: Sequent, pns, side: str, cls=object):
     """The formula of class `cls` that `cn` has on `side` beyond what the
     premises `pns` have there."""
-    have = Counter(o.formula for o in occs(getattr(cn, side)))
+    have = Counter(occs(getattr(cn, side)))
     for pn in pns:
-        have.subtract(o.formula for o in occs(getattr(pn, side)))
+        have.subtract(occs(getattr(pn, side)))
     return next(f for f, v in have.items() if v > 0 and isinstance(f, cls))
 
 
@@ -520,8 +516,8 @@ def _std(node: ProofNode) -> ProofNode:
     rule = node.rule
     if rule in LEAF_RULES:
         return ProofNode(rule, sequent_to_display(node.conclusion))
-    cn = zero_origins(node.conclusion)
-    pns = [zero_origins(p.conclusion) for p in node.premises]
+    cn = node.conclusion
+    pns = [p.conclusion for p in node.premises]
     subs = [_std(p) for p in node.premises]
 
     if rule in UNARY_LOGICAL_RULES:
@@ -539,7 +535,7 @@ def _std(node: ProofNode) -> ProofNode:
         f = _gained(cn, pns, p_side, cls)
         sides = [_DC_SIDE[s] for s in _SPLIT[rule]]
         chs = [_DChain(s.conclusion) for s in subs]
-        parked = [c.isolate(s, (Occ(a),)) for c, s, a in zip(chs, sides, (f.left, f.right))]
+        parked = [c.isolate(s, (a,)) for c, s, a in zip(chs, sides, (f.left, f.right))]
         rests = [c.side(_OTHER[s]) for c, s in zip(chs, sides)]
         mid = _fire(rule, tuple(c.cur for c in chs))
         out = ProofNode(rule, mid, tuple(stack_chain(s, c.steps) for s, c in zip(subs, chs)))
@@ -616,13 +612,11 @@ def _read_side(st: Structure, side: str, seen: dict) -> list:
         if tag == _COMMA:
             todo += (x[2], x[1])
         elif tag == _LEAF:
-            items.append(Occ(x[1]))
+            items.append(x[1])
         elif tag == home:
             kid = seen.get(id(x))
             if kid is None:
-                kid = seen[id(x)] = Sequent(
-                    tuple(_read_side(x[1], "left", seen)), tuple(_read_side(x[2], "right", seen)), 0
-                )
+                kid = seen[id(x)] = Sequent(_read_side(x[1], "left", seen), _read_side(x[2], "right", seen))
             items.append(kid)
         elif tag != _PHI:
             raise ValueError(f"structure {structure_text(x)} has no sequent reading in {side} position")
@@ -635,7 +629,7 @@ def read_display_sequent(ds: DisplaySequent, seen: dict | None = None) -> Sequen
     nested children on their home sides.  Readings that pass one `seen`
     read each residual they share once (`_read_side`)."""
     seen = {} if seen is None else seen
-    return Sequent(tuple(_read_side(ds[1], "left", seen)), tuple(_read_side(ds[2], "right", seen)), 0)
+    return Sequent(_read_side(ds[1], "left", seen), _read_side(ds[2], "right", seen))
 
 
 _DC_SKIP = frozenset((
@@ -686,10 +680,8 @@ def _dfs_down(node: ProofNode, seen: dict) -> ProofNode:
             cands = ("wrap_left", "dissolve_left")
         else:
             cands = ("pull_left",) if rule.endswith("_l") else ("push_right",)
-        # readings of display structures carry no origins, so the schema
-        # test needs no normalising walk
         for cand in cands:
-            if _applies(cand, cn, prems):
+            if sn_rule_applies(cand, cn, prems):
                 return ProofNode(cand, cn, tuple(subs))
         raise TranslationError(f"{rule}: no structural reading fits")
     raise ValueError(f"no shallow translation for rule {rule!r}")
@@ -698,6 +690,49 @@ def _dfs_down(node: ProofNode, seen: dict) -> ProofNode:
 # --------------------------------------------------- shallow -> deep
 
 _SIDES = ("left", "right")
+
+# The walks below name children while they work (see `shallow_to_deep`).  A
+# name is an item `(_NAME, n)` on the left side of the child it names: its
+# tag lies between the formulas' and the children's, so no formula, child
+# or hole equals it, `occs` and `child_seqs` pass it over, and every shared
+# helper that rebuilds a node around its items keeps it.
+_NAME = _EXCL + 1
+
+
+def _name_of(s: Sequent):
+    """The working name of the child `s`, None for a root."""
+    return next((it[1] for it in s.left if it[0] == _NAME), None)
+
+
+def _bare(items) -> tuple:
+    """`items` less the name among them."""
+    return tuple(it for it in items if it[0] != _NAME)
+
+
+def _named(s: Sequent, g) -> Sequent:
+    """`s` named `g`, in place of any name it had."""
+    return Sequent(_bare(s.left) + ((_NAME, g),), s.right)
+
+
+def _named_all(s: Sequent, fresh) -> Sequent:
+    """`s` with every child, at every depth, named afresh."""
+
+    def go(items):
+        return tuple(_named(_named_all(it, fresh), next(fresh)) if isinstance(it, Sequent) else it for it in items)
+
+    return Sequent(go(s.left), go(s.right))
+
+
+def _unnamed(s):
+    """The sequent or context `s` with no name anywhere: the value the
+    working one stands for."""
+    if not isinstance(s, Sequent):
+        return s
+
+    def go(items):
+        return tuple(_unnamed(it) if isinstance(it, Sequent) else it for it in items if it[0] != _NAME)
+
+    return Sequent(go(s.left), go(s.right))
 
 
 def _shifted(counts: dict, side: str, gone=(), added=()) -> dict:
@@ -720,15 +755,14 @@ def _occ_counts(s: Sequent) -> dict:
 class _Enclosed(NamedTuple):
     """Which root items of a flat sequent belong inside the child a wrap step
     creates, side by side: occurrence values by count, nested children by
-    origin, which names one child since every child of a working proof has
-    an origin of its own (see `shallow_to_deep`)."""
+    name."""
 
     occ: dict
     kids: dict
 
     def moved(self, side: str, gone=(), added=(), kids=frozenset()) -> "_Enclosed":
         """The spec with the occurrences `gone` taken off `side`, and the
-        occurrences `added` and the children of origin `kids` put on it."""
+        occurrences `added` and the children named in `kids` put on it."""
         return _Enclosed(
             _shifted(self.occ, side, gone, added), {**self.kids, side: self.kids[side] | kids}
         )
@@ -737,7 +771,7 @@ class _Enclosed(NamedTuple):
 def _enclose_all(kid: Sequent) -> _Enclosed:
     return _Enclosed(
         _occ_counts(kid),
-        {side: frozenset(k.origin for k in child_seqs(getattr(kid, side))) for side in _SIDES},
+        {side: frozenset(map(_name_of, child_seqs(getattr(kid, side)))) for side in _SIDES},
     )
 
 
@@ -758,88 +792,85 @@ def _greedy_split(want: Counter, avail1: Counter, avail2: Counter):
 def _color_spec(spec: _Enclosed, avail1: dict, avail2: dict):
     """Split an enclosure spec across the two premises of a branch step,
     bounded by the occurrences each premise has on each side.  Children
-    keep full skeleton in both halves, so origin sets carry over."""
+    keep full skeleton, and their names, in both halves, so the named sets
+    carry over."""
     halves = {side: _greedy_split(spec.occ[side], avail1[side], avail2[side]) for side in _SIDES}
     return tuple(_Enclosed({side: h[i] for side, h in halves.items()}, spec.kids) for i in (0, 1))
 
 
-def _take_items(items, cnt: Counter, origin_set, hole_origin):
+def _take_items(items, cnt: Counter, names, hole_name):
+    """The items the new child takes, by `cnt` for occurrences and `names`
+    for children and, as `hole_name`, for the hole, and the items left."""
     need = Counter(cnt)
     taken, rest = [], []
     for it in items:
-        if isinstance(it, Occ):
+        if it[0] <= _EXCL:
             if need.get(it, 0) > 0:
                 need[it] -= 1
                 taken.append(it)
             else:
                 rest.append(it)
         elif isinstance(it, Sequent):
-            (taken if it.origin in origin_set else rest).append(it)
+            (taken if _name_of(it) in names else rest).append(it)
         else:
-            (taken if hole_origin is not None and hole_origin in origin_set else rest).append(it)
+            (taken if hole_name in names else rest).append(it)
     return tuple(taken), tuple(rest)
 
 
-def _wrap_image(s: Sequent, spec: _Enclosed, g: int, wside: str, hole_origin=None) -> Sequent:
-    """The sequent with the enclosed items moved into a child node with
-    origin `g` on side `wside` of the root."""
+def _wrap_image(s: Sequent, spec: _Enclosed, g, wside: str, hole_name=None) -> Sequent:
+    """The sequent with the enclosed items moved into a child node named
+    `g` on side `wside` of the root."""
     parts = {
-        side: _take_items(getattr(s, side), spec.occ[side], spec.kids[side], hole_origin)
+        side: _take_items(getattr(s, side), spec.occ[side], spec.kids[side], hole_name)
         for side in _SIDES
     }
-    kid = Sequent(parts["left"][0], parts["right"][0], g)
-    return _sided(wside, parts[wside][1] + (kid,), parts[_FLIP[wside]][1], s.origin)
+    kid = Sequent(parts["left"][0] + ((_NAME, g),), parts["right"][0])
+    return _sided(wside, parts[wside][1] + (kid,), parts[_FLIP[wside]][1])
 
 
-def _kid_at(s: Sequent, side: str, g: int):
-    """The root child of origin `g` on `side`, and the other items there."""
+def _kid_at(s: Sequent, side: str, g):
+    """The root child named `g` on `side`, and the other items there."""
     items = getattr(s, side)
-    kid = next(it for it in child_seqs(items) if it.origin == g)
+    kid = next(it for it in child_seqs(items) if _name_of(it) == g)
     return kid, side_remove(items, [kid])
 
 
-def _flat_image(s: Sequent, dside: str, g: int) -> Sequent:
-    """The sequent with the root child of origin `g` on side `dside`
+def _flat_image(s: Sequent, dside: str, g) -> Sequent:
+    """The sequent with the root child named `g` on side `dside`
     dissolved into the root."""
     kid, rest = _kid_at(s, dside, g)
     other = _FLIP[dside]
-    far = getattr(s, other) + getattr(kid, other)
-    return _sided(dside, rest + getattr(kid, dside), far, s.origin)
+    far = getattr(s, other) + _bare(getattr(kid, other))
+    return _sided(dside, rest + _bare(getattr(kid, dside)), far)
 
 
-def _holed_at(s: Sequent, g: int, side: str) -> Sequent:
-    """Context selecting the root child of origin `g` as the redex."""
-    return _sided(side, _kid_at(s, side, g)[1] + (HOLE,), getattr(s, _FLIP[side]), s.origin)
+def _holed_at(s: Sequent, g, side: str) -> Sequent:
+    """Context selecting the root child named `g` as the redex."""
+    return _sided(side, _kid_at(s, side, g)[1] + (HOLE,), getattr(s, _FLIP[side]))
 
 
 def _hollow_copy(s: Sequent) -> Sequent:
-    def go(items):
-        return tuple(_hollow_copy(it) for it in items if isinstance(it, Sequent))
+    """`s` with every formula occurrence gone, names kept."""
 
-    return Sequent(go(s.left), go(s.right), s.origin)
+    def go(items):
+        return tuple(_hollow_copy(it) if isinstance(it, Sequent) else it for it in items if it[0] > _EXCL)
+
+    return Sequent(go(s.left), go(s.right))
 
 
 def _match_by_norm(items, wanted):
-    """Pick live items realising the normalised multiset `wanted`; returns
-    (picked, rest).  Occurrences match by formula, children by normalised
-    content."""
-    want_occ = Counter(o.formula for o in occs(wanted))
-    want_kids = Counter(child_seqs(wanted))
+    """Pick live items realising the unnamed multiset `wanted`; returns
+    (picked, rest).  Occurrences match by formula, children by unnamed
+    content; a name is never wanted."""
+    want = Counter(wanted)
     picked, rest = [], []
     for it in items:
-        if isinstance(it, Occ):
-            if want_occ.get(it.formula, 0) > 0:
-                want_occ[it.formula] -= 1
-                picked.append(it)
-            else:
-                rest.append(it)
+        key = _unnamed(it) if isinstance(it, Sequent) else it
+        if want[key] > 0:
+            want[key] -= 1
+            picked.append(it)
         else:
-            key = zero_origins(it)
-            if want_kids.get(key, 0) > 0:
-                want_kids[key] -= 1
-                picked.append(it)
-            else:
-                rest.append(it)
+            rest.append(it)
     return tuple(picked), tuple(rest)
 
 
@@ -849,28 +880,30 @@ def _add_root_items(node: ProofNode, extra_left: tuple, extra_right: tuple) -> P
     if not extra_left and not extra_right:
         return node
     c = node.conclusion
-    conc = Sequent(c.left + extra_left, c.right + extra_right, c.origin)
+    conc = Sequent(c.left + extra_left, c.right + extra_right)
     w = node.witness
 
     def pad(k):
         if k is None or isinstance(k, Hole):
             return k
-        return Sequent(k.left + extra_left, k.right + extra_right, k.origin)
+        return Sequent(k.left + extra_left, k.right + extra_right)
 
-    ww = Witness(
-        context=pad(w.context),
-        principal=w.principal,
-        child_origin=w.child_origin,
-        ctx1=pad(w.ctx1),
-        ctx2=pad(w.ctx2),
-    )
+    ww = Witness(context=pad(w.context), principal=w.principal, ctx1=pad(w.ctx1), ctx2=pad(w.ctx2))
     subs = tuple(_add_root_items(p, extra_left, extra_right) for p in node.premises)
     return ProofNode(node.rule, conc, subs, ww)
 
 
-def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNode:
+def _crossed(node: ProofNode):
+    """The name of the child a propagation at the root crosses: the one
+    child on its side that the premise does not keep as it is."""
+    side = _PROP_SHAPE[node.rule][1]
+    kept = getattr(node.premises[0].conclusion, side)
+    return next(_name_of(k) for k in child_seqs(getattr(node.conclusion, side)) if k not in kept)
+
+
+def _admit_wrap(node: ProofNode, spec: _Enclosed, g, wside: str) -> ProofNode:
     """Rewrite a deep proof of a flat sequent into one of its wrapped image,
-    with the enclosed items gathered into a new child of origin `g` on side
+    with the enclosed items gathered into a new child named `g` on side
     `wside`.  Rules refire at the right depth; material crossing the new
     boundary picks up propagation steps; closures straddling it get the
     closing occurrence propagated inside first."""
@@ -886,8 +919,7 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
 
     if not isinstance(ctx, Hole):
         # redex strictly below the root: the rule transposes unchanged
-        redex = context_decompose(ctx, c)
-        wctx = _wrap_image(ctx, spec, g, wside, hole_origin=redex.origin)
+        wctx = _wrap_image(ctx, spec, g, wside, _name_of(context_decompose(ctx, c)))
         if rule in BRANCH_RULES:
             s1, s2 = _color_spec(spec, _occ_counts(w.ctx1), _occ_counts(w.ctx2))
             r1 = context_decompose(w.ctx1, node.premises[0].conclusion)
@@ -899,70 +931,62 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
             ww = Witness(
                 context=wctx,
                 principal=w.principal,
-                ctx1=_wrap_image(w.ctx1, s1, g, wside, hole_origin=r1.origin),
-                ctx2=_wrap_image(w.ctx2, s2, g, wside, hole_origin=r2.origin),
+                ctx1=_wrap_image(w.ctx1, s1, g, wside, _name_of(r1)),
+                ctx2=_wrap_image(w.ctx2, s2, g, wside, _name_of(r2)),
             )
             return ProofNode(rule, tc, subs, ww)
         subs = tuple(_admit_wrap(p, spec, g, wside) for p in node.premises)
-        ww = Witness(context=wctx, principal=w.principal, child_origin=w.child_origin)
-        return ProofNode(rule, tc, subs, ww)
+        return ProofNode(rule, tc, subs, Witness(context=wctx, principal=w.principal))
 
     at_kid = lambda s: _holed_at(s, g, wside)
+    f = w.principal
 
     if rule == "id":
         # an occurrence the child leaves out is propagated into it first
-        side = next((s for s in _SIDES if spec.occ[s].get(occs(getattr(c, s))[0], 0) == 0), None)
+        side = next((s for s in _SIDES if spec.occ[s].get(f, 0) == 0), None)
         if side is None:
-            return ProofNode(rule, tc, (), Witness(context=at_kid(tc), principal=w.principal))
-        straddler = occs(getattr(c, side))[0]
-        tmid = _wrap_image(c, spec.moved(side, added=(straddler,)), g, wside)
-        leaf = ProofNode(rule, tmid, (), Witness(context=at_kid(tmid), principal=w.principal))
-        ww = Witness(context=HOLE, principal=straddler.formula, child_origin=g)
-        return ProofNode(into_k, tc, (leaf,), ww)
+            return ProofNode(rule, tc, (), Witness(context=at_kid(tc), principal=f))
+        tmid = _wrap_image(c, spec.moved(side, added=(f,)), g, wside)
+        leaf = ProofNode(rule, tmid, (), Witness(context=at_kid(tmid), principal=f))
+        return ProofNode(into_k, tc, (leaf,), Witness(context=HOLE, principal=f))
 
     if rule in LEAF_RULES:
         # bot_l / i_r close on one occurrence; outside the child it fires at
         # the root since the rest of the tree is hollow either way
         side = "left" if rule == "bot_l" else "right"
-        inner = spec.occ[side].get(occs(getattr(c, side))[0], 0) > 0
-        kctx = at_kid(tc) if inner else HOLE
-        return ProofNode(rule, tc, (), Witness(context=kctx, principal=w.principal))
+        kctx = at_kid(tc) if spec.occ[side].get(f, 0) > 0 else HOLE
+        return ProofNode(rule, tc, (), Witness(context=kctx, principal=f))
 
     if rule in UNARY_LOGICAL_RULES:
         side = _LOGICAL[rule][0]
-        occ = next(o for o in occs(getattr(c, side)) if o.formula == w.principal)
-        f = occ.formula
-        inner = spec.occ[side].get(occ, 0) > 0
+        inner = spec.occ[side].get(f, 0) > 0
         spec2 = spec
         if inner:
-            added = _unfolding(f, w.child_origin)
-            kids = frozenset(k.origin for k in child_seqs(added))
-            spec2 = spec.moved(side, (occ,), occs(added), kids)
+            # what the rule puts in place of `f`, a spawned child named
+            added = side_remove(getattr(node.premises[0].conclusion, side), side_remove(getattr(c, side), (f,)))
+            spec2 = spec.moved(side, (f,), occs(added), frozenset(map(_name_of, child_seqs(added))))
         sub = _admit_wrap(node.premises[0], spec2, g, wside)
         kctx = at_kid(tc) if inner else HOLE
-        return ProofNode(rule, tc, (sub,), Witness(context=kctx, principal=f, child_origin=w.child_origin))
+        return ProofNode(rule, tc, (sub,), Witness(context=kctx, principal=f))
 
     if rule in BRANCH_RULES:
         p_side = _LOGICAL[rule][0]
         a_side, b_side = _SPLIT[rule]
-        occ = next(o for o in occs(getattr(c, p_side)) if o.formula == w.principal)
-        f = occ.formula
-        minted1, minted2 = Occ(f.left), Occ(f.right)
         avail = [
             _shifted(_occ_counts(p.conclusion), m_side, (minted,))
-            for p, minted, m_side in zip(node.premises, (minted1, minted2), (a_side, b_side))
+            for p, minted, m_side in zip(node.premises, (f.left, f.right), (a_side, b_side))
         ]
-        inner = spec.occ[p_side].get(occ, 0) > 0
+        inner = spec.occ[p_side].get(f, 0) > 0
         restructure = not inner and rule == _on(wside, "excl_r")
-        s1, s2 = _color_spec(spec.moved(p_side, (occ,)) if inner else spec, *avail)
+        s1, s2 = _color_spec(spec.moved(p_side, (f,)) if inner else spec, *avail)
         if inner or restructure:
             # the branch fires at the child; minted halves stay inside it
-            s1 = s1.moved(a_side, added=(minted1,))
-            s2 = s2.moved(b_side, added=(minted2,))
+            s1 = s1.moved(a_side, added=(f.left,))
+            s2 = s2.moved(b_side, added=(f.right,))
         sub1 = _admit_wrap(node.premises[0], s1, g, wside)
         sub2 = _admit_wrap(node.premises[1], s2, g, wside)
         if inner or restructure:
-            base = _wrap_image(c, spec.moved(p_side, added=(occ,)), g, wside) if restructure else tc
+            base = _wrap_image(c, spec.moved(p_side, added=(f,)), g, wside) if restructure else tc
             ww = Witness(
                 context=at_kid(base),
                 principal=f,
@@ -971,75 +995,65 @@ def _admit_wrap(node: ProofNode, spec: _Enclosed, g: int, wside: str) -> ProofNo
             )
             out = ProofNode(rule, base, (sub1, sub2), ww)
             if restructure:
-                pw = Witness(context=HOLE, principal=f, child_origin=g)
-                out = ProofNode(into_k, tc, (out,), pw)
+                out = ProofNode(into_k, tc, (out,), Witness(context=HOLE, principal=f))
             return out
         ww = Witness(context=HOLE, principal=f, ctx1=HOLE, ctx2=HOLE)
         return ProofNode(rule, tc, (sub1, sub2), ww)
 
     # propagation at the root: relocate relative to the new child
-    g0 = w.child_origin
-    f = w.principal
+    g0 = _crossed(node)
     sub_node = node.premises[0]
 
     def one_step(spec2):
         sub = _admit_wrap(sub_node, spec2, g, wside)
-        ww = Witness(context=at_kid(tc), principal=f, child_origin=g0)
-        return ProofNode(rule, tc, (sub,), ww)
+        return ProofNode(rule, tc, (sub,), Witness(context=at_kid(tc), principal=f))
 
     match _on(away, rule):
         case "prop_left_in":
-            occ = next(o for o in occs(getattr(c, away)) if o.formula == f)
-            if spec.occ[away].get(occ, 0) > 0:
-                return one_step(spec.moved(away, (occ,)))
-            tmid = _wrap_image(c, spec.moved(away, added=(occ,)), g, wside)
+            if spec.occ[away].get(f, 0) > 0:
+                return one_step(spec.moved(away, (f,)))
+            tmid = _wrap_image(c, spec.moved(away, added=(f,)), g, wside)
             sub = _admit_wrap(sub_node, spec, g, wside)
-            inner_w = Witness(context=at_kid(tmid), principal=f, child_origin=g0)
-            inner_node = ProofNode(rule, tmid, (sub,), inner_w)
-            outer_w = Witness(context=HOLE, principal=f, child_origin=g)
-            return ProofNode(into_k, tc, (inner_node,), outer_w)
+            inner_node = ProofNode(rule, tmid, (sub,), Witness(context=at_kid(tmid), principal=f))
+            return ProofNode(into_k, tc, (inner_node,), Witness(context=HOLE, principal=f))
         case "prop_right_out":
-            return one_step(spec.moved(wside, added=(Occ(f),)))
+            return one_step(spec.moved(wside, added=(f,)))
         case "prop_right_in":
-            occ = next(o for o in occs(getattr(c, wside)) if o.formula == f)
-            spec2 = spec.moved(wside, (occ,))
+            spec2 = spec.moved(wside, (f,))
             if g0 in spec.kids[away]:
                 return one_step(spec2)
             tmid = _wrap_image(c, spec2, g, wside)
             sub = _admit_wrap(sub_node, spec2, g, wside)
-            step2 = ProofNode(
-                rule, tmid, (sub,), Witness(context=HOLE, principal=f, child_origin=g0)
-            )
-            out_w = Witness(context=HOLE, principal=f, child_origin=g)
-            return ProofNode(_on(away, "prop_right_out"), tc, (step2,), out_w)
+            step2 = ProofNode(rule, tmid, (sub,), Witness(context=HOLE, principal=f))
+            return ProofNode(_on(away, "prop_right_out"), tc, (step2,), Witness(context=HOLE, principal=f))
         case "prop_left_out":
             if g0 in spec.kids[away]:
-                return one_step(spec.moved(away, added=(Occ(f),)))
+                return one_step(spec.moved(away, added=(f,)))
             sub = _admit_wrap(sub_node, spec, g, wside)
-            return ProofNode(rule, tc, (sub,), Witness(context=HOLE, principal=f, child_origin=g0))
+            return ProofNode(rule, tc, (sub,), Witness(context=HOLE, principal=f))
     raise TranslationError(f"unhandled rule {rule!r} in wrap admissibility")
 
 
-def _admit_dissolve(node: ProofNode, dside: str, g: int) -> ProofNode:
-    """Rewrite a deep proof so the root child of origin `g` on side `dside`
-    is dissolved into the root everywhere.  Rules transpose; propagation
-    steps across the dissolving boundary disappear."""
+def _admit_dissolve(node: ProofNode, dside: str, g) -> ProofNode:
+    """Rewrite a deep proof so the root child named `g` on side `dside` is
+    dissolved into the root everywhere.  Rules transpose; propagation steps
+    across the dissolving boundary disappear."""
     c = node.conclusion
     w = node.witness
     rule = node.rule
     ctx = w.context
     at_root = isinstance(ctx, Hole)
     # a propagation across the boundary of the dissolving child disappears
-    if at_root and rule in _PROP_SHAPE and _PROP_SHAPE[rule][1] == dside and w.child_origin == g:
+    if at_root and rule in _PROP_SHAPE and _PROP_SHAPE[rule][1] == dside and _crossed(node) == g:
         return _admit_dissolve(node.premises[0], dside, g)
     tc = _flat_image(c, dside, g)
     subs = tuple(_admit_dissolve(p, dside, g) for p in node.premises)
-    if at_root or not any(isinstance(it, Sequent) and it.origin == g for it in getattr(ctx, dside)):
+    if at_root or not any(isinstance(it, Sequent) and _name_of(it) == g for it in getattr(ctx, dside)):
         # at the root, or the redex is the dissolving child itself: refire at the root
         if rule in BRANCH_RULES:
             ww = Witness(context=HOLE, principal=w.principal, ctx1=HOLE, ctx2=HOLE)
         else:
-            ww = Witness(context=HOLE, principal=w.principal, child_origin=w.child_origin)
+            ww = Witness(context=HOLE, principal=w.principal)
         return ProofNode(rule, tc, subs, ww)
     wctx = _flat_image(ctx, dside, g)
     if rule in BRANCH_RULES:
@@ -1050,36 +1064,34 @@ def _admit_dissolve(node: ProofNode, dside: str, g: int) -> ProofNode:
             ctx2=_flat_image(w.ctx2, dside, g),
         )
     else:
-        ww = Witness(context=wctx, principal=w.principal, child_origin=w.child_origin)
+        ww = Witness(context=wctx, principal=w.principal)
     return ProofNode(rule, tc, subs, ww)
 
 
 def _snd_branch(node: ProofNode, target: Sequent, fresh) -> ProofNode:
     rule = node.rule
-    p1n = zero_origins(node.premises[0].conclusion)
-    p2n = zero_origins(node.premises[1].conclusion)
-    for occ in _principals(rule, target):
-        plan = _branch_plan(rule, target, occ, p1n, p2n)
+    p1n, p2n = (p.conclusion for p in node.premises)
+    for f in _principals(rule, target):
+        plan = _branch_plan(rule, target, f, p1n, p2n)
         if plan is None:
             continue
         subs = []
         for sn_prem, (pruned, hollow_l, hollow_r) in zip(node.premises, plan):
             subs.append(_add_root_items(_snd(sn_prem, pruned, fresh), hollow_l, hollow_r))
-        ww = Witness(context=HOLE, principal=occ.formula, ctx1=HOLE, ctx2=HOLE)
+        ww = Witness(context=HOLE, principal=f, ctx1=HOLE, ctx2=HOLE)
         return ProofNode(rule, target, tuple(subs), ww)
     raise TranslationError(f"{rule}: no principal matches the premises")
 
 
-def _branch_plan(rule, target, occ, p1n, p2n):
-    """Colour the root material around the principal occurrence so each half
-    realises one premise; the other half's children stay as hollow skeleton.
-    Returns per-premise (skeleton-free claim, hollow extras)."""
-    f = occ.formula
-    rest = _edit(target, _LOGICAL[rule][0], (occ,))
+def _branch_plan(rule, target, f, p1n, p2n):
+    """Colour the root material around the principal occurrence `f` so each
+    half realises one premise; the other half's children stay as hollow
+    skeleton.  Returns per-premise (skeleton-free claim, hollow extras)."""
+    rest = _edit(target, _LOGICAL[rule][0], (f,))
     wants = []
     for pn, half, side in zip((p1n, p2n), (f.left, f.right), _SPLIT[rule]):
         try:
-            wants.append(_edit(pn, side, (Occ(half),)))
+            wants.append(_edit(pn, side, (half,)))
         except ValueError:
             return None
 
@@ -1094,7 +1106,7 @@ def _branch_plan(rule, target, occ, p1n, p2n):
             half.append(picked)
         if items:
             return None
-    own = [Sequent(l, r, target.origin) for l, r in halves]
+    own = [Sequent(l, r) for l, r in halves]
     pruned = _split_premises(rule, f, HOLE, own[0], HOLE, own[1])
     plan = []
     for which in (0, 1):
@@ -1105,25 +1117,26 @@ def _branch_plan(rule, target, occ, p1n, p2n):
 
 def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
     """Deep proof of `target`, which reads as the shallow node's conclusion
-    once origins are erased.  Wrap and dissolve steps dissolve into
-    the walks above."""
+    once its names are dropped.  Wrap and dissolve steps dissolve into the
+    walks above."""
     rule = node.rule
 
     if rule in ("id", "bot_l", "i_r"):
-        f = occs(target.right)[0].formula if rule == "i_r" else occs(target.left)[0].formula
+        f = occs(target.right)[0] if rule == "i_r" else occs(target.left)[0]
         return ProofNode(rule, target, (), Witness(context=HOLE, principal=f))
 
     if rule in UNARY_LOGICAL_RULES:
-        # a spawned child takes a working origin, which the witness records
-        want = zero_origins(node.premises[0].conclusion)
+        # a spawned child is named afresh
+        want = node.premises[0].conclusion
         g = next(fresh)
-        for occ in _principals(rule, target):
-            cand = _unfold(rule, target, occ, g)
-            if zero_origins(cand) != want:
+        side = _LOGICAL[rule][0]
+        for f in _principals(rule, target):
+            added = tuple(_named(k, g) if isinstance(k, Sequent) else k for k in _unfolding(f))
+            cand = _edit(target, side, (f,), added)
+            if _unnamed(cand) != want:
                 continue
             sub = _snd(node.premises[0], cand, fresh)
-            ww = Witness(context=HOLE, principal=occ.formula, child_origin=g)
-            return ProofNode(rule, target, (sub,), ww)
+            return ProofNode(rule, target, (sub,), Witness(context=HOLE, principal=f))
         raise TranslationError(f"{rule}: no principal matches the premise")
 
     if rule in BRANCH_RULES:
@@ -1135,64 +1148,46 @@ def _snd(node: ProofNode, target: Sequent, fresh) -> ProofNode:
 
     if kind == "wrap":
         (kid,) = child_seqs(getattr(target, side))
-        far = getattr(kid, other) + getattr(target, other)
-        flat = _sided(side, getattr(kid, side), far, target.origin)
-        return _admit_wrap(_snd(prem, flat, fresh), _enclose_all(kid), kid.origin, side)
+        flat = _sided(side, _bare(getattr(kid, side)), _bare(getattr(kid, other)) + getattr(target, other))
+        return _admit_wrap(_snd(prem, flat, fresh), _enclose_all(kid), _name_of(kid), side)
 
     if kind == "dissolve":
-        (kidn,) = child_seqs(getattr(zero_origins(prem.conclusion), side))
+        (kidn,) = child_seqs(getattr(prem.conclusion, side))
         picked, rest = _match_by_norm(getattr(target, other), getattr(kidn, other))
-        kid = _sided(side, getattr(target, side), picked, next(fresh))
-        wrapped = _sided(side, (kid,), rest, target.origin)
-        return _admit_dissolve(_snd(prem, wrapped, fresh), side, kid.origin)
+        g = next(fresh)
+        wrapped = _sided(side, (_named(_sided(side, getattr(target, side), picked), g),), rest)
+        return _admit_dissolve(_snd(prem, wrapped, fresh), side, g)
 
     if kind in ("pull", "push"):
         (k1,) = child_seqs(getattr(target, side))
-        items = getattr(zero_origins(prem.conclusion), side)
+        items = getattr(prem.conclusion, side)
         for k0n in child_seqs(items):
             movedn = side_remove(items, [k0n])
-            if zero_origins(k1) != _sided(side, getattr(k0n, side) + movedn, getattr(k0n, other)):
+            if _unnamed(k1) != _sided(side, getattr(k0n, side) + movedn, getattr(k0n, other)):
                 continue
+            # `k1`'s own name stays behind with `k0`, which `_named` renames
             moved, k0_near = _match_by_norm(getattr(k1, side), movedn)
-            k0 = _sided(side, k0_near, getattr(k1, other), next(fresh))
-            tp = _sided(side, (k0,) + moved, getattr(target, other), target.origin)
-            mid = _admit_dissolve(_snd(prem, tp, fresh), side, k0.origin)
-            return _admit_wrap(mid, _enclose_all(k1), k1.origin, side)
+            g = next(fresh)
+            k0 = _named(_sided(side, k0_near, getattr(k1, other)), g)
+            tp = _sided(side, (k0,) + moved, getattr(target, other))
+            mid = _admit_dissolve(_snd(prem, tp, fresh), side, g)
+            return _admit_wrap(mid, _enclose_all(k1), _name_of(k1), side)
         raise TranslationError(f"{kind} step does not match its premise")
 
     raise ValueError(f"no deep translation for rule {rule!r}")
 
 
-def _with_origins(s, origin_of) -> object:
-    """The sequent or context `s` with each child's origin `o` replaced by
-    `origin_of(o)`; the root keeps its own."""
-    if not isinstance(s, Sequent):
-        return s
-
-    def go(items):
-        return tuple(
-            Sequent(go(it.left), go(it.right), origin_of(it.origin)) if isinstance(it, Sequent) else it
-            for it in items
-        )
-
-    return Sequent(go(s.left), go(s.right), s.origin)
-
-
-def _settled(node: ProofNode, back: dict) -> ProofNode:
-    """The working proof with each working origin replaced by the one the
-    dn checker derives: a child of the endsequent gets its own origin back
-    (`back`), and a spawned child gets 0.  Unary witnesses pin no origin."""
+def _settled(node: ProofNode) -> ProofNode:
+    """The working proof with every name dropped."""
     w = node.witness
-    origin_of = lambda o: back.get(o, 0)
     ww = Witness(
-        context=_with_origins(w.context, origin_of),
+        context=_unnamed(w.context),
         principal=w.principal,
-        child_origin=origin_of(w.child_origin) if node.rule in PROP_RULES else None,
-        ctx1=_with_origins(w.ctx1, origin_of),
-        ctx2=_with_origins(w.ctx2, origin_of),
+        ctx1=_unnamed(w.ctx1),
+        ctx2=_unnamed(w.ctx2),
     )
-    subs = tuple(_settled(p, back) for p in node.premises)
-    return ProofNode(node.rule, _with_origins(node.conclusion, origin_of), subs, ww)
+    subs = tuple(_settled(p) for p in node.premises)
+    return ProofNode(node.rule, _unnamed(node.conclusion), subs, ww)
 
 
 def shallow_to_deep(root: ProofNode) -> ProofNode:
@@ -1204,20 +1199,24 @@ def shallow_to_deep(root: ProofNode) -> ProofNode:
     factor through one dissolve and one wrap.  Proofs that use cut are
     rejected with ValueError.
 
-    The walks name children by origin, so while they work every child has
-    an origin of its own: a negative working origin, given to each child of
-    the endsequent and to each child a rule spawns.  The finished proof
-    gets back the origins the dn checker derives."""
+    The walks must tell apart children that may be equal: which children a
+    wrap encloses, which child a dissolve flattens, which child a
+    propagation crosses.  So while they work, and only here, every child
+    carries a name of its own: each child of the endsequent, each child a
+    rule spawns and each child a structural step makes.  Values alone
+    cannot follow a child from step to step: a branch rule splits every
+    child of its context between its premises, which sort their halves
+    each on their own, and where two children are equal, one enclosed and
+    one not, nothing in the premises says which half came from which.
+    A name is an item
+    `(_NAME, n)` on the child's left side, so `plug`, `deep._edit` and the
+    other shared helpers, which rebuild a node around its items, keep it
+    without knowing of it.  The finished proof drops every name
+    (`_settled`), so no proof that leaves here, and no other module, has
+    one."""
     _cut_free(root, check_sn_proof)
     end = root.conclusion
-    fresh = count(-1, -1)
-    back: dict = {}
-
-    def working(o: int) -> int:
-        g = next(fresh)
-        back[g] = o
-        return g
-
+    fresh = count()
     with stack_room(120 * proof_size(root) + 4000):
-        out = _settled(_snd(root, _with_origins(end, working), fresh), back)
+        out = _settled(_snd(root, _named_all(end, fresh), fresh))
     return _checked("sn -> dn", check_dn_proof, out, end)

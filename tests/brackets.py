@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 from fillprover.formula import Atom, Excl, Formula, Lolli, Par, Tensor, UnitBot, UnitI
-from fillprover.sequent import Occ, Sequent, child_seqs
+from fillprover.sequent import Sequent, child_seqs
 
 
 def dual(f: Formula) -> Formula:
@@ -58,6 +58,6 @@ def _node(rng: random.Random, depth: int, width: int) -> Sequent:
         if depth and rng.random() < 0.3:
             item = _node(rng, depth - 1, width)
         else:
-            item = Occ(rng.choice(_LEAVES))
+            item = rng.choice(_LEAVES)
         rng.choice(sides).append(item)
     return Sequent(*sides)

@@ -69,12 +69,10 @@ from fillprover.formula import (
     is_fill_formula,
 )
 from fillprover.sequent import (
-    _OCC,
     _SEQUENT,
     HOLE,
     Context,
     Hole,
-    Occ,
     Sequent,
     SignedCounts,
     _tally,
@@ -97,19 +95,19 @@ def hole_contexts(s: Sequent) -> Iterator[tuple[Context, Sequent]]:
             for sub_ctx, node in hole_contexts(it):
                 replaced = items[:idx] + (HOLE if isinstance(sub_ctx, Hole) else sub_ctx,) + items[idx + 1 :]
                 if side_name == "left":
-                    ctx = Sequent(replaced, s.right, s.origin)
+                    ctx = Sequent(replaced, s.right)
                 else:
-                    ctx = Sequent(s.left, replaced, s.origin)
+                    ctx = Sequent(s.left, replaced)
                 yield ctx, node
 
 
 def enumerate_partitions(s: Sequent) -> list[tuple[Sequent, Sequent]]:
     """Every two-colouring of the formula occurrences; both halves keep the
-    full child shape with origins, child contents partitioned recursively.
+    full child shape, child contents partitioned recursively.
     Exactly 2**n pairs for the n occurrences of the tree, with multiplicity,
     ordered so the first half starts maximal."""
     return [
-        (Sequent(l1, r1, s.origin), Sequent(l2, r2, s.origin))
+        (Sequent(l1, r1), Sequent(l2, r2))
         for (l1, l2), (r1, r2) in product(_split_items(s.left), _split_items(s.right))
     ]
 
@@ -150,12 +148,12 @@ def _charge(*parts: tuple) -> tuple:
     return sums[0] - sums[1], frozenset((n, pos - neg) for n, (neg, pos) in atoms.items() if pos != neg)
 
 
-def rules_at(node: Sequent) -> Iterator[tuple[str, str, Occ]]:
+def rules_at(node: Sequent) -> Iterator[tuple[str, str, Formula]]:
     """(rule, side, occurrence) for every logical rule that can act on an
     occurrence of the node, antecedent first."""
     for side in ("left", "right"):
         for occ in occs(getattr(node, side)):
-            rule = _RULE_AT.get((side, type(occ.formula)))
+            rule = _RULE_AT.get((side, type(occ)))
             if rule is not None:
                 yield rule, side, occ
 
@@ -164,10 +162,10 @@ def formula_occurrence_count(s: Sequent) -> int:
     """The formula occurrences in the whole tree of `s`."""
     n = 0
     for it in s.left + s.right:
-        if isinstance(it, Occ):
-            n += 1
-        elif isinstance(it, Sequent):
+        if isinstance(it, Sequent):
             n += formula_occurrence_count(it)
+        else:
+            n += 1
     return n
 
 
@@ -179,19 +177,19 @@ def reference_axiom_move(s: Sequent) -> Move | None:
     if total == 1:
         for ctx, node in hole_contexts(s):
             for occ in occs(node.left):
-                if isinstance(occ.formula, UnitBot):
-                    return Move("bot_l", (), Witness(context=ctx, principal=occ.formula))
+                if isinstance(occ, UnitBot):
+                    return Move("bot_l", (), Witness(context=ctx, principal=occ))
             for occ in occs(node.right):
-                if isinstance(occ.formula, UnitI):
-                    return Move("i_r", (), Witness(context=ctx, principal=occ.formula))
+                if isinstance(occ, UnitI):
+                    return Move("i_r", (), Witness(context=ctx, principal=occ))
     if total == 2:
         for ctx, node in hole_contexts(s):
             for lo in occs(node.left):
-                if not isinstance(lo.formula, Atom):
+                if not isinstance(lo, Atom):
                     continue
                 for ro in occs(node.right):
-                    if ro.formula == lo.formula:
-                        return Move("id", (), Witness(context=ctx, principal=lo.formula))
+                    if ro == lo:
+                        return Move("id", (), Witness(context=ctx, principal=lo))
     return None
 
 
@@ -210,7 +208,7 @@ def reference_moves(s: Sequent) -> Iterator[Move]:
         for rule, _, occ in acts:
             if rule in UNARY_LOGICAL_RULES:
                 premise = plug(ctx, _unfold(rule, node, occ))
-                yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula))
+                yield Move(rule, (premise,), Witness(context=ctx, principal=occ))
                 return
         spots.append((ctx, node, acts))
 
@@ -218,7 +216,7 @@ def reference_moves(s: Sequent) -> Iterator[Move]:
         for rule, side, occ in acts:
             if rule not in BRANCH_RULES:
                 continue
-            f = occ.formula
+            f = occ
             rest = _edit(node, side, (occ,))
             seen: set = set()
             for c1, c2 in enumerate_context_partitions(ctx):
@@ -237,7 +235,7 @@ def reference_moves(s: Sequent) -> Iterator[Move]:
                 premise = plug(ctx, _propagate(rule, node, kid, occ)[0])
                 if (rule, premise) not in seen:
                     seen.add((rule, premise))
-                    yield Move(rule, (premise,), Witness(context=ctx, principal=occ.formula, child_origin=kid.origin))
+                    yield Move(rule, (premise,), Witness(context=ctx, principal=occ))
 
 
 def reference_counts(s: Sequent | Formula) -> SignedCounts:
@@ -249,11 +247,9 @@ def reference_counts(s: Sequent | Formula) -> SignedCounts:
     while todo:
         x, pol = todo.pop()
         tag = x[0]
-        if tag == _OCC:
-            todo.append((x[1], pol))
-        elif tag == _SEQUENT:
-            todo.extend((it, 0) for it in x[2])
-            todo.extend((it, 1) for it in x[3])
+        if tag == _SEQUENT:
+            todo.extend((it, 0) for it in x[1])
+            todo.extend((it, 1) for it in x[2])
         elif tag == _ATOM:
             counts.setdefault(x[1], [0, 0])[pol] += 1
             leaves += pol

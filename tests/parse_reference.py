@@ -25,7 +25,7 @@ import re
 from fillprover.certs import ProofNode, Witness
 from fillprover.display import DisplaySequent, SComma, SGt, SLeaf, SLt, SPhi
 from fillprover.formula import Atom, Excl, Lolli, Par, ParseError, Tensor, UnitBot, UnitI
-from fillprover.sequent import HOLE, Occ, Sequent, hole_count
+from fillprover.sequent import HOLE, Sequent, hole_count
 
 MAX_NESTING = 100
 
@@ -135,8 +135,9 @@ def _item(cur: Cursor):
         cur.take()
         left, right = _sides(cur)
         cur.expect("]")
-        return Sequent(left, right, _origin(cur))
-    return Occ(_arrows(cur)[0])
+        _skip_origin(cur)
+        return Sequent(left, right)
+    return _arrows(cur)[0]
 
 
 def _side(cur: Cursor) -> tuple:
@@ -156,23 +157,19 @@ def _sides(cur: Cursor) -> tuple:
     return left, _side(cur)
 
 
-def _origin(cur: Cursor) -> int:
+def _skip_origin(cur: Cursor) -> None:
+    # an origin `@n` after a sequent is read and ignored
     tok = cur.peek()
-    if tok is None or not tok.startswith("@"):
-        return 0
-    cur.take()
-    try:
-        return int(tok[1:])
-    except ValueError:
-        raise ParseError("origin too long") from None
+    if tok is not None and tok.startswith("@"):
+        cur.take()
 
 
 def parse_sequent(text: str):
     cur = Cursor(text)
     left, right = _sides(cur)
-    s = Sequent(left, right, _origin(cur))
+    _skip_origin(cur)
     cur.end()
-    return s
+    return Sequent(left, right)
 
 
 def parse_context(text: str):
@@ -243,7 +240,6 @@ def _witness(data: dict) -> Witness:
     return Witness(
         context=context("context"),
         principal=parse_formula(data["principal"]) if "principal" in data else None,
-        child_origin=data.get("child_origin"),
         ctx1=context("ctx1"),
         ctx2=context("ctx2"),
     )

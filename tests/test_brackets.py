@@ -7,7 +7,7 @@ from brackets import dual, nested_sequent
 from fillprover.cli import corpus_formulas
 from fillprover.formula import formula_text, parse_formula
 from fillprover.prover import decide_formula, decide_sequent
-from fillprover.sequent import Occ, Sequent, sequent_text, tau_s
+from fillprover.sequent import Sequent, sequent_text, tau_s
 
 
 def test_every_size_3_formula_and_its_dual_get_one_verdict():
@@ -15,7 +15,7 @@ def test_every_size_3_formula_and_its_dual_get_one_verdict():
     decisions = theorems = 0
     for f in corpus_formulas(["p", "q"], 3):
         d = decide_formula(f)
-        assert decide_sequent(Sequent((Occ(dual(f)),), ())).status == d.status, formula_text(f)
+        assert decide_sequent(Sequent((dual(f),), ())).status == d.status, formula_text(f)
         decisions += 1
         theorems += d.proved
     assert (decisions, theorems) == (39420, 1258)

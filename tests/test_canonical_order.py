@@ -2,15 +2,15 @@
 
 The reference below is the explicit key the package once sorted by: each
 value mapped to a tuple of plain tuples, kinds in the order atom, `1`,
-`bot`, `*`, `|`, `-o`, `-<` and then formula occurrence, child sequent,
-hole.  The values themselves must order, compare and stay apart exactly as
-those keys do."""
+`bot`, `*`, `|`, `-o`, `-<`, and items in the order formula, child
+sequent, hole.  The values themselves must order, compare and stay apart
+exactly as those keys do."""
 
 import random
 from itertools import chain, pairwise, product
 
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI
-from fillprover.sequent import HOLE, Hole, Occ, Sequent
+from fillprover.sequent import HOLE, Hole, Sequent
 
 
 def formula_key(f):
@@ -34,13 +34,11 @@ def formula_key(f):
 
 def item_key(it):
     match it:
-        case Occ(formula=f):
-            return (0, formula_key(f))
-        case Sequent(left=l, right=r, origin=g):
-            return (1, g, tuple(item_key(x) for x in l), tuple(item_key(x) for x in r))
+        case Sequent(left=l, right=r):
+            return (1, tuple(item_key(x) for x in l), tuple(item_key(x) for x in r))
         case Hole():
             return (2,)
-    raise TypeError(it)
+    return (0, formula_key(it))
 
 
 def small_formulas():
@@ -57,7 +55,7 @@ def random_items(rng, formulas, depth):
     for _ in range(rng.randrange(4)):
         roll = rng.random()
         if roll < 0.6 or depth == 0:
-            items.append(Occ(rng.choice(formulas)))
+            items.append(rng.choice(formulas))
         elif roll < 0.9:
             items.append(random_sequent(rng, formulas, depth - 1))
         else:
@@ -66,7 +64,7 @@ def random_items(rng, formulas, depth):
 
 
 def random_sequent(rng, formulas, depth=2):
-    return Sequent(random_items(rng, formulas, depth), random_items(rng, formulas, depth), rng.randrange(3))
+    return Sequent(random_items(rng, formulas, depth), random_items(rng, formulas, depth))
 
 
 def assert_ordered_as(values, key):
@@ -96,8 +94,7 @@ def test_sequent_items_order_and_compare_as_their_keys():
     rng = random.Random(2)
     sequents = [random_sequent(rng, FORMULAS) for _ in range(1500)]
     items = [HOLE] + sequents + [it for s in sequents for it in s.left + s.right]
-    assert {type(it) for it in items} == {Occ, Sequent, Hole}
-    assert any(k.origin for s in sequents for k in s.left + s.right if isinstance(k, Sequent))
+    assert {Sequent, Hole, Atom, Lolli} <= {type(it) for it in items}
     for s in sequents:
         assert list(s.left) == sorted(s.left, key=item_key)
         assert list(s.right) == sorted(s.right, key=item_key)
@@ -106,9 +103,11 @@ def test_sequent_items_order_and_compare_as_their_keys():
 
 
 def test_no_formula_equals_a_sequent_item():
+    # the items that are not formulas: children and the hole
     rng = random.Random(3)
     sequents = [random_sequent(rng, FORMULAS) for _ in range(500)]
     items = {HOLE, Sequent(), *sequents, *(it for s in sequents for it in s.left + s.right)}
-    items |= {Occ(f) for f in FORMULAS}
+    items = {it for it in items if isinstance(it, (Sequent, Hole))}
+    assert len(items) > 500
     assert set(FORMULAS).isdisjoint(items)
     assert HOLE != UnitBot() and Sequent() != UnitI()

@@ -23,7 +23,7 @@ from fillprover.deep import check_dn_proof, check_separation
 from fillprover.display import DisplaySequent, SComma, SGt, SLeaf, SLt, SPhi, check_dc_proof
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, formula_text, parse_formula
 from fillprover.prover import decide_formula
-from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent
+from fillprover.sequent import HOLE, Sequent, parse_sequent
 from fillprover.shallow import check_sn_proof
 from fillprover.translate import deep_to_shallow, shallow_to_display
 
@@ -49,7 +49,7 @@ def shape(root):
 
 def test_a_loop_in_a_chain_is_cut_to_the_upper_node():
     # A <- B <- A <- C becomes A <- C, the upper A keeping its rule and witness
-    w = Witness(child_origin=7)
+    w = Witness(principal=Atom("a"))
     upper = ProofNode("r2", "A", (ProofNode("r3", "C"),), w)
     root = ProofNode("r0", "A", (ProofNode("r1", "B", (upper,)),))
     cut = cut_loops(root)
@@ -92,15 +92,44 @@ def test_chains_are_cut_separately():
     assert cut_loops(root) is root
 
 
-def test_equal_conclusions_must_carry_equal_labels():
-    # the labels a conclusion carries are its children's `@n` origins
+def test_conclusions_that_differ_only_by_an_old_origin_are_one_conclusion():
+    # an `@n` origin in older text is read and ignored, so it labels nothing
+    # that could keep two conclusions apart
     bare = parse_sequent("a => [=> a]")
     labelled = parse_sequent("a => [=> a]@1")
-    assert bare != labelled
-    root = chain(("r0", labelled), ("r1", bare), ("r2", parse_sequent("=> a")))
+    assert bare == labelled
+    root = chain(("r0", labelled), ("r1", parse_sequent("=> a")))
     assert cut_loops(root) is root
-    looped = chain(("r0", labelled), ("r1", bare), ("r2", parse_sequent("a => [=> a]@1")), ("r3", bare))
-    assert shape(cut_loops(looped)) == [("r2", labelled), ("r3", bare)]
+    looped = chain(("r0", labelled), ("r1", bare), ("r2", parse_sequent("=> a")))
+    assert shape(cut_loops(looped)) == [("r1", bare), ("r2", parse_sequent("=> a"))]
+
+
+def test_origins_in_older_sequent_texts_are_read_and_ignored():
+    # the format that numbered children wrote `@n` after a child or a whole
+    # sequent, in endsequents, conclusions and witness contexts alike
+    dn = decide_formula(parse_formula("a -o b -o a*b")).proof
+    text = certificate_text("dn", "biill", dn)
+    data = json.loads(text)
+    aged = 0
+
+    def age(holder, key):
+        nonlocal aged
+        t = holder[key]
+        holder[key] = t.replace("]", "]@3") + ("" if t == "_" else " @2")
+        aged += "]" in t
+
+    age(data, "endsequent")
+    todo = [data["proof"]]
+    while todo:
+        node = todo.pop()
+        age(node, "conclusion")
+        for key in node.get("witness", {}).keys() & {"context", "ctx1", "ctx2"}:
+            age(node["witness"], key)
+        todo += node["premises"]
+    assert aged == 10 and "@3" in json.dumps(data)
+    old = read_certificate(json.dumps(data))
+    assert old.root == read_certificate(text).root == dn
+    assert old.endsequent == "=> a -o b -o a*b"
 
 
 def test_a_100_000_node_chain_is_cut_at_the_default_recursion_limit():
@@ -206,7 +235,7 @@ def children(rng, k, inner):
     on a drawn side, with a drawn atom beside it or none."""
     s = Sequent((inner,), ())
     for _ in range(k):
-        extra = tuple(Occ(rng.choice(ATOMS)) for _ in range(rng.randrange(2)))
+        extra = tuple(rng.choice(ATOMS) for _ in range(rng.randrange(2)))
         s = Sequent((s,) + extra, ()) if rng.random() < 0.5 else Sequent(extra, (s,))
     return s
 
@@ -237,11 +266,11 @@ def nested(rng, n):
     brackets and a witness context."""
     j = rng.randrange(1, 6)
     side = rng.choice(ATOMS)
-    shallow = Sequent((Occ(side),), (Occ(side),))
+    shallow = Sequent((side,), (side,))
     cases = [
-        ("sn", ProofNode("id", children(rng, n, Occ(side)))),
-        ("sn", ProofNode("id", children(rng, n - j, Occ(bracketed(j))))),
-        ("dn", ProofNode("id", Sequent((), (Occ(formula_tree(rng, n)),)), (), Witness(HOLE, side))),
+        ("sn", ProofNode("id", children(rng, n, side))),
+        ("sn", ProofNode("id", children(rng, n - j, bracketed(j)))),
+        ("dn", ProofNode("id", Sequent((), (formula_tree(rng, n),)), (), Witness(HOLE, side))),
         ("dn", ProofNode("id", shallow, (), Witness(children(rng, n, HOLE), side))),
         ("dn", ProofNode("id", shallow, (), Witness(HOLE, formula_tree(rng, n)))),
         ("dn", ProofNode("id", shallow, (), Witness(HOLE, tensors(rng, n)))),

@@ -58,11 +58,56 @@ def test_prove_unprovable_is_exit_1(capsys):
 
 
 def test_prove_writes_no_child_origin(tmp_path):
-    # the child that lolli_r spawns has origin 0, which the text omits
+    # a certificate carries no annotation: no `@` origin in any text and no
+    # `child_origin` in any witness
     out = tmp_path / "cert.json"
-    assert run("prove", "a -o a", "--out", str(out)) == 0
+    assert run("prove", "b -o (b -o a) -o a", "--out", str(out)) == 0
     text = out.read_text()
-    assert "[a => a]" in text and "@" not in text
+    assert "[b => (b -o a) -o a]" in text and '"prop_' in text
+    assert "@" not in text and "child_origin" not in text
+
+
+def test_the_golden_certificate_with_its_old_child_origins_reads_as_the_same_proof():
+    # the certificate format that numbered children wrote `"child_origin": 0`
+    # into each propagation witness; it is read, type-checked and ignored
+    golden = (DATA / "bierman.fill.dn.json").read_text()
+    data = json.loads(golden)
+    todo, props = [data["proof"]], 0
+    while todo:
+        node = todo.pop()
+        if node["rule"].startswith("prop_"):
+            node["witness"]["child_origin"] = 0
+            props += 1
+        todo += node["premises"]
+    assert props == 2
+    assert read_certificate(json.dumps(data)).root == read_certificate(golden).root
+
+
+def adversarial_certificate(m, valid):
+    """The shape of the benchmark's `check_adversarial` certificates: the
+    3-node dn certificate `a, b => a*b, [=>]@1 x m`, `tensor_r` over two
+    `id` leaves, the invalid form naming `bot_l` at the second leaf."""
+    kids = ", ".join(["[=>]@1"] * m)
+
+    def leaf(rule, atom):
+        witness = {"context": "_", "principal": atom}
+        return {"rule": rule, "conclusion": f"{atom} => {atom}, {kids}", "witness": witness, "premises": []}
+
+    root = f"a, b => a*b, {kids}"
+    witness = {"context": "_", "principal": "a*b", "ctx1": "_", "ctx2": "_"}
+    premises = [leaf("id", "a"), leaf("id" if valid else "bot_l", "b")]
+    proof = {"rule": "tensor_r", "conclusion": root, "witness": witness, "premises": premises}
+    return {"calculus": "dn", "logic": "biill", "endsequent": root, "proof": proof}
+
+
+@pytest.mark.parametrize("valid, code, err", [(True, 0, ""), (False, 1, "check failed: ")])
+def test_check_reads_certificates_whose_children_carry_origins(tmp_path, capsys, valid, code, err):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(adversarial_certificate(2, valid)))
+    capsys.readouterr()
+    assert run("check", str(path)) == code
+    assert capsys.readouterr().err.startswith(err)
+    assert read_certificate(path.read_text()).endsequent == "a, b => a*b, [=>], [=>]"
 
 
 def test_prove_reproduces_the_golden_bierman_certificate(tmp_path):
@@ -644,6 +689,17 @@ def test_out_naming_a_directory_is_a_one_line_exit_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"cannot write {tmp_path}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("size", [0, 2], ids=["flush-at-close", "write-partway"])
+def test_corpus_out_that_cannot_be_written_is_a_one_line_exit_2(capsys, size):
+    # 376 bytes fail only when the file is flushed as it closes, 133 KB at
+    # a write partway through the stream
+    assert run("corpus", "--max-size", str(size), "--out", "/dev/full") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write /dev/full: ") and captured.err.count("\n") == 1
 
 
 def test_a_write_that_fails_partway_leaves_exactly_what_was_written(tmp_path):

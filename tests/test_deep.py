@@ -1,6 +1,7 @@
 """Deep nested calculus: move generation and proof checking."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillprover import deep
-from fillprover.certs import CheckError, ProofNode, Witness, certificate_text, parse_context, proof_size
+from fillprover.certs import (
+    CheckError,
+    ProofNode,
+    Witness,
+    certificate_text,
+    parse_context,
+    proof_size,
+    read_certificate,
+)
 from fillprover.cli import corpus_formulas
 from fillprover.deep import (
     PROP_RULES,
@@ -20,8 +29,6 @@ from fillprover.deep import (
 from fillprover.formula import Atom, UnitBot, UnitI, formula_text, parse_formula
 from fillprover.prover import decide_formula
 from fillprover.sequent import (
-    HOLE,
-    Occ,
     Sequent,
     child_seqs,
     is_fill_sequent,
@@ -50,7 +57,6 @@ def N(rule, conclusion, witness=None, *premises):
         w = Witness(
             context=parse_context(witness["context"]) if "context" in witness else None,
             principal=parse_formula(witness["principal"]) if "principal" in witness else None,
-            child_origin=witness.get("child_origin"),
             ctx1=parse_context(witness["ctx1"]) if "ctx1" in witness else None,
             ctx2=parse_context(witness["ctx2"]) if "ctx2" in witness else None,
         )
@@ -100,22 +106,21 @@ def test_the_axiom_walk_finds_the_axiom_the_hole_context_scan_finds(text, rule, 
     if rule is None:
         assert got is None
     else:
-        ctx = got.witness.context
-        assert (got.rule, "_" if ctx == HOLE else sequent_text(ctx)) == (rule, context)
+        # an origin in the expected context's text is read and ignored
+        assert (got.rule, got.witness.context) == (rule, parse_context(context))
 
 
 hollow_trees = st.recursive(
-    st.builds(Sequent, st.just(()), st.just(()), st.integers(0, 2)),
+    st.builds(Sequent),
     lambda kids: st.builds(
-        lambda left, right, origin: Sequent(tuple(left), tuple(right), origin),
+        lambda left, right: Sequent(tuple(left), tuple(right)),
         st.lists(kids, max_size=2),
         st.lists(kids, max_size=2),
-        st.integers(0, 2),
     ),
     max_leaves=6,
 )
 axiom_items = st.sampled_from(
-    [Occ(Atom("a")), Occ(Atom("b")), Occ(UnitI()), Occ(UnitBot()), Occ(parse_formula("a*a"))]
+    [Atom("a"), Atom("b"), UnitI(), UnitBot(), parse_formula("a*a")]
 )
 
 
@@ -130,9 +135,9 @@ def test_the_axiom_walk_agrees_with_the_hole_context_scan(tree, data):
         ctx, node = data.draw(st.sampled_from(list(hole_contexts(s))))
         occ = data.draw(axiom_items)
         if data.draw(st.booleans()):
-            node = Sequent(node.left + (occ,), node.right, node.origin)
+            node = Sequent(node.left + (occ,), node.right)
         else:
-            node = Sequent(node.left, node.right + (occ,), node.origin)
+            node = Sequent(node.left, node.right + (occ,))
         s = plug(ctx, node)
     assert deep._axiom_move(s) == reference_axiom_move(s)
 
@@ -150,10 +155,10 @@ def test_lolli_r_creates_a_child_of_origin_0():
     assert len(lolli) == 1
     (premise,) = lolli[0].premises
     assert sequent_text(premise) == "=> [a => b]"
-    assert premise.right[0].origin == 0
-    # so does the child of an arrow that sits beside a child a user named
+    assert premise.right[0] == Sequent((Atom("a"),), (Atom("b"),))
+    # beside a child whose text gives it an origin, which is ignored
     (premise,) = moves_of("=> a -o b, [c => c]@4")[0].premises
-    assert sequent_text(premise) == "=> [a => b], [c => c]@4"
+    assert sequent_text(premise) == "=> [a => b], [c => c]"
 
 
 def test_unary_move_is_the_only_move():
@@ -288,7 +293,7 @@ def test_propagation_moves():
     ms = moves_of("b => [=> b]@1")
     props = [m for m in ms if m.rule == "prop_left_in"]
     assert len(props) == 1
-    assert sequent_text(props[0].premises[0]) == "=> [b => b]@1"
+    assert sequent_text(props[0].premises[0]) == "=> [b => b]"
 
 
 def hollow_tree(rng, nodes):
@@ -297,14 +302,14 @@ def hollow_tree(rng, nodes):
     kids = [([], []) for _ in range(nodes)]
     parents = [(rng.randrange(i), rng.randrange(2)) for i in range(1, nodes)]
     home = rng.randrange(nodes)
-    kids[home][rng.randrange(2)].append(Occ(Atom("a")))
+    kids[home][rng.randrange(2)].append(Atom("a"))
 
     def build(i):
         left, right = kids[i]
         for j, (parent, side) in enumerate(parents, 1):
             if parent == i:
                 (left, right)[side].append(build(j))
-        return Sequent(tuple(left), tuple(right), rng.randrange(2))
+        return Sequent(tuple(left), tuple(right))
 
     return build(0)
 
@@ -324,7 +329,7 @@ def longest_propagation_path(s):
         on_path.add(x)
         best = 0
         for m in deep_moves(x):
-            assert m.rule in PROP_RULES and m.witness.principal == occ.formula
+            assert m.rule in PROP_RULES and m.witness.principal == occ
             (p,) = m.premises
             assert [o for _, node in hole_contexts(p) for o in occs(node.left + node.right)] == [occ]
             assert sequent_node_count(p) == sequent_node_count(x)
@@ -396,7 +401,7 @@ def big_fill_proof():
     v2 = N(
         "prop_left_in",
         "b => [=> b]",
-        {"context": "_", "principal": "b", "child_origin": 0},
+        {"context": "_", "principal": "b"},
         id_b,
     )
     u1 = N(
@@ -410,7 +415,7 @@ def big_fill_proof():
     u2 = N(
         "prop_left_in",
         "c => [=> c]",
-        {"context": "_", "principal": "c", "child_origin": 0},
+        {"context": "_", "principal": "c"},
         id_c,
     )
     r1 = N(
@@ -497,16 +502,25 @@ def test_wrong_premise_rejected():
 
 
 def test_wrong_child_origin_rejected():
-    # a premise in the certificate format that numbered spawned children
-    bad = N(
-        "lolli_r",
-        "=> a -o b",
-        {"context": "_", "principal": "a -o b"},
-        N("id", "=> [a => b]@1", {"context": "=> _", "principal": "a"}),
-    )
-    # the rule applies; what is wrong is the stated premise
-    with pytest.raises(CheckError, match=r"premise mismatch at lolli_r: stated '=> \[a => b\]@1', derived '=> \[a => b\]'"):
-        check_dn_proof(bad)
+    # the format that numbered children wrote a `child_origin` into each
+    # propagation witness and `@n` after a child: both are read and ignored,
+    # but a `child_origin` that is no integer is still refused
+    def cert(child_origin, premise="=> [b => b]@1"):
+        witness = {"context": "=> _", "principal": "b"}
+        leaf = {"rule": "id", "conclusion": premise, "witness": witness, "premises": []}
+        witness = {"context": "_", "principal": "b", "child_origin": child_origin}
+        proof = {"rule": "prop_left_in", "conclusion": "b => [=> b]@2", "witness": witness, "premises": [leaf]}
+        return json.dumps({"calculus": "dn", "endsequent": "b => [=> b]", "proof": proof})
+
+    for child_origin in (0, 1, -7):
+        check_dn_proof(read_certificate(cert(child_origin)).root)
+    for child_origin in ("0", 1.0, True, None, [0]):
+        with pytest.raises(CheckError, match=r"witness field 'child_origin' must be int"):
+            read_certificate(cert(child_origin))
+    # what is wrong is then only ever a premise
+    mismatch = r"premise mismatch at prop_left_in: stated '=> \[=> b\]', derived '=> \[b => b\]'"
+    with pytest.raises(CheckError, match=mismatch):
+        check_dn_proof(read_certificate(cert(1, premise="=> [=> b]@1")).root)
 
 
 def test_branch_requires_split_witnesses():
@@ -594,7 +608,7 @@ def test_stays_in_fill_predicate():
     outside = N(
         "prop_right_in",
         "[a => b] => c",
-        {"context": "_", "principal": "c", "child_origin": 0},
+        {"context": "_", "principal": "c"},
     )
     with pytest.raises(CheckError):
         check_separation(outside)
@@ -604,4 +618,4 @@ def test_endsequent_for():
     f = parse_formula("(a -o b) -o c -o d")
     s = endsequent_for(f)
     assert sequent_text(s) == "=> (a -o b) -o c -o d"
-    assert s.right[0].formula is f
+    assert s.right[0] is f

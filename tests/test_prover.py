@@ -34,7 +34,7 @@ from fillprover.formula import (
 )
 from fillprover import prover
 from fillprover.prover import branch_bound, decide_formula, decide_sequent, goal_reading
-from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent, signed_counts
+from fillprover.sequent import HOLE, Sequent, parse_sequent, signed_counts
 from fillprover.cli import corpus_formulas, main
 from moves_reference import reference_counts
 
@@ -249,8 +249,8 @@ def test_a_long_invertible_chain_needs_no_raised_recursion_limit():
     # left
     n = 150
     s = Sequent(
-        (Occ(balanced_tree(Tensor, [UnitI()] * n)),),
-        (Occ(balanced_tree(Par, [UnitBot()] * (n - 1) + [UnitI()])),),
+        (balanced_tree(Tensor, [UnitI()] * n),),
+        (balanced_tree(Par, [UnitBot()] * (n - 1) + [UnitI()]),),
     )
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(500)
@@ -341,15 +341,14 @@ _small_formulas = st.recursive(
     ),
     max_leaves=3,
 )
-_sides = st.lists(_small_formulas.map(Occ), max_size=2)
+_sides = st.lists(_small_formulas, max_size=2)
 def _node(kids):
-    child = st.builds(lambda k, g: Sequent(k.left, k.right, g), kids, st.integers(1, 2))
     return st.builds(
         lambda l, r, lk, rk: Sequent(tuple(l + lk), tuple(r + rk)),
         _sides,
         _sides,
-        st.lists(child, max_size=1),
-        st.lists(child, max_size=1),
+        st.lists(kids, max_size=1),
+        st.lists(kids, max_size=1),
     )
 
 
@@ -360,7 +359,7 @@ def material(s):
     """Total formula size in the tree.  Unfolding never adds to it, so it
     bounds how many occurrences a branch rule can split."""
     return sum(
-        formula_size(it.formula) if isinstance(it, Occ) else material(it) for it in s.left + s.right
+        material(it) if isinstance(it, Sequent) else formula_size(it) for it in s.left + s.right
     )
 
 
@@ -379,22 +378,21 @@ def test_the_recursive_count_walk_equals_the_explicit_stack_walk_on_the_size_3_c
 
 
 _counted_items = st.recursive(
-    st.builds(Occ, _small_formulas) | st.just(HOLE),
+    _small_formulas | st.just(HOLE),
     lambda kids: st.builds(
-        lambda l, r, g: Sequent(tuple(l), tuple(r), g),
+        lambda l, r: Sequent(tuple(l), tuple(r)),
         st.lists(kids, max_size=3),
         st.lists(kids, max_size=3),
-        st.integers(0, 2),
     ),
     max_leaves=6,
 )
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(_counted_items, max_size=3), st.lists(_counted_items, max_size=3), st.integers(0, 2))
-def test_the_recursive_count_walk_equals_the_explicit_stack_walk_on_sequents(left, right, origin):
-    # children, holes and origins, none of which changes a count
-    s = Sequent(tuple(left), tuple(right), origin)
+@given(st.lists(_counted_items, max_size=3), st.lists(_counted_items, max_size=3))
+def test_the_recursive_count_walk_equals_the_explicit_stack_walk_on_sequents(left, right):
+    # children and holes, neither of which changes a count
+    s = Sequent(tuple(left), tuple(right))
     assert signed_counts(s) == reference_counts(s)
 
 

@@ -11,7 +11,6 @@ from fillprover.formula import ParseError, parse_formula
 from fillprover.sequent import (
     HOLE,
     Hole,
-    Occ,
     Sequent,
     context_decompose,
     hole_count,
@@ -40,10 +39,10 @@ def brute_partitions(s):
         for side_name in ("left", "right"):
             for idx, it in enumerate(getattr(node, side_name)):
                 p = path + ((side_name, idx),)
-                if isinstance(it, Occ):
-                    slots.append(p)
-                elif isinstance(it, Sequent):
+                if isinstance(it, Sequent):
                     collect(it, p)
+                elif not isinstance(it, Hole):
+                    slots.append(p)
 
     collect(s, ())
 
@@ -53,15 +52,12 @@ def brute_partitions(s):
             items = []
             for idx, it in enumerate(getattr(node, side_name)):
                 p = path + ((side_name, idx),)
-                if isinstance(it, Occ):
-                    if p in keep:
-                        items.append(it)
-                elif isinstance(it, Sequent):
+                if isinstance(it, Sequent):
                     items.append(rebuild(it, p, keep))
-                else:
+                elif isinstance(it, Hole) or p in keep:
                     items.append(it)
             sides[side_name] = tuple(items)
-        return Sequent(sides["left"], sides["right"], node.origin)
+        return Sequent(sides["left"], sides["right"])
 
     out = []
     for mask in range(2 ** len(slots)):
@@ -99,10 +95,14 @@ def test_canonical_order_is_permutation_invariant():
 def test_duplicates_and_origins():
     s = parse_sequent("a, a =>")
     assert len(s.left) == 2
+    # an origin, which older text writes after a sequent, is read and
+    # ignored, however many digits it has
     child = parse_sequent("b => c @2")
-    assert child.origin == 2
-    assert sequent_text(child) == "b => c @2"
+    assert child == parse_sequent("b => c") == Sequent((parse_formula("b"),), (parse_formula("c"),))
+    assert sequent_text(child) == "b => c"
     assert parse_sequent("=> [b => c]@2").right[0] == child
+    assert parse_sequent("=> [b => c]@" + "9" * 5000) == parse_sequent("=> [b => c]")
+    assert sequent_text(parse_sequent("a => a, [=>]@1")) == "a => a, [=>]"
 
 
 @pytest.mark.parametrize("bad", ["a", "a => => b", "[a => b", "a => ]", "=> @", "a,, b =>", "=> [a => a]@²"])
@@ -180,9 +180,9 @@ def merges(x, y, z):
     return _merge_plan(x, y, z) is not None
 
 
-# a hollow node that no sequent here has: plugged into the hole of each
-# context, it makes the hole a child that a merge has to pair up
-MARK = Sequent((), (), 99)
+# a hollow node plugged into the hole of each context makes the hole a
+# child, which a merge pairs up as it does any other
+MARK = Sequent()
 
 
 def merges_contexts(x, y, z):
@@ -190,31 +190,32 @@ def merges_contexts(x, y, z):
 
 
 def test_merge_pairs_children_by_origin():
-    s1 = parse_sequent("=> [a =>]@1, [b =>]@1")
-    s2 = parse_sequent("=> [c =>]@1, [d =>]@1")
-    assert merges(s1, s2, parse_sequent("=> [a, c =>]@1, [b, d =>]@1"))
-    assert merges(s1, s2, parse_sequent("=> [a, d =>]@1, [b, c =>]@1"))
-    assert not merges(s1, s2, parse_sequent("=> [a, b =>]@1, [c, d =>]@1"))
-    assert not merges(s1, s2, parse_sequent("=> [a, b, c, d =>]@1"))
+    # the children of a side pair up as one group; origins in the text,
+    # which are ignored, group nothing
+    s1 = parse_sequent("=> [a =>]@1, [b =>]@2")
+    s2 = parse_sequent("=> [c =>], [d =>]@1")
+    assert merges(s1, s2, parse_sequent("=> [a, c =>], [b, d =>]"))
+    assert merges(s1, s2, parse_sequent("=> [a, d =>], [b, c =>]"))
+    assert not merges(s1, s2, parse_sequent("=> [a, b =>], [c, d =>]"))
+    assert not merges(s1, s2, parse_sequent("=> [a, b, c, d =>]"))
 
 
 def test_merge_requires_matching_shape():
     S = parse_sequent
-    assert not merges(S("=> [a =>]@1"), S("=> [a =>]@2"), S("=> [a =>]@1, [a =>]@2"))
-    assert not merges(S("=> [a =>]@1"), S("=> [a =>]@1, [b =>]@1"), S("=> [a, a =>]@1, [b =>]@1"))
-    assert not merges(S("a => @1"), S("b => @2"), S("a, b => @1"))
+    assert not merges(S("=> [a =>]"), S("[=>] =>"), S("=> [a =>]"))
+    assert not merges(S("=> [a =>], [b =>]"), S("=>"), S("=> [a, b =>]"))
+    assert not merges(S("=> [a =>]"), S("=> [b =>]"), S("=> [a => b]"))
 
 
 def test_a_child_of_origin_0_may_stand_alone_in_a_merge():
-    # a display wrapper only one premise of a branch has: an origin 0 child
-    # stands for an equal child of the merge; a child of another origin is
-    # named by the endsequent, sits in both halves, and always pairs
+    # a display wrapper only one premise of a branch has: a child stands for
+    # an equal child of the merge, whatever origin older text gives it
     S = parse_sequent
     assert _merge_plan(S("=> [a =>]"), S("b =>"), S("b => [a =>]")) == []
     assert _merge_plan(S("=> [c => [a =>]]"), S("=> [b =>]"), S("=> [b, c => [a =>]]")) == [
         ("right", S("c => [a =>]"), S("b =>"), S("b, c => [a =>]"))
     ]
-    assert not merges(S("=> [a =>]@1"), S("=>"), S("=> [a =>]@1"))
+    assert _merge_plan(S("=> [a =>]@1"), S("=>"), S("=> [a =>]")) == []
     assert not merges(S("=> [a =>]"), S("=>"), S("=> [a, a =>]"))
     assert not merges(S("=> [a =>]"), S("=> [a =>]"), S("=> [a =>]"))
 
@@ -241,7 +242,6 @@ def test_merge_contexts_aligns_holes():
     c2 = parse_sequent("b => _")
     assert merges_contexts(c1, c2, parse_sequent("a, b => _"))
     assert merges_contexts(HOLE, HOLE, HOLE)
-    assert not merges_contexts(HOLE, c1, c1)
     assert not merges_contexts(parse_sequent("_ => a"), c1, parse_sequent("a, _ => a"))
 
 
@@ -275,11 +275,7 @@ def test_context_partitions_keep_the_hole():
 formula_pool = st.sampled_from(
     [parse_formula(t) for t in ["a", "b", "p -o q", "a*b", "bot", "1"]]
 )
-occ_items = formula_pool.map(Occ)
-
-
-def _with_origin(s, g):
-    return Sequent(s.left, s.right, g)
+occ_items = formula_pool
 
 
 flat_seqs = st.builds(
@@ -293,7 +289,7 @@ nested_seqs = st.recursive(
         lambda l, r, cs: Sequent(tuple(l), tuple(r) + tuple(cs)),
         st.lists(occ_items, max_size=1),
         st.lists(occ_items, max_size=1),
-        st.lists(st.builds(_with_origin, kids, st.integers(1, 3)), max_size=2),
+        st.lists(kids, max_size=2),
     ),
     max_leaves=3,
 )

@@ -26,9 +26,9 @@ from fillprover.deep import check_dn_proof, check_separation, endsequent_for
 from fillprover.display import check_dc_proof, parse_display, sequent_to_display
 from fillprover.formula import Atom, Excl, Lolli, Par, Tensor, UnitBot, UnitI, parse_formula
 from fillprover.prover import decide_formula, decide_sequent
-from fillprover.sequent import HOLE, Occ, Sequent, parse_sequent
+from fillprover.sequent import HOLE, Sequent, parse_sequent
 from fillprover.cli import _FILL, main
-from fillprover.shallow import check_sn_proof, zero_origins
+from fillprover.shallow import check_sn_proof
 from fillprover.translate import (
     TranslationError,
     deep_to_shallow,
@@ -109,18 +109,18 @@ CLOSURE_CASES = [
         "22553376fd0527e3a92ce8c3eaba930f33ef32cccc4bcd65a88574ec03e1d36d",
     )),
     _case("((b -o bot)|c) -o b -o c", "fill", (
-        "189f8de331fb6bea59798fe07b02ef55df6af6cc893cb6155c1baf054e10dd48",
+        "001154552040de18da585d972f03ec24aa8cbfaf90b98fdd9de97254ca870e40",
         "650985673ef35795bcdefd7ea2484e09a0be77e0d8c3ab13f10418cec52a6f17",
         "2176b7cc82820ba04b5b8e99dae3e5ede11f10c3642b10ccfb70256c5556afab",
         "e32386c95fbffb8bb4156c044ac60275594dbcd8bd74009df9e9bd30dedcc523",
-        "189f8de331fb6bea59798fe07b02ef55df6af6cc893cb6155c1baf054e10dd48",
+        "001154552040de18da585d972f03ec24aa8cbfaf90b98fdd9de97254ca870e40",
     )),
     _case("a -o b -o a*b", "fill", (
-        "8584a4f1e770ae8d1e02f53d5c898605db0e4dc8422185144f7519776f81072e",
+        "085393cef9a8fffb6a7a29715ec568d9fd00921c6f87ea60e344649926f4d0e0",
         "8fd88ffea0486b1c8a3b4b00cfafbb5322a22299c4ceff4dfe33899c6a1ded42",
         "1b43d978ca8c7fd468a9aab78ba99f304aee3d7e217641bef5398cabe1176fcd",
         "8fd88ffea0486b1c8a3b4b00cfafbb5322a22299c4ceff4dfe33899c6a1ded42",
-        "8584a4f1e770ae8d1e02f53d5c898605db0e4dc8422185144f7519776f81072e",
+        "085393cef9a8fffb6a7a29715ec568d9fd00921c6f87ea60e344649926f4d0e0",
     )),
     _case("a*(b*c) -o (a*b)*c", "fill", (
         "7c9e98d93a9b39e07418a938c8fd9f52a0b70e1e8ab968d2f5e144af6c143fc0",
@@ -144,21 +144,21 @@ CLOSURE_CASES = [
         "8ab3b407e7e45e746ff1e61e676c7e16c0ecea83e9f41faefcbba7c867745fa1",
     )),
     _case("(a -< b) -< c -o a -< (b|c)", "biill", (
-        "2b16419a75c2c39ec2ebd774c968d430cb6df29c5d9e9f8eea337db82efe43da",
+        "368d28f0cfbc70dad79f02cf4088195204d9c8d1fa34054bf250b3a81a9d5a76",
         "e59156d6f4e717d5404c81d8e49bdac7289c6e377474a27cb2783798ee34b949",
         "b615d7fe82ee9a94a4c1aaae0e007ac5e921a9b542ceea2fb5e65f7b0a10b551",
         "e59156d6f4e717d5404c81d8e49bdac7289c6e377474a27cb2783798ee34b949",
-        "c855ed5bd564503aa501b8e74be01b7834c8edf4084461765c70e2711240f255",
+        "f4bd57002b589abfd2b3821a1b6bf47be6fe2612fb69d5bc55e71080f64780b6",
     )),
     _case("(a|b)|c -o a|((b|c -o d)|e -o d|e)", "fill", (
-        "d9af12137f0e3ed03114a33aed2d7ba5963eb9f01203abcde7ffd152666b18cd",
+        "77a901fcf75b65172067415da3d89f7bf1a6ddb459c1ddde437b8f37e6605a76",
         "b43d082d2cbfc1b86e8fe58f8f4915089043a7fc40955d1234c5d4493b1de3c0",
         "2f6c4911419034cdbe7870a94bba46ecb32608b70968549e85f5af429b363d70",
         "6f9eea6dfb182efc2c53ae6d5fcfc0249b8732a7a473f3263179fe4a03d79213",
-        "d9af12137f0e3ed03114a33aed2d7ba5963eb9f01203abcde7ffd152666b18cd",
+        "77a901fcf75b65172067415da3d89f7bf1a6ddb459c1ddde437b8f37e6605a76",
     )),
     # its dn proof reaches `=> [=>], [p => p]`: two children of one node,
-    # both spawned, both of origin 0
+    # both spawned
     _case("(p -o p)|(1 -o bot)", "fill", (
         "2ddfd3fe0e0d586d0038de074f89ab9b202ec0d034c73b9ee1cdfb11534a7e59",
         "abef67c4deed45b6a1f63bb91970feeb8f72044a5ad82ac39ba415ca27e5f585",
@@ -197,8 +197,8 @@ def test_four_way_closure(text, logic, digests):
 
 
 def test_six_spawned_children_check_and_translate_in_seconds():
-    """Every child that `lolli_r` spawns has origin 0, so the dn checker's
-    lifting meets the six children of this proof's root together, beside
+    """The dn checker's lifting meets all the children of a side as one
+    group: the six children of this proof's root together, beside
     the hollow copies each branch split leaves: (6!)^2 pairs of
     permutations at the first split, unless a permutation is dropped at
     the first child that cannot lift."""
@@ -229,7 +229,7 @@ def test_a_dn_certificate_that_names_no_principal_or_child_checks_and_translates
     cert = certificate_text("dn", "biill", opened[id(dn)])
     root = read_certificate(cert).root
     assert all(
-        n.witness.principal is None and n.witness.child_origin is None
+        n.witness.principal is None
         for n in postorder(root)
         if n.rule in deep.BRANCH_RULES or n.rule in deep.PROP_RULES
     )
@@ -287,21 +287,21 @@ def outward_certificate(rule, conclusion, premise):
         (
             "prop_right_out", "a => [=> a]@1", "a => a, [=>]@1",
             (
-                "702dc2da8e7f04394f5d0dcaa3d63a39da3ae84c17dd02fb792234d74fdbfe07",
-                "007d634a33fd614d2546d9ce92e1b1cf21108bc0ad15020a000bf73fe368d090",
+                "81c6024cdb392a490c6acde8dd03363a640634fefc0e02c9ba37ce96659631d8",
+                "ac3e1ef340bee23d9aad4f798aa6cc9e983983c9897ca6a61bfc0905f30a4a2f",
                 "4a928905cb42ec74d34d04c081a394ad253b37604d03867f05eb6a7888ff6238",
                 "ac3e1ef340bee23d9aad4f798aa6cc9e983983c9897ca6a61bfc0905f30a4a2f",
-                "702dc2da8e7f04394f5d0dcaa3d63a39da3ae84c17dd02fb792234d74fdbfe07",
+                "81c6024cdb392a490c6acde8dd03363a640634fefc0e02c9ba37ce96659631d8",
             ),
         ),
         (
             "prop_left_out", "[a =>]@1 => a", "a, [=>]@1 => a",
             (
-                "0c403849236c3e7d64d7e37135a6550358ef5c559a4c76d8e6a3edee81591f88",
-                "8d0e035c4c9b0eea911fbb9a62e86eb9ab3a2064a5c6b84d15cbb58ae44a8e62",
+                "3890fc1732108ea133fb81640191d335223266e54e03e5d3c3e0c7353723bfba",
+                "417dedd3b705bbdd7088e1248194f2502022d187b586e3e96b821711a2775581",
                 "500f737b7bb36739b74ab26d93c2dfda771ce513e9852540838353907e97644c",
                 "417dedd3b705bbdd7088e1248194f2502022d187b586e3e96b821711a2775581",
-                "0c403849236c3e7d64d7e37135a6550358ef5c559a4c76d8e6a3edee81591f88",
+                "3890fc1732108ea133fb81640191d335223266e54e03e5d3c3e0c7353723bfba",
             ),
         ),
     ],
@@ -452,7 +452,6 @@ UNCALLED = {
     "sequent_node_count": "the node count of a nested sequent",
     "connective_count": "the size measure the corpus tests bound formulas by",
     "decide_sequent": "the prover's entry point for a sequent goal, beside decide_formula",
-    "sn_rule_applies": "the sn schema test of one rule instance, origins ignored",
 }
 
 
@@ -578,11 +577,11 @@ def test_5000_step_sn_and_dc_chains_check_without_raising_the_recursion_limit(mo
 def balanced_tensor(lo, hi):
     """The sn proof of a_lo, ..., a_(hi-1) => their balanced tensor."""
     if hi - lo == 1:
-        occ = Occ(Atom(f"a{lo}"))
-        return ProofNode("id", Sequent((occ,), (occ,)))
+        a = Atom(f"a{lo}")
+        return ProofNode("id", Sequent((a,), (a,)))
     p1, p2 = balanced_tensor(lo, (lo + hi) // 2), balanced_tensor((lo + hi) // 2, hi)
-    f = Tensor(p1.conclusion.right[0].formula, p2.conclusion.right[0].formula)
-    return ProofNode("tensor_r", Sequent(p1.conclusion.left + p2.conclusion.left, (Occ(f),)), (p1, p2))
+    f = Tensor(p1.conclusion.right[0], p2.conclusion.right[0])
+    return ProofNode("tensor_r", Sequent(p1.conclusion.left + p2.conclusion.left, (f,)), (p1, p2))
 
 
 def test_sn_to_dc_of_a_400_atom_sequent():
@@ -625,9 +624,9 @@ def test_translations_preserve_endsequent_exactly():
     f = parse_formula("((p -o q)|r) -o p -o q|r")
     dn = proved("((p -o q)|r) -o p -o q|r", "fill")
     sn = deep_to_shallow(dn)
-    assert zero_origins(sn.conclusion) == zero_origins(endsequent_for(f))
+    assert sn.conclusion == endsequent_for(f)
     dn2 = shallow_to_deep(sn)
-    assert zero_origins(dn2.conclusion) == zero_origins(endsequent_for(f))
+    assert dn2.conclusion == endsequent_for(f)
     dc = shallow_to_display(sn)
     assert dc.conclusion == sequent_to_display(sn.conclusion)
 
@@ -654,8 +653,9 @@ def test_display_proofs_end_in_the_embedded_endsequent(text):
     assert dc.conclusion == sequent_to_display(sn.conclusion)
     dn = shallow_to_deep(display_to_shallow(dc))
     check_dn_proof(dn)
-    # display structures carry no child origins, so compare without them
-    assert zero_origins(dn.conclusion) == zero_origins(sn.conclusion)
+    # the endsequent read from the text, whose origins are ignored, comes
+    # back exactly
+    assert dn.conclusion == sn.conclusion == parse_sequent(text)
 
 
 # -------------------------------------------------------------- randomized
