@@ -10,8 +10,9 @@ A certificate is a JSON object
 where each node is `{"rule": ..., "conclusion": ..., "witness": {...}?,
 "premises": [...]}`.  Conclusions and endsequents use the sequent text syntax
 for the nested ("dn") and shallow ("sn") calculi and the structure syntax for
-the display calculus ("dc").  The optional witness narrows the choices a rule
-application makes: `context` locates the rewritten node (`_` marks the hole),
+the display calculus ("dc"); neither holds a hole.  The optional witness
+narrows the choices a rule application makes: `context` locates the
+rewritten node (`_` marks its one hole),
 `principal` names the formula acted on, and `ctx1`/`ctx2` give the context
 halves used by a branching rule.  Older certificates may also carry a
 `child_origin`, and their sequent texts `@<digits>` origins; both are read
@@ -37,7 +38,7 @@ from itertools import groupby
 from typing import Iterator, NamedTuple, Optional
 
 from .formula import _MAX_NESTING, Formula, ParseError, _clip, _read_formula, formula_text
-from .sequent import Context, Hole, _read_context, _read_sequent, sequent_text
+from .sequent import Context, Hole, Sequent, _read_context, _read_sequent, hole_count, sequent_text
 
 __all__ = [
     "CheckError",
@@ -397,6 +398,15 @@ def _read_witness(data: dict, table: dict) -> Witness:
         raise CheckError(f"bad witness: {e}") from e
 
 
+def _read_conclusion(text: str, table: dict) -> Sequent:
+    """The dn or sn conclusion `text`: a sequent without a hole, which only
+    a witness context may hold."""
+    s = _read_sequent(text, table)
+    if "_" in text and hole_count(s):
+        raise ParseError("a hole '_' stands only in a witness context")
+    return s
+
+
 def _reader(calculus: str):
     """The reader of the conclusion text of `calculus`, which takes the text
     and the formula table of the read."""
@@ -404,7 +414,7 @@ def _reader(calculus: str):
         from .display import _read_display
 
         return _read_display
-    return _read_sequent
+    return _read_conclusion
 
 
 def _read_proof(calculus: str, proof, table: dict) -> ProofNode:

@@ -12,14 +12,19 @@ Exit statuses: 0 when the request succeeds, 1 when it fails on the merits
 (unprovable formula, rejected proof, cut-bearing input declined, a
 translation its target checker rejects, which writes no output), 2 for
 usage errors, unparseable input, malformed certificates, a formula outside
-FILL to prove in FILL, and an --out path that cannot be written.
-Diagnostics go to standard error; certificates and records go to standard
-output or the --out path.
+FILL to prove in FILL, and an --out path or standard output that cannot be
+written, which gets one `cannot write <path>: ...` line (`cannot write
+standard output: ...`), not a traceback.  Diagnostics go to standard error;
+certificates and records go to standard output or the --out path.
 
 `main` can be called any number of times in one process, as the tests and
 the benchmark do.  It builds the argument parser once, on its first call,
 and no call leaves state behind for the next: each parse returns a fresh
-namespace.
+namespace.  Each command's arguments are parsed once: when the first
+argument names a command, the rest go straight to that command's own
+subparser, as the full parse would hand them on, and the top-level parser
+reads only a command line whose first argument names none (help, no or an
+unknown command, a leading `--`).
 """
 
 from __future__ import annotations
@@ -95,16 +100,18 @@ def _check(cert, logic: str) -> None:
     _in_logic(cert, logic)
 
 
-def _cannot_write(path: str, e: OSError) -> int:
-    print(f"cannot write {path}: {e}", file=sys.stderr)
+def _cannot_write(out: str | None, e: OSError) -> int:
+    print(f"cannot write {'standard output' if out is None else out}: {e}", file=sys.stderr)
     return 2
 
 
 @contextmanager
 def _overwritten(path: str):
     """A UTF-8 text file that writes `path` from its start; on leaving, a
-    regular file is cut at the end of what was written, so it holds exactly
-    that, even when a write fails partway.  Every --out goes through here.
+    regular file that was longer than what was written is cut at its end,
+    so it holds exactly that, even when a write fails partway.  A new file,
+    or one no longer than what was written, needs no cut and gets none.
+    Every --out goes through here.
 
     The file is never truncated to zero first, as `open(path, "w")` would:
     ext4's default `auto_da_alloc` starts writeback at once when a file
@@ -114,7 +121,8 @@ def _overwritten(path: str):
     until the cut.  Devices and FIFOs are written, never cut."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        st = os.fstat(fd)
+        old_size = st.st_size if stat.S_ISREG(st.st_mode) else 0
         fh = open(fd, "w", encoding="utf-8")
     except BaseException:
         os.close(fd)
@@ -123,19 +131,20 @@ def _overwritten(path: str):
         try:
             yield fh
         finally:
-            if regular:
+            if old_size and fh.tell() < old_size:
                 fh.truncate()
 
 
 def _emit(text: str, out: str | None) -> int:
     """Write `text` to standard output or the --out path: 0, or 2 after one
-    line saying why the path cannot be written."""
-    if out is None:
-        sys.stdout.write(text)
-        return 0
+    line saying why it cannot be written."""
     try:
-        with _overwritten(out) as fh:
-            fh.write(text)
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with _overwritten(out) as fh:
+                fh.write(text)
     except OSError as e:
         return _cannot_write(out, e)
     return 0
@@ -345,10 +354,9 @@ def cmd_corpus(args) -> int:
             for f in corpus_formulas(variables, args.max_size, args.logic):
                 sink.write(json.dumps(corpus_record(f)) + "\n")
                 n += 1
+            sink.flush()
     except OSError as e:
-        # the open, a write partway through, or the flush as the file closes
-        if args.out is None:
-            raise
+        # the open, a write partway through, or the last flush
         return _cannot_write(args.out, e)
     print(f"{n} records", file=sys.stderr)
     return 0
@@ -421,6 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--out", metavar="PATH", help="metrics file (default stdout)")
 
+    parser.commands = sub.choices  # each command's own parser, for `main`
     return parser
 
 
@@ -436,7 +445,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        # help, no command, an unknown one or a leading `--`: the full parse
+        args = parser.parse_args(argv)
+    else:
+        # what the full parse would hand this command's parser, parsed once;
+        # extra arguments are refused as the full parse refuses them
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return _COMMANDS[args.command](args)
 
 
